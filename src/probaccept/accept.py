@@ -29,12 +29,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Callable, Sequence
+from itertools import combinations, permutations
+from typing import Callable, Iterable, Sequence
 
 from .formulas import Formula, FormulaSet, atom
 from .sat import is_satisfiable
-from .worlds import BeliefBase, as_fraction
+from .worlds import BeliefBase, WorldModel, as_fraction
 
 __all__ = [
     "AcceptanceLevel",
@@ -53,7 +53,8 @@ __all__ = [
 
 DEFAULT_SEED = 0
 
-POLICIES = ("threshold", "lehrer", "lehrer_cascade", "sequential", "teng")
+# 7! orders; ``enumerate_extensions`` may list all of them in memory.
+MAX_PERMUTATIONS = 5040
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,14 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
     return AcceptanceLevel(Fraction(1, 1) / (1 + ratio))
 
 
+def _consistent(model: WorldModel, formulas: Iterable[Formula]) -> bool:
+    """Joint satisfiability of formulas over the model's atoms.  A world
+    in their joint mask is a satisfying valuation; only when there is none
+    (a model need not list every valuation) does the SAT solver decide."""
+    formulas = list(formulas)
+    return bool(model.joint_mask(formulas)) or is_satisfiable(formulas)
+
+
 def _finish(
     policy: str,
     level: AcceptanceLevel,
@@ -148,7 +157,7 @@ def _finish(
         level=level,
         accepted=tuple(accepted),
         background=base.background,
-        weakly_consistent=is_satisfiable(members),
+        weakly_consistent=_consistent(base.model, members),
     )
 
 
@@ -167,23 +176,14 @@ def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
 
 def _contrary_pairs(base: BeliefBase) -> set[frozenset[int]]:
     """Index pairs of candidates that are jointly unsatisfiable with the
-    background.  A shared world is a cheap witness of compatibility, so
-    the SAT solver only runs on pairs with no common world."""
-    model = base.model
-    bg_mask = model.full_mask()
-    for g in base.background:
-        bg_mask &= model.satisfying_mask(g)
+    background."""
     formulas = [f for _, f in base.candidates]
-    masks = [model.satisfying_mask(f) for f in formulas]
     background = list(base.background)
-    contrary: set[frozenset[int]] = set()
-    for i in range(len(formulas)):
-        for j in range(i + 1, len(formulas)):
-            if masks[i] & masks[j] & bg_mask:
-                continue
-            if not is_satisfiable(background + [formulas[i], formulas[j]]):
-                contrary.add(frozenset((i, j)))
-    return contrary
+    return {
+        frozenset((i, j))
+        for i, j in combinations(range(len(formulas)), 2)
+        if not _consistent(base.model, background + [formulas[i], formulas[j]])
+    }
 
 
 def lehrer_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
@@ -223,9 +223,7 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     """
     model = base.model
     tickets = {label: _ticket_atom(f) for label, f in base.candidates}
-    current = model.full_mask()
-    for g in base.background:
-        current &= model.satisfying_mask(g)
+    current = model.joint_mask(base.background)
     accepted: list[Acceptance] = []
     remaining = dict(base.candidates)
     while remaining:
@@ -246,21 +244,15 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
             Acceptance(label, formula, model.probability(formula), best)
         )
         current &= model.satisfying_mask(formula)
-    denominator = model.mask_weight(current)
-    if denominator > 0:
-        alive = [
-            name
-            for name in dict.fromkeys(tickets.values())
-            if model.mask_weight(current & model.satisfying_mask(atom(name))) > 0
-        ]
-        if len(alive) == 1:
-            win = atom(alive[0])
-            support = (
-                model.mask_weight(current & model.satisfying_mask(win)) / denominator
-            )
-            accepted.append(
-                Acceptance(alive[0], win, model.probability(win), support)
-            )
+    weights = {
+        name: model.mask_weight(current & model.satisfying_mask(atom(name)))
+        for name in dict.fromkeys(tickets.values())
+    }
+    alive = [name for name, weight in weights.items() if weight > 0]
+    if len(alive) == 1:
+        win = atom(alive[0])
+        support = weights[alive[0]] / model.mask_weight(current)
+        accepted.append(Acceptance(alive[0], win, model.probability(win), support))
     return _finish("lehrer_cascade", level, accepted, base)
 
 
@@ -285,7 +277,7 @@ def sequential_accept(
         p = base.model.probability(formula)
         if not level.met_by(p):
             continue
-        if is_satisfiable(current + [formula]):
+        if _consistent(base.model, current + [formula]):
             accepted.append(Acceptance(label, formula, p, p))
             current.append(formula)
     return _finish("sequential", level, accepted, base)
@@ -303,9 +295,7 @@ def teng_accept(
     """
     order = _check_order(base, order)
     model = base.model
-    current = model.full_mask()
-    for g in base.background:
-        current &= model.satisfying_mask(g)
+    current = model.joint_mask(base.background)
     accepted: list[Acceptance] = []
     for label in order:
         denominator = model.mask_weight(current)
@@ -355,15 +345,16 @@ def enumerate_extensions(
     """Run a policy over candidate orders and collect distinct outcomes.
 
     All permutations are tried when their count is at most
-    ``max_permutations``; otherwise a deterministic seeded sample of that
-    many shuffles is used.  Taken conjunctively the extensions may be
-    weakly inconsistent again; taken disjunctively (the intersection)
-    they may license nothing beyond the background.
+    ``max_permutations`` (itself at most ``MAX_PERMUTATIONS``); otherwise
+    a deterministic seeded sample of that many shuffles is used.  Taken
+    conjunctively the extensions may be weakly inconsistent again; taken
+    disjunctively (the intersection) they may license nothing beyond the
+    background.
     """
     if policy not in _ORDERED_POLICIES:
         raise ValueError(f"policy must be one of {sorted(_ORDERED_POLICIES)}")
-    if max_permutations < 1:
-        raise ValueError("max_permutations must be positive")
+    if not 1 <= max_permutations <= MAX_PERMUTATIONS:
+        raise ValueError(f"max_permutations must lie between 1 and {MAX_PERMUTATIONS}")
     run = _ORDERED_POLICIES[policy]
     labels = list(base.candidate_labels)
     total = math.factorial(len(labels))
@@ -372,15 +363,12 @@ def enumerate_extensions(
         orders = [tuple(p) for p in permutations(labels)]
     else:
         rng = random.Random(seed)
-        seen_orders: set[tuple[str, ...]] = set()
-        orders = []
+        shuffles = []
         for _ in range(max_permutations):
             shuffled = labels[:]
             rng.shuffle(shuffled)
-            candidate_order = tuple(shuffled)
-            if candidate_order not in seen_orders:
-                seen_orders.add(candidate_order)
-                orders.append(candidate_order)
+            shuffles.append(tuple(shuffled))
+        orders = list(dict.fromkeys(shuffles))  # distinct, first-drawn order
 
     extensions: list[AcceptedSet] = []
     witness: list[tuple[str, ...]] = []
@@ -396,12 +384,10 @@ def enumerate_extensions(
     union = FormulaSet(base.background).union(
         f for ext in extensions for f in ext.accepted_formulas
     )
-    if extensions:
-        common = set.intersection(
-            *({f.canonical_key for f in ext.accepted_formulas} for ext in extensions)
-        )
-    else:
-        common = set()
+    # every order yields a result, so there is at least one extension
+    common = set.intersection(
+        *({f.canonical_key for f in ext.accepted_formulas} for ext in extensions)
+    )
     intersection = FormulaSet(base.background).union(
         f for _, f in base.candidates if f.canonical_key in common
     )
@@ -411,7 +397,7 @@ def enumerate_extensions(
         extensions=tuple(extensions),
         witness_orders=tuple(witness),
         conjunction=union,
-        conjunction_weakly_consistent=is_satisfiable(union),
+        conjunction_weakly_consistent=_consistent(base.model, union),
         intersection=intersection,
         exhaustive=exhaustive,
         permutation_count=len(orders),

@@ -376,10 +376,7 @@ def _cmd_stat(args) -> str:
                     "dependent_lower_bound": joint.support_lower_bound,
                     "independent_lower_bound": joint_ind.support_lower_bound,
                 }
-    report["provenance"] = {
-        "seed": args.seed,
-        "strict_threshold": bool(args.strict_threshold),
-    }
+    report["provenance"] = _provenance(args, None)
     return _emit(report, args.json)
 
 

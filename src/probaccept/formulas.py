@@ -45,6 +45,11 @@ _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _OPS = frozenset({"atom", "not", "and", "or", "implies", "iff"})
 
+# Deepest nesting the parser accepts, counting each "(", "~", right-nested
+# "->" and left-nested "<->"; it keeps the parser and every recursive walk
+# of a parsed formula well inside the default recursion limit.
+MAX_NESTING = 100
+
 
 class FormulaSyntaxError(ValueError):
     """Malformed formula text; ``position`` is the 0-based offset."""
@@ -320,40 +325,48 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
-        left = self.imp()
+    def nest(self, depth: int) -> int:
+        """The depth inside the nesting token just taken."""
+        if depth == MAX_NESTING:
+            position = self.tokens[self.i - 1][1]
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING}", position)
+        return depth + 1
+
+    def formula(self, depth: int) -> Formula:
+        left = self.imp(depth)
         while self.peek()[0] == "iff":
             self.take()
-            left = iff(left, self.imp())
+            depth = self.nest(depth)
+            left = iff(left, self.imp(depth))
         return left
 
-    def imp(self) -> Formula:
-        left = self.or_()
+    def imp(self, depth: int) -> Formula:
+        left = self.or_(depth)
         if self.peek()[0] == "implies":
             self.take()
-            return implies(left, self.imp())
+            return implies(left, self.imp(self.nest(depth)))
         return left
 
-    def or_(self) -> Formula:
-        parts = [self.and_()]
+    def or_(self, depth: int) -> Formula:
+        parts = [self.and_(depth)]
         while self.peek()[0] == "or":
             self.take()
-            parts.append(self.and_())
+            parts.append(self.and_(depth))
         return disj(*parts)
 
-    def and_(self) -> Formula:
-        parts = [self.unary()]
+    def and_(self, depth: int) -> Formula:
+        parts = [self.unary(depth)]
         while self.peek()[0] == "and":
             self.take()
-            parts.append(self.unary())
+            parts.append(self.unary(depth))
         return conj(*parts)
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         kind, pos = self.take()
         if kind == "not":
-            return neg(self.unary())
+            return neg(self.unary(self.nest(depth)))
         if kind == "lparen":
-            inner = self.formula()
+            inner = self.formula(self.nest(depth))
             kind2, pos2 = self.take()
             if kind2 != "rparen":
                 raise FormulaSyntaxError("expected ')'", pos2)
@@ -366,7 +379,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula; raises :class:`FormulaSyntaxError`."""
     parser = _Parser(text)
-    result = parser.formula()
+    result = parser.formula(0)
     kind, pos = parser.peek()
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected {kind!r}", pos)

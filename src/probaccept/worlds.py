@@ -14,11 +14,14 @@ independent tickets.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .formulas import EMPTY_SET, Formula, FormulaSet, atom, conj, disj, evaluate, neg
+from .formulas import EMPTY_SET, Formula, FormulaSet, atom, conj, disj, neg
 
 __all__ = [
     "UnknownAtomError",
@@ -34,6 +37,10 @@ __all__ = [
 ]
 
 INDEPENDENT_LOTTERY_CAP = 20
+ONE_WINNER_LOTTERY_CAP = 300
+
+# Maps the byte values 0/1 of a valuation column to the digits "0"/"1".
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class UnknownAtomError(ValueError):
@@ -58,29 +65,21 @@ def as_fraction(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
+@dataclass(frozen=True, slots=True)
 class ProbabilityBound:
-    """A closed rational interval [lower, upper] inside [0, 1]."""
+    """A closed rational interval [lower, upper] inside [0, 1]; ``upper``
+    defaults to ``lower``."""
 
-    __slots__ = ("lower", "upper")
+    lower: Fraction
+    upper: Fraction | None = None
 
-    def __init__(self, lower, upper=None):
-        low = as_fraction(lower)
-        high = low if upper is None else as_fraction(upper)
+    def __post_init__(self):
+        low = as_fraction(self.lower)
+        high = low if self.upper is None else as_fraction(self.upper)
         if not (0 <= low <= high <= 1):
             raise ValueError(f"invalid probability bound [{low}, {high}]")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", high)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbabilityBound is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProbabilityBound):
-            return NotImplemented
-        return self.lower == other.lower and self.upper == other.upper
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
 
     def __repr__(self):
         return f"ProbabilityBound({self.lower}, {self.upper})"
@@ -89,12 +88,12 @@ class ProbabilityBound:
 class WorldModel:
     """Worlds are total valuations over a fixed atom list.
 
-    Satisfaction masks (one bit per world) are memoized per formula, so
-    repeated probability and conditional-probability queries against the
-    same model stay cheap.
+    A set of worlds is an int mask with bit i for world i.  Atom masks are
+    built at construction; a formula's mask evaluates its canonical NNF over
+    them with ``&``, ``|`` and complement, memoized per canonical key.
     """
 
-    __slots__ = ("atoms", "worlds", "_weights", "_assignments", "_mask_cache")
+    __slots__ = ("atoms", "worlds", "_weights", "_atom_masks", "_mask_cache")
 
     def __init__(
         self,
@@ -126,7 +125,9 @@ class WorldModel:
         object.__setattr__(self, "atoms", atom_names)
         object.__setattr__(self, "worlds", tuple(packed))
         object.__setattr__(self, "_weights", tuple(w for _, w in packed))
-        object.__setattr__(self, "_assignments", None)
+        columns = zip(*(vals for vals, _ in packed))  # one per atom
+        masks = [int(bytes(reversed(c)).translate(_BIT_DIGITS), 2) for c in columns]
+        object.__setattr__(self, "_atom_masks", dict(zip(atom_names, masks)))
         object.__setattr__(self, "_mask_cache", {})
 
     def __setattr__(self, name, value):
@@ -145,15 +146,6 @@ class WorldModel:
 
     # -- internal helpers --------------------------------------------------
 
-    def _world_assignments(self) -> tuple[dict[str, bool], ...]:
-        cached = self._assignments
-        if cached is None:
-            cached = tuple(
-                dict(zip(self.atoms, valuation)) for valuation, _ in self.worlds
-            )
-            object.__setattr__(self, "_assignments", cached)
-        return cached
-
     def _check_atoms(self, formula: Formula) -> None:
         unknown = formula.atoms() - set(self.atoms)
         if unknown:
@@ -167,11 +159,22 @@ class WorldModel:
         mask = self._mask_cache.get(key)
         if mask is None:
             self._check_atoms(formula)
-            mask = 0
-            for i, assignment in enumerate(self._world_assignments()):
-                if evaluate(formula, assignment):
-                    mask |= 1 << i
+            mask = self._nnf_mask(formula.nnf())
             self._mask_cache[key] = mask
+        return mask
+
+    def _nnf_mask(self, node: tuple) -> int:
+        if node[0] == "lit":
+            mask = self._atom_masks[node[1]]
+            return mask if node[2] else self.full_mask() ^ mask
+        combine = and_ if node[0] == "and" else or_
+        return reduce(combine, map(self._nnf_mask, node[1]))
+
+    def joint_mask(self, formulas: Iterable[Formula]) -> int:
+        """Worlds satisfying every formula; the full mask for none."""
+        mask = self.full_mask()
+        for formula in formulas:
+            mask &= self.satisfying_mask(formula)
         return mask
 
     def mask_weight(self, mask: int) -> Fraction:
@@ -194,9 +197,7 @@ class WorldModel:
     def conditional_probability(
         self, formula: Formula, given: Iterable[Formula]
     ) -> Fraction:
-        given_mask = self.full_mask()
-        for g in given:
-            given_mask &= self.satisfying_mask(g)
+        given_mask = self.joint_mask(given)
         denominator = self.mask_weight(given_mask)
         if denominator == 0:
             raise ZeroProbabilityError("conditioning set has probability 0")
@@ -242,8 +243,7 @@ class BeliefBase:
             atom(label)  # labels share the atom-name syntax
             model._check_atoms(formula)
         for formula in bg:
-            model._check_atoms(formula)
-            p = model.probability(formula)
+            p = model.probability(formula)  # checks the atoms too
             if p != 1:
                 raise ValueError(
                     f"background formula {formula} has probability {p}, not 1"
@@ -290,6 +290,14 @@ class BeliefBase:
 # ---------------------------------------------------------------------------
 
 
+def _check_tickets(n: int, cap: int, kind: str) -> None:
+    """Reject a ticket count before anything of that size is built."""
+    if n < 1:
+        raise ValueError("lottery needs at least one ticket")
+    if n > cap:
+        raise ValueError(f"{kind} lottery capped at {cap} tickets")
+
+
 def _win_atoms(n: int) -> list[Formula]:
     return [atom(f"wins_{i}") for i in range(1, n + 1)]
 
@@ -310,12 +318,11 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
 
     Atoms wins_1..wins_n; world i makes only wins_i true.  Background is
     the single constraint that exactly one ticket wins; candidates are
-    the lose statements L_i := ~wins_i.
+    the lose statements L_i := ~wins_i.  Capped at n <= 300.
     """
+    _check_tickets(len(weights), ONE_WINNER_LOTTERY_CAP, "one-winner")
     fracs = [as_fraction(w) for w in weights]
     n = len(fracs)
-    if n < 1:
-        raise ValueError("lottery needs at least one ticket")
     if any(w < 0 for w in fracs):
         raise ValueError("ticket weights must be nonnegative")
     if sum(fracs) != 1:
@@ -333,9 +340,8 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
 
 
 def fair_lottery(n: int) -> BeliefBase:
-    """Equiprobable one-winner lottery with n tickets."""
-    if n < 1:
-        raise ValueError("lottery needs at least one ticket")
+    """Equiprobable one-winner lottery with n tickets (at most 300)."""
+    _check_tickets(n, ONE_WINNER_LOTTERY_CAP, "one-winner")
     return biased_lottery([Fraction(1, n)] * n)
 
 
@@ -346,12 +352,7 @@ def independent_lottery(n: int, p) -> BeliefBase:
     candidates are the lose statements plus ``some_wins``, the disjunction
     that some ticket wins.  Capped at n <= 20 (the model is exponential).
     """
-    if n < 1:
-        raise ValueError("lottery needs at least one ticket")
-    if n > INDEPENDENT_LOTTERY_CAP:
-        raise ValueError(
-            f"independent lottery capped at {INDEPENDENT_LOTTERY_CAP} tickets"
-        )
+    _check_tickets(n, INDEPENDENT_LOTTERY_CAP, "independent")
     win_p = as_fraction(p)
     if not (0 < win_p < 1):
         raise ValueError("ticket probability must lie strictly between 0 and 1")

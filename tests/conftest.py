@@ -1,7 +1,22 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from probaccept import fair_lottery
 from probaccept.basefile import dump
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible.  Hypothesis still caches
+# source constants on disk; that cache goes to a directory removed at exit,
+# so a run leaves no files behind.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, max_examples=100, deadline=None
+)
+settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

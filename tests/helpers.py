@@ -102,6 +102,16 @@ def brute_min_cover_over_consistent_subsets(candidates, background) -> int:
     raise AssertionError("some candidate is individually unsatisfiable")
 
 
+# Formula texts over the atom ``a`` nested far past the parser's limit, one
+# per kind of nesting it counts.
+DEEP_NESTING_PROBES = {
+    "parentheses": "(" * 200 + "a" + ")" * 200,
+    "negations": "~" * 1000 + "a",
+    "implications": " -> ".join(["a"] * 600),
+    "biconditionals": " <-> ".join(["a"] * 1200),
+}
+
+
 def random_formula(rng, names, depth: int = 3) -> Formula:
     if depth == 0 or rng.random() < 0.3:
         return atom(rng.choice(names))

@@ -22,6 +22,7 @@ from probaccept import (
     teng_accept,
     threshold_accept,
 )
+from probaccept.accept import MAX_PERMUTATIONS
 
 from helpers import truth_table_satisfiable
 
@@ -332,6 +333,15 @@ class TestEnumerateExtensions:
         assert not first.exhaustive
         assert first.witness_orders == second.witness_orders
         assert [e.order for e in first.extensions] == [e.order for e in second.extensions]
+
+    def test_max_permutations_capped_before_any_order_is_built(self):
+        # 12! orders would exhaust memory if the cap were checked late
+        base = fair_lottery(12)
+        level = AcceptanceLevel(Fraction(1, 12))
+        with pytest.raises(ValueError, match="max_permutations"):
+            enumerate_extensions(base, "sequential", level, max_permutations=10**9)
+        with pytest.raises(ValueError, match="max_permutations"):
+            enumerate_extensions(base, "sequential", level, max_permutations=MAX_PERMUTATIONS + 1)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

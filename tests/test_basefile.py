@@ -12,6 +12,8 @@ from probaccept import (
     parse_rational,
 )
 
+from helpers import DEEP_NESTING_PROBES
+
 SAMPLE = """\
 # a two-sided coin, candidates on both sides
 ATOMS: heads
@@ -104,6 +106,12 @@ class TestFormatErrors:
         text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nBACKGROUND:\na &\n"
         with pytest.raises(BeliefBaseFormatError, match="line 5"):
             loads(text)
+
+    @pytest.mark.parametrize("text", DEEP_NESTING_PROBES.values(), ids=list(DEEP_NESTING_PROBES))
+    def test_deep_nesting_reports_line(self, text):
+        base = f"ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nCANDIDATES:\nD: {text}\n"
+        with pytest.raises(BeliefBaseFormatError, match="line 5: bad formula: nesting deeper"):
+            loads(base)
 
     def test_content_before_section(self):
         with pytest.raises(BeliefBaseFormatError, match="line 1"):

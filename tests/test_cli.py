@@ -3,7 +3,11 @@ import json
 import pytest
 
 from probaccept import loads
+from probaccept.accept import MAX_PERMUTATIONS
 from probaccept.cli import main
+from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
+
+from helpers import DEEP_NESTING_PROBES
 
 ATOM_BASE = """\
 ATOMS: a
@@ -290,6 +294,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "internal error" in err
+
+    @pytest.mark.parametrize("text", DEEP_NESTING_PROBES.values(), ids=list(DEEP_NESTING_PROBES))
+    def test_deep_nesting_is_input_error(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.bb"
+        path.write_text(ATOM_BASE + f"DEEP: {text}\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "accept", "--policy", "threshold", "--epsilon", "1/2", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "line 8: bad formula: nesting deeper" in err
+
+    def test_lottery_above_cap_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lottery", "fair", "--n", str(ONE_WINNER_LOTTERY_CAP + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert "capped" in err
+
+    def test_max_permutations_above_cap_is_input_error(self, capsys, lottery3_path):
+        code, out, err = run_cli(
+            capsys,
+            "extensions", "--policy", "sequential", "--epsilon", "1/3",
+            "--max-permutations", str(MAX_PERMUTATIONS + 1), lottery3_path,
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_permutations" in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,8 +16,32 @@ from probaccept import (
     parse,
     render,
 )
+from probaccept.formulas import MAX_NESTING
+from probaccept.sat import is_satisfiable
+from probaccept.worlds import WorldModel
 
 from helpers import random_formula
+
+NESTING_TOKENS = {
+    "parentheses": "(",
+    "negations": "~",
+    "implications": "->",
+    "biconditionals": "<->",
+}
+
+
+def nested(kind: str, depth: int) -> str:
+    """Text nested ``depth`` levels deep by one kind of nesting over the
+    atoms a and b, built so that canonicalization cannot flatten it."""
+    if kind == "parentheses":
+        text = "a"
+        for i in range(depth):
+            text = f"({'ab'[i % 2]} {'|&'[i % 2]} {text})"
+        return text
+    if kind == "negations":
+        return "~" * depth + "a"
+    sep = f" {NESTING_TOKENS[kind]} "
+    return sep.join("ab"[i % 2] for i in range(depth + 1))
 
 
 class TestParsing:
@@ -69,6 +93,25 @@ class TestParsing:
     def test_dangling_connective(self):
         with pytest.raises(FormulaSyntaxError):
             parse("a &")
+
+    # Biconditional chains are left out: their canonical form doubles with
+    # each link, so no walk of one at the limit finishes.
+    @pytest.mark.parametrize("kind", ["parentheses", "negations", "implications"])
+    def test_nesting_at_the_limit_survives_every_walk(self, kind):
+        f = parse(nested(kind, MAX_NESTING))
+        assert parse(render(f)) == f
+        assert evaluate(f, {"a": True, "b": False}) in (True, False)
+        assert not has_strong_inconsistency([f])
+        assert is_satisfiable([f])
+        model = WorldModel(["a", "b"], [((True, False), 1)])
+        assert model.satisfying_mask(f) in (0, 1)
+
+    @pytest.mark.parametrize("kind", list(NESTING_TOKENS))
+    def test_nesting_past_the_limit_is_a_syntax_error(self, kind):
+        text = nested(kind, MAX_NESTING + 1)
+        with pytest.raises(FormulaSyntaxError, match="nesting deeper") as err:
+            parse(text)
+        assert err.value.position == text.rindex(NESTING_TOKENS[kind])
 
 
 class TestCanonicalIdentity:

@@ -1,0 +1,160 @@
+"""Property tests for the world-mask primitive.
+
+Formula masks are checked against world-by-world evaluation, and every
+consistency verdict against the truth-table oracle.  The models list
+only some valuations and give some worlds zero weight, so a set with no
+model world in common may still be satisfiable: those cases reach the
+SAT fallback behind the world witness.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from probaccept import (
+    AcceptanceLevel,
+    BeliefBase,
+    WorldModel,
+    atom,
+    conj,
+    disj,
+    enumerate_extensions,
+    evaluate,
+    iff,
+    implies,
+    lehrer_accept,
+    neg,
+    sequential_accept,
+    threshold_accept,
+)
+
+from helpers import truth_table_satisfiable
+
+NAMES = ("a", "b", "c")
+
+# Thresholds from 1/2 down to 1/10 accept many candidates, so joint masks
+# often come out empty.
+LEVELS = st.sampled_from(
+    [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]
+).map(AcceptanceLevel)
+
+
+@lru_cache(maxsize=None)
+def formulas(names: tuple[str, ...]):
+    """Random formulas over ``names``, shaped like helpers.random_formula.
+    Cached, so each strategy is built and validated once."""
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        lists = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            children.map(neg),
+            lists.map(lambda parts: conj(*parts)),
+            lists.map(lambda parts: disj(*parts)),
+            pairs.map(lambda pair: implies(*pair)),
+            pairs.map(lambda pair: iff(*pair)),
+        )
+
+    return st.recursive(st.sampled_from(names).map(atom), extend, max_leaves=8)
+
+
+@st.composite
+def models(draw, partial=False):
+    """A model over the first one to three names listing a nonempty subset
+    of the valuations, with nonnegative weights not all zero.  A partial
+    model has two or three atoms and lists two worlds up to half the
+    valuations."""
+    width = draw(st.integers(2 if partial else 1, len(NAMES)))
+    valuations = list(product((False, True), repeat=width))
+    fewest, most = (2, len(valuations) // 2) if partial else (1, len(valuations))
+    listed = draw(
+        st.lists(st.sampled_from(valuations), min_size=fewest, max_size=most, unique=True)
+    )
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(listed), max_size=len(listed)))
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    worlds = [(v, Fraction(w, total)) for v, w in zip(listed, weights)]
+    return WorldModel(NAMES[:width], worlds)
+
+
+@st.composite
+def bases(draw, max_candidates=5):
+    model = draw(models(partial=True))
+    names = model.atoms
+    background = [
+        f
+        for f in draw(st.lists(formulas(names), max_size=2))
+        if model.probability(f) == 1
+    ]
+    # Literals on a partial model make sets that no listed world satisfies
+    # but an unlisted valuation does.
+    literals = st.sampled_from([atom(n) for n in names] + [neg(atom(n)) for n in names])
+    candidates = draw(
+        st.lists(literals | formulas(names), min_size=2, max_size=max_candidates)
+    )
+    return BeliefBase(
+        model, background, [(f"C{i}", f) for i, f in enumerate(candidates)]
+    )
+
+
+@given(st.data())
+def test_satisfying_mask_matches_world_by_world_evaluation(data):
+    model = data.draw(models())
+    formula = data.draw(formulas(model.atoms))
+    expected = 0
+    for i, (valuation, _) in enumerate(model.worlds):
+        if evaluate(formula, dict(zip(model.atoms, valuation))):
+            expected |= 1 << i
+    assert model.satisfying_mask(formula) == expected
+
+
+@given(bases(), LEVELS)
+def test_threshold_verdict_matches_truth_table(base, level):
+    result = threshold_accept(base, level)
+    assert result.weakly_consistent == truth_table_satisfiable(result.statements)
+
+
+@given(bases(), LEVELS)
+def test_sequential_scan_matches_truth_table(base, level):
+    result = sequential_accept(base, base.candidate_labels, level)
+    kept = list(base.background)
+    expected = []
+    for label, formula in base.candidates:
+        if level.met_by(base.model.probability(formula)) and truth_table_satisfiable(
+            kept + [formula]
+        ):
+            kept.append(formula)
+            expected.append(label)
+    assert list(result.order) == expected
+    assert result.weakly_consistent == truth_table_satisfiable(result.statements)
+
+
+@given(bases(), LEVELS)
+def test_lehrer_contraries_match_truth_table(base, level):
+    background = list(base.background)
+    probs = [base.model.probability(f) for _, f in base.candidates]
+    expected = [
+        label
+        for i, (label, f) in enumerate(base.candidates)
+        if level.met_by(probs[i])
+        and all(
+            probs[i] > probs[j]
+            for j, (_, g) in enumerate(base.candidates)
+            if j != i and not truth_table_satisfiable(background + [f, g])
+        )
+    ]
+    result = lehrer_accept(base, level)
+    assert list(result.order) == expected
+    assert result.weakly_consistent == truth_table_satisfiable(result.statements)
+
+
+@given(bases(max_candidates=4), LEVELS, st.sampled_from(["sequential", "teng"]))
+def test_conjunction_verdict_matches_truth_table(base, level, policy):
+    outcome = enumerate_extensions(base, policy, level)
+    assert outcome.conjunction_weakly_consistent == truth_table_satisfiable(
+        outcome.conjunction
+    )

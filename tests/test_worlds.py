@@ -19,6 +19,7 @@ from probaccept import (
     neg,
     parse,
 )
+from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
 
 from helpers import random_formula, random_model
 
@@ -153,6 +154,13 @@ class TestLotteries:
         base = independent_lottery(10, Fraction(1, 2))
         assert base.model.probability(base.candidate("L3")) == Fraction(1, 2)
         assert base.model.probability(base.candidate("some_wins")) == Fraction(1023, 1024)
+
+    def test_one_winner_cap(self):
+        over = ONE_WINNER_LOTTERY_CAP + 1
+        with pytest.raises(ValueError, match="capped"):
+            fair_lottery(over)
+        with pytest.raises(ValueError, match="capped"):
+            biased_lottery([Fraction(1, over)] * over)
 
     def test_independent_cap(self):
         with pytest.raises(ValueError):
