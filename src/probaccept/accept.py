@@ -312,9 +312,15 @@ def teng_accept(
     return _finish("teng", level, accepted, base)
 
 
-_ORDERED_POLICIES: dict[str, Callable[..., AcceptedSet]] = {
-    "sequential": sequential_accept,
-    "teng": teng_accept,
+# Every policy under its command-line name: the function that runs it and
+# whether it takes a candidate order (called as ``run(base, order, level)``
+# rather than ``run(base, level)``).
+POLICY_TABLE: dict[str, tuple[Callable[..., AcceptedSet], bool]] = {
+    "threshold": (threshold_accept, False),
+    "lehrer": (lehrer_accept, False),
+    "cascade": (lehrer_cascade, False),
+    "sequential": (sequential_accept, True),
+    "teng": (teng_accept, True),
 }
 
 
@@ -351,11 +357,12 @@ def enumerate_extensions(
     disjunctively (the intersection) they may license nothing beyond the
     background.
     """
-    if policy not in _ORDERED_POLICIES:
-        raise ValueError(f"policy must be one of {sorted(_ORDERED_POLICIES)}")
+    ordered = sorted(name for name, (_, takes) in POLICY_TABLE.items() if takes)
+    if policy not in ordered:
+        raise ValueError(f"policy must be one of {ordered}")
     if not 1 <= max_permutations <= MAX_PERMUTATIONS:
         raise ValueError(f"max_permutations must lie between 1 and {MAX_PERMUTATIONS}")
-    run = _ORDERED_POLICIES[policy]
+    run = POLICY_TABLE[policy][0]
     labels = list(base.candidate_labels)
     total = math.factorial(len(labels))
     exhaustive = total <= max_permutations

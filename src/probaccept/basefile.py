@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .formulas import FormulaSyntaxError, parse, render
+from .formulas import parse, render
 from .worlds import BeliefBase, WorldModel
 
 __all__ = [
@@ -109,9 +109,11 @@ def loads(text: str) -> BeliefBase:
 
 def _parse_formula(text: str, lineno: int):
     try:
-        return parse(text)
-    except FormulaSyntaxError as exc:
+        formula = parse(text)
+        formula.nnf()  # canonicalise now, so an oversized form names its line
+    except ValueError as exc:
         raise _fail(lineno, f"bad formula: {exc}") from exc
+    return formula
 
 
 def _parse_world(line: str, lineno: int, atoms: list[str]):

@@ -24,13 +24,10 @@ from fractions import Fraction
 from . import __version__
 from .accept import (
     DEFAULT_SEED,
+    POLICY_TABLE,
     AcceptanceLevel,
     AcceptedSet,
     enumerate_extensions,
-    lehrer_accept,
-    lehrer_cascade,
-    sequential_accept,
-    teng_accept,
     threshold_accept,
 )
 from .basefile import dumps as dump_base
@@ -153,21 +150,15 @@ def _resolve_order(base: BeliefBase, text: str) -> list[str]:
 def _cmd_accept(args) -> str:
     base = load_base(args.base)
     level = AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
-    ordered = args.policy in ("sequential", "teng")
+    run, ordered = POLICY_TABLE[args.policy]
     if ordered and args.order is None:
         raise ValueError(f"policy {args.policy!r} needs --order")
     if not ordered and args.order is not None:
         raise ValueError(f"policy {args.policy!r} does not take --order")
-    if args.policy == "threshold":
-        result = threshold_accept(base, level)
-    elif args.policy == "lehrer":
-        result = lehrer_accept(base, level)
-    elif args.policy == "cascade":
-        result = lehrer_cascade(base, level)
+    if ordered:
+        result = run(base, _resolve_order(base, args.order), level)
     else:
-        order = _resolve_order(base, args.order)
-        runner = sequential_accept if args.policy == "sequential" else teng_accept
-        result = runner(base, order, level)
+        result = run(base, level)
     members = list(result.statements)
     report = {
         "command": "accept",
@@ -427,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_accept.add_argument(
         "--policy",
         required=True,
-        choices=["threshold", "lehrer", "cascade", "sequential", "teng"],
+        choices=list(POLICY_TABLE),
     )
     p_accept.add_argument("--epsilon", required=True, metavar="P/Q")
     p_accept.add_argument(
@@ -439,7 +430,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("extensions", help="enumerate order-dependent outcomes")
     p_ext.add_argument("base")
-    p_ext.add_argument("--policy", required=True, choices=["sequential", "teng"])
+    p_ext.add_argument(
+        "--policy",
+        required=True,
+        choices=[name for name, (_, ordered) in POLICY_TABLE.items() if ordered],
+    )
     p_ext.add_argument("--epsilon", required=True, metavar="P/Q")
     p_ext.add_argument("--max-permutations", type=int, default=720, metavar="N")
     p_ext.set_defaults(func=_cmd_extensions)

@@ -50,6 +50,11 @@ _OPS = frozenset({"atom", "not", "and", "or", "implies", "iff"})
 # of a parsed formula well inside the default recursion limit.
 MAX_NESTING = 100
 
+# Longest canonical key a formula may have.  The canonical form of a
+# biconditional repeats both operands in both polarities, so along a
+# chain of "<->" the key doubles with every link.
+MAX_KEY_LENGTH = 2_000_000
+
 
 class FormulaSyntaxError(ValueError):
     """Malformed formula text; ``position`` is the 0-based offset."""
@@ -126,7 +131,7 @@ class Formula:
     :func:`disj`, :func:`implies`, :func:`iff` or :func:`parse`.
     """
 
-    __slots__ = ("op", "args", "name", "_nnf", "_key", "_atoms")
+    __slots__ = ("op", "args", "name", "_nnf", "_key", "_atoms", "_bounds")
 
     def __init__(self, op: str, args: tuple["Formula", ...] = (), name: str | None = None):
         if op not in _OPS:
@@ -152,13 +157,48 @@ class Formula:
         self._nnf: tuple[tuple, tuple] | None = None
         self._key: str | None = None
         self._atoms: frozenset[str] | None = None
+        self._bounds: tuple[int, int] | None = None
 
     def nnf(self) -> tuple:
         """Canonical negation-normal-form node for this formula."""
         return self._nnf_pair()[0]
 
+    def _key_bounds(self) -> tuple[int, int]:
+        """Upper bounds on the key lengths of the positive and the negated
+        canonical form, computed without building either.  A connective's
+        key joins its children's keys with three-character separators
+        inside parentheses; flattening and deduplication only shorten it."""
+        if self._bounds is None:
+            op = self.op
+            if op == "atom":
+                bounds = (len(self.name), len(self.name) + 1)
+            elif op == "not":
+                pos, negn = self.args[0]._key_bounds()
+                bounds = (negn, pos)
+            elif op in ("and", "or"):
+                pos = negn = 3 * len(self.args) - 1
+                for a in self.args:
+                    p, n = a._key_bounds()
+                    pos += p
+                    negn += n
+                bounds = (pos, negn)
+            else:
+                (lp, ln), (rp, rn) = (a._key_bounds() for a in self.args)
+                if op == "implies":  # (~l | r), (l & ~r)
+                    bounds = (ln + rp + 5, lp + rn + 5)
+                else:  # ((l & r) | (~l & ~r)), ((l & ~r) | (~l & r))
+                    bounds = (lp + ln + rp + rn + 15,) * 2
+            self._bounds = bounds
+        return self._bounds
+
     def _nnf_pair(self) -> tuple[tuple, tuple]:
         if self._nnf is None:
+            bound = max(self._key_bounds())
+            if bound > MAX_KEY_LENGTH:
+                raise ValueError(
+                    f"canonical form of up to {bound} characters exceeds the "
+                    f"limit of {MAX_KEY_LENGTH}"
+                )
             op = self.op
             if op == "atom":
                 pair = (("lit", self.name, True), ("lit", self.name, False))

@@ -7,6 +7,12 @@ that are not already clause-shaped get one definitional variable each, so
 lottery-style constraint sets translate with no auxiliary variables at
 all.  Instances here are desk scale; determinism wins over raw speed.
 
+One solver answers every question.  It translates a background and a
+list of members once, under one variable numbering; a query splices the
+background's clauses with those of the chosen members and decides only
+the variables those clauses mention.  A plain satisfiability check is a
+solver with no members.
+
 Minimal unsatisfiable subsets (MUS) and maximal consistent subsets (MCS)
 are enumerated exhaustively over the candidate powerset, with
 superset/subset pruning.  The exponential cost is deliberate and guarded
@@ -15,6 +21,7 @@ by a candidate cap.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -31,17 +38,10 @@ __all__ = [
 
 DEFAULT_CANDIDATE_CAP = 20
 
-Clause = frozenset  # of (variable name, polarity) pairs
-
-_CLAUSE_CACHE: dict[str, tuple[Clause, ...]] = {}
+Clause = tuple  # of distinct (variable name, polarity) pairs
 
 
-def _clauses_for(formula: Formula) -> tuple[Clause, ...]:
-    key = formula.canonical_key
-    cached = _CLAUSE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+def _clauses_for(formula: Formula) -> list[Clause]:
     clauses: list[Clause] = []
     defined: set[tuple] = set()
 
@@ -58,53 +58,43 @@ def _clauses_for(formula: Formula) -> tuple[Clause, ...]:
         # name -> node, enough for satisfiability (positive occurrences only)
         if node[0] == "and":
             for child in node[1]:
-                clauses.append(frozenset({(name, False), literal_of(child)}))
+                clauses.append(((name, False), literal_of(child)))
         else:
-            clauses.append(frozenset({(name, False)} | {literal_of(c) for c in node[1]}))
+            clauses.append(((name, False), *map(literal_of, node[1])))
 
     def top(node: tuple) -> None:
         if node[0] == "and":
             for child in node[1]:
                 top(child)
         elif node[0] == "or":
-            clauses.append(frozenset(literal_of(c) for c in node[1]))
+            clauses.append(tuple(map(literal_of, node[1])))
         else:
-            clauses.append(frozenset({(node[1], node[2])}))
+            clauses.append(((node[1], node[2]),))
 
     top(formula.nnf())
-    result = tuple(clauses)
-    _CLAUSE_CACHE[key] = result
-    return result
+    return clauses
 
 
 def _int_clauses(
     clauses: Iterable[Clause], index: dict[str, int]
 ) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for clause in clauses:
-        lits = []
-        names_seen: dict[str, bool] = {}
-        tautology = False
-        for name, positive in clause:
-            prior = names_seen.get(name)
-            if prior is not None and prior != positive:
-                tautology = True
-                break
-            names_seen[name] = positive
-            lits.append(index[name] if positive else -index[name])
-        if not tautology:
-            out.append(tuple(sorted(lits, key=abs)))
-    return out
+    # A clause with both polarities of a variable is never unit or falsified,
+    # so it needs no special case.
+    return [
+        tuple(index[name] if positive else -index[name] for name, positive in clause)
+        for clause in clauses
+    ]
 
 
 def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> bool:
-    if any(not clause for clause in clauses):
-        return False
+    # the translation never produces an empty clause
     assign = [0] * (nvars + 1)
-    occurrences: dict[int, list[int]] = {}
+    occurrences: defaultdict[int, list[int]] = defaultdict(list)
     for ci, clause in enumerate(clauses):
         for lit in clause:
-            occurrences.setdefault(lit, []).append(ci)
+            occurrences[lit].append(ci)
+    # branch only on the variables these clauses mention, in index order
+    decisions = sorted({abs(lit) for lit in occurrences})
     trail: list[int] = []
 
     def propagate(queue: list[int]) -> bool:
@@ -143,46 +133,62 @@ def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> bool:
         return True
 
     queue = [clause[0] for clause in clauses if len(clause) == 1]
-    stack: list[tuple[int, int, bool]] = []  # (decision var, trail mark, tried negation)
-    cursor = 1
+    # (position in decisions, trail mark, tried negation); every decision
+    # before the one at a position was assigned before its mark
+    stack: list[tuple[int, int, bool]] = []
+    cursor = 0
     while True:
         if propagate(queue):
-            while cursor <= nvars and assign[cursor] != 0:
+            while cursor < len(decisions) and assign[decisions[cursor]] != 0:
                 cursor += 1
-            if cursor > nvars:
+            if cursor == len(decisions):
                 return True
             stack.append((cursor, len(trail), False))
-            queue = [cursor]
+            queue = [decisions[cursor]]
         else:
             while stack:
-                var, mark, tried = stack.pop()
+                cursor, mark, tried = stack.pop()
                 while len(trail) > mark:
-                    undone = trail.pop()
-                    assign[undone] = 0
-                    if undone < cursor:
-                        cursor = undone
+                    assign[trail.pop()] = 0
                 if not tried:
-                    stack.append((var, mark, True))
-                    queue = [-var]
+                    stack.append((cursor, mark, True))
+                    queue = [-decisions[cursor]]
                     break
             else:
                 return False
 
 
-def _solve_clause_set(clauses: set[Clause]) -> bool:
-    if not clauses:
-        return True
-    names = sorted({name for clause in clauses for name, _ in clause})
-    index = {name: i + 1 for i, name in enumerate(names)}
-    return _dpll(_int_clauses(clauses, index), len(names))
+class _Solver:
+    """One variable numbering over a background and candidate members.
+    Each query splices the background's clauses with those of the chosen
+    members and decides only the variables those clauses mention."""
+
+    def __init__(
+        self, members: Sequence[Formula], background: Iterable[Formula] = ()
+    ):
+        bg_clauses = list(dict.fromkeys(c for f in background for c in _clauses_for(f)))
+        member_clauses = [_clauses_for(f) for f in members]
+        names = {
+            name
+            for group in (bg_clauses, *member_clauses)
+            for clause in group
+            for name, _ in clause
+        }
+        index = {name: i + 1 for i, name in enumerate(sorted(names))}
+        self.nvars = len(index)
+        self.background = _int_clauses(bg_clauses, index)
+        self.per_member = [_int_clauses(group, index) for group in member_clauses]
+
+    def satisfiable(self, which: Iterable[int] = ()) -> bool:
+        clauses = list(self.background)
+        for i in which:
+            clauses.extend(self.per_member[i])
+        return _dpll(clauses, self.nvars)
 
 
 def is_satisfiable(formulas: Iterable[Formula]) -> bool:
     """True iff some total valuation satisfies every member."""
-    clause_set: set[Clause] = set()
-    for f in formulas:
-        clause_set.update(_clauses_for(f))
-    return _solve_clause_set(clause_set)
+    return _Solver((), formulas).satisfiable()
 
 
 def entails(
@@ -195,47 +201,23 @@ def entails(
     return not is_satisfiable(members)
 
 
-class _SubsetSolver:
-    """Fixed variable numbering over background plus candidates, so that
-    per-subset satisfiability checks only splice precompiled clauses."""
-
-    def __init__(self, members: Sequence[Formula], background: Iterable[Formula]):
-        self.members = tuple(members)
-        bg_clauses: set[Clause] = set()
-        for f in background:
-            bg_clauses.update(_clauses_for(f))
-        member_clauses = [_clauses_for(f) for f in self.members]
-        names = {name for clause in bg_clauses for name, _ in clause}
-        for group in member_clauses:
-            names.update(name for clause in group for name, _ in clause)
-        index = {name: i + 1 for i, name in enumerate(sorted(names))}
-        self.nvars = len(index)
-        self.background = _int_clauses(bg_clauses, index)
-        self.per_member = [_int_clauses(group, index) for group in member_clauses]
-
-    def satisfiable(self, which: Iterable[int]) -> bool:
-        clauses = list(self.background)
-        for i in which:
-            clauses.extend(self.per_member[i])
-        return _dpll(clauses, self.nvars)
-
-
 def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
-    cap: int,
-) -> tuple[tuple[Formula, ...], _SubsetSolver]:
+    cap: int | None = None,
+) -> tuple[tuple[Formula, ...], _Solver]:
     members = tuple(FormulaSet(candidates))
-    bg = tuple(background) if background is not None else ()
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    if len(members) > cap:
-        raise ValueError(
-            f"{len(members)} candidates exceed the enumeration cap of {cap}"
-        )
-    if not is_satisfiable(bg):
+    if cap is not None:
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        if len(members) > cap:
+            raise ValueError(
+                f"{len(members)} candidates exceed the enumeration cap of {cap}"
+            )
+    solver = _Solver(members, background or ())
+    if not solver.satisfiable():
         raise ValueError("background is unsatisfiable")
-    return members, _SubsetSolver(members, bg)
+    return members, solver
 
 
 def minimal_unsat_subsets(
@@ -293,11 +275,7 @@ def shrink_unsat_subset(
     satisfiable with the background.  The result is a minimal
     unsatisfiable subset but not necessarily a smallest one.
     """
-    members = tuple(FormulaSet(candidates))
-    bg = tuple(background) if background is not None else ()
-    if not is_satisfiable(bg):
-        raise ValueError("background is unsatisfiable")
-    solver = _SubsetSolver(members, bg)
+    members, solver = _prepare(candidates, background)
     current = list(range(len(members)))
     if solver.satisfiable(current):
         return None

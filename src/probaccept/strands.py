@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import Formula, FormulaSet
-from .sat import (
-    DEFAULT_CANDIDATE_CAP,
-    entails,
-    is_satisfiable,
-    maximal_consistent_subsets,
-)
+from .sat import DEFAULT_CANDIDATE_CAP, entails, maximal_consistent_subsets
 
 __all__ = [
     "Strand",
@@ -73,19 +68,20 @@ def degree_of_inconsistency(
     background (otherwise no consistent subset can cover it).
     """
     members = tuple(FormulaSet(candidates))
-    bg = list(background or ())
-    for formula in members:
-        if not is_satisfiable(bg + [formula]):
-            raise ValueError(
-                f"candidate {formula} is individually unsatisfiable with "
-                "the background"
-            )
     if not members:
         return 1
-    family = maximal_consistent_subsets(members, bg, cap)
+    family = maximal_consistent_subsets(members, background, cap)
     key_index = {f.canonical_key: i for i, f in enumerate(members)}
     sets = [frozenset(key_index[f.canonical_key] for f in mcs) for mcs in family]
     universe = frozenset(range(len(members)))
+    # a candidate in no maximal consistent subset is unsatisfiable with the
+    # background on its own
+    uncovered = universe.difference(*sets)
+    if uncovered:
+        raise ValueError(
+            f"candidate {members[min(uncovered)]} is individually unsatisfiable "
+            "with the background"
+        )
     return _min_cover(universe, sets)
 
 

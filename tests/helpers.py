@@ -111,6 +111,26 @@ DEEP_NESTING_PROBES = {
     "biconditionals": " <-> ".join(["a"] * 1200),
 }
 
+# A 30-link biconditional chain over ``a``, well inside the nesting limit.
+# Its canonical form would double with each link, to billions of characters.
+LONG_BICONDITIONAL_CHAIN = " <-> ".join(["a"] * 30)
+
+# Nine formulas over a0..a7, each satisfiable in well under a millisecond.
+# A subset search that also branched on the variables of the members left
+# out of each query took more than 60 s to list their minimal
+# unsatisfiable subsets.
+BRANCHING_PROBE = (
+    "a2",
+    "a7",
+    "(a0 & a1 | a3 & a3 & a0) & a4 & (a6 <-> a2 <-> a5)",
+    "a2 <-> a2 <-> ~a7 <-> (a2 <-> a7)",
+    "~(~a0 | a4 | a1)",
+    "a1 <-> (a3 <-> a4 <-> (a7 <-> a3))",
+    "a7 & (a1 & a3 & a4) & (a2 & a4 & a2) | (a2 -> a3) & a6",
+    "(a5 | a7) & ~a6 & (a4 <-> a1) -> a3",
+    "~a4",
+)
+
 
 def random_formula(rng, names, depth: int = 3) -> Formula:
     if depth == 0 or rng.random() < 0.3:

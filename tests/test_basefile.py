@@ -12,7 +12,7 @@ from probaccept import (
     parse_rational,
 )
 
-from helpers import DEEP_NESTING_PROBES
+from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN
 
 SAMPLE = """\
 # a two-sided coin, candidates on both sides
@@ -111,6 +111,11 @@ class TestFormatErrors:
     def test_deep_nesting_reports_line(self, text):
         base = f"ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nCANDIDATES:\nD: {text}\n"
         with pytest.raises(BeliefBaseFormatError, match="line 5: bad formula: nesting deeper"):
+            loads(base)
+
+    def test_long_biconditional_chain_reports_line(self):
+        base = f"ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nCANDIDATES:\nD: {LONG_BICONDITIONAL_CHAIN}\n"
+        with pytest.raises(BeliefBaseFormatError, match="line 5: bad formula: canonical form"):
             loads(base)
 
     def test_content_before_section(self):

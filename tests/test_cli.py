@@ -7,7 +7,7 @@ from probaccept.accept import MAX_PERMUTATIONS
 from probaccept.cli import main
 from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
 
-from helpers import DEEP_NESTING_PROBES
+from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN
 
 ATOM_BASE = """\
 ATOMS: a
@@ -283,12 +283,12 @@ class TestStatCommand:
 
 class TestExitCodes:
     def test_internal_invariant_violation_is_exit_three(self, capsys, lottery3_path, monkeypatch):
-        import probaccept.cli as cli_module
+        from probaccept.accept import POLICY_TABLE
 
         def boom(*_args, **_kwargs):
             raise RuntimeError("invariant violated")
 
-        monkeypatch.setattr(cli_module, "threshold_accept", boom)
+        monkeypatch.setitem(POLICY_TABLE, "threshold", (boom, False))
         code, _, err = run_cli(
             capsys, "accept", "--policy", "threshold", "--epsilon", "1/3", lottery3_path
         )
@@ -305,6 +305,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "line 8: bad formula: nesting deeper" in err
+
+    def test_long_biconditional_chain_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "chain.bb"
+        path.write_text(ATOM_BASE + f"CHAIN: {LONG_BICONDITIONAL_CHAIN}\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "accept", "--policy", "threshold", "--epsilon", "1/2", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "line 8: bad formula: canonical form" in err
 
     def test_lottery_above_cap_is_input_error(self, capsys):
         code, out, err = run_cli(

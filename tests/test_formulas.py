@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -16,11 +17,12 @@ from probaccept import (
     parse,
     render,
 )
-from probaccept.formulas import MAX_NESTING
+from probaccept import formulas
+from probaccept.formulas import MAX_KEY_LENGTH, MAX_NESTING, nnf_key
 from probaccept.sat import is_satisfiable
 from probaccept.worlds import WorldModel
 
-from helpers import random_formula
+from helpers import LONG_BICONDITIONAL_CHAIN, random_formula
 
 NESTING_TOKENS = {
     "parentheses": "(",
@@ -112,6 +114,33 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError, match="nesting deeper") as err:
             parse(text)
         assert err.value.position == text.rindex(NESTING_TOKENS[kind])
+
+
+class TestKeyLengthLimit:
+    def test_long_biconditional_chain_rejected(self):
+        for text in (LONG_BICONDITIONAL_CHAIN, " <-> ".join(f"a{i}" for i in range(30))):
+            f = parse(text)
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                f.canonical_key
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                is_satisfiable([f])
+
+    def test_limit_never_admits_a_longer_key(self):
+        # a limit one below a formula's longest key must reject it
+        rng = random.Random(91)
+        for _ in range(200):
+            state = rng.getstate()
+            f = random_formula(rng, ["a", "b", "c"], depth=4)
+            longest = max(len(nnf_key(f.nnf())), len(nnf_key(neg(f).nnf())))
+            rng.setstate(state)
+            fresh = random_formula(rng, ["a", "b", "c"], depth=4)
+            with patch.object(formulas, "MAX_KEY_LENGTH", longest - 1):
+                with pytest.raises(ValueError, match="exceeds the limit"):
+                    fresh.nnf()
+
+    def test_chain_below_the_limit_canonicalizes(self):
+        f = parse(" <-> ".join(f"a{i}" for i in range(16)))
+        assert len(f.canonical_key) == 737_386 <= MAX_KEY_LENGTH
 
 
 class TestCanonicalIdentity:

@@ -1,6 +1,10 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probaccept import (
     FormulaSet,
@@ -10,11 +14,13 @@ from probaccept import (
     is_satisfiable,
     maximal_consistent_subsets,
     minimal_unsat_subsets,
+    neg,
     parse,
     shrink_unsat_subset,
 )
 
 from helpers import (
+    BRANCHING_PROBE,
     brute_maximal_consistent_subsets,
     brute_minimal_unsat_subsets,
     random_formula,
@@ -24,6 +30,32 @@ from helpers import (
 
 def _keys(formulas):
     return frozenset(f.canonical_key for f in formulas)
+
+
+class _Expired(Exception):
+    pass
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail the test, rather than hang the suite, past ``seconds``.
+
+    The alarm can interrupt an instruction that has no line number, which
+    pytest cannot render as a traceback, so the failure carries only a
+    message."""
+
+    def expire(signum, frame):
+        raise _Expired
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Expired:
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSatisfiability:
@@ -192,3 +224,53 @@ class TestShrink:
         assert not is_satisfiable(members)
         for i in range(len(members)):
             assert is_satisfiable(members[:i] + members[i + 1:])
+
+
+class TestQueriesDecideOnlyTheirOwnVariables:
+    def test_branching_probe_matches_brute_force(self):
+        formulas = [parse(text) for text in BRANCHING_PROBE]
+        with _time_limit(10):
+            muses = minimal_unsat_subsets(formulas)
+            mcses = maximal_consistent_subsets(formulas)
+        assert {_keys(m) for m in muses} == brute_minimal_unsat_subsets(formulas, [])
+        assert {_keys(m) for m in mcses} == brute_maximal_consistent_subsets(
+            formulas, []
+        )
+
+
+@st.composite
+def subset_problems(draw):
+    """Two to eight candidates over five or six atoms, and a background
+    that is empty or one satisfiable formula.  The formulas have depth 3,
+    so their clauses carry definitional variables; literals among the
+    candidates make unsatisfiable subsets common."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = list("abcdef")[: draw(st.integers(5, 6))]
+
+    def formula():
+        if rng.random() < 0.4:
+            literal = atom(rng.choice(names))
+            return neg(literal) if rng.random() < 0.5 else literal
+        return random_formula(rng, names, depth=3)
+
+    candidates = [formula() for _ in range(draw(st.integers(2, 8)))]
+    background = [random_formula(rng, names, depth=3)] if draw(st.booleans()) else []
+    if not truth_table_satisfiable(background):
+        background = []
+    return candidates, background
+
+
+@given(subset_problems())
+def test_subset_diagnostics_match_oracles(problem):
+    candidates, background = problem
+    assert is_satisfiable(background + candidates) == truth_table_satisfiable(
+        background + candidates
+    )
+    muses = minimal_unsat_subsets(candidates, background)
+    assert {_keys(m) for m in muses} == brute_minimal_unsat_subsets(
+        candidates, background
+    )
+    mcses = maximal_consistent_subsets(candidates, background)
+    assert {_keys(m) for m in mcses} == brute_maximal_consistent_subsets(
+        candidates, background
+    )

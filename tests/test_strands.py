@@ -53,6 +53,10 @@ class TestDegreeOfInconsistency:
     def test_individually_unsatisfiable_candidate_rejected(self):
         with pytest.raises(ValueError):
             degree_of_inconsistency(FormulaSet([parse("a & ~a")]))
+        # satisfiable on its own, but not with the background
+        mixed = FormulaSet([parse("a"), parse("~a"), parse("~c"), parse("b")])
+        with pytest.raises(ValueError, match="candidate ~c is individually unsatisfiable"):
+            degree_of_inconsistency(mixed, FormulaSet([parse("c")]))
 
     def test_matches_cover_over_arbitrary_consistent_subsets(self):
         # maximal subsets are enough: the minimum cover count is the same

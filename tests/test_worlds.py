@@ -19,6 +19,7 @@ from probaccept import (
     neg,
     parse,
 )
+from probaccept.formulas import MAX_KEY_LENGTH
 from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
 
 from helpers import random_formula, random_model
@@ -161,6 +162,11 @@ class TestLotteries:
             fair_lottery(over)
         with pytest.raises(ValueError, match="capped"):
             biased_lottery([Fraction(1, over)] * over)
+
+    def test_largest_lottery_within_key_limit(self):
+        base = fair_lottery(ONE_WINNER_LOTTERY_CAP)
+        (background,) = base.background
+        assert len(background.canonical_key) == 1_137_001 <= MAX_KEY_LENGTH
 
     def test_independent_cap(self):
         with pytest.raises(ValueError):
