@@ -137,12 +137,17 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
     return AcceptanceLevel(Fraction(1, 1) / (1 + ratio))
 
 
-def _consistent(model: WorldModel, formulas: Iterable[Formula]) -> bool:
+def _consistent(
+    model: WorldModel, formulas: Iterable[Formula], mask: int | None = None
+) -> bool:
     """Joint satisfiability of formulas over the model's atoms.  A world
-    in their joint mask is a satisfying valuation; only when there is none
-    (a model need not list every valuation) does the SAT solver decide."""
-    formulas = list(formulas)
-    return bool(model.joint_mask(formulas)) or is_satisfiable(formulas)
+    in their joint mask (folded here unless the caller passes it) is a
+    satisfying valuation; only when there is none (a model need not list
+    every valuation) does the SAT solver decide."""
+    if mask is None:
+        formulas = list(formulas)
+        mask = model.joint_mask(formulas)
+    return bool(mask) or is_satisfiable(formulas)
 
 
 def _finish(
@@ -177,12 +182,17 @@ def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
 def _contrary_pairs(base: BeliefBase) -> set[frozenset[int]]:
     """Index pairs of candidates that are jointly unsatisfiable with the
     background."""
+    model = base.model
     formulas = [f for _, f in base.candidates]
     background = list(base.background)
+    shared = model.joint_mask(background)
+    masks = [shared & model.satisfying_mask(f) for f in formulas]
     return {
         frozenset((i, j))
         for i, j in combinations(range(len(formulas)), 2)
-        if not _consistent(base.model, background + [formulas[i], formulas[j]])
+        if not _consistent(
+            model, background + [formulas[i], formulas[j]], masks[i] & masks[j]
+        )
     }
 
 

@@ -374,16 +374,13 @@ def _cmd_stat(args) -> str:
 def _compact_counts(counts: list[int]) -> str:
     if not counts:
         return "(empty)"
-    runs: list[str] = []
-    start = prev = counts[0]
-    for x in counts[1:]:
-        if x == prev + 1:
-            prev = x
-            continue
-        runs.append(f"{start}..{prev}" if start != prev else str(start))
-        start = prev = x
-    runs.append(f"{start}..{prev}" if start != prev else str(start))
-    return ",".join(runs)
+    runs: list[list[int]] = []
+    for x in counts:
+        if runs and x == runs[-1][1] + 1:
+            runs[-1][1] = x
+        else:
+            runs.append([x, x])
+    return ",".join(f"{a}..{b}" if a != b else str(a) for a, b in runs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ background's clauses with those of the chosen members and decides only
 the variables those clauses mention.  A plain satisfiability check is a
 solver with no members.
 
-Minimal unsatisfiable subsets (MUS) and maximal consistent subsets (MCS)
-are enumerated exhaustively over the candidate powerset, with
-superset/subset pruning.  The exponential cost is deliberate and guarded
-by a candidate cap.
+One solver-driven walk, largest subsets first, finds every maximal
+consistent subset (MCS).  A subset is satisfiable exactly when it lies
+inside some MCS, so the minimal unsatisfiable subsets (MUS) are read off
+that family with no solver call.  The exponential cost is deliberate and
+guarded by a candidate cap of at most ``DEFAULT_CANDIDATE_CAP``.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ def _prepare(
 ) -> tuple[tuple[Formula, ...], _Solver]:
     members = tuple(FormulaSet(candidates))
     if cap is not None:
-        if cap < 1:
-            raise ValueError("cap must be positive")
+        if not 1 <= cap <= DEFAULT_CANDIDATE_CAP:
+            raise ValueError(f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}")
         if len(members) > cap:
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
@@ -220,6 +221,25 @@ def _prepare(
     return members, solver
 
 
+def _consistent_family(
+    candidates: Iterable[Formula],
+    background: Iterable[Formula] | None,
+    cap: int,
+) -> tuple[tuple[Formula, ...], list[frozenset[int]]]:
+    """The members and every maximal consistent index set among them,
+    largest first, then in lexicographic order."""
+    members, solver = _prepare(candidates, background, cap)
+    family: list[frozenset[int]] = []
+    for size in range(len(members), -1, -1):
+        for combo in combinations(range(len(members)), size):
+            chosen = frozenset(combo)
+            if any(chosen <= prior for prior in family):
+                continue
+            if solver.satisfiable(combo):
+                family.append(chosen)
+    return members, family
+
+
 def minimal_unsat_subsets(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None = None,
@@ -228,18 +248,17 @@ def minimal_unsat_subsets(
     """All subsets of ``candidates`` that are unsatisfiable together with
     ``background`` and minimally so.  Exhaustive and deterministic; raises
     if the background is unsatisfiable or the cap is exceeded."""
-    members, solver = _prepare(candidates, background, cap)
-    found: list[tuple[int, ...]] = []
-    found_sets: list[frozenset[int]] = []
+    members, family = _consistent_family(candidates, background, cap)
+    found: list[frozenset[int]] = []
     for size in range(1, len(members) + 1):
         for combo in combinations(range(len(members)), size):
             chosen = frozenset(combo)
-            if any(prior <= chosen for prior in found_sets):
+            if any(prior <= chosen for prior in found):
                 continue
-            if not solver.satisfiable(combo):
-                found.append(combo)
-                found_sets.append(chosen)
-    return [FormulaSet(members[i] for i in combo) for combo in found]
+            # satisfiable exactly when inside some maximal consistent subset
+            if not any(chosen <= mcs for mcs in family):
+                found.append(chosen)
+    return [FormulaSet(members[i] for i in sorted(mus)) for mus in found]
 
 
 def maximal_consistent_subsets(
@@ -250,18 +269,8 @@ def maximal_consistent_subsets(
     """All subsets of ``candidates`` satisfiable with ``background`` to
     which no excluded candidate can be added without losing
     satisfiability.  Exhaustive and deterministic under the cap."""
-    members, solver = _prepare(candidates, background, cap)
-    found: list[tuple[int, ...]] = []
-    found_sets: list[frozenset[int]] = []
-    for size in range(len(members), -1, -1):
-        for combo in combinations(range(len(members)), size):
-            chosen = frozenset(combo)
-            if any(chosen <= prior for prior in found_sets):
-                continue
-            if solver.satisfiable(combo):
-                found.append(combo)
-                found_sets.append(chosen)
-    return [FormulaSet(members[i] for i in combo) for combo in found]
+    members, family = _consistent_family(candidates, background, cap)
+    return [FormulaSet(members[i] for i in sorted(mcs)) for mcs in family]
 
 
 def shrink_unsat_subset(

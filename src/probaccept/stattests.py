@@ -39,6 +39,8 @@ __all__ = [
 
 SIDEDNESS = ("two_sided", "upper", "lower")
 
+MAX_BINOMIAL_TRIALS = 2000  # the exact region takes about a second here
+
 
 class Decision(Enum):
     REJECT = "reject"
@@ -56,8 +58,8 @@ class BinomialTestSpec:
     sided: str = "two_sided"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("sample size n must be a positive integer")
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_BINOMIAL_TRIALS:
+            raise ValueError(f"sample size n must lie between 1 and {MAX_BINOMIAL_TRIALS}")
         object.__setattr__(self, "p0", as_fraction(self.p0))
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if not (0 < self.p0 < 1):

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import Formula, FormulaSet
-from .sat import DEFAULT_CANDIDATE_CAP, entails, maximal_consistent_subsets
+from .sat import DEFAULT_CANDIDATE_CAP, _consistent_family, entails
+from .sat import maximal_consistent_subsets
 
 __all__ = [
     "Strand",
@@ -60,7 +61,7 @@ def degree_of_inconsistency(
 ) -> int:
     """Minimum number of background-consistent subsets covering every
     candidate, computed by exact branch-and-bound set cover over the
-    family of maximal consistent subsets.
+    family of maximal consistent index sets; 1 for no candidates.
 
     Covering with arbitrary consistent subsets would give the same
     minimum, since any consistent subset extends to a maximal one.
@@ -70,9 +71,7 @@ def degree_of_inconsistency(
     members = tuple(FormulaSet(candidates))
     if not members:
         return 1
-    family = maximal_consistent_subsets(members, background, cap)
-    key_index = {f.canonical_key: i for i, f in enumerate(members)}
-    sets = [frozenset(key_index[f.canonical_key] for f in mcs) for mcs in family]
+    members, sets = _consistent_family(members, background, cap)
     universe = frozenset(range(len(members)))
     # a candidate in no maximal consistent subset is unsatisfiable with the
     # background on its own
@@ -86,18 +85,15 @@ def degree_of_inconsistency(
 
 
 def _min_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:
-    # Greedy first for an upper bound, then exact branch-and-bound picking
-    # the least-covered element and trying its covering sets largest-first.
-    best = _greedy_cover(universe, sets)
+    # Exact branch-and-bound: pick the least-covered element and try its
+    # covering sets largest-first; the first descent bounds the rest.
 
     def search(uncovered: frozenset[int], used: int, bound: int) -> int:
         if not uncovered:
             return used
         if used + 1 >= bound:
             return bound
-        element = min(
-            uncovered, key=lambda e: sum(1 for s in sets if e in s)
-        )
+        element = min(uncovered, key=lambda e: sum(1 for s in sets if e in s))
         options = sorted(
             (s for s in sets if element in s),
             key=lambda s: (-len(s & uncovered), sorted(s)),
@@ -106,19 +102,4 @@ def _min_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:
             bound = min(bound, search(uncovered - option, used + 1, bound))
         return bound
 
-    return search(universe, 0, best)
-
-
-def _greedy_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:
-    uncovered = set(universe)
-    count = 0
-    while uncovered:
-        gain, choice = max(
-            ((len(s & uncovered), s) for s in sets),
-            key=lambda pair: (pair[0], sorted(pair[1])),
-        )
-        if gain == 0:
-            raise ValueError("candidates cannot be covered by consistent subsets")
-        uncovered -= choice
-        count += 1
-    return count
+    return search(universe, 0, len(universe) + 1)

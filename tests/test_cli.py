@@ -5,6 +5,8 @@ import pytest
 from probaccept import loads
 from probaccept.accept import MAX_PERMUTATIONS
 from probaccept.cli import main
+from probaccept.sat import DEFAULT_CANDIDATE_CAP
+from probaccept.stattests import MAX_BINOMIAL_TRIALS
 from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
 
 from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN
@@ -25,6 +27,28 @@ def atom_base_path(tmp_path):
     path = tmp_path / "pair.bb"
     path.write_text(ATOM_BASE, encoding="utf-8")
     return str(path)
+
+
+# One command per cap, each asking for one more than it allows, and a
+# fragment of the message; BASE stands for the 3-ticket lottery file.
+ABOVE_CAP = {
+    "lottery": (["lottery", "fair", "--n", str(ONE_WINNER_LOTTERY_CAP + 1)], "capped"),
+    "max_permutations": (
+        ["extensions", "--policy", "sequential", "--epsilon", "1/3",
+         "--max-permutations", str(MAX_PERMUTATIONS + 1), "BASE"],
+        "max_permutations",
+    ),
+    "binomial_trials": (
+        ["stat", "binom", "--n", str(MAX_BINOMIAL_TRIALS + 1), "--p0", "1/2",
+         "--epsilon", "1/100"],
+        "sample size n",
+    ),
+    "max_candidates": (
+        ["--max-candidates", str(DEFAULT_CANDIDATE_CAP + 1), "diagnose",
+         "--epsilon", "1/3", "BASE"],
+        f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}",
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -316,23 +340,13 @@ class TestExitCodes:
         assert out == ""
         assert "line 8: bad formula: canonical form" in err
 
-    def test_lottery_above_cap_is_input_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "lottery", "fair", "--n", str(ONE_WINNER_LOTTERY_CAP + 1)
-        )
+    @pytest.mark.parametrize("argv, message", ABOVE_CAP.values(), ids=list(ABOVE_CAP))
+    def test_above_cap_is_input_error(self, capsys, lottery3_path, argv, message):
+        argv = [lottery3_path if arg == "BASE" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "capped" in err
-
-    def test_max_permutations_above_cap_is_input_error(self, capsys, lottery3_path):
-        code, out, err = run_cli(
-            capsys,
-            "extensions", "--policy", "sequential", "--epsilon", "1/3",
-            "--max-permutations", str(MAX_PERMUTATIONS + 1), lottery3_path,
-        )
-        assert code == 2
-        assert out == ""
-        assert "max_permutations" in err
+        assert message in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

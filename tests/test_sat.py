@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from probaccept import (
+    DEFAULT_CANDIDATE_CAP,
     FormulaSet,
     atom,
+    degree_of_inconsistency,
     entails,
     fair_lottery,
     is_satisfiable,
@@ -17,11 +19,13 @@ from probaccept import (
     neg,
     parse,
     shrink_unsat_subset,
+    strands,
 )
 
 from helpers import (
     BRANCHING_PROBE,
     brute_maximal_consistent_subsets,
+    brute_min_cover_over_consistent_subsets,
     brute_minimal_unsat_subsets,
     random_formula,
     truth_table_satisfiable,
@@ -30,6 +34,10 @@ from helpers import (
 
 def _keys(formulas):
     return frozenset(f.canonical_key for f in formulas)
+
+
+def _texts(family):
+    return [[str(f) for f in subset] for subset in family]
 
 
 class _Expired(Exception):
@@ -131,6 +139,17 @@ class TestMinimalUnsatSubsets:
         with pytest.raises(ValueError):
             minimal_unsat_subsets(candidates, cap=4)
 
+    @pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 1])
+    @pytest.mark.parametrize(
+        "enumerate_subsets",
+        [minimal_unsat_subsets, maximal_consistent_subsets, degree_of_inconsistency, strands],
+    )
+    def test_cap_outside_its_range_rejected(self, enumerate_subsets, cap):
+        # checked before any solver is built, however few the candidates
+        candidates = FormulaSet([parse("a"), parse("~a")])
+        with pytest.raises(ValueError, match=f"between 1 and {DEFAULT_CANDIDATE_CAP}"):
+            enumerate_subsets(candidates, cap=cap)
+
     def test_matches_brute_force(self):
         rng = random.Random(777)
         names = ["a", "b", "c"]
@@ -204,6 +223,26 @@ class TestMaximalConsistentSubsets:
                     assert f.canonical_key in union
 
 
+class TestFamilyOrder:
+    """Both lists come back in the enumeration order: MUS by ascending
+    size, MCS by descending size, then lexicographic in candidate order."""
+
+    def test_contradiction_beside_a_contradictory_pair(self):
+        candidates = [parse("a & ~a"), parse("b"), parse("~b")]
+        assert _texts(minimal_unsat_subsets(candidates)) == [["a & ~a"], ["b", "~b"]]
+        assert _texts(maximal_consistent_subsets(candidates)) == [["b"], ["~b"]]
+
+    def test_only_contradictions_leave_the_empty_subset(self):
+        candidates = [parse("a & ~a"), parse("b & ~b")]
+        assert _texts(minimal_unsat_subsets(candidates)) == [["a & ~a"], ["b & ~b"]]
+        assert _texts(maximal_consistent_subsets(candidates)) == [[]]
+
+    def test_no_candidates(self):
+        assert minimal_unsat_subsets([]) == []
+        assert _texts(maximal_consistent_subsets([])) == [[]]
+        assert degree_of_inconsistency(FormulaSet()) == 1
+
+
 class TestShrink:
     def test_satisfiable_returns_none(self):
         assert shrink_unsat_subset(FormulaSet([parse("a"), parse("b")])) is None
@@ -274,3 +313,9 @@ def test_subset_diagnostics_match_oracles(problem):
     assert {_keys(m) for m in mcses} == brute_maximal_consistent_subsets(
         candidates, background
     )
+    kernels = [s.kernel for s in strands(FormulaSet(candidates), FormulaSet(background))]
+    assert kernels == mcses
+    if all(truth_table_satisfiable(background + [f]) for f in candidates):
+        assert degree_of_inconsistency(
+            FormulaSet(candidates), FormulaSet(background)
+        ) == brute_min_cover_over_consistent_subsets(candidates, background)

@@ -14,6 +14,7 @@ from probaccept import (
     rejection_to_acceptance,
     run_test,
 )
+from probaccept.stattests import MAX_BINOMIAL_TRIALS
 
 from helpers import binomial_tail_sum
 
@@ -32,6 +33,14 @@ class TestSpecValidation:
             BinomialTestSpec(n=10, p0=Fraction(1, 2), epsilon=Fraction(0, 1))
         with pytest.raises(ValueError):
             BinomialTestSpec(n=10, p0=Fraction(1, 2), epsilon=Fraction(1, 100), sided="both")
+
+    def test_sample_size_capped(self):
+        # the cli benchmark draws sample sizes up to 1000
+        assert MAX_BINOMIAL_TRIALS >= 1000
+        assert spec(n=MAX_BINOMIAL_TRIALS).n == MAX_BINOMIAL_TRIALS
+        for n in (MAX_BINOMIAL_TRIALS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"between 1 and {MAX_BINOMIAL_TRIALS}"):
+                spec(n=n)
 
     def test_vacuous_significance_allowed(self):
         assert spec(eps=Fraction(1)).epsilon == 1

@@ -1,0 +1,184 @@
+"""Fingerprint the bytes the ``probaccept`` CLI writes for a fixed command list.
+
+Run it once per checkout, then compare the two files:
+
+    python tools/cli_bytes.py CHECKOUT OUT.json
+    python tools/cli_bytes.py --compare BEFORE.json AFTER.json
+
+The first form runs every command below as ``python -S -m probaccept`` with
+``PYTHONHASHSEED=0`` and the checkout's ``src`` as the only import path, in
+a fresh directory that holds the belief-base files (written by the
+checkout's own ``lottery`` command), so reports name the same relative
+paths on every checkout.  It records the SHA-256 of stdout and stderr and
+the exit code of each command.  The second form lists the commands whose
+record differs and exits 1 if any does.
+
+The list covers every ``accept`` policy, ``extensions`` (exhaustive and
+sampled), ``diagnose`` exhaustive and beyond the enumeration cap,
+``closure``, ``stat binom``, ``lottery``, usage errors and caps, each
+report command in text and ``--json``.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# name -> argv of the ``lottery`` command that writes it; epsilon for accept
+BASES = {
+    "fair_3.bb": (["lottery", "fair", "--n", "3"], "1/3"),
+    "fair_12.bb": (["lottery", "fair", "--n", "12"], "1/12"),
+    "fair_24.bb": (["lottery", "fair", "--n", "24"], "1/24"),
+    "fair_100.bb": (["lottery", "fair", "--n", "100"], "1/100"),
+    "biased_5.bb": (
+        ["lottery", "biased", "--weights", "1/100,9/100,20/100,30/100,40/100"],
+        "1/10",
+    ),
+    "independent_6.bb": (["lottery", "independent", "--n", "6", "--p", "1/10"], "1/10"),
+}
+
+# Two contradictory candidates over one atom: degree 2, one MUS of size 2.
+PAIR_BASE = """\
+ATOMS: a
+WORLDS:
+w1: a=1 weight 1/2
+w2: a=0 weight 1/2
+CANDIDATES:
+A: a
+NA: ~a
+"""
+
+
+def report_commands() -> list[list[str]]:
+    """Commands whose report exists in text and ``--json`` form."""
+    out: list[list[str]] = []
+    for name, (_, eps) in BASES.items():
+        for policy in ("threshold", "lehrer", "cascade"):
+            out.append(["accept", "--policy", policy, "--epsilon", eps, name])
+        for policy in ("sequential", "teng"):
+            for order in ("natural", "reverse"):
+                out.append(["accept", "--policy", policy, "--epsilon", eps,
+                            "--order", order, name])
+        out.append(["--strict-threshold", "accept", "--policy", "threshold",
+                    "--epsilon", eps, name])
+        out.append(["diagnose", "--epsilon", eps, name])
+        out.append(["closure", "--epsilon", eps, name])
+    for policy in ("sequential", "teng"):
+        out.append(["extensions", "--policy", policy, "--epsilon", "1/3", "fair_3.bb"])
+        out.append(["--seed", "7", "extensions", "--policy", policy, "--epsilon",
+                    "1/12", "--max-permutations", "40", "fair_12.bb"])
+    out += [
+        ["diagnose", "--epsilon", "1/2", "pair.bb"],
+        ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
+        ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
+        ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
+        ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "fair_3.bb"],
+        ["closure", "--epsilon", "1/3", "--labels", "L1,L2,L3", "--conclusion",
+         "wins_1 | wins_2", "fair_3.bb"],
+        ["closure", "--epsilon", "1/100", "--labels", "L1,L2", "--conclusion",
+         "~wins_3", "fair_100.bb"],
+        ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100"],
+        ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+         "--observed", "30", "--combine-with", "1/100,1/50"],
+        ["stat", "binom", "--n", "400", "--p0", "1/3", "--epsilon", "1/20",
+         "--sided", "upper", "--observed", "170"],
+        ["stat", "binom", "--n", "1000", "--p0", "1/10", "--epsilon", "1/10",
+         "--sided", "lower", "--observed", "70"],
+        ["stat", "binom", "--n", "2001", "--p0", "1/2", "--epsilon", "1/100"],
+    ]
+    return out
+
+
+def commands() -> list[list[str]]:
+    out: list[list[str]] = []
+    for argv in report_commands():
+        out += [argv, ["--json", *argv]]
+    out += [
+        ["lottery", "fair", "--n", "4"],
+        ["lottery", "biased", "--weights", "1/10,9/10"],
+        ["lottery", "independent", "--n", "3", "--p", "1/2"],
+        ["lottery", "fair"],
+        ["lottery", "fair", "--n", "301"],
+        ["extensions", "--policy", "sequential", "--epsilon", "1/3",
+         "--max-permutations", "5041", "fair_3.bb"],
+        ["accept", "--policy", "teng", "--epsilon", "1/3", "fair_3.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/3", "--order",
+         "natural", "fair_3.bb"],
+        ["accept", "--policy", "nope", "--epsilon", "1/3", "fair_3.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "0.3", "fair_3.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/3", "missing.bb"],
+        ["--help"],
+        ["accept", "--help"],
+        ["diagnose", "--help"],
+        ["extensions", "--help"],
+        ["stat", "binom", "--help"],
+    ]
+    return out
+
+
+def _run(src: str, workdir: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = {"PYTHONHASHSEED": "0", "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "probaccept", *argv],
+        cwd=workdir, env=env, capture_output=True, timeout=300,
+    )
+
+
+def fingerprint(checkout: str) -> list[dict]:
+    src = os.path.join(os.path.abspath(checkout), "src")
+    records = []
+    with tempfile.TemporaryDirectory() as workdir:
+        with open(os.path.join(workdir, "pair.bb"), "w", encoding="utf-8") as handle:
+            handle.write(PAIR_BASE)
+        setup = [[*argv, "--out", name] for name, (argv, _) in BASES.items()]
+        for argv in setup + commands():
+            done = _run(src, workdir, argv)
+            records.append({
+                "argv": argv,
+                "exit": done.returncode,
+                "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+                "stderr_sha256": hashlib.sha256(done.stderr).hexdigest(),
+            })
+    return records
+
+
+def compare(before_path: str, after_path: str) -> int:
+    with open(before_path, encoding="utf-8") as handle:
+        before = {" ".join(r["argv"]): r for r in json.load(handle)}
+    with open(after_path, encoding="utf-8") as handle:
+        after = {" ".join(r["argv"]): r for r in json.load(handle)}
+    differing = 0
+    for command in sorted(before.keys() | after.keys()):
+        old, new = before.get(command), after.get(command)
+        if old is None or new is None:
+            print(f"only in {'after' if old is None else 'before'}: {command}")
+            differing += 1
+            continue
+        fields = [k for k in ("exit", "stdout_sha256", "stderr_sha256") if old[k] != new[k]]
+        if fields:
+            print(f"differs ({', '.join(fields)}): {command}")
+            differing += 1
+    print(f"{differing} of {len(before.keys() | after.keys())} commands differ")
+    return 1 if differing else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if len(argv) == 2 and not argv[0].startswith("-"):
+        records = fingerprint(argv[0])
+        with open(argv[1], "w", encoding="utf-8") as handle:
+            json.dump(records, handle, indent=1)
+            handle.write("\n")
+        print(f"{len(records)} commands fingerprinted into {argv[1]}")
+        return 0
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
