@@ -15,7 +15,8 @@ Layout (UTF-8, ``#`` starts a comment, blank lines ignored)::
 
 Rationals are written ``p/q`` or as bare integers; floating point is
 rejected everywhere.  ``dumps`` followed by ``loads`` reproduces an equal
-belief base.
+belief base.  A file lists at most ``MAX_WORLDS`` (2**16) worlds, as many
+as the largest independent lottery has.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .formulas import parse, render
-from .worlds import BeliefBase, WorldModel
+from .worlds import MAX_WORLDS, BeliefBase, WorldModel
 
 __all__ = [
     "BeliefBaseFormatError",
@@ -83,6 +84,8 @@ def loads(text: str) -> BeliefBase:
         if section == "ATOMS":
             atoms.extend(line.split())
         elif section == "WORLDS":
+            if len(worlds) == MAX_WORLDS:
+                raise _fail(lineno, f"more than {MAX_WORLDS} worlds")
             worlds.append(_parse_world(line, lineno, atoms))
         elif section == "BACKGROUND":
             background.append(_parse_formula(line, lineno))

@@ -37,6 +37,7 @@ from .closure import conjunction_support, consequence_level, contradiction_bound
 from .formulas import FormulaSet, has_strong_inconsistency, parse, render
 from .sat import (
     DEFAULT_CANDIDATE_CAP,
+    _check_cap,
     maximal_consistent_subsets,
     minimal_unsat_subsets,
     shrink_unsat_subset,
@@ -239,6 +240,7 @@ def _cmd_lottery(args) -> str:
 
 
 def _cmd_diagnose(args) -> str:
+    _check_cap(args.max_candidates)  # on both paths, whatever the input's size
     base = load_base(args.base)
     level = AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
     accepted = threshold_accept(base, level)

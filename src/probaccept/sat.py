@@ -202,6 +202,11 @@ def entails(
     return not is_satisfiable(members)
 
 
+def _check_cap(cap: int) -> None:
+    if not 1 <= cap <= DEFAULT_CANDIDATE_CAP:
+        raise ValueError(f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}")
+
+
 def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
@@ -209,8 +214,7 @@ def _prepare(
 ) -> tuple[tuple[Formula, ...], _Solver]:
     members = tuple(FormulaSet(candidates))
     if cap is not None:
-        if not 1 <= cap <= DEFAULT_CANDIDATE_CAP:
-            raise ValueError(f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}")
+        _check_cap(cap)
         if len(members) > cap:
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"

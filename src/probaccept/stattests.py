@@ -17,6 +17,7 @@ Everything is exact integer and rational arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -70,6 +71,22 @@ class BinomialTestSpec:
             raise ValueError("significance epsilon must lie in (0, 1]")
         if self.sided not in SIDEDNESS:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
+        # Every exact probability of the test has a denominator dividing
+        # q**n; past the interpreter's digit limit it could not be printed.
+        digits = sys.get_int_max_str_digits()
+        if digits and _power_reaches(self.p0.denominator, self.n, 10**digits):
+            raise ValueError(
+                f"p0 = {self.p0} over n = {self.n} trials needs exact fractions "
+                f"of more than {digits} digits"
+            )
+
+
+def _power_reaches(base: int, exponent: int, bound: int) -> bool:
+    """Whether ``base**exponent >= bound``, exactly, without computing a
+    power far longer than ``bound``."""
+    if (base.bit_length() - 1) * exponent >= bound.bit_length():
+        return True  # base**exponent >= 2**(that) > bound
+    return base**exponent >= bound
 
 
 @dataclass(frozen=True)

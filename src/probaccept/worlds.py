@@ -3,7 +3,10 @@
 A :class:`WorldModel` assigns a nonnegative rational weight to each total
 valuation it contains; weights sum to exactly 1.  All probabilities are
 exact :class:`fractions.Fraction` values, never floats, because threshold
-comparisons such as ``98/99 < 99/100`` have to be decided exactly.
+comparisons such as ``98/99 < 99/100`` have to be decided exactly.  A
+model keeps its weights as integer numerators over their least common
+denominator, bit-sliced into one world mask per numerator bit, so the
+weight of a world set is a sum of popcounts.
 
 A :class:`BeliefBase` combines a model with background formulas (treated
 as certain, probability exactly 1) and labeled candidate formulas offered
@@ -14,6 +17,8 @@ independent tickets.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -36,11 +41,22 @@ __all__ = [
     "as_fraction",
 ]
 
-INDEPENDENT_LOTTERY_CAP = 20
+INDEPENDENT_LOTTERY_CAP = 16
 ONE_WINNER_LOTTERY_CAP = 300
+# The largest independent lottery's world count; belief-base files may
+# list no more worlds than that.
+MAX_WORLDS = 2**INDEPENDENT_LOTTERY_CAP
+# Weight planes take (common denominator bits) x (world count) bits; this
+# caps them at 32 MiB, 4096-bit denominators over MAX_WORLDS worlds.
+MAX_PLANE_BITS = 2**28
 
 # Maps the byte values 0/1 of a valuation column to the digits "0"/"1".
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Entry b maps every byte value to "1" if its bit b is set, else to "0".
+_BYTE_BIT_DIGITS = [
+    bytes.maketrans(bytes(range(256)), bytes(b"01"[v >> b & 1] for v in range(256)))
+    for b in range(8)
+]
 
 
 class UnknownAtomError(ValueError):
@@ -91,9 +107,16 @@ class WorldModel:
     A set of worlds is an int mask with bit i for world i.  Atom masks are
     built at construction; a formula's mask evaluates its canonical NNF over
     them with ``&``, ``|`` and complement, memoized per canonical key.
+
+    World i's weight is ``n_i / D`` with ``D`` the least common denominator
+    of the weights.  Plane ``P_b`` masks the worlds whose numerator ``n_i``
+    has bit b set, so a mask ``m`` weighs ``sum((m & P_b).bit_count() << b)``
+    over ``D``; only nonzero planes are kept.
     """
 
-    __slots__ = ("atoms", "worlds", "_weights", "_atom_masks", "_mask_cache")
+    __slots__ = (
+        "atoms", "worlds", "_denominator", "_planes", "_full", "_atom_masks", "_mask_cache"
+    )
 
     def __init__(
         self,
@@ -107,24 +130,38 @@ class WorldModel:
             atom(name)  # reuse the formula-level name validation
         packed: list[tuple[tuple[bool, ...], Fraction]] = []
         seen: set[tuple[bool, ...]] = set()
-        total = Fraction(0)
         for valuation, weight in worlds:
-            vals = tuple(bool(v) for v in valuation)
+            vals = tuple(map(bool, valuation))
             if len(vals) != len(atom_names):
                 raise ValueError("valuation length does not match atom list")
             if vals in seen:
                 raise ValueError(f"duplicate world valuation {vals}")
             seen.add(vals)
             w = as_fraction(weight)
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError(f"negative world weight {w}")
-            total += w
             packed.append((vals, w))
-        if total != 1:
-            raise ValueError(f"world weights sum to {total}, not 1")
+        # Keyed by (numerator, denominator): hashing a Fraction costs a
+        # modular inverse, once per world.
+        weights = [(w.numerator, w.denominator) for _, w in packed]
+        counts = Counter(weights)
+        denominator = 1
+        for q in {q for _, q in counts}:
+            denominator = math.lcm(denominator, q)
+            if denominator.bit_length() * len(packed) > MAX_PLANE_BITS:
+                raise ValueError(
+                    f"the weights of {len(packed)} worlds need a common denominator "
+                    f"of more than {MAX_PLANE_BITS // len(packed)} bits"
+                )
+        numerators = {(p, q): denominator // q * p for p, q in counts}
+        total = sum(numerators[w] * c for w, c in counts.items())
+        if total != denominator:
+            raise ValueError(f"world weights sum to {Fraction(total, denominator)}, not 1")
         object.__setattr__(self, "atoms", atom_names)
         object.__setattr__(self, "worlds", tuple(packed))
-        object.__setattr__(self, "_weights", tuple(w for _, w in packed))
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_planes", _weight_planes(numerators, weights))
+        object.__setattr__(self, "_full", (1 << len(packed)) - 1)
         columns = zip(*(vals for vals, _ in packed))  # one per atom
         masks = [int(bytes(reversed(c)).translate(_BIT_DIGITS), 2) for c in columns]
         object.__setattr__(self, "_atom_masks", dict(zip(atom_names, masks)))
@@ -166,28 +203,26 @@ class WorldModel:
     def _nnf_mask(self, node: tuple) -> int:
         if node[0] == "lit":
             mask = self._atom_masks[node[1]]
-            return mask if node[2] else self.full_mask() ^ mask
+            return mask if node[2] else self._full ^ mask
         combine = and_ if node[0] == "and" else or_
         return reduce(combine, map(self._nnf_mask, node[1]))
 
     def joint_mask(self, formulas: Iterable[Formula]) -> int:
         """Worlds satisfying every formula; the full mask for none."""
-        mask = self.full_mask()
+        mask = self._full
         for formula in formulas:
             mask &= self.satisfying_mask(formula)
         return mask
 
+    def _numerator(self, mask: int) -> int:
+        """The weight of ``mask`` times the common denominator."""
+        return sum((mask & plane).bit_count() << bit for bit, plane in self._planes)
+
     def mask_weight(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        weights = self._weights
-        while mask:
-            low = mask & -mask
-            total += weights[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return Fraction(self._numerator(mask), self._denominator)
 
     def full_mask(self) -> int:
-        return (1 << len(self.worlds)) - 1
+        return self._full
 
     # -- probability -------------------------------------------------------
 
@@ -198,11 +233,32 @@ class WorldModel:
         self, formula: Formula, given: Iterable[Formula]
     ) -> Fraction:
         given_mask = self.joint_mask(given)
-        denominator = self.mask_weight(given_mask)
+        denominator = self._numerator(given_mask)
         if denominator == 0:
             raise ZeroProbabilityError("conditioning set has probability 0")
-        joint = self.mask_weight(given_mask & self.satisfying_mask(formula))
-        return joint / denominator
+        return Fraction(self._numerator(given_mask & self.satisfying_mask(formula)), denominator)
+
+
+def _weight_planes(
+    numerators: Mapping[tuple[int, int], int], weights: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """The nonzero planes ``(b, P_b)`` of the worlds' weight numerators.
+
+    Every world's numerator is written as a fixed number of little-endian
+    bytes; byte column j of that table, one byte per world, gives planes
+    8j..8j+7 by one translation each, as the atom masks are built.
+    """
+    width = (max(numerators.values()).bit_length() + 7) // 8
+    encoded = {w: n.to_bytes(width, "little") for w, n in numerators.items()}
+    table = b"".join(map(encoded.__getitem__, weights))
+    planes = []
+    for byte in range(width):
+        column = table[byte::width][::-1]  # world 0 becomes the lowest bit
+        for bit, digits in enumerate(_BYTE_BIT_DIGITS):
+            plane = int(column.translate(digits), 2)
+            if plane:
+                planes.append((8 * byte + bit, plane))
+    return tuple(planes)
 
 
 def probability(model: WorldModel, formula: Formula) -> Fraction:
@@ -350,7 +406,7 @@ def independent_lottery(n: int, p) -> BeliefBase:
 
     The model has 2**n product-weighted worlds and an empty background;
     candidates are the lose statements plus ``some_wins``, the disjunction
-    that some ticket wins.  Capped at n <= 20 (the model is exponential).
+    that some ticket wins.  Capped at n <= 16 (the model is exponential).
     """
     _check_tickets(n, INDEPENDENT_LOTTERY_CAP, "independent")
     win_p = as_fraction(p)
@@ -358,10 +414,9 @@ def independent_lottery(n: int, p) -> BeliefBase:
         raise ValueError("ticket probability must lie strictly between 0 and 1")
     wins = _win_atoms(n)
     names = [a.name for a in wins]
-    worlds = []
-    for valuation in product((False, True), repeat=n):
-        k = sum(valuation)
-        worlds.append((valuation, win_p**k * (1 - win_p) ** (n - k)))
+    # A world's weight depends only on its number of winners.
+    by_winners = [win_p**k * (1 - win_p) ** (n - k) for k in range(n + 1)]
+    worlds = [(v, by_winners[sum(v)]) for v in product((False, True), repeat=n)]
     model = WorldModel(names, worlds)
     candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
     candidates.append(("some_wins", disj(*wins)))

@@ -2,8 +2,8 @@
 
 The oracles deliberately avoid the library's decision procedures: truth
 tables for satisfiability, direct definition checks for MUS/MCS, plain
-tail summation for binomial sizes.  They are the reference the fast
-paths are judged against.
+tail summation for binomial sizes, per-world sums for mask weights.
+They are the reference the fast paths are judged against.
 """
 
 from __future__ import annotations
@@ -158,6 +158,16 @@ def random_model(rng, max_atoms: int = 4) -> WorldModel:
     return WorldModel(
         names, [(v, Fraction(w, total)) for v, w in zip(valuations, weights)]
     )
+
+
+def brute_mask_weight(model: WorldModel, mask: int) -> Fraction:
+    """The weight of a world mask, one Fraction addition per world in it."""
+    total = Fraction(0)
+    while mask:
+        low = mask & -mask
+        total += model.worlds[low.bit_length() - 1][1]
+        mask ^= low
+    return total
 
 
 def binomial_tail_sum(n: int, p: Fraction, counts) -> Fraction:

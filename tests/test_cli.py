@@ -7,7 +7,7 @@ from probaccept.accept import MAX_PERMUTATIONS
 from probaccept.cli import main
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
 from probaccept.stattests import MAX_BINOMIAL_TRIALS
-from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
+from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, MAX_WORLDS, ONE_WINNER_LOTTERY_CAP
 
 from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN
 
@@ -33,6 +33,10 @@ def atom_base_path(tmp_path):
 # fragment of the message; BASE stands for the 3-ticket lottery file.
 ABOVE_CAP = {
     "lottery": (["lottery", "fair", "--n", str(ONE_WINNER_LOTTERY_CAP + 1)], "capped"),
+    "independent_lottery": (
+        ["lottery", "independent", "--n", str(INDEPENDENT_LOTTERY_CAP + 1), "--p", "1/10"],
+        f"capped at {INDEPENDENT_LOTTERY_CAP} tickets",
+    ),
     "max_permutations": (
         ["extensions", "--policy", "sequential", "--epsilon", "1/3",
          "--max-permutations", str(MAX_PERMUTATIONS + 1), "BASE"],
@@ -49,6 +53,15 @@ ABOVE_CAP = {
         f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}",
     ),
 }
+
+
+@pytest.fixture(scope="module")
+def largest_independent_path(tmp_path_factory):
+    """The largest independent lottery, written by the CLI."""
+    path = tmp_path_factory.mktemp("bases") / "independent.bb"
+    argv = ["lottery", "independent", "--n", str(INDEPENDENT_LOTTERY_CAP), "--p", "1/10"]
+    assert main([*argv, "--out", str(path)]) == 0
+    return path
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +243,17 @@ class TestDiagnoseCommand:
         assert "diagnostics.degree: 1" in out
         assert "diagnostics.mus_min_size: none" in out
 
+    @pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 5])
+    def test_cap_checked_above_the_cap_too(self, capsys, lottery100_path, cap):
+        # 100 accepted statements take the deletion-shrink path
+        code, out, err = run_cli(
+            capsys, "--max-candidates", str(cap), "diagnose", "--epsilon", "1/100",
+            lottery100_path,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}" in err
+
     def test_contradictory_candidates_degree_two(self, capsys, atom_base_path):
         # at an even-odds threshold both a and ~a are accepted
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/2", atom_base_path)
@@ -296,6 +320,17 @@ class TestStatCommand:
         assert "combined.dependent_lower_bound: 49/50" in out
         assert "combined.independent_lower_bound: 9801/10000" in out
 
+    def test_fractions_beyond_the_digit_limit_are_input_error(self, capsys):
+        # 100003**1000 has 5001 digits, past the default limit of 4300
+        code, out, err = run_cli(
+            capsys,
+            "stat", "binom", "--n", "1000", "--p0", "1/100003", "--epsilon", "1/100",
+            "--observed", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "p0 = 1/100003 over n = 1000 trials" in err
+
     def test_out_of_range_observation(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -347,6 +382,29 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_largest_independent_lottery_reads_back(self, capsys, largest_independent_path):
+        code, out, _ = run_cli(
+            capsys, "accept", "--policy", "threshold", "--epsilon", "1/10",
+            str(largest_independent_path),
+        )
+        assert code == 0
+        assert f"accepted_count: {INDEPENDENT_LOTTERY_CAP}" in out
+
+    def test_world_line_above_the_limit_is_input_error(
+        self, capsys, tmp_path, largest_independent_path
+    ):
+        text = largest_independent_path.read_text(encoding="utf-8")
+        assert text.count(" weight ") == MAX_WORLDS
+        head, tail = text.split("CANDIDATES:")
+        path = tmp_path / "more.bb"
+        path.write_text(head + "extra: nothing weight 0\nCANDIDATES:" + tail, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "accept", "--policy", "threshold", "--epsilon", "1/10", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"line {MAX_WORLDS + 3}: more than {MAX_WORLDS} worlds" in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,18 @@
 """Property tests for the world-mask primitive.
 
-Formula masks are checked against world-by-world evaluation, and every
-consistency verdict against the truth-table oracle.  The models list
-only some valuations and give some worlds zero weight, so a set with no
-model world in common may still be satisfiable: those cases reach the
-SAT fallback behind the world witness.
+Formula masks are checked against world-by-world evaluation, mask
+weights against a per-world sum, and every consistency verdict against
+the truth-table oracle.  The models list only some valuations and give
+some worlds zero weight, so a set with no model world in common may
+still be satisfiable: those cases reach the SAT fallback behind the
+world witness.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from probaccept import (
     AcceptanceLevel,
     BeliefBase,
     WorldModel,
+    ZeroProbabilityError,
     atom,
     conj,
     disj,
@@ -31,9 +34,16 @@ from probaccept import (
     threshold_accept,
 )
 
-from helpers import truth_table_satisfiable
+from helpers import brute_mask_weight, truth_table_satisfiable
 
 NAMES = ("a", "b", "c")
+
+# 17-bit primes: fifteen weights of at most 6/p sum to far less than one,
+# and their common denominator has up to about 250 bits.
+PRIMES = (
+    100003, 100019, 100043, 100049, 100057, 100069, 100103, 100109, 100129,
+    100151, 100153, 100169, 100183, 100189, 100193, 100207, 100213, 100237,
+)
 
 # Thresholds from 1/2 down to 1/10 accept many candidates, so joint masks
 # often come out empty.
@@ -82,6 +92,35 @@ def models(draw, partial=False):
 
 
 @st.composite
+def weighted_models(draw):
+    """A model over one to four atoms whose weights are one of: integers
+    over their total, zeros among them; all the weight on one world; or
+    pairwise coprime prime denominators, the last world taking the
+    remainder, so that the common denominator is a long product."""
+    names = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    valuations = list(product((False, True), repeat=len(names)))
+    listed = draw(
+        st.lists(st.sampled_from(valuations), min_size=1, max_size=len(valuations), unique=True)
+    )
+    kind = draw(st.sampled_from(["integers", "single", "coprime"]))
+    if kind == "integers":
+        raw = draw(
+            st.lists(
+                st.just(0) | st.integers(1, 10**6), min_size=len(listed), max_size=len(listed)
+            ).filter(any)
+        )
+        weights = [Fraction(w, sum(raw)) for w in raw]
+    elif kind == "single":
+        weights = [Fraction(0)] * len(listed)
+        weights[draw(st.integers(0, len(listed) - 1))] = Fraction(1)
+    else:
+        primes = draw(st.permutations(PRIMES))[: len(listed) - 1]
+        weights = [Fraction(draw(st.integers(0, 6)), p) for p in primes]
+        weights.append(1 - sum(weights))
+    return WorldModel(names, list(zip(listed, weights)))
+
+
+@st.composite
 def bases(draw, max_candidates=5):
     model = draw(models(partial=True))
     names = model.atoms
@@ -110,6 +149,24 @@ def test_satisfying_mask_matches_world_by_world_evaluation(data):
         if evaluate(formula, dict(zip(model.atoms, valuation))):
             expected |= 1 << i
     assert model.satisfying_mask(formula) == expected
+
+
+@given(st.data())
+def test_weights_match_the_per_world_sum(data):
+    model = data.draw(weighted_models())
+    mask = data.draw(st.integers(0, model.full_mask()))
+    assert model.mask_weight(mask) == brute_mask_weight(model, mask)
+    formula, condition = data.draw(st.tuples(formulas(model.atoms), formulas(model.atoms)))
+    formula_mask = model.satisfying_mask(formula)
+    assert model.probability(formula) == brute_mask_weight(model, formula_mask)
+    given_mask = model.satisfying_mask(condition)
+    given_weight = brute_mask_weight(model, given_mask)
+    if given_weight == 0:
+        with pytest.raises(ZeroProbabilityError):
+            model.conditional_probability(formula, [condition])
+    else:
+        joint = brute_mask_weight(model, given_mask & formula_mask)
+        assert model.conditional_probability(formula, [condition]) == joint / given_weight
 
 
 @given(bases(), LEVELS)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,17 @@ class TestSpecValidation:
         for n in (MAX_BINOMIAL_TRIALS + 1, 10**9):
             with pytest.raises(ValueError, match=f"between 1 and {MAX_BINOMIAL_TRIALS}"):
                 spec(n=n)
+
+    @pytest.mark.skipif(
+        not 0 < sys.get_int_max_str_digits() < 3 * MAX_BINOMIAL_TRIALS,
+        reason="needs a digit limit that some allowed n passes",
+    )
+    def test_fractions_beyond_the_digit_limit_rejected(self):
+        # 1000**n has 3n + 1 digits
+        n = (sys.get_int_max_str_digits() - 1) // 3
+        assert spec(n=n, p0=Fraction(1, 1000)).n == n
+        with pytest.raises(ValueError, match=f"p0 = 1/1000 over n = {n + 1} trials"):
+            spec(n=n + 1, p0=Fraction(1, 1000))
 
     def test_vacuous_significance_allowed(self):
         assert spec(eps=Fraction(1)).epsilon == 1

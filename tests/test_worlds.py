@@ -19,8 +19,9 @@ from probaccept import (
     neg,
     parse,
 )
+from probaccept import worlds
 from probaccept.formulas import MAX_KEY_LENGTH
-from probaccept.worlds import ONE_WINNER_LOTTERY_CAP
+from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, ONE_WINNER_LOTTERY_CAP
 
 from helpers import random_formula, random_model
 
@@ -168,9 +169,16 @@ class TestLotteries:
         (background,) = base.background
         assert len(background.canonical_key) == 1_137_001 <= MAX_KEY_LENGTH
 
+    def test_independent_weights_by_winner_count(self):
+        p = Fraction(2, 7)
+        base = independent_lottery(5, p)
+        for valuation, weight in base.model.worlds:
+            k = sum(valuation)
+            assert weight == p**k * (1 - p) ** (5 - k)
+
     def test_independent_cap(self):
-        with pytest.raises(ValueError):
-            independent_lottery(21, Fraction(1, 2))
+        with pytest.raises(ValueError, match=f"capped at {INDEPENDENT_LOTTERY_CAP} tickets"):
+            independent_lottery(INDEPENDENT_LOTTERY_CAP + 1, Fraction(1, 2))
         with pytest.raises(ValueError):
             independent_lottery(3, Fraction(1, 1))
 
@@ -197,6 +205,14 @@ class TestModelValidation:
     def test_float_weights_rejected(self):
         with pytest.raises(ValueError):
             WorldModel(["a"], [((True,), 0.5), ((False,), 0.5)])
+
+    def test_common_denominator_capped(self, monkeypatch):
+        monkeypatch.setattr(worlds, "MAX_PLANE_BITS", 64)
+        WorldModel(["a"], [((True,), Fraction(1, 2**31)), ((False,), 1 - Fraction(1, 2**31))])
+        with pytest.raises(ValueError, match="common denominator of more than 32 bits"):
+            WorldModel(
+                ["a"], [((True,), Fraction(1, 2**32)), ((False,), 1 - Fraction(1, 2**32))]
+            )
 
     def test_zero_weight_worlds_allowed(self):
         model = WorldModel(["a"], [((True,), 1), ((False,), 0)])

@@ -76,6 +76,7 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
         ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
+        ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2,L3", "--conclusion",
          "wins_1 | wins_2", "fair_3.bb"],
@@ -89,6 +90,8 @@ def report_commands() -> list[list[str]]:
         ["stat", "binom", "--n", "1000", "--p0", "1/10", "--epsilon", "1/10",
          "--sided", "lower", "--observed", "70"],
         ["stat", "binom", "--n", "2001", "--p0", "1/2", "--epsilon", "1/100"],
+        ["stat", "binom", "--n", "1000", "--p0", "1/100003", "--epsilon", "1/100",
+         "--observed", "5"],
     ]
     return out
 
@@ -103,6 +106,7 @@ def commands() -> list[list[str]]:
         ["lottery", "independent", "--n", "3", "--p", "1/2"],
         ["lottery", "fair"],
         ["lottery", "fair", "--n", "301"],
+        ["lottery", "independent", "--n", "17", "--p", "1/10"],
         ["extensions", "--policy", "sequential", "--epsilon", "1/3",
          "--max-permutations", "5041", "fair_3.bb"],
         ["accept", "--policy", "teng", "--epsilon", "1/3", "fair_3.bb"],
