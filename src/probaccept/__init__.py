@@ -44,11 +44,9 @@ from .worlds import (
     ZeroProbabilityError,
     as_fraction,
     biased_lottery,
-    conditional_probability,
     exactly_one,
     fair_lottery,
     independent_lottery,
-    probability,
 )
 from .basefile import (
     BeliefBaseFormatError,

@@ -1,6 +1,8 @@
 """Acceptance policies over belief bases.
 
-Four ways of turning "probable enough" into "accepted":
+Four ways of turning "probable enough" into "accepted", all run by one
+candidate scan (``_scan``) that carries the joint world mask of the
+background and the statements accepted so far:
 
 * ``threshold_accept`` takes every candidate whose probability clears the
   acceptance level, consistency be damned; with a fair n-ticket lottery
@@ -8,7 +10,8 @@ Four ways of turning "probable enough" into "accepted":
   accepted set.
 * ``lehrer_accept`` additionally demands that a candidate be strictly
   more probable than every candidate contrary to it (contrary: the pair
-  is unsatisfiable together with the background), so ties block.
+  is unsatisfiable together with the background), so ties block; the
+  dominated candidates are dropped before the scan.
 * ``sequential_accept`` scans candidates in a given order and keeps each
   one that clears the level and preserves satisfiability.  The outcome
   depends on the order.
@@ -29,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, permutations
 from typing import Callable, Iterable, Sequence
 
 from .formulas import Formula, FormulaSet, atom
@@ -137,16 +140,11 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
     return AcceptanceLevel(Fraction(1, 1) / (1 + ratio))
 
 
-def _consistent(
-    model: WorldModel, formulas: Iterable[Formula], mask: int | None = None
-) -> bool:
-    """Joint satisfiability of formulas over the model's atoms.  A world
-    in their joint mask (folded here unless the caller passes it) is a
-    satisfying valuation; only when there is none (a model need not list
-    every valuation) does the SAT solver decide."""
-    if mask is None:
-        formulas = list(formulas)
-        mask = model.joint_mask(formulas)
+def _consistent(formulas: Iterable[Formula], mask: int) -> bool:
+    """Joint satisfiability of formulas whose joint world mask is ``mask``.
+    A world in it is a satisfying valuation; only when there is none (a
+    model need not list every valuation) does the SAT solver read the
+    formulas, so they may come as a lazy iterable."""
     return bool(mask) or is_satisfiable(formulas)
 
 
@@ -155,45 +153,89 @@ def _finish(
     level: AcceptanceLevel,
     accepted: list[Acceptance],
     base: BeliefBase,
+    mask: int,
 ) -> AcceptedSet:
-    members = list(base.background) + [a.statement for a in accepted]
+    """The run's result; ``mask`` is the joint mask of its statements."""
+    members = chain(base.background, (a.statement for a in accepted))
     return AcceptedSet(
         policy=policy,
         level=level,
         accepted=tuple(accepted),
         background=base.background,
-        weakly_consistent=_consistent(base.model, members),
+        weakly_consistent=_consistent(members, mask),
     )
 
 
-def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
-    """Accept every candidate whose probability clears the level.
-
-    Weak consistency of the result is reported, not enforced.
-    """
-    accepted = []
-    for label, formula in base.candidates:
-        p = base.model.probability(formula)
-        if level.met_by(p):
-            accepted.append(Acceptance(label, formula, p, p))
-    return _finish("threshold", level, accepted, base)
-
-
-def _contrary_pairs(base: BeliefBase) -> set[frozenset[int]]:
-    """Index pairs of candidates that are jointly unsatisfiable with the
-    background."""
+def _scan(
+    policy: str,
+    base: BeliefBase,
+    candidates: Iterable[tuple[str, Formula, Fraction]],
+    level: AcceptanceLevel,
+    conditional: bool = False,
+    consistent: bool = False,
+) -> AcceptedSet:
+    """Visit ``(label, formula, probability)`` triples in order.  The
+    support is the probability, or with ``conditional`` the weight within
+    the carried mask over its weight; it must meet the level and, with
+    ``consistent``, the accepted set must stay satisfiable."""
     model = base.model
-    formulas = [f for _, f in base.candidates]
-    background = list(base.background)
-    shared = model.joint_mask(background)
-    masks = [shared & model.satisfying_mask(f) for f in formulas]
-    return {
-        frozenset((i, j))
-        for i, j in combinations(range(len(formulas)), 2)
-        if not _consistent(
-            model, background + [formulas[i], formulas[j]], masks[i] & masks[j]
+    current = model.joint_mask(base.background)
+    given = model.mask_weight(current)
+    accepted: list[Acceptance] = []
+    for label, formula, p in candidates:
+        if conditional and given == 0:
+            raise RuntimeError(f"{policy} conditioning set reached probability 0")
+        joint = current & model.satisfying_mask(formula)
+        support = model.mask_weight(joint) / given if conditional else p
+        if not level.met_by(support):
+            continue
+        members = chain(base.background, (a.statement for a in accepted), (formula,))
+        if consistent and not _consistent(members, joint):
+            continue
+        accepted.append(Acceptance(label, formula, p, support))
+        current = joint
+        if conditional:
+            given *= support  # now the weight of ``current``
+    return _finish(policy, level, accepted, base, current)
+
+
+def _weighed(base: BeliefBase, order: Sequence[str]) -> list[tuple[str, Formula, Fraction]]:
+    """The candidates in ``order``, which must list every label once, each
+    with its probability."""
+    if sorted(order) != sorted(base.candidate_labels):
+        raise ValueError("order must be a permutation of the candidate labels")
+    formulas = dict(base.candidates)
+    probability = base.model.probability
+    return [(label, formulas[label], probability(formulas[label])) for label in order]
+
+
+def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
+    """Accept every candidate whose probability clears the level; weak
+    consistency of the result is reported, not enforced."""
+    return _scan("threshold", base, _weighed(base, base.candidate_labels), level)
+
+
+def _undominated(base: BeliefBase) -> list[tuple[str, Formula, Fraction]]:
+    """The weighed candidates that no contrary rival (one jointly
+    unsatisfiable with it and the background) matches or beats in
+    probability."""
+    weighed = _weighed(base, base.candidate_labels)
+    shared = base.model.joint_mask(base.background)
+    masks = [shared & base.model.satisfying_mask(f) for _, f, _ in weighed]
+    indices = range(len(weighed))
+    return [
+        (label, f, p)
+        for i, (label, f, p) in enumerate(weighed)
+        if not any(
+            # a world in both masks shows a pair consistent; the solver
+            # decides only the pairs without one
+            not masks[i] & masks[j]
+            and weighed[j][2] >= p
+            and not is_satisfiable(chain(base.background, (f, weighed[j][1])))
+            for j in indices
+            if j != i
         )
-    }
+    ]
 
 
 def lehrer_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
@@ -201,16 +243,7 @@ def lehrer_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     more probable than every candidate contrary to it.  Ties between
     contraries block both sides, which empties the two-ticket fair
     lottery."""
-    probs = [base.model.probability(f) for _, f in base.candidates]
-    contrary = _contrary_pairs(base)
-    accepted = []
-    for i, (label, formula) in enumerate(base.candidates):
-        if not level.met_by(probs[i]):
-            continue
-        rivals = [j for j in range(len(probs)) if frozenset((i, j)) in contrary]
-        if all(probs[i] > probs[j] for j in rivals):
-            accepted.append(Acceptance(label, formula, probs[i], probs[i]))
-    return _finish("lehrer", level, accepted, base)
+    return _scan("lehrer", base, _undominated(base), level)
 
 
 def _ticket_atom(formula: Formula) -> str:
@@ -250,9 +283,7 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
             break
         label = leaders[0]
         formula = remaining.pop(label)
-        accepted.append(
-            Acceptance(label, formula, model.probability(formula), best)
-        )
+        accepted.append(Acceptance(label, formula, model.probability(formula), best))
         current &= model.satisfying_mask(formula)
     weights = {
         name: model.mask_weight(current & model.satisfying_mask(atom(name)))
@@ -263,14 +294,8 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
         win = atom(alive[0])
         support = weights[alive[0]] / model.mask_weight(current)
         accepted.append(Acceptance(alive[0], win, model.probability(win), support))
-    return _finish("lehrer_cascade", level, accepted, base)
-
-
-def _check_order(base: BeliefBase, order: Sequence[str]) -> list[str]:
-    order = list(order)
-    if sorted(order) != sorted(base.candidate_labels):
-        raise ValueError("order must be a permutation of the candidate labels")
-    return order
+        current &= model.satisfying_mask(win)
+    return _finish("cascade", level, accepted, base, current)
 
 
 def sequential_accept(
@@ -279,18 +304,7 @@ def sequential_accept(
     """Accept candidates in order when probable enough, skipping any that
     would make the accepted set (with background) unsatisfiable.  Always
     weakly consistent; which statements get in depends on the order."""
-    order = _check_order(base, order)
-    accepted: list[Acceptance] = []
-    current = list(base.background)
-    for label in order:
-        formula = base.candidate(label)
-        p = base.model.probability(formula)
-        if not level.met_by(p):
-            continue
-        if _consistent(base.model, current + [formula]):
-            accepted.append(Acceptance(label, formula, p, p))
-            current.append(formula)
-    return _finish("sequential", level, accepted, base)
+    return _scan("sequential", base, _weighed(base, order), level, consistent=True)
 
 
 def teng_accept(
@@ -303,23 +317,7 @@ def teng_accept(
     On the fair 100-ticket lottery at epsilon 1/100 this stops after a
     single lose statement, because 98/99 < 99/100 exactly.
     """
-    order = _check_order(base, order)
-    model = base.model
-    current = model.joint_mask(base.background)
-    accepted: list[Acceptance] = []
-    for label in order:
-        denominator = model.mask_weight(current)
-        if denominator == 0:
-            raise RuntimeError("teng conditioning set reached probability 0")
-        formula = base.candidate(label)
-        joint = current & model.satisfying_mask(formula)
-        conditional = model.mask_weight(joint) / denominator
-        if level.met_by(conditional):
-            accepted.append(
-                Acceptance(label, formula, model.probability(formula), conditional)
-            )
-            current = joint
-    return _finish("teng", level, accepted, base)
+    return _scan("teng", base, _weighed(base, order), level, conditional=True)
 
 
 # Every policy under its command-line name: the function that runs it and
@@ -414,7 +412,7 @@ def enumerate_extensions(
         extensions=tuple(extensions),
         witness_orders=tuple(witness),
         conjunction=union,
-        conjunction_weakly_consistent=_consistent(base.model, union),
+        conjunction_weakly_consistent=_consistent(union, base.model.joint_mask(union)),
         intersection=intersection,
         exhaustive=exhaustive,
         permutation_count=len(orders),

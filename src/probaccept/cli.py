@@ -38,8 +38,8 @@ from .formulas import FormulaSet, has_strong_inconsistency, parse, render
 from .sat import (
     DEFAULT_CANDIDATE_CAP,
     _check_cap,
-    maximal_consistent_subsets,
-    minimal_unsat_subsets,
+    _consistent_family,
+    _unsat_family,
     shrink_unsat_subset,
 )
 from .stattests import (
@@ -50,7 +50,7 @@ from .stattests import (
     rejection_to_acceptance,
     run_test,
 )
-from .strands import degree_of_inconsistency
+from .strands import _degree
 from .worlds import BeliefBase, biased_lottery, fair_lottery, independent_lottery
 
 PROG = "probaccept"
@@ -254,11 +254,11 @@ def _cmd_diagnose(args) -> str:
     mcs_count = None
     degree = None
     if len(accepted_formulas) <= cap:
-        muses = minimal_unsat_subsets(accepted_formulas, background, cap)
-        if muses:
-            mus_min_size = min(len(m) for m in muses)
-        mcs_count = len(maximal_consistent_subsets(accepted_formulas, background, cap))
-        degree = degree_of_inconsistency(accepted_formulas, background, cap)
+        # one walk: MUS, MCS count and degree all read the same MCS family
+        members, family = _consistent_family(accepted_formulas, background, cap)
+        mus_min_size = min(map(len, _unsat_family(len(members), family)), default=None)
+        mcs_count = len(family)
+        degree = _degree(members, family)
     else:
         mus_method = "deletion_shrink"
         shrunk = shrink_unsat_subset(accepted_formulas, background)

@@ -244,6 +244,21 @@ def _consistent_family(
     return members, family
 
 
+def _unsat_family(n: int, family: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The minimal unsatisfiable index sets among ``n`` members whose maximal
+    consistent index sets are ``family``: smallest first, then lexicographic."""
+    found: list[frozenset[int]] = []
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            chosen = frozenset(combo)
+            if any(prior <= chosen for prior in found):
+                continue
+            # satisfiable exactly when inside some maximal consistent subset
+            if not any(chosen <= mcs for mcs in family):
+                found.append(chosen)
+    return found
+
+
 def minimal_unsat_subsets(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None = None,
@@ -253,15 +268,7 @@ def minimal_unsat_subsets(
     ``background`` and minimally so.  Exhaustive and deterministic; raises
     if the background is unsatisfiable or the cap is exceeded."""
     members, family = _consistent_family(candidates, background, cap)
-    found: list[frozenset[int]] = []
-    for size in range(1, len(members) + 1):
-        for combo in combinations(range(len(members)), size):
-            chosen = frozenset(combo)
-            if any(prior <= chosen for prior in found):
-                continue
-            # satisfiable exactly when inside some maximal consistent subset
-            if not any(chosen <= mcs for mcs in family):
-                found.append(chosen)
+    found = _unsat_family(len(members), family)
     return [FormulaSet(members[i] for i in sorted(mus)) for mus in found]
 
 

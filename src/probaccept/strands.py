@@ -71,17 +71,22 @@ def degree_of_inconsistency(
     members = tuple(FormulaSet(candidates))
     if not members:
         return 1
-    members, sets = _consistent_family(members, background, cap)
+    return _degree(*_consistent_family(members, background, cap))
+
+
+def _degree(members: tuple[Formula, ...], family: list[frozenset[int]]) -> int:
+    """The minimum cover of ``members`` by their maximal consistent index
+    sets ``family``; 1 for no members."""
     universe = frozenset(range(len(members)))
     # a candidate in no maximal consistent subset is unsatisfiable with the
     # background on its own
-    uncovered = universe.difference(*sets)
+    uncovered = universe.difference(*family)
     if uncovered:
         raise ValueError(
             f"candidate {members[min(uncovered)]} is individually unsatisfiable "
             "with the background"
         )
-    return _min_cover(universe, sets)
+    return max(1, _min_cover(universe, family))
 
 
 def _min_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:

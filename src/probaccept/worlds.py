@@ -261,16 +261,6 @@ def _weight_planes(
     return tuple(planes)
 
 
-def probability(model: WorldModel, formula: Formula) -> Fraction:
-    return model.probability(formula)
-
-
-def conditional_probability(
-    model: WorldModel, formula: Formula, given: Iterable[Formula]
-) -> Fraction:
-    return model.conditional_probability(formula, given)
-
-
 class BeliefBase:
     """A world model plus certain background and labeled candidates.
 

@@ -22,7 +22,7 @@ from probaccept import (
     teng_accept,
     threshold_accept,
 )
-from probaccept.accept import MAX_PERMUTATIONS
+from probaccept.accept import MAX_PERMUTATIONS, POLICY_TABLE
 
 from helpers import truth_table_satisfiable
 
@@ -289,6 +289,16 @@ class TestTengAccept:
             eps = Fraction(rng.randint(1, 9), 10)
             result = teng_accept(base, labels, AcceptanceLevel(eps))
             assert result.weakly_consistent
+
+
+class TestPolicyTable:
+    @pytest.mark.parametrize("name", list(POLICY_TABLE))
+    def test_result_names_its_table_key(self, name):
+        run, ordered = POLICY_TABLE[name]
+        base = biased_lottery(BIASED)
+        level = AcceptanceLevel(Fraction(1, 10))
+        result = run(base, base.candidate_labels, level) if ordered else run(base, level)
+        assert result.policy == name
 
 
 class TestEnumerateExtensions:

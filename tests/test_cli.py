@@ -1,8 +1,9 @@
+import importlib
 import json
 
 import pytest
 
-from probaccept import loads
+from probaccept import cli, loads, sat
 from probaccept.accept import MAX_PERMUTATIONS
 from probaccept.cli import main
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
@@ -242,6 +243,24 @@ class TestDiagnoseCommand:
         assert "diagnostics.weakly_consistent: true" in out
         assert "diagnostics.degree: 1" in out
         assert "diagnostics.mus_min_size: none" in out
+
+    def test_one_subset_walk_per_diagnose(self, capsys, lottery3_path, monkeypatch):
+        walks = []
+        walk = sat._consistent_family
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return walk(*args, **kwargs)
+
+        # every module that binds the walk, so a call through a public
+        # enumerator counts too (the package's own ``strands`` name is the
+        # function, hence the import by module path)
+        for module in (sat, importlib.import_module("probaccept.strands"), cli):
+            monkeypatch.setattr(module, "_consistent_family", counted)
+        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/3", lottery3_path)
+        assert code == 0
+        assert "diagnostics.mus_method: exhaustive" in out
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 5])
     def test_cap_checked_above_the_cap_too(self, capsys, lottery100_path, cap):

@@ -1,11 +1,12 @@
-"""Property tests for the world-mask primitive.
+"""Property tests for the world-mask primitive and the policy scan.
 
 Formula masks are checked against world-by-world evaluation, mask
 weights against a per-world sum, and every consistency verdict against
-the truth-table oracle.  The models list only some valuations and give
-some worlds zero weight, so a set with no model world in common may
-still be satisfiable: those cases reach the SAT fallback behind the
-world witness.
+the truth-table oracle.  The scanned policies are checked against their
+definitions, computed from the same two oracles.  The models list only
+some valuations and give some worlds zero weight, so a set with no model
+world in common may still be satisfiable: those cases reach the SAT
+fallback behind the world witness.
 """
 
 from fractions import Fraction
@@ -28,11 +29,10 @@ from probaccept import (
     evaluate,
     iff,
     implies,
-    lehrer_accept,
     neg,
-    sequential_accept,
     threshold_accept,
 )
+from probaccept.accept import POLICY_TABLE
 
 from helpers import brute_mask_weight, truth_table_satisfiable
 
@@ -175,38 +175,65 @@ def test_threshold_verdict_matches_truth_table(base, level):
     assert result.weakly_consistent == truth_table_satisfiable(result.statements)
 
 
-@given(bases(), LEVELS)
-def test_sequential_scan_matches_truth_table(base, level):
-    result = sequential_accept(base, base.candidate_labels, level)
-    kept = list(base.background)
-    expected = []
-    for label, formula in base.candidates:
-        if level.met_by(base.model.probability(formula)) and truth_table_satisfiable(
-            kept + [formula]
-        ):
-            kept.append(formula)
-            expected.append(label)
-    assert list(result.order) == expected
-    assert result.weakly_consistent == truth_table_satisfiable(result.statements)
+def brute_weight(model: WorldModel, formulas) -> Fraction:
+    """The weight of the worlds satisfying every formula, found world by
+    world and summed one world at a time."""
+    mask = 0
+    for i, (valuation, _) in enumerate(model.worlds):
+        assignment = dict(zip(model.atoms, valuation))
+        if all(evaluate(f, assignment) for f in formulas):
+            mask |= 1 << i
+    return brute_mask_weight(model, mask)
 
 
-@given(bases(), LEVELS)
-def test_lehrer_contraries_match_truth_table(base, level):
+def scan_oracle(base: BeliefBase, policy: str, level: AcceptanceLevel, order):
+    """The accepted ``(label, probability, support)`` triples of a scanned
+    policy and its weak-consistency verdict, by the policy's definition."""
     background = list(base.background)
-    probs = [base.model.probability(f) for _, f in base.candidates]
-    expected = [
-        label
-        for i, (label, f) in enumerate(base.candidates)
-        if level.met_by(probs[i])
-        and all(
-            probs[i] > probs[j]
-            for j, (_, g) in enumerate(base.candidates)
-            if j != i and not truth_table_satisfiable(background + [f, g])
-        )
-    ]
-    result = lehrer_accept(base, level)
-    assert list(result.order) == expected
-    assert result.weakly_consistent == truth_table_satisfiable(result.statements)
+
+    def weight(fs):
+        return brute_weight(base.model, fs)
+
+    if policy == "lehrer":
+        visit = [
+            (label, f)
+            for label, f in base.candidates
+            if all(
+                weight([f]) > weight([g])
+                for other, g in base.candidates
+                if other != label and not truth_table_satisfiable(background + [f, g])
+            )
+        ]
+    elif policy == "threshold":
+        visit = list(base.candidates)
+    else:
+        formulas = dict(base.candidates)
+        visit = [(label, formulas[label]) for label in order]
+    kept, triples = background, []
+    for label, f in visit:
+        p = weight([f])
+        support = weight(kept + [f]) / weight(kept) if policy == "teng" else p
+        if not level.met_by(support):
+            continue
+        if policy == "sequential" and not truth_table_satisfiable(kept + [f]):
+            continue
+        kept = kept + [f]
+        triples.append((label, p, support))
+    return triples, truth_table_satisfiable(kept)
+
+
+@pytest.mark.parametrize("policy", ["threshold", "lehrer", "sequential", "teng"])
+@given(base=bases(), level=LEVELS, data=st.data())
+def test_scanned_policies_match_their_definitions(policy, base, level, data):
+    run, ordered = POLICY_TABLE[policy]
+    if ordered:
+        order = data.draw(st.permutations(base.candidate_labels))
+        result = run(base, order, level)
+    else:
+        order = None
+        result = run(base, level)
+    accepted = [(a.label, a.probability, a.support) for a in result.accepted]
+    assert (accepted, result.weakly_consistent) == scan_oracle(base, policy, level, order)
 
 
 @given(bases(max_candidates=4), LEVELS, st.sampled_from(["sequential", "teng"]))

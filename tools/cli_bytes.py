@@ -5,15 +5,18 @@ Run it once per checkout, then compare the two files:
     python tools/cli_bytes.py CHECKOUT OUT.json
     python tools/cli_bytes.py --compare BEFORE.json AFTER.json
 
-The first form runs every command below as ``python -S -m probaccept`` with
-``PYTHONHASHSEED=0`` and the checkout's ``src`` as the only import path, in
-a fresh directory that holds the belief-base files (written by the
+The first form runs every command below as ``python -B -S -m probaccept``
+with ``PYTHONHASHSEED=0`` and the checkout's ``src`` as the only import path,
+in a fresh directory that holds the belief-base files (written by the
 checkout's own ``lottery`` command), so reports name the same relative
-paths on every checkout.  It records the SHA-256 of stdout and stderr and
-the exit code of each command.  The second form lists the commands whose
-record differs and exits 1 if any does.
+paths on every checkout.  ``-B`` leaves no bytecode in the checkout, so a
+later benchmark run there imports from source as on a fresh copy.  It
+records the SHA-256 of stdout and stderr and the exit code of each
+command.  The second form lists the commands whose record differs and
+exits 1 if any does.
 
-The list covers every ``accept`` policy, ``extensions`` (exhaustive and
+The list covers every ``accept`` policy (in natural, reversed and shuffled
+orders, and on a tie between contraries), ``extensions`` (exhaustive and
 sampled), ``diagnose`` exhaustive and beyond the enumeration cap,
 ``closure``, ``stat binom``, ``lottery``, usage errors and caps, each
 report command in text and ``--json``.  Stdlib only.
@@ -39,6 +42,13 @@ BASES = {
         "1/10",
     ),
     "independent_6.bb": (["lottery", "independent", "--n", "6", "--p", "1/10"], "1/10"),
+}
+
+# Explicit candidate orders, neither natural nor reversed.
+SHUFFLED_ORDERS = {
+    "biased_5.bb": "L3,L1,L5,L2,L4",
+    "fair_12.bb": "L7,L2,L11,L4,L9,L1,L12,L6,L3,L10,L5,L8",
+    "independent_6.bb": "L4,some_wins,L1,L6,L3,L5,L2",
 }
 
 # Two contradictory candidates over one atom: degree 2, one MUS of size 2.
@@ -68,9 +78,18 @@ def report_commands() -> list[list[str]]:
         out.append(["diagnose", "--epsilon", eps, name])
         out.append(["closure", "--epsilon", eps, name])
     for policy in ("sequential", "teng"):
+        for name, order in SHUFFLED_ORDERS.items():
+            out.append(["accept", "--policy", policy, "--epsilon", BASES[name][1],
+                        "--order", order, name])
         out.append(["extensions", "--policy", policy, "--epsilon", "1/3", "fair_3.bb"])
         out.append(["--seed", "7", "extensions", "--policy", policy, "--epsilon",
                     "1/12", "--max-permutations", "40", "fair_12.bb"])
+    # a tie between contraries: threshold takes both sides, Lehrer neither
+    for policy in ("threshold", "lehrer"):
+        out.append(["accept", "--policy", policy, "--epsilon", "1/2", "pair.bb"])
+    for order in ("natural", "reverse"):
+        out.append(["accept", "--policy", "sequential", "--epsilon", "1/2",
+                    "--order", order, "pair.bb"])
     out += [
         ["diagnose", "--epsilon", "1/2", "pair.bb"],
         ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
@@ -127,7 +146,7 @@ def commands() -> list[list[str]]:
 def _run(src: str, workdir: str, argv: list[str]) -> subprocess.CompletedProcess:
     env = {"PYTHONHASHSEED": "0", "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
     return subprocess.run(
-        [sys.executable, "-S", "-m", "probaccept", *argv],
+        [sys.executable, "-B", "-S", "-m", "probaccept", *argv],
         cwd=workdir, env=env, capture_output=True, timeout=300,
     )
 
