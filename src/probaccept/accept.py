@@ -58,6 +58,7 @@ DEFAULT_SEED = 0
 
 # 7! orders; ``enumerate_extensions`` may list all of them in memory.
 MAX_PERMUTATIONS = 5040
+_Candidate = tuple[str, Formula, Fraction]  # a candidate's label, formula and probability
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def _finish(
 def _scan(
     policy: str,
     base: BeliefBase,
-    candidates: Iterable[tuple[str, Formula, Fraction]],
+    candidates: Iterable[_Candidate],
     level: AcceptanceLevel,
     conditional: bool = False,
     consistent: bool = False,
@@ -180,7 +181,7 @@ def _scan(
     ``consistent``, the accepted set must stay satisfiable."""
     model = base.model
     current = model.joint_mask(base.background)
-    given = model.mask_weight(current)
+    given = model.mask_weight(current) if conditional else None
     accepted: list[Acceptance] = []
     for label, formula, p in candidates:
         if conditional and given == 0:
@@ -199,40 +200,40 @@ def _scan(
     return _finish(policy, level, accepted, base, current)
 
 
-def _weighed(base: BeliefBase, order: Sequence[str]) -> list[tuple[str, Formula, Fraction]]:
-    """The candidates in ``order``, which must list every label once, each
-    with its probability."""
-    if sorted(order) != sorted(base.candidate_labels):
-        raise ValueError("order must be a permutation of the candidate labels")
-    formulas = dict(base.candidates)
-    probability = base.model.probability
-    return [(label, formulas[label], probability(formulas[label])) for label in order]
+def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
+    """The candidates with their probabilities, in ``order`` when one is
+    given (it must list every label once)."""
+    pairs = base.candidates
+    if order is not None:
+        if sorted(order) != sorted(base.candidate_labels):
+            raise ValueError("order must be a permutation of the candidate labels")
+        formulas = dict(base.candidates)
+        pairs = [(label, formulas[label]) for label in order]
+    return [(label, f, base.model.probability(f)) for label, f in pairs]
 
 
 def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     """Accept every candidate whose probability clears the level; weak
     consistency of the result is reported, not enforced."""
-    return _scan("threshold", base, _weighed(base, base.candidate_labels), level)
+    return _scan("threshold", base, _weighed(base), level)
 
 
-def _undominated(base: BeliefBase) -> list[tuple[str, Formula, Fraction]]:
+def _undominated(base: BeliefBase) -> list[_Candidate]:
     """The weighed candidates that no contrary rival (one jointly
     unsatisfiable with it and the background) matches or beats in
     probability."""
-    weighed = _weighed(base, base.candidate_labels)
+    weighed = _weighed(base)
     shared = base.model.joint_mask(base.background)
     masks = [shared & base.model.satisfying_mask(f) for _, f, _ in weighed]
-    indices = range(len(weighed))
     return [
         (label, f, p)
         for i, (label, f, p) in enumerate(weighed)
         if not any(
-            # a world in both masks shows a pair consistent; the solver
-            # decides only the pairs without one
-            not masks[i] & masks[j]
-            and weighed[j][2] >= p
-            and not is_satisfiable(chain(base.background, (f, weighed[j][1])))
-            for j in indices
+            # the cheap mask test first: a shared world settles most pairs
+            not (both := masks[i] & masks[j])
+            and q >= p
+            and not _consistent(chain(base.background, (f, g)), both)
+            for j, (_, g, q) in enumerate(weighed)
             if j != i
         )
     ]

@@ -255,10 +255,10 @@ def _cmd_diagnose(args) -> str:
     degree = None
     if len(accepted_formulas) <= cap:
         # one walk: MUS, MCS count and degree all read the same MCS family
-        members, family = _consistent_family(accepted_formulas, background, cap)
-        mus_min_size = min(map(len, _unsat_family(len(members), family)), default=None)
+        walked, family = _consistent_family(accepted_formulas, background, cap)
+        mus_min_size = min(map(len, _unsat_family(len(walked), family)), default=None)
         mcs_count = len(family)
-        degree = _degree(members, family)
+        degree = _degree(walked, family)
     else:
         mus_method = "deletion_shrink"
         shrunk = shrink_unsat_subset(accepted_formulas, background)

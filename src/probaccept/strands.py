@@ -69,8 +69,8 @@ def degree_of_inconsistency(
     background (otherwise no consistent subset can cover it).
     """
     members = tuple(FormulaSet(candidates))
-    if not members:
-        return 1
+    if not members:  # nothing to cover, so the background goes unchecked
+        return _degree(members, [])
     return _degree(*_consistent_family(members, background, cap))
 
 

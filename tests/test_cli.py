@@ -262,6 +262,17 @@ class TestDiagnoseCommand:
         assert "diagnostics.mus_method: exhaustive" in out
         assert len(walks) == 1
 
+    def test_strong_inconsistency_reads_the_background(self, capsys, tmp_path):
+        # the background's contradiction sits under a disjunction, so the
+        # base loads; the exhaustive path must still see it
+        path = tmp_path / "nested.bb"
+        background = "BACKGROUND:\na | ~a | (a & ~a)\nCANDIDATES:"
+        path.write_text(ATOM_BASE.replace("CANDIDATES:", background), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/2", str(path))
+        assert code == 0
+        assert "diagnostics.mus_method: exhaustive" in out
+        assert "diagnostics.strong_inconsistency: true" in out
+
     @pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 5])
     def test_cap_checked_above_the_cap_too(self, capsys, lottery100_path, cap):
         # 100 accepted statements take the deletion-shrink path

@@ -17,7 +17,8 @@ exits 1 if any does.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, and on a tie between contraries), ``extensions`` (exhaustive and
-sampled), ``diagnose`` exhaustive and beyond the enumeration cap,
+sampled), ``diagnose`` exhaustive and beyond the enumeration cap (also on a
+background with a contradiction nested under a disjunction),
 ``closure``, ``stat binom``, ``lottery``, usage errors and caps, each
 report command in text and ``--json``.  Stdlib only.
 """
@@ -62,6 +63,10 @@ A: a
 NA: ~a
 """
 
+# The same pair on a background whose contradiction sits under a
+# disjunction: the file loads, and ``strong_inconsistency`` must see it.
+NESTED_BASE = PAIR_BASE.replace("CANDIDATES:", "BACKGROUND:\na | ~a | (a & ~a)\nCANDIDATES:")
+
 
 def report_commands() -> list[list[str]]:
     """Commands whose report exists in text and ``--json`` form."""
@@ -92,6 +97,8 @@ def report_commands() -> list[list[str]]:
                     "--order", order, "pair.bb"])
     out += [
         ["diagnose", "--epsilon", "1/2", "pair.bb"],
+        ["diagnose", "--epsilon", "1/2", "nested.bb"],
+        ["--max-candidates", "1", "diagnose", "--epsilon", "1/2", "nested.bb"],
         ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
         ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
@@ -155,8 +162,9 @@ def fingerprint(checkout: str) -> list[dict]:
     src = os.path.join(os.path.abspath(checkout), "src")
     records = []
     with tempfile.TemporaryDirectory() as workdir:
-        with open(os.path.join(workdir, "pair.bb"), "w", encoding="utf-8") as handle:
-            handle.write(PAIR_BASE)
+        for name, text in (("pair.bb", PAIR_BASE), ("nested.bb", NESTED_BASE)):
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
         setup = [[*argv, "--out", name] for name, (argv, _) in BASES.items()]
         for argv in setup + commands():
             done = _run(src, workdir, argv)
