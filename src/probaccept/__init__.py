@@ -20,7 +20,6 @@ from .formulas import (
     atom,
     conj,
     disj,
-    evaluate,
     has_strong_inconsistency,
     iff,
     implies,

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 from .formulas import Formula, FormulaSet, atom
 from .sat import is_satisfiable
-from .worlds import BeliefBase, WorldModel, as_fraction
+from .worlds import BeliefBase, as_fraction
 
 __all__ = [
     "AcceptanceLevel",

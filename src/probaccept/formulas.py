@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 __all__ = [
     "Formula",
@@ -36,7 +36,6 @@ __all__ = [
     "iff",
     "parse",
     "render",
-    "evaluate",
     "has_strong_inconsistency",
     "nnf_key",
 ]
@@ -427,24 +426,8 @@ def parse(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and diagnostics.
+# Diagnostics.
 # ---------------------------------------------------------------------------
-
-
-def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Truth value of ``f`` under a total assignment of its atoms."""
-    op = f.op
-    if op == "atom":
-        return bool(assignment[f.name])
-    if op == "not":
-        return not evaluate(f.args[0], assignment)
-    if op == "and":
-        return all(evaluate(a, assignment) for a in f.args)
-    if op == "or":
-        return any(evaluate(a, assignment) for a in f.args)
-    if op == "implies":
-        return (not evaluate(f.args[0], assignment)) or evaluate(f.args[1], assignment)
-    return evaluate(f.args[0], assignment) == evaluate(f.args[1], assignment)
 
 
 def _node_has_direct_contradiction(node: tuple) -> bool:

@@ -8,7 +8,11 @@ lottery-style constraint sets translate with no auxiliary variables at
 all.  Instances here are desk scale; determinism wins over raw speed.
 
 One solver answers every question.  It translates a background and a
-list of members once, under one variable numbering; a query splices the
+list of members once, straight to integer clauses: atoms and definitional
+subformulas share one numbering, in the order the translation meets
+them.  A subformula that several members share gets one variable, but
+its defining clauses sit in every such member's group, so a query that
+leaves one of them out still defines it.  A query splices the
 background's clauses with those of the chosen members and decides only
 the variables those clauses mention.  A plain satisfiability check is a
 solver with no members.
@@ -26,7 +30,7 @@ from collections import defaultdict
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .formulas import Formula, FormulaSet, neg, nnf_key
+from .formulas import Formula, FormulaSet, neg
 
 __all__ = [
     "DEFAULT_CANDIDATE_CAP",
@@ -39,29 +43,27 @@ __all__ = [
 
 DEFAULT_CANDIDATE_CAP = 20
 
-Clause = tuple  # of distinct (variable name, polarity) pairs
 
-
-def _clauses_for(formula: Formula) -> list[Clause]:
-    clauses: list[Clause] = []
+def _clauses_for(formula: Formula, index: dict) -> list[tuple[int, ...]]:
+    # ``index`` is the solver's one numbering; ``defined`` is this formula's
+    # own, so its clauses define every subformula they use.
+    clauses: list[tuple[int, ...]] = []
     defined: set[tuple] = set()
 
-    def literal_of(node: tuple) -> tuple[str, bool]:
+    def literal_of(node: tuple) -> int:
         if node[0] == "lit":
-            return (node[1], node[2])
-        name = "#" + nnf_key(node)
+            var = index.setdefault(node[1], len(index) + 1)
+            return var if node[2] else -var
+        var = index.setdefault(node, len(index) + 1)
         if node not in defined:
             defined.add(node)
-            define(node, name)
-        return (name, True)
-
-    def define(node: tuple, name: str) -> None:
-        # name -> node, enough for satisfiability (positive occurrences only)
-        if node[0] == "and":
-            for child in node[1]:
-                clauses.append(((name, False), literal_of(child)))
-        else:
-            clauses.append(((name, False), *map(literal_of, node[1])))
+            # var -> node, enough for satisfiability (positive occurrences only)
+            if node[0] == "and":
+                for child in node[1]:
+                    clauses.append((-var, literal_of(child)))
+            else:
+                clauses.append((-var, *map(literal_of, node[1])))
+        return var
 
     def top(node: tuple) -> None:
         if node[0] == "and":
@@ -70,25 +72,15 @@ def _clauses_for(formula: Formula) -> list[Clause]:
         elif node[0] == "or":
             clauses.append(tuple(map(literal_of, node[1])))
         else:
-            clauses.append(((node[1], node[2]),))
+            clauses.append((literal_of(node),))
 
     top(formula.nnf())
     return clauses
 
 
-def _int_clauses(
-    clauses: Iterable[Clause], index: dict[str, int]
-) -> list[tuple[int, ...]]:
-    # A clause with both polarities of a variable is never unit or falsified,
-    # so it needs no special case.
-    return [
-        tuple(index[name] if positive else -index[name] for name, positive in clause)
-        for clause in clauses
-    ]
-
-
 def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> bool:
-    # the translation never produces an empty clause
+    # The translation never produces an empty clause.  A clause with both
+    # polarities of a variable is never unit or falsified: no special case.
     assign = [0] * (nvars + 1)
     occurrences: defaultdict[int, list[int]] = defaultdict(list)
     for ci, clause in enumerate(clauses):
@@ -167,18 +159,12 @@ class _Solver:
     def __init__(
         self, members: Sequence[Formula], background: Iterable[Formula] = ()
     ):
-        bg_clauses = list(dict.fromkeys(c for f in background for c in _clauses_for(f)))
-        member_clauses = [_clauses_for(f) for f in members]
-        names = {
-            name
-            for group in (bg_clauses, *member_clauses)
-            for clause in group
-            for name, _ in clause
-        }
-        index = {name: i + 1 for i, name in enumerate(sorted(names))}
+        index: dict = {}
+        self.background = list(
+            dict.fromkeys(c for f in background for c in _clauses_for(f, index))
+        )
+        self.per_member = [_clauses_for(f, index) for f in members]
         self.nvars = len(index)
-        self.background = _int_clauses(bg_clauses, index)
-        self.per_member = [_int_clauses(group, index) for group in member_clauses]
 
     def satisfiable(self, which: Iterable[int] = ()) -> bool:
         clauses = list(self.background)

@@ -19,11 +19,26 @@ from probaccept import (
     atom,
     conj,
     disj,
-    evaluate,
     iff,
     implies,
     neg,
 )
+
+
+def evaluate(f: Formula, assignment) -> bool:
+    """Truth value of ``f`` under a total assignment of its atoms."""
+    op = f.op
+    if op == "atom":
+        return bool(assignment[f.name])
+    if op == "not":
+        return not evaluate(f.args[0], assignment)
+    if op == "and":
+        return all(evaluate(a, assignment) for a in f.args)
+    if op == "or":
+        return any(evaluate(a, assignment) for a in f.args)
+    if op == "implies":
+        return (not evaluate(f.args[0], assignment)) or evaluate(f.args[1], assignment)
+    return evaluate(f.args[0], assignment) == evaluate(f.args[1], assignment)
 
 
 def truth_table_satisfiable(formulas) -> bool:

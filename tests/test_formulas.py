@@ -9,7 +9,6 @@ from probaccept import (
     atom,
     conj,
     disj,
-    evaluate,
     has_strong_inconsistency,
     iff,
     implies,
@@ -22,7 +21,7 @@ from probaccept.formulas import MAX_KEY_LENGTH, MAX_NESTING, nnf_key
 from probaccept.sat import is_satisfiable
 from probaccept.worlds import WorldModel
 
-from helpers import LONG_BICONDITIONAL_CHAIN, random_formula
+from helpers import LONG_BICONDITIONAL_CHAIN, evaluate, random_formula
 
 NESTING_TOKENS = {
     "parentheses": "(",

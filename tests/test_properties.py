@@ -26,7 +26,6 @@ from probaccept import (
     conj,
     disj,
     enumerate_extensions,
-    evaluate,
     iff,
     implies,
     neg,
@@ -34,7 +33,7 @@ from probaccept import (
 )
 from probaccept.accept import POLICY_TABLE
 
-from helpers import brute_mask_weight, truth_table_satisfiable
+from helpers import brute_mask_weight, evaluate, truth_table_satisfiable
 
 NAMES = ("a", "b", "c")
 

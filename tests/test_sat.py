@@ -277,6 +277,28 @@ class TestQueriesDecideOnlyTheirOwnVariables:
         )
 
 
+class TestSharedSubformulas:
+    """Two candidates share the subformula ``a & b``.  It has one variable,
+    but each candidate must define it, or a query that leaves out the
+    first candidate leaves that variable free."""
+
+    def test_each_candidate_defines_the_shared_subformula(self):
+        texts = ["(a & b) | c", "(a & b) | d", "~a", "~d"]
+        candidates = [parse(text) for text in texts]
+        assert _texts(minimal_unsat_subsets(candidates)) == [
+            ["a & b | d", "~a", "~d"]
+        ]
+        assert _texts(maximal_consistent_subsets(candidates)) == [
+            ["a & b | c", "a & b | d", "~a"],
+            ["a & b | c", "a & b | d", "~d"],
+            ["a & b | c", "~a", "~d"],
+        ]
+        assert [str(f) for f in shrink_unsat_subset(candidates)] == [
+            "a & b | d", "~a", "~d"
+        ]
+        assert degree_of_inconsistency(FormulaSet(candidates)) == 2
+
+
 @st.composite
 def subset_problems(draw):
     """Two to eight candidates over five or six atoms, and a background

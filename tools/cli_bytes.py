@@ -18,7 +18,8 @@ exits 1 if any does.
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, and on a tie between contraries), ``extensions`` (exhaustive and
 sampled), ``diagnose`` exhaustive and beyond the enumeration cap (also on a
-background with a contradiction nested under a disjunction),
+background with a contradiction nested under a disjunction, and on
+candidates that share a subformula that is not a clause),
 ``closure``, ``stat binom``, ``lottery``, usage errors and caps, each
 report command in text and ``--json``.  Stdlib only.
 """
@@ -67,6 +68,23 @@ NA: ~a
 # disjunction: the file loads, and ``strong_inconsistency`` must see it.
 NESTED_BASE = PAIR_BASE.replace("CANDIDATES:", "BACKGROUND:\na | ~a | (a & ~a)\nCANDIDATES:")
 
+# Candidates sharing ``a & b``, a subformula that is not a clause, so the
+# solver defines one variable for it in more than one candidate's clauses.
+SHARED_BASE = """\
+ATOMS: a b c d
+WORLDS:
+w1: a=1 b=1 c=0 d=0 weight 1/2
+w2: a=0 b=0 c=1 d=0 weight 1/2
+CANDIDATES:
+ABC: (a & b) | c
+ABD: (a & b) | d
+NA: ~a
+ND: ~d
+"""
+
+# name -> text of the belief-base files written by hand
+HAND_BASES = {"pair.bb": PAIR_BASE, "nested.bb": NESTED_BASE, "shared.bb": SHARED_BASE}
+
 
 def report_commands() -> list[list[str]]:
     """Commands whose report exists in text and ``--json`` form."""
@@ -95,10 +113,14 @@ def report_commands() -> list[list[str]]:
     for order in ("natural", "reverse"):
         out.append(["accept", "--policy", "sequential", "--epsilon", "1/2",
                     "--order", order, "pair.bb"])
+        out.append(["accept", "--policy", "sequential", "--epsilon", "3/4",
+                    "--order", order, "shared.bb"])
     out += [
         ["diagnose", "--epsilon", "1/2", "pair.bb"],
         ["diagnose", "--epsilon", "1/2", "nested.bb"],
         ["--max-candidates", "1", "diagnose", "--epsilon", "1/2", "nested.bb"],
+        ["diagnose", "--epsilon", "3/4", "shared.bb"],
+        ["--max-candidates", "1", "diagnose", "--epsilon", "3/4", "shared.bb"],
         ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
         ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
@@ -162,7 +184,7 @@ def fingerprint(checkout: str) -> list[dict]:
     src = os.path.join(os.path.abspath(checkout), "src")
     records = []
     with tempfile.TemporaryDirectory() as workdir:
-        for name, text in (("pair.bb", PAIR_BASE), ("nested.bb", NESTED_BASE)):
+        for name, text in HAND_BASES.items():
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)
         setup = [[*argv, "--out", name] for name, (argv, _) in BASES.items()]
