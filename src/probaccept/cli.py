@@ -297,7 +297,10 @@ def _cmd_closure(args) -> str:
     }
     if args.labels:
         labels = [part.strip() for part in args.labels.split(",") if part.strip()]
-        premises = FormulaSet(base.candidate(label) for label in labels)
+        try:
+            premises = FormulaSet(base.candidate(label) for label in labels)
+        except KeyError as exc:  # an unknown label is bad input
+            raise ValueError(exc.args[0]) from None
         support = conjunction_support(base.model, premises, level)
         report["conjunction"] = {
             "premises": labels,

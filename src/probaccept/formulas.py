@@ -21,7 +21,6 @@ The concrete grammar (whitespace insignificant, precedence low to high
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -67,12 +66,11 @@ class FormulaSyntaxError(ValueError):
 # Canonical NNF nodes.
 #
 # A node is a plain tuple:  ("lit", name, positive)  |  ("and", children)
-# |  ("or", children), children sorted by key and deduplicated.  Using bare
-# tuples keeps nodes hashable and cheap to share.
+# |  ("or", children), children sorted in tuple order and deduplicated.  As
+# position 0 is always the tag, no comparison meets a name and a tuple.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def nnf_key(node: tuple) -> str:
     """Unambiguous string rendering of a canonical NNF node."""
     tag = node[0]
@@ -89,12 +87,8 @@ def _gather(parts: Iterable[tuple], tag: str) -> tuple:
             flat.extend(part[1])
         else:
             flat.append(part)
-    seen: set[tuple] = set()
-    unique: list[tuple] = []
-    for part in sorted(flat, key=nnf_key):
-        if part not in seen:
-            seen.add(part)
-            unique.append(part)
+    flat.sort()
+    unique = [part for i, part in enumerate(flat) if i == 0 or part != flat[i - 1]]
     if len(unique) == 1:
         return unique[0]
     return (tag, tuple(unique))
@@ -130,7 +124,7 @@ class Formula:
     :func:`disj`, :func:`implies`, :func:`iff` or :func:`parse`.
     """
 
-    __slots__ = ("op", "args", "name", "_nnf", "_key", "_atoms", "_bounds")
+    __slots__ = ("op", "args", "name", "_pos", "_neg", "_key", "_atoms", "_bounds")
 
     def __init__(self, op: str, args: tuple["Formula", ...] = (), name: str | None = None):
         if op not in _OPS:
@@ -153,14 +147,15 @@ class Formula:
         self.op = op
         self.args = args
         self.name = name
-        self._nnf: tuple[tuple, tuple] | None = None
+        self._pos: tuple | None = None
+        self._neg: tuple | None = None
         self._key: str | None = None
         self._atoms: frozenset[str] | None = None
         self._bounds: tuple[int, int] | None = None
 
     def nnf(self) -> tuple:
         """Canonical negation-normal-form node for this formula."""
-        return self._nnf_pair()[0]
+        return self._nnf_of(True)
 
     def _key_bounds(self) -> tuple[int, int]:
         """Upper bounds on the key lengths of the positive and the negated
@@ -190,8 +185,10 @@ class Formula:
             self._bounds = bounds
         return self._bounds
 
-    def _nnf_pair(self) -> tuple[tuple, tuple]:
-        if self._nnf is None:
+    def _nnf_of(self, positive: bool) -> tuple:
+        """Canonical node of this formula, or of its negation if not ``positive``."""
+        node = self._pos if positive else self._neg
+        if node is None:
             bound = max(self._key_bounds())
             if bound > MAX_KEY_LENGTH:
                 raise ValueError(
@@ -200,33 +197,27 @@ class Formula:
                 )
             op = self.op
             if op == "atom":
-                pair = (("lit", self.name, True), ("lit", self.name, False))
+                node = ("lit", self.name, positive)
             elif op == "not":
-                pos, negn = self.args[0]._nnf_pair()
-                pair = (negn, pos)
+                node = self.args[0]._nnf_of(not positive)
             elif op in ("and", "or"):
-                pairs = [a._nnf_pair() for a in self.args]
-                both = (
-                    _n_and(p for p, _ in pairs),
-                    _n_or(n for _, n in pairs),
-                )
-                pair = both if op == "and" else (
-                    _n_or(p for p, _ in pairs),
-                    _n_and(n for _, n in pairs),
-                )
-            elif op == "implies":
-                lp, ln = self.args[0]._nnf_pair()
-                rp, rn = self.args[1]._nnf_pair()
-                pair = (_n_or((ln, rp)), _n_and((lp, rn)))
-            else:  # iff
-                lp, ln = self.args[0]._nnf_pair()
-                rp, rn = self.args[1]._nnf_pair()
-                pair = (
-                    _n_or((_n_and((lp, rp)), _n_and((ln, rn)))),
-                    _n_or((_n_and((lp, rn)), _n_and((ln, rp)))),
-                )
-            self._nnf = pair
-        return self._nnf
+                parts = [a._nnf_of(positive) for a in self.args]
+                node = _n_and(parts) if (op == "and") == positive else _n_or(parts)
+            elif op == "implies":  # ~l | r, negated l & ~r
+                left, right = self.args
+                parts = [left._nnf_of(not positive), right._nnf_of(positive)]
+                node = _n_or(parts) if positive else _n_and(parts)
+            else:  # (l & r) | (~l & ~r), negated (l & ~r) | (~l & r)
+                left, right = self.args
+                node = _n_or((
+                    _n_and((left._nnf_of(True), right._nnf_of(positive))),
+                    _n_and((left._nnf_of(False), right._nnf_of(not positive))),
+                ))
+            if positive:
+                self._pos = node
+            else:
+                self._neg = node
+        return node
 
     @property
     def canonical_key(self) -> str:

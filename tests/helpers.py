@@ -41,6 +41,43 @@ def evaluate(f: Formula, assignment) -> bool:
     return evaluate(f.args[0], assignment) == evaluate(f.args[1], assignment)
 
 
+def canonical(f: Formula, positive: bool = True):
+    """The canonical form of ``f`` (or of its negation), with no ordering:
+    negation normal form straight from the tree, literals as
+    ``(name, polarity)``, ``and``/``or`` nodes as ``(tag, frozenset)``
+    with same-tag children flattened into them and a single child
+    standing for itself.  Two formulas are equal exactly when these are."""
+    op = f.op
+    if op == "atom":
+        return (f.name, positive)
+    if op == "not":
+        return canonical(f.args[0], not positive)
+    if op in ("and", "or"):
+        tag = op if positive else {"and": "or", "or": "and"}[op]
+        return _gathered(tag, (canonical(a, positive) for a in f.args))
+    left, right = f.args
+    if op == "implies":
+        if positive:
+            return _gathered("or", (canonical(left, False), canonical(right, True)))
+        return _gathered("and", (canonical(left, True), canonical(right, False)))
+    return _gathered("or", (
+        _gathered("and", (canonical(left, True), canonical(right, positive))),
+        _gathered("and", (canonical(left, False), canonical(right, not positive))),
+    ))
+
+
+def _gathered(tag: str, parts):
+    children: set = set()
+    for part in parts:
+        if part[0] == tag and isinstance(part[1], frozenset):
+            children |= part[1]
+        else:
+            children.add(part)
+    if len(children) == 1:
+        return next(iter(children))
+    return (tag, frozenset(children))
+
+
 def truth_table_satisfiable(formulas) -> bool:
     """Exhaustive-enumeration satisfiability; exponential, small inputs only."""
     formulas = list(formulas)

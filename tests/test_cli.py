@@ -317,6 +317,14 @@ class TestClosureCommand:
         )
         assert code == 2
 
+    def test_unknown_label_is_bad_input(self, capsys, lottery3_path):
+        code, out, err = run_cli(
+            capsys, "closure", "--epsilon", "1/3", "--labels", "L1,L9", lottery3_path
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "probaccept: error: no candidate labeled 'L9'\n"
+
 
 class TestStatCommand:
     def test_binom_report(self, capsys):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from unittest.mock import patch
 
 import pytest
@@ -167,6 +170,32 @@ class TestCanonicalIdentity:
         f = parse("~(a -> b) <-> (c | ~a)")
         again = parse(f.canonical_key)
         assert again.canonical_key == f.canonical_key
+
+    def test_children_follow_the_node_order(self):
+        # nodes sort by tag ("and" < "lit" < "or"), literals by name and
+        # then with the negated one first
+        assert parse("a | ~a").canonical_key == "(~a | a)"
+        assert parse("b & ~a & (c | a)").canonical_key == "(~a & b & (a | c))"
+        assert parse("c | (b & a) | ~b").canonical_key == "((a & b) | ~b | c)"
+
+    def test_no_cache_outlives_the_formulas(self):
+        # a fresh interpreter, so no earlier test has filled a cache yet
+        script = (
+            "import gc, tracemalloc\n"
+            "from probaccept import fair_lottery\n"
+            "tracemalloc.start()\n"
+            "base = fair_lottery(300)\n"
+            "[f.canonical_key for f in base.background]\n"
+            "del base\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = os.path.dirname(os.path.dirname(formulas.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(done.stdout) < 1_000_000
 
     def test_hashing_follows_equality(self):
         assert len({parse("a -> b"), parse("~a | b"), parse("b | ~a")}) == 1

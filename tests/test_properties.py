@@ -1,4 +1,8 @@
-"""Property tests for the world-mask primitive and the policy scan.
+"""Property tests for canonical identity, the world-mask primitive and
+the policy scan.
+
+Formula equality is checked against an unordered canonical form built
+straight from the formula tree, and keys against parsing and negation.
 
 Formula masks are checked against world-by-world evaluation, mask
 weights against a per-world sum, and every consistency verdict against
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from probaccept import (
     AcceptanceLevel,
     BeliefBase,
+    Formula,
     WorldModel,
     ZeroProbabilityError,
     atom,
@@ -29,11 +34,13 @@ from probaccept import (
     iff,
     implies,
     neg,
+    parse,
+    render,
     threshold_accept,
 )
 from probaccept.accept import POLICY_TABLE
 
-from helpers import brute_mask_weight, evaluate, truth_table_satisfiable
+from helpers import brute_mask_weight, canonical, evaluate, truth_table_satisfiable
 
 NAMES = ("a", "b", "c")
 
@@ -137,6 +144,37 @@ def bases(draw, max_candidates=5):
     return BeliefBase(
         model, background, [(f"C{i}", f) for i, f in enumerate(candidates)]
     )
+
+
+def fresh(f: Formula) -> Formula:
+    """A copy of ``f`` that has built no canonical form yet."""
+    return Formula(f.op, tuple(fresh(a) for a in f.args), f.name)
+
+
+def mirrored(f: Formula) -> Formula:
+    """``f`` with the arguments of every conjunction and disjunction reversed."""
+    args = tuple(mirrored(a) for a in f.args)
+    return Formula(f.op, args[::-1] if f.op in ("and", "or") else args, f.name)
+
+
+@given(st.data())
+def test_canonical_identity_matches_the_unordered_oracle(data):
+    # two names, so that independently drawn formulas are sometimes equal
+    f = data.draw(formulas(NAMES[:2]))
+    g = data.draw(formulas(NAMES[:2]) | st.just(mirrored(f)))
+    for left in (f, neg(f)):
+        assert (left == g) == (canonical(left) == canonical(g))
+        if left == g:
+            assert hash(left) == hash(g)
+    assert parse(render(f)) == f
+    assert parse(f.canonical_key) == f
+    assert neg(neg(f)) == f
+    negated_first = fresh(f)
+    negated_key = neg(negated_first).canonical_key
+    positive_first = fresh(f)
+    key = positive_first.canonical_key
+    assert negated_first.canonical_key == key == f.canonical_key
+    assert neg(positive_first).canonical_key == negated_key
 
 
 @given(st.data())

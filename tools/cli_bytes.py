@@ -18,10 +18,12 @@ exits 1 if any does.
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, and on a tie between contraries), ``extensions`` (exhaustive and
 sampled), ``diagnose`` exhaustive and beyond the enumeration cap (also on a
-background with a contradiction nested under a disjunction, and on
-candidates that share a subformula that is not a clause),
-``closure``, ``stat binom``, ``lottery``, usage errors and caps, each
-report command in text and ``--json``.  Stdlib only.
+background with a contradiction nested under a disjunction, on candidates
+that share a subformula that is not a clause, and on candidates written
+with ``->`` and ``<->``), ``closure`` (also with an unknown label), a
+background past the canonical key-length limit, ``stat binom``,
+``lottery``, usage errors and caps, each report command in text and
+``--json``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -82,8 +84,44 @@ NA: ~a
 ND: ~d
 """
 
+# One winner among three, with candidates written as implications and
+# biconditionals: at 1/3 every candidate is accepted, with 3 MUSes of
+# size 4, 5 MCSes and degree 2.
+CYCLE_BASE = """\
+ATOMS: a b c
+WORLDS:
+w1: a=1 b=0 c=0 weight 1/3
+w2: a=0 b=1 c=0 weight 1/3
+w3: a=0 b=0 c=1 weight 1/3
+CANDIDATES:
+AB: a -> b
+BC: b -> c
+CA: c -> a
+NAB: a <-> ~b
+NAC: ~(a <-> c)
+"""
+
+# A background whose canonical form exceeds the key-length limit: a
+# 30-link biconditional chain over 30 atoms.
+_CHAIN_ATOMS = [f"a{i}" for i in range(30)]
+CHAIN_BASE = (
+    f"ATOMS: {' '.join(_CHAIN_ATOMS)}\n"
+    "WORLDS:\n"
+    f"w1: {' '.join(name + '=1' for name in _CHAIN_ATOMS)} weight 1\n"
+    "BACKGROUND:\n"
+    f"{' <-> '.join(_CHAIN_ATOMS)}\n"
+    "CANDIDATES:\n"
+    "A: a0\n"
+)
+
 # name -> text of the belief-base files written by hand
-HAND_BASES = {"pair.bb": PAIR_BASE, "nested.bb": NESTED_BASE, "shared.bb": SHARED_BASE}
+HAND_BASES = {
+    "pair.bb": PAIR_BASE,
+    "nested.bb": NESTED_BASE,
+    "shared.bb": SHARED_BASE,
+    "cycle.bb": CYCLE_BASE,
+    "chain.bb": CHAIN_BASE,
+}
 
 
 def report_commands() -> list[list[str]]:
@@ -121,11 +159,18 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "1", "diagnose", "--epsilon", "1/2", "nested.bb"],
         ["diagnose", "--epsilon", "3/4", "shared.bb"],
         ["--max-candidates", "1", "diagnose", "--epsilon", "3/4", "shared.bb"],
+        ["diagnose", "--epsilon", "1/3", "cycle.bb"],
+        ["--max-candidates", "2", "diagnose", "--epsilon", "1/3", "cycle.bb"],
+        ["accept", "--policy", "lehrer", "--epsilon", "1/3", "cycle.bb"],
+        ["accept", "--policy", "sequential", "--epsilon", "1/3", "--order", "reverse",
+         "cycle.bb"],
+        ["extensions", "--policy", "sequential", "--epsilon", "1/3", "cycle.bb"],
         ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
         ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "fair_3.bb"],
+        ["closure", "--epsilon", "1/3", "--labels", "L9", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2,L3", "--conclusion",
          "wins_1 | wins_2", "fair_3.bb"],
         ["closure", "--epsilon", "1/100", "--labels", "L1,L2", "--conclusion",
@@ -163,6 +208,7 @@ def commands() -> list[list[str]]:
         ["accept", "--policy", "nope", "--epsilon", "1/3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "0.3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "missing.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "chain.bb"],
         ["--help"],
         ["accept", "--help"],
         ["diagnose", "--help"],
