@@ -36,7 +36,7 @@ __all__ = [
     "dump",
 ]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*0*[1-9]\d*)?")  # no zero denominator
 _WORLD_RE = re.compile(r"(?P<label>\S+)\s*:\s*(?P<body>.*)")
 _ASSIGN_RE = re.compile(r"(?P<atom>[A-Za-z_][A-Za-z0-9_]*)=(?P<value>[01])")
 
@@ -48,7 +48,7 @@ class BeliefBaseFormatError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or an integer; anything else (floats included) fails."""
+    """Parse ``p/q`` (``q`` nonzero) or an integer; anything else, floats too, fails."""
     if not _RATIONAL_RE.fullmatch(text.strip()):
         raise ValueError(f"expected a rational p/q or integer, got {text!r}")
     return Fraction(text.replace(" ", ""))

@@ -39,7 +39,6 @@ from .sat import (
     DEFAULT_CANDIDATE_CAP,
     _check_cap,
     _consistent_family,
-    _unsat_family,
     shrink_unsat_subset,
 )
 from .stattests import (
@@ -254,11 +253,11 @@ def _cmd_diagnose(args) -> str:
     mcs_count = None
     degree = None
     if len(accepted_formulas) <= cap:
-        # one walk: MUS, MCS count and degree all read the same MCS family
-        walked, family = _consistent_family(accepted_formulas, background, cap)
-        mus_min_size = min(map(len, _unsat_family(len(walked), family)), default=None)
-        mcs_count = len(family)
-        degree = _degree(walked, family)
+        # one enumeration: MUS, MCS count and degree all read its two lists
+        walked, mcses, muses = _consistent_family(accepted_formulas, background, cap)
+        mus_min_size = len(muses[0]) if muses else None
+        mcs_count = len(mcses)
+        degree = _degree(walked, mcses)
     else:
         mus_method = "deletion_shrink"
         shrunk = shrink_unsat_subset(accepted_formulas, background)

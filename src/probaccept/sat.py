@@ -17,17 +17,16 @@ background's clauses with those of the chosen members and decides only
 the variables those clauses mention.  A plain satisfiability check is a
 solver with no members.
 
-One solver-driven walk, largest subsets first, finds every maximal
-consistent subset (MCS).  A subset is satisfiable exactly when it lies
-inside some MCS, so the minimal unsatisfiable subsets (MUS) are read off
-that family with no solver call.  The exponential cost is deliberate and
-guarded by a candidate cap of at most ``DEFAULT_CANDIDATE_CAP``.
+One loop finds each maximal consistent subset (MCS) and each minimal
+unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
+Marques-Silva, *Constraints* 21(2), 2016).  The DPLL search solves a map
+formula over the members for a seed, which is grown to an MCS or shrunk
+to a MUS and then blocked.  ``DEFAULT_CANDIDATE_CAP`` bounds the loop.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .formulas import Formula, FormulaSet, neg
@@ -78,9 +77,10 @@ def _clauses_for(formula: Formula, index: dict) -> list[tuple[int, ...]]:
     return clauses
 
 
-def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> bool:
-    # The translation never produces an empty clause.  A clause with both
-    # polarities of a variable is never unit or falsified: no special case.
+def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> list[int] | None:
+    # A satisfying assignment (1, -1 or 0 for undecided, by variable), or
+    # None.  No caller passes an empty clause.  A clause with both polarities
+    # of a variable is never unit or falsified: no special case.
     assign = [0] * (nvars + 1)
     occurrences: defaultdict[int, list[int]] = defaultdict(list)
     for ci, clause in enumerate(clauses):
@@ -135,7 +135,7 @@ def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> bool:
             while cursor < len(decisions) and assign[decisions[cursor]] != 0:
                 cursor += 1
             if cursor == len(decisions):
-                return True
+                return assign
             stack.append((cursor, len(trail), False))
             queue = [decisions[cursor]]
         else:
@@ -148,7 +148,7 @@ def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> bool:
                     queue = [-decisions[cursor]]
                     break
             else:
-                return False
+                return None
 
 
 class _Solver:
@@ -170,7 +170,7 @@ class _Solver:
         clauses = list(self.background)
         for i in which:
             clauses.extend(self.per_member[i])
-        return _dpll(clauses, self.nvars)
+        return _dpll(clauses, self.nvars) is not None
 
 
 def is_satisfiable(formulas: Iterable[Formula]) -> bool:
@@ -215,34 +215,40 @@ def _consistent_family(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int,
-) -> tuple[tuple[Formula, ...], list[frozenset[int]]]:
-    """The members and every maximal consistent index set among them,
-    largest first, then in lexicographic order."""
+) -> tuple[tuple[Formula, ...], list[frozenset[int]], list[frozenset[int]]]:
+    """The members, every maximal consistent index set among them (largest
+    first) and every minimal unsatisfiable one (smallest first), each list
+    then in lexicographic order."""
     members, solver = _prepare(candidates, background, cap)
-    family: list[frozenset[int]] = []
-    for size in range(len(members), -1, -1):
-        for combo in combinations(range(len(members)), size):
-            chosen = frozenset(combo)
-            if any(chosen <= prior for prior in family):
-                continue
-            if solver.satisfiable(combo):
-                family.append(chosen)
-    return members, family
+    n = len(members)
+    if solver.satisfiable(range(n)):  # so no blocking clause is empty
+        return members, [frozenset(range(n))], []
+    mcses, muses, blocks = [], [], []  # blocks: the map, member i as variable i + 1
+    while (seed := _dpll(blocks, n)) is not None:
+        current = [i for i in range(n) if seed[i + 1] >= 0]  # undecided is chosen
+        if solver.satisfiable(current):
+            for i in range(n):
+                if i not in current and solver.satisfiable([*current, i]):
+                    current.append(i)
+            mcses.append(frozenset(current))
+            blocks.append(tuple(i + 1 for i in range(n) if i not in current))
+        else:
+            current = _shrink(solver, current)
+            muses.append(frozenset(current))
+            blocks.append(tuple(-(i + 1) for i in current))
+    mcses.sort(key=lambda s: (-len(s), sorted(s)))
+    muses.sort(key=lambda s: (len(s), sorted(s)))
+    return members, mcses, muses
 
 
-def _unsat_family(n: int, family: list[frozenset[int]]) -> list[frozenset[int]]:
-    """The minimal unsatisfiable index sets among ``n`` members whose maximal
-    consistent index sets are ``family``: smallest first, then lexicographic."""
-    found: list[frozenset[int]] = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            chosen = frozenset(combo)
-            if any(prior <= chosen for prior in found):
-                continue
-            # satisfiable exactly when inside some maximal consistent subset
-            if not any(chosen <= mcs for mcs in family):
-                found.append(chosen)
-    return found
+def _shrink(solver: _Solver, current: list[int]) -> list[int]:
+    """Delete members of an unsatisfiable index list, in order, while the
+    rest stays unsatisfiable: a minimal unsatisfiable index list."""
+    for i in list(current):
+        trimmed = [j for j in current if j != i]
+        if not solver.satisfiable(trimmed):
+            current = trimmed
+    return current
 
 
 def minimal_unsat_subsets(
@@ -253,9 +259,8 @@ def minimal_unsat_subsets(
     """All subsets of ``candidates`` that are unsatisfiable together with
     ``background`` and minimally so.  Exhaustive and deterministic; raises
     if the background is unsatisfiable or the cap is exceeded."""
-    members, family = _consistent_family(candidates, background, cap)
-    found = _unsat_family(len(members), family)
-    return [FormulaSet(members[i] for i in sorted(mus)) for mus in found]
+    members, _, muses = _consistent_family(candidates, background, cap)
+    return [FormulaSet(members[i] for i in sorted(mus)) for mus in muses]
 
 
 def maximal_consistent_subsets(
@@ -266,8 +271,8 @@ def maximal_consistent_subsets(
     """All subsets of ``candidates`` satisfiable with ``background`` to
     which no excluded candidate can be added without losing
     satisfiability.  Exhaustive and deterministic under the cap."""
-    members, family = _consistent_family(candidates, background, cap)
-    return [FormulaSet(members[i] for i in sorted(mcs)) for mcs in family]
+    members, mcses, _ = _consistent_family(candidates, background, cap)
+    return [FormulaSet(members[i] for i in sorted(mcs)) for mcs in mcses]
 
 
 def shrink_unsat_subset(
@@ -282,11 +287,6 @@ def shrink_unsat_subset(
     unsatisfiable subset but not necessarily a smallest one.
     """
     members, solver = _prepare(candidates, background)
-    current = list(range(len(members)))
-    if solver.satisfiable(current):
+    if solver.satisfiable(range(len(members))):
         return None
-    for i in list(current):
-        trimmed = [j for j in current if j != i]
-        if not solver.satisfiable(trimmed):
-            current = trimmed
-    return FormulaSet(members[i] for i in current)
+    return FormulaSet(members[i] for i in _shrink(solver, list(range(len(members)))))

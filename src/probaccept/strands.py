@@ -71,7 +71,8 @@ def degree_of_inconsistency(
     members = tuple(FormulaSet(candidates))
     if not members:  # nothing to cover, so the background goes unchecked
         return _degree(members, [])
-    return _degree(*_consistent_family(members, background, cap))
+    members, mcses, _ = _consistent_family(members, background, cap)
+    return _degree(members, mcses)
 
 
 def _degree(members: tuple[Formula, ...], family: list[frozenset[int]]) -> int:

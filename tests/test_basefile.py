@@ -34,7 +34,7 @@ class TestParseRational:
     def test_accepts_rationals(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["0.5", "1e-2", "", "a/b", "1/2/3"])
+    @pytest.mark.parametrize("text", ["0.5", "1e-2", "", "a/b", "1/2/3", "1/0", "3/00"])
     def test_rejects_non_rationals(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
@@ -85,6 +85,11 @@ class TestFormatErrors:
     def test_float_weight_rejected(self):
         with pytest.raises(BeliefBaseFormatError):
             loads("ATOMS: a\nWORLDS:\nw1: a=1 weight 0.5\nw2: a=0 weight 0.5\n")
+
+    def test_zero_denominator_weight_reports_line(self):
+        text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nw2: a=0 weight 1/0\n"
+        with pytest.raises(BeliefBaseFormatError, match="line 4: expected a rational"):
+            loads(text)
 
     def test_unknown_atom_in_world(self):
         with pytest.raises(BeliefBaseFormatError, match="unknown atom"):

@@ -95,6 +95,11 @@ class TestLotteryCommand:
         assert code == 2
         assert "error" in err
 
+    def test_zero_denominator_weight_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "lottery", "biased", "--weights", "1/0,1")
+        assert code == 2
+        assert "expected a rational p/q or integer, got '1/0'" in err
+
 
 class TestAcceptCommand:
     def test_threshold_on_the_hundred_lottery(self, capsys, lottery100_path):
@@ -157,6 +162,13 @@ class TestAcceptCommand:
             capsys, "accept", "--policy", "threshold", "--epsilon", "0.01", lottery3_path
         )
         assert code == 2
+
+    def test_zero_denominator_epsilon_is_input_error(self, capsys, lottery3_path):
+        code, _, err = run_cli(
+            capsys, "accept", "--policy", "threshold", "--epsilon", "1/0", lottery3_path
+        )
+        assert code == 2
+        assert "expected a rational p/q or integer, got '1/0'" in err
 
     def test_order_required_for_teng(self, capsys, lottery3_path):
         code, _, err = run_cli(
@@ -368,6 +380,14 @@ class TestStatCommand:
         assert code == 2
         assert out == ""
         assert "p0 = 1/100003 over n = 1000 trials" in err
+
+    def test_zero_denominator_p0_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"
+        )
+        assert code == 2
+        assert out == ""
+        assert "expected a rational p/q or integer, got '1/0'" in err
 
     def test_out_of_range_observation(self, capsys):
         code, _, _ = run_cli(

@@ -1,6 +1,7 @@
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from probaccept import (
     DEFAULT_CANDIDATE_CAP,
+    AcceptanceLevel,
     FormulaSet,
     atom,
     degree_of_inconsistency,
@@ -20,6 +22,7 @@ from probaccept import (
     parse,
     shrink_unsat_subset,
     strands,
+    threshold_accept,
 )
 
 from helpers import (
@@ -265,6 +268,22 @@ class TestShrink:
             assert is_satisfiable(members[:i] + members[i + 1:])
 
 
+class TestAtTheCap:
+    def test_twenty_ticket_lottery_diagnostics(self):
+        # one MUS and 20 MCSes: the enumeration's cost follows them, not
+        # the 2^20 subsets
+        base = fair_lottery(20)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 20)))
+        candidates = accepted.accepted_formulas
+        with _time_limit(3):
+            muses = minimal_unsat_subsets(candidates, base.background)
+            mcses = maximal_consistent_subsets(candidates, base.background)
+            degree = degree_of_inconsistency(candidates, base.background)
+        assert [len(m) for m in muses] == [20]
+        assert [len(m) for m in mcses] == [19] * 20
+        assert degree == 2
+
+
 class TestQueriesDecideOnlyTheirOwnVariables:
     def test_branching_probe_matches_brute_force(self):
         formulas = [parse(text) for text in BRANCHING_PROBE]
@@ -327,13 +346,21 @@ def test_subset_diagnostics_match_oracles(problem):
     assert is_satisfiable(background + candidates) == truth_table_satisfiable(
         background + candidates
     )
+    position = {f.canonical_key: i for i, f in enumerate(FormulaSet(candidates))}
+
+    def indices(family):
+        # each subset as its sorted candidate indices, in the family's order
+        return [sorted(position[key] for key in keys) for keys in family]
+
     muses = minimal_unsat_subsets(candidates, background)
-    assert {_keys(m) for m in muses} == brute_minimal_unsat_subsets(
-        candidates, background
+    assert indices(map(_keys, muses)) == sorted(
+        indices(brute_minimal_unsat_subsets(candidates, background)),
+        key=lambda s: (len(s), s),
     )
     mcses = maximal_consistent_subsets(candidates, background)
-    assert {_keys(m) for m in mcses} == brute_maximal_consistent_subsets(
-        candidates, background
+    assert indices(map(_keys, mcses)) == sorted(
+        indices(brute_maximal_consistent_subsets(candidates, background)),
+        key=lambda s: (-len(s), s),
     )
     kernels = [s.kernel for s in strands(FormulaSet(candidates), FormulaSet(background))]
     assert kernels == mcses

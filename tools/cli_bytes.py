@@ -17,13 +17,14 @@ exits 1 if any does.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, and on a tie between contraries), ``extensions`` (exhaustive and
-sampled), ``diagnose`` exhaustive and beyond the enumeration cap (also on a
-background with a contradiction nested under a disjunction, on candidates
-that share a subformula that is not a clause, and on candidates written
-with ``->`` and ``<->``), ``closure`` (also with an unknown label), a
-background past the canonical key-length limit, ``stat binom``,
-``lottery``, usage errors and caps, each report command in text and
-``--json``.  Stdlib only.
+sampled), ``diagnose`` exhaustive (up to a 20-ticket lottery at the
+enumeration cap) and beyond the cap (also on a background with a
+contradiction nested under a disjunction, on candidates that share a
+subformula that is not a clause, and on candidates written with ``->`` and
+``<->``), ``closure`` (also with an unknown label), a background past the
+canonical key-length limit, ``stat binom``, ``lottery``, usage errors, caps
+and zero denominators (in each option that reads a rational and in a world's
+weight), each report command in text and ``--json``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import tempfile
 BASES = {
     "fair_3.bb": (["lottery", "fair", "--n", "3"], "1/3"),
     "fair_12.bb": (["lottery", "fair", "--n", "12"], "1/12"),
+    "fair_20.bb": (["lottery", "fair", "--n", "20"], "1/20"),
     "fair_24.bb": (["lottery", "fair", "--n", "24"], "1/24"),
     "fair_100.bb": (["lottery", "fair", "--n", "100"], "1/100"),
     "biased_5.bb": (
@@ -101,6 +103,9 @@ NAB: a <-> ~b
 NAC: ~(a <-> c)
 """
 
+# A world weight with a zero denominator: an input error naming its line.
+ZERO_WEIGHT_BASE = PAIR_BASE.replace("w2: a=0 weight 1/2", "w2: a=0 weight 1/0")
+
 # A background whose canonical form exceeds the key-length limit: a
 # 30-link biconditional chain over 30 atoms.
 _CHAIN_ATOMS = [f"a{i}" for i in range(30)]
@@ -121,6 +126,7 @@ HAND_BASES = {
     "shared.bb": SHARED_BASE,
     "cycle.bb": CYCLE_BASE,
     "chain.bb": CHAIN_BASE,
+    "zero_weight.bb": ZERO_WEIGHT_BASE,
 }
 
 
@@ -209,6 +215,14 @@ def commands() -> list[list[str]]:
         ["accept", "--policy", "threshold", "--epsilon", "0.3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "missing.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "chain.bb"],
+        # zero denominators, one per option that reads a rational
+        ["accept", "--policy", "threshold", "--epsilon", "1/0", "fair_3.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "zero_weight.bb"],
+        ["lottery", "biased", "--weights", "1/0,1"],
+        ["lottery", "independent", "--n", "3", "--p", "1/0"],
+        ["stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"],
+        ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+         "--observed", "30", "--combine-with", "1/0"],
         ["--help"],
         ["accept", "--help"],
         ["diagnose", "--help"],
