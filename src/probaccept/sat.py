@@ -1,32 +1,40 @@
 """Satisfiability, entailment, and subset diagnostics for formula sets.
 
 The decision procedure is a self-contained iterative DPLL search (unit
-propagation plus chronological backtracking) over a structure-preserving
-clausal translation of the canonical negation normal form.  Subformulas
-that are not already clause-shaped get one definitional variable each, so
-lottery-style constraint sets translate with no auxiliary variables at
-all.  Instances here are desk scale; determinism wins over raw speed.
+propagation with two watched literals per clause, as in Chaff: Moskewicz
+et al., DAC 2001, plus chronological backtracking) over a
+structure-preserving clausal translation of the canonical negation normal
+form.  Subformulas that are not already clause-shaped get one
+definitional variable each, so lottery-style constraint sets translate
+with no auxiliary variables at all.  Instances here are desk scale;
+determinism wins over raw speed.
 
 One solver answers every question.  It translates a background and a
 list of members once, straight to integer clauses: atoms and definitional
 subformulas share one numbering, in the order the translation meets
 them.  A subformula that several members share gets one variable, but
 its defining clauses sit in every such member's group, so a query that
-leaves one of them out still defines it.  A query splices the
-background's clauses with those of the chosen members and decides only
-the variables those clauses mention.  A plain satisfiability check is a
-solver with no members.
+leaves one of them out still defines it.  The solver indexes all its
+clauses once, in one store with one group for the background and one per
+member.  A query switches the background's group and the chosen members'
+groups on, skips the clauses of the others, and decides, in index order,
+only the variables the switched-on clauses mention.  Each query starts
+with every variable undecided, so the watches the previous query left
+are valid as they stand.  A plain satisfiability check is a solver with
+no members.
 
 One loop finds each maximal consistent subset (MCS) and each minimal
 unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
-Marques-Silva, *Constraints* 21(2), 2016).  The DPLL search solves a map
-formula over the members for a seed, which is grown to an MCS or shrunk
-to a MUS and then blocked.  ``DEFAULT_CANDIDATE_CAP`` bounds the loop.
+Marques-Silva, *Constraints* 21(2), 2016).  The same DPLL search solves a
+map formula over the members for a seed, which is grown to an MCS or
+shrunk to a MUS and then blocked; each block joins the map's own clause
+store, which is extended, never rebuilt.  ``DEFAULT_CANDIDATE_CAP``
+bounds the loop.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .formulas import Formula, FormulaSet, neg
@@ -77,100 +85,152 @@ def _clauses_for(formula: Formula, index: dict) -> list[tuple[int, ...]]:
     return clauses
 
 
-def _dpll(clauses: Sequence[tuple[int, ...]], nvars: int) -> list[int] | None:
-    # A satisfying assignment (1, -1 or 0 for undecided, by variable), or
-    # None.  No caller passes an empty clause.  A clause with both polarities
-    # of a variable is never unit or falsified: no special case.
-    assign = [0] * (nvars + 1)
-    occurrences: defaultdict[int, list[int]] = defaultdict(list)
-    for ci, clause in enumerate(clauses):
-        for lit in clause:
-            occurrences[lit].append(ci)
-    # branch only on the variables these clauses mention, in index order
-    decisions = sorted({abs(lit) for lit in occurrences})
+class _Clauses:
+    """Clauses in groups, indexed once: two watched literals (positions 0
+    and 1) for each clause of two or more literals, and each group's unit
+    clauses apart.  A query switches groups on; the clauses of a group
+    that is off are skipped and keep their watches."""
+
+    def __init__(self, nvars: int, groups: Iterable[Sequence[tuple[int, ...]]]):
+        self.clauses: list[Sequence[int]] = []
+        self.owner: list[int] = []  # each clause's group
+        # by literal: a negative literal indexes from the end of the list
+        self.watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+        self.units: list[list[int]] = []
+        for group in groups:
+            self.units.append([])
+            self.add(len(self.units) - 1, group)
+
+    def add(self, group: int, clauses: Sequence[tuple[int, ...]]) -> None:
+        start = len(self.clauses)
+        # a watch moves only within a longer clause, so only that is mutable
+        new = [list(c) if len(c) > 2 else c for c in clauses]
+        self.clauses += new
+        self.owner += [group] * len(new)
+        watches, units = self.watches, self.units[group]
+        for ci, clause in enumerate(new, start):
+            if len(clause) == 1:
+                units.append(clause[0])
+            else:
+                watches[clause[0]].append(ci)
+                watches[clause[1]].append(ci)
+
+
+def _dpll(
+    store: _Clauses, on: bytes, units: list[int], decisions: list[int]
+) -> list[int] | None:
+    # A satisfying assignment by literal (1 true, -1 false, 0 undecided; a
+    # variable's value is its positive literal's), or None.  Only clauses of
+    # groups that ``on`` marks count.  Every variable starts undecided, so
+    # the watches an earlier query left are valid.  No caller passes an
+    # empty clause.  A clause with both polarities of a variable is never
+    # unit or falsified: no special case.
+    clauses, owner, watches = store.clauses, store.owner, store.watches
+    value = [0] * len(watches)
     trail: list[int] = []
 
-    def propagate(queue: list[int]) -> bool:
-        qi = 0
-        while qi < len(queue):
-            lit = queue[qi]
-            qi += 1
-            var = abs(lit)
-            want = 1 if lit > 0 else -1
-            current = assign[var]
-            if current == want:
-                continue
-            if current == -want:
+    def propagate(lits: list[int]) -> bool:
+        head = len(trail)
+        for lit in lits:
+            if value[lit] < 0:
                 return False
-            assign[var] = want
-            trail.append(var)
-            for ci in occurrences.get(-lit, ()):
+            if value[lit] == 0:
+                value[lit] = 1
+                value[-lit] = -1
+                trail.append(lit)
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
+            watching = watches[falsified]
+            kept = 0
+            for pos, ci in enumerate(watching):
                 clause = clauses[ci]
-                unassigned = 0
-                last = 0
-                satisfied = False
-                for other in clause:
-                    value = assign[abs(other)]
-                    if value == 0:
-                        unassigned += 1
-                        last = other
-                    elif (value > 0) == (other > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if unassigned == 0:
-                    return False
-                if unassigned == 1:
-                    queue.append(last)
+                if on[owner[ci]]:
+                    at = 0 if clause[0] == falsified else 1
+                    other = clause[1 - at]
+                    if value[other] <= 0:
+                        for k in range(2, len(clause)):
+                            lit = clause[k]
+                            if value[lit] >= 0:
+                                clause[at] = lit
+                                clause[k] = falsified
+                                watches[lit].append(ci)
+                                break
+                        else:  # unit or falsified: the watch stays
+                            if value[other] < 0:
+                                del watching[kept:pos]
+                                return False
+                            value[other] = 1
+                            value[-other] = -1
+                            trail.append(other)
+                        if clause[at] != falsified:  # the watch moved
+                            continue
+                watching[kept] = ci
+                kept += 1
+            del watching[kept:]
         return True
 
-    queue = [clause[0] for clause in clauses if len(clause) == 1]
     # (position in decisions, trail mark, tried negation); every decision
     # before the one at a position was assigned before its mark
     stack: list[tuple[int, int, bool]] = []
     cursor = 0
+    lits = units
     while True:
-        if propagate(queue):
-            while cursor < len(decisions) and assign[decisions[cursor]] != 0:
+        if propagate(lits):
+            while cursor < len(decisions) and value[decisions[cursor]] != 0:
                 cursor += 1
             if cursor == len(decisions):
-                return assign
+                return value
             stack.append((cursor, len(trail), False))
-            queue = [decisions[cursor]]
+            lits = [decisions[cursor]]
         else:
             while stack:
                 cursor, mark, tried = stack.pop()
                 while len(trail) > mark:
-                    assign[trail.pop()] = 0
+                    lit = trail.pop()
+                    value[lit] = value[-lit] = 0
                 if not tried:
                     stack.append((cursor, mark, True))
-                    queue = [-decisions[cursor]]
+                    lits = [-decisions[cursor]]
                     break
             else:
                 return None
 
 
 class _Solver:
-    """One variable numbering over a background and candidate members.
-    Each query splices the background's clauses with those of the chosen
-    members and decides only the variables those clauses mention."""
+    """One variable numbering and one clause store over a background (group
+    0) and candidate members (member i is group i + 1).  A query switches
+    on the background and the chosen members and decides, in index order,
+    only the variables their clauses mention."""
 
     def __init__(
         self, members: Sequence[Formula], background: Iterable[Formula] = ()
     ):
         index: dict = {}
-        self.background = list(
+        shared = list(
             dict.fromkeys(c for f in background for c in _clauses_for(f, index))
         )
-        self.per_member = [_clauses_for(f, index) for f in members]
-        self.nvars = len(index)
+        # the background's clauses mention exactly variables 1..nshared
+        self.nshared = len(index)
+        groups = [shared, *(_clauses_for(f, index) for f in members)]
+        self.own = [
+            {v for v in map(abs, chain.from_iterable(group)) if v > self.nshared}
+            for group in groups[1:]
+        ]
+        self.store = _Clauses(len(index), groups)
 
     def satisfiable(self, which: Iterable[int] = ()) -> bool:
-        clauses = list(self.background)
+        store = self.store
+        on = bytearray(len(store.units))
+        on[0] = 1
+        units = list(store.units[0])
+        own: set[int] = set()
         for i in which:
-            clauses.extend(self.per_member[i])
-        return _dpll(clauses, self.nvars) is not None
+            on[i + 1] = 1
+            units += store.units[i + 1]
+            own.update(self.own[i])
+        decisions = [*range(1, self.nshared + 1), *sorted(own)]
+        return _dpll(store, on, units, decisions) is not None
 
 
 def is_satisfiable(formulas: Iterable[Formula]) -> bool:
@@ -223,19 +283,25 @@ def _consistent_family(
     n = len(members)
     if solver.satisfiable(range(n)):  # so no blocking clause is empty
         return members, [frozenset(range(n))], []
-    mcses, muses, blocks = [], [], []  # blocks: the map, member i as variable i + 1
-    while (seed := _dpll(blocks, n)) is not None:
+    mcses, muses = [], []
+    blocks = _Clauses(n, [()])  # the map: member i as variable i + 1
+    mentioned: set[int] = set()
+    while (
+        seed := _dpll(blocks, b"\x01", blocks.units[0], sorted(mentioned))
+    ) is not None:
         current = [i for i in range(n) if seed[i + 1] >= 0]  # undecided is chosen
         if solver.satisfiable(current):
             for i in range(n):
                 if i not in current and solver.satisfiable([*current, i]):
                     current.append(i)
             mcses.append(frozenset(current))
-            blocks.append(tuple(i + 1 for i in range(n) if i not in current))
+            block = tuple(i + 1 for i in range(n) if i not in current)
         else:
             current = _shrink(solver, current)
             muses.append(frozenset(current))
-            blocks.append(tuple(-(i + 1) for i in current))
+            block = tuple(-(i + 1) for i in current)
+        blocks.add(0, [block])
+        mentioned.update(map(abs, block))
     mcses.sort(key=lambda s: (-len(s), sorted(s)))
     muses.sort(key=lambda s: (len(s), sorted(s)))
     return members, mcses, muses

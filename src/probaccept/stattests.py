@@ -40,7 +40,11 @@ __all__ = [
 
 SIDEDNESS = ("two_sided", "upper", "lower")
 
-MAX_BINOMIAL_TRIALS = 2000  # the exact region takes about a second here
+# At the cap the exact two-sided region at epsilon 1/100 takes 0.36 s for
+# p0 = 1/2, 0.55 s for 1/3 and 2.7 s for 7/100 (best of two, Python 3.11,
+# one Xeon core): the larger the denominator of p0, the longer each exact
+# pmf term.
+MAX_BINOMIAL_TRIALS = 2000
 
 
 class Decision(Enum):

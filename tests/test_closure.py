@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probaccept import (
     AcceptanceLevel,
@@ -15,6 +17,7 @@ from probaccept import (
     entails,
     fair_lottery,
     independent_lottery,
+    neg,
     parse,
 )
 
@@ -192,3 +195,40 @@ class TestTheoremProperties:
         for f in losses:
             product *= base.model.probability(f)
         assert joint == product == Fraction(8, 27)
+
+
+@st.composite
+def closure_problems(draw):
+    """A random model over one to four atoms, one to five premises of
+    positive probability, a level that every premise meets, and a
+    conclusion that the premises entail: their conjunction or anything."""
+    rng = draw(st.randoms(use_true_random=False))
+    model = random_model(rng, max_atoms=4)
+    names = list(model.atoms)
+    premises = []
+    for _ in range(draw(st.integers(1, 5))):
+        f = random_formula(rng, names, depth=2)
+        premises.append(f if model.probability(f) > 0 else neg(f))
+    premises = FormulaSet(premises)
+    slack = 1 - min(model.probability(f) for f in premises)
+    epsilon = slack + (1 - slack) * Fraction(draw(st.integers(0, 9)), 10)
+    level = AcceptanceLevel(epsilon or Fraction(1, 100))
+    members = list(premises)
+    joint = conj(*members) if len(members) > 1 else members[0]
+    conclusion = disj(joint, random_formula(rng, names, depth=2))
+    return model, premises, conclusion, level
+
+
+@given(closure_problems())
+def test_closure_floor_is_the_union_bound(problem):
+    model, premises, conclusion, level = problem
+    k = len(premises)
+    floor = max(Fraction(0), 1 - k * level.epsilon)
+    assert all(level.met_by(model.probability(f)) for f in premises)
+    for result in (
+        conjunction_support(model, premises, level),
+        consequence_level(model, premises, conclusion, level),
+    ):
+        assert result.premise_count == k
+        assert result.support_lower_bound == floor
+        assert result.exact_probability >= floor

@@ -256,6 +256,16 @@ class TestShrink:
         result = shrink_unsat_subset(base.candidate_formulas, base.background)
         assert result is not None and len(result) == 30
 
+    def test_hundred_ticket_lottery_shrinks_to_full_set(self, lottery100):
+        # far beyond the enumeration cap, every deletion query reuses the
+        # one solver's clause index
+        level = AcceptanceLevel(Fraction(1, 100))
+        accepted = threshold_accept(lottery100, level).accepted_formulas
+        with _time_limit(10):
+            result = shrink_unsat_subset(accepted, lottery100.background)
+        assert result is not None and len(result) == 100
+        assert _keys(result) == _keys(lottery100.candidate_formulas)
+
     def test_result_is_minimal(self):
         candidates = FormulaSet(
             [parse("a"), parse("~a"), parse("b"), parse("a | b")]
@@ -352,11 +362,18 @@ def test_subset_diagnostics_match_oracles(problem):
         # each subset as its sorted candidate indices, in the family's order
         return [sorted(position[key] for key in keys) for keys in family]
 
+    brute_muses = brute_minimal_unsat_subsets(candidates, background)
     muses = minimal_unsat_subsets(candidates, background)
     assert indices(map(_keys, muses)) == sorted(
-        indices(brute_minimal_unsat_subsets(candidates, background)),
-        key=lambda s: (len(s), s),
+        indices(brute_muses), key=lambda s: (len(s), s)
     )
+    # one solver answers every deletion query, so no state of one query
+    # may leak into the next
+    shrunk = shrink_unsat_subset(candidates, background)
+    if truth_table_satisfiable(background + candidates):
+        assert shrunk is None
+    else:
+        assert shrunk is not None and _keys(shrunk) in brute_muses
     mcses = maximal_consistent_subsets(candidates, background)
     assert indices(map(_keys, mcses)) == sorted(
         indices(brute_maximal_consistent_subsets(candidates, background)),

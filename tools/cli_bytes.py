@@ -21,9 +21,10 @@ sampled), ``diagnose`` exhaustive (up to a 20-ticket lottery at the
 enumeration cap) and beyond the cap (also on a background with a
 contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
-``<->``), ``closure`` (also with an unknown label), a background past the
-canonical key-length limit, ``stat binom``, ``lottery``, usage errors, caps
-and zero denominators (in each option that reads a rational and in a world's
+``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes),
+``closure`` (also with an unknown label), a background past the canonical
+key-length limit, ``stat binom``, ``lottery``, usage errors, caps and zero
+denominators (in each option that reads a rational and in a world's
 weight), each report command in text and ``--json``.  Stdlib only.
 """
 
@@ -119,6 +120,23 @@ CHAIN_BASE = (
     "A: a0\n"
 )
 
+# Six contrary pairs written ``x0, ~x0, x1, ~x1, ...`` over all 64 worlds
+# of six atoms, equally weighted: at 1/2 all 12 candidates are accepted,
+# with 6 MUSes of size 2 and 64 MCSes: the exhaustive ``diagnose`` runs
+# the MCS/MUS map search through 70 seeds.
+_PAIR_ATOMS = [f"x{i}" for i in range(6)]
+PAIRS_BASE = (
+    f"ATOMS: {' '.join(_PAIR_ATOMS)}\n"
+    "WORLDS:\n"
+    + "".join(
+        f"w{w}: {' '.join(f'{name}={w >> i & 1}' for i, name in enumerate(_PAIR_ATOMS))}"
+        " weight 1/64\n"
+        for w in range(64)
+    )
+    + "CANDIDATES:\n"
+    + "".join(f"P{i}: {name}\nN{i}: ~{name}\n" for i, name in enumerate(_PAIR_ATOMS))
+)
+
 # name -> text of the belief-base files written by hand
 HAND_BASES = {
     "pair.bb": PAIR_BASE,
@@ -126,6 +144,7 @@ HAND_BASES = {
     "shared.bb": SHARED_BASE,
     "cycle.bb": CYCLE_BASE,
     "chain.bb": CHAIN_BASE,
+    "pairs.bb": PAIRS_BASE,
     "zero_weight.bb": ZERO_WEIGHT_BASE,
 }
 
@@ -166,6 +185,7 @@ def report_commands() -> list[list[str]]:
         ["diagnose", "--epsilon", "3/4", "shared.bb"],
         ["--max-candidates", "1", "diagnose", "--epsilon", "3/4", "shared.bb"],
         ["diagnose", "--epsilon", "1/3", "cycle.bb"],
+        ["diagnose", "--epsilon", "1/2", "pairs.bb"],
         ["--max-candidates", "2", "diagnose", "--epsilon", "1/3", "cycle.bb"],
         ["accept", "--policy", "lehrer", "--epsilon", "1/3", "cycle.bb"],
         ["accept", "--policy", "sequential", "--epsilon", "1/3", "--order", "reverse",
