@@ -21,7 +21,7 @@ The concrete grammar (whitespace insignificant, precedence low to high
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Formula",
@@ -33,6 +33,7 @@ __all__ = [
     "disj",
     "implies",
     "iff",
+    "exactly_one",
     "parse",
     "render",
     "has_strong_inconsistency",
@@ -121,10 +122,13 @@ class Formula:
     ``op`` is one of ``atom``, ``not``, ``and``, ``or``, ``implies``,
     ``iff``; ``and``/``or`` are variadic with at least two arguments.
     Instances are created through :func:`atom`, :func:`neg`, :func:`conj`,
-    :func:`disj`, :func:`implies`, :func:`iff` or :func:`parse`.
+    :func:`disj`, :func:`implies`, :func:`iff`, :func:`exactly_one` or
+    :func:`parse`.
     """
 
-    __slots__ = ("op", "args", "name", "_pos", "_neg", "_key", "_atoms", "_bounds")
+    __slots__ = (
+        "op", "args", "name", "_pos", "_neg", "_key", "_atoms", "_bounds", "_translation"
+    )
 
     def __init__(self, op: str, args: tuple["Formula", ...] = (), name: str | None = None):
         if op not in _OPS:
@@ -152,6 +156,7 @@ class Formula:
         self._key: str | None = None
         self._atoms: frozenset[str] | None = None
         self._bounds: tuple[int, int] | None = None
+        self._translation: object = None
 
     def nnf(self) -> tuple:
         """Canonical negation-normal-form node for this formula."""
@@ -219,6 +224,14 @@ class Formula:
                 self._neg = node
         return node
 
+    def _translated(self, translate: Callable[["Formula"], object]) -> object:
+        """``translate(self)``, computed once and kept with this formula.
+        ``translate`` must depend on the canonical form alone; the
+        satisfiability solver keeps its clause translation here."""
+        if self._translation is None:
+            self._translation = translate(self)
+        return self._translation
+
     @property
     def canonical_key(self) -> str:
         if self._key is None:
@@ -283,6 +296,50 @@ def implies(antecedent: Formula, consequent: Formula) -> Formula:
 
 def iff(left: Formula, right: Formula) -> Formula:
     return Formula("iff", (left, right))
+
+
+def exactly_one(outcomes: Sequence[Formula]) -> Formula:
+    """Exactly one of the given formulas holds: the conjunction of their
+    disjunction and one ``~(o_i & o_j)`` per pair, in pair order (a single
+    outcome is returned as it is).
+
+    Its atoms, key bounds and positive canonical node come from one
+    canonicalisation of each outcome per polarity, not from a walk of the
+    n(n-1)/2 pair nodes; they equal what that walk would give.  A form past
+    ``MAX_KEY_LENGTH`` is left unbuilt, so ``nnf()`` raises as for any
+    other formula."""
+    if not outcomes:
+        raise ValueError("need at least one outcome")
+    n = len(outcomes)
+    parts = [disj(*outcomes)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            parts.append(neg(conj(outcomes[i], outcomes[j])))
+    result = conj(*parts)
+    if n == 1:
+        return result
+    # The bounds ``_key_bounds`` would sum over the tree.  With (p_i, q_i)
+    # outcome i's bounds, ~(o_i & o_j) is at most 5 + q_i + q_j long and its
+    # negation 5 + p_i + p_j, so over all pairs each outcome counts n - 1
+    # times; the separators of the two n-ary nodes add the rest.
+    pos_sum = neg_sum = 0
+    for o in outcomes:
+        p, q = o._key_bounds()
+        pos_sum += p
+        neg_sum += q
+    pairs = len(parts) - 1
+    joints = 3 * len(parts) - 1 + 3 * n - 1 + 5 * pairs
+    result._bounds = (
+        joints + pos_sum + (n - 1) * neg_sum, joints + neg_sum + (n - 1) * pos_sum
+    )
+    result._atoms = frozenset().union(*(o.atoms() for o in outcomes))
+    if max(result._bounds) <= MAX_KEY_LENGTH:
+        negs = [o._nnf_of(False) for o in outcomes]
+        result._pos = _n_and([
+            _n_or([o._nnf_of(True) for o in outcomes]),
+            *(_n_or((negs[i], negs[j])) for i in range(n) for j in range(i + 1, n)),
+        ])
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ groups on, skips the clauses of the others, and decides, in index order,
 only the variables the switched-on clauses mention.  Each query starts
 with every variable undecided, so the watches the previous query left
 are valid as they stand.  A plain satisfiability check is a solver with
-no members.
+no members.  The first formula a solver translates, usually a base's
+background, is translated into an empty numbering, so its clauses and
+numbering depend on the formula alone; they are kept with the formula
+and reused by every later solver that starts with it.
 
 One loop finds each maximal consistent subset (MCS) and each minimal
 unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
@@ -51,9 +54,25 @@ __all__ = [
 DEFAULT_CANDIDATE_CAP = 20
 
 
-def _clauses_for(formula: Formula, index: dict) -> list[tuple[int, ...]]:
-    # ``index`` is the solver's one numbering; ``defined`` is this formula's
-    # own, so its clauses define every subformula they use.
+def _clauses_for(formula: Formula, index: dict) -> Sequence[tuple[int, ...]]:
+    """The formula's clauses, numbered on from ``index``, the solver's one
+    numbering.  Into an empty numbering the translation is the formula's
+    own, so it is made once and kept with the formula."""
+    if index:
+        return _translate(formula, index)
+    clauses, numbered = formula._translated(_translate_alone)
+    index.update(zip(numbered, range(1, len(numbered) + 1)))
+    return clauses
+
+
+def _translate_alone(formula: Formula) -> tuple[tuple, tuple]:
+    index: dict = {}
+    return tuple(_translate(formula, index)), tuple(index)
+
+
+def _translate(formula: Formula, index: dict) -> list[tuple[int, ...]]:
+    # ``defined`` is this formula's own, so its clauses define every
+    # subformula they use.
     clauses: list[tuple[int, ...]] = []
     defined: set[tuple] = set()
 
@@ -208,7 +227,7 @@ class _Solver:
     ):
         index: dict = {}
         shared = list(
-            dict.fromkeys(c for f in background for c in _clauses_for(f, index))
+            dict.fromkeys(chain.from_iterable(_clauses_for(f, index) for f in background))
         )
         # the background's clauses mention exactly variables 1..nshared
         self.nshared = len(index)

@@ -26,7 +26,7 @@ from itertools import product
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .formulas import EMPTY_SET, Formula, FormulaSet, atom, conj, disj, neg
+from .formulas import EMPTY_SET, Formula, FormulaSet, atom, disj, exactly_one, neg
 
 __all__ = [
     "UnknownAtomError",
@@ -69,7 +69,8 @@ class ZeroProbabilityError(ValueError):
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like ``3/4``, and Fractions; floats are
-    rejected because they silently corrupt boundary comparisons."""
+    rejected because they silently corrupt boundary comparisons.  Any
+    other value, a zero denominator too, raises ``ValueError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
@@ -77,7 +78,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
@@ -346,17 +350,6 @@ def _check_tickets(n: int, cap: int, kind: str) -> None:
 
 def _win_atoms(n: int) -> list[Formula]:
     return [atom(f"wins_{i}") for i in range(1, n + 1)]
-
-
-def exactly_one(outcomes: Sequence[Formula]) -> Formula:
-    """Exactly one of the given formulas holds (at least one, no two)."""
-    if not outcomes:
-        raise ValueError("need at least one outcome")
-    parts = [disj(*outcomes)]
-    for i in range(len(outcomes)):
-        for j in range(i + 1, len(outcomes)):
-            parts.append(neg(conj(outcomes[i], outcomes[j])))
-    return conj(*parts)
 
 
 def biased_lottery(weights: Sequence[object]) -> BeliefBase:

@@ -57,6 +57,11 @@ class TestAcceptanceLevel:
     def test_float_epsilon_rejected(self):
         with pytest.raises(ValueError):
             AcceptanceLevel(0.01)
+        for text in ("1/0", "0/0"):
+            with pytest.raises(ValueError, match=f"zero denominator in '{text}'"):
+                AcceptanceLevel(text)
+            with pytest.raises(ValueError, match=f"zero denominator in '{text}'"):
+                stakes_threshold(text)
 
 
 class TestStakesThreshold:

@@ -1,6 +1,9 @@
 """Property tests for canonical identity, the world-mask primitive and
 the policy scan.
 
+``exactly_one`` builds its canonical form directly; it is checked against
+the same tree built by hand, which canonicalises node by node.
+
 Formula equality is checked against an unordered canonical form built
 straight from the formula tree, and keys against parsing and negation.
 
@@ -16,9 +19,10 @@ fallback behind the world witness.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from probaccept import (
@@ -31,6 +35,7 @@ from probaccept import (
     conj,
     disj,
     enumerate_extensions,
+    exactly_one,
     iff,
     implies,
     neg,
@@ -38,9 +43,17 @@ from probaccept import (
     render,
     threshold_accept,
 )
+from probaccept import formulas as formulas_module
 from probaccept.accept import POLICY_TABLE
+from probaccept.sat import is_satisfiable
 
-from helpers import brute_mask_weight, canonical, evaluate, truth_table_satisfiable
+from helpers import (
+    LONG_BICONDITIONAL_CHAIN,
+    brute_mask_weight,
+    canonical,
+    evaluate,
+    truth_table_satisfiable,
+)
 
 NAMES = ("a", "b", "c")
 
@@ -175,6 +188,81 @@ def test_canonical_identity_matches_the_unordered_oracle(data):
     key = positive_first.canonical_key
     assert negated_first.canonical_key == key == f.canonical_key
     assert neg(positive_first).canonical_key == negated_key
+
+
+# String order differs from index order: "wins_10" < "wins_2".
+WIN_NAMES = ("wins_1", "wins_2", "wins_10", "wins_11")
+
+
+@st.composite
+def outcome_lists(draw):
+    """One to seven outcomes over WIN_NAMES: atoms, negated atoms and
+    compound formulas, drawn from a pool of at most four, so that repeats
+    are common."""
+    names = st.sampled_from(WIN_NAMES)
+    pool = draw(st.lists(
+        names.map(atom) | names.map(lambda name: neg(atom(name))) | formulas(WIN_NAMES),
+        min_size=1, max_size=4,
+    ))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+
+
+def exactly_one_by_hand(outcomes):
+    """The tree ``exactly_one`` builds, from fresh copies, canonicalising
+    nothing ahead."""
+    outcomes = [fresh(o) for o in outcomes]
+    if len(outcomes) == 1:
+        return outcomes[0]
+    exclusions = [neg(conj(a, b)) for i, a in enumerate(outcomes) for b in outcomes[i + 1:]]
+    return conj(disj(*outcomes), *exclusions)
+
+
+def _key_error(f: Formula) -> str:
+    with pytest.raises(ValueError, match="exceeds the limit") as raised:
+        f.nnf()
+    return str(raised.value)
+
+
+@given(outcome_lists())
+@example([atom("wins_10")])
+@example([atom("wins_2"), atom("wins_10")])
+@example([atom("wins_2"), atom("wins_2")])
+@example([atom("wins_1"), neg(atom("wins_1"))])
+def test_exactly_one_matches_the_tree_built_by_hand(outcomes):
+    built = exactly_one(outcomes)
+    by_hand = exactly_one_by_hand(outcomes)
+    assert built.nnf() == by_hand.nnf()
+    assert built.canonical_key == by_hand.canonical_key
+    assert built.atoms() == by_hand.atoms()
+    assert neg(built).canonical_key == neg(by_hand).canonical_key
+    assert render(built) == render(by_hand)
+    assert is_satisfiable([built]) == truth_table_satisfiable([by_hand])
+    model = WorldModel(
+        WIN_NAMES, [(v, Fraction(1, 16)) for v in product((False, True), repeat=4)]
+    )
+    expected = 0
+    for i, (valuation, _) in enumerate(model.worlds):
+        assignment = dict(zip(WIN_NAMES, valuation))
+        holds = evaluate(by_hand, assignment)
+        assert holds == (sum(evaluate(o, assignment) for o in outcomes) == 1)
+        expected |= holds << i
+    assert model.satisfying_mask(built) == expected
+    # one character under the key: both reject it, naming the same bound
+    with patch.object(formulas_module, "MAX_KEY_LENGTH", len(by_hand.canonical_key) - 1):
+        assert _key_error(exactly_one([fresh(o) for o in outcomes])) == _key_error(
+            exactly_one_by_hand(outcomes)
+        )
+
+
+def test_exactly_one_past_the_key_limit_rejected_as_its_tree():
+    chain = parse(LONG_BICONDITIONAL_CHAIN)
+    outcomes = [chain, atom("b")]
+    built = exactly_one(outcomes)  # builds no canonical form yet
+    assert built.atoms() == frozenset({"a", "b"})
+    assert render(built) == render(exactly_one_by_hand(outcomes))
+    assert _key_error(built) == _key_error(exactly_one_by_hand(outcomes))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        is_satisfiable([built])
 
 
 @given(st.data())

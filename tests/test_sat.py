@@ -385,3 +385,39 @@ def test_subset_diagnostics_match_oracles(problem):
         assert degree_of_inconsistency(
             FormulaSet(candidates), FormulaSet(background)
         ) == brute_min_cover_over_consistent_subsets(candidates, background)
+
+
+def _check_against_oracles(candidates, background):
+    everything = background + candidates
+    assert is_satisfiable(everything) == truth_table_satisfiable(everything)
+    *premises, conclusion = candidates
+    assert entails(background, premises, conclusion) == (
+        not truth_table_satisfiable(background + premises + [neg(conclusion)])
+    )
+    if not truth_table_satisfiable(background):
+        with pytest.raises(ValueError, match="background is unsatisfiable"):
+            shrink_unsat_subset(candidates, background)
+        return
+    brute_muses = brute_minimal_unsat_subsets(candidates, background)
+    assert {_keys(m) for m in minimal_unsat_subsets(candidates, background)} == brute_muses
+    assert {_keys(m) for m in maximal_consistent_subsets(candidates, background)} == (
+        brute_maximal_consistent_subsets(candidates, background)
+    )
+    shrunk = shrink_unsat_subset(candidates, background)
+    if brute_muses:
+        assert shrunk is not None and _keys(shrunk) in brute_muses
+    else:
+        assert shrunk is None
+
+
+@given(subset_problems())
+def test_kept_translation_answers_as_a_fresh_one(problem):
+    # The first formula a solver translates keeps its clauses: the first
+    # calls fill that, the repeats reuse it, and the reorderings put the
+    # formula that kept it second in a background and among the candidates.
+    candidates, background = problem
+    first, other = (background + candidates)[0], candidates[-1]
+    _check_against_oracles(candidates, background)
+    _check_against_oracles(candidates, background)
+    _check_against_oracles(candidates, [other, first])
+    _check_against_oracles([first, *candidates], [other])

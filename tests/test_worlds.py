@@ -205,6 +205,8 @@ class TestModelValidation:
     def test_float_weights_rejected(self):
         with pytest.raises(ValueError):
             WorldModel(["a"], [((True,), 0.5), ((False,), 0.5)])
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            WorldModel(["a"], [((True,), "1/0"), ((False,), 1)])
 
     def test_common_denominator_capped(self, monkeypatch):
         monkeypatch.setattr(worlds, "MAX_PLANE_BITS", 64)

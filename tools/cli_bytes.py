@@ -12,8 +12,9 @@ checkout's own ``lottery`` command), so reports name the same relative
 paths on every checkout.  ``-B`` leaves no bytecode in the checkout, so a
 later benchmark run there imports from source as on a fresh copy.  It
 records the SHA-256 of stdout and stderr and the exit code of each
-command.  The second form lists the commands whose record differs and
-exits 1 if any does.
+command, and for each ``lottery ... --out`` command the SHA-256 of the
+file it writes.  The second form lists the commands whose record differs
+and exits 1 if any does.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, and on a tie between contraries), ``extensions`` (exhaustive and
@@ -276,6 +277,9 @@ def fingerprint(checkout: str) -> list[dict]:
                 "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
                 "stderr_sha256": hashlib.sha256(done.stderr).hexdigest(),
             })
+            if argv in setup:
+                with open(os.path.join(workdir, argv[-1]), "rb") as handle:
+                    records[-1]["out_sha256"] = hashlib.sha256(handle.read()).hexdigest()
     return records
 
 
@@ -291,7 +295,10 @@ def compare(before_path: str, after_path: str) -> int:
             print(f"only in {'after' if old is None else 'before'}: {command}")
             differing += 1
             continue
-        fields = [k for k in ("exit", "stdout_sha256", "stderr_sha256") if old[k] != new[k]]
+        fields = [
+            k for k in ("exit", "stdout_sha256", "stderr_sha256", "out_sha256")
+            if old.get(k) != new.get(k)
+        ]
         if fields:
             print(f"differs ({', '.join(fields)}): {command}")
             differing += 1
