@@ -103,6 +103,16 @@ def _n_or(parts: Iterable[tuple]) -> tuple:
     return _gather(parts, "or")
 
 
+def _n_or_pair(a: tuple, b: tuple) -> tuple:
+    """``_n_or((a, b))``, without the generic flatten, sort and dedupe when
+    neither part is an ``or`` node."""
+    if a[0] == "or" or b[0] == "or":
+        return _n_or((a, b))
+    if a == b:
+        return a
+    return ("or", (a, b) if a < b else (b, a))
+
+
 def _n_negate(node: tuple) -> tuple:
     if node[0] == "lit":
         return ("lit", node[1], not node[2])
@@ -130,7 +140,8 @@ class Formula:
         "op", "args", "name", "_pos", "_neg", "_key", "_atoms", "_bounds", "_translation"
     )
 
-    def __init__(self, op: str, args: tuple["Formula", ...] = (), name: str | None = None):
+    def __init__(self, op: str, args: Sequence["Formula"] = (), name: str | None = None):
+        args = tuple(args)  # a caller's list may change later; this formula must not
         if op not in _OPS:
             raise ValueError(f"unknown connective {op!r}")
         if op == "atom":
@@ -298,26 +309,49 @@ def iff(left: Formula, right: Formula) -> Formula:
     return Formula("iff", (left, right))
 
 
+class _ExactlyOne(Formula):
+    """The conjunction :func:`exactly_one` returns.  Its ``args`` slot stays
+    empty until first read, from ``render``, ``_nnf_of(False)`` or a caller;
+    ``__getattr__`` then builds the disjunction's pair nodes, in pair order."""
+
+    __slots__ = ("_either",)
+
+    def __init__(self, either: Formula):
+        super().__init__("and", (either, either))  # two arguments pass the checks
+        del self.args
+        self._either = either
+
+    def __getattr__(self, name: str) -> tuple[Formula, ...]:
+        if name != "args":
+            raise AttributeError(name)
+        either = self._either
+        outcomes = either.args
+        self.args = (either, *(
+            neg(conj(a, b)) for i, a in enumerate(outcomes) for b in outcomes[i + 1:]
+        ))
+        return self.args
+
+
 def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     """Exactly one of the given formulas holds: the conjunction of their
     disjunction and one ``~(o_i & o_j)`` per pair, in pair order (a single
     outcome is returned as it is).
 
-    Its atoms, key bounds and positive canonical node come from one
-    canonicalisation of each outcome per polarity, not from a walk of the
-    n(n-1)/2 pair nodes; they equal what that walk would give.  A form past
-    ``MAX_KEY_LENGTH`` is left unbuilt, so ``nnf()`` raises as for any
-    other formula."""
+    The n(n-1)/2 pair nodes of that tree are built on the first read of
+    ``.args`` (``render`` and the negated canonical form read it).  Its
+    atoms, key bounds and positive canonical node come from one
+    canonicalisation of each outcome per polarity, and each pair's node is
+    joined without the generic gather; they equal what a walk of the tree
+    would give.  A form past ``MAX_KEY_LENGTH`` is left unbuilt, so
+    ``nnf()`` raises as for any other formula."""
     if not outcomes:
         raise ValueError("need at least one outcome")
+    either = disj(*outcomes)  # checks the outcomes and keeps them as a tuple
+    if len(outcomes) == 1:
+        return either
+    outcomes = either.args
     n = len(outcomes)
-    parts = [disj(*outcomes)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            parts.append(neg(conj(outcomes[i], outcomes[j])))
-    result = conj(*parts)
-    if n == 1:
-        return result
+    result = _ExactlyOne(either)
     # The bounds ``_key_bounds`` would sum over the tree.  With (p_i, q_i)
     # outcome i's bounds, ~(o_i & o_j) is at most 5 + q_i + q_j long and its
     # negation 5 + p_i + p_j, so over all pairs each outcome counts n - 1
@@ -327,8 +361,8 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
         p, q = o._key_bounds()
         pos_sum += p
         neg_sum += q
-    pairs = len(parts) - 1
-    joints = 3 * len(parts) - 1 + 3 * n - 1 + 5 * pairs
+    pairs = n * (n - 1) // 2
+    joints = 3 * (pairs + 1) - 1 + 3 * n - 1 + 5 * pairs
     result._bounds = (
         joints + pos_sum + (n - 1) * neg_sum, joints + neg_sum + (n - 1) * pos_sum
     )
@@ -336,8 +370,8 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     if max(result._bounds) <= MAX_KEY_LENGTH:
         negs = [o._nnf_of(False) for o in outcomes]
         result._pos = _n_and([
-            _n_or([o._nnf_of(True) for o in outcomes]),
-            *(_n_or((negs[i], negs[j])) for i in range(n) for j in range(i + 1, n)),
+            either.nnf(),
+            *(_n_or_pair(a, b) for i, a in enumerate(negs) for b in negs[i + 1:]),
         ])
     return result
 

@@ -369,7 +369,7 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
     wins = _win_atoms(n)
     names = [a.name for a in wins]
     worlds = [
-        (tuple(j == i for j in range(n)), fracs[i])
+        ((False,) * i + (True,) + (False,) * (n - i - 1), fracs[i])
         for i in range(n)
     ]
     model = WorldModel(names, worlds)

@@ -7,6 +7,7 @@ from unittest.mock import patch
 import pytest
 
 from probaccept import (
+    Formula,
     FormulaSet,
     FormulaSyntaxError,
     atom,
@@ -296,6 +297,16 @@ class TestConstructors:
     def test_variadic_singletons_collapse(self):
         assert conj(atom("a")) == atom("a")
         assert disj(atom("a")) == atom("a")
+
+    def test_caller_list_changes_nothing(self):
+        args = [atom("a"), atom("b")]
+        f = Formula("and", args)
+        key = f.canonical_key
+        args.append(atom("c"))
+        assert render(f) == "a & b"
+        assert f.canonical_key == key
+        assert f == parse("a & b")
+        assert f != parse("a & b & c")
 
     def test_empty_variadic_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Property tests for canonical identity, the world-mask primitive and
 the policy scan.
 
-``exactly_one`` builds its canonical form directly; it is checked against
-the same tree built by hand, which canonicalises node by node.
+``exactly_one`` builds its canonical form directly and its pair tree on
+first read; both are checked against the same tree built by hand, which
+canonicalises node by node.
 
 Formula equality is checked against an unordered canonical form built
 straight from the formula tree, and keys against parsing and negation.
@@ -223,19 +224,36 @@ def _key_error(f: Formula) -> str:
     return str(raised.value)
 
 
+def assert_same_tree(f: Formula, g: Formula) -> None:
+    """``f`` and ``g`` have the same connectives, names and argument order
+    all the way down."""
+    assert (f.op, f.name, len(f.args)) == (g.op, g.name, len(g.args))
+    for a, b in zip(f.args, g.args):
+        assert_same_tree(a, b)
+
+
 @given(outcome_lists())
 @example([atom("wins_10")])
 @example([atom("wins_2"), atom("wins_10")])
 @example([atom("wins_2"), atom("wins_2")])
 @example([atom("wins_1"), neg(atom("wins_1"))])
 def test_exactly_one_matches_the_tree_built_by_hand(outcomes):
-    built = exactly_one(outcomes)
     by_hand = exactly_one_by_hand(outcomes)
+    # the tree, read before any canonical form, from a list changed later
+    caller_list = [fresh(o) for o in outcomes]
+    unread = exactly_one(caller_list)
+    caller_list.reverse()
+    caller_list.append(atom("wins_1"))
+    assert_same_tree(unread, by_hand)
+    assert render(unread) == render(by_hand)
+    # the negated form, asked for before anything read the tree
+    negated_first = exactly_one([fresh(o) for o in outcomes])
+    assert neg(negated_first).canonical_key == neg(by_hand).canonical_key
+    assert_same_tree(negated_first, by_hand)
+    built = exactly_one(outcomes)
     assert built.nnf() == by_hand.nnf()
     assert built.canonical_key == by_hand.canonical_key
     assert built.atoms() == by_hand.atoms()
-    assert neg(built).canonical_key == neg(by_hand).canonical_key
-    assert render(built) == render(by_hand)
     assert is_satisfiable([built]) == truth_table_satisfiable([by_hand])
     model = WorldModel(
         WIN_NAMES, [(v, Fraction(1, 16)) for v in product((False, True), repeat=4)]
@@ -247,11 +265,23 @@ def test_exactly_one_matches_the_tree_built_by_hand(outcomes):
         assert holds == (sum(evaluate(o, assignment) for o in outcomes) == 1)
         expected |= holds << i
     assert model.satisfying_mask(built) == expected
+    # the tree, read after the canonical form, the mask and the SAT check
+    assert_same_tree(built, by_hand)
+    assert render(built) == render(by_hand)
+    assert neg(built).canonical_key == neg(by_hand).canonical_key
     # one character under the key: both reject it, naming the same bound
     with patch.object(formulas_module, "MAX_KEY_LENGTH", len(by_hand.canonical_key) - 1):
         assert _key_error(exactly_one([fresh(o) for o in outcomes])) == _key_error(
             exactly_one_by_hand(outcomes)
         )
+
+
+def test_exactly_one_checks_its_outcomes_when_called():
+    for outcomes in ([atom("a"), "b"], ["a", atom("b")], [atom("a"), atom("b"), None]):
+        with pytest.raises(ValueError, match="bad arguments"):
+            exactly_one(outcomes)
+    with pytest.raises(ValueError, match="at least one outcome"):
+        exactly_one([])
 
 
 def test_exactly_one_past_the_key_limit_rejected_as_its_tree():

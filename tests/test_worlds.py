@@ -1,10 +1,13 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from probaccept import (
+    AcceptanceLevel,
     BeliefBase,
+    Formula,
     FormulaSet,
     ProbabilityBound,
     UnknownAtomError,
@@ -18,6 +21,9 @@ from probaccept import (
     independent_lottery,
     neg,
     parse,
+    render,
+    shrink_unsat_subset,
+    threshold_accept,
 )
 from probaccept import worlds
 from probaccept.formulas import MAX_KEY_LENGTH
@@ -111,7 +117,9 @@ class TestLotteries:
     def test_fair_structure(self):
         base = fair_lottery(3)
         assert base.model.atoms == ("wins_1", "wins_2", "wins_3")
-        assert len(base.model.worlds) == 3
+        assert [v for v, _ in base.model.worlds] == [
+            (True, False, False), (False, True, False), (False, False, True)
+        ]
         assert all(w == Fraction(1, 3) for _, w in base.model.worlds)
         assert base.candidate_labels == ("L1", "L2", "L3")
         assert base.model.probability(base.candidate("L1")) == Fraction(2, 3)
@@ -168,6 +176,28 @@ class TestLotteries:
         base = fair_lottery(ONE_WINNER_LOTTERY_CAP)
         (background,) = base.background
         assert len(background.canonical_key) == 1_137_001 <= MAX_KEY_LENGTH
+
+    def test_one_winner_pairs_built_only_when_read(self):
+        """Building, accepting and shrinking a 60-ticket lottery makes none
+        of the 2 * 1,770 nodes of its background's pair tree; rendering the
+        background makes them all."""
+
+        def live_formulas():
+            gc.collect()
+            return sum(isinstance(o, Formula) for o in gc.get_objects())
+
+        n = 60
+        before = live_formulas()
+        base = fair_lottery(n)
+        result = threshold_accept(base, AcceptanceLevel(Fraction(1, n)))
+        assert len(result.accepted) == n
+        mus = shrink_unsat_subset(result.accepted_formulas, base.background)
+        assert len(mus) == n
+        built = live_formulas()
+        assert built - before < n * (n - 1) // 2
+        (background,) = base.background
+        render(background)
+        assert live_formulas() - built >= n * (n - 1)
 
     def test_independent_weights_by_winner_count(self):
         p = Fraction(2, 7)

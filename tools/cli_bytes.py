@@ -23,7 +23,8 @@ enumeration cap) and beyond the cap (also on a background with a
 contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes),
-``closure`` (also with an unknown label), a background past the canonical
+``closure`` (also with an unknown label), ``accept`` on a lottery at the
+one-winner cap of 300 tickets, a background past the canonical
 key-length limit, ``stat binom``, ``lottery``, usage errors, caps and zero
 denominators (in each option that reads a rational and in a world's
 weight), each report command in text and ``--json``.  Stdlib only.
@@ -51,6 +52,10 @@ BASES = {
     ),
     "independent_6.bb": (["lottery", "independent", "--n", "6", "--p", "1/10"], "1/10"),
 }
+
+# Written like BASES but read by one ``accept`` command only: the largest
+# one-winner lottery, at the ticket cap.
+CAP_BASES = {"fair_300.bb": ["lottery", "fair", "--n", "300"]}
 
 # Explicit candidate orders, neither natural nor reversed.
 SHUFFLED_ORDERS = {
@@ -196,6 +201,7 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/300", "fair_300.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L9", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2,L3", "--conclusion",
@@ -269,6 +275,7 @@ def fingerprint(checkout: str) -> list[dict]:
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)
         setup = [[*argv, "--out", name] for name, (argv, _) in BASES.items()]
+        setup += [[*argv, "--out", name] for name, argv in CAP_BASES.items()]
         for argv in setup + commands():
             done = _run(src, workdir, argv)
             records.append({
