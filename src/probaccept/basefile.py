@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .formulas import parse, render
-from .worlds import MAX_WORLDS, BeliefBase, WorldModel
+from .worlds import MAX_WORLDS, BeliefBase, WorldModel, as_fraction
 
 __all__ = [
     "BeliefBaseFormatError",
@@ -36,7 +36,6 @@ __all__ = [
     "dump",
 ]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*0*[1-9]\d*)?")  # no zero denominator
 _WORLD_RE = re.compile(r"(?P<label>\S+)\s*:\s*(?P<body>.*)")
 _ASSIGN_RE = re.compile(r"(?P<atom>[A-Za-z_][A-Za-z0-9_]*)=(?P<value>[01])")
 
@@ -49,9 +48,10 @@ class BeliefBaseFormatError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` (``q`` nonzero) or an integer; anything else, floats too, fails."""
-    if not _RATIONAL_RE.fullmatch(text.strip()):
-        raise ValueError(f"expected a rational p/q or integer, got {text!r}")
-    return Fraction(text.replace(" ", ""))
+    try:
+        return as_fraction(text)
+    except ValueError:
+        raise ValueError(f"expected a rational p/q or integer, got {text!r}") from None
 
 
 def _fail(lineno: int, message: str) -> BeliefBaseFormatError:

@@ -29,9 +29,10 @@ and reused by every later solver that starts with it.
 One loop finds each maximal consistent subset (MCS) and each minimal
 unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
 Marques-Silva, *Constraints* 21(2), 2016).  The same DPLL search solves a
-map formula over the members for a seed, which is grown to an MCS or
-shrunk to a MUS and then blocked; each block joins the map's own clause
-store, which is extended, never rebuilt.  ``DEFAULT_CANDIDATE_CAP``
+map formula over the members for a seed; it decides members true first,
+in order, so each seed is a maximal model of the map: an MCS as it stands
+if satisfiable, else shrunk to a MUS.  Each block joins the map's own
+clause store, which is extended, never rebuilt.  ``DEFAULT_CANDIDATE_CAP``
 bounds the loop.
 """
 
@@ -284,10 +285,7 @@ def _prepare(
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    solver = _Solver(members, background or ())
-    if not solver.satisfiable():
-        raise ValueError("background is unsatisfiable")
-    return members, solver
+    return members, _Solver(members, background or ())
 
 
 def _consistent_family(
@@ -300,8 +298,6 @@ def _consistent_family(
     then in lexicographic order."""
     members, solver = _prepare(candidates, background, cap)
     n = len(members)
-    if solver.satisfiable(range(n)):  # so no blocking clause is empty
-        return members, [frozenset(range(n))], []
     mcses, muses = [], []
     blocks = _Clauses(n, [()])  # the map: member i as variable i + 1
     mentioned: set[int] = set()
@@ -310,10 +306,11 @@ def _consistent_family(
     ) is not None:
         current = [i for i in range(n) if seed[i + 1] >= 0]  # undecided is chosen
         if solver.satisfiable(current):
-            for i in range(n):
-                if i not in current and solver.satisfiable([*current, i]):
-                    current.append(i)
+            # maximal as it is, since the map search decides true first; were
+            # it to decide false first, the seed would need a grow step
             mcses.append(frozenset(current))
+            if len(current) == n:  # the only MCS; its block would be empty
+                break
             block = tuple(i + 1 for i in range(n) if i not in current)
         else:
             current = _shrink(solver, current)
@@ -333,6 +330,8 @@ def _shrink(solver: _Solver, current: list[int]) -> list[int]:
         trimmed = [j for j in current if j != i]
         if not solver.satisfiable(trimmed):
             current = trimmed
+    if not current:  # exactly when the background alone is unsatisfiable
+        raise ValueError("background is unsatisfiable")
     return current
 
 

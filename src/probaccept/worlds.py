@@ -18,6 +18,7 @@ independent tickets.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,10 @@ MAX_WORLDS = 2**INDEPENDENT_LOTTERY_CAP
 # caps them at 32 MiB, 4096-bit denominators over MAX_WORLDS worlds.
 MAX_PLANE_BITS = 2**28
 
+# The one grammar of a rational read from text: ``p/q`` or an integer, with
+# optional spaces around the slash; no decimal point, exponent or underscore.
+_RATIONAL_RE = re.compile(r"(?P<p>[+-]?\d+)(?:\s*/\s*(?P<q>\d+))?")
+
 # Maps the byte values 0/1 of a valuation column to the digits "0"/"1".
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # Entry b maps every byte value to "1" if its bit b is set, else to "0".
@@ -68,20 +73,19 @@ class ZeroProbabilityError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like ``3/4``, and Fractions; floats are
-    rejected because they silently corrupt boundary comparisons.  Any
-    other value, a zero denominator too, raises ``ValueError``."""
+    """Coerce ints, ``p/q``-or-integer strings (``_RATIONAL_RE``) and
+    Fractions; floats are rejected because they silently corrupt boundary
+    comparisons.  Any other value, a zero denominator too, raises ``ValueError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"refusing inexact weight {value!r}; use p/q rationals")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, str) and (m := _RATIONAL_RE.fullmatch(value.strip())):
+        if m["q"] is not None and int(m["q"]) == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(m["p"]), int(m["q"] or 1))
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 

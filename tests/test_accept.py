@@ -62,6 +62,14 @@ class TestAcceptanceLevel:
                 AcceptanceLevel(text)
             with pytest.raises(ValueError, match=f"zero denominator in '{text}'"):
                 stakes_threshold(text)
+        # strings follow the one p/q-or-integer grammar of parse_rational
+        for text in ("0.5", "1e-3", "1_000/3"):
+            with pytest.raises(ValueError, match="cannot interpret"):
+                AcceptanceLevel(text)
+            with pytest.raises(ValueError, match="cannot interpret"):
+                stakes_threshold(text)
+        assert AcceptanceLevel("3 / 4").epsilon == Fraction(3, 4)
+        assert stakes_threshold("9 / 3").epsilon == Fraction(1, 4)
 
 
 class TestStakesThreshold:

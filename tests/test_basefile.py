@@ -29,12 +29,17 @@ T: ~heads   # trailing comments are fine
 class TestParseRational:
     @pytest.mark.parametrize(
         "text,value",
-        [("3/4", Fraction(3, 4)), ("2", Fraction(2)), (" 10/4 ", Fraction(5, 2))],
+        [
+            ("3/4", Fraction(3, 4)),
+            ("2", Fraction(2)),
+            (" 10/4 ", Fraction(5, 2)),
+            ("3 / 4", Fraction(3, 4)),
+        ],
     )
     def test_accepts_rationals(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["0.5", "1e-2", "", "a/b", "1/2/3", "1/0", "3/00"])
+    @pytest.mark.parametrize("text", ["0.5", "1e-2", "1e-3", "1_000/3", "", "a/b", "1/2/3", "1/0", "3/00"])
     def test_rejects_non_rationals(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

@@ -43,6 +43,29 @@ def _texts(family):
     return [[str(f) for f in subset] for subset in family]
 
 
+def _indices(candidates, family):
+    """Each subset of canonical keys as its sorted candidate indices, in the
+    family's order."""
+    position = {f.canonical_key: i for i, f in enumerate(FormulaSet(candidates))}
+    return [sorted(position[key] for key in keys) for keys in family]
+
+
+def _by_size(family, largest_first=False):
+    """Index lists in enumeration order: by size (MUSes smallest first, MCSes
+    largest first), then lexicographic in candidate order."""
+    return sorted(family, key=lambda s: (-len(s) if largest_first else len(s), s))
+
+
+def _contrary_pairs(k, grouped):
+    """``x_i`` and ``~x_i`` for i < k: interleaved (``x0, ~x0, x1, ...``)
+    or grouped (``x0, x1, ..., ~x0, ~x1, ...``)."""
+    positives = [atom(f"x{i}") for i in range(k)]
+    negatives = [neg(p) for p in positives]
+    if grouped:
+        return positives + negatives
+    return [f for pair in zip(positives, negatives) for f in pair]
+
+
 class _Expired(Exception):
     pass
 
@@ -328,6 +351,84 @@ class TestSharedSubformulas:
         assert degree_of_inconsistency(FormulaSet(candidates)) == 2
 
 
+class TestManyMaximalConsistentSubsets:
+    """k contrary pairs have 2^k MCSes and k two-member MUSes, so the map
+    walk meets many seeds; each satisfiable one must already be maximal."""
+
+    @pytest.mark.parametrize("contradiction", [False, True])
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_lists_match_oracles(self, k, grouped, contradiction):
+        candidates = _contrary_pairs(k, grouped)
+        if contradiction:  # a one-member MUS, in no MCS, amid the pairs
+            candidates.insert(k, parse("a & ~a"))
+        muses = minimal_unsat_subsets(candidates)
+        mcses = maximal_consistent_subsets(candidates)
+        assert _indices(candidates, map(_keys, muses)) == _by_size(
+            _indices(candidates, brute_minimal_unsat_subsets(candidates, []))
+        )
+        assert _indices(candidates, map(_keys, mcses)) == _by_size(
+            _indices(candidates, brute_maximal_consistent_subsets(candidates, [])),
+            largest_first=True,
+        )
+        assert len(mcses) == 2**k
+        assert [s.kernel for s in strands(FormulaSet(candidates))] == mcses
+        if contradiction:
+            with pytest.raises(ValueError, match="individually unsatisfiable"):
+                degree_of_inconsistency(FormulaSet(candidates))
+        else:
+            assert degree_of_inconsistency(
+                FormulaSet(candidates)
+            ) == brute_min_cover_over_consistent_subsets(candidates, [])
+
+    def test_eight_interleaved_pairs(self):
+        candidates = _contrary_pairs(8, grouped=False)
+        with _time_limit(30):
+            mcses = maximal_consistent_subsets(candidates)
+            muses = minimal_unsat_subsets(candidates)
+        assert len(mcses) == 256 and len(set(map(_keys, mcses))) == 256
+        assert all(len(m) == 8 for m in mcses)
+        assert _texts(mcses[:2]) == [
+            [f"x{i}" for i in range(8)],
+            [f"x{i}" for i in range(7)] + ["~x7"],
+        ]
+        assert _texts(muses) == [[f"x{i}", f"~x{i}"] for i in range(8)]
+
+
+class TestUnsatisfiableBackground:
+    """Each diagnostic reports an unsatisfiable background, with or without
+    candidates, and after a cap it exceeds."""
+
+    BACKGROUND = FormulaSet([parse("b & ~b")])
+    DIAGNOSTICS = [
+        minimal_unsat_subsets,
+        maximal_consistent_subsets,
+        strands,
+        shrink_unsat_subset,
+        degree_of_inconsistency,
+    ]
+
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("diagnose", DIAGNOSTICS)
+    def test_rejected(self, diagnose, count):
+        # with a contrary pair, so the candidates are unsatisfiable too
+        candidates = FormulaSet([parse("x0"), parse("~x0"), parse("x1")][:count])
+        if diagnose is degree_of_inconsistency and not count:
+            # nothing to cover, so the background goes unchecked
+            assert diagnose(candidates, self.BACKGROUND) == 1
+            return
+        with pytest.raises(ValueError, match="background is unsatisfiable"):
+            diagnose(candidates, self.BACKGROUND)
+
+    @pytest.mark.parametrize(
+        "diagnose", [d for d in DIAGNOSTICS if d is not shrink_unsat_subset]
+    )
+    def test_cap_reported_first(self, diagnose):
+        candidates = FormulaSet(atom(f"x{i}") for i in range(3))
+        with pytest.raises(ValueError, match="3 candidates exceed the enumeration cap of 2"):
+            diagnose(candidates, self.BACKGROUND, cap=2)
+
+
 @st.composite
 def subset_problems(draw):
     """Two to eight candidates over five or six atoms, and a background
@@ -356,16 +457,10 @@ def test_subset_diagnostics_match_oracles(problem):
     assert is_satisfiable(background + candidates) == truth_table_satisfiable(
         background + candidates
     )
-    position = {f.canonical_key: i for i, f in enumerate(FormulaSet(candidates))}
-
-    def indices(family):
-        # each subset as its sorted candidate indices, in the family's order
-        return [sorted(position[key] for key in keys) for keys in family]
-
     brute_muses = brute_minimal_unsat_subsets(candidates, background)
     muses = minimal_unsat_subsets(candidates, background)
-    assert indices(map(_keys, muses)) == sorted(
-        indices(brute_muses), key=lambda s: (len(s), s)
+    assert _indices(candidates, map(_keys, muses)) == _by_size(
+        _indices(candidates, brute_muses)
     )
     # one solver answers every deletion query, so no state of one query
     # may leak into the next
@@ -375,9 +470,9 @@ def test_subset_diagnostics_match_oracles(problem):
     else:
         assert shrunk is not None and _keys(shrunk) in brute_muses
     mcses = maximal_consistent_subsets(candidates, background)
-    assert indices(map(_keys, mcses)) == sorted(
-        indices(brute_maximal_consistent_subsets(candidates, background)),
-        key=lambda s: (-len(s), s),
+    assert _indices(candidates, map(_keys, mcses)) == _by_size(
+        _indices(candidates, brute_maximal_consistent_subsets(candidates, background)),
+        largest_first=True,
     )
     kernels = [s.kernel for s in strands(FormulaSet(candidates), FormulaSet(background))]
     assert kernels == mcses

@@ -237,6 +237,12 @@ class TestModelValidation:
             WorldModel(["a"], [((True,), 0.5), ((False,), 0.5)])
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             WorldModel(["a"], [((True,), "1/0"), ((False,), 1)])
+        # strings follow the one p/q-or-integer grammar of parse_rational
+        for text in ("0.5", "1e-3", "1_000/3"):
+            with pytest.raises(ValueError, match="cannot interpret"):
+                WorldModel(["a"], [((True,), text), ((False,), "1/2")])
+        model = WorldModel(["a"], [((True,), "3 / 4"), ((False,), "1/4")])
+        assert model.probability(atom("a")) == Fraction(3, 4)
 
     def test_common_denominator_capped(self, monkeypatch):
         monkeypatch.setattr(worlds, "MAX_PLANE_BITS", 64)

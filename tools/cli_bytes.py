@@ -22,12 +22,13 @@ sampled), ``diagnose`` exhaustive (up to a 20-ticket lottery at the
 enumeration cap) and beyond the cap (also on a background with a
 contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
-``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes),
-``closure`` (also with an unknown label), ``accept`` on a lottery at the
-one-winner cap of 300 tickets, a background past the canonical
-key-length limit, ``stat binom``, ``lottery``, usage errors, caps and zero
-denominators (in each option that reads a rational and in a world's
-weight), each report command in text and ``--json``.  Stdlib only.
+``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
+and on seven grouped ones, with 128), ``closure`` (also with an unknown
+label), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
+background past the canonical key-length limit, ``stat binom``,
+``lottery``, usage errors, caps and zero denominators (in each option that
+reads a rational and in a world's weight), each report command in text
+and ``--json``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -126,22 +127,36 @@ CHAIN_BASE = (
     "A: a0\n"
 )
 
-# Six contrary pairs written ``x0, ~x0, x1, ~x1, ...`` over all 64 worlds
-# of six atoms, equally weighted: at 1/2 all 12 candidates are accepted,
-# with 6 MUSes of size 2 and 64 MCSes: the exhaustive ``diagnose`` runs
-# the MCS/MUS map search through 70 seeds.
-_PAIR_ATOMS = [f"x{i}" for i in range(6)]
-PAIRS_BASE = (
-    f"ATOMS: {' '.join(_PAIR_ATOMS)}\n"
-    "WORLDS:\n"
-    + "".join(
-        f"w{w}: {' '.join(f'{name}={w >> i & 1}' for i, name in enumerate(_PAIR_ATOMS))}"
-        " weight 1/64\n"
-        for w in range(64)
+
+def _pairs_base(k: int, grouped: bool) -> str:
+    """k contrary pairs ``x_i, ~x_i`` over all 2^k worlds of k atoms, equally
+    weighted, written interleaved (``x0, ~x0, x1, ...``) or grouped
+    (``x0, x1, ..., ~x0, ~x1, ...``): at 1/2 all 2k candidates are
+    accepted, with k MUSes of size 2 and 2^k MCSes, so the exhaustive
+    ``diagnose`` runs the MCS/MUS map search through 2^k + k seeds."""
+    atoms = [f"x{i}" for i in range(k)]
+    positives = [f"P{i}: {name}\n" for i, name in enumerate(atoms)]
+    negatives = [f"N{i}: ~{name}\n" for i, name in enumerate(atoms)]
+    if grouped:
+        candidates = positives + negatives
+    else:
+        candidates = [line for pair in zip(positives, negatives) for line in pair]
+    return (
+        f"ATOMS: {' '.join(atoms)}\n"
+        "WORLDS:\n"
+        + "".join(
+            f"w{w}: {' '.join(f'{name}={w >> i & 1}' for i, name in enumerate(atoms))}"
+            f" weight 1/{2**k}\n"
+            for w in range(2**k)
+        )
+        + "CANDIDATES:\n"
+        + "".join(candidates)
     )
-    + "CANDIDATES:\n"
-    + "".join(f"P{i}: {name}\nN{i}: ~{name}\n" for i, name in enumerate(_PAIR_ATOMS))
-)
+
+
+# Six pairs interleaved (64 MCSes) and seven grouped (128 MCSes).
+PAIRS_BASE = _pairs_base(6, grouped=False)
+GROUPED_PAIRS_BASE = _pairs_base(7, grouped=True)
 
 # name -> text of the belief-base files written by hand
 HAND_BASES = {
@@ -151,6 +166,7 @@ HAND_BASES = {
     "cycle.bb": CYCLE_BASE,
     "chain.bb": CHAIN_BASE,
     "pairs.bb": PAIRS_BASE,
+    "grouped_pairs.bb": GROUPED_PAIRS_BASE,
     "zero_weight.bb": ZERO_WEIGHT_BASE,
 }
 
@@ -192,6 +208,7 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "1", "diagnose", "--epsilon", "3/4", "shared.bb"],
         ["diagnose", "--epsilon", "1/3", "cycle.bb"],
         ["diagnose", "--epsilon", "1/2", "pairs.bb"],
+        ["diagnose", "--epsilon", "1/2", "grouped_pairs.bb"],
         ["--max-candidates", "2", "diagnose", "--epsilon", "1/3", "cycle.bb"],
         ["accept", "--policy", "lehrer", "--epsilon", "1/3", "cycle.bb"],
         ["accept", "--policy", "sequential", "--epsilon", "1/3", "--order", "reverse",
