@@ -122,12 +122,12 @@ def consequence_level(
                 f"background formula {formula} has probability {p}, not 1"
             )
     _require_at_level(model, premises, level)
+    exact = model.probability(conclusion)  # checks its atoms before entailment
     if not entails(background, premises, conclusion):
         raise ValueError(
             f"premises do not entail the conclusion {conclusion}"
         )
     k = len(premises)
-    exact = model.probability(conclusion)
     floor = _bound(k, level)
     if exact < floor:
         raise RuntimeError(

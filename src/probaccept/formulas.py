@@ -312,14 +312,17 @@ def iff(left: Formula, right: Formula) -> Formula:
 class _ExactlyOne(Formula):
     """The conjunction :func:`exactly_one` returns.  Its ``args`` slot stays
     empty until first read, from ``render``, ``_nnf_of(False)`` or a caller;
-    ``__getattr__`` then builds the disjunction's pair nodes, in pair order."""
+    ``__getattr__`` then builds the disjunction's pair nodes, in pair order.
+    ``_names`` holds the sorted names when the outcomes are distinct atoms
+    and the key was set from them, else it is empty."""
 
-    __slots__ = ("_either",)
+    __slots__ = ("_either", "_names")
 
     def __init__(self, either: Formula):
         super().__init__("and", (either, either))  # two arguments pass the checks
         del self.args
         self._either = either
+        self._names: tuple[str, ...] = ()
 
     def __getattr__(self, name: str) -> tuple[Formula, ...]:
         if name != "args":
@@ -331,19 +334,34 @@ class _ExactlyOne(Formula):
         ))
         return self.args
 
+    def _nnf_of(self, positive: bool) -> tuple:
+        # The positive node from one canonicalisation of each outcome per
+        # polarity, each pair's node joined without the generic gather.
+        if positive and self._pos is None and max(self._key_bounds()) <= MAX_KEY_LENGTH:
+            either = self._either
+            negs = [o._nnf_of(False) for o in either.args]
+            self._pos = _n_and([
+                either.nnf(),
+                *(_n_or_pair(a, b) for i, a in enumerate(negs) for b in negs[i + 1:]),
+            ])
+        return super()._nnf_of(positive)
+
 
 def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     """Exactly one of the given formulas holds: the conjunction of their
     disjunction and one ``~(o_i & o_j)`` per pair, in pair order (a single
     outcome is returned as it is).
 
-    The n(n-1)/2 pair nodes of that tree are built on the first read of
-    ``.args`` (``render`` and the negated canonical form read it).  Its
-    atoms, key bounds and positive canonical node come from one
-    canonicalisation of each outcome per polarity, and each pair's node is
-    joined without the generic gather; they equal what a walk of the tree
-    would give.  A form past ``MAX_KEY_LENGTH`` is left unbuilt, so
-    ``nnf()`` raises as for any other formula."""
+    Nothing of size n(n-1)/2 is built by the call.  Its atoms and key
+    bounds come from the outcomes.  The pair tree is built on the first
+    read of ``.args`` (``render`` and the negated canonical form read it),
+    and the positive canonical node on the first ``nnf()``; both equal
+    what a walk of the tree would give.  When the outcomes are two or more
+    distinct atoms, as in every lottery, the canonical key and the SAT
+    clauses are written straight from their sorted names; a world model
+    folds the mask of any ``exactly_one`` from its outcomes' masks.  A form
+    past ``MAX_KEY_LENGTH`` gets no key, so ``nnf()`` and ``canonical_key``
+    raise as for any other formula."""
     if not outcomes:
         raise ValueError("need at least one outcome")
     either = disj(*outcomes)  # checks the outcomes and keeps them as a tuple
@@ -367,12 +385,20 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
         joints + pos_sum + (n - 1) * neg_sum, joints + neg_sum + (n - 1) * pos_sum
     )
     result._atoms = frozenset().union(*(o.atoms() for o in outcomes))
-    if max(result._bounds) <= MAX_KEY_LENGTH:
-        negs = [o._nnf_of(False) for o in outcomes]
-        result._pos = _n_and([
-            either.nnf(),
-            *(_n_or_pair(a, b) for i, a in enumerate(negs) for b in negs[i + 1:]),
-        ])
+    if (
+        all(o.op == "atom" for o in outcomes)
+        and len(result._atoms) == n
+        and max(result._bounds) <= MAX_KEY_LENGTH
+    ):
+        # The canonical node sorts its literals by name, ~a before a: the
+        # pairs on the least name, then the disjunction, then the rest.
+        names = sorted(result._atoms)
+        first, rest = names[0], names[1:]
+        parts = [f"(~{first} | ~{b})" for b in rest]
+        parts.append("(" + " | ".join(names) + ")")
+        parts += [f"(~{a} | ~{b})" for i, a in enumerate(rest) for b in rest[i + 1:]]
+        result._key = "(" + " & ".join(parts) + ")"
+        result._names = tuple(names)
     return result
 
 

@@ -24,7 +24,10 @@ are valid as they stand.  A plain satisfiability check is a solver with
 no members.  The first formula a solver translates, usually a base's
 background, is translated into an empty numbering, so its clauses and
 numbering depend on the formula alone; they are kept with the formula
-and reused by every later solver that starts with it.
+and reused by every later solver that starts with it.  An ``exactly_one``
+of distinct atoms, a lottery's background, is translated straight from
+its sorted names, without its canonical node, to the clauses and
+numbering that the node's translation gives: the pairwise encoding stays.
 
 One loop finds each maximal consistent subset (MCS) and each minimal
 unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
@@ -41,7 +44,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .formulas import Formula, FormulaSet, neg
+from .formulas import Formula, FormulaSet, _ExactlyOne, neg
 
 __all__ = [
     "DEFAULT_CANDIDATE_CAP",
@@ -67,6 +70,15 @@ def _clauses_for(formula: Formula, index: dict) -> Sequence[tuple[int, ...]]:
 
 
 def _translate_alone(formula: Formula) -> tuple[tuple, tuple]:
+    names = formula._names if isinstance(formula, _ExactlyOne) else ()
+    if names:
+        # what ``_translate`` makes of the canonical node: the names
+        # numbered in sorted order, one clause per child in node order
+        n = len(names)
+        clauses = [(-1, -j) for j in range(2, n + 1)]
+        clauses.append(tuple(range(1, n + 1)))
+        clauses += [(-i, -j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+        return tuple(clauses), names
     index: dict = {}
     return tuple(_translate(formula, index)), tuple(index)
 

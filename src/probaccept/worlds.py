@@ -27,7 +27,9 @@ from itertools import product
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .formulas import EMPTY_SET, Formula, FormulaSet, atom, disj, exactly_one, neg
+from .formulas import (
+    EMPTY_SET, Formula, FormulaSet, _ExactlyOne, atom, disj, exactly_one, neg
+)
 
 __all__ = [
     "UnknownAtomError",
@@ -114,7 +116,8 @@ class WorldModel:
 
     A set of worlds is an int mask with bit i for world i.  Atom masks are
     built at construction; a formula's mask evaluates its canonical NNF over
-    them with ``&``, ``|`` and complement, memoized per canonical key.
+    them with ``&``, ``|`` and complement, memoized per canonical key.  An
+    :func:`exactly_one` conjunction folds its outcomes' masks instead.
 
     World i's weight is ``n_i / D`` with ``D`` the least common denominator
     of the weights.  Plane ``P_b`` masks the worlds whose numerator ``n_i``
@@ -204,7 +207,16 @@ class WorldModel:
         mask = self._mask_cache.get(key)
         if mask is None:
             self._check_atoms(formula)
-            mask = self._nnf_mask(formula.nnf())
+            if isinstance(formula, _ExactlyOne):
+                # the worlds where exactly one outcome holds, from one fold
+                once = twice = 0
+                for outcome in formula._either.args:
+                    m = self._nnf_mask(outcome.nnf())
+                    twice |= once & m
+                    once |= m
+                mask = once & ~twice
+            else:
+                mask = self._nnf_mask(formula.nnf())
             self._mask_cache[key] = mask
         return mask
 

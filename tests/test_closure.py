@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from probaccept import (
     AcceptanceLevel,
     FormulaSet,
+    UnknownAtomError,
     atom,
     conj,
     conjunction_support,
@@ -119,6 +120,20 @@ class TestConsequenceLevel:
         premises = FormulaSet([lottery100.candidate("L1")])
         with pytest.raises(ValueError):
             consequence_level(lottery100.model, premises, atom("wins_100"), level)
+
+    @pytest.mark.parametrize("conclusion", ["zz", "zz | ~zz"])
+    def test_unknown_conclusion_atom_rejected(self, lottery100, conclusion):
+        # named whether or not the premises entail the conclusion
+        level = AcceptanceLevel(Fraction(1, 100))
+        premises = FormulaSet([lottery100.candidate("L1")])
+        with pytest.raises(UnknownAtomError, match="unknown atoms: zz$"):
+            consequence_level(
+                lottery100.model,
+                premises,
+                parse(conclusion),
+                level,
+                background=lottery100.background,
+            )
 
     def test_premise_below_threshold_rejected(self, lottery100):
         level = AcceptanceLevel(Fraction(1, 1000))

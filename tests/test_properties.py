@@ -3,7 +3,9 @@ the policy scan.
 
 ``exactly_one`` builds its canonical form directly and its pair tree on
 first read; both are checked against the same tree built by hand, which
-canonicalises node by node.
+canonicalises node by node.  Over distinct atoms its key, world mask,
+satisfiability and minimal unsatisfiable subsets are also read before
+either is built, and checked against that tree and the truth tables.
 
 Formula equality is checked against an unordered canonical form built
 straight from the formula tree, and keys against parsing and negation.
@@ -39,6 +41,7 @@ from probaccept import (
     exactly_one,
     iff,
     implies,
+    minimal_unsat_subsets,
     neg,
     parse,
     render,
@@ -51,6 +54,7 @@ from probaccept.sat import is_satisfiable
 from helpers import (
     LONG_BICONDITIONAL_CHAIN,
     brute_mask_weight,
+    brute_minimal_unsat_subsets,
     canonical,
     evaluate,
     truth_table_satisfiable,
@@ -293,6 +297,70 @@ def test_exactly_one_past_the_key_limit_rejected_as_its_tree():
     assert _key_error(built) == _key_error(exactly_one_by_hand(outcomes))
     with pytest.raises(ValueError, match="exceeds the limit"):
         is_satisfiable([built])
+
+
+@st.composite
+def ticket_lists(draw):
+    """Two to thirty distinct atoms ``wins_i`` in shuffled order, and
+    candidates over them: some tickets' negations and up to three tickets,
+    at most twenty in all."""
+    n = draw(st.integers(2, 30))
+    names = draw(st.permutations([f"wins_{i}" for i in range(1, n + 1)]))
+    lose = draw(st.lists(st.sampled_from(names), unique=True, max_size=min(n, 17)))
+    win = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    return names, [neg(atom(x)) for x in lose] + [atom(x) for x in win]
+
+
+TWELVE_SHUFFLED = [f"wins_{i}" for i in (7, 12, 2, 10, 1, 5, 11, 3, 9, 6, 4, 8)]
+
+
+def _keysets(family):
+    return {frozenset(f.canonical_key for f in subset) for subset in family}
+
+
+@given(ticket_lists())
+@example((["wins_10", "wins_2"], [neg(atom("wins_2")), neg(atom("wins_10"))]))
+@example((TWELVE_SHUFFLED, [neg(atom(x)) for x in TWELVE_SHUFFLED]))
+def test_exactly_one_of_distinct_atoms_read_before_its_tree(lottery):
+    names, candidates = lottery
+    n = len(names)
+    by_hand = exactly_one_by_hand([atom(x) for x in names])
+
+    def unread():
+        """A fresh ``exactly_one``, whose node and tree nothing has read."""
+        return exactly_one([atom(x) for x in names])
+
+    assert unread().canonical_key == by_hand.canonical_key
+    # no winner, each single winner, the first two, every ticket
+    valuations = list(dict.fromkeys([  # at n = 2 the first two are every ticket
+        (False,) * n,
+        *((False,) * i + (True,) + (False,) * (n - i - 1) for i in range(n)),
+        (True, True) + (False,) * (n - 2),
+        (True,) * n,
+    ]))
+    model = WorldModel(names, [(v, Fraction(1, len(valuations))) for v in valuations])
+    expected = 0
+    for i, (valuation, _) in enumerate(model.worlds):
+        holds = evaluate(by_hand, dict(zip(names, valuation)))
+        assert holds == (sum(valuation) == 1)
+        expected |= holds << i
+    assert model.satisfying_mask(unread()) == expected
+    for members in ([], candidates):
+        satisfiable = is_satisfiable([unread(), *members])
+        assert satisfiable == is_satisfiable([by_hand, *members])
+        if n <= 10:
+            assert satisfiable == truth_table_satisfiable([by_hand, *members])
+    muses = _keysets(minimal_unsat_subsets(candidates, [unread()]))
+    assert muses == _keysets(minimal_unsat_subsets(candidates, [by_hand]))
+    if n <= 6:
+        assert muses == brute_minimal_unsat_subsets(candidates, [by_hand])
+    # the node and the tree, built after the key and the clauses
+    read = unread()
+    assert read.canonical_key == by_hand.canonical_key
+    assert is_satisfiable([read, *candidates]) == is_satisfiable([by_hand, *candidates])
+    assert read.nnf() == by_hand.nnf()
+    assert_same_tree(read, by_hand)
+    assert render(read) == render(by_hand)
 
 
 @given(st.data())

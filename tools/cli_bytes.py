@@ -24,11 +24,12 @@ contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
 and on seven grouped ones, with 128), ``closure`` (also with an unknown
-label), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
-background past the canonical key-length limit, ``stat binom``,
-``lottery``, usage errors, caps and zero denominators (in each option that
-reads a rational and in a world's weight), each report command in text
-and ``--json``.  Stdlib only.
+label, and with an unknown atom in a conclusion, entailed or not),
+``accept`` on a lottery at the one-winner cap of 300 tickets, a background
+past the canonical key-length limit, ``stat binom``, ``lottery``, usage
+errors, caps and zero denominators (in each option that reads a rational
+and in a world's weight), each report command in text and ``--json``.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -225,6 +226,11 @@ def report_commands() -> list[list[str]]:
          "wins_1 | wins_2", "fair_3.bb"],
         ["closure", "--epsilon", "1/100", "--labels", "L1,L2", "--conclusion",
          "~wins_3", "fair_100.bb"],
+        # an unknown atom in the conclusion, entailed or not
+        ["closure", "--epsilon", "1/3", "--labels", "L1", "--conclusion", "zz",
+         "fair_3.bb"],
+        ["closure", "--epsilon", "1/3", "--labels", "L1", "--conclusion", "zz | ~zz",
+         "fair_3.bb"],
         ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100"],
         ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
          "--observed", "30", "--combine-with", "1/100,1/50"],
