@@ -296,6 +296,9 @@ def _cmd_closure(args) -> str:
     }
     if args.labels:
         labels = [part.strip() for part in args.labels.split(",") if part.strip()]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"label {label!r} is repeated in --labels")
         try:
             premises = FormulaSet(base.candidate(label) for label in labels)
         except KeyError as exc:  # an unknown label is bad input
@@ -332,6 +335,11 @@ def _cmd_stat(args) -> str:
         epsilon=parse_rational(args.epsilon),
         sided={"two": "two_sided", "upper": "upper", "lower": "lower"}[args.sided],
     )
+    # built before the test runs, so a bad level fails whatever the decision
+    others = [
+        BinomialTestSpec(spec.n, spec.p0, parse_rational(eps), spec.sided)
+        for eps in (args.combine_with.split(",") if args.combine_with else ())
+    ]
     region = binomial_rejection_region(spec)
     counts = sorted(region.rejected_counts)
     report: dict = {
@@ -356,16 +364,12 @@ def _cmd_stat(args) -> str:
                 "directional": accepted.directional,
             }
             report["accepted_negation"] = entry
-            if args.combine_with:
-                others = [
-                    rejection_to_acceptance(
-                        BinomialTestSpec(spec.n, spec.p0, parse_rational(eps), spec.sided),
-                        Decision.REJECT,
-                    )
-                    for eps in args.combine_with.split(",")
+            if others:
+                tests = [accepted] + [
+                    rejection_to_acceptance(other, Decision.REJECT) for other in others
                 ]
-                joint = combine_tests([accepted] + others, independent=False)
-                joint_ind = combine_tests([accepted] + others, independent=True)
+                joint = combine_tests(tests, independent=False)
+                joint_ind = combine_tests(tests, independent=True)
                 report["combined"] = {
                     "statement": joint.statement,
                     "dependent_lower_bound": joint.support_lower_bound,

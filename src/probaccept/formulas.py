@@ -21,7 +21,7 @@ The concrete grammar (whitespace insignificant, precedence low to high
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Formula",
@@ -103,16 +103,6 @@ def _n_or(parts: Iterable[tuple]) -> tuple:
     return _gather(parts, "or")
 
 
-def _n_or_pair(a: tuple, b: tuple) -> tuple:
-    """``_n_or((a, b))``, without the generic flatten, sort and dedupe when
-    neither part is an ``or`` node."""
-    if a[0] == "or" or b[0] == "or":
-        return _n_or((a, b))
-    if a == b:
-        return a
-    return ("or", (a, b) if a < b else (b, a))
-
-
 def _n_negate(node: tuple) -> tuple:
     if node[0] == "lit":
         return ("lit", node[1], not node[2])
@@ -167,7 +157,7 @@ class Formula:
         self._key: str | None = None
         self._atoms: frozenset[str] | None = None
         self._bounds: tuple[int, int] | None = None
-        self._translation: object = None
+        self._translation: object = None  # set and read by sat._clauses_for
 
     def nnf(self) -> tuple:
         """Canonical negation-normal-form node for this formula."""
@@ -234,14 +224,6 @@ class Formula:
             else:
                 self._neg = node
         return node
-
-    def _translated(self, translate: Callable[["Formula"], object]) -> object:
-        """``translate(self)``, computed once and kept with this formula.
-        ``translate`` must depend on the canonical form alone; the
-        satisfiability solver keeps its clause translation here."""
-        if self._translation is None:
-            self._translation = translate(self)
-        return self._translation
 
     @property
     def canonical_key(self) -> str:
@@ -311,7 +293,7 @@ def iff(left: Formula, right: Formula) -> Formula:
 
 class _ExactlyOne(Formula):
     """The conjunction :func:`exactly_one` returns.  Its ``args`` slot stays
-    empty until first read, from ``render``, ``_nnf_of(False)`` or a caller;
+    empty until first read, from ``render``, ``nnf()`` or a caller;
     ``__getattr__`` then builds the disjunction's pair nodes, in pair order.
     ``_names`` holds the sorted names when the outcomes are distinct atoms
     and the key was set from them, else it is empty."""
@@ -334,18 +316,6 @@ class _ExactlyOne(Formula):
         ))
         return self.args
 
-    def _nnf_of(self, positive: bool) -> tuple:
-        # The positive node from one canonicalisation of each outcome per
-        # polarity, each pair's node joined without the generic gather.
-        if positive and self._pos is None and max(self._key_bounds()) <= MAX_KEY_LENGTH:
-            either = self._either
-            negs = [o._nnf_of(False) for o in either.args]
-            self._pos = _n_and([
-                either.nnf(),
-                *(_n_or_pair(a, b) for i, a in enumerate(negs) for b in negs[i + 1:]),
-            ])
-        return super()._nnf_of(positive)
-
 
 def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     """Exactly one of the given formulas holds: the conjunction of their
@@ -354,14 +324,13 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
 
     Nothing of size n(n-1)/2 is built by the call.  Its atoms and key
     bounds come from the outcomes.  The pair tree is built on the first
-    read of ``.args`` (``render`` and the negated canonical form read it),
-    and the positive canonical node on the first ``nnf()``; both equal
-    what a walk of the tree would give.  When the outcomes are two or more
-    distinct atoms, as in every lottery, the canonical key and the SAT
-    clauses are written straight from their sorted names; a world model
-    folds the mask of any ``exactly_one`` from its outcomes' masks.  A form
-    past ``MAX_KEY_LENGTH`` gets no key, so ``nnf()`` and ``canonical_key``
-    raise as for any other formula."""
+    read of ``.args``; ``render`` and ``nnf()`` read it, so the canonical
+    node is the generic walk of the tree.  When the outcomes are two or
+    more distinct atoms, as in every lottery, the canonical key and the
+    SAT clauses are written straight from their sorted names; a world
+    model folds the mask of any ``exactly_one`` from its outcomes' masks.
+    A form past ``MAX_KEY_LENGTH`` gets no key, so ``nnf()`` and
+    ``canonical_key`` raise as for any other formula."""
     if not outcomes:
         raise ValueError("need at least one outcome")
     either = disj(*outcomes)  # checks the outcomes and keeps them as a tuple

@@ -60,11 +60,15 @@ DEFAULT_CANDIDATE_CAP = 20
 
 def _clauses_for(formula: Formula, index: dict) -> Sequence[tuple[int, ...]]:
     """The formula's clauses, numbered on from ``index``, the solver's one
-    numbering.  Into an empty numbering the translation is the formula's
-    own, so it is made once and kept with the formula."""
+    numbering.  Into an empty numbering the translation depends on the
+    formula alone, so it is made once and kept in the formula's
+    ``_translation`` slot; an ``exactly_one`` of distinct atoms is
+    translated straight from its sorted names."""
     if index:
         return _translate(formula, index)
-    clauses, numbered = formula._translated(_translate_alone)
+    if formula._translation is None:
+        formula._translation = _translate_alone(formula)
+    clauses, numbered = formula._translation
     index.update(zip(numbered, range(1, len(numbered) + 1)))
     return clauses
 
@@ -233,15 +237,15 @@ class _Solver:
     """One variable numbering and one clause store over a background (group
     0) and candidate members (member i is group i + 1).  A query switches
     on the background and the chosen members and decides, in index order,
-    only the variables their clauses mention."""
+    only the variables their clauses mention.  The background's clauses
+    are stored as translated: two formulas may give the same clause, and
+    a clause stored twice is watched twice and answers the same."""
 
     def __init__(
         self, members: Sequence[Formula], background: Iterable[Formula] = ()
     ):
         index: dict = {}
-        shared = list(
-            dict.fromkeys(chain.from_iterable(_clauses_for(f, index) for f in background))
-        )
+        shared = list(chain.from_iterable(_clauses_for(f, index) for f in background))
         # the background's clauses mention exactly variables 1..nshared
         self.nshared = len(index)
         groups = [shared, *(_clauses_for(f, index) for f in members)]

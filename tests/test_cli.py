@@ -337,6 +337,15 @@ class TestClosureCommand:
         assert out == ""
         assert err == "probaccept: error: no candidate labeled 'L9'\n"
 
+    @pytest.mark.parametrize("labels", ["L1,L1", "L1, L2,L1"])
+    def test_repeated_label_is_bad_input(self, capsys, lottery3_path, labels):
+        code, out, err = run_cli(
+            capsys, "closure", "--epsilon", "1/3", "--labels", labels, lottery3_path
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "probaccept: error: label 'L1' is repeated in --labels\n"
+
 
 class TestStatCommand:
     def test_binom_report(self, capsys):
@@ -369,6 +378,25 @@ class TestStatCommand:
         assert code == 0
         assert "combined.dependent_lower_bound: 49/50" in out
         assert "combined.independent_lower_bound: 9801/10000" in out
+
+    @pytest.mark.parametrize("observed", [[], ["--observed", "50"], ["--observed", "30"]],
+                             ids=["no_observation", "fail_to_reject", "reject"])
+    @pytest.mark.parametrize("levels, message", [
+        ("abc", "expected a rational p/q or integer, got 'abc'"),
+        ("1/100,7/2", "significance epsilon must lie in (0, 1]"),
+        ("0", "significance epsilon must lie in (0, 1]"),
+    ])
+    def test_bad_combine_with_is_input_error_whatever_the_decision(
+        self, capsys, observed, levels, message
+    ):
+        code, out, err = run_cli(
+            capsys,
+            "stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+            *observed, "--combine-with", levels,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"probaccept: error: {message}\n"
 
     def test_fractions_beyond_the_digit_limit_are_input_error(self, capsys):
         # 100003**1000 has 5001 digits, past the default limit of 4300

@@ -12,6 +12,7 @@ from probaccept import (
     AcceptanceLevel,
     FormulaSet,
     atom,
+    conj,
     degree_of_inconsistency,
     entails,
     fair_lottery,
@@ -510,9 +511,11 @@ def test_kept_translation_answers_as_a_fresh_one(problem):
     # The first formula a solver translates keeps its clauses: the first
     # calls fill that, the repeats reuse it, and the reorderings put the
     # formula that kept it second in a background and among the candidates.
+    # The last background gives the solver every clause of ``first`` twice.
     candidates, background = problem
     first, other = (background + candidates)[0], candidates[-1]
     _check_against_oracles(candidates, background)
     _check_against_oracles(candidates, background)
     _check_against_oracles(candidates, [other, first])
     _check_against_oracles([first, *candidates], [other])
+    _check_against_oracles(candidates, [first, conj(first, other)])

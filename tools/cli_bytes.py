@@ -24,12 +24,14 @@ contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
 and on seven grouped ones, with 128), ``closure`` (also with an unknown
-label, and with an unknown atom in a conclusion, entailed or not),
-``accept`` on a lottery at the one-winner cap of 300 tickets, a background
-past the canonical key-length limit, ``stat binom``, ``lottery``, usage
-errors, caps and zero denominators (in each option that reads a rational
-and in a world's weight), each report command in text and ``--json``.
-Stdlib only.
+label, a repeated label, and an unknown atom in a conclusion, entailed or
+not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
+background past the canonical key-length limit, ``stat binom`` (also with
+a ``--combine-with`` level that is no rational in (0, 1], given no
+observation or one the test does not reject), ``lottery``, usage errors,
+caps and zero denominators (in each option that reads a rational and in a
+world's weight), each report command in text and ``--json``.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -273,6 +275,13 @@ def commands() -> list[list[str]]:
         ["stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"],
         ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
          "--observed", "30", "--combine-with", "1/0"],
+        # bad --combine-with levels where the test does not reject
+        ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+         "--combine-with", "abc"],
+        ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+         "--observed", "50", "--combine-with", "7/2"],
+        # a repeated premise label
+        ["closure", "--epsilon", "1/3", "--labels", "L1,L1", "fair_3.bb"],
         ["--help"],
         ["accept", "--help"],
         ["diagnose", "--help"],
