@@ -15,7 +15,9 @@ Layout (UTF-8, ``#`` starts a comment, blank lines ignored)::
 
 Rationals are written ``p/q`` or as bare integers; floating point is
 rejected everywhere.  ``dumps`` followed by ``loads`` reproduces an equal
-belief base.  A file lists at most ``MAX_WORLDS`` (2**16) worlds, as many
+belief base; ``dumps`` refuses a candidate label that spells a section
+name in any case, such as ``Worlds``, since ``loads`` would read its line
+as that header.  A file lists at most ``MAX_WORLDS`` (2**16) worlds, as many
 as the largest independent lottery has.
 """
 
@@ -168,6 +170,10 @@ def dumps(base: BeliefBase) -> str:
     if base.candidates:
         lines.append("CANDIDATES:")
         for label, formula in base.candidates:
+            if f"{label.upper()}:" in _SECTIONS:
+                raise ValueError(
+                    f"candidate label {label!r} would read back as a section header"
+                )
             lines.append(f"{label}: {render(formula)}")
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's decision procedures: truth
 tables for satisfiability, direct definition checks for MUS/MCS, plain
-tail summation for binomial sizes, per-world sums for mask weights.
+tail summation for binomial sizes and greedy tails for rejection
+regions, per-world sums for mask weights.
 They are the reference the fast paths are judged against.
 """
 
@@ -228,3 +229,25 @@ def binomial_tail_sum(n: int, p: Fraction, counts) -> Fraction:
         (Fraction(math.comb(n, x)) * p**x * (1 - p) ** (n - x) for x in counts),
         Fraction(0),
     )
+
+
+def binomial_region_oracle(n: int, p: Fraction, epsilon: Fraction, sided: str):
+    """Rejection region and its size by the definition, on ``Fraction``
+    pmf terms: each tail grows from its extreme count inward while its
+    mass stays within epsilon, or within epsilon / 2 for a two-sided test."""
+    pmf = [Fraction(math.comb(n, x)) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
+    budget = epsilon / 2 if sided == "two_sided" else epsilon
+    tails = []
+    if sided != "upper":
+        tails.append(range(n + 1))
+    if sided != "lower":
+        tails.append(range(n, -1, -1))
+    region: set[int] = set()
+    for tail in tails:
+        mass = Fraction(0)
+        for x in tail:
+            if mass + pmf[x] > budget:
+                break
+            mass += pmf[x]
+            region.add(x)
+    return frozenset(region), binomial_tail_sum(n, p, region)

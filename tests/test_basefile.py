@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from probaccept import (
+    BeliefBase,
     BeliefBaseFormatError,
+    atom,
     biased_lottery,
     dumps,
     fair_lottery,
@@ -77,6 +79,17 @@ class TestRoundTrip:
     def test_sample_round_trips(self):
         base = loads(SAMPLE)
         assert loads(dumps(base)) == base
+
+    @pytest.mark.parametrize(
+        "label", ["atoms", "Worlds", "background", "CANDIDATES", "aToms", "BackGround"]
+    )
+    def test_section_name_label_refused(self, label):
+        # ``loads`` would read the label's line as a section header
+        base = BeliefBase(loads(SAMPLE).model, candidates=[(label, atom("heads"))])
+        with pytest.raises(ValueError, match=f"candidate label '{label}'"):
+            dumps(base)
+        near = BeliefBase(base.model, candidates=[(label + "_1", atom("heads"))])
+        assert loads(dumps(near)) == near
 
 
 class TestFormatErrors:

@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from probaccept import (
     AcceptanceLevel,
@@ -15,9 +17,13 @@ from probaccept import (
     rejection_to_acceptance,
     run_test,
 )
-from probaccept.stattests import MAX_BINOMIAL_TRIALS
+from probaccept.stattests import MAX_BINOMIAL_TRIALS, SIDEDNESS
 
-from helpers import binomial_tail_sum
+from helpers import binomial_region_oracle, binomial_tail_sum
+
+# p0 = a/q strictly inside (0, 1), and epsilon in (0, 1], 1 included.
+P0S = st.integers(2, 100).flatmap(lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q)))
+EPSILONS = st.integers(1, 10**4).flatmap(lambda d: st.integers(1, d).map(lambda k: Fraction(k, d)))
 
 
 def spec(n=100, p0=Fraction(1, 2), eps=Fraction(1, 100), sided="two_sided"):
@@ -53,6 +59,11 @@ class TestSpecValidation:
         assert spec(n=n, p0=Fraction(1, 1000)).n == n
         with pytest.raises(ValueError, match=f"p0 = 1/1000 over n = {n + 1} trials"):
             spec(n=n + 1, p0=Fraction(1, 1000))
+
+    def test_rejects_bool_sample_size(self):
+        # bool is an int subclass; True must not pass as n = 1
+        with pytest.raises(ValueError, match="sample size"):
+            BinomialTestSpec(n=True, p0=Fraction(1, 2), epsilon=Fraction(1, 100))
 
     def test_vacuous_significance_allowed(self):
         assert spec(eps=Fraction(1)).epsilon == 1
@@ -104,6 +115,17 @@ class TestRejectionRegion:
         assert region.rejected_counts == frozenset(expected)
         assert region.achieved_size == mass <= eps
 
+    @given(n=st.integers(1, 60), p0=P0S, eps=EPSILONS, sided=st.sampled_from(SIDEDNESS))
+    @example(n=6, p0=Fraction(1, 3), eps=Fraction(1), sided="two_sided")
+    @example(n=6, p0=Fraction(1, 3), eps=Fraction(1), sided="upper")
+    @example(n=6, p0=Fraction(1, 3), eps=Fraction(1), sided="lower")
+    @example(n=1, p0=Fraction(1, 2), eps=Fraction(1, 4), sided="two_sided")
+    def test_matches_greedy_fraction_oracle(self, n, p0, eps, sided):
+        region = binomial_rejection_region(spec(n=n, p0=p0, eps=eps, sided=sided))
+        assert (region.rejected_counts, region.achieved_size) == binomial_region_oracle(
+            n, p0, eps, sided
+        )
+
     @pytest.mark.parametrize("sided", ["two_sided", "upper", "lower"])
     def test_size_never_exceeds_significance(self, sided):
         rng = random.Random(90)
@@ -133,6 +155,13 @@ class TestRunTest:
             run_test(region, -1)
         with pytest.raises(ValueError):
             run_test(region, 101)
+
+    def test_bool_observation_rejected(self):
+        # True would otherwise count as observed = 1
+        region = binomial_rejection_region(spec(n=1, eps=Fraction(1), sided="upper"))
+        assert run_test(region, 1) is Decision.REJECT
+        with pytest.raises(ValueError, match="got True"):
+            run_test(region, True)
 
 
 class TestRejectionToAcceptance:

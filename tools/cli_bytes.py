@@ -28,7 +28,10 @@ label, a repeated label, and an unknown atom in a conclusion, entailed or
 not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
 background past the canonical key-length limit, ``stat binom`` (also with
 a ``--combine-with`` level that is no rational in (0, 1], given no
-observation or one the test does not reject), ``lottery``, usage errors,
+observation or one the test does not reject, and at the cap of 2000
+trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
+observation with ``--combine-with``, upper rejecting one in ``--json``,
+lower with no observation), ``lottery``, usage errors,
 caps and zero denominators (in each option that reads a rational and in a
 world's weight), each report command in text and ``--json``.  Stdlib
 only.
@@ -282,6 +285,13 @@ def commands() -> list[list[str]]:
          "--observed", "50", "--combine-with", "7/2"],
         # a repeated premise label
         ["closure", "--epsilon", "1/3", "--labels", "L1,L1", "fair_3.bb"],
+        # the trial cap, at a p0 with long exact terms, once per sidedness
+        ["stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon", "1/100",
+         "--observed", "100", "--combine-with", "1/100,1/50"],
+        ["--json", "stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon",
+         "1/100", "--sided", "upper", "--observed", "180"],
+        ["stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon", "1/100",
+         "--sided", "lower"],
         ["--help"],
         ["accept", "--help"],
         ["diagnose", "--help"],
