@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
-from typing import Callable, Iterable, Sequence
 
 from .formulas import Formula, FormulaSet, atom
 from .sat import is_satisfiable
@@ -386,32 +386,26 @@ def enumerate_extensions(
             shuffles.append(tuple(shuffled))
         orders = list(dict.fromkeys(shuffles))  # distinct, first-drawn order
 
-    extensions: list[AcceptedSet] = []
-    witness: list[tuple[str, ...]] = []
-    signatures: set[frozenset[str]] = set()
+    # each distinct outcome, by its signature, with the first order giving it
+    found: dict[frozenset[str], tuple[AcceptedSet, tuple[str, ...]]] = {}
     for order in orders:
         result = run(base, order, level)
         signature = frozenset(f.canonical_key for f in result.accepted_formulas)
-        if signature not in signatures:
-            signatures.add(signature)
-            extensions.append(result)
-            witness.append(order)
-
+        found.setdefault(signature, (result, order))
+    # every order yields a result, so there is at least one extension
+    extensions, witness = zip(*found.values())
     union = FormulaSet(base.background).union(
         f for ext in extensions for f in ext.accepted_formulas
     )
-    # every order yields a result, so there is at least one extension
-    common = set.intersection(
-        *({f.canonical_key for f in ext.accepted_formulas} for ext in extensions)
-    )
+    common = frozenset.intersection(*found)
     intersection = FormulaSet(base.background).union(
         f for _, f in base.candidates if f.canonical_key in common
     )
     return ExtensionEnumeration(
         policy=policy,
         level=level,
-        extensions=tuple(extensions),
-        witness_orders=tuple(witness),
+        extensions=extensions,
+        witness_orders=witness,
         conjunction=union,
         conjunction_weakly_consistent=_consistent(union, base.model.joint_mask(union)),
         intersection=intersection,

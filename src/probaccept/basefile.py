@@ -184,5 +184,6 @@ def load(path) -> BeliefBase:
 
 
 def dump(base: BeliefBase, path) -> None:
+    text = dumps(base)  # first, so that a refusal leaves the file as it was
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dumps(base))
+        handle.write(text)

@@ -30,6 +30,7 @@ from .accept import (
     enumerate_extensions,
     threshold_accept,
 )
+from .basefile import dump as write_base
 from .basefile import dumps as dump_base
 from .basefile import load as load_base
 from .basefile import parse_rational
@@ -230,11 +231,9 @@ def _cmd_lottery(args) -> str:
         if args.n is None or args.p is None:
             raise ValueError("independent lottery needs --n and --p")
         base = independent_lottery(args.n, parse_rational(args.p))
-    text = dump_base(base)
     if args.out == "-":
-        return text
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        return dump_base(base)
+    write_base(base, args.out)
     return f"wrote: {args.out}\nworlds: {len(base.model.worlds)}\n"
 
 

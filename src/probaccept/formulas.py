@@ -21,7 +21,7 @@ The concrete grammar (whitespace insignificant, precedence low to high
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "Formula",

@@ -27,7 +27,8 @@ numbering depend on the formula alone; they are kept with the formula
 and reused by every later solver that starts with it.  An ``exactly_one``
 of distinct atoms, a lottery's background, is translated straight from
 its sorted names, without its canonical node, to the clauses and
-numbering that the node's translation gives: the pairwise encoding stays.
+numbering that the node's translation gives, wherever it sits among a
+solver's formulas: the pairwise encoding stays.
 
 One loop finds each maximal consistent subset (MCS) and each minimal
 unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
@@ -41,8 +42,8 @@ bounds the loop.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain, combinations
 
 from .formulas import Formula, FormulaSet, _ExactlyOne, neg
 
@@ -61,33 +62,29 @@ DEFAULT_CANDIDATE_CAP = 20
 def _clauses_for(formula: Formula, index: dict) -> Sequence[tuple[int, ...]]:
     """The formula's clauses, numbered on from ``index``, the solver's one
     numbering.  Into an empty numbering the translation depends on the
-    formula alone, so it is made once and kept in the formula's
-    ``_translation`` slot; an ``exactly_one`` of distinct atoms is
-    translated straight from its sorted names."""
+    formula alone, so it is made once and kept, with that numbering, in
+    the formula's ``_translation`` slot."""
     if index:
         return _translate(formula, index)
     if formula._translation is None:
-        formula._translation = _translate_alone(formula)
-    clauses, numbered = formula._translation
-    index.update(zip(numbered, range(1, len(numbered) + 1)))
+        alone: dict = {}
+        formula._translation = (tuple(_translate(formula, alone)), alone)
+    clauses, alone = formula._translation
+    index.update(alone)
     return clauses
 
 
-def _translate_alone(formula: Formula) -> tuple[tuple, tuple]:
+def _translate(formula: Formula, index: dict) -> list[tuple[int, ...]]:
     names = formula._names if isinstance(formula, _ExactlyOne) else ()
     if names:
-        # what ``_translate`` makes of the canonical node: the names
-        # numbered in sorted order, one clause per child in node order
-        n = len(names)
-        clauses = [(-1, -j) for j in range(2, n + 1)]
-        clauses.append(tuple(range(1, n + 1)))
-        clauses += [(-i, -j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
-        return tuple(clauses), names
-    index: dict = {}
-    return tuple(_translate(formula, index)), tuple(index)
-
-
-def _translate(formula: Formula, index: dict) -> list[tuple[int, ...]]:
+        # what the canonical node translates to, without building it: the
+        # names numbered in sorted order, one clause per child in node order
+        first, *rest = [index.setdefault(name, len(index) + 1) for name in names]
+        return [
+            *((-first, -j) for j in rest),
+            (first, *rest),
+            *((-i, -j) for i, j in combinations(rest, 2)),
+        ]
     # ``defined`` is this formula's own, so its clauses define every
     # subformula they use.
     clauses: list[tuple[int, ...]] = []

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
 
 from .worlds import ProbabilityBound, as_fraction
 

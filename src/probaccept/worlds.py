@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import and_, or_
-from typing import Iterable, Mapping, Sequence
 
 from .formulas import (
     EMPTY_SET, Formula, FormulaSet, _ExactlyOne, atom, disj, exactly_one, neg
@@ -57,9 +57,8 @@ MAX_PLANE_BITS = 2**28
 # optional spaces around the slash; no decimal point, exponent or underscore.
 _RATIONAL_RE = re.compile(r"(?P<p>[+-]?\d+)(?:\s*/\s*(?P<q>\d+))?")
 
-# Maps the byte values 0/1 of a valuation column to the digits "0"/"1".
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-# Entry b maps every byte value to "1" if its bit b is set, else to "0".
+# Entry b maps every byte value to "1" if its bit b is set, else to "0";
+# entry 0 maps the bytes 0/1 of a valuation column to the digits "0"/"1".
 _BYTE_BIT_DIGITS = [
     bytes.maketrans(bytes(range(256)), bytes(b"01"[v >> b & 1] for v in range(256)))
     for b in range(8)
@@ -174,7 +173,7 @@ class WorldModel:
         object.__setattr__(self, "_planes", _weight_planes(numerators, weights))
         object.__setattr__(self, "_full", (1 << len(packed)) - 1)
         columns = zip(*(vals for vals, _ in packed))  # one per atom
-        masks = [int(bytes(reversed(c)).translate(_BIT_DIGITS), 2) for c in columns]
+        masks = [int(bytes(reversed(c)).translate(_BYTE_BIT_DIGITS[0]), 2) for c in columns]
         object.__setattr__(self, "_atom_masks", dict(zip(atom_names, masks)))
         object.__setattr__(self, "_mask_cache", {})
 

@@ -274,7 +274,12 @@ _IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(probaccept.__file
 
 
 def _run_cli(args, hash_seed):
-    env = {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": _IMPORT_ROOT}
+    env = {
+        "PYTHONHASHSEED": hash_seed,
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": _IMPORT_ROOT,
+        "PYTHONDONTWRITEBYTECODE": "1",  # the checkout stays free of bytecode
+    }
     return subprocess.run(
         [sys.executable, "-m", "probaccept", *args],
         capture_output=True,

@@ -7,6 +7,7 @@ from probaccept import (
     BeliefBaseFormatError,
     atom,
     biased_lottery,
+    dump,
     dumps,
     fair_lottery,
     independent_lottery,
@@ -90,6 +91,14 @@ class TestRoundTrip:
             dumps(base)
         near = BeliefBase(base.model, candidates=[(label + "_1", atom("heads"))])
         assert loads(dumps(near)) == near
+
+    def test_refused_dump_leaves_the_file_as_it_was(self, tmp_path):
+        target = tmp_path / "coin.bb"
+        target.write_bytes(SAMPLE.encode())
+        base = BeliefBase(loads(SAMPLE).model, candidates=[("Worlds", atom("heads"))])
+        with pytest.raises(ValueError, match="candidate label 'Worlds'"):
+            dump(base, target)
+        assert target.read_bytes() == SAMPLE.encode()
 
 
 class TestFormatErrors:

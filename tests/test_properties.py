@@ -364,6 +364,19 @@ def test_exactly_one_of_distinct_atoms_read_before_its_tree(lottery):
 
 
 @given(st.data())
+def test_exactly_one_of_distinct_atoms_anywhere_matches_truth_table(data):
+    """Placed after other formulas, the ``exactly_one`` is translated into
+    a numbering they have begun, some of its names numbered already."""
+    names = data.draw(st.lists(st.sampled_from(WIN_NAMES), min_size=2, unique=True))
+    literal = st.sampled_from(WIN_NAMES).map(atom)
+    literal |= literal.map(neg)
+    members = data.draw(st.lists(literal | formulas(WIN_NAMES), max_size=4))
+    position = data.draw(st.integers(0, len(members)))
+    members.insert(position, exactly_one([atom(x) for x in names]))
+    assert is_satisfiable(members) == truth_table_satisfiable(members)
+
+
+@given(st.data())
 def test_satisfying_mask_matches_world_by_world_evaluation(data):
     model = data.draw(models())
     formula = data.draw(formulas(model.atoms))

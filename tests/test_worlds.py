@@ -19,6 +19,7 @@ from probaccept import (
     entails,
     fair_lottery,
     independent_lottery,
+    is_satisfiable,
     neg,
     parse,
     render,
@@ -30,6 +31,11 @@ from probaccept.formulas import MAX_KEY_LENGTH
 from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, ONE_WINNER_LOTTERY_CAP
 
 from helpers import random_formula, random_model
+
+
+def live_formulas() -> int:
+    gc.collect()
+    return sum(isinstance(o, Formula) for o in gc.get_objects())
 
 
 class TestProbability:
@@ -181,11 +187,6 @@ class TestLotteries:
         """Building, accepting and shrinking a 60-ticket lottery makes none
         of the 2 * 1,770 nodes of its background's pair tree; rendering the
         background makes them all."""
-
-        def live_formulas():
-            gc.collect()
-            return sum(isinstance(o, Formula) for o in gc.get_objects())
-
         n = 60
         before = live_formulas()
         base = fair_lottery(n)
@@ -198,6 +199,16 @@ class TestLotteries:
         (background,) = base.background
         render(background)
         assert live_formulas() - built >= n * (n - 1)
+
+    def test_one_winner_pairs_not_built_behind_another_formula(self):
+        """A lottery's background placed second in a satisfiability check is
+        translated from its names as well: none of its 3,540 pair nodes."""
+        n = 60
+        (background,) = fair_lottery(n).background
+        members = [neg(atom("wins_1")), background]
+        before = live_formulas()
+        assert is_satisfiable(members)
+        assert live_formulas() == before
 
     def test_independent_weights_by_winner_count(self):
         p = Fraction(2, 7)
