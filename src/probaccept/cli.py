@@ -293,7 +293,7 @@ def _cmd_closure(args) -> str:
         "threshold": level.threshold,
         "contradiction_bound": contradiction_bound(level),
     }
-    if args.labels:
+    if args.labels is not None:
         labels = [part.strip() for part in args.labels.split(",") if part.strip()]
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -310,7 +310,7 @@ def _cmd_closure(args) -> str:
             "support_lower_bound": support.support_lower_bound,
             "exact_probability": support.exact_probability,
         }
-        if args.conclusion:
+        if args.conclusion is not None:
             conclusion = parse(args.conclusion)
             leveled = consequence_level(
                 base.model, premises, conclusion, level, background=base.background
@@ -321,7 +321,7 @@ def _cmd_closure(args) -> str:
                 "support_lower_bound": leveled.support_lower_bound,
                 "exact_probability": leveled.exact_probability,
             }
-    elif args.conclusion:
+    elif args.conclusion is not None:
         raise ValueError("--conclusion needs --labels naming the premises")
     report["provenance"] = _provenance(args, args.base)
     return _emit(report, args.json)
@@ -337,7 +337,7 @@ def _cmd_stat(args) -> str:
     # built before the test runs, so a bad level fails whatever the decision
     others = [
         BinomialTestSpec(spec.n, spec.p0, parse_rational(eps), spec.sided)
-        for eps in (args.combine_with.split(",") if args.combine_with else ())
+        for eps in (args.combine_with.split(",") if args.combine_with is not None else ())
     ]
     region = binomial_rejection_region(spec)
     counts = sorted(region.rejected_counts)

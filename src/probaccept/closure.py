@@ -22,7 +22,7 @@ from fractions import Fraction
 from .accept import AcceptanceLevel
 from .formulas import Formula, FormulaSet, conj
 from .sat import entails
-from .worlds import WorldModel
+from .worlds import BeliefBase, WorldModel
 
 __all__ = [
     "LeveledStatement",
@@ -112,15 +112,9 @@ def consequence_level(
     the conclusion's exact probability is at least the premise's.
     """
     premises = FormulaSet(premises)
-    background = FormulaSet(background or ())
     if not premises:
         raise ValueError("need at least one premise")
-    for formula in background:
-        p = model.probability(formula)
-        if p != 1:
-            raise ValueError(
-                f"background formula {formula} has probability {p}, not 1"
-            )
+    background = BeliefBase(model, background or ()).background  # certain, or raises
     _require_at_level(model, premises, level)
     exact = model.probability(conclusion)  # checks its atoms before entailment
     if not entails(background, premises, conclusion):

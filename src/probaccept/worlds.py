@@ -114,7 +114,8 @@ class WorldModel:
     """Worlds are total valuations over a fixed atom list.
 
     A set of worlds is an int mask with bit i for world i.  Atom masks are
-    built at construction; a formula's mask evaluates its canonical NNF over
+    built at construction, like the weight planes below, by
+    ``_column_masks``; a formula's mask evaluates its canonical NNF over
     them with ``&``, ``|`` and complement, memoized per canonical key.  An
     :func:`exactly_one` conjunction folds its outcomes' masks instead.
 
@@ -138,42 +139,44 @@ class WorldModel:
             raise ValueError("duplicate atom names")
         for name in atom_names:
             atom(name)  # reuse the formula-level name validation
-        packed: list[tuple[tuple[bool, ...], Fraction]] = []
-        seen: set[tuple[bool, ...]] = set()
+        weighted: dict[tuple[bool, ...], Fraction] = {}  # in world order
         for valuation, weight in worlds:
             vals = tuple(map(bool, valuation))
             if len(vals) != len(atom_names):
                 raise ValueError("valuation length does not match atom list")
-            if vals in seen:
+            if vals in weighted:
                 raise ValueError(f"duplicate world valuation {vals}")
-            seen.add(vals)
             w = as_fraction(weight)
             if w.numerator < 0:
                 raise ValueError(f"negative world weight {w}")
-            packed.append((vals, w))
+            weighted[vals] = w
         # Keyed by (numerator, denominator): hashing a Fraction costs a
         # modular inverse, once per world.
-        weights = [(w.numerator, w.denominator) for _, w in packed]
+        weights = [(w.numerator, w.denominator) for w in weighted.values()]
         counts = Counter(weights)
         denominator = 1
         for q in {q for _, q in counts}:
             denominator = math.lcm(denominator, q)
-            if denominator.bit_length() * len(packed) > MAX_PLANE_BITS:
+            if denominator.bit_length() * len(weights) > MAX_PLANE_BITS:
                 raise ValueError(
-                    f"the weights of {len(packed)} worlds need a common denominator "
-                    f"of more than {MAX_PLANE_BITS // len(packed)} bits"
+                    f"the weights of {len(weights)} worlds need a common denominator "
+                    f"of more than {MAX_PLANE_BITS // len(weights)} bits"
                 )
         numerators = {(p, q): denominator // q * p for p, q in counts}
         total = sum(numerators[w] * c for w, c in counts.items())
         if total != denominator:
             raise ValueError(f"world weights sum to {Fraction(total, denominator)}, not 1")
+        # the numerators as little-endian bytes of one width, world after world
+        width = (max(numerators.values()).bit_length() + 7) // 8
+        encoded = {w: n.to_bytes(width, "little") for w, n in numerators.items()}
+        table = b"".join(map(encoded.__getitem__, weights))
+        planes = tuple((b, p) for b, p in enumerate(_column_masks(table, width, 8)) if p)
+        masks = _column_masks(b"".join(map(bytes, weighted)), len(atom_names), 1)
         object.__setattr__(self, "atoms", atom_names)
-        object.__setattr__(self, "worlds", tuple(packed))
+        object.__setattr__(self, "worlds", tuple(weighted.items()))
         object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_planes", _weight_planes(numerators, weights))
-        object.__setattr__(self, "_full", (1 << len(packed)) - 1)
-        columns = zip(*(vals for vals, _ in packed))  # one per atom
-        masks = [int(bytes(reversed(c)).translate(_BYTE_BIT_DIGITS[0]), 2) for c in columns]
+        object.__setattr__(self, "_planes", planes)
+        object.__setattr__(self, "_full", (1 << len(weights)) - 1)
         object.__setattr__(self, "_atom_masks", dict(zip(atom_names, masks)))
         object.__setattr__(self, "_mask_cache", {})
 
@@ -258,26 +261,17 @@ class WorldModel:
         return Fraction(self._numerator(given_mask & self.satisfying_mask(formula)), denominator)
 
 
-def _weight_planes(
-    numerators: Mapping[tuple[int, int], int], weights: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """The nonzero planes ``(b, P_b)`` of the worlds' weight numerators.
+def _column_masks(table: bytes, width: int, bits: int) -> list[int]:
+    """Bit masks over the worlds of a table of ``width`` bytes per world.
 
-    Every world's numerator is written as a fixed number of little-endian
-    bytes; byte column j of that table, one byte per world, gives planes
-    8j..8j+7 by one translation each, as the atom masks are built.
+    Entry ``bits*j + b`` masks the worlds whose byte j has bit b set, world
+    0 lowest: one slice and one translation per column and bit.
     """
-    width = (max(numerators.values()).bit_length() + 7) // 8
-    encoded = {w: n.to_bytes(width, "little") for w, n in numerators.items()}
-    table = b"".join(map(encoded.__getitem__, weights))
-    planes = []
-    for byte in range(width):
-        column = table[byte::width][::-1]  # world 0 becomes the lowest bit
-        for bit, digits in enumerate(_BYTE_BIT_DIGITS):
-            plane = int(column.translate(digits), 2)
-            if plane:
-                planes.append((8 * byte + bit, plane))
-    return tuple(planes)
+    return [
+        int(table[j::width][::-1].translate(_BYTE_BIT_DIGITS[b]), 2)
+        for j in range(width)
+        for b in range(bits)
+    ]
 
 
 class BeliefBase:

@@ -346,6 +346,18 @@ class TestClosureCommand:
         assert out == ""
         assert err == "probaccept: error: label 'L1' is repeated in --labels\n"
 
+    @pytest.mark.parametrize("options, message", [
+        (["--labels", ""], "need at least one statement"),
+        (["--labels", "L1", "--conclusion", ""], "expected a formula at offset 0"),
+    ], ids=["empty_labels", "empty_conclusion"])
+    def test_empty_option_value_is_bad_input(self, capsys, lottery3_path, options, message):
+        code, out, err = run_cli(
+            capsys, "closure", "--epsilon", "1/3", *options, lottery3_path
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"probaccept: error: {message}\n"
+
 
 class TestStatCommand:
     def test_binom_report(self, capsys):
@@ -385,6 +397,7 @@ class TestStatCommand:
         ("abc", "expected a rational p/q or integer, got 'abc'"),
         ("1/100,7/2", "significance epsilon must lie in (0, 1]"),
         ("0", "significance epsilon must lie in (0, 1]"),
+        ("", "expected a rational p/q or integer, got ''"),
     ])
     def test_bad_combine_with_is_input_error_whatever_the_decision(
         self, capsys, observed, levels, message

@@ -144,7 +144,9 @@ class TestConsequenceLevel:
     def test_uncertain_background_rejected(self, lottery100):
         level = AcceptanceLevel(Fraction(1, 100))
         premises = FormulaSet([lottery100.candidate("L1")])
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="background formula wins_2 has probability 1/100, not 1"
+        ):
             consequence_level(
                 lottery100.model,
                 premises,

@@ -237,7 +237,7 @@ class TestModelValidation:
             )
 
     def test_duplicate_valuations_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate world valuation \(True,\)"):
             WorldModel(
                 ["a"],
                 [((True,), Fraction(1, 2)), ((True,), Fraction(1, 2))],

@@ -24,11 +24,12 @@ contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
 and on seven grouped ones, with 128), ``closure`` (also with an unknown
-label, a repeated label, and an unknown atom in a conclusion, entailed or
-not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
-background past the canonical key-length limit, ``stat binom`` (also with
-a ``--combine-with`` level that is no rational in (0, 1], given no
-observation or one the test does not reject, and at the cap of 2000
+label, a repeated label, an empty ``--labels`` or ``--conclusion``, and an
+unknown atom in a conclusion, entailed or not), ``accept`` on a lottery at
+the one-winner cap of 300 tickets, a background past the canonical
+key-length limit, ``stat binom`` (also with a ``--combine-with`` level
+that is no rational in (0, 1] or empty, given no observation or one the
+test does not reject, and at the cap of 2000
 trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
 observation with ``--combine-with``, upper rejecting one in ``--json``,
 lower with no observation), ``lottery``, usage errors,
@@ -285,6 +286,12 @@ def commands() -> list[list[str]]:
          "--observed", "50", "--combine-with", "7/2"],
         # a repeated premise label
         ["closure", "--epsilon", "1/3", "--labels", "L1,L1", "fair_3.bb"],
+        # empty option values
+        ["closure", "--epsilon", "1/3", "--labels", "", "fair_3.bb"],
+        ["closure", "--epsilon", "1/3", "--labels", "L1", "--conclusion", "",
+         "fair_3.bb"],
+        ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10",
+         "--observed", "0", "--combine-with", ""],
         # the trial cap, at a p0 with long exact terms, once per sidedness
         ["stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon", "1/100",
          "--observed", "100", "--combine-with", "1/100,1/50"],
