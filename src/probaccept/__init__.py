@@ -12,80 +12,74 @@ subset diagnostics, and an exact binomial-test bridge from statistical
 rejection to acceptance of negations.
 """
 
-from .formulas import (
-    EMPTY_SET,
-    Formula,
-    FormulaSet,
-    FormulaSyntaxError,
-    atom,
-    conj,
-    disj,
-    has_strong_inconsistency,
-    iff,
-    implies,
-    neg,
-    parse,
-    render,
-)
-from .sat import (
-    DEFAULT_CANDIDATE_CAP,
-    entails,
-    is_satisfiable,
-    maximal_consistent_subsets,
-    minimal_unsat_subsets,
-    shrink_unsat_subset,
-)
-from .worlds import (
-    BeliefBase,
-    ProbabilityBound,
-    UnknownAtomError,
-    WorldModel,
-    ZeroProbabilityError,
-    as_fraction,
-    biased_lottery,
-    exactly_one,
-    fair_lottery,
-    independent_lottery,
-)
-from .basefile import (
-    BeliefBaseFormatError,
-    dump,
-    dumps,
-    load,
-    loads,
-    parse_rational,
-)
-from .accept import (
-    Acceptance,
-    AcceptanceLevel,
-    AcceptedSet,
-    ExtensionEnumeration,
-    enumerate_extensions,
-    lehrer_accept,
-    lehrer_cascade,
-    sequential_accept,
-    stakes_threshold,
-    teng_accept,
-    threshold_accept,
-)
-from .closure import (
-    LeveledStatement,
-    conjunction_support,
-    consequence_level,
-    contradiction_bound,
-)
-from .strands import Strand, degree_of_inconsistency, strand_entails, strands
-from .stattests import (
-    AcceptedRejection,
-    BinomialTestSpec,
-    CombinedRejection,
-    Decision,
-    RejectionRegion,
-    binomial_pmf,
-    binomial_rejection_region,
-    combine_tests,
-    rejection_to_acceptance,
-    run_test,
-)
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+# Every public name, by the module that defines it.  Each module is imported
+# on the first read of one of its names (PEP 562), so a command pays only
+# for the modules it runs.
+_PUBLIC = {
+    "formulas": (
+        "EMPTY_SET", "Formula", "FormulaSet", "FormulaSyntaxError", "atom", "conj",
+        "disj", "has_strong_inconsistency", "iff", "implies", "neg", "parse", "render",
+    ),
+    "sat": (
+        "DEFAULT_CANDIDATE_CAP", "entails", "is_satisfiable",
+        "maximal_consistent_subsets", "minimal_unsat_subsets", "shrink_unsat_subset",
+    ),
+    "worlds": (
+        "BeliefBase", "ProbabilityBound", "UnknownAtomError", "WorldModel",
+        "ZeroProbabilityError", "as_fraction", "biased_lottery", "exactly_one",
+        "fair_lottery", "independent_lottery",
+    ),
+    "basefile": ("BeliefBaseFormatError", "dump", "dumps", "load", "loads", "parse_rational"),
+    "accept": (
+        "Acceptance", "AcceptanceLevel", "AcceptedSet", "ExtensionEnumeration",
+        "enumerate_extensions", "lehrer_accept", "lehrer_cascade", "sequential_accept",
+        "stakes_threshold", "teng_accept", "threshold_accept",
+    ),
+    "closure": (
+        "LeveledStatement", "conjunction_support", "consequence_level", "contradiction_bound",
+    ),
+    "strands": ("Strand", "degree_of_inconsistency", "strand_entails", "strands"),
+    "stattests": (
+        "AcceptedRejection", "BinomialTestSpec", "CombinedRejection", "Decision",
+        "RejectionRegion", "binomial_pmf", "binomial_rejection_region", "combine_tests",
+        "rejection_to_acceptance", "run_test",
+    ),
+}
+_HOME = {name: f"{__name__}.{module}" for module, names in _PUBLIC.items() for name in names}
+
+# ``from probaccept import *`` also binds the submodules, except ``strands``,
+# which names the function.
+__all__ = [*_HOME, *(module for module in _PUBLIC if module not in _HOME)]
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # Looked up on every read and never stored here, so a function swapped
+    # on its module (by a tracer or a test) is the one the package gives.
+    if module not in sys.modules:
+        __import__(module)
+    return getattr(sys.modules[module], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        # The import system binds each submodule on its package when it
+        # first loads; the public function ``strands`` keeps its name.
+        if name in _HOME and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -29,7 +29,6 @@ policy over many candidate orders and collecting the distinct outcomes.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -361,7 +360,8 @@ def enumerate_extensions(
 
     All permutations are tried when their count is at most
     ``max_permutations`` (itself at most ``MAX_PERMUTATIONS``); otherwise
-    a deterministic seeded sample of that many shuffles is used.  Taken
+    a deterministic sample of that many shuffles, seeded by ``seed`` (an
+    integer in [0, 2**64), checked on every call), is used.  Taken
     conjunctively the extensions may be weakly inconsistent again; taken
     disjunctively (the intersection) they may license nothing beyond the
     background.
@@ -371,6 +371,8 @@ def enumerate_extensions(
         raise ValueError(f"policy must be one of {ordered}")
     if not 1 <= max_permutations <= MAX_PERMUTATIONS:
         raise ValueError(f"max_permutations must lie between 1 and {MAX_PERMUTATIONS}")
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer between 0 and 2**64 - 1, got {seed!r}")
     run = POLICY_TABLE[policy][0]
     labels = list(base.candidate_labels)
     total = math.factorial(len(labels))
@@ -378,6 +380,8 @@ def enumerate_extensions(
     if exhaustive:
         orders = [tuple(p) for p in permutations(labels)]
     else:
+        import random  # only sampling needs it
+
         rng = random.Random(seed)
         shuffles = []
         for _ in range(max_permutations):

@@ -10,50 +10,32 @@ Output is a flat ``key: value`` text report, or nested JSON with
 ``--json``.  All numbers are exact rationals ``p/q``; decimal renderings
 are marked approximate.  Identical inputs and flags produce identical
 bytes.  Exit codes: 0 ok, 2 input error, 3 internal invariant violation.
+
+Each handler imports the library modules it runs, and only ``--json``
+imports ``json``, so a command loads no more than it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .accept import (
-    DEFAULT_SEED,
-    POLICY_TABLE,
-    AcceptanceLevel,
-    AcceptedSet,
-    enumerate_extensions,
-    threshold_accept,
-)
-from .basefile import dump as write_base
-from .basefile import dumps as dump_base
-from .basefile import load as load_base
-from .basefile import parse_rational
-from .closure import conjunction_support, consequence_level, contradiction_bound
-from .formulas import FormulaSet, has_strong_inconsistency, parse, render
-from .sat import (
-    DEFAULT_CANDIDATE_CAP,
-    _check_cap,
-    _consistent_family,
-    shrink_unsat_subset,
-)
-from .stattests import (
-    BinomialTestSpec,
-    Decision,
-    binomial_rejection_region,
-    combine_tests,
-    rejection_to_acceptance,
-    run_test,
-)
-from .strands import _degree
-from .worlds import BeliefBase, biased_lottery, fair_lottery, independent_lottery
 
 PROG = "probaccept"
+
+# ``accept.POLICY_TABLE``'s names, each with whether the policy takes an
+# order: the parser's choices, written out so that building the parser
+# imports no policy code.
+_POLICY_NAMES = {
+    "threshold": False,
+    "lehrer": False,
+    "cascade": False,
+    "sequential": True,
+    "teng": True,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +86,8 @@ def _flatten(value, prefix: str, lines: list[str]) -> None:
 
 def _emit(report: dict, as_json: bool) -> str:
     if as_json:
+        import json
+
         return json.dumps(_jsonable(report), indent=2) + "\n"
     lines: list[str] = []
     _flatten(report, "", lines)
@@ -111,6 +95,8 @@ def _emit(report: dict, as_json: bool) -> str:
 
 
 def _digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -123,7 +109,9 @@ def _provenance(args, path: str | None) -> dict:
     return out
 
 
-def _accepted_entries(result: AcceptedSet) -> list[dict]:
+def _accepted_entries(result) -> list[dict]:
+    from .formulas import render
+
     return [
         {
             "label": a.label,
@@ -140,7 +128,15 @@ def _accepted_entries(result: AcceptedSet) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_order(base: BeliefBase, text: str) -> list[str]:
+def _base_and_level(args):
+    from .accept import AcceptanceLevel
+    from .basefile import load, parse_rational
+
+    base = load(args.base)
+    return base, AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
+
+
+def _resolve_order(base, text: str) -> list[str]:
     if text == "natural":
         return list(base.candidate_labels)
     if text == "reverse":
@@ -149,8 +145,10 @@ def _resolve_order(base: BeliefBase, text: str) -> list[str]:
 
 
 def _cmd_accept(args) -> str:
-    base = load_base(args.base)
-    level = AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
+    from .accept import POLICY_TABLE
+    from .formulas import has_strong_inconsistency
+
+    base, level = _base_and_level(args)
     run, ordered = POLICY_TABLE[args.policy]
     if ordered and args.order is None:
         raise ValueError(f"policy {args.policy!r} needs --order")
@@ -181,8 +179,10 @@ def _cmd_accept(args) -> str:
 
 
 def _cmd_extensions(args) -> str:
-    base = load_base(args.base)
-    level = AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
+    from .accept import enumerate_extensions
+    from .formulas import render
+
+    base, level = _base_and_level(args)
     outcome = enumerate_extensions(
         base,
         args.policy,
@@ -218,6 +218,9 @@ def _cmd_extensions(args) -> str:
 
 
 def _cmd_lottery(args) -> str:
+    from .basefile import dump, dumps, parse_rational
+    from .worlds import biased_lottery, fair_lottery, independent_lottery
+
     if args.kind == "fair":
         if args.n is None:
             raise ValueError("fair lottery needs --n")
@@ -232,15 +235,20 @@ def _cmd_lottery(args) -> str:
             raise ValueError("independent lottery needs --n and --p")
         base = independent_lottery(args.n, parse_rational(args.p))
     if args.out == "-":
-        return dump_base(base)
-    write_base(base, args.out)
+        return dumps(base)
+    dump(base, args.out)
     return f"wrote: {args.out}\nworlds: {len(base.model.worlds)}\n"
 
 
 def _cmd_diagnose(args) -> str:
+    from .accept import threshold_accept
+    from .closure import contradiction_bound
+    from .formulas import has_strong_inconsistency
+    from .sat import _check_cap, _consistent_family, shrink_unsat_subset
+    from .strands import _degree
+
     _check_cap(args.max_candidates)  # on both paths, whatever the input's size
-    base = load_base(args.base)
-    level = AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
+    base, level = _base_and_level(args)
     accepted = threshold_accept(base, level)
     accepted_formulas = accepted.accepted_formulas
     background = base.background
@@ -285,8 +293,10 @@ def _cmd_diagnose(args) -> str:
 
 
 def _cmd_closure(args) -> str:
-    base = load_base(args.base)
-    level = AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
+    from .closure import conjunction_support, consequence_level, contradiction_bound
+    from .formulas import FormulaSet, parse, render
+
+    base, level = _base_and_level(args)
     report: dict = {
         "command": "closure",
         "epsilon": level.epsilon,
@@ -294,8 +304,10 @@ def _cmd_closure(args) -> str:
         "contradiction_bound": contradiction_bound(level),
     }
     if args.labels is not None:
-        labels = [part.strip() for part in args.labels.split(",") if part.strip()]
+        labels = [part.strip() for part in args.labels.split(",")] if args.labels.strip() else []
         for i, label in enumerate(labels):
+            if not label:
+                raise ValueError(f"empty label in --labels {args.labels!r}")
             if label in labels[:i]:
                 raise ValueError(f"label {label!r} is repeated in --labels")
         try:
@@ -328,6 +340,16 @@ def _cmd_closure(args) -> str:
 
 
 def _cmd_stat(args) -> str:
+    from .basefile import parse_rational
+    from .stattests import (
+        BinomialTestSpec,
+        Decision,
+        binomial_rejection_region,
+        combine_tests,
+        rejection_to_acceptance,
+        run_test,
+    )
+
     spec = BinomialTestSpec(
         n=args.n,
         p0=parse_rational(args.p0),
@@ -402,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="U64")
+    # the defaults are accept.DEFAULT_SEED and sat.DEFAULT_CANDIDATE_CAP
+    parser.add_argument("--seed", type=int, default=0, metavar="U64")
     parser.add_argument(
         "--strict-threshold",
         action="store_true",
@@ -411,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-candidates",
         type=int,
-        default=DEFAULT_CANDIDATE_CAP,
+        default=20,
         metavar="N",
         help="cap for exhaustive subset enumeration",
     )
@@ -422,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_accept.add_argument(
         "--policy",
         required=True,
-        choices=list(POLICY_TABLE),
+        choices=list(_POLICY_NAMES),
     )
     p_accept.add_argument("--epsilon", required=True, metavar="P/Q")
     p_accept.add_argument(
@@ -437,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument(
         "--policy",
         required=True,
-        choices=[name for name, (_, ordered) in POLICY_TABLE.items() if ordered],
+        choices=[name for name, ordered in _POLICY_NAMES.items() if ordered],
     )
     p_ext.add_argument("--epsilon", required=True, metavar="P/Q")
     p_ext.add_argument("--max-permutations", type=int, default=720, metavar="N")
@@ -484,6 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"argument --seed: must lie between 0 and 2**64 - 1, got {args.seed}")
     try:
         sys.stdout.write(args.func(args))
         return 0

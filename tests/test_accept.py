@@ -366,6 +366,22 @@ class TestEnumerateExtensions:
         with pytest.raises(ValueError, match="max_permutations"):
             enumerate_extensions(base, "sequential", level, max_permutations=MAX_PERMUTATIONS + 1)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, "7"])
+    def test_seed_outside_u64_rejected(self, seed):
+        # random.Random seeds on abs(), so -5 would draw what 5 draws
+        base = fair_lottery(5)
+        level = AcceptanceLevel(Fraction(1, 5))
+        with pytest.raises(ValueError, match="seed must be an integer between 0 and 2"):
+            enumerate_extensions(base, "sequential", level, max_permutations=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_u64_ends_accepted(self, seed):
+        base = fair_lottery(5)
+        level = AcceptanceLevel(Fraction(1, 5))
+        outcome = enumerate_extensions(base, "sequential", level, max_permutations=10, seed=seed)
+        assert not outcome.exhaustive
+        assert outcome.seed == seed
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             enumerate_extensions(fair_lottery(2), "threshold", AcceptanceLevel(Fraction(1, 2)))

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from probaccept import cli, loads, sat
-from probaccept.accept import MAX_PERMUTATIONS
+from probaccept.accept import DEFAULT_SEED, MAX_PERMUTATIONS
 from probaccept.cli import main
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
 from probaccept.stattests import MAX_BINOMIAL_TRIALS
@@ -230,6 +230,29 @@ class TestExtensionsCommand:
         assert "exhaustive: false" in out1
 
 
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2**64)])
+    def test_seed_outside_u64_is_usage_error(self, capsys, lottery3_path, seed):
+        # random.Random seeds on abs(), so -5 would sample what 5 samples
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, "extensions", "--policy", "sequential",
+                  "--epsilon", "1/3", "--max-permutations", "2", lottery3_path])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"probaccept: error: argument --seed: must lie between 0 and 2**64 - 1, got {seed}\n"
+        )
+
+    def test_largest_seed_samples(self, capsys, lottery3_path):
+        code, out, _ = run_cli(
+            capsys, "--seed", str(2**64 - 1), "extensions", "--policy", "sequential",
+            "--epsilon", "1/3", "--max-permutations", "2", lottery3_path,
+        )
+        assert code == 0
+        assert "exhaustive: false" in out
+        assert f"provenance.seed: {2**64 - 1}" in out
+
+
 class TestDiagnoseCommand:
     def test_small_lottery(self, capsys, lottery3_path):
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/3", lottery3_path)
@@ -266,8 +289,9 @@ class TestDiagnoseCommand:
 
         # every module that binds the walk, so a call through a public
         # enumerator counts too (the package's own ``strands`` name is the
-        # function, hence the import by module path)
-        for module in (sat, importlib.import_module("probaccept.strands"), cli):
+        # function, hence the import by module path); the CLI reads it from
+        # ``sat`` when the command runs
+        for module in (sat, importlib.import_module("probaccept.strands")):
             monkeypatch.setattr(module, "_consistent_family", counted)
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/3", lottery3_path)
         assert code == 0
@@ -349,7 +373,9 @@ class TestClosureCommand:
     @pytest.mark.parametrize("options, message", [
         (["--labels", ""], "need at least one statement"),
         (["--labels", "L1", "--conclusion", ""], "expected a formula at offset 0"),
-    ], ids=["empty_labels", "empty_conclusion"])
+        (["--labels", "L1,,L2"], "empty label in --labels 'L1,,L2'"),
+        (["--labels", "L1,"], "empty label in --labels 'L1,'"),
+    ], ids=["empty_labels", "empty_conclusion", "empty_inner_label", "empty_last_label"])
     def test_empty_option_value_is_bad_input(self, capsys, lottery3_path, options, message):
         code, out, err = run_cli(
             capsys, "closure", "--epsilon", "1/3", *options, lottery3_path
@@ -437,6 +463,22 @@ class TestStatCommand:
             "--observed", "11",
         )
         assert code == 2
+
+
+class TestParser:
+    """The parser is built without importing the library, so it keeps its
+    own copy of the policy names and of two defaults."""
+
+    def test_policy_names_are_the_policy_table(self):
+        from probaccept.accept import POLICY_TABLE
+
+        table = [(name, ordered) for name, (_, ordered) in POLICY_TABLE.items()]
+        assert list(cli._POLICY_NAMES.items()) == table
+
+    def test_defaults_are_the_library_defaults(self):
+        args = cli._build_parser().parse_args(["lottery", "fair"])
+        assert args.seed == DEFAULT_SEED
+        assert args.max_candidates == DEFAULT_CANDIDATE_CAP
 
 
 class TestExitCodes:

@@ -1,0 +1,120 @@
+"""The package's public names load their modules on first use.
+
+Each check runs in a fresh ``python -S`` child, so that nothing this test
+process has already imported can hide what a first import loads.  A child
+prints its answer as the last line of its stdout.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import probaccept
+
+# Every public name, by the module that defines it.
+PUBLIC = {
+    "formulas": "EMPTY_SET Formula FormulaSet FormulaSyntaxError atom conj disj "
+    "has_strong_inconsistency iff implies neg parse render",
+    "sat": "DEFAULT_CANDIDATE_CAP entails is_satisfiable maximal_consistent_subsets "
+    "minimal_unsat_subsets shrink_unsat_subset",
+    "worlds": "BeliefBase ProbabilityBound UnknownAtomError WorldModel ZeroProbabilityError "
+    "as_fraction biased_lottery exactly_one fair_lottery independent_lottery",
+    "basefile": "BeliefBaseFormatError dump dumps load loads parse_rational",
+    "accept": "Acceptance AcceptanceLevel AcceptedSet ExtensionEnumeration "
+    "enumerate_extensions lehrer_accept lehrer_cascade sequential_accept "
+    "stakes_threshold teng_accept threshold_accept",
+    "closure": "LeveledStatement conjunction_support consequence_level contradiction_bound",
+    "strands": "Strand degree_of_inconsistency strand_entails strands",
+    "stattests": "AcceptedRejection BinomialTestSpec CombinedRejection Decision "
+    "RejectionRegion binomial_pmf binomial_rejection_region combine_tests "
+    "rejection_to_acceptance run_test",
+}
+
+_IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(probaccept.__file__)))
+
+
+def child(script, *argv):
+    """Run ``script`` in a fresh interpreter; return its last stdout line."""
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": _IMPORT_ROOT,
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+# Prints the library modules and the stdlib ones the CLI defers, as loaded.
+LOADED = (
+    "print(*sorted(name for name in sys.modules"
+    " if name.startswith('probaccept.') or name in ('json', 'hashlib', 'random')))"
+)
+
+
+@pytest.mark.parametrize("module", list(PUBLIC))
+def test_each_public_name_is_its_modules_own(module):
+    script = (
+        "import importlib, sys, probaccept\n"
+        "module = importlib.import_module('probaccept.' + sys.argv[1])\n"
+        "print(*[name for name in sys.argv[2:]"
+        " if getattr(probaccept, name) is not getattr(module, name)] or ['same'])"
+    )
+    assert child(script, module, *PUBLIC[module].split()) == "same"
+
+
+def test_star_import_binds_the_public_names_and_submodules():
+    script = "from probaccept import *\nprint(*sorted(n for n in dir() if not n.startswith('_')))"
+    submodules = {"accept", "basefile", "closure", "formulas", "sat", "stattests", "worlds"}
+    public = {name for names in PUBLIC.values() for name in names.split()}
+    assert child(script).split() == sorted(public | submodules)
+    assert public <= set(dir(probaccept))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        probaccept.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("first", [
+    "import probaccept.strands",
+    "probaccept.degree_of_inconsistency",
+    "from probaccept import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(['diagnose', '--epsilon', '1/3', sys.argv[1]]) == 0",
+], ids=["module_import", "sibling_name", "cli_diagnose"])
+def test_strands_stays_the_function(first, lottery3_path):
+    # the import system binds each submodule on its package as it loads,
+    # and the submodule ``strands`` shares its name with the function
+    script = (
+        "import contextlib, io, sys, probaccept\n"
+        f"{first}\n"
+        "print(probaccept.strands is sys.modules['probaccept.strands'].strands)"
+    )
+    assert child(script, lottery3_path) == "True"
+
+
+def test_importing_the_cli_loads_no_library_module():
+    assert child(f"import sys, probaccept.cli\n{LOADED}") == "probaccept.cli"
+
+
+def test_stat_binom_loads_neither_sat_nor_accept():
+    script = (
+        "import contextlib, io, sys\n"
+        "from probaccept import cli\n"
+        "argv = ['stat', 'binom', '--n', '10', '--p0', '1/2', '--epsilon', '1/10',"
+        " '--observed', '0']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        f"{LOADED}"
+    )
+    loaded = child(script).split()
+    assert "probaccept.stattests" in loaded
+    assert not {"probaccept.sat", "probaccept.accept"} & set(loaded)

@@ -24,18 +24,21 @@ contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
 and on seven grouped ones, with 128), ``closure`` (also with an unknown
-label, a repeated label, an empty ``--labels`` or ``--conclusion``, and an
-unknown atom in a conclusion, entailed or not), ``accept`` on a lottery at
-the one-winner cap of 300 tickets, a background past the canonical
-key-length limit, ``stat binom`` (also with a ``--combine-with`` level
+label, a repeated label, an empty ``--labels`` or ``--conclusion``, an
+empty item in ``--labels``, and an unknown atom in a conclusion, entailed
+or not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
+background past the canonical key-length limit, ``stat binom`` (also with a ``--combine-with`` level
 that is no rational in (0, 1] or empty, given no observation or one the
 test does not reject, and at the cap of 2000
 trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
 observation with ``--combine-with``, upper rejecting one in ``--json``,
-lower with no observation), ``lottery``, usage errors,
-caps and zero denominators (in each option that reads a rational and in a
-world's weight), each report command in text and ``--json``.  Stdlib
-only.
+lower with no observation), ``lottery``, usage errors (among them an
+unordered policy given to ``extensions`` and a ``--seed`` below 0 or past
+2**64 - 1, next to the largest seed that samples), ``--version`` and the
+help of every command, which the parser builds without importing the
+library, caps and zero denominators (in each option that reads a rational
+and in a world's weight), each report command in text and ``--json``.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -292,6 +295,18 @@ def commands() -> list[list[str]]:
          "fair_3.bb"],
         ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10",
          "--observed", "0", "--combine-with", ""],
+        # empty items in --labels
+        ["closure", "--epsilon", "1/3", "--labels", "L1,,L2", "fair_3.bb"],
+        ["closure", "--epsilon", "1/3", "--labels", "L1,", "fair_3.bb"],
+        # seeds at and past the ends of the u64 range, on a sampled run
+        ["--seed", "-7", "extensions", "--policy", "sequential", "--epsilon",
+         "1/12", "--max-permutations", "40", "fair_12.bb"],
+        ["--seed", str(2**64), "extensions", "--policy", "sequential", "--epsilon",
+         "1/12", "--max-permutations", "40", "fair_12.bb"],
+        ["--seed", str(2**64 - 1), "extensions", "--policy", "sequential", "--epsilon",
+         "1/12", "--max-permutations", "40", "fair_12.bb"],
+        # a policy that takes no order, offered where only ordered ones are
+        ["extensions", "--policy", "threshold", "--epsilon", "1/3", "fair_3.bb"],
         # the trial cap, at a p0 with long exact terms, once per sidedness
         ["stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon", "1/100",
          "--observed", "100", "--combine-with", "1/100,1/50"],
@@ -299,10 +314,14 @@ def commands() -> list[list[str]]:
          "1/100", "--sided", "upper", "--observed", "180"],
         ["stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon", "1/100",
          "--sided", "lower"],
+        ["--version"],
         ["--help"],
         ["accept", "--help"],
         ["diagnose", "--help"],
         ["extensions", "--help"],
+        ["lottery", "--help"],
+        ["closure", "--help"],
+        ["stat", "--help"],
         ["stat", "binom", "--help"],
     ]
     return out
