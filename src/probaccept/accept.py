@@ -217,17 +217,18 @@ def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     return _scan("threshold", base, _weighed(base), level)
 
 
-def _undominated(base: BeliefBase) -> list[_Candidate]:
-    """The weighed candidates that no contrary rival (one jointly
-    unsatisfiable with it and the background) matches or beats in
-    probability."""
+def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
+    """The weighed candidates that clear the level and that no contrary
+    rival (any candidate jointly unsatisfiable with it and the background)
+    matches or beats in probability."""
     weighed = _weighed(base)
     shared = base.model.joint_mask(base.background)
     masks = [shared & base.model.satisfying_mask(f) for _, f, _ in weighed]
     return [
         (label, f, p)
         for i, (label, f, p) in enumerate(weighed)
-        if not any(
+        if level.met_by(p)
+        and not any(
             # the cheap mask test first: a shared world settles most pairs
             not (both := masks[i] & masks[j])
             and q >= p
@@ -243,7 +244,7 @@ def lehrer_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     more probable than every candidate contrary to it.  Ties between
     contraries block both sides, which empties the two-ticket fair
     lottery."""
-    return _scan("lehrer", base, _undominated(base), level)
+    return _scan("lehrer", base, _undominated(base, level), level)
 
 
 def _ticket_atom(formula: Formula) -> str:
@@ -265,7 +266,7 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     win, the cascade accepts that it wins.
     """
     model = base.model
-    tickets = {label: _ticket_atom(f) for label, f in base.candidates}
+    tickets = dict.fromkeys(_ticket_atom(f) for _, f in base.candidates)
     current = model.joint_mask(base.background)
     accepted: list[Acceptance] = []
     remaining = dict(base.candidates)
@@ -287,7 +288,7 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
         current &= model.satisfying_mask(formula)
     weights = {
         name: model.mask_weight(current & model.satisfying_mask(atom(name)))
-        for name in dict.fromkeys(tickets.values())
+        for name in tickets
     }
     alive = [name for name, weight in weights.items() if weight > 0]
     if len(alive) == 1:
@@ -398,11 +399,11 @@ def enumerate_extensions(
         found.setdefault(signature, (result, order))
     # every order yields a result, so there is at least one extension
     extensions, witness = zip(*found.values())
-    union = FormulaSet(base.background).union(
+    union = base.background.union(
         f for ext in extensions for f in ext.accepted_formulas
     )
     common = frozenset.intersection(*found)
-    intersection = FormulaSet(base.background).union(
+    intersection = base.background.union(
         f for _, f in base.candidates if f.canonical_key in common
     )
     return ExtensionEnumeration(

@@ -64,8 +64,7 @@ def loads(text: str) -> BeliefBase:
     atoms: list[str] = []
     worlds: list[tuple[tuple[bool, ...], Fraction]] = []
     background: list = []
-    candidates: list[tuple[str, object]] = []
-    seen_labels: set[str] = set()
+    candidates: dict[str, object] = {}  # label -> formula, in file order
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -96,10 +95,9 @@ def loads(text: str) -> BeliefBase:
             if m is None:
                 raise _fail(lineno, "expected '<label>: <formula>'")
             label = m.group("label")
-            if label in seen_labels:
+            if label in candidates:
                 raise _fail(lineno, f"duplicate candidate label {label!r}")
-            seen_labels.add(label)
-            candidates.append((label, _parse_formula(m.group("body"), lineno)))
+            candidates[label] = _parse_formula(m.group("body"), lineno)
 
     if not atoms:
         raise BeliefBaseFormatError("no ATOMS section")

@@ -136,12 +136,23 @@ def _base_and_level(args):
     return base, AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
 
 
+def _label_list(text: str, option: str) -> list[str]:
+    """Comma-separated labels; an empty or repeated item is bad input."""
+    labels = [part.strip() for part in text.split(",")] if text.strip() else []
+    for i, label in enumerate(labels):
+        if not label:
+            raise ValueError(f"empty label in {option} {text!r}")
+        if label in labels[:i]:
+            raise ValueError(f"label {label!r} is repeated in {option}")
+    return labels
+
+
 def _resolve_order(base, text: str) -> list[str]:
     if text == "natural":
         return list(base.candidate_labels)
     if text == "reverse":
         return list(reversed(base.candidate_labels))
-    return [part.strip() for part in text.split(",") if part.strip()]
+    return _label_list(text, "--order")
 
 
 def _cmd_accept(args) -> str:
@@ -304,12 +315,7 @@ def _cmd_closure(args) -> str:
         "contradiction_bound": contradiction_bound(level),
     }
     if args.labels is not None:
-        labels = [part.strip() for part in args.labels.split(",")] if args.labels.strip() else []
-        for i, label in enumerate(labels):
-            if not label:
-                raise ValueError(f"empty label in --labels {args.labels!r}")
-            if label in labels[:i]:
-                raise ValueError(f"label {label!r} is repeated in --labels")
+        labels = _label_list(args.labels, "--labels")
         try:
             premises = FormulaSet(base.candidate(label) for label in labels)
         except KeyError as exc:  # an unknown label is bad input

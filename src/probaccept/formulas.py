@@ -537,38 +537,30 @@ class FormulaSet:
     key) are dropped.  Equality and hashing are order-insensitive.
     """
 
-    __slots__ = ("_members", "_keys")
+    __slots__ = ("_keys",)
 
     def __init__(self, members: Iterable[Formula] = ()):
-        ordered: list[Formula] = []
-        keys: dict[str, Formula] = {}
+        keys: dict[str, Formula] = {}  # canonical key -> first formula with it
         for f in members:
             if not isinstance(f, Formula):
                 raise TypeError(f"FormulaSet members must be formulas, got {f!r}")
-            key = f.canonical_key
-            if key not in keys:
-                keys[key] = f
-                ordered.append(f)
-        self._members = tuple(ordered)
+            keys.setdefault(f.canonical_key, f)
         self._keys = keys
 
     def __iter__(self) -> Iterator[Formula]:
-        return iter(self._members)
+        return iter(self._keys.values())
 
     def __len__(self) -> int:
-        return len(self._members)
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
+        return len(self._keys)
 
     def __contains__(self, f: object) -> bool:
         return isinstance(f, Formula) and f.canonical_key in self._keys
 
     def add(self, f: Formula) -> "FormulaSet":
-        return FormulaSet(self._members + (f,))
+        return self.union((f,))
 
     def union(self, other: Iterable[Formula]) -> "FormulaSet":
-        return FormulaSet(self._members + tuple(other))
+        return FormulaSet([*self._keys.values(), *other])
 
     def __or__(self, other: "FormulaSet") -> "FormulaSet":
         if not isinstance(other, FormulaSet):
@@ -584,7 +576,7 @@ class FormulaSet:
         return hash(frozenset(self._keys))
 
     def __repr__(self) -> str:
-        inner = ", ".join(render(f) for f in self._members)
+        inner = ", ".join(render(f) for f in self._keys.values())
         return f"FormulaSet([{inner}])"
 
 

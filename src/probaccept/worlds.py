@@ -197,7 +197,7 @@ class WorldModel:
     # -- internal helpers --------------------------------------------------
 
     def _check_atoms(self, formula: Formula) -> None:
-        unknown = formula.atoms() - set(self.atoms)
+        unknown = [name for name in formula.atoms() if name not in self._atom_masks]
         if unknown:
             raise UnknownAtomError(
                 f"formula mentions unknown atoms: {', '.join(sorted(unknown))}"

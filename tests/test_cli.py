@@ -185,11 +185,12 @@ class TestAcceptCommand:
         )
         assert code == 2
 
-    def test_bad_order_is_input_error(self, capsys, lottery3_path):
+    @pytest.mark.parametrize("order", ["L1,L2", "L1,,L2,L3,", "L1,L1,L2,L3"])
+    def test_bad_order_is_input_error(self, capsys, lottery3_path, order):
         code, _, _ = run_cli(
             capsys,
             "accept", "--policy", "teng", "--epsilon", "1/3",
-            "--order", "L1,L2", lottery3_path,
+            "--order", order, lottery3_path,
         )
         assert code == 2
 

@@ -17,8 +17,9 @@ file it writes.  The second form lists the commands whose record differs
 and exits 1 if any does.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
-orders, and on a tie between contraries), ``extensions`` (exhaustive and
-sampled), ``diagnose`` exhaustive (up to a 20-ticket lottery at the
+orders, with an empty or a repeated item in ``--order``, and on a tie
+between contraries), ``extensions`` (exhaustive and sampled),
+``diagnose`` exhaustive (up to a 20-ticket lottery at the
 enumeration cap) and beyond the cap (also on a background with a
 contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
@@ -298,6 +299,11 @@ def commands() -> list[list[str]]:
         # empty items in --labels
         ["closure", "--epsilon", "1/3", "--labels", "L1,,L2", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,", "fair_3.bb"],
+        # an empty and a repeated item in --order
+        ["accept", "--policy", "sequential", "--epsilon", "1/3", "--order",
+         "L1,,L2,L3,", "fair_3.bb"],
+        ["accept", "--policy", "teng", "--epsilon", "1/3", "--order", "L1,L1,L2",
+         "fair_3.bb"],
         # seeds at and past the ends of the u64 range, on a sampled run
         ["--seed", "-7", "extensions", "--policy", "sequential", "--epsilon",
          "1/12", "--max-permutations", "40", "fair_12.bb"],
