@@ -12,7 +12,7 @@ A :class:`BeliefBase` combines a model with background formulas (treated
 as certain, probability exactly 1) and labeled candidate formulas offered
 for acceptance.  The lottery constructors produce the standard families:
 a fair n-ticket lottery, a biased one, and a product model with fully
-independent tickets.
+independent tickets; they write their models' columns in closed form.
 """
 
 from __future__ import annotations
@@ -123,6 +123,11 @@ class WorldModel:
     of the weights.  Plane ``P_b`` masks the worlds whose numerator ``n_i``
     has bit b set, so a mask ``m`` weighs ``sum((m & P_b).bit_count() << b)``
     over ``D``; only nonzero planes are kept.
+
+    The constructor checks every world and stores its columns through
+    ``_from_columns``.  The lottery builders call ``_from_columns`` directly
+    with columns written in closed form, which the property tests hold
+    equal to the constructor's.
     """
 
     __slots__ = (
@@ -154,31 +159,42 @@ class WorldModel:
         # modular inverse, once per world.
         weights = [(w.numerator, w.denominator) for w in weighted.values()]
         counts = Counter(weights)
-        denominator = 1
-        for q in {q for _, q in counts}:
-            denominator = math.lcm(denominator, q)
-            if denominator.bit_length() * len(weights) > MAX_PLANE_BITS:
-                raise ValueError(
-                    f"the weights of {len(weights)} worlds need a common denominator "
-                    f"of more than {MAX_PLANE_BITS // len(weights)} bits"
-                )
+        denominator = _common_denominator({q for _, q in counts}, len(weights))
         numerators = {(p, q): denominator // q * p for p, q in counts}
         total = sum(numerators[w] * c for w, c in counts.items())
         if total != denominator:
             raise ValueError(f"world weights sum to {Fraction(total, denominator)}, not 1")
-        # the numerators as little-endian bytes of one width, world after world
-        width = (max(numerators.values()).bit_length() + 7) // 8
-        encoded = {w: n.to_bytes(width, "little") for w, n in numerators.items()}
-        table = b"".join(map(encoded.__getitem__, weights))
-        planes = tuple((b, p) for b, p in enumerate(_column_masks(table, width, 8)) if p)
-        masks = _column_masks(b"".join(map(bytes, weighted)), len(atom_names), 1)
-        object.__setattr__(self, "atoms", atom_names)
-        object.__setattr__(self, "worlds", tuple(weighted.items()))
+        self._from_columns(
+            atom_names,
+            tuple(weighted.items()),
+            denominator,
+            _weight_planes(numerators, weights),
+            _column_masks(b"".join(map(bytes, weighted)), len(atom_names), 1),
+        )
+
+    def _from_columns(
+        self,
+        atoms: tuple[str, ...],
+        worlds: tuple[tuple[tuple[bool, ...], Fraction], ...],
+        denominator: int,
+        planes: tuple[tuple[int, int], ...],
+        masks: Sequence[int],
+    ) -> WorldModel:
+        """Store columns that are already valid and return ``self``.
+
+        ``masks`` holds one mask per atom, in atom order.  ``__init__``
+        ends here once it has checked its input; the lottery builders call
+        it on ``WorldModel.__new__(WorldModel)`` with columns they write in
+        closed form.
+        """
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_planes", planes)
-        object.__setattr__(self, "_full", (1 << len(weights)) - 1)
-        object.__setattr__(self, "_atom_masks", dict(zip(atom_names, masks)))
+        object.__setattr__(self, "_full", (1 << len(worlds)) - 1)
+        object.__setattr__(self, "_atom_masks", dict(zip(atoms, masks)))
         object.__setattr__(self, "_mask_cache", {})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("WorldModel is immutable")
@@ -274,6 +290,35 @@ def _column_masks(table: bytes, width: int, bits: int) -> list[int]:
     ]
 
 
+def _check_plane_bits(denominator: int, count: int) -> None:
+    """Refuse weight planes of ``count`` worlds over ``denominator`` past
+    ``MAX_PLANE_BITS``, before any of them is built."""
+    if denominator.bit_length() * count > MAX_PLANE_BITS:
+        raise ValueError(
+            f"the weights of {count} worlds need a common denominator "
+            f"of more than {MAX_PLANE_BITS // count} bits"
+        )
+
+
+def _common_denominator(denominators: Iterable[int], count: int) -> int:
+    """The lcm of ``denominators``, bounded for ``count`` worlds as it grows."""
+    denominator = 1
+    for q in denominators:
+        denominator = math.lcm(denominator, q)
+        _check_plane_bits(denominator, count)
+    return denominator
+
+
+def _weight_planes(numerators: Mapping, keys: Iterable) -> tuple[tuple[int, int], ...]:
+    """The nonzero planes ``(b, P_b)`` of worlds whose numerators are
+    ``numerators[key]``, one key per world in world order: each distinct
+    numerator is written once as little-endian bytes of one width."""
+    width = (max(numerators.values()).bit_length() + 7) // 8
+    encoded = {key: n.to_bytes(width, "little") for key, n in numerators.items()}
+    table = b"".join(map(encoded.__getitem__, keys))
+    return tuple((b, p) for b, p in enumerate(_column_masks(table, width, 8)) if p)
+
+
 class BeliefBase:
     """A world model plus certain background and labeled candidates.
 
@@ -351,6 +396,8 @@ class BeliefBase:
 
 def _check_tickets(n: int, cap: int, kind: str) -> None:
     """Reject a ticket count before anything of that size is built."""
+    if isinstance(n, bool) or not isinstance(n, int):  # True is no ticket count
+        raise ValueError(f"ticket count must be an integer, not {n!r}")
     if n < 1:
         raise ValueError("lottery needs at least one ticket")
     if n > cap:
@@ -373,15 +420,24 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
     n = len(fracs)
     if any(w < 0 for w in fracs):
         raise ValueError("ticket weights must be nonnegative")
-    if sum(fracs) != 1:
-        raise ValueError(f"ticket weights sum to {sum(fracs)}, not 1")
+    denominator = _common_denominator({w.denominator for w in fracs}, n)
+    numerators = [denominator // w.denominator * w.numerator for w in fracs]
+    total = sum(numerators)
+    if total != denominator:
+        raise ValueError(f"ticket weights sum to {Fraction(total, denominator)}, not 1")
     wins = _win_atoms(n)
-    names = [a.name for a in wins]
-    worlds = [
-        ((False,) * i + (True,) + (False,) * (n - i - 1), fracs[i])
-        for i in range(n)
-    ]
-    model = WorldModel(names, worlds)
+    names = tuple(a.name for a in wins)
+    # World i is the one-hot valuation of ticket i, so atom i's mask is bit i.
+    worlds = tuple(
+        ((False,) * i + (True,) + (False,) * (n - i - 1), fracs[i]) for i in range(n)
+    )
+    model = WorldModel.__new__(WorldModel)._from_columns(
+        names,
+        worlds,
+        denominator,
+        _weight_planes(dict(enumerate(numerators)), range(n)),
+        [1 << i for i in range(n)],
+    )
     background = FormulaSet([exactly_one(wins)])
     candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
     return BeliefBase(model, background, candidates)
@@ -404,12 +460,46 @@ def independent_lottery(n: int, p) -> BeliefBase:
     win_p = as_fraction(p)
     if not (0 < win_p < 1):
         raise ValueError("ticket probability must lie strictly between 0 and 1")
+    count = 1 << n
+    a, q = win_p.numerator, win_p.denominator
+    denominator = q**n
+    _check_plane_bits(denominator, count)
+    # A world's weight depends only on its number k of winners: it is
+    # a**k * (q-a)**(n-k) / q**n, in lowest terms as a and q-a are prime to q.
+    numerators = [a**k * (q - a) ** (n - k) for k in range(n + 1)]
+    total = sum(math.comb(n, k) * m for k, m in enumerate(numerators))
+    if total != denominator:
+        raise RuntimeError(
+            f"independent lottery weights sum to {Fraction(total, denominator)}, not 1"
+        )
+    # World i is the i-th valuation of product((False, True), repeat=n), so
+    # it has i.bit_count() winners.  by_winners[k] masks the worlds with k
+    # winners, grown over the first 2**m worlds for m = 1..n.
+    by_winners = [1] + [0] * n
+    for m in range(n):
+        by_winners = [c | low << (1 << m) for c, low in zip(by_winners, [0, *by_winners])]
+    # Plane b is the union of the winner counts whose numerator has bit b
+    # set: the planes of the n + 1 numerators, read as n + 1 worlds.
+    planes = tuple(
+        (b, reduce(or_, (c for k, c in enumerate(by_winners) if winner_counts >> k & 1)))
+        for b, winner_counts in _weight_planes(dict(enumerate(numerators)), range(n + 1))
+    )
+    # Atom j is bit n-1-j of the world index: it holds in the upper half of
+    # every run of 2 * half worlds, half = 2**(n-1-j).
+    full = (1 << count) - 1
+    masks = [
+        full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        for half in (1 << (n - 1 - j) for j in range(n))
+    ]
+    weights = [Fraction(m, denominator) for m in numerators]
+    worlds = tuple(zip(
+        product((False, True), repeat=n),
+        map(weights.__getitem__, map(int.bit_count, range(count))),
+    ))
     wins = _win_atoms(n)
-    names = [a.name for a in wins]
-    # A world's weight depends only on its number of winners.
-    by_winners = [win_p**k * (1 - win_p) ** (n - k) for k in range(n + 1)]
-    worlds = [(v, by_winners[sum(v)]) for v in product((False, True), repeat=n)]
-    model = WorldModel(names, worlds)
+    model = WorldModel.__new__(WorldModel)._from_columns(
+        tuple(w.name for w in wins), worlds, denominator, planes, masks
+    )
     candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
     candidates.append(("some_wins", disj(*wins)))
     return BeliefBase(model, EMPTY_SET, candidates)

@@ -17,6 +17,10 @@ definitions, computed from the same two oracles.  The models list only
 some valuations and give some worlds zero weight, so a set with no model
 world in common may still be satisfiable: those cases reach the SAT
 fallback behind the world witness.
+
+The lottery builders write their models' columns in closed form; each
+model is checked against the generic constructor fed its own worlds, and
+its worlds against the lottery's definition.
 """
 
 from fractions import Fraction
@@ -35,12 +39,15 @@ from probaccept import (
     WorldModel,
     ZeroProbabilityError,
     atom,
+    biased_lottery,
     conj,
     disj,
     enumerate_extensions,
     exactly_one,
+    fair_lottery,
     iff,
     implies,
+    independent_lottery,
     minimal_unsat_subsets,
     neg,
     parse,
@@ -478,3 +485,81 @@ def test_conjunction_verdict_matches_truth_table(base, level, policy):
     assert outcome.conjunction_weakly_consistent == truth_table_satisfiable(
         outcome.conjunction
     )
+
+
+def assert_same_columns(model: WorldModel) -> None:
+    """``model`` equals the generic constructor's model of its worlds in
+    identity and in every stored column."""
+    generic = WorldModel(model.atoms, model.worlds)
+    assert model == generic and hash(model) == hash(generic)
+    assert list(model._atom_masks.items()) == list(generic._atom_masks.items())
+    assert model._planes == generic._planes
+    assert model._denominator == generic._denominator
+    assert model._full == generic._full
+
+
+def assert_independent_worlds(model: WorldModel, n: int, p: Fraction) -> None:
+    assert model.atoms == tuple(f"wins_{i}" for i in range(1, n + 1))
+    assert [v for v, _ in model.worlds] == list(product((False, True), repeat=n))
+    for valuation, weight in model.worlds:
+        assert weight == p ** sum(valuation) * (1 - p) ** (n - sum(valuation))
+
+
+def assert_one_winner_worlds(model: WorldModel, weights: list[Fraction]) -> None:
+    n = len(weights)
+    assert model.atoms == tuple(f"wins_{i}" for i in range(1, n + 1))
+    assert [v for v, _ in model.worlds] == [
+        tuple(i == j for j in range(n)) for i in range(n)
+    ]
+    assert [w for _, w in model.worlds] == weights
+
+
+TICKET_PROBABILITIES = st.integers(2, 60).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))
+)
+
+
+@given(st.integers(1, 10), TICKET_PROBABILITIES)
+@example(1, Fraction(1, 2))
+@example(10, Fraction(59, 60))
+def test_independent_lottery_matches_the_generic_constructor(n, p):
+    model = independent_lottery(n, p).model
+    assert_independent_worlds(model, n, p)
+    assert_same_columns(model)
+
+
+@st.composite
+def ticket_weights(draw):
+    """One to forty nonnegative weights summing to 1, zeros among them: raw
+    ratios over small denominators, scaled by their total."""
+    raw = draw(
+        st.lists(
+            st.tuples(st.just(0) | st.integers(1, 100), st.integers(1, 30)),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda pairs: any(r for r, _ in pairs))
+    )
+    weights = [Fraction(r, d) for r, d in raw]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@given(ticket_weights())
+@example([Fraction(0), Fraction(1, 2), Fraction(1, 2)])
+@example([Fraction(1)])
+def test_biased_lottery_matches_the_generic_constructor(weights):
+    model = biased_lottery(weights).model
+    assert_one_winner_worlds(model, weights)
+    assert_same_columns(model)
+
+
+def test_largest_independent_lottery_matches_the_generic_constructor():
+    model = independent_lottery(16, Fraction(1, 3)).model
+    assert_independent_worlds(model, 16, Fraction(1, 3))
+    assert_same_columns(model)
+
+
+def test_largest_fair_lottery_matches_the_generic_constructor():
+    model = fair_lottery(300).model
+    assert_one_winner_worlds(model, [Fraction(1, 300)] * 300)
+    assert_same_columns(model)

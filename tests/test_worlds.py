@@ -223,6 +223,31 @@ class TestLotteries:
         with pytest.raises(ValueError):
             independent_lottery(3, Fraction(1, 1))
 
+    def test_ticket_count_must_be_an_int(self):
+        for count in (True, False, 2.0, "3", Fraction(3)):
+            with pytest.raises(ValueError, match="ticket count must be an integer"):
+                fair_lottery(count)
+            with pytest.raises(ValueError, match="ticket count must be an integer"):
+                independent_lottery(count, Fraction(1, 3))
+
+    def test_common_denominator_capped_before_building(self, monkeypatch):
+        """Both builders refuse a denominator past the plane bound with the
+        constructor's message, before any weight plane is built."""
+        with pytest.raises(ValueError, match="common denominator of more than 4096 bits"):
+            independent_lottery(INDEPENDENT_LOTTERY_CAP, Fraction(1, 10**100))
+        monkeypatch.setattr(worlds, "MAX_PLANE_BITS", 64)
+        independent_lottery(2, Fraction(1, 2**7))  # 15 bits over 4 worlds
+        biased_lottery([Fraction(1, 2**31), 1 - Fraction(1, 2**31)])
+
+        def unbuilt(*args):
+            raise AssertionError("a weight plane was built")
+
+        monkeypatch.setattr(worlds, "_weight_planes", unbuilt)
+        with pytest.raises(ValueError, match="common denominator of more than 16 bits"):
+            independent_lottery(2, Fraction(1, 2**8))
+        with pytest.raises(ValueError, match="common denominator of more than 32 bits"):
+            biased_lottery([Fraction(1, 2**32), 1 - Fraction(1, 2**32)])
+
 
 class TestModelValidation:
     def test_weights_must_sum_to_one(self):

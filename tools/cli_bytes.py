@@ -33,7 +33,9 @@ that is no rational in (0, 1] or empty, given no observation or one the
 test does not reject, and at the cap of 2000
 trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
 observation with ``--combine-with``, upper rejecting one in ``--json``,
-lower with no observation), ``lottery``, usage errors (among them an
+lower with no observation), ``lottery`` (also independent lotteries of 13
+tickets and of 16, the cap, and a biased one with a zero-weight world),
+usage errors (among them an
 unordered policy given to ``extensions`` and a ``--seed`` below 0 or past
 2**64 - 1, next to the largest seed that samples), ``--version`` and the
 help of every command, which the parser builds without importing the
@@ -263,6 +265,9 @@ def commands() -> list[list[str]]:
         ["lottery", "fair", "--n", "4"],
         ["lottery", "biased", "--weights", "1/10,9/10"],
         ["lottery", "independent", "--n", "3", "--p", "1/2"],
+        ["lottery", "independent", "--n", "13", "--p", "1/5"],
+        ["lottery", "independent", "--n", "16", "--p", "1/3"],
+        ["lottery", "biased", "--weights", "0,1/2,1/2"],
         ["lottery", "fair"],
         ["lottery", "fair", "--n", "301"],
         ["lottery", "independent", "--n", "17", "--p", "1/10"],
