@@ -173,20 +173,11 @@ class WorldModel:
         )
 
     def _from_columns(
-        self,
-        atoms: tuple[str, ...],
-        worlds: tuple[tuple[tuple[bool, ...], Fraction], ...],
-        denominator: int,
-        planes: tuple[tuple[int, int], ...],
-        masks: Sequence[int],
+        self, atoms: tuple[str, ...], worlds: tuple, denominator: int, planes: tuple, masks
     ) -> WorldModel:
-        """Store columns that are already valid and return ``self``.
-
-        ``masks`` holds one mask per atom, in atom order.  ``__init__``
-        ends here once it has checked its input; the lottery builders call
-        it on ``WorldModel.__new__(WorldModel)`` with columns they write in
-        closed form.
-        """
+        """Store valid columns, ``masks`` in atom order, and return ``self``.
+        ``__init__`` ends here; the lottery builders call it on
+        ``WorldModel.__new__(WorldModel)`` with columns in closed form."""
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "_denominator", denominator)
@@ -426,17 +417,13 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
     if total != denominator:
         raise ValueError(f"ticket weights sum to {Fraction(total, denominator)}, not 1")
     wins = _win_atoms(n)
-    names = tuple(a.name for a in wins)
     # World i is the one-hot valuation of ticket i, so atom i's mask is bit i.
     worlds = tuple(
-        ((False,) * i + (True,) + (False,) * (n - i - 1), fracs[i]) for i in range(n)
+        ((False,) * i + (True,) + (False,) * (n - i - 1), w) for i, w in enumerate(fracs)
     )
+    planes = _weight_planes(dict(enumerate(numerators)), range(n))
     model = WorldModel.__new__(WorldModel)._from_columns(
-        names,
-        worlds,
-        denominator,
-        _weight_planes(dict(enumerate(numerators)), range(n)),
-        [1 << i for i in range(n)],
+        tuple(a.name for a in wins), worlds, denominator, planes, [1 << i for i in range(n)]
     )
     background = FormulaSet([exactly_one(wins)])
     candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
