@@ -95,20 +95,12 @@ def _gather(parts: Iterable[tuple], tag: str) -> tuple:
     return (tag, tuple(unique))
 
 
-def _n_and(parts: Iterable[tuple]) -> tuple:
-    return _gather(parts, "and")
-
-
-def _n_or(parts: Iterable[tuple]) -> tuple:
-    return _gather(parts, "or")
-
-
 def _n_negate(node: tuple) -> tuple:
     if node[0] == "lit":
         return ("lit", node[1], not node[2])
     if node[0] == "and":
-        return _n_or(_n_negate(child) for child in node[1])
-    return _n_and(_n_negate(child) for child in node[1])
+        return _gather((_n_negate(child) for child in node[1]), "or")
+    return _gather((_n_negate(child) for child in node[1]), "and")
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +200,17 @@ class Formula:
                 node = self.args[0]._nnf_of(not positive)
             elif op in ("and", "or"):
                 parts = [a._nnf_of(positive) for a in self.args]
-                node = _n_and(parts) if (op == "and") == positive else _n_or(parts)
+                node = _gather(parts, "and" if (op == "and") == positive else "or")
             elif op == "implies":  # ~l | r, negated l & ~r
                 left, right = self.args
                 parts = [left._nnf_of(not positive), right._nnf_of(positive)]
-                node = _n_or(parts) if positive else _n_and(parts)
+                node = _gather(parts, "or" if positive else "and")
             else:  # (l & r) | (~l & ~r), negated (l & ~r) | (~l & r)
                 left, right = self.args
-                node = _n_or((
-                    _n_and((left._nnf_of(True), right._nnf_of(positive))),
-                    _n_and((left._nnf_of(False), right._nnf_of(not positive))),
-                ))
+                node = _gather((
+                    _gather((left._nnf_of(True), right._nnf_of(positive)), "and"),
+                    _gather((left._nnf_of(False), right._nnf_of(not positive)), "and"),
+                ), "or")
             if positive:
                 self._pos = node
             else:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -155,20 +156,12 @@ class WorldModel:
             if w.numerator < 0:
                 raise ValueError(f"negative world weight {w}")
             weighted[vals] = w
-        # Keyed by (numerator, denominator): hashing a Fraction costs a
-        # modular inverse, once per world.
-        weights = [(w.numerator, w.denominator) for w in weighted.values()]
-        counts = Counter(weights)
-        denominator = _common_denominator({q for _, q in counts}, len(weights))
-        numerators = {(p, q): denominator // q * p for p, q in counts}
-        total = sum(numerators[w] * c for w, c in counts.items())
-        if total != denominator:
-            raise ValueError(f"world weights sum to {Fraction(total, denominator)}, not 1")
+        denominator, planes = _weight_columns(weighted.values(), "world")
         self._from_columns(
             atom_names,
             tuple(weighted.items()),
             denominator,
-            _weight_planes(numerators, weights),
+            planes,
             _column_masks(b"".join(map(bytes, weighted)), len(atom_names), 1),
         )
 
@@ -283,31 +276,47 @@ def _column_masks(table: bytes, width: int, bits: int) -> list[int]:
 
 def _check_plane_bits(denominator: int, count: int) -> None:
     """Refuse weight planes of ``count`` worlds over ``denominator`` past
-    ``MAX_PLANE_BITS``, before any of them is built."""
+    ``MAX_PLANE_BITS``, before any of them is built; then a denominator past
+    the interpreter's digit limit, if it has one, since every exact
+    probability of the model has a denominator that divides it."""
+    digits = sys.get_int_max_str_digits()
     if denominator.bit_length() * count > MAX_PLANE_BITS:
-        raise ValueError(
-            f"the weights of {count} worlds need a common denominator "
-            f"of more than {MAX_PLANE_BITS // count} bits"
-        )
+        limit = f"{MAX_PLANE_BITS // count} bits"
+    # 10**digits has more than 3 * digits bits: compute it only past that
+    elif digits and denominator.bit_length() > 3 * digits and denominator >= 10**digits:
+        limit = f"{digits} digits"
+    else:
+        return
+    raise ValueError(
+        f"the weights of {count} worlds need a common denominator of more than {limit}"
+    )
 
 
-def _common_denominator(denominators: Iterable[int], count: int) -> int:
-    """The lcm of ``denominators``, bounded for ``count`` worlds as it grows."""
+def _weight_columns(weights: Collection[Fraction], what: str) -> tuple[int, tuple]:
+    """The common denominator ``D`` of ``weights``, one per world in world
+    order, and their nonzero planes ``(b, P_b)``; ``what`` names the worlds
+    when the weights do not sum to 1.
+
+    Each distinct weight is keyed by ``(numerator, denominator)``, since
+    hashing a Fraction costs a modular inverse, and its numerator over
+    ``D`` is written once, as little-endian bytes of one width, into the
+    table that ``_column_masks`` slices into planes.
+    """
+    count = len(weights)
+    keys = [(w.numerator, w.denominator) for w in weights]
+    counts = Counter(keys)
     denominator = 1
-    for q in denominators:
+    for q in {q for _, q in counts}:
         denominator = math.lcm(denominator, q)
         _check_plane_bits(denominator, count)
-    return denominator
-
-
-def _weight_planes(numerators: Mapping, keys: Iterable) -> tuple[tuple[int, int], ...]:
-    """The nonzero planes ``(b, P_b)`` of worlds whose numerators are
-    ``numerators[key]``, one key per world in world order: each distinct
-    numerator is written once as little-endian bytes of one width."""
+    numerators = {(p, q): denominator // q * p for p, q in counts}
+    total = sum(numerators[key] * c for key, c in counts.items())
+    if total != denominator:
+        raise ValueError(f"{what} weights sum to {Fraction(total, denominator)}, not 1")
     width = (max(numerators.values()).bit_length() + 7) // 8
     encoded = {key: n.to_bytes(width, "little") for key, n in numerators.items()}
     table = b"".join(map(encoded.__getitem__, keys))
-    return tuple((b, p) for b, p in enumerate(_column_masks(table, width, 8)) if p)
+    return denominator, tuple((b, p) for b, p in enumerate(_column_masks(table, width, 8)) if p)
 
 
 class BeliefBase:
@@ -411,17 +420,12 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
     n = len(fracs)
     if any(w < 0 for w in fracs):
         raise ValueError("ticket weights must be nonnegative")
-    denominator = _common_denominator({w.denominator for w in fracs}, n)
-    numerators = [denominator // w.denominator * w.numerator for w in fracs]
-    total = sum(numerators)
-    if total != denominator:
-        raise ValueError(f"ticket weights sum to {Fraction(total, denominator)}, not 1")
+    denominator, planes = _weight_columns(fracs, "ticket")
     wins = _win_atoms(n)
     # World i is the one-hot valuation of ticket i, so atom i's mask is bit i.
     worlds = tuple(
         ((False,) * i + (True,) + (False,) * (n - i - 1), w) for i, w in enumerate(fracs)
     )
-    planes = _weight_planes(dict(enumerate(numerators)), range(n))
     model = WorldModel.__new__(WorldModel)._from_columns(
         tuple(a.name for a in wins), worlds, denominator, planes, [1 << i for i in range(n)]
     )
@@ -465,11 +469,11 @@ def independent_lottery(n: int, p) -> BeliefBase:
     by_winners = [1] + [0] * n
     for m in range(n):
         by_winners = [c | low << (1 << m) for c, low in zip(by_winners, [0, *by_winners])]
-    # Plane b is the union of the winner counts whose numerator has bit b
-    # set: the planes of the n + 1 numerators, read as n + 1 worlds.
+    # Plane b is the union of the winner counts whose numerator has bit b set.
     planes = tuple(
-        (b, reduce(or_, (c for k, c in enumerate(by_winners) if winner_counts >> k & 1)))
-        for b, winner_counts in _weight_planes(dict(enumerate(numerators)), range(n + 1))
+        (b, plane)
+        for b in range(max(numerators).bit_length())
+        if (plane := reduce(or_, (c for c, m in zip(by_winners, numerators) if m >> b & 1), 0))
     )
     # Atom j is bit n-1-j of the world index: it holds in the upper half of
     # every run of 2 * half worlds, half = 2**(n-1-j).

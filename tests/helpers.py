@@ -168,6 +168,29 @@ DEEP_NESTING_PROBES = {
 # Its canonical form would double with each link, to billions of characters.
 LONG_BICONDITIONAL_CHAIN = " <-> ".join(["a"] * 30)
 
+def past_digit_limit_weights(digits: int) -> list[Fraction]:
+    """Four weights, 1/(2p), (p-1)/(2p), 1/(2r) and (r-1)/(2r) for
+    p = 10**k + 1, r = 10**k + 3 and k = digits // 2 + 1: each has fewer
+    than ``digits`` digits, and their common denominator 2pr has more."""
+    k = digits // 2 + 1
+    p, r = 10**k + 1, 10**k + 3
+    return [Fraction(1, 2 * p), Fraction(p - 1, 2 * p), Fraction(1, 2 * r), Fraction(r - 1, 2 * r)]
+
+
+def past_digit_limit_base(digits: int) -> str:
+    """A base file over atoms a, b with the four worlds weighted by
+    ``past_digit_limit_weights``; the candidate NB, ~b, has a probability
+    over their whole common denominator."""
+    worlds = zip(product((1, 0), repeat=2), past_digit_limit_weights(digits))
+    return (
+        "ATOMS: a b\nWORLDS:\n"
+        + "".join(
+            f"w{i}: a={a} b={b} weight {w}\n" for i, ((a, b), w) in enumerate(worlds, start=1)
+        )
+        + "CANDIDATES:\nA: a\nNB: ~b\n"
+    )
+
+
 # Nine formulas over a0..a7, each satisfiable in well under a millisecond.
 # A subset search that also branched on the variables of the members left
 # out of each query took more than 60 s to list their minimal

@@ -161,5 +161,20 @@ class TestFormatErrors:
 
     def test_weights_not_summing_rejected(self):
         text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1/3\nw2: a=0 weight 1/3\n"
-        with pytest.raises(BeliefBaseFormatError):
+        with pytest.raises(BeliefBaseFormatError, match="world weights sum to 2/3, not 1"):
             loads(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("ATOMS: a\nWORLDS: extra\n", "line 2: unexpected text after WORLDS:"),
+        ("ATOMS: a\nWORLDS:\na=1 weight 1\n",
+         "line 3: expected '<label>: <atom>=<0|1> ... weight <p/q>'"),
+        ("ATOMS: a\nWORLDS:\nw1: a=1 weight 1 1\n", "line 3: expected exactly one weight value"),
+        ("ATOMS: a\nWORLDS:\nw1: a=2 weight 1\n", "line 3: bad assignment token 'a=2'"),
+        ("ATOMS: a\nWORLDS:\nw1: a=1 a=0 weight 1\n", "line 3: atom 'a' assigned twice"),
+        ("ATOMS: a a\nWORLDS:\nw1: a=1 weight 1\n", "duplicate atom names"),
+    ], ids=["text_after_header", "no_label", "two_weights", "bad_value", "assigned_twice",
+            "duplicate_atoms"])
+    def test_malformed_input_message(self, text, message):
+        with pytest.raises(BeliefBaseFormatError) as caught:
+            loads(text)
+        assert str(caught.value) == message

@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 
 import pytest
 
@@ -10,7 +11,11 @@ from probaccept.sat import DEFAULT_CANDIDATE_CAP
 from probaccept.stattests import MAX_BINOMIAL_TRIALS
 from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, MAX_WORLDS, ONE_WINNER_LOTTERY_CAP
 
-from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN
+from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN, past_digit_limit_base
+
+needs_digit_limit = pytest.mark.skipif(
+    not sys.get_int_max_str_digits(), reason="needs the interpreter's digit limit"
+)
 
 ATOM_BASE = """\
 ATOMS: a
@@ -94,6 +99,16 @@ class TestLotteryCommand:
         code, _, err = run_cli(capsys, "lottery", "fair")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lottery", "biased"], "biased lottery needs --weights p/q,p/q,..."),
+        (["lottery", "independent", "--n", "3"], "independent lottery needs --n and --p"),
+    ], ids=["biased_without_weights", "independent_without_p"])
+    def test_missing_parameter_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"probaccept: error: {message}\n"
 
     def test_zero_denominator_weight_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "lottery", "biased", "--weights", "1/0,1")
@@ -449,6 +464,13 @@ class TestStatCommand:
         assert out == ""
         assert "p0 = 1/100003 over n = 1000 trials" in err
 
+    def test_region_too_small_to_reject_reads_empty(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stat", "binom", "--n", "1", "--p0", "1/2", "--epsilon", "1/10"
+        )
+        assert code == 0
+        assert "rejection_region: (empty)\n" in out
+
     def test_zero_denominator_p0_is_input_error(self, capsys):
         code, out, err = run_cli(
             capsys, "stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"
@@ -547,6 +569,35 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"line {MAX_WORLDS + 3}: more than {MAX_WORLDS} worlds" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("command", [
+        ["accept", "--policy", "threshold", "--epsilon", "1/2"],
+        ["diagnose", "--epsilon", "1/2"],
+    ], ids=["accept", "diagnose"])
+    def test_denominator_past_the_digit_limit_is_input_error(self, capsys, tmp_path, command):
+        digits = sys.get_int_max_str_digits()
+        path = tmp_path / "digits.bb"
+        path.write_text(past_digit_limit_base(digits), encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "probaccept: error: the weights of 4 worlds need a common denominator "
+            f"of more than {digits} digits\n"
+        )
+
+    @needs_digit_limit
+    def test_independent_lottery_past_the_digit_limit_is_input_error(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        q = 10 ** (digits // 2 + 1) + 1  # q**2 has more digits than the limit
+        code, out, err = run_cli(capsys, "lottery", "independent", "--n", "2", "--p", f"1/{q}")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "probaccept: error: the weights of 4 worlds need a common denominator "
+            f"of more than {digits} digits\n"
+        )
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

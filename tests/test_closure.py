@@ -115,6 +115,11 @@ class TestConsequenceLevel:
         assert result.support_lower_bound == Fraction(1, 100)
         assert result.exact_probability == Fraction(1, 100)
 
+    def test_no_premises_rejected(self, lottery100):
+        level = AcceptanceLevel(Fraction(1, 100))
+        with pytest.raises(ValueError, match="need at least one premise"):
+            consequence_level(lottery100.model, FormulaSet(), atom("wins_1"), level)
+
     def test_non_entailment_rejected(self, lottery100):
         level = AcceptanceLevel(Fraction(1, 100))
         premises = FormulaSet([lottery100.candidate("L1")])

@@ -1,6 +1,8 @@
 import gc
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,7 +32,11 @@ from probaccept import worlds
 from probaccept.formulas import MAX_KEY_LENGTH
 from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, ONE_WINNER_LOTTERY_CAP
 
-from helpers import random_formula, random_model
+from helpers import past_digit_limit_weights, random_formula, random_model
+
+needs_digit_limit = pytest.mark.skipif(
+    not sys.get_int_max_str_digits(), reason="needs the interpreter's digit limit"
+)
 
 
 def live_formulas() -> int:
@@ -242,7 +248,7 @@ class TestLotteries:
         def unbuilt(*args):
             raise AssertionError("a weight plane was built")
 
-        monkeypatch.setattr(worlds, "_weight_planes", unbuilt)
+        monkeypatch.setattr(worlds, "_column_masks", unbuilt)
         with pytest.raises(ValueError, match="common denominator of more than 16 bits"):
             independent_lottery(2, Fraction(1, 2**8))
         with pytest.raises(ValueError, match="common denominator of more than 32 bits"):
@@ -287,6 +293,44 @@ class TestModelValidation:
             WorldModel(
                 ["a"], [((True,), Fraction(1, 2**32)), ((False,), 1 - Fraction(1, 2**32))]
             )
+
+    @needs_digit_limit
+    def test_denominator_past_the_digit_limit_rejected(self):
+        """Weights that each fit the digit limit, over a common denominator
+        that does not, build no model in any constructor."""
+        digits = sys.get_int_max_str_digits()
+        message = f"the weights of 4 worlds need a common denominator of more than {digits} digits"
+        weights = past_digit_limit_weights(digits)
+        with pytest.raises(ValueError, match=message):
+            WorldModel(["a", "b"], zip(product((True, False), repeat=2), weights))
+        with pytest.raises(ValueError, match=message):
+            biased_lottery(weights)
+        # (10**k + 1)**2 has 2k + 1 digits
+        with pytest.raises(ValueError, match=message):
+            independent_lottery(2, Fraction(1, 10 ** (digits // 2 + 1) + 1))
+
+    @needs_digit_limit
+    def test_denominator_at_the_digit_limit_allowed(self):
+        digits = sys.get_int_max_str_digits()
+        edge = Fraction(1, 10 ** (digits - 1))  # a denominator of exactly that many digits
+        assert biased_lottery([edge, 1 - edge]).model.probability(atom("wins_1")) == edge
+        past = Fraction(1, 10**digits)
+        with pytest.raises(ValueError, match=f"of more than {digits} digits"):
+            WorldModel(["a"], [((True,), past), ((False,), 1 - past)])
+
+    def test_plane_bound_checked_before_the_digit_limit(self, monkeypatch):
+        def two_worlds(q):
+            return WorldModel(["a"], [((True,), Fraction(1, q)), ((False,), 1 - Fraction(1, q))])
+
+        monkeypatch.setattr(worlds, "MAX_PLANE_BITS", 64)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5)
+        two_worlds(99_999)
+        with pytest.raises(ValueError, match="common denominator of more than 5 digits"):
+            two_worlds(100_000)
+        with pytest.raises(ValueError, match="common denominator of more than 32 bits"):
+            two_worlds(2**32)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        two_worlds(2**31)
 
     def test_zero_weight_worlds_allowed(self):
         model = WorldModel(["a"], [((True,), 1), ((False,), 0)])

@@ -34,7 +34,11 @@ test does not reject, and at the cap of 2000
 trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
 observation with ``--combine-with``, upper rejecting one in ``--json``,
 lower with no observation), ``lottery`` (also independent lotteries of 13
-tickets and of 16, the cap, and a biased one with a zero-weight world),
+tickets and of 16, the cap, a biased one with a zero-weight world and one
+whose three denominators differ), common denominators past the
+interpreter's digit limit (``accept`` and ``diagnose`` on a base whose
+weights each fit it, and an independent lottery), a base in which some
+worlds share a weight and others do not,
 usage errors (among them an
 unordered policy given to ``extensions`` and a ``--seed`` below 0 or past
 2**64 - 1, next to the largest seed that samples), ``--version`` and the
@@ -127,6 +131,34 @@ NAC: ~(a <-> c)
 # A world weight with a zero denominator: an input error naming its line.
 ZERO_WEIGHT_BASE = PAIR_BASE.replace("w2: a=0 weight 1/2", "w2: a=0 weight 1/0")
 
+# Two worlds share a weight and two have weights of their own, over three
+# denominators whose lcm is 12.
+MIXED_WEIGHTS_BASE = """\
+ATOMS: a b
+WORLDS:
+w1: a=1 b=1 weight 1/4
+w2: a=1 b=0 weight 1/4
+w3: a=0 b=1 weight 1/3
+w4: a=0 b=0 weight 1/6
+CANDIDATES:
+A: a
+NB: ~b
+AB: a | b
+"""
+
+# Four weights of about 2,500 digits each, 1/(2p), (p-1)/(2p), 1/(2r) and
+# (r-1)/(2r) for p = 10**2500 + 1 and r = 10**2500 + 3: each fits the
+# default digit limit of 4,300, their common denominator 2pr does not.
+_P, _R = 10**2500 + 1, 10**2500 + 3
+DIGIT_LIMIT_BASE = (
+    "ATOMS: a b\nWORLDS:\n"
+    f"w1: a=1 b=1 weight 1/{2 * _P}\n"
+    f"w2: a=1 b=0 weight {_P - 1}/{2 * _P}\n"
+    f"w3: a=0 b=1 weight 1/{2 * _R}\n"
+    f"w4: a=0 b=0 weight {_R - 1}/{2 * _R}\n"
+    "CANDIDATES:\nA: a\nNB: ~b\n"
+)
+
 # A background whose canonical form exceeds the key-length limit: a
 # 30-link biconditional chain over 30 atoms.
 _CHAIN_ATOMS = [f"a{i}" for i in range(30)]
@@ -181,6 +213,8 @@ HAND_BASES = {
     "pairs.bb": PAIRS_BASE,
     "grouped_pairs.bb": GROUPED_PAIRS_BASE,
     "zero_weight.bb": ZERO_WEIGHT_BASE,
+    "mixed_weights.bb": MIXED_WEIGHTS_BASE,
+    "digit_limit.bb": DIGIT_LIMIT_BASE,
 }
 
 
@@ -232,6 +266,10 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/300", "fair_300.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "mixed_weights.bb"],
+        ["closure", "--epsilon", "1/2", "--labels", "A,AB", "mixed_weights.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "digit_limit.bb"],
+        ["diagnose", "--epsilon", "1/2", "digit_limit.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L9", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2,L3", "--conclusion",
@@ -268,6 +306,9 @@ def commands() -> list[list[str]]:
         ["lottery", "independent", "--n", "13", "--p", "1/5"],
         ["lottery", "independent", "--n", "16", "--p", "1/3"],
         ["lottery", "biased", "--weights", "0,1/2,1/2"],
+        ["lottery", "biased", "--weights", "1/2,1/3,1/6"],
+        # a common denominator of 6,001 digits, from a --p of 3,001
+        ["lottery", "independent", "--n", "2", "--p", f"1/{10**3000 + 1}"],
         ["lottery", "fair"],
         ["lottery", "fair", "--n", "301"],
         ["lottery", "independent", "--n", "17", "--p", "1/10"],
