@@ -32,6 +32,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, permutations
 
 from .formulas import Formula, FormulaSet, atom
@@ -78,7 +79,8 @@ class AcceptanceLevel:
             raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
         object.__setattr__(self, "epsilon", eps)
 
-    @property
+    # met_by reads it per statement; frozen still leaves the instance __dict__
+    @cached_property
     def threshold(self) -> Fraction:
         return 1 - self.epsilon
 

@@ -11,8 +11,10 @@ Output is a flat ``key: value`` text report, or nested JSON with
 are marked approximate.  Identical inputs and flags produce identical
 bytes.  Exit codes: 0 ok, 2 input error, 3 internal invariant violation.
 
-Each handler imports the library modules it runs, and only ``--json``
-imports ``json``, so a command loads no more than it needs.
+Each handler imports the library modules it runs and returns its report
+body, or ``lottery``'s text; ``main`` alone ends every report with its
+``provenance`` and writes it.  Only ``--json`` imports ``json``, so a
+command loads no more than it needs.
 """
 
 from __future__ import annotations
@@ -51,14 +53,10 @@ def _approx(value: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def _jsonable(value):
+def _json_fraction(value) -> dict:
     if isinstance(value, Fraction):
         return {"exact": str(value), "approx": _approx(value)}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _flat_value(value) -> str:
@@ -88,24 +86,20 @@ def _emit(report: dict, as_json: bool) -> str:
     if as_json:
         import json
 
-        return json.dumps(_jsonable(report), indent=2) + "\n"
+        return json.dumps(report, indent=2, default=_json_fraction) + "\n"
     lines: list[str] = []
     _flatten(report, "", lines)
     return "\n".join(lines) + "\n"
 
 
-def _digest(path: str) -> str:
-    import hashlib
-
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 def _provenance(args, path: str | None) -> dict:
     out = {"seed": args.seed, "strict_threshold": bool(args.strict_threshold)}
     if path is not None:
-        out["input"] = path
-        out["input_sha256"] = _digest(path)
+        import hashlib
+
+        with open(path, "rb") as handle:
+            out["input"] = path
+            out["input_sha256"] = hashlib.sha256(handle.read()).hexdigest()
     return out
 
 
@@ -121,6 +115,29 @@ def _accepted_entries(result) -> list[dict]:
         }
         for a in result.accepted
     ]
+
+
+def _diagnostics(result, **found) -> dict:
+    """The diagnostics block of an accepted set, then the keys ``found``."""
+    from .formulas import has_strong_inconsistency
+
+    return {
+        "weakly_consistent": result.weakly_consistent,
+        "strong_inconsistency": has_strong_inconsistency(list(result.statements)),
+        **found,
+    }
+
+
+def _leveled(leveled) -> dict:
+    """A conjunction's or consequence's formula and support floor."""
+    from .formulas import render
+
+    return {
+        "formula": render(leveled.statement),
+        "premise_count": leveled.premise_count,
+        "support_lower_bound": leveled.support_lower_bound,
+        "exact_probability": leveled.exact_probability,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +172,8 @@ def _resolve_order(base, text: str) -> list[str]:
     return _label_list(text, "--order")
 
 
-def _cmd_accept(args) -> str:
+def _cmd_accept(args) -> dict:
     from .accept import POLICY_TABLE
-    from .formulas import has_strong_inconsistency
 
     base, level = _base_and_level(args)
     run, ordered = POLICY_TABLE[args.policy]
@@ -169,27 +185,18 @@ def _cmd_accept(args) -> str:
         result = run(base, _resolve_order(base, args.order), level)
     else:
         result = run(base, level)
-    members = list(result.statements)
-    report = {
+    return {
         "command": "accept",
         "policy": result.policy,
         "epsilon": level.epsilon,
         "threshold": level.threshold,
         "accepted_count": len(result.accepted),
         "accepted": _accepted_entries(result),
-        "diagnostics": {
-            "weakly_consistent": result.weakly_consistent,
-            "strong_inconsistency": has_strong_inconsistency(members),
-            "mus_min_size": None,
-            "mcs_count": None,
-            "degree": None,
-        },
-        "provenance": _provenance(args, args.base),
+        "diagnostics": _diagnostics(result, mus_min_size=None, mcs_count=None, degree=None),
     }
-    return _emit(report, args.json)
 
 
-def _cmd_extensions(args) -> str:
+def _cmd_extensions(args) -> dict:
     from .accept import enumerate_extensions
     from .formulas import render
 
@@ -201,7 +208,7 @@ def _cmd_extensions(args) -> str:
         max_permutations=args.max_permutations,
         seed=args.seed,
     )
-    report = {
+    return {
         "command": "extensions",
         "policy": outcome.policy,
         "epsilon": level.epsilon,
@@ -223,9 +230,7 @@ def _cmd_extensions(args) -> str:
         "disjunctive_intersection": {
             "statements": [render(f) for f in outcome.intersection],
         },
-        "provenance": _provenance(args, args.base),
     }
-    return _emit(report, args.json)
 
 
 def _cmd_lottery(args) -> str:
@@ -251,10 +256,9 @@ def _cmd_lottery(args) -> str:
     return f"wrote: {args.out}\nworlds: {len(base.model.worlds)}\n"
 
 
-def _cmd_diagnose(args) -> str:
+def _cmd_diagnose(args) -> dict:
     from .accept import threshold_accept
     from .closure import contradiction_bound
-    from .formulas import has_strong_inconsistency
     from .sat import _check_cap, _consistent_family, shrink_unsat_subset
     from .strands import _degree
 
@@ -263,7 +267,6 @@ def _cmd_diagnose(args) -> str:
     accepted = threshold_accept(base, level)
     accepted_formulas = accepted.accepted_formulas
     background = base.background
-    members = list(accepted.statements)
     cap = args.max_candidates
 
     mus_min_size = None
@@ -283,29 +286,26 @@ def _cmd_diagnose(args) -> str:
             mus_min_size = len(shrunk)
 
     bound = contradiction_bound(level)
-    report = {
+    return {
         "command": "diagnose",
         "epsilon": level.epsilon,
         "threshold": level.threshold,
         "accepted_count": len(accepted.accepted),
-        "diagnostics": {
-            "weakly_consistent": accepted.weakly_consistent,
-            "strong_inconsistency": has_strong_inconsistency(members),
-            "mus_min_size": mus_min_size,
-            "mus_method": mus_method,
-            "mcs_count": mcs_count,
-            "degree": degree,
-        },
+        "diagnostics": _diagnostics(
+            accepted,
+            mus_min_size=mus_min_size,
+            mus_method=mus_method,
+            mcs_count=mcs_count,
+            degree=degree,
+        ),
         "contradiction_bound": bound,
         "mus_respects_bound": mus_min_size is None or mus_min_size >= bound,
-        "provenance": _provenance(args, args.base),
     }
-    return _emit(report, args.json)
 
 
-def _cmd_closure(args) -> str:
+def _cmd_closure(args) -> dict:
     from .closure import conjunction_support, consequence_level, contradiction_bound
-    from .formulas import FormulaSet, parse, render
+    from .formulas import FormulaSet, parse
 
     base, level = _base_and_level(args)
     report: dict = {
@@ -321,31 +321,19 @@ def _cmd_closure(args) -> str:
         except KeyError as exc:  # an unknown label is bad input
             raise ValueError(exc.args[0]) from None
         support = conjunction_support(base.model, premises, level)
-        report["conjunction"] = {
-            "premises": labels,
-            "formula": render(support.statement),
-            "premise_count": support.premise_count,
-            "support_lower_bound": support.support_lower_bound,
-            "exact_probability": support.exact_probability,
-        }
+        report["conjunction"] = {"premises": labels, **_leveled(support)}
         if args.conclusion is not None:
             conclusion = parse(args.conclusion)
             leveled = consequence_level(
                 base.model, premises, conclusion, level, background=base.background
             )
-            report["consequence"] = {
-                "formula": render(leveled.statement),
-                "premise_count": leveled.premise_count,
-                "support_lower_bound": leveled.support_lower_bound,
-                "exact_probability": leveled.exact_probability,
-            }
+            report["consequence"] = _leveled(leveled)
     elif args.conclusion is not None:
         raise ValueError("--conclusion needs --labels naming the premises")
-    report["provenance"] = _provenance(args, args.base)
-    return _emit(report, args.json)
+    return report
 
 
-def _cmd_stat(args) -> str:
+def _cmd_stat(args) -> dict:
     from .basefile import parse_rational
     from .stattests import (
         BinomialTestSpec,
@@ -402,8 +390,7 @@ def _cmd_stat(args) -> str:
                     "dependent_lower_bound": joint.support_lower_bound,
                     "independent_lower_bound": joint_ind.support_lower_bound,
                 }
-    report["provenance"] = _provenance(args, None)
-    return _emit(report, args.json)
+    return report
 
 
 def _compact_counts(counts: list[int]) -> str:
@@ -516,7 +503,11 @@ def main(argv: list[str] | None = None) -> int:
     if not 0 <= args.seed < 2**64:
         parser.error(f"argument --seed: must lie between 0 and 2**64 - 1, got {args.seed}")
     try:
-        sys.stdout.write(args.func(args))
+        out = args.func(args)  # a report body, or lottery's text as it is
+        if isinstance(out, dict):
+            out["provenance"] = _provenance(args, getattr(args, "base", None))
+            out = _emit(out, args.json)
+        sys.stdout.write(out)
         return 0
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); suppress the noise

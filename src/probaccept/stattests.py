@@ -236,6 +236,13 @@ def combine_tests(
     else:
         slack = sum((a.epsilon for a in accepted), Fraction(0))
         floor = max(Fraction(0), 1 - slack)
+    # a floor past the digit limit could not be printed, as in BinomialTestSpec
+    digits = sys.get_int_max_str_digits()
+    if digits and _power_reaches(floor.denominator, 1, 10**digits):
+        raise ValueError(
+            f"the combined support floor of {len(accepted)} rejections needs exact "
+            f"fractions of more than {digits} digits"
+        )
     statement = " & ".join(f"({a.statement})" for a in accepted)
     return CombinedRejection(
         statement=statement,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import Formula, FormulaSet
-from .sat import DEFAULT_CANDIDATE_CAP, _consistent_family, entails
+from .sat import DEFAULT_CANDIDATE_CAP, _check_cap, _consistent_family, entails
 from .sat import maximal_consistent_subsets
 
 __all__ = [
@@ -68,6 +68,7 @@ def degree_of_inconsistency(
     Requires every candidate to be individually satisfiable with the
     background (otherwise no consistent subset can cover it).
     """
+    _check_cap(cap)  # before the shortcut, as the enumerators check it
     members = tuple(FormulaSet(candidates))
     if not members:  # nothing to cover, so the background goes unchecked
         return _degree(members, [])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -43,6 +44,16 @@ class TestAcceptanceLevel:
         assert level.threshold == Fraction(99, 100)
         assert level.met_by(Fraction(99, 100))
         assert not level.met_by(Fraction(98, 99))
+
+    def test_replaced_level_has_its_own_threshold(self):
+        level = AcceptanceLevel(Fraction(1, 100))
+        assert level.threshold == Fraction(99, 100)  # read, so cached on level
+        wider = dataclasses.replace(level, epsilon=Fraction(1, 10))
+        assert wider.threshold == Fraction(9, 10)
+        assert wider.met_by(Fraction(9, 10))
+        assert level.threshold == Fraction(99, 100)
+        assert wider != level
+        assert dataclasses.asdict(wider) == {"epsilon": Fraction(1, 10), "strict": False}
 
     def test_strict_mode_excludes_boundary(self):
         level = AcceptanceLevel(Fraction(1, 100), strict=True)

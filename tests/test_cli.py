@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import sys
@@ -464,6 +465,22 @@ class TestStatCommand:
         assert out == ""
         assert "p0 = 1/100003 over n = 1000 trials" in err
 
+    @needs_digit_limit
+    def test_combined_floor_past_the_digit_limit_is_input_error(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        k = digits // 2 + 1  # each level fits the limit, their lcm does not
+        code, out, err = run_cli(
+            capsys,
+            "stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+            "--observed", "30", "--combine-with", f"1/{10**k + 1},1/{10**k + 3}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "probaccept: error: the combined support floor of 3 rejections needs "
+            f"exact fractions of more than {digits} digits\n"
+        )
+
     def test_region_too_small_to_reject_reads_empty(self, capsys):
         code, out, _ = run_cli(
             capsys, "stat", "binom", "--n", "1", "--p0", "1/2", "--epsilon", "1/10"
@@ -486,6 +503,83 @@ class TestStatCommand:
             "--observed", "11",
         )
         assert code == 2
+
+
+# Every report command; BASE stands for the 3-ticket lottery file.
+REPORT_COMMANDS = {
+    "accept": ["accept", "--policy", "threshold", "--epsilon", "1/3", "BASE"],
+    "extensions": ["extensions", "--policy", "sequential", "--epsilon", "1/3", "BASE"],
+    "diagnose": ["diagnose", "--epsilon", "1/3", "BASE"],
+    "closure": ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "BASE"],
+    "stat_binom": ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+                   "--observed", "30", "--combine-with", "1/100"],
+}
+
+
+class TestReportEnvelope:
+    @staticmethod
+    def _argv_and_provenance(argv, path):
+        """``argv`` with BASE filled in, and the provenance it reports."""
+        expected = {"seed": 0, "strict_threshold": False}
+        if "BASE" in argv:
+            with open(path, "rb") as handle:
+                digest = hashlib.sha256(handle.read()).hexdigest()
+            expected.update(input=path, input_sha256=digest)
+        return [path if part == "BASE" else part for part in argv], expected
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS)
+    def test_text_report_ends_with_provenance(self, capsys, lottery3_path, argv):
+        argv, expected = self._argv_and_provenance(argv, lottery3_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        tail = [line for line in lines if line.startswith("provenance.")]
+        assert lines[-len(tail):] == tail
+        assert tail == [
+            f"provenance.{key}: {str(value).lower() if isinstance(value, bool) else value}"
+            for key, value in expected.items()
+        ]
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS)
+    def test_json_report_ends_with_provenance(self, capsys, lottery3_path, argv):
+        argv, expected = self._argv_and_provenance(argv, lottery3_path)
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[-1] == "provenance"
+        assert payload["provenance"] == expected
+
+    def test_nested_fractions_are_exact_and_approx_in_json(self, capsys, lottery3_path):
+        code, out, _ = run_cli(
+            capsys, "--json", *REPORT_COMMANDS["extensions"][:-1], lottery3_path
+        )
+        assert code == 0
+        two_thirds = {"exact": "2/3", "approx": "0.666667"}
+        entries = [entry for ext in json.loads(out)["extensions"] for entry in ext["accepted"]]
+        assert len(entries) == 6
+        for entry in entries:
+            assert entry["probability"] == entry["support_at_acceptance"] == two_thirds
+        code, out, _ = run_cli(capsys, "--json", *REPORT_COMMANDS["stat_binom"])
+        assert code == 0
+        assert json.loads(out)["combined"] == {
+            "statement": "(parameter != 1/2) & (parameter != 1/2)",
+            "dependent_lower_bound": {"exact": "49/50", "approx": "0.980000"},
+            "independent_lower_bound": {"exact": "9801/10000", "approx": "0.980100"},
+        }
+
+    def test_lottery_writes_text_under_json(self, capsys):
+        argv = ["lottery", "fair", "--n", "3"]
+        assert run_cli(capsys, "--json", *argv) == run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv)[1].startswith("ATOMS:")
+
+    def test_lottery_out_writes_the_same_lines_under_json(self, capsys, tmp_path):
+        plain, as_json = tmp_path / "plain.bb", tmp_path / "json.bb"
+        argv = ["lottery", "fair", "--n", "3", "--out"]
+        assert run_cli(capsys, *argv, str(plain)) == (0, f"wrote: {plain}\nworlds: 3\n", "")
+        assert run_cli(capsys, "--json", *argv, str(as_json)) == (
+            0, f"wrote: {as_json}\nworlds: 3\n", ""
+        )
+        assert as_json.read_bytes() == plain.read_bytes()
 
 
 class TestParser:

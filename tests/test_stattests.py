@@ -212,6 +212,26 @@ class TestCombineTests:
         combined = combine_tests([accepted])
         assert combined.support_lower_bound == Fraction(99, 100)
 
+    @pytest.mark.skipif(
+        not sys.get_int_max_str_digits(), reason="needs the interpreter's digit limit"
+    )
+    @pytest.mark.parametrize("independent", [False, True], ids=["dependent", "independent"])
+    def test_floor_past_the_digit_limit_rejected(self, independent):
+        # each level fits the limit; the lcm or product of two coprime
+        # denominators of k + 1 digits has 2k + 1, more than the limit
+        digits = sys.get_int_max_str_digits()
+        k = digits // 2 + 1
+        rejections = [
+            rejection_to_acceptance(spec(eps=Fraction(1, 10**k + d)), Decision.REJECT)
+            for d in (1, 3)
+        ]
+        with pytest.raises(
+            ValueError,
+            match=f"^the combined support floor of 2 rejections needs exact fractions "
+            f"of more than {digits} digits$",
+        ):
+            combine_tests(rejections, independent=independent)
+
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
             combine_tests([])

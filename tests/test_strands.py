@@ -12,16 +12,28 @@ from probaccept import (
     fair_lottery,
     is_satisfiable,
     maximal_consistent_subsets,
+    minimal_unsat_subsets,
     parse,
     strand_entails,
     strands,
 )
+
+from probaccept.sat import DEFAULT_CANDIDATE_CAP
 
 from helpers import (
     brute_min_cover_over_consistent_subsets,
     random_formula,
     truth_table_satisfiable,
 )
+
+
+@pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 1])
+@pytest.mark.parametrize("function", [
+    degree_of_inconsistency, minimal_unsat_subsets, maximal_consistent_subsets, strands,
+], ids=lambda function: function.__name__)
+def test_cap_checked_with_no_candidates(function, cap):
+    with pytest.raises(ValueError, match=f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}"):
+        function(FormulaSet(), cap=cap)
 
 
 class TestDegreeOfInconsistency:

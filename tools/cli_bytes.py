@@ -30,12 +30,14 @@ empty item in ``--labels``, and an unknown atom in a conclusion, entailed
 or not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
 background past the canonical key-length limit, ``stat binom`` (also with a ``--combine-with`` level
 that is no rational in (0, 1] or empty, given no observation or one the
-test does not reject, and at the cap of 2000
+test does not reject, with three levels of 2,001 digits whose combined
+floors pass the interpreter's digit limit, and at the cap of 2000
 trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
 observation with ``--combine-with``, upper rejecting one in ``--json``,
 lower with no observation), ``lottery`` (also independent lotteries of 13
 tickets and of 16, the cap, a biased one with a zero-weight world and one
-whose three denominators differ), common denominators past the
+whose three denominators differ, and ``lottery`` under ``--json``, which
+writes the same text or ``--out`` file), common denominators past the
 interpreter's digit limit (``accept`` and ``diagnose`` on a base whose
 weights each fit it, and an independent lottery), a base in which some
 worlds share a weight and others do not,
@@ -312,6 +314,9 @@ def commands() -> list[list[str]]:
         ["lottery", "fair"],
         ["lottery", "fair", "--n", "301"],
         ["lottery", "independent", "--n", "17", "--p", "1/10"],
+        # lottery writes text, not a report, even under --json
+        ["--json", "lottery", "fair", "--n", "3"],
+        ["--json", "lottery", "fair", "--n", "3", "--out", "json_fair_3.bb"],
         ["extensions", "--policy", "sequential", "--epsilon", "1/3",
          "--max-permutations", "5041", "fair_3.bb"],
         ["accept", "--policy", "teng", "--epsilon", "1/3", "fair_3.bb"],
@@ -342,6 +347,10 @@ def commands() -> list[list[str]]:
          "fair_3.bb"],
         ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10",
          "--observed", "0", "--combine-with", ""],
+        # levels that each fit the digit limit, combined floors that do not
+        ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
+         "--observed", "30", "--combine-with",
+         ",".join(f"1/{10**2000 + d}" for d in (1, 3, 7))],
         # empty items in --labels
         ["closure", "--epsilon", "1/3", "--labels", "L1,,L2", "fair_3.bb"],
         ["closure", "--epsilon", "1/3", "--labels", "L1,", "fair_3.bb"],
@@ -404,7 +413,7 @@ def fingerprint(checkout: str) -> list[dict]:
                 "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
                 "stderr_sha256": hashlib.sha256(done.stderr).hexdigest(),
             })
-            if argv in setup:
+            if "--out" in argv:
                 with open(os.path.join(workdir, argv[-1]), "rb") as handle:
                     records[-1]["out_sha256"] = hashlib.sha256(handle.read()).hexdigest()
     return records
