@@ -318,9 +318,11 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     bounds come from the outcomes.  The pair tree is built on the first
     read of ``.args``; ``render`` and ``nnf()`` read it, so the canonical
     node is the generic walk of the tree.  When the outcomes are two or
-    more distinct atoms, as in every lottery, the canonical key and the
-    SAT clauses are written straight from their sorted names; a world
-    model folds the mask of any ``exactly_one`` from its outcomes' masks.
+    more distinct atoms, as in every lottery, the canonical key is written
+    straight from their sorted names, and the SAT solver takes them as one
+    at-least-one clause and one at-most-one row, with no pair clauses; a
+    world model folds the mask of any ``exactly_one`` from its outcomes'
+    masks.
     A form past ``MAX_KEY_LENGTH`` gets no key, so ``nnf()`` and
     ``canonical_key`` raise as for any other formula."""
     if not outcomes:

@@ -24,11 +24,19 @@ are valid as they stand.  A plain satisfiability check is a solver with
 no members.  The first formula a solver translates, usually a base's
 background, is translated into an empty numbering, so its clauses and
 numbering depend on the formula alone; they are kept with the formula
-and reused by every later solver that starts with it.  An ``exactly_one``
-of distinct atoms, a lottery's background, is translated straight from
-its sorted names, without its canonical node, to the clauses and
-numbering that the node's translation gives, wherever it sits among a
-solver's formulas: the pairwise encoding stays.
+and reused by every later solver that starts with it.
+
+An ``exactly_one`` of distinct atoms, a lottery's background, is
+translated straight from its sorted names, without its canonical node,
+wherever it sits among a solver's formulas: one clause that at least one
+of the names holds, and one at-most-one row over the same literals, with
+no auxiliary variables (a native cardinality constraint, as in Minicard:
+Liffiton & Maglalang, SAT 2012).  That is n + 1 literals where the
+pairwise encoding has n(n-1)/2 binary clauses.  The search propagates a
+row directly: when one of its literals becomes true every other becomes
+false, and a second true literal is a conflict.  Any other
+``exactly_one``, negated, nested or parsed, keeps the pairwise clauses
+of its canonical node.
 
 One loop finds each maximal consistent subset (MCS) and each minimal
 unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
@@ -43,7 +51,7 @@ bounds the loop.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain, combinations
+from itertools import chain
 
 from .formulas import Formula, FormulaSet, _ExactlyOne, neg
 
@@ -58,36 +66,35 @@ __all__ = [
 
 DEFAULT_CANDIDATE_CAP = 20
 
+_Lits = tuple[int, ...]  # a clause, or an at-most-one row, of literals
+_Translation = tuple[Sequence[_Lits], Sequence[_Lits]]  # its clauses and rows
 
-def _clauses_for(formula: Formula, index: dict) -> Sequence[tuple[int, ...]]:
-    """The formula's clauses, numbered on from ``index``, the solver's one
-    numbering.  Into an empty numbering the translation depends on the
-    formula alone, so it is made once and kept, with that numbering, in
-    the formula's ``_translation`` slot."""
+
+def _clauses_for(formula: Formula, index: dict) -> _Translation:
+    """The formula's clauses and at-most-one rows, numbered on from
+    ``index``, the solver's one numbering.  Into an empty numbering the
+    translation depends on the formula alone, so it is made once and kept,
+    with that numbering, in the formula's ``_translation`` slot."""
     if index:
         return _translate(formula, index)
     if formula._translation is None:
         alone: dict = {}
-        formula._translation = (tuple(_translate(formula, alone)), alone)
-    clauses, alone = formula._translation
+        clauses, rows = _translate(formula, alone)
+        formula._translation = (tuple(clauses), tuple(rows), alone)
+    clauses, rows, alone = formula._translation
     index.update(alone)
-    return clauses
+    return clauses, rows
 
 
-def _translate(formula: Formula, index: dict) -> list[tuple[int, ...]]:
+def _translate(formula: Formula, index: dict) -> _Translation:
     names = formula._names if isinstance(formula, _ExactlyOne) else ()
     if names:
-        # what the canonical node translates to, without building it: the
-        # names numbered in sorted order, one clause per child in node order
-        first, *rest = [index.setdefault(name, len(index) + 1) for name in names]
-        return [
-            *((-first, -j) for j in rest),
-            (first, *rest),
-            *((-i, -j) for i, j in combinations(rest, 2)),
-        ]
+        # at least one and at most one of the names, numbered in sorted order
+        row = tuple(index.setdefault(name, len(index) + 1) for name in names)
+        return [row], [row]
     # ``defined`` is this formula's own, so its clauses define every
     # subformula they use.
-    clauses: list[tuple[int, ...]] = []
+    clauses: list[_Lits] = []
     defined: set[tuple] = set()
 
     def literal_of(node: tuple) -> int:
@@ -115,26 +122,29 @@ def _translate(formula: Formula, index: dict) -> list[tuple[int, ...]]:
             clauses.append((literal_of(node),))
 
     top(formula.nnf())
-    return clauses
+    return clauses, []
 
 
 class _Clauses:
-    """Clauses in groups, indexed once: two watched literals (positions 0
-    and 1) for each clause of two or more literals, and each group's unit
-    clauses apart.  A query switches groups on; the clauses of a group
-    that is off are skipped and keep their watches."""
+    """Clauses and at-most-one rows in groups, indexed once: two watched
+    literals (positions 0 and 1) for each clause of two or more literals,
+    each group's unit clauses apart, and each row under every literal it
+    holds, with its group.  A query switches groups on; the clauses and
+    rows of a group that is off are skipped, and its clauses keep their
+    watches."""
 
-    def __init__(self, nvars: int, groups: Iterable[Sequence[tuple[int, ...]]]):
+    def __init__(self, nvars: int, groups: Iterable[_Translation]):
         self.clauses: list[Sequence[int]] = []
         self.owner: list[int] = []  # each clause's group
         # by literal: a negative literal indexes from the end of the list
         self.watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+        self.rows: list[list[tuple[int, _Lits]]] = [[] for _ in range(2 * nvars + 1)]
         self.units: list[list[int]] = []
-        for group in groups:
+        for clauses, rows in groups:
             self.units.append([])
-            self.add(len(self.units) - 1, group)
+            self.add(len(self.units) - 1, clauses, rows)
 
-    def add(self, group: int, clauses: Sequence[tuple[int, ...]]) -> None:
+    def add(self, group: int, clauses: Sequence[_Lits], rows: Sequence[_Lits] = ()) -> None:
         start = len(self.clauses)
         # a watch moves only within a longer clause, so only that is mutable
         new = [list(c) if len(c) > 2 else c for c in clauses]
@@ -147,18 +157,21 @@ class _Clauses:
             else:
                 watches[clause[0]].append(ci)
                 watches[clause[1]].append(ci)
+        for row in rows:
+            for lit in row:
+                self.rows[lit].append((group, row))
 
 
 def _dpll(
     store: _Clauses, on: bytes, units: list[int], decisions: list[int]
 ) -> list[int] | None:
     # A satisfying assignment by literal (1 true, -1 false, 0 undecided; a
-    # variable's value is its positive literal's), or None.  Only clauses of
-    # groups that ``on`` marks count.  Every variable starts undecided, so
-    # the watches an earlier query left are valid.  No caller passes an
-    # empty clause.  A clause with both polarities of a variable is never
-    # unit or falsified: no special case.
-    clauses, owner, watches = store.clauses, store.owner, store.watches
+    # variable's value is its positive literal's), or None.  Only clauses and
+    # rows of groups that ``on`` marks count.  Every variable starts
+    # undecided, so the watches an earlier query left are valid.  No caller
+    # passes an empty clause.  A clause with both polarities of a variable is
+    # never unit or falsified: no special case.
+    clauses, owner, watches, rows = store.clauses, store.owner, store.watches, store.rows
     value = [0] * len(watches)
     trail: list[int] = []
 
@@ -172,8 +185,22 @@ def _dpll(
                 value[-lit] = -1
                 trail.append(lit)
         while head < len(trail):
-            falsified = -trail[head]
+            true = trail[head]
             head += 1
+            # a true literal of a switched-on row makes the row's other
+            # literals false; a second true one is a conflict
+            for group, row in rows[true]:
+                if on[group]:
+                    for lit in row:
+                        if lit != true:
+                            if value[lit] > 0:
+                                return False
+                            if value[lit] == 0:
+                                value[lit] = -1
+                                value[-lit] = 1
+                                trail.append(-lit)
+            # each clause watching the literal now false needs another watch
+            falsified = -true
             watching = watches[falsified]
             kept = 0
             for pos, ci in enumerate(watching):
@@ -235,20 +262,26 @@ class _Solver:
     0) and candidate members (member i is group i + 1).  A query switches
     on the background and the chosen members and decides, in index order,
     only the variables their clauses mention.  The background's clauses
-    are stored as translated: two formulas may give the same clause, and
-    a clause stored twice is watched twice and answers the same."""
+    and rows are stored as translated: two formulas may give the same
+    clause or row, and one stored twice is indexed twice and answers the
+    same."""
 
     def __init__(
         self, members: Sequence[Formula], background: Iterable[Formula] = ()
     ):
         index: dict = {}
-        shared = list(chain.from_iterable(_clauses_for(f, index) for f in background))
-        # the background's clauses mention exactly variables 1..nshared
+        parts = [_clauses_for(f, index) for f in background]
+        shared = (
+            [clause for clauses, _ in parts for clause in clauses],
+            [row for _, rows in parts for row in rows],
+        )
+        # the background's clauses mention exactly variables 1..nshared; a
+        # row's literals are those of its at-least-one clause
         self.nshared = len(index)
         groups = [shared, *(_clauses_for(f, index) for f in members)]
         self.own = [
-            {v for v in map(abs, chain.from_iterable(group)) if v > self.nshared}
-            for group in groups[1:]
+            {v for v in map(abs, chain.from_iterable(clauses)) if v > self.nshared}
+            for clauses, _ in groups[1:]
         ]
         self.store = _Clauses(len(index), groups)
 
@@ -312,7 +345,7 @@ def _consistent_family(
     members, solver = _prepare(candidates, background, cap)
     n = len(members)
     mcses, muses = [], []
-    blocks = _Clauses(n, [()])  # the map: member i as variable i + 1
+    blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
     mentioned: set[int] = set()
     while (
         seed := _dpll(blocks, b"\x01", blocks.units[0], sorted(mentioned))

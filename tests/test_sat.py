@@ -4,7 +4,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from probaccept import (
@@ -15,6 +15,7 @@ from probaccept import (
     conj,
     degree_of_inconsistency,
     entails,
+    exactly_one,
     fair_lottery,
     is_satisfiable,
     maximal_consistent_subsets,
@@ -452,9 +453,46 @@ def subset_problems(draw):
     return candidates, background
 
 
-@given(subset_problems())
-def test_subset_diagnostics_match_oracles(problem):
-    candidates, background = problem
+def _one(*names):
+    return exactly_one([atom(n) for n in names])
+
+
+@st.composite
+def row_problems(draw):
+    """Candidates and a background with at-most-one rows: one to three
+    ``exactly_one`` of two to four distinct atoms out of five, so that two
+    rows often share an atom, and sometimes the first of them again,
+    rebuilt from its atoms in reverse.  Each row goes among the candidates
+    or into the background at a drawn position, so that it is sometimes
+    the first formula a solver translates; one to three other candidates,
+    literals or formulas of depth 2, go with them."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = list("abcde")
+    picks = [
+        draw(st.lists(st.sampled_from(names), min_size=2, max_size=4, unique=True))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        picks.append(picks[0][::-1])
+
+    def formula():
+        if rng.random() < 0.5:
+            literal = atom(rng.choice(names))
+            return neg(literal) if rng.random() < 0.5 else literal
+        return random_formula(rng, names, depth=2)
+
+    candidates = [formula() for _ in range(draw(st.integers(1, 3)))]
+    background = []
+    for pick in picks:
+        into = background if draw(st.booleans()) else candidates
+        into.insert(draw(st.integers(0, len(into))), _one(*pick))
+    return candidates, background
+
+
+def _check_family_orders(candidates, background):
+    """Satisfiability, the MUSes and MCSes in enumeration order, strands'
+    kernels and a shrink against the oracles, over a satisfiable
+    background."""
     assert is_satisfiable(background + candidates) == truth_table_satisfiable(
         background + candidates
     )
@@ -477,6 +515,12 @@ def test_subset_diagnostics_match_oracles(problem):
     )
     kernels = [s.kernel for s in strands(FormulaSet(candidates), FormulaSet(background))]
     assert kernels == mcses
+
+
+@given(subset_problems())
+def test_subset_diagnostics_match_oracles(problem):
+    candidates, background = problem
+    _check_family_orders(candidates, background)
     if all(truth_table_satisfiable(background + [f]) for f in candidates):
         assert degree_of_inconsistency(
             FormulaSet(candidates), FormulaSet(background)
@@ -506,16 +550,39 @@ def _check_against_oracles(candidates, background):
         assert shrunk is None
 
 
-@given(subset_problems())
-def test_kept_translation_answers_as_a_fresh_one(problem):
-    # The first formula a solver translates keeps its clauses: the first
-    # calls fill that, the repeats reuse it, and the reorderings put the
-    # formula that kept it second in a background and among the candidates.
-    # The last background gives the solver every clause of ``first`` twice.
-    candidates, background = problem
+def _check_kept_translations(candidates, background):
+    # The first formula a solver translates keeps its clauses and rows: the
+    # first calls fill that, the repeats reuse it, and the reorderings put
+    # the formula that kept it second in a background and among the
+    # candidates.  The last background gives the solver every clause of
+    # ``first`` twice.
     first, other = (background + candidates)[0], candidates[-1]
     _check_against_oracles(candidates, background)
     _check_against_oracles(candidates, background)
     _check_against_oracles(candidates, [other, first])
     _check_against_oracles([first, *candidates], [other])
     _check_against_oracles(candidates, [first, conj(first, other)])
+
+
+@given(subset_problems())
+def test_kept_translation_answers_as_a_fresh_one(problem):
+    _check_kept_translations(*problem)
+
+
+# Two rows that share ``c``.  With ``a`` and ``d`` each row has its one
+# true atom; ``a`` makes ``c`` false through the first row, so ``~d`` leaves
+# the second row's clause unsatisfied; ``a`` and ``c`` are two true atoms
+# of the first row.
+@given(row_problems())
+@example(([_one("a", "b", "c"), _one("c", "d"), parse("a"), parse("d")], []))
+@example(([_one("a", "b", "c"), _one("c", "d"), parse("c")], []))
+@example(([parse("a"), parse("~d")], [_one("a", "b", "c"), _one("c", "d")]))
+@example(([_one("a", "b", "c"), _one("c", "d"), parse("a"), parse("c")], []))
+def test_rows_match_oracles(problem):
+    # A row among the candidates is switched on and off by the queries; the
+    # reorderings make a row the kept first translation, put it second, and
+    # nest it under a conjunction, which translates it pairwise.
+    candidates, background = problem
+    _check_kept_translations(candidates, background)
+    if truth_table_satisfiable(background):
+        _check_family_orders(candidates, background)

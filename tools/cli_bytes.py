@@ -13,8 +13,10 @@ paths on every checkout.  ``-B`` leaves no bytecode in the checkout, so a
 later benchmark run there imports from source as on a fresh copy.  It
 records the SHA-256 of stdout and stderr and the exit code of each
 command, and for each ``lottery ... --out`` command the SHA-256 of the
-file it writes.  The second form lists the commands whose record differs
-and exits 1 if any does.
+file it writes.  The second form lists the commands whose record differs,
+each by its position in the list (``#N``, counted from 0) and its argv
+cut at ``SHOWN_WIDTH`` characters, and exits 1 if any does; records are
+matched by their whole argv.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, with an empty or a repeated item in ``--order``, and on a tie
@@ -419,24 +421,40 @@ def fingerprint(checkout: str) -> list[dict]:
     return records
 
 
+# the widest argv that ``--compare`` prints in full
+SHOWN_WIDTH = 100
+
+
+def _records(path: str) -> dict[str, tuple[int, dict]]:
+    """Each record of a fingerprint file, with its position in the file's
+    list, by its whole argv."""
+    with open(path, encoding="utf-8") as handle:
+        return {" ".join(r["argv"]): (i, r) for i, r in enumerate(json.load(handle))}
+
+
+def _shown(position: int, command: str) -> str:
+    if len(command) > SHOWN_WIDTH:
+        command = command[: SHOWN_WIDTH - 3] + "..."
+    return f"#{position}: {command}"
+
+
 def compare(before_path: str, after_path: str) -> int:
-    with open(before_path, encoding="utf-8") as handle:
-        before = {" ".join(r["argv"]): r for r in json.load(handle)}
-    with open(after_path, encoding="utf-8") as handle:
-        after = {" ".join(r["argv"]): r for r in json.load(handle)}
+    before, after = _records(before_path), _records(after_path)
     differing = 0
-    for command in sorted(before.keys() | after.keys()):
-        old, new = before.get(command), after.get(command)
-        if old is None or new is None:
-            print(f"only in {'after' if old is None else 'before'}: {command}")
+    # the commands in the order of BEFORE, then those only in AFTER
+    for command in [*before, *(c for c in after if c not in before)]:
+        if command not in before or command not in after:
+            where, records = ("after", after) if command in after else ("before", before)
+            print(f"only in {where}: {_shown(records[command][0], command)}")
             differing += 1
             continue
+        (position, old), (_, new) = before[command], after[command]
         fields = [
             k for k in ("exit", "stdout_sha256", "stderr_sha256", "out_sha256")
             if old.get(k) != new.get(k)
         ]
         if fields:
-            print(f"differs ({', '.join(fields)}): {command}")
+            print(f"differs ({', '.join(fields)}): {_shown(position, command)}")
             differing += 1
     print(f"{differing} of {len(before.keys() | after.keys())} commands differ")
     return 1 if differing else 0
