@@ -29,14 +29,14 @@ policy over many candidate orders and collecting the distinct outcomes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations
 
 from .formulas import Formula, FormulaSet, atom
-from .sat import is_satisfiable
+from .sat import _Solver
 from .worlds import BeliefBase, as_fraction
 
 __all__ = [
@@ -142,36 +142,19 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
     return AcceptanceLevel(Fraction(1, 1) / (1 + ratio))
 
 
-def _consistent(formulas: Iterable[Formula], mask: int) -> bool:
-    """Joint satisfiability of formulas whose joint world mask is ``mask``.
-    A world in it is a satisfying valuation; only when there is none (a
-    model need not list every valuation) does the SAT solver read the
-    formulas, so they may come as a lazy iterable."""
-    return bool(mask) or is_satisfiable(formulas)
-
-
-def _finish(
-    policy: str,
-    level: AcceptanceLevel,
-    accepted: list[Acceptance],
-    base: BeliefBase,
-    mask: int,
-) -> AcceptedSet:
-    """The run's result; ``mask`` is the joint mask of its statements."""
-    members = chain(base.background, (a.statement for a in accepted))
-    return AcceptedSet(
-        policy=policy,
-        level=level,
-        accepted=tuple(accepted),
-        background=base.background,
-        weakly_consistent=_consistent(members, mask),
-    )
+def _verdict(base: BeliefBase, accepted: list[Acceptance], mask: int) -> bool:
+    """Weak consistency of a run's statements, whose joint world mask is
+    ``mask``.  A world in it settles the question; only an empty one builds
+    a solver, with every statement in its background: one query needs no
+    group per statement, and one group is about half the cost to build."""
+    statements = chain(base.background, (a.statement for a in accepted))
+    return bool(mask) or _Solver((), statements, base.model).satisfiable()
 
 
 def _scan(
     policy: str,
     base: BeliefBase,
-    candidates: Iterable[_Candidate],
+    candidates: Sequence[_Candidate],
     level: AcceptanceLevel,
     conditional: bool = False,
     consistent: bool = False,
@@ -179,26 +162,33 @@ def _scan(
     """Visit ``(label, formula, probability)`` triples in order.  The
     support is the probability, or with ``conditional`` the weight within
     the carried mask over its weight; it must meet the level and, with
-    ``consistent``, the accepted set must stay satisfiable."""
+    ``consistent``, the accepted set must stay satisfiable.  A world in
+    the carried mask settles that; at the first empty one the run builds
+    its one solver over the candidates, which answers every later query."""
     model = base.model
     current = model.joint_mask(base.background)
+    solver = None
     given = model.mask_weight(current) if conditional else None
     accepted: list[Acceptance] = []
-    for label, formula, p in candidates:
+    taken: list[int] = []  # the accepted candidates' positions
+    for i, (label, formula, p) in enumerate(candidates):
         if conditional and given == 0:
             raise RuntimeError(f"{policy} conditioning set reached probability 0")
         joint = current & model.satisfying_mask(formula)
         support = model.mask_weight(joint) / given if conditional else p
         if not level.met_by(support):
             continue
-        members = chain(base.background, (a.statement for a in accepted), (formula,))
-        if consistent and not _consistent(members, joint):
-            continue
+        if consistent and not joint:
+            solver = solver or _Solver([f for _, f, _ in candidates], base.background, model)
+            if not solver.satisfiable([*taken, i]):
+                continue
         accepted.append(Acceptance(label, formula, p, support))
+        taken.append(i)
         current = joint
         if conditional:
             given *= support  # now the weight of ``current``
-    return _finish(policy, level, accepted, base, current)
+    verdict = _verdict(base, accepted, current)
+    return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
 def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
@@ -224,18 +214,16 @@ def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
     rival (any candidate jointly unsatisfiable with it and the background)
     matches or beats in probability."""
     weighed = _weighed(base)
-    shared = base.model.joint_mask(base.background)
-    masks = [shared & base.model.satisfying_mask(f) for _, f, _ in weighed]
+    solver = _Solver([f for _, f, _ in weighed], base.background, base.model)
+    masks = [solver.shared & mask for mask in solver.masks]
     return [
         (label, f, p)
         for i, (label, f, p) in enumerate(weighed)
         if level.met_by(p)
         and not any(
             # the cheap mask test first: a shared world settles most pairs
-            not (both := masks[i] & masks[j])
-            and q >= p
-            and not _consistent(chain(base.background, (f, g)), both)
-            for j, (_, g, q) in enumerate(weighed)
+            not (masks[i] & masks[j]) and q >= p and not solver.satisfiable((i, j))
+            for j, (_, _, q) in enumerate(weighed)
             if j != i
         )
     ]
@@ -298,7 +286,8 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
         support = weights[alive[0]] / model.mask_weight(current)
         accepted.append(Acceptance(alive[0], win, model.probability(win), support))
         current &= model.satisfying_mask(win)
-    return _finish("cascade", level, accepted, base, current)
+    verdict = _verdict(base, accepted, current)
+    return AcceptedSet("cascade", level, tuple(accepted), base.background, verdict)
 
 
 def sequential_accept(
@@ -372,9 +361,11 @@ def enumerate_extensions(
     ordered = sorted(name for name, (_, takes) in POLICY_TABLE.items() if takes)
     if policy not in ordered:
         raise ValueError(f"policy must be one of {ordered}")
+    if isinstance(max_permutations, bool) or not isinstance(max_permutations, int):
+        raise ValueError(f"max_permutations must be an integer, not {max_permutations!r}")
     if not 1 <= max_permutations <= MAX_PERMUTATIONS:
         raise ValueError(f"max_permutations must lie between 1 and {MAX_PERMUTATIONS}")
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer between 0 and 2**64 - 1, got {seed!r}")
     run = POLICY_TABLE[policy][0]
     labels = list(base.candidate_labels)
@@ -414,7 +405,7 @@ def enumerate_extensions(
         extensions=extensions,
         witness_orders=witness,
         conjunction=union,
-        conjunction_weakly_consistent=_consistent(union, base.model.joint_mask(union)),
+        conjunction_weakly_consistent=_Solver((), union, base.model).satisfiable(),
         intersection=intersection,
         exhaustive=exhaustive,
         permutation_count=len(orders),

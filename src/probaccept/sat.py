@@ -9,10 +9,21 @@ definitional variable each, so lottery-style constraint sets translate
 with no auxiliary variables at all.  Instances here are desk scale;
 determinism wins over raw speed.
 
-One solver answers every question.  It translates a background and a
-list of members once, straight to integer clauses: atoms and definitional
-subformulas share one numbering, in the order the translation meets
-them.  A subformula that several members share gets one variable, but
+One solver answers every question, and it is the package's one
+consistency oracle: every "is this set consistent with the background?"
+that the acceptance policies, ``enumerate_extensions`` and ``diagnose``
+ask goes to ``_Solver``.  Given the world model the formulas were drawn
+from, a query first tests the joint world mask of the background and the
+chosen members: a world in it is a satisfying valuation, the witness.  A
+model that lists all ``2**len(atoms)`` valuations (every independent
+lottery) answers from its masks alone, since there an empty mask means
+unsatisfiable.  Only a query the masks leave open reaches the search, and
+the clause store is built at the first such query.  The public functions
+below take formulas, not a model, so they always search.
+
+The solver translates a background and a list of members once, straight
+to integer clauses: atoms and definitional subformulas share one
+numbering, in the order the translation meets them.  A subformula that several members share gets one variable, but
 its defining clauses sit in every such member's group, so a query that
 leaves one of them out still defines it.  The solver indexes all its
 clauses once, in one store with one group for the background and one per
@@ -51,7 +62,8 @@ bounds the loop.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain
+from functools import cached_property, reduce
+from itertools import chain, compress
 
 from .formulas import Formula, FormulaSet, _ExactlyOne, neg
 
@@ -258,19 +270,38 @@ def _dpll(
 
 
 class _Solver:
-    """One variable numbering and one clause store over a background (group
-    0) and candidate members (member i is group i + 1).  A query switches
-    on the background and the chosen members and decides, in index order,
-    only the variables their clauses mention.  The background's clauses
-    and rows are stored as translated: two formulas may give the same
-    clause or row, and one stored twice is indexed twice and answers the
-    same."""
+    """The one consistency oracle: is the background, with the chosen
+    members, satisfiable?
+
+    Given a world model (anything with ``joint_mask``, ``satisfying_mask``,
+    ``worlds`` and ``atoms``, such as a belief base's model, whose atoms
+    every formula here must use), a query first tests the joint world mask
+    of the background and the chosen members.  A world in it is a
+    satisfying valuation.  A model that lists all ``2**len(atoms)``
+    valuations answers from the mask alone, since an empty mask there
+    means no valuation satisfies them.
+
+    Any other query goes to the clause store, built at the first such
+    query: one variable numbering over the background (group 0) and the
+    members (member i is group i + 1).  A query switches on the background
+    and the chosen members and decides, in index order, only the variables
+    their clauses mention.  The background's clauses and rows are stored as
+    translated: two formulas may give the same clause or row, and one
+    stored twice is indexed twice and answers the same."""
 
     def __init__(
-        self, members: Sequence[Formula], background: Iterable[Formula] = ()
+        self, members: Sequence[Formula], background: Iterable[Formula] = (), model=None
     ):
+        self.members, self.background, self.model = members, tuple(background), model
+        if model is not None:
+            self.shared = model.joint_mask(self.background)
+            self.masks = [model.satisfying_mask(f) for f in members]
+
+    @cached_property
+    def store(self) -> _Clauses:
+        # built at the first query that the masks leave open
         index: dict = {}
-        parts = [_clauses_for(f, index) for f in background]
+        parts = [_clauses_for(f, index) for f in self.background]
         shared = (
             [clause for clauses, _ in parts for clause in clauses],
             [row for _, rows in parts for row in rows],
@@ -278,25 +309,29 @@ class _Solver:
         # the background's clauses mention exactly variables 1..nshared; a
         # row's literals are those of its at-least-one clause
         self.nshared = len(index)
-        groups = [shared, *(_clauses_for(f, index) for f in members)]
+        groups = [shared, *(_clauses_for(f, index) for f in self.members)]
+        # per member, once: the variables of its clauses that the background
+        # does not mention, which a query decides when the member is chosen
         self.own = [
-            {v for v in map(abs, chain.from_iterable(clauses)) if v > self.nshared}
+            tuple({v for v in map(abs, chain.from_iterable(clauses)) if v > self.nshared})
             for clauses, _ in groups[1:]
         ]
-        self.store = _Clauses(len(index), groups)
+        return _Clauses(len(index), groups)
 
-    def satisfiable(self, which: Iterable[int] = ()) -> bool:
+    def satisfiable(self, which: Sequence[int] = ()) -> bool:
+        if self.model is not None:
+            mask = reduce(int.__and__, map(self.masks.__getitem__, which), self.shared)
+            # a model of every valuation: an empty mask means unsatisfiable
+            if mask or len(self.model.worlds) == 1 << len(self.model.atoms):
+                return bool(mask)
         store = self.store
-        on = bytearray(len(store.units))
-        on[0] = 1
-        units = list(store.units[0])
-        own: set[int] = set()
+        chosen = bytearray(len(self.members))
         for i in which:
-            on[i + 1] = 1
-            units += store.units[i + 1]
-            own.update(self.own[i])
+            chosen[i] = 1
+        units = [*store.units[0], *chain.from_iterable(compress(store.units[1:], chosen))]
+        own = set(chain.from_iterable(compress(self.own, chosen)))
         decisions = [*range(1, self.nshared + 1), *sorted(own)]
-        return _dpll(store, on, units, decisions) is not None
+        return _dpll(store, b"\x01" + chosen, units, decisions) is not None
 
 
 def is_satisfiable(formulas: Iterable[Formula]) -> bool:
@@ -315,6 +350,8 @@ def entails(
 
 
 def _check_cap(cap: int) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, int):  # True is no cap
+        raise ValueError(f"cap must be an integer, not {cap!r}")
     if not 1 <= cap <= DEFAULT_CANDIDATE_CAP:
         raise ValueError(f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}")
 
@@ -323,6 +360,7 @@ def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int | None = None,
+    model=None,
 ) -> tuple[tuple[Formula, ...], _Solver]:
     members = tuple(FormulaSet(candidates))
     if cap is not None:
@@ -331,18 +369,20 @@ def _prepare(
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    return members, _Solver(members, background or ())
+    return members, _Solver(members, background or (), model)
 
 
 def _consistent_family(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int,
+    model=None,
 ) -> tuple[tuple[Formula, ...], list[frozenset[int]], list[frozenset[int]]]:
     """The members, every maximal consistent index set among them (largest
     first) and every minimal unsatisfiable one (smallest first), each list
-    then in lexicographic order."""
-    members, solver = _prepare(candidates, background, cap)
+    then in lexicographic order.  ``model``, when given, is the world model
+    the solver tests masks in first."""
+    members, solver = _prepare(candidates, background, cap, model)
     n = len(members)
     mcses, muses = [], []
     blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1

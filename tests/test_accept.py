@@ -376,8 +376,12 @@ class TestEnumerateExtensions:
             enumerate_extensions(base, "sequential", level, max_permutations=10**9)
         with pytest.raises(ValueError, match="max_permutations"):
             enumerate_extensions(base, "sequential", level, max_permutations=MAX_PERMUTATIONS + 1)
+        # True would run one sampled order, 2.5 would fail inside the sampler
+        for count in (True, 2.5):
+            with pytest.raises(ValueError, match="max_permutations must be an integer"):
+                enumerate_extensions(base, "sequential", level, max_permutations=count)
 
-    @pytest.mark.parametrize("seed", [-1, -5, 2**64, "7"])
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, "7", True])
     def test_seed_outside_u64_rejected(self, seed):
         # random.Random seeds on abs(), so -5 would draw what 5 draws
         base = fair_lottery(5)

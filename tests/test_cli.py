@@ -296,6 +296,51 @@ class TestDiagnoseCommand:
         assert "diagnostics.degree: 1" in out
         assert "diagnostics.mus_min_size: none" in out
 
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        """Record every DPLL search, the subset map's included, from now on."""
+        searches = []
+        search = sat._dpll
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(sat, "_dpll", counted)
+        return searches
+
+    def test_shared_worlds_answer_the_deletion_shrink(
+        self, capsys, lottery100_path, monkeypatch
+    ):
+        # every proper subset of the 100 lose statements shares a world, so
+        # only the full set reaches the search: once for the accepted set's
+        # verdict and once at the start of the shrink
+        searches = self.count_searches(monkeypatch)
+        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/100", lottery100_path)
+        assert code == 0
+        assert "diagnostics.mus_method: deletion_shrink" in out
+        assert "diagnostics.mus_min_size: 100" in out
+        assert len(searches) == 2
+
+    def test_a_model_of_every_valuation_answers_from_masks(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the independent lottery lists all 64 valuations of its 6 atoms, so
+        # an empty joint mask means unsatisfiable and no query is searched
+        path = str(tmp_path / "independent_6.bb")
+        assert main(["lottery", "independent", "--n", "6", "--p", "1/10", "--out", path]) == 0
+        capsys.readouterr()
+        searches = self.count_searches(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "--max-candidates", "5", "diagnose", "--epsilon", "3/5", path
+        )
+        assert code == 0
+        assert "accepted_count: 7" in out
+        assert "diagnostics.weakly_consistent: false" in out
+        assert "diagnostics.mus_method: deletion_shrink" in out
+        assert "diagnostics.mus_min_size: 7" in out
+        assert searches == []
+
     def test_one_subset_walk_per_diagnose(self, capsys, lottery3_path, monkeypatch):
         walks = []
         walk = sat._consistent_family

@@ -13,18 +13,26 @@ straight from the formula tree, and keys against parsing and negation.
 Formula masks are checked against world-by-world evaluation, mask
 weights against a per-world sum, and every consistency verdict against
 the truth-table oracle.  The scanned policies are checked against their
-definitions, computed from the same two oracles.  The models list only
-some valuations and give some worlds zero weight, so a set with no model
-world in common may still be satisfiable: those cases reach the SAT
-fallback behind the world witness.
+definitions, computed from the same two oracles, and ``diagnose`` (run
+through the CLI, exhaustive and beyond a cap of one) against the
+brute-force MUS, MCS and cover oracles.  The bases' models either list
+only some valuations, so a set with no model world in common may still
+be satisfiable and reaches the SAT fallback behind the world witness, or
+list every valuation, so an empty mask alone answers that the set is
+unsatisfiable.  Either kind gives some worlds zero weight.
 
 The lottery builders write their models' columns in closed form; each
 model is checked against the generic constructor fed its own worlds, and
 its worlds against the lottery's definition.
 """
 
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from io import StringIO
 from itertools import product
 from unittest.mock import patch
 
@@ -56,11 +64,15 @@ from probaccept import (
 )
 from probaccept import formulas as formulas_module
 from probaccept.accept import POLICY_TABLE
+from probaccept.basefile import dump
+from probaccept.cli import main
 from probaccept.sat import is_satisfiable
 
 from helpers import (
     LONG_BICONDITIONAL_CHAIN,
     brute_mask_weight,
+    brute_maximal_consistent_subsets,
+    brute_min_cover_over_consistent_subsets,
     brute_minimal_unsat_subsets,
     canonical,
     evaluate,
@@ -103,17 +115,20 @@ def formulas(names: tuple[str, ...]):
 
 
 @st.composite
-def models(draw, partial=False):
+def models(draw, partial=False, complete=False):
     """A model over the first one to three names listing a nonempty subset
     of the valuations, with nonnegative weights not all zero.  A partial
     model has two or three atoms and lists two worlds up to half the
-    valuations."""
+    valuations; a complete one lists every valuation, in any order."""
     width = draw(st.integers(2 if partial else 1, len(NAMES)))
     valuations = list(product((False, True), repeat=width))
-    fewest, most = (2, len(valuations) // 2) if partial else (1, len(valuations))
-    listed = draw(
-        st.lists(st.sampled_from(valuations), min_size=fewest, max_size=most, unique=True)
-    )
+    if complete:
+        listed = draw(st.permutations(valuations))
+    else:
+        fewest, most = (2, len(valuations) // 2) if partial else (1, len(valuations))
+        listed = draw(
+            st.lists(st.sampled_from(valuations), min_size=fewest, max_size=most, unique=True)
+        )
     weights = draw(st.lists(st.integers(0, 4), min_size=len(listed), max_size=len(listed)))
     if not any(weights):
         weights[0] = 1
@@ -153,7 +168,9 @@ def weighted_models(draw):
 
 @st.composite
 def bases(draw, max_candidates=5):
-    model = draw(models(partial=True))
+    """A base on a partial or a complete model, with a background of
+    certain formulas and two or more candidates."""
+    model = draw(models(partial=True) | models(complete=True))
     names = model.atoms
     background = [
         f
@@ -485,6 +502,51 @@ def test_conjunction_verdict_matches_truth_table(base, level, policy):
     assert outcome.conjunction_weakly_consistent == truth_table_satisfiable(
         outcome.conjunction
     )
+
+
+def run_diagnose(base: BeliefBase, level: AcceptanceLevel, cap) -> dict:
+    """The ``diagnostics`` block of ``probaccept --json diagnose`` on the
+    base, written to a file, with ``--max-candidates cap`` unless None."""
+    options = [] if cap is None else ["--max-candidates", str(cap)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "base.bb")
+        dump(base, path)
+        out = StringIO()
+        with redirect_stdout(out):
+            code = main(
+                ["--json", *options, "diagnose", "--epsilon", str(level.epsilon), path]
+            )
+    assert code == 0
+    return json.loads(out.getvalue())["diagnostics"]
+
+
+@given(bases(), LEVELS, st.sampled_from([None, 1]))
+def test_diagnose_matches_the_oracles(base, level, cap):
+    diagnostics = run_diagnose(base, level, cap)
+    triples, consistent = scan_oracle(base, "threshold", level, None)
+    by_label = dict(base.candidates)
+    accepted = [by_label[label] for label, _, _ in triples]
+    background = list(base.background)
+    muses = brute_minimal_unsat_subsets(accepted, background)
+    assert diagnostics["weakly_consistent"] is consistent
+    assert consistent == (not muses)
+    if cap is None or len(set(accepted)) <= cap:
+        assert diagnostics["mus_method"] == "exhaustive"
+        assert diagnostics["mus_min_size"] == min(map(len, muses), default=None)
+        mcses = brute_maximal_consistent_subsets(accepted, background)
+        assert diagnostics["mcs_count"] == len(mcses)
+        assert diagnostics["degree"] == brute_min_cover_over_consistent_subsets(
+            accepted, background
+        )
+    else:
+        # a deletion shrink finds a minimal unsatisfiable subset, not
+        # necessarily a smallest one
+        assert diagnostics["mus_method"] == "deletion_shrink"
+        if consistent:
+            assert diagnostics["mus_min_size"] is None
+        else:
+            assert diagnostics["mus_min_size"] in set(map(len, muses))
+        assert diagnostics["mcs_count"] is None and diagnostics["degree"] is None
 
 
 def assert_same_columns(model: WorldModel) -> None:

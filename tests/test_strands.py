@@ -27,12 +27,15 @@ from helpers import (
 )
 
 
-@pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 1])
+@pytest.mark.parametrize("cap", [0, DEFAULT_CANDIDATE_CAP + 1, True, "3"])
 @pytest.mark.parametrize("function", [
     degree_of_inconsistency, minimal_unsat_subsets, maximal_consistent_subsets, strands,
 ], ids=lambda function: function.__name__)
 def test_cap_checked_with_no_candidates(function, cap):
-    with pytest.raises(ValueError, match=f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}"):
+    message = f"cap must lie between 1 and {DEFAULT_CANDIDATE_CAP}"
+    if type(cap) is not int:  # True is no cap, though it equals 1
+        message = f"cap must be an integer, not {cap!r}"
+    with pytest.raises(ValueError, match=message):
         function(FormulaSet(), cap=cap)
 
 

@@ -26,7 +26,9 @@ enumeration cap) and beyond the cap (also on a background with a
 contradiction nested under a disjunction, on candidates that share a
 subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
-and on seven grouped ones, with 128), ``closure`` (also with an unknown
+and on seven grouped ones, with 128; both ways on an independent lottery,
+whose model lists every valuation, at a level where its 7 accepted
+statements are inconsistent, with one MUS of all 7), ``closure`` (also with an unknown
 label, a repeated label, an empty ``--labels`` or ``--conclusion``, an
 empty item in ``--labels``, and an unknown atom in a conclusion, entailed
 or not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
@@ -266,6 +268,10 @@ def report_commands() -> list[list[str]]:
          "cycle.bb"],
         ["extensions", "--policy", "sequential", "--epsilon", "1/3", "cycle.bb"],
         ["--max-candidates", "5", "diagnose", "--epsilon", "1/12", "fair_12.bb"],
+        # a model that lists every valuation, with an inconsistent accepted
+        # set (7 accepted, one MUS of all 7), exhaustive and beyond the cap
+        ["diagnose", "--epsilon", "3/5", "independent_6.bb"],
+        ["--max-candidates", "5", "diagnose", "--epsilon", "3/5", "independent_6.bb"],
         ["--max-candidates", "21", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
