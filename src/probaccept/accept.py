@@ -87,6 +87,14 @@ class AcceptanceLevel:
     def met_by(self, p: Fraction) -> bool:
         return p > self.threshold if self.strict else p >= self.threshold
 
+    def _met_by_ratio(self, numerator: int, denominator: int) -> bool:
+        """``met_by(Fraction(numerator, denominator))`` for a positive
+        ``denominator``, decided by cross-multiplying integers."""
+        threshold = self.threshold
+        left = numerator * threshold.denominator
+        right = threshold.numerator * denominator
+        return left > right if self.strict else left >= right
+
 
 @dataclass(frozen=True)
 class Acceptance:
@@ -164,41 +172,57 @@ def _scan(
     the carried mask over its weight; it must meet the level and, with
     ``consistent``, the accepted set must stay satisfiable.  A world in
     the carried mask settles that; at the first empty one the run builds
-    its one solver over the candidates, which answers every later query."""
+    its one solver over the candidates, which answers every later query.
+
+    Every conditional support of a run is over the model's common
+    denominator, so weights stay integer numerators, compared with the
+    carried mask's numerator ``given``; only an accepted support becomes
+    a ``Fraction``."""
     model = base.model
     current = model.joint_mask(base.background)
     solver = None
-    given = model.mask_weight(current) if conditional else None
+    given = model._numerator(current) if conditional else None
     accepted: list[Acceptance] = []
     taken: list[int] = []  # the accepted candidates' positions
     for i, (label, formula, p) in enumerate(candidates):
         if conditional and given == 0:
             raise RuntimeError(f"{policy} conditioning set reached probability 0")
         joint = current & model.satisfying_mask(formula)
-        support = model.mask_weight(joint) / given if conditional else p
-        if not level.met_by(support):
+        if conditional:
+            weight = model._numerator(joint)
+            if not level._met_by_ratio(weight, given):
+                continue
+        elif not level.met_by(p):
             continue
         if consistent and not joint:
             solver = solver or _Solver([f for _, f, _ in candidates], base.background, model)
             if not solver.satisfiable([*taken, i]):
                 continue
+        support = Fraction(weight, given) if conditional else p
         accepted.append(Acceptance(label, formula, p, support))
         taken.append(i)
         current = joint
         if conditional:
-            given *= support  # now the weight of ``current``
+            given = weight  # the numerator of the new ``current``
     verdict = _verdict(base, accepted, current)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
 def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
     """The candidates with their probabilities, in ``order`` when one is
-    given (it must list every label once)."""
+    given (it must list every label once).  The labels are distinct
+    strings, so an order of as many strings that holds every label is a
+    permutation; checking that needs no sort, which fails on items of
+    mixed types."""
     pairs = base.candidates
     if order is not None:
-        if sorted(order) != sorted(base.candidate_labels):
-            raise ValueError("order must be a permutation of the candidate labels")
         formulas = dict(base.candidates)
+        if not (
+            len(order) == len(formulas)
+            and all(isinstance(label, str) for label in order)
+            and formulas.keys() == set(order)
+        ):
+            raise ValueError("order must be a permutation of the candidate labels")
         pairs = [(label, formulas[label]) for label in order]
     return [(label, f, base.model.probability(f)) for label, f in pairs]
 
@@ -254,6 +278,11 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     the level; a tie for the top halts the cascade (strict dominance is
     the rule's own requirement).  When exactly one ticket remains able to
     win, the cascade accepts that it wins.
+
+    A stage's conditionals share the denominator ``given``, the numerator
+    of the carried mask, so they are ranked and tied as the integer
+    numerators of their joint masks; only the leader's support becomes a
+    ``Fraction``.
     """
     model = base.model
     tickets = dict.fromkeys(_ticket_atom(f) for _, f in base.candidates)
@@ -261,29 +290,30 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     accepted: list[Acceptance] = []
     remaining = dict(base.candidates)
     while remaining:
-        denominator = model.mask_weight(current)
-        if denominator == 0:
+        given = model._numerator(current)
+        if given == 0:
             raise RuntimeError("cascade conditioning set reached probability 0")
-        conditional = {
-            label: model.mask_weight(current & model.satisfying_mask(f)) / denominator
+        weights = {
+            label: model._numerator(current & model.satisfying_mask(f))
             for label, f in remaining.items()
         }
-        best = max(conditional.values())
-        leaders = [label for label, p in conditional.items() if p == best]
-        if len(leaders) != 1 or not level.met_by(best):
+        best = max(weights.values())
+        leaders = [label for label, weight in weights.items() if weight == best]
+        if len(leaders) != 1 or not level._met_by_ratio(best, given):
             break
         label = leaders[0]
         formula = remaining.pop(label)
-        accepted.append(Acceptance(label, formula, model.probability(formula), best))
+        support = Fraction(best, given)
+        accepted.append(Acceptance(label, formula, model.probability(formula), support))
         current &= model.satisfying_mask(formula)
     weights = {
-        name: model.mask_weight(current & model.satisfying_mask(atom(name)))
+        name: model._numerator(current & model.satisfying_mask(atom(name)))
         for name in tickets
     }
     alive = [name for name, weight in weights.items() if weight > 0]
     if len(alive) == 1:
         win = atom(alive[0])
-        support = weights[alive[0]] / model.mask_weight(current)
+        support = Fraction(weights[alive[0]], model._numerator(current))
         accepted.append(Acceptance(alive[0], win, model.probability(win), support))
         current &= model.satisfying_mask(win)
     verdict = _verdict(base, accepted, current)

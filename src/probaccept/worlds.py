@@ -123,7 +123,8 @@ class WorldModel:
     World i's weight is ``n_i / D`` with ``D`` the least common denominator
     of the weights.  Plane ``P_b`` masks the worlds whose numerator ``n_i``
     has bit b set, so a mask ``m`` weighs ``sum((m & P_b).bit_count() << b)``
-    over ``D``; only nonzero planes are kept.
+    over ``D``; only nonzero planes are kept.  A formula's probability is
+    one such weight, memoized per canonical key like its mask.
 
     The constructor checks every world and stores its columns through
     ``_from_columns``.  The lottery builders call ``_from_columns`` directly
@@ -132,7 +133,8 @@ class WorldModel:
     """
 
     __slots__ = (
-        "atoms", "worlds", "_denominator", "_planes", "_full", "_atom_masks", "_mask_cache"
+        "atoms", "worlds", "_denominator", "_planes", "_full", "_atom_masks", "_mask_cache",
+        "_probability_cache",
     )
 
     def __init__(
@@ -178,6 +180,7 @@ class WorldModel:
         object.__setattr__(self, "_full", (1 << len(worlds)) - 1)
         object.__setattr__(self, "_atom_masks", dict(zip(atoms, masks)))
         object.__setattr__(self, "_mask_cache", {})
+        object.__setattr__(self, "_probability_cache", {})
         return self
 
     def __setattr__(self, name, value):
@@ -249,7 +252,11 @@ class WorldModel:
     # -- probability -------------------------------------------------------
 
     def probability(self, formula: Formula) -> Fraction:
-        return self.mask_weight(self.satisfying_mask(formula))
+        key = formula.canonical_key
+        p = self._probability_cache.get(key)
+        if p is None:
+            p = self._probability_cache[key] = self.mask_weight(self.satisfying_mask(formula))
+        return p
 
     def conditional_probability(
         self, formula: Formula, given: Iterable[Formula]

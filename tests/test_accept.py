@@ -242,6 +242,20 @@ class TestSequentialAccept:
             with pytest.raises(ValueError):
                 sequential_accept(base, bad, level)
 
+    @pytest.mark.parametrize("policy", ["sequential", "teng"])
+    def test_order_with_an_item_of_another_type_rejected(self, policy):
+        """Items of mixed types are refused with the permutation message, not
+        the ``TypeError`` that sorting them would raise."""
+        base = fair_lottery(3)
+        level = AcceptanceLevel(Fraction(1, 3))
+        run = POLICY_TABLE[policy][0]
+        for bad in (["L1", "L2", 3], [3, "L1", "L2"], ["L1", "L2", None], [1, 2, 3]):
+            with pytest.raises(ValueError, match="order must be a permutation"):
+                run(base, bad, level)
+        # an iterator is no sequence: refused, not consumed into an empty run
+        with pytest.raises(TypeError):
+            run(base, iter(["L1", "L2", "L3"]), level)
+
     def test_always_weakly_consistent_randomized(self):
         rng = random.Random(55)
         base = fair_lottery(5)

@@ -21,6 +21,12 @@ be satisfiable and reaches the SAT fallback behind the world witness, or
 list every valuation, so an empty mask alone answers that the set is
 unsatisfiable.  Either kind gives some worlds zero weight.
 
+Every policy, the cascade too, is also run on biased one-winner
+lotteries with tied and zero weights and on independent lotteries,
+strict and not, at a level that sits exactly on a support the run
+compares, and its whole ``AcceptedSet`` is checked against
+``ReferenceScan``, a plain-``Fraction`` scan over truth tables.
+
 The lottery builders write their models' columns in closed form; each
 model is checked against the generic constructor fed its own worlds, and
 its worlds against the lottery's definition.
@@ -41,7 +47,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from probaccept import (
+    Acceptance,
     AcceptanceLevel,
+    AcceptedSet,
     BeliefBase,
     Formula,
     WorldModel,
@@ -60,6 +68,7 @@ from probaccept import (
     neg,
     parse,
     render,
+    teng_accept,
     threshold_accept,
 )
 from probaccept import formulas as formulas_module
@@ -87,6 +96,11 @@ PRIMES = (
     100003, 100019, 100043, 100049, 100057, 100069, 100103, 100109, 100129,
     100151, 100153, 100169, 100183, 100189, 100193, 100207, 100213, 100237,
 )
+
+TICKET_PROBABILITIES = st.integers(2, 60).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))
+)
+
 
 # Thresholds from 1/2 down to 1/10 accept many candidates, so joint masks
 # often come out empty.
@@ -435,51 +449,120 @@ def test_threshold_verdict_matches_truth_table(base, level):
     assert result.weakly_consistent == truth_table_satisfiable(result.statements)
 
 
-def brute_weight(model: WorldModel, formulas) -> Fraction:
-    """The weight of the worlds satisfying every formula, found world by
-    world and summed one world at a time."""
-    mask = 0
-    for i, (valuation, _) in enumerate(model.worlds):
-        assignment = dict(zip(model.atoms, valuation))
-        if all(evaluate(f, assignment) for f in formulas):
-            mask |= 1 << i
-    return brute_mask_weight(model, mask)
+class ReferenceScan:
+    """Every policy by its definition in plain ``Fraction`` arithmetic, over
+    truth tables: which listed worlds satisfy a formula comes from
+    ``evaluate``, a weight is a sum of world weights, and a set of
+    statements is satisfiable when some valuation that satisfies the
+    background satisfies them all.  Those valuations come from a truth
+    table over up to ten atoms; past that the base must be a one-winner
+    lottery, whose background holds at exactly the one-hot valuations.
+
+    ``compared`` lists every support a run tested against the level."""
+
+    def __init__(self, base: BeliefBase):
+        self.base = base
+        atoms = base.model.atoms
+        self.worlds = [(dict(zip(atoms, v)), w) for v, w in base.model.worlds]
+        if len(atoms) <= 10:
+            table = (dict(zip(atoms, v)) for v in product((False, True), repeat=len(atoms)))
+            self.valuations = [a for a in table if all(evaluate(b, a) for b in base.background)]
+        else:
+            assert list(base.background) == [exactly_one([atom(x) for x in atoms])]
+            self.valuations = [{x: x == winner for x in atoms} for winner in atoms]
+        self.compared: list[Fraction] = []
+
+    def holds(self, f: Formula) -> frozenset[int]:
+        return frozenset(i for i, (a, _) in enumerate(self.worlds) if evaluate(f, a))
+
+    def weight(self, worlds) -> Fraction:
+        return sum((self.worlds[i][1] for i in worlds), Fraction(0))
+
+    def satisfiable(self, formulas) -> bool:
+        return any(all(evaluate(f, a) for f in formulas) for a in self.valuations)
+
+    def meets(self, support: Fraction, level: AcceptanceLevel) -> bool:
+        self.compared.append(support)
+        threshold = 1 - level.epsilon
+        return support > threshold if level.strict else support >= threshold
+
+    def run(self, policy: str, level: AcceptanceLevel, order=None) -> AcceptedSet:
+        if policy == "cascade":
+            accepted = self.cascade(level)
+        else:
+            accepted = self.scan(policy, level, order)
+        verdict = self.satisfiable([a.statement for a in accepted])
+        return AcceptedSet(policy, level, tuple(accepted), self.base.background, verdict)
+
+    def scan(self, policy, level, order) -> list[Acceptance]:
+        candidates = self.base.candidates
+        p = {label: self.weight(self.holds(f)) for label, f in candidates}
+        if policy in ("sequential", "teng"):
+            formulas = dict(candidates)
+            visit = [(label, formulas[label]) for label in order]
+        elif policy == "lehrer":
+            visit = [
+                (label, f)
+                for label, f in candidates
+                if self.meets(p[label], level)
+                and all(
+                    p[label] > p[other]
+                    for other, g in candidates
+                    if other != label and not self.satisfiable([f, g])
+                )
+            ]
+        else:
+            visit = list(candidates)
+        kept: list[Formula] = []
+        worlds = frozenset(range(len(self.worlds)))  # the kept statements' worlds
+        accepted = []
+        for label, f in visit:
+            joint = worlds & self.holds(f)
+            if policy == "teng":
+                support = self.weight(joint) / self.weight(worlds)
+            else:
+                support = p[label]
+            if not self.meets(support, level):
+                continue
+            if policy == "sequential" and not self.satisfiable(kept + [f]):
+                continue
+            kept.append(f)
+            worlds = joint
+            accepted.append(Acceptance(label, f, p[label], support))
+        return accepted
+
+    def cascade(self, level) -> list[Acceptance]:
+        remaining = dict(self.base.candidates)
+        worlds = frozenset(range(len(self.worlds)))
+        accepted = []
+        while remaining:
+            conditional = {
+                label: self.weight(worlds & self.holds(f)) / self.weight(worlds)
+                for label, f in remaining.items()
+            }
+            best = max(conditional.values())
+            leaders = [label for label, c in conditional.items() if c == best]
+            if len(leaders) != 1 or not self.meets(best, level):
+                break
+            f = remaining.pop(leaders[0])
+            accepted.append(Acceptance(leaders[0], f, self.weight(self.holds(f)), best))
+            worlds &= self.holds(f)
+        tickets = dict.fromkeys(f.args[0].name for _, f in self.base.candidates)
+        alive = [x for x in tickets if self.weight(worlds & self.holds(atom(x))) > 0]
+        if len(alive) == 1:
+            win = atom(alive[0])
+            support = self.weight(worlds & self.holds(win)) / self.weight(worlds)
+            accepted.append(Acceptance(alive[0], win, self.weight(self.holds(win)), support))
+        return accepted
 
 
-def scan_oracle(base: BeliefBase, policy: str, level: AcceptanceLevel, order):
-    """The accepted ``(label, probability, support)`` triples of a scanned
-    policy and its weak-consistency verdict, by the policy's definition."""
-    background = list(base.background)
-
-    def weight(fs):
-        return brute_weight(base.model, fs)
-
-    if policy == "lehrer":
-        visit = [
-            (label, f)
-            for label, f in base.candidates
-            if all(
-                weight([f]) > weight([g])
-                for other, g in base.candidates
-                if other != label and not truth_table_satisfiable(background + [f, g])
-            )
-        ]
-    elif policy == "threshold":
-        visit = list(base.candidates)
-    else:
-        formulas = dict(base.candidates)
-        visit = [(label, formulas[label]) for label in order]
-    kept, triples = background, []
-    for label, f in visit:
-        p = weight([f])
-        support = weight(kept + [f]) / weight(kept) if policy == "teng" else p
-        if not level.met_by(support):
-            continue
-        if policy == "sequential" and not truth_table_satisfiable(kept + [f]):
-            continue
-        kept = kept + [f]
-        triples.append((label, p, support))
-    return triples, truth_table_satisfiable(kept)
+def assert_same_run(result: AcceptedSet, expected: AcceptedSet) -> None:
+    """Equal in every field, with every probability and support a Fraction."""
+    assert result == expected
+    assert all(
+        type(a.probability) is Fraction and type(a.support) is Fraction
+        for a in result.accepted
+    )
 
 
 @pytest.mark.parametrize("policy", ["threshold", "lehrer", "sequential", "teng"])
@@ -492,8 +575,71 @@ def test_scanned_policies_match_their_definitions(policy, base, level, data):
     else:
         order = None
         result = run(base, level)
-    accepted = [(a.label, a.probability, a.support) for a in result.accepted]
-    assert (accepted, result.weakly_consistent) == scan_oracle(base, policy, level, order)
+    assert_same_run(result, ReferenceScan(base).run(policy, level, order))
+
+
+def lottery_shaped(base: BeliefBase) -> bool:
+    return all(f.op == "not" and f.args[0].op == "atom" for _, f in base.candidates)
+
+
+@st.composite
+def lottery_bases(draw):
+    """A biased one-winner lottery of two to seven tickets whose weights
+    are small integers over their total, so that ties and zeros are common;
+    or an independent lottery of one to four tickets, with or without its
+    candidate ``some_wins``."""
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, 3), min_size=2, max_size=7))
+        if not any(raw):
+            raw[0] = 1
+        return biased_lottery([Fraction(r, sum(raw)) for r in raw])
+    base = independent_lottery(draw(st.integers(1, 4)), draw(TICKET_PROBABILITIES))
+    if draw(st.booleans()):
+        return base
+    return BeliefBase(base.model, base.background, base.candidates[:-1])
+
+
+@pytest.mark.parametrize("policy", list(POLICY_TABLE))
+@given(base=lottery_bases(), strict=st.booleans(), data=st.data())
+def test_policies_match_the_reference_scan_on_lotteries(policy, base, strict, data):
+    """The level sits exactly on a support that a run at another level
+    compared, often the first, which every level compares: there ``>=``
+    and ``>`` part."""
+    run, ordered = POLICY_TABLE[policy]
+    order = data.draw(st.permutations(base.candidate_labels)) if ordered else None
+    if policy == "cascade" and not lottery_shaped(base):
+        with pytest.raises(ValueError, match="lottery-shaped"):
+            run(base, AcceptanceLevel(Fraction(1, 2)))
+        return
+    reference = ReferenceScan(base)
+    probe = AcceptanceLevel(data.draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2)])))
+    reference.run(policy, probe, order)
+    supports = sorted({c for c in reference.compared if 0 < c < 1})
+    threshold = data.draw(st.sampled_from(supports)) if supports else 1 - probe.epsilon
+    level = AcceptanceLevel(1 - threshold, strict)
+    result = run(base, order, level) if ordered else run(base, level)
+    assert_same_run(result, reference.run(policy, level, order))
+
+
+# Teng on the fair 100-ticket lottery: after k acceptances the conditional
+# is (99-k)/(100-k).  At 1/100 the second is 98/99 < 99/100; at 1/50 the
+# 51st is 49/50 itself, accepted unless the comparison is strict.
+@pytest.mark.parametrize(
+    "epsilon, strict, count",
+    [
+        (Fraction(1, 100), False, 1),
+        (Fraction(1, 100), True, 0),
+        (Fraction(1, 50), False, 51),
+        (Fraction(1, 50), True, 50),
+    ],
+)
+def test_teng_on_the_fair_hundred_matches_the_reference(lottery100, epsilon, strict, count):
+    level = AcceptanceLevel(epsilon, strict)
+    reference = ReferenceScan(lottery100)
+    for order in (lottery100.candidate_labels, lottery100.candidate_labels[::-1]):
+        result = teng_accept(lottery100, order, level)
+        assert len(result.accepted) == count
+        assert_same_run(result, reference.run("teng", level, order))
 
 
 @given(bases(max_candidates=4), LEVELS, st.sampled_from(["sequential", "teng"]))
@@ -523,9 +669,9 @@ def run_diagnose(base: BeliefBase, level: AcceptanceLevel, cap) -> dict:
 @given(bases(), LEVELS, st.sampled_from([None, 1]))
 def test_diagnose_matches_the_oracles(base, level, cap):
     diagnostics = run_diagnose(base, level, cap)
-    triples, consistent = scan_oracle(base, "threshold", level, None)
-    by_label = dict(base.candidates)
-    accepted = [by_label[label] for label, _, _ in triples]
+    expected = ReferenceScan(base).run("threshold", level)
+    accepted = [a.statement for a in expected.accepted]
+    consistent = expected.weakly_consistent
     background = list(base.background)
     muses = brute_minimal_unsat_subsets(accepted, background)
     assert diagnostics["weakly_consistent"] is consistent
@@ -574,11 +720,6 @@ def assert_one_winner_worlds(model: WorldModel, weights: list[Fraction]) -> None
         tuple(i == j for j in range(n)) for i in range(n)
     ]
     assert [w for _, w in model.worlds] == weights
-
-
-TICKET_PROBABILITIES = st.integers(2, 60).flatmap(
-    lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))
-)
 
 
 @given(st.integers(1, 10), TICKET_PROBABILITIES)

@@ -19,6 +19,7 @@ from probaccept import (
     biased_lottery,
     conj,
     entails,
+    enumerate_extensions,
     fair_lottery,
     independent_lottery,
     is_satisfiable,
@@ -29,10 +30,11 @@ from probaccept import (
     threshold_accept,
 )
 from probaccept import worlds
+from probaccept.accept import POLICY_TABLE
 from probaccept.formulas import MAX_KEY_LENGTH
 from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, ONE_WINNER_LOTTERY_CAP
 
-from helpers import past_digit_limit_weights, random_formula, random_model
+from helpers import brute_mask_weight, past_digit_limit_weights, random_formula, random_model
 
 needs_digit_limit = pytest.mark.skipif(
     not sys.get_int_max_str_digits(), reason="needs the interpreter's digit limit"
@@ -63,6 +65,50 @@ class TestProbability:
     def test_unknown_atom_rejected(self, lottery100):
         with pytest.raises(UnknownAtomError):
             lottery100.model.probability(atom("nonexistent"))
+
+    def test_probability_memo_is_per_model_and_invisible(self):
+        """A formula's probability is memoized in its own model: two models
+        that share a formula keep their own values, values read before and
+        after policy runs agree with the per-world sum, and equality, hash
+        and immutability do not see the memo."""
+        left = biased_lottery([Fraction(1, 4), Fraction(3, 4)]).model
+        right = biased_lottery([Fraction(3, 4), Fraction(1, 4)]).model
+        shared = neg(atom("wins_1"))
+        for _ in range(2):
+            assert left.probability(shared) == Fraction(3, 4)
+            assert right.probability(shared) == Fraction(1, 4)
+
+        weights = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+        base = biased_lottery(weights)
+        model = base.model
+        key = hash(model)
+        probes = [f for _, f in base.candidates] + [*base.background, atom("wins_2")]
+        late = parse("wins_1 | wins_4")  # first asked after the runs
+
+        def expected(f):
+            return brute_mask_weight(model, model.satisfying_mask(f))
+
+        before = [model.probability(f) for f in probes]
+        assert before == [expected(f) for f in probes]
+        for epsilon in (Fraction(1, 10), Fraction(7, 10)):
+            for strict in (False, True):
+                level = AcceptanceLevel(epsilon, strict)
+                for run, ordered in POLICY_TABLE.values():
+                    if ordered:
+                        run(base, base.candidate_labels[::-1], level)
+                    else:
+                        run(base, level)
+                enumerate_extensions(base, "teng", level)
+        assert [model.probability(f) for f in probes] == before
+        assert model.probability(late) == expected(late) == Fraction(1, 2)
+        assert all(type(model.probability(f)) is Fraction for f in [*probes, late])
+
+        fresh = biased_lottery(weights).model  # nothing memoized yet
+        assert model == fresh and hash(model) == hash(fresh) == key
+        assert {fresh: "found"}[model] == "found"
+        for name in ("atoms", "_probability_cache", "_mask_cache"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(model, name, {})
 
     def test_complement_rule_randomized(self):
         rng = random.Random(11)

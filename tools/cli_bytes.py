@@ -5,6 +5,11 @@ Run it once per checkout, then compare the two files:
     python tools/cli_bytes.py CHECKOUT OUT.json
     python tools/cli_bytes.py --compare BEFORE.json AFTER.json
 
+``tools/cli_bytes.json`` holds the fingerprint of the committed code, and
+``tests/test_cli_bytes.py`` rebuilds its records in process, through
+``cli.main``, from the same command list and base files.  A change that
+means to alter the CLI's bytes rewrites that file with the first form.
+
 The first form runs every command below as ``python -B -S -m probaccept``
 with ``PYTHONHASHSEED=0`` and the checkout's ``src`` as the only import path,
 in a fresh directory that holds the belief-base files (written by the
@@ -13,10 +18,13 @@ paths on every checkout.  ``-B`` leaves no bytecode in the checkout, so a
 later benchmark run there imports from source as on a fresh copy.  It
 records the SHA-256 of stdout and stderr and the exit code of each
 command, and for each ``lottery ... --out`` command the SHA-256 of the
-file it writes.  The second form lists the commands whose record differs,
-each by its position in the list (``#N``, counted from 0) and its argv
-cut at ``SHOWN_WIDTH`` characters, and exits 1 if any does; records are
-matched by their whole argv.
+file it writes, under the version of the interpreter that ran them
+(``argparse`` help and usage texts differ between Python versions).  The
+second form lists the commands whose record differs, each by its
+position in the list (``#N``, counted from 0) and its argv cut at
+``SHOWN_WIDTH`` characters, and exits 1 if any does; records are matched
+by their whole argv.  It says so when the two files were written by
+different interpreter versions.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
 orders, with an empty or a repeated item in ``--order``, and on a tie
@@ -59,9 +67,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
 
 # name -> argv of the ``lottery`` command that writes it; epsilon for accept
 BASES = {
@@ -396,17 +406,30 @@ def commands() -> list[list[str]]:
     return out
 
 
-def _run(src: str, workdir: str, argv: list[str]) -> subprocess.CompletedProcess:
-    env = {"PYTHONHASHSEED": "0", "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
-    return subprocess.run(
-        [sys.executable, "-B", "-S", "-m", "probaccept", *argv],
-        cwd=workdir, env=env, capture_output=True, timeout=300,
-    )
+# runs one command in a directory: (exit code, stdout bytes, stderr bytes)
+Runner = Callable[[str, list[str]], tuple[int, bytes, bytes]]
 
 
-def fingerprint(checkout: str) -> list[dict]:
+def subprocess_runner(checkout: str) -> Runner:
+    """Run each command as a fresh ``python -B -S -m probaccept`` on the
+    checkout's ``src``."""
     src = os.path.join(os.path.abspath(checkout), "src")
-    records = []
+    env = {"PYTHONHASHSEED": "0", "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+
+    def run(workdir: str, argv: list[str]) -> tuple[int, bytes, bytes]:
+        done = subprocess.run(
+            [sys.executable, "-B", "-S", "-m", "probaccept", *argv],
+            cwd=workdir, env=env, capture_output=True, timeout=300,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    return run
+
+
+def records(run: Runner) -> list[dict]:
+    """The record of every command, the set-up ``lottery`` commands first,
+    run by ``run`` in a fresh directory that holds the hand-written bases."""
+    out = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, text in HAND_BASES.items():
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
@@ -414,28 +437,38 @@ def fingerprint(checkout: str) -> list[dict]:
         setup = [[*argv, "--out", name] for name, (argv, _) in BASES.items()]
         setup += [[*argv, "--out", name] for name, argv in CAP_BASES.items()]
         for argv in setup + commands():
-            done = _run(src, workdir, argv)
-            records.append({
+            code, stdout, stderr = run(workdir, argv)
+            out.append({
                 "argv": argv,
-                "exit": done.returncode,
-                "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
-                "stderr_sha256": hashlib.sha256(done.stderr).hexdigest(),
+                "exit": code,
+                "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+                "stderr_sha256": hashlib.sha256(stderr).hexdigest(),
             })
             if "--out" in argv:
                 with open(os.path.join(workdir, argv[-1]), "rb") as handle:
-                    records[-1]["out_sha256"] = hashlib.sha256(handle.read()).hexdigest()
-    return records
+                    out[-1]["out_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+    return out
+
+
+def fingerprint(checkout: str) -> dict:
+    """The checkout's records as subprocesses, under this interpreter's version."""
+    found = records(subprocess_runner(checkout))
+    return {"python": platform.python_version(), "records": found}
 
 
 # the widest argv that ``--compare`` prints in full
 SHOWN_WIDTH = 100
 
 
-def _records(path: str) -> dict[str, tuple[int, dict]]:
-    """Each record of a fingerprint file, with its position in the file's
-    list, by its whole argv."""
+def load(path: str) -> dict:
+    """A fingerprint file: ``{"python": version, "records": [...]}``."""
     with open(path, encoding="utf-8") as handle:
-        return {" ".join(r["argv"]): (i, r) for i, r in enumerate(json.load(handle))}
+        return json.load(handle)
+
+
+def _by_argv(records: list[dict]) -> dict[str, tuple[int, dict]]:
+    """Each record, with its position in the list, by its whole argv."""
+    return {" ".join(r["argv"]): (i, r) for i, r in enumerate(records)}
 
 
 def _shown(position: int, command: str) -> str:
@@ -444,15 +477,15 @@ def _shown(position: int, command: str) -> str:
     return f"#{position}: {command}"
 
 
-def compare(before_path: str, after_path: str) -> int:
-    before, after = _records(before_path), _records(after_path)
-    differing = 0
+def differences(before_records: list[dict], after_records: list[dict]) -> list[str]:
+    """One line per command whose record differs, then a count line."""
+    before, after = _by_argv(before_records), _by_argv(after_records)
+    lines = []
     # the commands in the order of BEFORE, then those only in AFTER
     for command in [*before, *(c for c in after if c not in before)]:
         if command not in before or command not in after:
-            where, records = ("after", after) if command in after else ("before", before)
-            print(f"only in {where}: {_shown(records[command][0], command)}")
-            differing += 1
+            where, found = ("after", after) if command in after else ("before", before)
+            lines.append(f"only in {where}: {_shown(found[command][0], command)}")
             continue
         (position, old), (_, new) = before[command], after[command]
         fields = [
@@ -460,21 +493,29 @@ def compare(before_path: str, after_path: str) -> int:
             if old.get(k) != new.get(k)
         ]
         if fields:
-            print(f"differs ({', '.join(fields)}): {_shown(position, command)}")
-            differing += 1
-    print(f"{differing} of {len(before.keys() | after.keys())} commands differ")
-    return 1 if differing else 0
+            lines.append(f"differs ({', '.join(fields)}): {_shown(position, command)}")
+    lines.append(f"{len(lines)} of {len(before.keys() | after.keys())} commands differ")
+    return lines
+
+
+def compare(before_path: str, after_path: str) -> int:
+    before, after = load(before_path), load(after_path)
+    if before["python"] != after["python"]:
+        print(f"written by Python {before['python']} before and {after['python']} after")
+    lines = differences(before["records"], after["records"])
+    print("\n".join(lines))
+    return 1 if len(lines) > 1 else 0
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(argv[1], argv[2])
     if len(argv) == 2 and not argv[0].startswith("-"):
-        records = fingerprint(argv[0])
+        found = fingerprint(argv[0])
         with open(argv[1], "w", encoding="utf-8") as handle:
-            json.dump(records, handle, indent=1)
+            json.dump(found, handle, indent=1)
             handle.write("\n")
-        print(f"{len(records)} commands fingerprinted into {argv[1]}")
+        print(f"{len(found['records'])} commands fingerprinted into {argv[1]}")
         return 0
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
