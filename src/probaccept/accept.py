@@ -24,6 +24,13 @@ on a biased lottery accepts lose-statement after lose-statement until it
 ends up accepting that the last remaining ticket wins.
 ``enumerate_extensions`` surfaces the order dependence by running a
 policy over many candidate orders and collecting the distinct outcomes.
+
+Every consistency question about a base (a scan's verdict, a
+sequential admission, a Lehrer contrary, the conjunction of the
+extensions) goes to the one solver that ``_solver`` keeps on the base,
+which names candidates by their position in ``base.candidates``.  A
+world in the carried mask answers most of them first, and always the
+cascade's verdict.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import permutations
 
 from .formulas import Formula, FormulaSet, atom
 from .sat import _Solver
@@ -58,7 +65,8 @@ DEFAULT_SEED = 0
 
 # 7! orders; ``enumerate_extensions`` may list all of them in memory.
 MAX_PERMUTATIONS = 5040
-_Candidate = tuple[str, Formula, Fraction]  # a candidate's label, formula and probability
+# a candidate's position in ``base.candidates``, label, formula and probability
+_Candidate = tuple[int, str, Formula, Fraction]
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,8 @@ class AcceptanceLevel:
         return 1 - self.epsilon
 
     def met_by(self, p: Fraction) -> bool:
-        return p > self.threshold if self.strict else p >= self.threshold
+        p = as_fraction(p)
+        return self._met_by_ratio(p.numerator, p.denominator)
 
     def _met_by_ratio(self, numerator: int, denominator: int) -> bool:
         """``met_by(Fraction(numerator, denominator))`` for a positive
@@ -150,13 +159,13 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
     return AcceptanceLevel(Fraction(1, 1) / (1 + ratio))
 
 
-def _verdict(base: BeliefBase, accepted: list[Acceptance], mask: int) -> bool:
-    """Weak consistency of a run's statements, whose joint world mask is
-    ``mask``.  A world in it settles the question; only an empty one builds
-    a solver, with every statement in its background: one query needs no
-    group per statement, and one group is about half the cost to build."""
-    statements = chain(base.background, (a.statement for a in accepted))
-    return bool(mask) or _Solver((), statements, base.model).satisfiable()
+def _solver(base: BeliefBase) -> _Solver:
+    """The base's one solver over its background and candidates, member i
+    being candidate i; built at the first question and kept on the base."""
+    if base._solver is None:
+        solver = _Solver([f for _, f in base.candidates], base.background, base.model)
+        object.__setattr__(base, "_solver", solver)
+    return base._solver
 
 
 def _scan(
@@ -167,12 +176,12 @@ def _scan(
     conditional: bool = False,
     consistent: bool = False,
 ) -> AcceptedSet:
-    """Visit ``(label, formula, probability)`` triples in order.  The
-    support is the probability, or with ``conditional`` the weight within
-    the carried mask over its weight; it must meet the level and, with
-    ``consistent``, the accepted set must stay satisfiable.  A world in
-    the carried mask settles that; at the first empty one the run builds
-    its one solver over the candidates, which answers every later query.
+    """Visit ``(position, label, formula, probability)`` candidates in
+    order.  The support is the probability, or with ``conditional`` the
+    weight within the carried mask over its weight; it must meet the level
+    and, with ``consistent``, the accepted set must stay satisfiable.  A
+    world in the carried mask settles that and the run's verdict; an empty
+    one asks the base's solver, by the accepted candidates' positions.
 
     Every conditional support of a run is over the model's common
     denominator, so weights stay integer numerators, compared with the
@@ -180,11 +189,10 @@ def _scan(
     a ``Fraction``."""
     model = base.model
     current = model.joint_mask(base.background)
-    solver = None
     given = model._numerator(current) if conditional else None
     accepted: list[Acceptance] = []
     taken: list[int] = []  # the accepted candidates' positions
-    for i, (label, formula, p) in enumerate(candidates):
+    for i, label, formula, p in candidates:
         if conditional and given == 0:
             raise RuntimeError(f"{policy} conditioning set reached probability 0")
         joint = current & model.satisfying_mask(formula)
@@ -194,37 +202,35 @@ def _scan(
                 continue
         elif not level.met_by(p):
             continue
-        if consistent and not joint:
-            solver = solver or _Solver([f for _, f, _ in candidates], base.background, model)
-            if not solver.satisfiable([*taken, i]):
-                continue
+        if consistent and not joint and not _solver(base).satisfiable([*taken, i]):
+            continue
         support = Fraction(weight, given) if conditional else p
         accepted.append(Acceptance(label, formula, p, support))
         taken.append(i)
         current = joint
         if conditional:
             given = weight  # the numerator of the new ``current``
-    verdict = _verdict(base, accepted, current)
+    verdict = bool(current) or _solver(base).satisfiable(taken)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
 def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
-    """The candidates with their probabilities, in ``order`` when one is
-    given (it must list every label once).  The labels are distinct
-    strings, so an order of as many strings that holds every label is a
-    permutation; checking that needs no sort, which fails on items of
+    """The candidates with their positions and probabilities, in ``order``
+    when one is given (it must list every label once).  The labels are
+    distinct strings, so an order of as many strings that holds every label
+    is a permutation; checking that needs no sort, which fails on items of
     mixed types."""
-    pairs = base.candidates
+    pairs = list(enumerate(base.candidates))
     if order is not None:
-        formulas = dict(base.candidates)
+        position = {label: i for i, (label, _) in pairs}
         if not (
-            len(order) == len(formulas)
+            len(order) == len(position)
             and all(isinstance(label, str) for label in order)
-            and formulas.keys() == set(order)
+            and position.keys() == set(order)
         ):
             raise ValueError("order must be a permutation of the candidate labels")
-        pairs = [(label, formulas[label]) for label in order]
-    return [(label, f, base.model.probability(f)) for label, f in pairs]
+        pairs = [pairs[position[label]] for label in order]
+    return [(i, label, f, base.model.probability(f)) for i, (label, f) in pairs]
 
 
 def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
@@ -238,16 +244,16 @@ def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
     rival (any candidate jointly unsatisfiable with it and the background)
     matches or beats in probability."""
     weighed = _weighed(base)
-    solver = _Solver([f for _, f, _ in weighed], base.background, base.model)
+    solver = _solver(base)
     masks = [solver.shared & mask for mask in solver.masks]
     return [
-        (label, f, p)
-        for i, (label, f, p) in enumerate(weighed)
+        (i, label, f, p)
+        for i, label, f, p in weighed
         if level.met_by(p)
         and not any(
             # the cheap mask test first: a shared world settles most pairs
             not (masks[i] & masks[j]) and q >= p and not solver.satisfiable((i, j))
-            for j, (_, _, q) in enumerate(weighed)
+            for j, _, _, q in weighed
             if j != i
         )
     ]
@@ -316,7 +322,12 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
         support = Fraction(weights[alive[0]], model._numerator(current))
         accepted.append(Acceptance(alive[0], win, model.probability(win), support))
         current &= model.satisfying_mask(win)
-    verdict = _verdict(base, accepted, current)
+    # The carried mask is never empty: the background has weight 1, and the
+    # threshold 1 - epsilon is above 0, so every accepted stage and the
+    # winner kept positive weight.  A world in it settles the verdict, which
+    # the solver could not be asked: the winner atom is no candidate, so it
+    # has no position.
+    verdict = bool(current)
     return AcceptedSet("cascade", level, tuple(accepted), base.background, verdict)
 
 
@@ -429,13 +440,16 @@ def enumerate_extensions(
     intersection = base.background.union(
         f for _, f in base.candidates if f.canonical_key in common
     )
+    # the candidates that occur in some extension, by position
+    occurring = frozenset().union(*found)
+    members = [i for i, (_, f) in enumerate(base.candidates) if f.canonical_key in occurring]
     return ExtensionEnumeration(
         policy=policy,
         level=level,
         extensions=extensions,
         witness_orders=witness,
         conjunction=union,
-        conjunction_weakly_consistent=_Solver((), union, base.model).satisfiable(),
+        conjunction_weakly_consistent=_solver(base).satisfiable(members),
         intersection=intersection,
         exhaustive=exhaustive,
         permutation_count=len(orders),

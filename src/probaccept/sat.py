@@ -23,19 +23,25 @@ below take formulas, not a model, so they always search.
 
 The solver translates a background and a list of members once, straight
 to integer clauses: atoms and definitional subformulas share one
-numbering, in the order the translation meets them.  A subformula that several members share gets one variable, but
-its defining clauses sit in every such member's group, so a query that
-leaves one of them out still defines it.  The solver indexes all its
-clauses once, in one store with one group for the background and one per
-member.  A query switches the background's group and the chosen members'
-groups on, skips the clauses of the others, and decides, in index order,
-only the variables the switched-on clauses mention.  Each query starts
-with every variable undecided, so the watches the previous query left
-are valid as they stand.  A plain satisfiability check is a solver with
-no members.  The first formula a solver translates, usually a base's
-background, is translated into an empty numbering, so its clauses and
-numbering depend on the formula alone; they are kept with the formula
-and reused by every later solver that starts with it.
+numbering, in the order the translation meets them.  A subformula that
+several members share gets one variable, but its defining clauses sit in
+every such member's group, so a query that leaves one of them out still
+defines it.  The solver indexes all its clauses once, in one store with
+one group for the background and one per member.  A query switches the
+background's group and the chosen members' groups on, skips the clauses
+of the others, and decides, in index order, only the variables the
+switched-on clauses mention.  Each query starts with every variable
+undecided, so the watches the previous query left are valid as they
+stand.  A plain satisfiability check is a solver with no members.  A
+formula's top level is one loop over the parts of its canonical
+conjunction, one clause per part: the canonical form flattens a
+conjunction inside a conjunction, so no part is one.  A belief base
+keeps one solver over its background and candidates, which every
+acceptance policy and ``enumerate_extensions`` ask about that base, so
+its store is built at most once.  The first formula a solver translates,
+usually a base's background, is translated into an empty numbering, so
+its clauses and numbering depend on the formula alone; they are kept
+with the formula and reused by every later solver that starts with it.
 
 An ``exactly_one`` of distinct atoms, a lottery's background, is
 translated straight from its sorted names, without its canonical node,
@@ -124,16 +130,14 @@ def _translate(formula: Formula, index: dict) -> _Translation:
                 clauses.append((-var, *map(literal_of, node[1])))
         return var
 
-    def top(node: tuple) -> None:
-        if node[0] == "and":
-            for child in node[1]:
-                top(child)
-        elif node[0] == "or":
-            clauses.append(tuple(map(literal_of, node[1])))
+    # one clause per part of the top conjunction, which holds no conjunction
+    # since the canonical form flattens them
+    node = formula.nnf()
+    for part in node[1] if node[0] == "and" else (node,):
+        if part[0] == "or":
+            clauses.append(tuple(map(literal_of, part[1])))
         else:
-            clauses.append((literal_of(node),))
-
-    top(formula.nnf())
+            clauses.append((literal_of(part),))
     return clauses, []
 
 
@@ -293,6 +297,9 @@ class _Solver:
         self, members: Sequence[Formula], background: Iterable[Formula] = (), model=None
     ):
         self.members, self.background, self.model = members, tuple(background), model
+        for f in chain(members, self.background):
+            if not isinstance(f, Formula):
+                raise TypeError(f"satisfiability needs formulas, got {f!r}")
         if model is not None:
             self.shared = model.joint_mask(self.background)
             self.masks = [model.satisfying_mask(f) for f in members]
@@ -345,6 +352,8 @@ def entails(
     conclusion: Formula,
 ) -> bool:
     """Classical entailment relative to a background set."""
+    if not isinstance(conclusion, Formula):
+        raise TypeError(f"the conclusion must be a formula, got {conclusion!r}")
     members = list(background) + list(premises) + [neg(conclusion)]
     return not is_satisfiable(members)
 

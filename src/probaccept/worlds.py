@@ -147,24 +147,24 @@ class WorldModel:
             raise ValueError("duplicate atom names")
         for name in atom_names:
             atom(name)  # reuse the formula-level name validation
-        weighted: dict[tuple[bool, ...], Fraction] = {}  # in world order
+        weighted: dict[bytes, Fraction] = {}  # by valuation row, in world order
         for valuation, weight in worlds:
-            vals = tuple(map(bool, valuation))
-            if len(vals) != len(atom_names):
+            row = _valuation_row(valuation)
+            if len(row) != len(atom_names):
                 raise ValueError("valuation length does not match atom list")
-            if vals in weighted:
-                raise ValueError(f"duplicate world valuation {vals}")
+            if row in weighted:
+                raise ValueError(f"duplicate world valuation {tuple(map(bool, row))}")
             w = as_fraction(weight)
             if w.numerator < 0:
                 raise ValueError(f"negative world weight {w}")
-            weighted[vals] = w
+            weighted[row] = w
         denominator, planes = _weight_columns(weighted.values(), "world")
         self._from_columns(
             atom_names,
-            tuple(weighted.items()),
+            tuple((tuple(map(bool, row)), w) for row, w in weighted.items()),
             denominator,
             planes,
-            _column_masks(b"".join(map(bytes, weighted)), len(atom_names), 1),
+            _column_masks(b"".join(weighted), len(atom_names), 1),
         )
 
     def _from_columns(
@@ -268,6 +268,21 @@ class WorldModel:
         return Fraction(self._numerator(given_mask & self.satisfying_mask(formula)), denominator)
 
 
+def _valuation_row(valuation: Iterable) -> bytes:
+    """A valuation as one byte per atom, 0 or 1.  Each entry must be a bool
+    or the integer 0 or 1; ``bool`` alone would read the string ``"0"``,
+    ``2`` or ``0.5`` as true and ``None`` as false."""
+    entries = tuple(valuation)
+    try:
+        row = bytes(entries)  # integers in [0, 256) only
+    except (TypeError, ValueError):
+        row = None
+    if row is None or row.translate(None, b"\x00\x01"):
+        bad = next(v for v in entries if not (isinstance(v, int) and v in (0, 1)))
+        raise ValueError(f"valuation entry {bad!r} is not a bool, 0 or 1")
+    return row
+
+
 def _column_masks(table: bytes, width: int, bits: int) -> list[int]:
     """Bit masks over the worlds of a table of ``width`` bytes per world.
 
@@ -332,9 +347,15 @@ class BeliefBase:
     Invariants checked at construction: candidate labels are distinct
     identifiers, every formula's atoms occur in the model, and every
     background formula has probability exactly 1.
+
+    The base keeps one consistency solver over its background and
+    candidates, built by the acceptance policies at their first question
+    and asked every later one.  Like the model's mask and probability
+    caches, it serves one thread at a time.  Equality and ``repr`` ignore
+    it.
     """
 
-    __slots__ = ("model", "background", "candidates")
+    __slots__ = ("model", "background", "candidates", "_solver")
 
     def __init__(
         self,
@@ -347,12 +368,19 @@ class BeliefBase:
             pairs = tuple(candidates.items())
         else:
             pairs = tuple(candidates)
+        for pair in pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise TypeError(f"candidates must be (label, formula) pairs, got {pair!r}")
+            label, formula = pair
+            if not isinstance(label, str):
+                raise TypeError(f"candidate labels must be strings, got {label!r}")
+            if not isinstance(formula, Formula):
+                raise TypeError(f"candidates must be formulas, got {formula!r}")
+            atom(label)  # labels share the atom-name syntax
+            model._check_atoms(formula)
         labels = [label for label, _ in pairs]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate candidate labels")
-        for label, formula in pairs:
-            atom(label)  # labels share the atom-name syntax
-            model._check_atoms(formula)
         for formula in bg:
             p = model.probability(formula)  # checks the atoms too
             if p != 1:
@@ -362,6 +390,7 @@ class BeliefBase:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "background", bg)
         object.__setattr__(self, "candidates", pairs)
+        object.__setattr__(self, "_solver", None)  # set and read by accept._solver
 
     def __setattr__(self, name, value):
         raise AttributeError("BeliefBase is immutable")

@@ -23,6 +23,8 @@ from probaccept import (
     teng_accept,
     threshold_accept,
 )
+from probaccept import accept as accept_module
+from probaccept import sat
 from probaccept.accept import MAX_PERMUTATIONS, POLICY_TABLE
 
 from helpers import truth_table_satisfiable
@@ -44,6 +46,10 @@ class TestAcceptanceLevel:
         assert level.threshold == Fraction(99, 100)
         assert level.met_by(Fraction(99, 100))
         assert not level.met_by(Fraction(98, 99))
+        # exact rationals only, as everywhere in the package
+        assert level.met_by(1) and level.met_by("99/100") and not level.met_by(0)
+        with pytest.raises(ValueError, match="refusing inexact weight 0.995"):
+            level.met_by(0.995)
 
     def test_replaced_level_has_its_own_threshold(self):
         level = AcceptanceLevel(Fraction(1, 100))
@@ -337,6 +343,40 @@ class TestPolicyTable:
         level = AcceptanceLevel(Fraction(1, 10))
         result = run(base, base.candidate_labels, level) if ordered else run(base, level)
         assert result.policy == name
+
+
+class TestOneSolverPerBase:
+    def test_every_run_and_order_on_a_base_builds_one_solver_and_one_store(self, monkeypatch):
+        """Every policy at three levels, then every order of a sequential
+        enumeration, on a 5-ticket lottery: one solver, kept on the base,
+        answers all of them and builds its clause store once."""
+        built, stores = [], []
+
+        class CountedSolver(sat._Solver):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        class CountedClauses(sat._Clauses):
+            def __init__(self, *args):
+                stores.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(accept_module, "_Solver", CountedSolver)
+        monkeypatch.setattr(sat, "_Clauses", CountedClauses)
+        base = fair_lottery(5)
+        eps = Fraction(1, 5)
+        levels = [AcceptanceLevel(eps), AcceptanceLevel(eps, True), AcceptanceLevel(eps / 2)]
+        for run, ordered in POLICY_TABLE.values():
+            for level in levels:
+                run(base, base.candidate_labels, level) if ordered else run(base, level)
+        outcome = enumerate_extensions(base, "sequential", levels[0], max_permutations=120)
+        assert outcome.exhaustive and outcome.permutation_count == 120
+        assert not outcome.conjunction_weakly_consistent
+        assert len(built) == 1
+        assert len(stores) == 1
+        # the solver it keeps is no part of the base's value
+        assert base == fair_lottery(5) and repr(base) == repr(fair_lottery(5))
 
 
 class TestEnumerateExtensions:

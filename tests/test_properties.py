@@ -39,7 +39,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 from io import StringIO
-from itertools import product
+from itertools import permutations, product
 from unittest.mock import patch
 
 import pytest
@@ -576,6 +576,51 @@ def test_scanned_policies_match_their_definitions(policy, base, level, data):
         order = None
         result = run(base, level)
     assert_same_run(result, ReferenceScan(base).run(policy, level, order))
+
+
+@given(base=bases(), data=st.data())
+def test_runs_on_one_base_match_their_definitions(base, data):
+    """Three to six runs and one enumeration of extensions, in a drawn
+    order, all on one base: each run after the first asks the solver that
+    an earlier one left on the base."""
+    scanned = st.sampled_from(["threshold", "lehrer", "sequential", "teng"])
+    steps = data.draw(st.lists(st.tuples(scanned, LEVELS), min_size=3, max_size=6))
+    steps.insert(data.draw(st.integers(0, len(steps))), None)  # the enumeration
+    for step in steps:
+        if step is None:
+            ordered = data.draw(st.sampled_from(["sequential", "teng"]))
+            outcome = enumerate_extensions(base, ordered, data.draw(LEVELS))
+            assert outcome.conjunction_weakly_consistent == truth_table_satisfiable(
+                outcome.conjunction
+            )
+            continue
+        policy, level = step
+        run, takes_order = POLICY_TABLE[policy]
+        order = data.draw(st.permutations(base.candidate_labels)) if takes_order else None
+        result = run(base, order, level) if takes_order else run(base, level)
+        assert_same_run(result, ReferenceScan(base).run(policy, level, order))
+
+
+def test_every_order_of_one_base_with_a_repeated_formula():
+    """One formula under two labels, on three of the four valuations of a
+    and b: an empty joint mask leaves the question to the clause store,
+    which must name each candidate by its place in the base, whatever the
+    order of the run."""
+    a, b = atom("a"), atom("b")
+    model = WorldModel(
+        ["a", "b"], [((1, 1), Fraction(1, 2)), ((1, 0), Fraction(1, 4)), ((0, 1), Fraction(1, 4))]
+    )
+    base = BeliefBase(
+        model, (), [("A", a), ("B", b), ("TWIN", a), ("NAB", disj(neg(a), neg(b))), ("NA", neg(a))]
+    )
+    reference = ReferenceScan(base)
+    for level in map(AcceptanceLevel, (Fraction(3, 4), Fraction(1, 2))):
+        for policy in ("threshold", "lehrer"):
+            assert_same_run(POLICY_TABLE[policy][0](base, level), reference.run(policy, level))
+        for order in permutations(base.candidate_labels):
+            for policy in ("sequential", "teng"):
+                result = POLICY_TABLE[policy][0](base, order, level)
+                assert_same_run(result, reference.run(policy, level, order))
 
 
 def lottery_shaped(base: BeliefBase) -> bool:

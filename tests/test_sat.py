@@ -144,6 +144,29 @@ class TestEntailment:
         assert entails([parse("a -> b")], [parse("a")], parse("b"))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_satisfiable(["a"]), "satisfiability needs formulas, got 'a'"),
+        (lambda: is_satisfiable([atom("a"), None]), "satisfiability needs formulas, got None"),
+        (lambda: entails([], [], "a"), "the conclusion must be a formula, got 'a'"),
+        (lambda: entails(["a"], [], atom("a")), "satisfiability needs formulas, got 'a'"),
+        (lambda: entails([], ["a"], atom("a")), "satisfiability needs formulas, got 'a'"),
+        (lambda: minimal_unsat_subsets([atom("a")], ["a"]), "needs formulas, got 'a'"),
+        (lambda: maximal_consistent_subsets(["a"]), "FormulaSet members must be formulas"),
+        (lambda: shrink_unsat_subset([atom("a")], ["a"]), "needs formulas, got 'a'"),
+    ],
+    ids=[
+        "is_satisfiable", "is_satisfiable_none", "entails_conclusion", "entails_background",
+        "entails_premises", "minimal_unsat_subsets", "maximal_consistent_subsets",
+        "shrink_unsat_subset",
+    ],
+)
+def test_non_formula_input_refused(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 class TestMinimalUnsatSubsets:
     def test_fair_lottery_single_mus(self):
         base = fair_lottery(3)

@@ -146,6 +146,12 @@ class TestStrandEntailment:
         strand = strands(FormulaSet())[0]
         assert not strand_entails(strand, atom("a"))
 
+    @pytest.mark.parametrize("conclusion", ["a", None, 1])
+    def test_non_formula_conclusion_refused(self, conclusion):
+        strand = strands(FormulaSet([atom("a")]))[0]
+        with pytest.raises(TypeError, match=f"the conclusion must be a formula, got {conclusion!r}"):
+            strand_entails(strand, conclusion)
+
     def test_strands_never_entail_contradictions(self):
         absurd = parse("x & ~x")
         base = fair_lottery(4)

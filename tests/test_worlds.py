@@ -320,6 +320,19 @@ class TestModelValidation:
                 [((True,), Fraction(1, 2)), ((True,), Fraction(1, 2))],
             )
 
+    @pytest.mark.parametrize("entry", ["0", "1", None, 2, 0.5])
+    def test_valuation_entries_must_be_truth_values(self, entry):
+        # bool() would read "0" as true and None as false
+        with pytest.raises(ValueError, match=f"valuation entry {entry!r} is not a bool"):
+            WorldModel(["a", "b"], [((entry, True), "1/2"), ((False, False), "1/2")])
+
+    def test_bool_and_zero_one_valuations_accepted(self):
+        model = WorldModel(["a", "b"], [((0, 1), "1/2"), ((True, False), "1/4"), ([1, 1], "1/4")])
+        assert [v for v, _ in model.worlds] == [(False, True), (True, False), (True, True)]
+        assert all(type(x) is bool for v, _ in model.worlds for x in v)
+        with pytest.raises(ValueError, match=r"duplicate world valuation \(False, True\)"):
+            WorldModel(["a", "b"], [((0, 1), "1/2"), ((False, True), "1/2")])
+
     def test_float_weights_rejected(self):
         with pytest.raises(ValueError):
             WorldModel(["a"], [((True,), 0.5), ((False,), 0.5)])
@@ -395,6 +408,23 @@ class TestBeliefBase:
         model = WorldModel(["a"], [((True,), 1)])
         with pytest.raises(UnknownAtomError):
             BeliefBase(model, [], [("C", atom("b"))])
+
+    @pytest.mark.parametrize(
+        "candidates, message",
+        [
+            ([("L1", "wins_1")], "candidates must be formulas, got 'wins_1'"),
+            ([("L1",)], r"candidates must be \(label, formula\) pairs, got \('L1',\)"),
+            ([("L1", atom("wins_1"), "x")], r"candidates must be \(label, formula\) pairs"),
+            (["L1"], r"candidates must be \(label, formula\) pairs, got 'L1'"),
+            ([(1, atom("wins_1"))], "candidate labels must be strings, got 1"),
+        ],
+    )
+    def test_non_formula_candidates_refused(self, candidates, message):
+        model = fair_lottery(3).model
+        with pytest.raises(TypeError, match=message):
+            BeliefBase(model, (), candidates)
+        with pytest.raises(TypeError, match="FormulaSet members must be formulas, got 'wins_1'"):
+            BeliefBase(model, ["wins_1"], ())
 
     def test_duplicate_labels_rejected(self):
         model = WorldModel(["a"], [((True,), 1)])

@@ -27,8 +27,10 @@ by their whole argv.  It says so when the two files were written by
 different interpreter versions.
 
 The list covers every ``accept`` policy (in natural, reversed and shuffled
-orders, with an empty or a repeated item in ``--order``, and on a tie
-between contraries), ``extensions`` (exhaustive and sampled),
+orders, with an empty or a repeated item in ``--order``, on a tie
+between contraries, and on one formula under two labels), ``extensions``
+(exhaustive, over all 5,040 orders of a 7-ticket lottery too, sampled,
+and on one formula under two labels),
 ``diagnose`` exhaustive (up to a 20-ticket lottery at the
 enumeration cap) and beyond the cap (also on a background with a
 contradiction nested under a disjunction, on candidates that share a
@@ -87,9 +89,13 @@ BASES = {
     "independent_6.bb": (["lottery", "independent", "--n", "6", "--p", "1/10"], "1/10"),
 }
 
-# Written like BASES but read by one ``accept`` command only: the largest
-# one-winner lottery, at the ticket cap.
-CAP_BASES = {"fair_300.bb": ["lottery", "fair", "--n", "300"]}
+# Written like BASES but read by one command each: the largest one-winner
+# lottery, at the ticket cap, by ``accept``, and a 7-ticket one by
+# ``extensions`` over all its 5,040 orders, the most it may run.
+CAP_BASES = {
+    "fair_300.bb": ["lottery", "fair", "--n", "300"],
+    "fair_7.bb": ["lottery", "fair", "--n", "7"],
+}
 
 # Explicit candidate orders, neither natural nor reversed.
 SHUFFLED_ORDERS = {
@@ -142,6 +148,24 @@ BC: b -> c
 CA: c -> a
 NAB: a <-> ~b
 NAC: ~(a <-> c)
+"""
+
+# One formula under two labels, A and TWIN, on three of the four valuations
+# of a and b.  At 3/4 every candidate clears the level: Lehrer drops NA,
+# which both A and TWIN dominate, and accepts an inconsistent set, and
+# sequential acceptance skips what the first statements contradict.
+TWIN_BASE = """\
+ATOMS: a b
+WORLDS:
+w1: a=1 b=1 weight 1/2
+w2: a=1 b=0 weight 1/4
+w3: a=0 b=1 weight 1/4
+CANDIDATES:
+A: a
+B: b
+TWIN: a
+NAB: ~a | ~b
+NA: ~a
 """
 
 # A world weight with a zero denominator: an input error naming its line.
@@ -224,6 +248,7 @@ HAND_BASES = {
     "pair.bb": PAIR_BASE,
     "nested.bb": NESTED_BASE,
     "shared.bb": SHARED_BASE,
+    "twin.bb": TWIN_BASE,
     "cycle.bb": CYCLE_BASE,
     "chain.bb": CHAIN_BASE,
     "pairs.bb": PAIRS_BASE,
@@ -263,6 +288,13 @@ def report_commands() -> list[list[str]]:
                     "--order", order, "pair.bb"])
         out.append(["accept", "--policy", "sequential", "--epsilon", "3/4",
                     "--order", order, "shared.bb"])
+        out.append(["accept", "--policy", "sequential", "--epsilon", "3/4",
+                    "--order", order, "twin.bb"])
+    # one formula under two labels
+    for policy in ("threshold", "lehrer"):
+        out.append(["accept", "--policy", policy, "--epsilon", "3/4", "twin.bb"])
+    for policy in ("sequential", "teng"):
+        out.append(["extensions", "--policy", policy, "--epsilon", "3/4", "twin.bb"])
     out += [
         ["diagnose", "--epsilon", "1/2", "pair.bb"],
         ["diagnose", "--epsilon", "1/2", "nested.bb"],
@@ -337,6 +369,10 @@ def commands() -> list[list[str]]:
         ["--json", "lottery", "fair", "--n", "3", "--out", "json_fair_3.bb"],
         ["extensions", "--policy", "sequential", "--epsilon", "1/3",
          "--max-permutations", "5041", "fair_3.bb"],
+        # every order of 7 tickets, each ending in a query on the pairwise
+        # background that a lottery file holds
+        ["extensions", "--policy", "sequential", "--epsilon", "1/7",
+         "--max-permutations", "5040", "fair_7.bb"],
         ["accept", "--policy", "teng", "--epsilon", "1/3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "--order",
          "natural", "fair_3.bb"],
