@@ -529,9 +529,15 @@ class FormulaSet:
 
     Insertion order is preserved for iteration; duplicates (by canonical
     key) are dropped.  Equality and hashing are order-insensitive.
+
+    A set is never changed after construction, so the subset diagnostics
+    in ``sat`` keep the family of maximal consistent and minimal
+    unsatisfiable subsets they last walked over it, for one background, in
+    the ``_family`` slot.  ``__init__`` leaves the slot unset; equality,
+    hashing, ``repr``, copies and pickles ignore it.
     """
 
-    __slots__ = ("_keys",)
+    __slots__ = ("_keys", "_family")
 
     def __init__(self, members: Iterable[Formula] = ()):
         keys: dict[str, Formula] = {}  # canonical key -> first formula with it
@@ -572,6 +578,9 @@ class FormulaSet:
     def __repr__(self) -> str:
         inner = ", ".join(render(f) for f in self._keys.values())
         return f"FormulaSet([{inner}])"
+
+    def __reduce__(self):
+        return FormulaSet, (tuple(self._keys.values()),)
 
 
 EMPTY_SET = FormulaSet()

@@ -19,7 +19,7 @@ model that lists all ``2**len(atoms)`` valuations (every independent
 lottery) answers from its masks alone, since there an empty mask means
 unsatisfiable.  Only a query the masks leave open reaches the search, and
 the clause store is built at the first such query.  The public functions
-below take formulas, not a model, so they always search.
+below take formulas, not a model, so their queries search.
 
 The solver translates a background and a list of members once, straight
 to integer clauses: atoms and definitional subformulas share one
@@ -62,7 +62,11 @@ map formula over the members for a seed; it decides members true first,
 in order, so each seed is a maximal model of the map: an MCS as it stands
 if satisfiable, else shrunk to a MUS.  Each block joins the map's own
 clause store, which is extended, never rebuilt.  ``DEFAULT_CANDIDATE_CAP``
-bounds the loop.
+bounds the loop.  The walk is kept with the candidate set: a
+``FormulaSet`` of candidates holds the family it last gave, for one
+background, so the minimal unsatisfiable subsets, the maximal consistent
+ones, the degree of inconsistency and the strands of one set over one
+background cost one walk between them.
 """
 
 from __future__ import annotations
@@ -371,7 +375,9 @@ def _prepare(
     cap: int | None = None,
     model=None,
 ) -> tuple[tuple[Formula, ...], _Solver]:
-    members = tuple(FormulaSet(candidates))
+    if not isinstance(candidates, FormulaSet):
+        candidates = FormulaSet(candidates)
+    members = tuple(candidates)
     if cap is not None:
         _check_cap(cap)
         if len(members) > cap:
@@ -390,8 +396,20 @@ def _consistent_family(
     """The members, every maximal consistent index set among them (largest
     first) and every minimal unsatisfiable one (smallest first), each list
     then in lexicographic order.  ``model``, when given, is the world model
-    the solver tests masks in first."""
+    the solver tests masks in first; the answers do not depend on it.
+
+    Candidates given as a ``FormulaSet`` keep the family in its ``_family``
+    slot, with the canonical keys of the background it was walked over.  A
+    later call on that set with a background of the same keys returns it
+    without a walk, once the arguments have passed every check; the lists
+    returned are new on every call."""
+    background = tuple(background or ())  # read once: it may be a generator
     members, solver = _prepare(candidates, background, cap, model)
+    if isinstance(candidates, FormulaSet):
+        key = frozenset(f.canonical_key for f in background)
+        kept = getattr(candidates, "_family", None)  # unset until a walk
+        if kept is not None and kept[0] == key:
+            return members, list(kept[1]), list(kept[2])
     n = len(members)
     mcses, muses = [], []
     blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
@@ -415,6 +433,8 @@ def _consistent_family(
         mentioned.update(map(abs, block))
     mcses.sort(key=lambda s: (-len(s), sorted(s)))
     muses.sort(key=lambda s: (len(s), sorted(s)))
+    if isinstance(candidates, FormulaSet):
+        candidates._family = (key, tuple(mcses), tuple(muses))
     return members, mcses, muses
 
 
@@ -437,7 +457,11 @@ def minimal_unsat_subsets(
 ) -> list[FormulaSet]:
     """All subsets of ``candidates`` that are unsatisfiable together with
     ``background`` and minimally so.  Exhaustive and deterministic; raises
-    if the background is unsatisfiable or the cap is exceeded."""
+    if the background is unsatisfiable or the cap is exceeded.
+
+    Candidates given as a ``FormulaSet`` keep the subset walk, so that
+    ``maximal_consistent_subsets``, ``degree_of_inconsistency`` and
+    ``strands`` of the same set over the same background do not repeat it."""
     members, _, muses = _consistent_family(candidates, background, cap)
     return [FormulaSet(members[i] for i in sorted(mus)) for mus in muses]
 
@@ -449,7 +473,11 @@ def maximal_consistent_subsets(
 ) -> list[FormulaSet]:
     """All subsets of ``candidates`` satisfiable with ``background`` to
     which no excluded candidate can be added without losing
-    satisfiability.  Exhaustive and deterministic under the cap."""
+    satisfiability.  Exhaustive and deterministic under the cap.
+
+    Candidates given as a ``FormulaSet`` keep the subset walk, which
+    ``minimal_unsat_subsets``, ``degree_of_inconsistency`` and ``strands``
+    of the same set over the same background then read."""
     members, mcses, _ = _consistent_family(candidates, background, cap)
     return [FormulaSet(members[i] for i in sorted(mcs)) for mcs in mcses]
 

@@ -41,7 +41,11 @@ def strands(
     background: FormulaSet | None = None,
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[Strand]:
-    """One strand per maximal consistent subset, in deterministic order."""
+    """One strand per maximal consistent subset, in deterministic order.
+
+    Candidates given as a ``FormulaSet`` share one subset walk with
+    ``minimal_unsat_subsets``, ``maximal_consistent_subsets`` and
+    ``degree_of_inconsistency`` of the same set over the same background."""
     bg = FormulaSet(background or ())
     return [
         Strand(kernel, bg)
@@ -67,12 +71,17 @@ def degree_of_inconsistency(
     minimum, since any consistent subset extends to a maximal one.
     Requires every candidate to be individually satisfiable with the
     background (otherwise no consistent subset can cover it).
+
+    Candidates given as a ``FormulaSet`` share one subset walk with
+    ``minimal_unsat_subsets``, ``maximal_consistent_subsets`` and
+    ``strands`` of the same set over the same background.
     """
     _check_cap(cap)  # before the shortcut, as the enumerators check it
-    members = tuple(FormulaSet(candidates))
-    if not members:  # nothing to cover, so the background goes unchecked
-        return _degree(members, [])
-    members, mcses, _ = _consistent_family(members, background, cap)
+    if not isinstance(candidates, FormulaSet):
+        candidates = FormulaSet(candidates)
+    if not candidates:  # nothing to cover, so the background goes unchecked
+        return 1
+    members, mcses, _ = _consistent_family(candidates, background, cap)
     return _degree(members, mcses)
 
 

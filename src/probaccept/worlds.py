@@ -129,7 +129,8 @@ class WorldModel:
     The constructor checks every world and stores its columns through
     ``_from_columns``.  The lottery builders call ``_from_columns`` directly
     with columns written in closed form, which the property tests hold
-    equal to the constructor's.
+    equal to the constructor's.  Copies and pickles are rebuilt through the
+    constructor and carry none of the caches.
     """
 
     __slots__ = (
@@ -185,6 +186,11 @@ class WorldModel:
 
     def __setattr__(self, name, value):
         raise AttributeError("WorldModel is immutable")
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, so they check the
+        # worlds again and start with empty caches
+        return WorldModel, (self.atoms, self.worlds)
 
     def __eq__(self, other):
         if not isinstance(other, WorldModel):
@@ -351,8 +357,8 @@ class BeliefBase:
     The base keeps one consistency solver over its background and
     candidates, built by the acceptance policies at their first question
     and asked every later one.  Like the model's mask and probability
-    caches, it serves one thread at a time.  Equality and ``repr`` ignore
-    it.
+    caches, it serves one thread at a time.  Equality, ``repr``, copies
+    and pickles ignore it.
     """
 
     __slots__ = ("model", "background", "candidates", "_solver")
@@ -394,6 +400,11 @@ class BeliefBase:
 
     def __setattr__(self, name, value):
         raise AttributeError("BeliefBase is immutable")
+
+    def __reduce__(self):
+        # through the constructor, which checks the base again; the solver
+        # is not carried
+        return BeliefBase, (self.model, self.background, self.candidates)
 
     @property
     def candidate_labels(self) -> tuple[str, ...]:

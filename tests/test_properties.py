@@ -15,11 +15,14 @@ weights against a per-world sum, and every consistency verdict against
 the truth-table oracle.  The scanned policies are checked against their
 definitions, computed from the same two oracles, and ``diagnose`` (run
 through the CLI, exhaustive and beyond a cap of one) against the
-brute-force MUS, MCS and cover oracles.  The bases' models either list
-only some valuations, so a set with no model world in common may still
-be satisfiable and reaches the SAT fallback behind the world witness, or
-list every valuation, so an empty mask alone answers that the set is
-unsatisfiable.  Either kind gives some worlds zero weight.
+brute-force MUS, MCS and cover oracles.  So are the four public subset
+diagnostics, called in any order on one candidate set that keeps its
+subset walk, over two backgrounds in turn, each passed in any form.  The
+bases' models either list only some valuations, so a set with no model
+world in common may still be satisfiable and reaches the SAT fallback
+behind the world witness, or list every valuation, so an empty mask
+alone answers that the set is unsatisfiable.  Either kind gives some
+worlds zero weight.
 
 Every policy, the cascade too, is also run on biased one-winner
 lotteries with tied and zero weights and on independent lotteries,
@@ -52,11 +55,13 @@ from probaccept import (
     AcceptedSet,
     BeliefBase,
     Formula,
+    FormulaSet,
     WorldModel,
     ZeroProbabilityError,
     atom,
     biased_lottery,
     conj,
+    degree_of_inconsistency,
     disj,
     enumerate_extensions,
     exactly_one,
@@ -64,10 +69,12 @@ from probaccept import (
     iff,
     implies,
     independent_lottery,
+    maximal_consistent_subsets,
     minimal_unsat_subsets,
     neg,
     parse,
     render,
+    strands,
     teng_accept,
     threshold_accept,
 )
@@ -738,6 +745,91 @@ def test_diagnose_matches_the_oracles(base, level, cap):
         else:
             assert diagnostics["mus_min_size"] in set(map(len, muses))
         assert diagnostics["mcs_count"] is None and diagnostics["degree"] is None
+
+
+DIAGNOSTICS = (
+    minimal_unsat_subsets, maximal_consistent_subsets, degree_of_inconsistency, strands
+)
+
+# the forms a background is passed in; a generator can be read only once
+BACKGROUND_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda formulas: (f for f in formulas),
+    "set": FormulaSet,
+}
+
+
+def diagnostics_by_oracle(candidates, background) -> dict:
+    """What each diagnostic must give over ``background``: keysets for the
+    subset families, the cover for the degree, or words of the error it
+    raises."""
+    if not truth_table_satisfiable(background):
+        return dict.fromkeys(DIAGNOSTICS, "background is unsatisfiable")
+    mcses = brute_maximal_consistent_subsets(candidates, background)
+    try:
+        degree = brute_min_cover_over_consistent_subsets(candidates, background)
+    except AssertionError:  # a candidate that no consistent subset holds
+        degree = "individually unsatisfiable"
+    return {
+        minimal_unsat_subsets: brute_minimal_unsat_subsets(candidates, background),
+        maximal_consistent_subsets: mcses,
+        degree_of_inconsistency: degree,
+        strands: mcses,
+    }
+
+
+def diagnose_or_error(function, candidates, background):
+    try:
+        return function(candidates, background)
+    except ValueError as error:
+        return str(error)
+
+
+def assert_as_oracle(function, result, expected) -> None:
+    """The diagnostic's result, or error message, is what the oracle said."""
+    if isinstance(result, str):
+        assert isinstance(expected, str) and expected in result
+    elif function is degree_of_inconsistency:
+        assert result == expected
+    else:
+        family = [s.kernel for s in result] if function is strands else result
+        assert _keysets(family) == expected
+        assert len(family) == len(expected)  # no subset twice
+
+
+@given(bases(), st.data())
+def test_kept_subset_walk_matches_the_oracles(base, data):
+    candidates = base.candidate_formulas
+    names = base.model.atoms
+    first = list(base.background)
+    second = data.draw(st.lists(formulas(names), max_size=2), label="second background")
+    backgrounds = (first, second)
+    expected = [diagnostics_by_oracle(candidates, bg) for bg in backgrounds]
+    rounds = [data.draw(st.permutations(DIAGNOSTICS), label="order") for _ in range(2)]
+    for function in rounds[0] + rounds[1]:
+        which = data.draw(st.sampled_from([0, 1]), label="background")
+        form = data.draw(st.sampled_from(sorted(BACKGROUND_FORMS)), label="form")
+        background = backgrounds[which]
+        result = diagnose_or_error(function, candidates, BACKGROUND_FORMS[form](background))
+        assert_as_oracle(function, result, expected[which][function])
+        # a rebuilt set walks afresh and gives the same result, in order
+        assert result == diagnose_or_error(function, FormulaSet(list(candidates)), background)
+    # after a call is kept (the base's background is certain, so
+    # satisfiable), every check still runs before the kept walk is read
+    maximal_consistent_subsets(candidates, first)
+    absurd = [*first, conj(atom(names[0]), neg(atom(names[0])))]
+    for function in DIAGNOSTICS:
+        if len(candidates) > 1:
+            with pytest.raises(ValueError, match="exceed the enumeration cap"):
+                function(candidates, first, cap=len(candidates) - 1)
+        with pytest.raises(TypeError, match="got 'a'"):
+            function(candidates, [*first, "a"])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="background is unsatisfiable"):
+                function(candidates, absurd)
+        result = diagnose_or_error(function, candidates, first)
+        assert_as_oracle(function, result, expected[0][function])
 
 
 def assert_same_columns(model: WorldModel) -> None:

@@ -16,8 +16,10 @@ from probaccept import (
     parse,
     strand_entails,
     strands,
+    threshold_accept,
 )
 
+from probaccept import sat
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
 
 from helpers import (
@@ -174,3 +176,64 @@ class TestStrandExtensionCorrespondence:
             for strand in strands(base.candidate_formulas, base.background)
         }
         assert extension_sets == kernel_sets
+
+
+class TestOneWalkPerSet:
+    """The four diagnostics of one ``FormulaSet`` over one background share
+    one subset walk."""
+
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        """Record every DPLL search, the subset map's included, from now on."""
+        searches = []
+        search = sat._dpll
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(sat, "_dpll", counted)
+        return searches
+
+    def test_later_diagnostics_make_no_search(self, monkeypatch):
+        base = fair_lottery(12)
+        level = AcceptanceLevel(Fraction(1, 12))
+        accepted = threshold_accept(base, level).accepted_formulas
+        searches = self.count_searches(monkeypatch)
+        muses = minimal_unsat_subsets(accepted, base.background)
+        assert searches  # the first call walks
+        searches.clear()
+        mcses = maximal_consistent_subsets(accepted, base.background)
+        degree = degree_of_inconsistency(accepted, base.background)
+        kernels = [strand.kernel for strand in strands(accepted, base.background)]
+        assert searches == []
+        assert muses == [accepted] and degree == 2
+        assert len(mcses) == 12 and kernels == mcses
+        # a rebuilt set has no walk of its own yet, and finds the same family
+        rebuilt = FormulaSet(accepted)
+        assert maximal_consistent_subsets(rebuilt, base.background) == mcses
+        assert minimal_unsat_subsets(rebuilt, base.background) == muses
+        assert searches
+
+    def test_another_background_walks_again(self, monkeypatch):
+        base = fair_lottery(4)
+        candidates = base.candidate_formulas
+        assert len(maximal_consistent_subsets(candidates, base.background)) == 4
+        searches = self.count_searches(monkeypatch)
+        assert maximal_consistent_subsets(candidates) == [candidates]
+        assert searches
+        searches.clear()
+        # the set keeps only the last background's walk
+        assert len(maximal_consistent_subsets(candidates, base.background)) == 4
+        assert searches
+
+    def test_each_call_returns_new_results(self):
+        base = fair_lottery(3)
+        candidates = base.candidate_formulas
+        first = maximal_consistent_subsets(candidates, base.background)
+        first.clear()
+        second = maximal_consistent_subsets(candidates, base.background)
+        assert len(second) == 3
+        assert second is not maximal_consistent_subsets(candidates, base.background)
+        minimal_unsat_subsets(candidates, base.background).append(None)
+        assert minimal_unsat_subsets(candidates, base.background) == [candidates]

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -23,6 +25,7 @@ from probaccept import (
     fair_lottery,
     independent_lottery,
     is_satisfiable,
+    maximal_consistent_subsets,
     neg,
     parse,
     render,
@@ -30,7 +33,7 @@ from probaccept import (
     threshold_accept,
 )
 from probaccept import worlds
-from probaccept.accept import POLICY_TABLE
+from probaccept.accept import POLICY_TABLE, _solver
 from probaccept.formulas import MAX_KEY_LENGTH
 from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, ONE_WINNER_LOTTERY_CAP
 
@@ -430,6 +433,62 @@ class TestBeliefBase:
         model = WorldModel(["a"], [((True,), 1)])
         with pytest.raises(ValueError):
             BeliefBase(model, [], [("C", atom("a")), ("C", neg(atom("a")))])
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+class TestCopies:
+    """Copies and pickles are rebuilt through the constructors; the caches
+    and the base's solver are not carried."""
+
+    BASES = {
+        "fair": lambda: fair_lottery(4),
+        "biased": lambda: biased_lottery([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+        "independent": lambda: independent_lottery(3, Fraction(1, 3)),
+        "parsed": lambda: BeliefBase(
+            WorldModel(["a", "b"], [((True, False), "1/2"), ((False, True), "1/2")]),
+            [parse("a | b")],
+            [("A", atom("a")), ("B", atom("b")), ("C", parse("a -> b"))],
+        ),
+    }
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    @pytest.mark.parametrize("build", BASES.values(), ids=BASES)
+    def test_base_copy_is_equal_and_accepts_alike(self, build, copier):
+        base = build()
+        level = AcceptanceLevel(Fraction(1, 3))
+        expected = threshold_accept(base, level)  # fills the model's caches
+        assert _solver(base) is base._solver  # built and kept on the base
+        copied = copier(base)
+        assert copied == base and copied is not base
+        assert copied.model == base.model
+        assert copied._solver is None
+        assert threshold_accept(copied, level) == expected
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    def test_model_copy_is_equal(self, copier):
+        model = independent_lottery(3, Fraction(1, 3)).model
+        model.probability(atom("wins_1"))
+        copied = copier(model)
+        assert copied == model and hash(copied) == hash(model)
+        assert copied._mask_cache == {} and copied._probability_cache == {}
+        assert copied.probability(atom("wins_1")) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    def test_formula_set_copy_leaves_the_walk_behind(self, copier):
+        base = fair_lottery(3)
+        candidates = base.candidate_formulas
+        maximal_consistent_subsets(candidates, base.background)
+        assert candidates._family is not None
+        copied = copier(candidates)
+        assert copied == candidates and repr(copied) == repr(candidates)
+        assert list(copied) == list(candidates)
+        assert not hasattr(copied, "_family")
 
 
 class TestProbabilityBound:
