@@ -124,7 +124,10 @@ class Acceptance:
 @dataclass(frozen=True)
 class AcceptedSet:
     """The output of one policy run: accepted statements in acceptance
-    order, the background they sit on, and a weak-consistency verdict."""
+    order, the background they sit on, and a weak-consistency verdict.
+
+    A run also keeps its base's world model, as ``_model``, which is no
+    field: equality, ``repr``, copies and pickles ignore it."""
 
     policy: str
     level: AcceptanceLevel
@@ -132,13 +135,26 @@ class AcceptedSet:
     background: FormulaSet
     weakly_consistent: bool
 
+    _model = None  # set by the policies; not annotated, so not a field
+
+    def __reduce__(self):
+        # rebuilt from the fields, so a copy keeps no model
+        return AcceptedSet, (
+            self.policy, self.level, self.accepted, self.background, self.weakly_consistent
+        )
+
     @property
     def order(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.accepted)
 
     @property
     def accepted_formulas(self) -> FormulaSet:
-        return FormulaSet(a.statement for a in self.accepted)
+        """The accepted statements, as a new set that names the base's
+        model when the run has one, so that the ``sat`` diagnostics test
+        its world masks first."""
+        formulas = FormulaSet(a.statement for a in self.accepted)
+        formulas._model = self._model
+        return formulas
 
     @property
     def statements(self) -> FormulaSet:
@@ -166,6 +182,15 @@ def _solver(base: BeliefBase) -> _Solver:
         solver = _Solver([f for _, f in base.candidates], base.background, base.model)
         object.__setattr__(base, "_solver", solver)
     return base._solver
+
+
+def _result(
+    policy: str, base: BeliefBase, level: AcceptanceLevel, accepted: list, verdict: bool
+) -> AcceptedSet:
+    """A run's ``AcceptedSet``, which keeps the base's model."""
+    result = AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
+    object.__setattr__(result, "_model", base.model)  # frozen, and no field
+    return result
 
 
 def _scan(
@@ -211,7 +236,7 @@ def _scan(
         if conditional:
             given = weight  # the numerator of the new ``current``
     verdict = bool(current) or _solver(base).satisfiable(taken)
-    return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
+    return _result(policy, base, level, accepted, verdict)
 
 
 def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
@@ -328,7 +353,7 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     # the solver could not be asked: the winner atom is no candidate, so it
     # has no position.
     verdict = bool(current)
-    return AcceptedSet("cascade", level, tuple(accepted), base.background, verdict)
+    return _result("cascade", base, level, accepted, verdict)
 
 
 def sequential_accept(

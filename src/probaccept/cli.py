@@ -259,7 +259,7 @@ def _cmd_lottery(args) -> str:
 def _cmd_diagnose(args) -> dict:
     from .accept import threshold_accept
     from .closure import contradiction_bound
-    from .sat import _check_cap, _consistent_family, _prepare, _shrink
+    from .sat import _check_cap, _consistent_family, shrink_unsat_subset
     from .strands import _degree
 
     _check_cap(args.max_candidates)  # on both paths, whatever the input's size
@@ -273,22 +273,20 @@ def _cmd_diagnose(args) -> dict:
     mus_method = "exhaustive"
     mcs_count = None
     degree = None
-    # the solver tests the model's masks first: a shared world settles a
-    # query, and so does an empty mask on a model that lists every valuation
+    # the accepted formulas name the base's model, whose masks the solver
+    # tests first: a shared world settles a query, and so does an empty mask
+    # on a model that lists every valuation
     if len(accepted_formulas) <= cap:
         # one enumeration: MUS, MCS count and degree all read its two lists
-        walked, mcses, muses = _consistent_family(
-            accepted_formulas, background, cap, base.model
-        )
+        walked, mcses, muses = _consistent_family(accepted_formulas, background, cap)
         mus_min_size = len(muses[0]) if muses else None
         mcs_count = len(mcses)
         degree = _degree(walked, mcses)
     else:
         mus_method = "deletion_shrink"
-        members, solver = _prepare(accepted_formulas, background, model=base.model)
-        everything = list(range(len(members)))
-        if not solver.satisfiable(everything):
-            mus_min_size = len(_shrink(solver, everything))
+        shrunk = shrink_unsat_subset(accepted_formulas, background)
+        if shrunk is not None:
+            mus_min_size = len(shrunk)
 
     bound = contradiction_bound(level)
     return {

@@ -533,11 +533,14 @@ class FormulaSet:
     A set is never changed after construction, so the subset diagnostics
     in ``sat`` keep the family of maximal consistent and minimal
     unsatisfiable subsets they last walked over it, for one background, in
-    the ``_family`` slot.  ``__init__`` leaves the slot unset; equality,
-    hashing, ``repr``, copies and pickles ignore it.
+    the ``_family`` slot.  A set of a belief base's candidates or of a
+    policy run's accepted statements names the base's world model in the
+    ``_model`` slot, so that the diagnostics test world masks before they
+    search.  ``__init__`` leaves both slots unset; equality, hashing,
+    ``repr``, copies and pickles ignore them.
     """
 
-    __slots__ = ("_keys", "_family")
+    __slots__ = ("_keys", "_family", "_model")
 
     def __init__(self, members: Iterable[Formula] = ()):
         keys: dict[str, Formula] = {}  # canonical key -> first formula with it

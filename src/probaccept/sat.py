@@ -19,7 +19,14 @@ model that lists all ``2**len(atoms)`` valuations (every independent
 lottery) answers from its masks alone, since there an empty mask means
 unsatisfiable.  Only a query the masks leave open reaches the search, and
 the clause store is built at the first such query.  The public functions
-below take formulas, not a model, so their queries search.
+below take formulas, not a model.  Candidates given as a belief base's
+``candidate_formulas`` or a policy run's ``accepted_formulas`` name the
+base's model, and the functions test its masks when every atom of the
+candidates and the background is one of the model's; any other call
+searches every query.  The answers never depend on which model it is.
+A deletion shrink with a model keeps the mask of the members kept so far
+and suffix masks of those not yet tried, so each deletion costs one
+``&``.
 
 The solver translates a background and a list of members once, straight
 to integer clauses: atoms and definitional subformulas share one
@@ -287,7 +294,8 @@ class _Solver:
     of the background and the chosen members.  A world in it is a
     satisfying valuation.  A model that lists all ``2**len(atoms)``
     valuations answers from the mask alone, since an empty mask there
-    means no valuation satisfies them.
+    means no valuation satisfies them.  With no model every mask is empty,
+    as for a model that lists no world.
 
     Any other query goes to the clause store, built at the first such
     query: one variable numbering over the background (group 0) and the
@@ -300,13 +308,17 @@ class _Solver:
     def __init__(
         self, members: Sequence[Formula], background: Iterable[Formula] = (), model=None
     ):
-        self.members, self.background, self.model = members, tuple(background), model
+        self.members, self.background = members, tuple(background)
         for f in chain(members, self.background):
             if not isinstance(f, Formula):
                 raise TypeError(f"satisfiability needs formulas, got {f!r}")
-        if model is not None:
+        if model is None:  # no world is known, so every query is searched
+            self.shared, self.masks, self.complete = 0, [0] * len(members), False
+        else:
             self.shared = model.joint_mask(self.background)
             self.masks = [model.satisfying_mask(f) for f in members]
+            # a model of every valuation: an empty mask means unsatisfiable
+            self.complete = len(model.worlds) == 1 << len(model.atoms)
 
     @cached_property
     def store(self) -> _Clauses:
@@ -330,11 +342,13 @@ class _Solver:
         return _Clauses(len(index), groups)
 
     def satisfiable(self, which: Sequence[int] = ()) -> bool:
-        if self.model is not None:
-            mask = reduce(int.__and__, map(self.masks.__getitem__, which), self.shared)
-            # a model of every valuation: an empty mask means unsatisfiable
-            if mask or len(self.model.worlds) == 1 << len(self.model.atoms):
-                return bool(mask)
+        mask = reduce(int.__and__, map(self.masks.__getitem__, which), self.shared)
+        if mask or self.complete:
+            return bool(mask)
+        return self._search(which)
+
+    def _search(self, which: Sequence[int]) -> bool:
+        """``satisfiable(which)`` by the clause store, with no mask test."""
         store = self.store
         chosen = bytearray(len(self.members))
         for i in which:
@@ -373,8 +387,11 @@ def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int | None = None,
-    model=None,
 ) -> tuple[tuple[Formula, ...], _Solver]:
+    """The members and a solver over them and the background.  The solver
+    tests the masks of the model the candidates name, if any, when every
+    atom of the members and the background is one of the model's; the
+    answers are the same with or without it."""
     if not isinstance(candidates, FormulaSet):
         candidates = FormulaSet(candidates)
     members = tuple(candidates)
@@ -384,19 +401,26 @@ def _prepare(
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    return members, _Solver(members, background or (), model)
+    background = tuple(background or ())  # read once: it may be a generator
+    model = getattr(candidates, "_model", None)  # unset on most sets
+    if model is not None:
+        known = set(model.atoms)
+        # a non-formula is left to the solver, which reports it
+        if not all(
+            isinstance(f, Formula) and f.atoms() <= known for f in chain(members, background)
+        ):
+            model = None
+    return members, _Solver(members, background, model)
 
 
 def _consistent_family(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int,
-    model=None,
 ) -> tuple[tuple[Formula, ...], list[frozenset[int]], list[frozenset[int]]]:
     """The members, every maximal consistent index set among them (largest
     first) and every minimal unsatisfiable one (smallest first), each list
-    then in lexicographic order.  ``model``, when given, is the world model
-    the solver tests masks in first; the answers do not depend on it.
+    then in lexicographic order.
 
     Candidates given as a ``FormulaSet`` keep the family in its ``_family``
     slot, with the canonical keys of the background it was walked over.  A
@@ -404,7 +428,7 @@ def _consistent_family(
     without a walk, once the arguments have passed every check; the lists
     returned are new on every call."""
     background = tuple(background or ())  # read once: it may be a generator
-    members, solver = _prepare(candidates, background, cap, model)
+    members, solver = _prepare(candidates, background, cap)
     if isinstance(candidates, FormulaSet):
         key = frozenset(f.canonical_key for f in background)
         kept = getattr(candidates, "_family", None)  # unset until a walk
@@ -440,14 +464,28 @@ def _consistent_family(
 
 def _shrink(solver: _Solver, current: list[int]) -> list[int]:
     """Delete members of an unsatisfiable index list, in order, while the
-    rest stays unsatisfiable: a minimal unsatisfiable index list."""
-    for i in list(current):
-        trimmed = [j for j in current if j != i]
-        if not solver.satisfiable(trimmed):
-            current = trimmed
-    if not current:  # exactly when the background alone is unsatisfiable
+    rest stays unsatisfiable: a minimal unsatisfiable index list.
+
+    The query that leaves ``current[k]`` out asks about the members kept
+    before it and every member after it.  Its mask is the kept members'
+    mask and the suffix mask of those after, one ``&``; only an empty mask
+    on a model that misses some valuation, or with no model, is searched."""
+    masks = solver.masks
+    # suffix[k]: the worlds of the background and of current[k:]
+    suffix = [solver.shared] * (len(current) + 1)
+    for k in range(len(current) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] & masks[current[k]]
+    kept: list[int] = []
+    prefix = -1  # the kept members' worlds; -1 has every world's bit
+    for k, i in enumerate(current):
+        if prefix & suffix[k + 1] or (
+            not solver.complete and solver._search([*kept, *current[k + 1:]])
+        ):  # satisfiable without current[k], so it stays
+            kept.append(i)
+            prefix &= masks[i]
+    if not kept:  # exactly when the background alone is unsatisfiable
         raise ValueError("background is unsatisfiable")
-    return current
+    return kept
 
 
 def minimal_unsat_subsets(
@@ -492,6 +530,10 @@ def shrink_unsat_subset(
     exhaustive-enumeration cap.  Returns None when the candidates are
     satisfiable with the background.  The result is a minimal
     unsatisfiable subset but not necessarily a smallest one.
+
+    Candidates that name their base's model (``candidate_formulas``,
+    ``accepted_formulas``) are tested against its world masks first: a
+    deletion that leaves a shared world costs one ``&`` and no search.
     """
     members, solver = _prepare(candidates, background)
     if solver.satisfiable(range(len(members))):

@@ -412,7 +412,11 @@ class BeliefBase:
 
     @property
     def candidate_formulas(self) -> FormulaSet:
-        return FormulaSet(f for _, f in self.candidates)
+        """The candidates' formulas, as a new set that names the base's
+        model, whose world masks the ``sat`` diagnostics then test first."""
+        formulas = FormulaSet(f for _, f in self.candidates)
+        formulas._model = self.model
+        return formulas
 
     def candidate(self, label: str) -> Formula:
         for name, formula in self.candidates:

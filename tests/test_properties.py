@@ -17,7 +17,10 @@ definitions, computed from the same two oracles, and ``diagnose`` (run
 through the CLI, exhaustive and beyond a cap of one) against the
 brute-force MUS, MCS and cover oracles.  So are the four public subset
 diagnostics, called in any order on one candidate set that keeps its
-subset walk, over two backgrounds in turn, each passed in any form.  The
+subset walk, over two backgrounds in turn, each passed in any form, and
+these with ``shrink_unsat_subset`` on the accepted statements and the
+candidates, which name their base's model, against the same formulas as
+a plain list, also over a background with an atom the model lacks.  The
 bases' models either list only some valuations, so a set with no model
 world in common may still be satisfiable and reaches the SAT fallback
 behind the world witness, or list every valuation, so an empty mask
@@ -74,6 +77,7 @@ from probaccept import (
     neg,
     parse,
     render,
+    shrink_unsat_subset,
     strands,
     teng_accept,
     threshold_accept,
@@ -830,6 +834,54 @@ def test_kept_subset_walk_matches_the_oracles(base, data):
                 function(candidates, absurd)
         result = diagnose_or_error(function, candidates, first)
         assert_as_oracle(function, result, expected[0][function])
+
+
+def shrink_by_oracle(candidates, background):
+    """What ``shrink_unsat_subset`` must give: None, the minimal
+    unsatisfiable subsets one of which it returns, or the error's words."""
+    if not truth_table_satisfiable(background):
+        return "background is unsatisfiable"
+    return brute_minimal_unsat_subsets(candidates, background) or None
+
+
+@given(bases(), LEVELS, st.data())
+def test_sets_that_name_a_model_answer_as_plain_lists(base, level, data):
+    # The accepted statements and the candidates name the base's model,
+    # whose masks the diagnostics test first; a plain list of the same
+    # formulas names none.  Over the base's background, as a list or a
+    # generator, and over one with an atom the model lacks, where the call
+    # falls back to the search, each must give what the list gives and
+    # what the oracles say.
+    names = base.model.atoms
+    foreign = data.draw(st.sampled_from([conj, disj, iff]), label="join")(
+        atom("z"), data.draw(formulas(names), label="foreign")
+    )
+    backgrounds = {
+        "list": list(base.background),
+        "generator": list(base.background),
+        "foreign atom": [*base.background, foreign],
+    }
+    for named in (threshold_accept(base, level).accepted_formulas, base.candidate_formulas):
+        assert named._model is base.model
+        plain = list(named)
+        for form, background in backgrounds.items():
+            def passed(formulas):
+                return (f for f in formulas) if form == "generator" else formulas
+
+            expected = diagnostics_by_oracle(plain, background)
+            if not plain:  # nothing to cover, so the background goes unchecked
+                expected[degree_of_inconsistency] = 1
+            for function in DIAGNOSTICS:
+                result = diagnose_or_error(function, named, passed(background))
+                assert_as_oracle(function, result, expected[function])
+                assert result == diagnose_or_error(function, plain, passed(background))
+            shrunk = diagnose_or_error(shrink_unsat_subset, named, passed(background))
+            assert shrunk == diagnose_or_error(shrink_unsat_subset, plain, passed(background))
+            oracle = shrink_by_oracle(plain, background)
+            if isinstance(oracle, set):
+                assert isinstance(shrunk, FormulaSet) and _keysets([shrunk]) <= oracle
+            else:
+                assert shrunk == oracle
 
 
 def assert_same_columns(model: WorldModel) -> None:

@@ -17,6 +17,7 @@ from probaccept import (
     entails,
     exactly_one,
     fair_lottery,
+    independent_lottery,
     is_satisfiable,
     maximal_consistent_subsets,
     minimal_unsat_subsets,
@@ -26,6 +27,7 @@ from probaccept import (
     strands,
     threshold_accept,
 )
+from probaccept import sat
 
 from helpers import (
     BRANCHING_PROBE,
@@ -324,6 +326,50 @@ class TestShrink:
         assert not is_satisfiable(members)
         for i in range(len(members)):
             assert is_satisfiable(members[:i] + members[i + 1:])
+
+
+class TestModelWitness:
+    """Sets drawn from a belief base name its model, whose world masks
+    answer the queries that a shared world settles; the same formulas as a
+    plain list are searched."""
+
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        """Record every DPLL search, the subset map's included, from now on."""
+        searches = []
+        search = sat._dpll
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(sat, "_dpll", counted)
+        return searches
+
+    def test_accepted_lottery_shrinks_with_one_search(self, monkeypatch):
+        # every proper subset of the 40 lose statements shares a world, so
+        # only the query about the full set is searched
+        base = fair_lottery(40)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 40))).accepted_formulas
+        searches = self.count_searches(monkeypatch)
+        shrunk = shrink_unsat_subset(accepted, base.background)
+        assert len(searches) == 1
+        assert list(shrunk) == list(accepted)
+        # the same formulas as a list: one search per deletion and the first
+        searches.clear()
+        assert shrink_unsat_subset(list(accepted), base.background) == shrunk
+        assert len(searches) == 41
+
+    def test_every_valuation_answers_the_walk_from_masks(self, monkeypatch):
+        # the independent lottery lists all 2**6 valuations, so an empty mask
+        # means unsatisfiable: only the subset map is searched, whose store
+        # has one group (a solver's has one per member and the background's)
+        base = independent_lottery(6, Fraction(1, 10))
+        candidates = base.candidate_formulas
+        searches = self.count_searches(monkeypatch)
+        assert minimal_unsat_subsets(candidates) == [candidates]
+        assert searches
+        assert all(len(store.units) == 1 for store, *_ in searches)
 
 
 class TestAtTheCap:

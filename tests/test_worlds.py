@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from probaccept import (
     AcceptanceLevel,
+    AcceptedSet,
     BeliefBase,
     Formula,
     FormulaSet,
@@ -489,6 +491,45 @@ class TestCopies:
         assert copied == candidates and repr(copied) == repr(candidates)
         assert list(copied) == list(candidates)
         assert not hasattr(copied, "_family")
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    def test_formula_set_copy_leaves_the_model_behind(self, copier):
+        base = fair_lottery(3)
+        candidates = base.candidate_formulas
+        assert candidates._model is base.model
+        copied = copier(candidates)
+        assert copied == candidates and hash(copied) == hash(candidates)
+        assert repr(copied) == repr(candidates) and list(copied) == list(candidates)
+        assert not hasattr(copied, "_model")
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    @pytest.mark.parametrize("policy", POLICY_TABLE)
+    def test_accepted_set_copy_leaves_the_model_behind(self, policy, copier):
+        base = fair_lottery(4)
+        run, takes_order = POLICY_TABLE[policy]
+        level = AcceptanceLevel(Fraction(1, 4))
+        result = run(base, base.candidate_labels, level) if takes_order else run(base, level)
+        assert result._model is base.model
+        assert result.accepted_formulas._model is base.model
+        copied = copier(result)
+        assert copied == result and copied is not result
+        assert repr(copied) == repr(result)
+        assert copied._model is None and copied.accepted_formulas._model is None
+        assert list(copied.accepted_formulas) == list(result.accepted_formulas)
+
+    def test_the_model_is_no_field_of_an_accepted_set(self):
+        base = fair_lottery(4)
+        result = threshold_accept(base, AcceptanceLevel(Fraction(1, 4)))
+        names = ["policy", "level", "accepted", "background", "weakly_consistent"]
+        assert [field.name for field in dataclasses.fields(AcceptedSet)] == names
+        values = dataclasses.asdict(result)
+        assert list(values) == names
+        # built from its fields alone, with no model, it is equal and alike
+        bare = AcceptedSet(*(getattr(result, name) for name in names))
+        assert bare._model is None
+        assert bare == result and repr(bare) == repr(result)
+        assert dataclasses.asdict(bare) == values
+        assert dataclasses.replace(result, policy="threshold")._model is None
 
 
 class TestProbabilityBound:
