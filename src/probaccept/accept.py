@@ -85,6 +85,8 @@ class AcceptanceLevel:
         eps = as_fraction(self.epsilon)
         if not (0 < eps < 1):
             raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
+        if not isinstance(self.strict, bool):  # "false" would be taken as true
+            raise ValueError(f"strict must be a bool, not {self.strict!r}")
         object.__setattr__(self, "epsilon", eps)
 
     # met_by reads it per statement; frozen still leaves the instance __dict__

@@ -259,8 +259,9 @@ def _cmd_lottery(args) -> str:
 def _cmd_diagnose(args) -> dict:
     from .accept import threshold_accept
     from .closure import contradiction_bound
-    from .sat import _check_cap, _consistent_family, shrink_unsat_subset
-    from .strands import _degree
+    from .sat import _check_cap, maximal_consistent_subsets, minimal_unsat_subsets
+    from .sat import shrink_unsat_subset
+    from .strands import degree_of_inconsistency
 
     _check_cap(args.max_candidates)  # on both paths, whatever the input's size
     base, level = _base_and_level(args)
@@ -277,11 +278,12 @@ def _cmd_diagnose(args) -> dict:
     # tests first: a shared world settles a query, and so does an empty mask
     # on a model that lists every valuation
     if len(accepted_formulas) <= cap:
-        # one enumeration: MUS, MCS count and degree all read its two lists
-        walked, mcses, muses = _consistent_family(accepted_formulas, background, cap)
+        # one subset walk, kept on the set: the MCS count and the degree
+        # read the family that the MUS enumeration found
+        muses = minimal_unsat_subsets(accepted_formulas, background, cap)
         mus_min_size = len(muses[0]) if muses else None
-        mcs_count = len(mcses)
-        degree = _degree(walked, mcses)
+        mcs_count = len(maximal_consistent_subsets(accepted_formulas, background, cap))
+        degree = degree_of_inconsistency(accepted_formulas, background, cap)
     else:
         mus_method = "deletion_shrink"
         shrunk = shrink_unsat_subset(accepted_formulas, background)

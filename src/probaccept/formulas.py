@@ -118,9 +118,7 @@ class Formula:
     :func:`parse`.
     """
 
-    __slots__ = (
-        "op", "args", "name", "_pos", "_neg", "_key", "_atoms", "_bounds", "_translation"
-    )
+    __slots__ = ("op", "args", "name", "_pos", "_neg", "_key", "_atoms", "_bounds")
 
     def __init__(self, op: str, args: Sequence["Formula"] = (), name: str | None = None):
         args = tuple(args)  # a caller's list may change later; this formula must not
@@ -149,7 +147,6 @@ class Formula:
         self._key: str | None = None
         self._atoms: frozenset[str] | None = None
         self._bounds: tuple[int, int] | None = None
-        self._translation: object = None  # set and read by sat._clauses_for
 
     def nnf(self) -> tuple:
         """Canonical negation-normal-form node for this formula."""

@@ -45,10 +45,7 @@ conjunction, one clause per part: the canonical form flattens a
 conjunction inside a conjunction, so no part is one.  A belief base
 keeps one solver over its background and candidates, which every
 acceptance policy and ``enumerate_extensions`` ask about that base, so
-its store is built at most once.  The first formula a solver translates,
-usually a base's background, is translated into an empty numbering, so
-its clauses and numbering depend on the formula alone; they are kept
-with the formula and reused by every later solver that starts with it.
+its store is built at most once.
 
 An ``exactly_one`` of distinct atoms, a lottery's background, is
 translated straight from its sorted names, without its canonical node,
@@ -99,23 +96,9 @@ _Lits = tuple[int, ...]  # a clause, or an at-most-one row, of literals
 _Translation = tuple[Sequence[_Lits], Sequence[_Lits]]  # its clauses and rows
 
 
-def _clauses_for(formula: Formula, index: dict) -> _Translation:
-    """The formula's clauses and at-most-one rows, numbered on from
-    ``index``, the solver's one numbering.  Into an empty numbering the
-    translation depends on the formula alone, so it is made once and kept,
-    with that numbering, in the formula's ``_translation`` slot."""
-    if index:
-        return _translate(formula, index)
-    if formula._translation is None:
-        alone: dict = {}
-        clauses, rows = _translate(formula, alone)
-        formula._translation = (tuple(clauses), tuple(rows), alone)
-    clauses, rows, alone = formula._translation
-    index.update(alone)
-    return clauses, rows
-
-
 def _translate(formula: Formula, index: dict) -> _Translation:
+    """The formula's clauses and at-most-one rows, numbered on from
+    ``index``, the solver's one numbering."""
     names = formula._names if isinstance(formula, _ExactlyOne) else ()
     if names:
         # at least one and at most one of the names, numbered in sorted order
@@ -324,7 +307,7 @@ class _Solver:
     def store(self) -> _Clauses:
         # built at the first query that the masks leave open
         index: dict = {}
-        parts = [_clauses_for(f, index) for f in self.background]
+        parts = [_translate(f, index) for f in self.background]
         shared = (
             [clause for clauses, _ in parts for clause in clauses],
             [row for _, rows in parts for row in rows],
@@ -332,7 +315,7 @@ class _Solver:
         # the background's clauses mention exactly variables 1..nshared; a
         # row's literals are those of its at-least-one clause
         self.nshared = len(index)
-        groups = [shared, *(_clauses_for(f, index) for f in self.members)]
+        groups = [shared, *(_translate(f, index) for f in self.members)]
         # per member, once: the variables of its clauses that the background
         # does not mention, which a query decides when the member is chosen
         self.own = [

@@ -229,6 +229,8 @@ def combine_tests(
     """
     if not accepted:
         raise ValueError("need at least one accepted rejection")
+    if not isinstance(independent, bool):  # "no" would be taken as true
+        raise ValueError(f"independent must be a bool, not {independent!r}")
     if independent:
         floor = Fraction(1)
         for a in accepted:

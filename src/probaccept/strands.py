@@ -82,22 +82,16 @@ def degree_of_inconsistency(
     if not candidates:  # nothing to cover, so the background goes unchecked
         return 1
     members, mcses, _ = _consistent_family(candidates, background, cap)
-    return _degree(members, mcses)
-
-
-def _degree(members: tuple[Formula, ...], family: list[frozenset[int]]) -> int:
-    """The minimum cover of ``members`` by their maximal consistent index
-    sets ``family``; 1 for no members."""
     universe = frozenset(range(len(members)))
     # a candidate in no maximal consistent subset is unsatisfiable with the
     # background on its own
-    uncovered = universe.difference(*family)
+    uncovered = universe.difference(*mcses)
     if uncovered:
         raise ValueError(
             f"candidate {members[min(uncovered)]} is individually unsatisfiable "
             "with the background"
         )
-    return max(1, _min_cover(universe, family))
+    return _min_cover(universe, mcses)
 
 
 def _min_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:

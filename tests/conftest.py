@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from probaccept import fair_lottery
+from probaccept import fair_lottery, sat
 from probaccept.basefile import dump
 
 # Property tests draw the same examples on every run and keep no example
@@ -36,3 +36,18 @@ def lottery3_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("bases") / "lottery3.bb"
     dump(fair_lottery(3), path)
     return str(path)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every DPLL search made from now on, the subset map's included, by
+    its arguments: the clause store comes first."""
+    made = []
+    search = sat._dpll
+
+    def counted(*args):
+        made.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(sat, "_dpll", counted)
+    return made

@@ -66,6 +66,17 @@ class TestAcceptanceLevel:
         assert not level.met_by(Fraction(99, 100))
         assert level.met_by(Fraction(991, 1000))
 
+    @pytest.mark.parametrize("strict", ["false", "no", "", 0, 1, None])
+    def test_non_bool_strict_rejected(self, strict):
+        # a truthy "false" would build a strict level, at which a 4-ticket
+        # lottery at 1/4 accepts none of its tickets
+        with pytest.raises(ValueError, match=r"^strict must be a bool, not "):
+            AcceptanceLevel(Fraction(1, 4), strict=strict)
+        level = AcceptanceLevel(Fraction(1, 4))
+        with pytest.raises(ValueError, match=r"^strict must be a bool, not "):
+            dataclasses.replace(level, strict=strict)
+        assert len(threshold_accept(fair_lottery(4), level).accepted) == 4
+
     @pytest.mark.parametrize("eps", [0, 1, Fraction(3, 2), Fraction(-1, 4)])
     def test_epsilon_range_enforced(self, eps):
         with pytest.raises(ValueError):

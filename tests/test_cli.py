@@ -1,11 +1,11 @@
 import hashlib
-import importlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from probaccept import cli, loads, sat
+from probaccept import AcceptanceLevel, cli, load, loads, sat, threshold_accept
 from probaccept.accept import DEFAULT_SEED, MAX_PERMUTATIONS
 from probaccept.cli import main
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
@@ -296,26 +296,12 @@ class TestDiagnoseCommand:
         assert "diagnostics.degree: 1" in out
         assert "diagnostics.mus_min_size: none" in out
 
-    @staticmethod
-    def count_searches(monkeypatch) -> list:
-        """Record every DPLL search, the subset map's included, from now on."""
-        searches = []
-        search = sat._dpll
-
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(sat, "_dpll", counted)
-        return searches
-
     def test_shared_worlds_answer_the_deletion_shrink(
-        self, capsys, lottery100_path, monkeypatch
+        self, capsys, lottery100_path, searches
     ):
         # every proper subset of the 100 lose statements shares a world, so
         # only the full set reaches the search: once for the accepted set's
         # verdict and once at the start of the shrink
-        searches = self.count_searches(monkeypatch)
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/100", lottery100_path)
         assert code == 0
         assert "diagnostics.mus_method: deletion_shrink" in out
@@ -323,14 +309,14 @@ class TestDiagnoseCommand:
         assert len(searches) == 2
 
     def test_a_model_of_every_valuation_answers_from_masks(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, searches
     ):
         # the independent lottery lists all 64 valuations of its 6 atoms, so
         # an empty joint mask means unsatisfiable and no query is searched
         path = str(tmp_path / "independent_6.bb")
         assert main(["lottery", "independent", "--n", "6", "--p", "1/10", "--out", path]) == 0
         capsys.readouterr()
-        searches = self.count_searches(monkeypatch)
+        searches.clear()
         code, out, _ = run_cli(
             capsys, "--max-candidates", "5", "diagnose", "--epsilon", "3/5", path
         )
@@ -341,24 +327,22 @@ class TestDiagnoseCommand:
         assert "diagnostics.mus_min_size: 7" in out
         assert searches == []
 
-    def test_one_subset_walk_per_diagnose(self, capsys, lottery3_path, monkeypatch):
-        walks = []
-        walk = sat._consistent_family
+    def test_one_subset_walk_per_diagnose(self, capsys, lottery3_path, searches):
+        # a subset walk searches its map, a clause store of one group (a
+        # solver's has the background's and one per member); the MUS list,
+        # the MCS count and the degree must share one walk of the accepted set
+        def map_searches() -> int:
+            return sum(len(store.units) == 1 for store, *_ in searches)
 
-        def counted(*args, **kwargs):
-            walks.append(args)
-            return walk(*args, **kwargs)
-
-        # every module that binds the walk, so a call through a public
-        # enumerator counts too (the package's own ``strands`` name is the
-        # function, hence the import by module path); the CLI reads it from
-        # ``sat`` when the command runs
-        for module in (sat, importlib.import_module("probaccept.strands")):
-            monkeypatch.setattr(module, "_consistent_family", counted)
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/3", lottery3_path)
         assert code == 0
         assert "diagnostics.mus_method: exhaustive" in out
-        assert len(walks) == 1
+        made = map_searches()
+        base = load(lottery3_path)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 3))).accepted_formulas
+        searches.clear()
+        assert len(sat.maximal_consistent_subsets(accepted, base.background)) == 3
+        assert made == map_searches()
 
     def test_strong_inconsistency_reads_the_background(self, capsys, tmp_path):
         # the background's contradiction sits under a disjunction, so the

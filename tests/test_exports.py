@@ -5,13 +5,16 @@ process has already imported can hide what a first import loads.  A child
 prints its answer as the last line of its stdout.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import probaccept
+from probaccept import cli
 
 # Every public name, by the module that defines it.
 PUBLIC = {
@@ -118,3 +121,18 @@ def test_stat_binom_loads_neither_sat_nor_accept():
     loaded = child(script).split()
     assert "probaccept.stattests" in loaded
     assert not {"probaccept.sat", "probaccept.accept"} & set(loaded)
+
+
+def test_the_cli_imports_no_private_library_name():
+    # the CLI reaches the library through its public names; only the cap
+    # check is shared, since ``diagnose`` checks the cap on the shrink path
+    # too, where no enumerator runs
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == ["sat._check_cap"]

@@ -27,7 +27,6 @@ from probaccept import (
     strands,
     threshold_accept,
 )
-from probaccept import sat
 
 from helpers import (
     BRANCHING_PROBE,
@@ -333,25 +332,12 @@ class TestModelWitness:
     answer the queries that a shared world settles; the same formulas as a
     plain list are searched."""
 
-    @staticmethod
-    def count_searches(monkeypatch) -> list:
-        """Record every DPLL search, the subset map's included, from now on."""
-        searches = []
-        search = sat._dpll
-
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(sat, "_dpll", counted)
-        return searches
-
-    def test_accepted_lottery_shrinks_with_one_search(self, monkeypatch):
+    def test_accepted_lottery_shrinks_with_one_search(self, searches):
         # every proper subset of the 40 lose statements shares a world, so
         # only the query about the full set is searched
         base = fair_lottery(40)
         accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 40))).accepted_formulas
-        searches = self.count_searches(monkeypatch)
+        searches.clear()
         shrunk = shrink_unsat_subset(accepted, base.background)
         assert len(searches) == 1
         assert list(shrunk) == list(accepted)
@@ -360,13 +346,13 @@ class TestModelWitness:
         assert shrink_unsat_subset(list(accepted), base.background) == shrunk
         assert len(searches) == 41
 
-    def test_every_valuation_answers_the_walk_from_masks(self, monkeypatch):
+    def test_every_valuation_answers_the_walk_from_masks(self, searches):
         # the independent lottery lists all 2**6 valuations, so an empty mask
         # means unsatisfiable: only the subset map is searched, whose store
         # has one group (a solver's has one per member and the background's)
         base = independent_lottery(6, Fraction(1, 10))
         candidates = base.candidate_formulas
-        searches = self.count_searches(monkeypatch)
+        searches.clear()
         assert minimal_unsat_subsets(candidates) == [candidates]
         assert searches
         assert all(len(store.units) == 1 for store, *_ in searches)
@@ -620,11 +606,11 @@ def _check_against_oracles(candidates, background):
 
 
 def _check_kept_translations(candidates, background):
-    # The first formula a solver translates keeps its clauses and rows: the
-    # first calls fill that, the repeats reuse it, and the reorderings put
-    # the formula that kept it second in a background and among the
-    # candidates.  The last background gives the solver every clause of
-    # ``first`` twice.
+    # Each solver translates its formulas afresh, into one numbering, so
+    # the answers must not depend on where a formula sits: the calls repeat
+    # a problem, then put its first formula second in a background and
+    # among the candidates.  The last background gives the solver every
+    # clause of ``first`` twice.
     first, other = (background + candidates)[0], candidates[-1]
     _check_against_oracles(candidates, background)
     _check_against_oracles(candidates, background)
@@ -649,7 +635,7 @@ def test_kept_translation_answers_as_a_fresh_one(problem):
 @example(([_one("a", "b", "c"), _one("c", "d"), parse("a"), parse("c")], []))
 def test_rows_match_oracles(problem):
     # A row among the candidates is switched on and off by the queries; the
-    # reorderings make a row the kept first translation, put it second, and
+    # reorderings put a row first and second among a solver's formulas, and
     # nest it under a conjunction, which translates it pairwise.
     candidates, background = problem
     _check_kept_translations(candidates, background)

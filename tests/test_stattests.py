@@ -232,6 +232,12 @@ class TestCombineTests:
         ):
             combine_tests(rejections, independent=independent)
 
+    @pytest.mark.parametrize("independent", ["no", "false", "", 0, 1, None])
+    def test_non_bool_independence_rejected(self, independent):
+        # a truthy "no" would take the product bound and report it
+        with pytest.raises(ValueError, match=r"^independent must be a bool, not "):
+            combine_tests(self._two_rejections(), independent=independent)
+
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
             combine_tests([])

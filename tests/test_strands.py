@@ -19,7 +19,6 @@ from probaccept import (
     threshold_accept,
 )
 
-from probaccept import sat
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
 
 from helpers import (
@@ -182,24 +181,11 @@ class TestOneWalkPerSet:
     """The four diagnostics of one ``FormulaSet`` over one background share
     one subset walk."""
 
-    @staticmethod
-    def count_searches(monkeypatch) -> list:
-        """Record every DPLL search, the subset map's included, from now on."""
-        searches = []
-        search = sat._dpll
-
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(sat, "_dpll", counted)
-        return searches
-
-    def test_later_diagnostics_make_no_search(self, monkeypatch):
+    def test_later_diagnostics_make_no_search(self, searches):
         base = fair_lottery(12)
         level = AcceptanceLevel(Fraction(1, 12))
         accepted = threshold_accept(base, level).accepted_formulas
-        searches = self.count_searches(monkeypatch)
+        searches.clear()
         muses = minimal_unsat_subsets(accepted, base.background)
         assert searches  # the first call walks
         searches.clear()
@@ -215,11 +201,11 @@ class TestOneWalkPerSet:
         assert minimal_unsat_subsets(rebuilt, base.background) == muses
         assert searches
 
-    def test_another_background_walks_again(self, monkeypatch):
+    def test_another_background_walks_again(self, searches):
         base = fair_lottery(4)
         candidates = base.candidate_formulas
         assert len(maximal_consistent_subsets(candidates, base.background)) == 4
-        searches = self.count_searches(monkeypatch)
+        searches.clear()
         assert maximal_consistent_subsets(candidates) == [candidates]
         assert searches
         searches.clear()
