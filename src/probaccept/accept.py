@@ -128,8 +128,9 @@ class AcceptedSet:
     """The output of one policy run: accepted statements in acceptance
     order, the background they sit on, and a weak-consistency verdict.
 
-    A run also keeps its base's world model, as ``_model``, which is no
-    field: equality, ``repr``, copies and pickles ignore it."""
+    A run's background is its base's own, which names the base's world
+    model; a shallow copy shares it, while a deep copy or a pickle
+    rebuilds it and names none."""
 
     policy: str
     level: AcceptanceLevel
@@ -137,25 +138,17 @@ class AcceptedSet:
     background: FormulaSet
     weakly_consistent: bool
 
-    _model = None  # set by the policies; not annotated, so not a field
-
-    def __reduce__(self):
-        # rebuilt from the fields, so a copy keeps no model
-        return AcceptedSet, (
-            self.policy, self.level, self.accepted, self.background, self.weakly_consistent
-        )
-
     @property
     def order(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.accepted)
 
     @property
     def accepted_formulas(self) -> FormulaSet:
-        """The accepted statements, as a new set that names the base's
-        model when the run has one, so that the ``sat`` diagnostics test
-        its world masks first."""
+        """The accepted statements, as a new set that names the model the
+        background names, if any, so that the ``sat`` diagnostics test its
+        world masks first."""
         formulas = FormulaSet(a.statement for a in self.accepted)
-        formulas._model = self._model
+        formulas._model = getattr(self.background, "_model", None)  # unset on most sets
         return formulas
 
     @property
@@ -184,15 +177,6 @@ def _solver(base: BeliefBase) -> _Solver:
         solver = _Solver([f for _, f in base.candidates], base.background, base.model)
         object.__setattr__(base, "_solver", solver)
     return base._solver
-
-
-def _result(
-    policy: str, base: BeliefBase, level: AcceptanceLevel, accepted: list, verdict: bool
-) -> AcceptedSet:
-    """A run's ``AcceptedSet``, which keeps the base's model."""
-    result = AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
-    object.__setattr__(result, "_model", base.model)  # frozen, and no field
-    return result
 
 
 def _scan(
@@ -238,7 +222,7 @@ def _scan(
         if conditional:
             given = weight  # the numerator of the new ``current``
     verdict = bool(current) or _solver(base).satisfiable(taken)
-    return _result(policy, base, level, accepted, verdict)
+    return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
 def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
@@ -355,7 +339,7 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     # the solver could not be asked: the winner atom is no candidate, so it
     # has no position.
     verdict = bool(current)
-    return _result("cascade", base, level, accepted, verdict)
+    return AcceptedSet("cascade", level, tuple(accepted), base.background, verdict)
 
 
 def sequential_accept(
@@ -456,13 +440,11 @@ def enumerate_extensions(
     found: dict[frozenset[str], tuple[AcceptedSet, tuple[str, ...]]] = {}
     for order in orders:
         result = run(base, order, level)
-        signature = frozenset(f.canonical_key for f in result.accepted_formulas)
+        signature = frozenset(a.statement.canonical_key for a in result.accepted)
         found.setdefault(signature, (result, order))
     # every order yields a result, so there is at least one extension
     extensions, witness = zip(*found.values())
-    union = base.background.union(
-        f for ext in extensions for f in ext.accepted_formulas
-    )
+    union = base.background.union(a.statement for ext in extensions for a in ext.accepted)
     common = frozenset.intersection(*found)
     intersection = base.background.union(
         f for _, f in base.candidates if f.canonical_key in common

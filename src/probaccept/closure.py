@@ -114,7 +114,8 @@ def consequence_level(
     premises = FormulaSet(premises)
     if not premises:
         raise ValueError("need at least one premise")
-    background = BeliefBase(model, background or ()).background  # certain, or raises
+    # certain, or raises; a base's own background names the model for ``entails``
+    background = BeliefBase(model, background or ()).background
     _require_at_level(model, premises, level)
     exact = model.probability(conclusion)  # checks its atoms before entailment
     if not entails(background, premises, conclusion):

@@ -530,11 +530,12 @@ class FormulaSet:
     A set is never changed after construction, so the subset diagnostics
     in ``sat`` keep the family of maximal consistent and minimal
     unsatisfiable subsets they last walked over it, for one background, in
-    the ``_family`` slot.  A set of a belief base's candidates or of a
-    policy run's accepted statements names the base's world model in the
-    ``_model`` slot, so that the diagnostics test world masks before they
-    search.  ``__init__`` leaves both slots unset; equality, hashing,
-    ``repr``, copies and pickles ignore them.
+    the ``_family`` slot.  A belief base's own background names the base's
+    world model in the ``_model`` slot, and so do the sets of its
+    candidates and of a policy run's accepted statements, so that the
+    diagnostics and entailment test world masks before they search.
+    ``__init__`` leaves both slots unset; equality, hashing, ``repr``,
+    copies and pickles ignore them.
     """
 
     __slots__ = ("_keys", "_family", "_model")

@@ -19,11 +19,14 @@ model that lists all ``2**len(atoms)`` valuations (every independent
 lottery) answers from its masks alone, since there an empty mask means
 unsatisfiable.  Only a query the masks leave open reaches the search, and
 the clause store is built at the first such query.  The public functions
-below take formulas, not a model.  Candidates given as a belief base's
-``candidate_formulas`` or a policy run's ``accepted_formulas`` name the
-base's model, and the functions test its masks when every atom of the
-candidates and the background is one of the model's; any other call
-searches every query.  The answers never depend on which model it is.
+below take formulas, not a model.  A belief base's own background names
+the base's model, and so do its ``candidate_formulas`` and a policy run's
+``accepted_formulas``, which name whatever their background names.  The
+diagnostics take the model from the candidates, or else from the
+background, and ``entails`` from its background; each tests the model's
+masks when every atom of its formulas is one of the model's, and any
+other call searches every query.  The answers never depend on which
+model it is.
 A deletion shrink with a model keeps the mask of the members kept so far
 and suffix masks of those not yet tried, so each deletion costs one
 ``&``.
@@ -70,7 +73,8 @@ bounds the loop.  The walk is kept with the candidate set: a
 ``FormulaSet`` of candidates holds the family it last gave, for one
 background, so the minimal unsatisfiable subsets, the maximal consistent
 ones, the degree of inconsistency and the strands of one set over one
-background cost one walk between them.
+background cost one walk between them, and a call that finds the walk
+kept builds no solver.
 """
 
 from __future__ import annotations
@@ -272,13 +276,14 @@ class _Solver:
     members, satisfiable?
 
     Given a world model (anything with ``joint_mask``, ``satisfying_mask``,
-    ``worlds`` and ``atoms``, such as a belief base's model, whose atoms
-    every formula here must use), a query first tests the joint world mask
-    of the background and the chosen members.  A world in it is a
-    satisfying valuation.  A model that lists all ``2**len(atoms)``
-    valuations answers from the mask alone, since an empty mask there
-    means no valuation satisfies them.  With no model every mask is empty,
-    as for a model that lists no world.
+    ``worlds`` and ``atoms``, such as a belief base's model), a query first
+    tests the joint world mask of the background and the chosen members.
+    A world in it is a satisfying valuation.  A model that lists all
+    ``2**len(atoms)`` valuations answers from the mask alone, since an
+    empty mask there means no valuation satisfies them.  The loop that
+    checks every member and background formula is a formula also drops
+    the model when one has an atom the model lacks.  With no model every
+    mask is empty, as for a model that lists no world.
 
     Any other query goes to the clause store, built at the first such
     query: one variable numbering over the background (group 0) and the
@@ -292,9 +297,12 @@ class _Solver:
         self, members: Sequence[Formula], background: Iterable[Formula] = (), model=None
     ):
         self.members, self.background = members, tuple(background)
+        known = None if model is None else set(model.atoms)
         for f in chain(members, self.background):
             if not isinstance(f, Formula):
                 raise TypeError(f"satisfiability needs formulas, got {f!r}")
+            if known is not None and not f.atoms() <= known:
+                known = model = None  # an atom the model lacks: its masks cannot tell
         if model is None:  # no world is known, so every query is searched
             self.shared, self.masks, self.complete = 0, [0] * len(members), False
         else:
@@ -355,8 +363,8 @@ def entails(
     """Classical entailment relative to a background set."""
     if not isinstance(conclusion, Formula):
         raise TypeError(f"the conclusion must be a formula, got {conclusion!r}")
-    members = list(background) + list(premises) + [neg(conclusion)]
-    return not is_satisfiable(members)
+    model = getattr(background, "_model", None)  # a belief base's background names one
+    return not _Solver((), [*background, *premises, neg(conclusion)], model).satisfiable()
 
 
 def _check_cap(cap: int) -> None:
@@ -370,30 +378,21 @@ def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int | None = None,
-) -> tuple[tuple[Formula, ...], _Solver]:
-    """The members and a solver over them and the background.  The solver
-    tests the masks of the model the candidates name, if any, when every
-    atom of the members and the background is one of the model's; the
-    answers are the same with or without it."""
-    if not isinstance(candidates, FormulaSet):
-        candidates = FormulaSet(candidates)
-    members = tuple(candidates)
+) -> tuple[tuple[Formula, ...], tuple[Formula, ...], object]:
+    """The members, the background read once (it may be a generator) and
+    the model that the candidates name, or else the background; the cap
+    and the members' types are checked.  A solver given that model tests
+    its masks when every atom of the members and the background is one of
+    its atoms; the answers are the same with or without it."""
+    model = getattr(candidates, "_model", None) or getattr(background, "_model", None)
+    members = tuple(candidates if isinstance(candidates, FormulaSet) else FormulaSet(candidates))
     if cap is not None:
         _check_cap(cap)
         if len(members) > cap:
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    background = tuple(background or ())  # read once: it may be a generator
-    model = getattr(candidates, "_model", None)  # unset on most sets
-    if model is not None:
-        known = set(model.atoms)
-        # a non-formula is left to the solver, which reports it
-        if not all(
-            isinstance(f, Formula) and f.atoms() <= known for f in chain(members, background)
-        ):
-            model = None
-    return members, _Solver(members, background, model)
+    return members, tuple(background or ()), model
 
 
 def _consistent_family(
@@ -408,15 +407,17 @@ def _consistent_family(
     Candidates given as a ``FormulaSet`` keep the family in its ``_family``
     slot, with the canonical keys of the background it was walked over.  A
     later call on that set with a background of the same keys returns it
-    without a walk, once the arguments have passed every check; the lists
-    returned are new on every call."""
-    background = tuple(background or ())  # read once: it may be a generator
-    members, solver = _prepare(candidates, background, cap)
-    if isinstance(candidates, FormulaSet):
-        key = frozenset(f.canonical_key for f in background)
-        kept = getattr(candidates, "_family", None)  # unset until a walk
-        if kept is not None and kept[0] == key:
-            return members, list(kept[1]), list(kept[2])
+    without a walk, once the arguments have passed every check, and builds
+    no solver; the lists returned are new on every call."""
+    members, background, model = _prepare(candidates, background, cap)
+    for f in background:
+        if not isinstance(f, Formula):
+            raise TypeError(f"satisfiability needs formulas, got {f!r}")
+    key = frozenset(f.canonical_key for f in background)
+    kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
+    if kept is not None and kept[0] == key:
+        return members, list(kept[1]), list(kept[2])
+    solver = _Solver(members, background, model)
     n = len(members)
     mcses, muses = [], []
     blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
@@ -518,7 +519,8 @@ def shrink_unsat_subset(
     ``accepted_formulas``) are tested against its world masks first: a
     deletion that leaves a shared world costs one ``&`` and no search.
     """
-    members, solver = _prepare(candidates, background)
+    members, background, model = _prepare(candidates, background)
+    solver = _Solver(members, background, model)
     if solver.satisfiable(range(len(members))):
         return None
     return FormulaSet(members[i] for i in _shrink(solver, list(range(len(members)))))

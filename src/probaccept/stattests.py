@@ -17,15 +17,14 @@ Everything is exact integer and rational arithmetic.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from .worlds import ProbabilityBound, as_fraction
+from .worlds import ProbabilityBound, _past_digit_limit, as_fraction
 
 __all__ = [
     "Decision",
@@ -81,20 +80,11 @@ class BinomialTestSpec:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         # Every exact probability of the test has a denominator dividing
         # q**n; past the interpreter's digit limit it could not be printed.
-        digits = sys.get_int_max_str_digits()
-        if digits and _power_reaches(self.p0.denominator, self.n, 10**digits):
+        if digits := _past_digit_limit(self.p0.denominator, self.n):
             raise ValueError(
                 f"p0 = {self.p0} over n = {self.n} trials needs exact fractions "
                 f"of more than {digits} digits"
             )
-
-
-def _power_reaches(base: int, exponent: int, bound: int) -> bool:
-    """Whether ``base**exponent >= bound``, exactly, without computing a
-    power far longer than ``bound``."""
-    if (base.bit_length() - 1) * exponent >= bound.bit_length():
-        return True  # base**exponent >= 2**(that) > bound
-    return base**exponent >= bound
 
 
 @dataclass(frozen=True)
@@ -219,7 +209,7 @@ class CombinedRejection:
 
 
 def combine_tests(
-    accepted: Sequence[AcceptedRejection], independent: bool = False
+    accepted: Iterable[AcceptedRejection], independent: bool = False
 ) -> CombinedRejection:
     """Support floor for the conjunction of accepted rejections.
 
@@ -227,6 +217,7 @@ def combine_tests(
     max(0, 1 - sum(eps_i)); two rejections at the 1/100 level leave the
     conjunction at 98/100 either way, give or take 1/10000.
     """
+    accepted = tuple(accepted)  # read once: it may be an iterator
     if not accepted:
         raise ValueError("need at least one accepted rejection")
     if not isinstance(independent, bool):  # "no" would be taken as true
@@ -239,8 +230,7 @@ def combine_tests(
         slack = sum((a.epsilon for a in accepted), Fraction(0))
         floor = max(Fraction(0), 1 - slack)
     # a floor past the digit limit could not be printed, as in BinomialTestSpec
-    digits = sys.get_int_max_str_digits()
-    if digits and _power_reaches(floor.denominator, 1, 10**digits):
+    if digits := _past_digit_limit(floor.denominator):
         raise ValueError(
             f"the combined support floor of {len(accepted)} rejections needs exact "
             f"fractions of more than {digits} digits"

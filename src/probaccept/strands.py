@@ -45,8 +45,11 @@ def strands(
 
     Candidates given as a ``FormulaSet`` share one subset walk with
     ``minimal_unsat_subsets``, ``maximal_consistent_subsets`` and
-    ``degree_of_inconsistency`` of the same set over the same background."""
-    bg = FormulaSet(background or ())
+    ``degree_of_inconsistency`` of the same set over the same background.
+    A ``FormulaSet`` background is kept as given, so a belief base's own
+    still names its model, whose world masks ``strand_entails`` then tests
+    first."""
+    bg = background if isinstance(background, FormulaSet) else FormulaSet(background or ())
     return [
         Strand(kernel, bg)
         for kernel in maximal_consistent_subsets(candidates, bg, cap)

@@ -28,9 +28,7 @@ from functools import reduce
 from itertools import product
 from operator import and_, or_
 
-from .formulas import (
-    EMPTY_SET, Formula, FormulaSet, _ExactlyOne, atom, disj, exactly_one, neg
-)
+from .formulas import Formula, FormulaSet, _ExactlyOne, atom, disj, exactly_one, neg
 
 __all__ = [
     "UnknownAtomError",
@@ -302,16 +300,30 @@ def _column_masks(table: bytes, width: int, bits: int) -> list[int]:
     ]
 
 
+def _past_digit_limit(base: int, exponent: int = 1) -> int:
+    """The interpreter's digit limit when ``base**exponent`` has more
+    digits than it allows, else 0, also when there is no limit.  Bit
+    lengths settle most calls: ``10**digits``, and then the power, are
+    built only when they leave the answer open."""
+    digits = sys.get_int_max_str_digits()
+    # base**exponent lies in [2**low, 2**high); 10**digits has more
+    # than 3 * digits bits
+    high = base.bit_length() * exponent
+    if not digits or high <= 3 * digits:
+        return 0
+    bound = 10**digits
+    low = high - exponent
+    return digits if low >= bound.bit_length() or base**exponent >= bound else 0
+
+
 def _check_plane_bits(denominator: int, count: int) -> None:
     """Refuse weight planes of ``count`` worlds over ``denominator`` past
     ``MAX_PLANE_BITS``, before any of them is built; then a denominator past
     the interpreter's digit limit, if it has one, since every exact
     probability of the model has a denominator that divides it."""
-    digits = sys.get_int_max_str_digits()
     if denominator.bit_length() * count > MAX_PLANE_BITS:
         limit = f"{MAX_PLANE_BITS // count} bits"
-    # 10**digits has more than 3 * digits bits: compute it only past that
-    elif digits and denominator.bit_length() > 3 * digits and denominator >= 10**digits:
+    elif digits := _past_digit_limit(denominator):
         limit = f"{digits} digits"
     else:
         return
@@ -354,6 +366,12 @@ class BeliefBase:
     identifiers, every formula's atoms occur in the model, and every
     background formula has probability exactly 1.
 
+    The background is certain, so it is where the base names its model:
+    the base builds its own background set, whose ``_model`` is the
+    model, and never marks a set it was given.  The sets drawn from the
+    base name whatever its background names, and the ``sat`` diagnostics
+    and entailment over them test the model's world masks first.
+
     The base keeps one consistency solver over its background and
     candidates, built by the acceptance policies at their first question
     and asked every later one.  Like the model's mask and probability
@@ -369,7 +387,7 @@ class BeliefBase:
         background: Iterable[Formula] = (),
         candidates: Iterable[tuple[str, Formula]] | Mapping[str, Formula] = (),
     ):
-        bg = background if isinstance(background, FormulaSet) else FormulaSet(background)
+        bg = FormulaSet(background)  # the base's own, which names its model
         if isinstance(candidates, Mapping):
             pairs = tuple(candidates.items())
         else:
@@ -393,6 +411,7 @@ class BeliefBase:
                 raise ValueError(
                     f"background formula {formula} has probability {p}, not 1"
                 )
+        bg._model = model
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "background", bg)
         object.__setattr__(self, "candidates", pairs)
@@ -412,10 +431,11 @@ class BeliefBase:
 
     @property
     def candidate_formulas(self) -> FormulaSet:
-        """The candidates' formulas, as a new set that names the base's
-        model, whose world masks the ``sat`` diagnostics then test first."""
+        """The candidates' formulas, as a new set that names the model its
+        background names, whose world masks the ``sat`` diagnostics then
+        test first."""
         formulas = FormulaSet(f for _, f in self.candidates)
-        formulas._model = self.model
+        formulas._model = self.background._model
         return formulas
 
     def candidate(self, label: str) -> Formula:
@@ -459,13 +479,14 @@ def _win_atoms(n: int) -> list[Formula]:
     return [atom(f"wins_{i}") for i in range(1, n + 1)]
 
 
-def biased_lottery(weights: Sequence[object]) -> BeliefBase:
+def biased_lottery(weights: Iterable[object]) -> BeliefBase:
     """One-winner lottery where ticket i wins with the given weight.
 
     Atoms wins_1..wins_n; world i makes only wins_i true.  Background is
     the single constraint that exactly one ticket wins; candidates are
     the lose statements L_i := ~wins_i.  Capped at n <= 300.
     """
+    weights = tuple(weights)  # read once: it may be an iterator
     _check_tickets(len(weights), ONE_WINNER_LOTTERY_CAP, "one-winner")
     fracs = [as_fraction(w) for w in weights]
     n = len(fracs)
@@ -480,9 +501,8 @@ def biased_lottery(weights: Sequence[object]) -> BeliefBase:
     model = WorldModel.__new__(WorldModel)._from_columns(
         tuple(a.name for a in wins), worlds, denominator, planes, [1 << i for i in range(n)]
     )
-    background = FormulaSet([exactly_one(wins)])
     candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
-    return BeliefBase(model, background, candidates)
+    return BeliefBase(model, [exactly_one(wins)], candidates)
 
 
 def fair_lottery(n: int) -> BeliefBase:
@@ -544,4 +564,4 @@ def independent_lottery(n: int, p) -> BeliefBase:
     )
     candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
     candidates.append(("some_wins", disj(*wins)))
-    return BeliefBase(model, EMPTY_SET, candidates)
+    return BeliefBase(model, (), candidates)

@@ -136,3 +136,57 @@ def test_the_cli_imports_no_private_library_name():
         if alias.name.startswith("_")
     )
     assert private == ["sat._check_cap"]
+
+
+
+def _model_writers(tree):
+    """``Class.function`` (or ``Class`` for its body) for every write of a
+    ``_model`` name or attribute in ``tree``: an assignment, a ``setattr``
+    or an ``object.__setattr__``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = [*scope, node.name]
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        written = any(
+            getattr(target, "attr", getattr(target, "id", None)) == "_model" for target in targets
+        ) or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("setattr", "__setattr__")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_model"
+        )
+        if written:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_a_base_and_the_sets_drawn_from_it_name_a_model():
+    # the base's own background names its model; its candidates and a
+    # run's accepted statements name what their background names, and an
+    # accepted set keeps no model of its own, so it needs no __reduce__
+    package = pathlib.Path(probaccept.__file__).parent
+    writers = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if names := _model_writers(tree):
+            writers[path.stem] = names
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "AcceptedSet":
+                methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                assert "__reduce__" not in methods
+    assert writers == {
+        "accept": ["AcceptedSet.accepted_formulas"],
+        "worlds": ["BeliefBase.__init__", "BeliefBase.candidate_formulas"],
+    }

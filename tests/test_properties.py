@@ -59,13 +59,16 @@ from probaccept import (
     BeliefBase,
     Formula,
     FormulaSet,
+    UnknownAtomError,
     WorldModel,
     ZeroProbabilityError,
     atom,
     biased_lottery,
     conj,
+    consequence_level,
     degree_of_inconsistency,
     disj,
+    entails,
     enumerate_extensions,
     exactly_one,
     fair_lottery,
@@ -78,6 +81,7 @@ from probaccept import (
     parse,
     render,
     shrink_unsat_subset,
+    strand_entails,
     strands,
     teng_accept,
     threshold_accept,
@@ -882,6 +886,56 @@ def test_sets_that_name_a_model_answer_as_plain_lists(base, level, data):
                 assert isinstance(shrunk, FormulaSet) and _keysets([shrunk]) <= oracle
             else:
                 assert shrunk == oracle
+
+
+@given(bases(), LEVELS, st.data())
+def test_entailment_over_a_named_background_matches_truth_tables(base, level, data):
+    # A base's own background names its model, so ``entails`` over it, the
+    # strands drawn over it and ``consequence_level`` (which builds a base's
+    # background of its own) test the model's masks before they search.
+    # Over the same formulas as a list or a generator, which name no model,
+    # and for a conclusion with an atom the model lacks, they search.  Each
+    # must give what the truth tables say.
+    names = base.model.atoms
+    candidates = list(base.candidate_formulas)
+    premises = data.draw(st.lists(st.sampled_from(candidates), max_size=3), label="premises")
+    conclusion = data.draw(formulas(names), label="conclusion")
+    foreign = data.draw(st.sampled_from([conj, disj, iff]), label="join")(atom("z"), conclusion)
+    forms = {
+        "named": lambda: base.background,
+        "list": lambda: list(base.background),
+        "generator": lambda: (f for f in base.background),
+    }
+
+    def entailed(background, premises, conclusion):
+        return not truth_table_satisfiable([*background, *premises, neg(conclusion)])
+
+    for target in (conclusion, foreign):
+        expected = entailed(base.background, premises, target)
+        for form, background in forms.items():
+            assert entails(background(), premises, target) == expected, form
+    for form in ("named", "list"):
+        for strand in strands(base.candidate_formulas, forms[form]()):
+            for target in (conclusion, foreign):
+                expected = entailed(base.background, strand.kernel, target)
+                assert strand_entails(strand, target) == expected, form
+    accepted = [f for f in candidates if level.met_by(base.model.probability(f))]
+    if not accepted:
+        return
+    premises = data.draw(
+        st.lists(st.sampled_from(accepted), min_size=1, max_size=3), label="accepted premises"
+    )
+    expected = entailed(base.background, premises, conclusion)
+    for form, background in forms.items():
+        try:
+            leveled = consequence_level(base.model, premises, conclusion, level, background())
+        except ValueError as error:
+            assert not expected and "do not entail" in str(error), form
+        else:
+            assert expected, form
+            assert leveled.exact_probability == base.model.probability(conclusion)
+        with pytest.raises(UnknownAtomError, match="z"):
+            consequence_level(base.model, premises, foreign, level, background())
 
 
 def assert_same_columns(model: WorldModel) -> None:

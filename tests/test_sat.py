@@ -341,9 +341,15 @@ class TestModelWitness:
         shrunk = shrink_unsat_subset(accepted, base.background)
         assert len(searches) == 1
         assert list(shrunk) == list(accepted)
-        # the same formulas as a list: one search per deletion and the first
+        # the same formulas as a list over the base's background, which
+        # names the model: still one search
         searches.clear()
         assert shrink_unsat_subset(list(accepted), base.background) == shrunk
+        assert len(searches) == 1
+        # and over that background as a list, which names none: one search
+        # per deletion and the first
+        searches.clear()
+        assert shrink_unsat_subset(list(accepted), list(base.background)) == shrunk
         assert len(searches) == 41
 
     def test_every_valuation_answers_the_walk_from_masks(self, searches):

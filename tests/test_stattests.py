@@ -242,6 +242,14 @@ class TestCombineTests:
         with pytest.raises(ValueError):
             combine_tests([])
 
+    @pytest.mark.parametrize("independent", [False, True], ids=["dependent", "independent"])
+    def test_rejections_from_an_iterator_read_once(self, independent):
+        listed = combine_tests(self._two_rejections(), independent=independent)
+        assert combine_tests(iter(self._two_rejections()), independent) == listed
+        assert combine_tests((a for a in self._two_rejections()), independent) == listed
+        with pytest.raises(ValueError, match="^need at least one accepted rejection$"):
+            combine_tests(a for a in [])
+
     def test_independence_never_hurts(self):
         rng = random.Random(91)
         for _ in range(50):

@@ -10,15 +10,18 @@ from probaccept import (
     degree_of_inconsistency,
     enumerate_extensions,
     fair_lottery,
+    independent_lottery,
     is_satisfiable,
     maximal_consistent_subsets,
     minimal_unsat_subsets,
+    neg,
     parse,
     strand_entails,
     strands,
     threshold_accept,
 )
 
+from probaccept import sat
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
 
 from helpers import (
@@ -153,6 +156,25 @@ class TestStrandEntailment:
         with pytest.raises(TypeError, match=f"the conclusion must be a formula, got {conclusion!r}"):
             strand_entails(strand, conclusion)
 
+    def test_every_valuation_answers_from_masks(self, searches):
+        # the strands keep the base's own background, which names its model;
+        # that lists all 2**4 valuations, so an empty mask means entailed
+        base = independent_lottery(4, Fraction(1, 3))
+        found = strands(base.candidate_formulas, base.background)
+        assert all(strand.background is base.background for strand in found)
+        targets = [*base.candidate_formulas, parse("wins_1 & ~wins_1"), parse("wins_2 | wins_3")]
+        searches.clear()
+        answers = [[strand_entails(strand, f) for f in targets] for strand in found]
+        assert searches == []
+        assert answers == [
+            [
+                not truth_table_satisfiable([*strand.kernel, neg(f)])
+                for f in targets
+            ]
+            for strand in found
+        ]
+        assert any(map(any, answers)) and not all(map(all, answers))
+
     def test_strands_never_entail_contradictions(self):
         absurd = parse("x & ~x")
         base = fair_lottery(4)
@@ -200,6 +222,28 @@ class TestOneWalkPerSet:
         assert maximal_consistent_subsets(rebuilt, base.background) == mcses
         assert minimal_unsat_subsets(rebuilt, base.background) == muses
         assert searches
+
+    def test_later_diagnostics_build_no_solver(self, monkeypatch):
+        # a kept walk is read once the arguments pass their checks, before
+        # any solver is built
+        base = fair_lottery(12)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 12))).accepted_formulas
+        minimal_unsat_subsets(accepted, base.background)
+        built = []
+
+        class Counted(sat._Solver):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sat, "_Solver", Counted)
+        assert len(maximal_consistent_subsets(accepted, base.background)) == 12
+        assert degree_of_inconsistency(accepted, base.background) == 2
+        assert len(strands(accepted, list(base.background))) == 12
+        assert built == []
+        # another background walks again, with a solver
+        maximal_consistent_subsets(accepted)
+        assert len(built) == 1
 
     def test_another_background_walks_again(self, searches):
         base = fair_lottery(4)

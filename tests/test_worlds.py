@@ -205,6 +205,13 @@ class TestLotteries:
     def test_uniform_bias_equals_fair(self):
         assert biased_lottery([Fraction(1, 3)] * 3) == fair_lottery(3)
 
+    def test_weights_from_an_iterator_read_once(self):
+        weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+        assert biased_lottery(w for w in weights) == biased_lottery(weights)
+        assert biased_lottery(iter(["1/4", "3/4"])) == biased_lottery(["1/4", "3/4"])
+        with pytest.raises(ValueError, match="^lottery needs at least one ticket$"):
+            biased_lottery(w for w in [])
+
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
             biased_lottery([Fraction(1, 4), Fraction(1, 4)])  # sums to 1/2
@@ -396,6 +403,15 @@ class TestModelValidation:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
         two_worlds(2**31)
 
+    @pytest.mark.parametrize("limit", [0, 1, 5, 12])
+    def test_one_digit_limit_check_matches_the_power(self, monkeypatch, limit):
+        # past the limit means at least 10**limit; no limit means never
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        for base in [1, 2, 3, 7, 9, 10, 11, 99, 100, 101, 2**20 - 1, 2**20, 10**12 + 1]:
+            for exponent in range(1, 14):
+                past = bool(limit) and base**exponent >= 10**limit
+                assert worlds._past_digit_limit(base, exponent) == (limit if past else 0)
+
     def test_zero_weight_worlds_allowed(self):
         model = WorldModel(["a"], [((True,), 1), ((False,), 0)])
         assert model.probability(atom("a")) == 1
@@ -470,6 +486,8 @@ class TestCopies:
         assert copied == base and copied is not base
         assert copied.model == base.model
         assert copied._solver is None
+        # the copy builds its own background, which names the copy's model
+        assert copied.background._model is copied.model
         assert threshold_accept(copied, level) == expected
 
     @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
@@ -493,28 +511,36 @@ class TestCopies:
         assert not hasattr(copied, "_family")
 
     @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
-    def test_formula_set_copy_leaves_the_model_behind(self, copier):
+    @pytest.mark.parametrize("which", ["candidate_formulas", "background"])
+    def test_formula_set_copy_leaves_the_model_behind(self, which, copier):
         base = fair_lottery(3)
-        candidates = base.candidate_formulas
-        assert candidates._model is base.model
-        copied = copier(candidates)
-        assert copied == candidates and hash(copied) == hash(candidates)
-        assert repr(copied) == repr(candidates) and list(copied) == list(candidates)
+        named = getattr(base, which)
+        assert named._model is base.model
+        copied = copier(named)
+        assert copied == named and hash(copied) == hash(named)
+        assert repr(copied) == repr(named) and list(copied) == list(named)
         assert not hasattr(copied, "_model")
 
     @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
     @pytest.mark.parametrize("policy", POLICY_TABLE)
-    def test_accepted_set_copy_leaves_the_model_behind(self, policy, copier):
+    def test_accepted_set_copy_names_the_model_of_its_background(self, policy, copier):
         base = fair_lottery(4)
         run, takes_order = POLICY_TABLE[policy]
         level = AcceptanceLevel(Fraction(1, 4))
         result = run(base, base.candidate_labels, level) if takes_order else run(base, level)
-        assert result._model is base.model
+        assert not hasattr(result, "_model")  # the background names it
+        assert result.background is base.background
         assert result.accepted_formulas._model is base.model
         copied = copier(result)
         assert copied == result and copied is not result
         assert repr(copied) == repr(result)
-        assert copied._model is None and copied.accepted_formulas._model is None
+        assert not hasattr(copied, "_model")
+        if copier is copy.copy:  # shares the base's background, model and all
+            assert copied.background is base.background
+            assert copied.accepted_formulas._model is base.model
+        else:  # rebuilds the background, which then names no model
+            assert not hasattr(copied.background, "_model")
+            assert copied.accepted_formulas._model is None
         assert list(copied.accepted_formulas) == list(result.accepted_formulas)
 
     def test_the_model_is_no_field_of_an_accepted_set(self):
@@ -524,12 +550,18 @@ class TestCopies:
         assert [field.name for field in dataclasses.fields(AcceptedSet)] == names
         values = dataclasses.asdict(result)
         assert list(values) == names
-        # built from its fields alone, with no model, it is equal and alike
+        # built from its fields alone it is equal and alike, and names the
+        # model its background names
         bare = AcceptedSet(*(getattr(result, name) for name in names))
-        assert bare._model is None
+        assert not hasattr(bare, "_model")
+        assert bare.accepted_formulas._model is base.model
         assert bare == result and repr(bare) == repr(result)
         assert dataclasses.asdict(bare) == values
-        assert dataclasses.replace(result, policy="threshold")._model is None
+        replaced = dataclasses.replace(result, policy="threshold")
+        assert replaced.accepted_formulas._model is base.model
+        # over a background that names no model, no set drawn from it names one
+        plain = dataclasses.replace(result, background=FormulaSet(base.background))
+        assert plain == result and plain.accepted_formulas._model is None
 
 
 class TestProbabilityBound:
