@@ -319,7 +319,11 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     straight from their sorted names, and the SAT solver takes them as one
     at-least-one clause and one at-most-one row, with no pair clauses; a
     world model folds the mask of any ``exactly_one`` from its outcomes'
-    masks.
+    masks.  In a background, such an ``exactly_one`` of k of a model's m
+    atoms holds in k · 2^(m-k) valuations; when that many of the model's
+    worlds satisfy it, as in every built one-winner lottery, the model
+    lists them all, and the solver answers an empty mask as unsatisfiable
+    without a search.
     A form past ``MAX_KEY_LENGTH`` gets no key, so ``nnf()`` and
     ``canonical_key`` raise as for any other formula."""
     if not outcomes:
@@ -547,6 +551,15 @@ class FormulaSet:
                 raise TypeError(f"FormulaSet members must be formulas, got {f!r}")
             keys.setdefault(f.canonical_key, f)
         self._keys = keys
+
+    @classmethod
+    def _of(cls, pairs: Iterable[tuple[str, Formula]]) -> "FormulaSet":
+        """The set of ``(canonical key, formula)`` pairs drawn from one set's
+        ``_keys``, so already distinct formulas: no type check, no key read.
+        Both slots stay unset, as ``__init__`` leaves them."""
+        result = cls.__new__(cls)
+        result._keys = dict(pairs)
+        return result
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self._keys.values())

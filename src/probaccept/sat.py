@@ -15,10 +15,14 @@ that the acceptance policies, ``enumerate_extensions`` and ``diagnose``
 ask goes to ``_Solver``.  Given the world model the formulas were drawn
 from, a query first tests the joint world mask of the background and the
 chosen members: a world in it is a satisfying valuation, the witness.  A
-model that lists all ``2**len(atoms)`` valuations (every independent
-lottery) answers from its masks alone, since there an empty mask means
-unsatisfiable.  Only a query the masks leave open reaches the search, and
-the clause store is built at the first such query.  The public functions
+model that lists every valuation that can satisfy the background answers
+from its masks alone, since there an empty mask means unsatisfiable: one
+that lists all ``2**len(atoms)`` valuations (every independent lottery),
+and one that lists every valuation of a background ``exactly_one`` of
+distinct atoms, which it shows by the count of its worlds that satisfy it
+(every one-winner lottery built by ``fair_lottery`` or ``biased_lottery``).
+Only a query the masks leave open reaches the search, and the clause
+store is built at the first such query.  The public functions
 below take formulas, not a model.  A belief base's own background names
 the base's model, and so do its ``candidate_formulas`` and a policy run's
 ``accepted_formulas``, which name whatever their background names.  The
@@ -278,12 +282,15 @@ class _Solver:
     Given a world model (anything with ``joint_mask``, ``satisfying_mask``,
     ``worlds`` and ``atoms``, such as a belief base's model), a query first
     tests the joint world mask of the background and the chosen members.
-    A world in it is a satisfying valuation.  A model that lists all
-    ``2**len(atoms)`` valuations answers from the mask alone, since an
-    empty mask there means no valuation satisfies them.  The loop that
-    checks every member and background formula is a formula also drops
-    the model when one has an atom the model lacks.  With no model every
-    mask is empty, as for a model that lists no world.
+    A world in it is a satisfying valuation.  A model that lists every
+    valuation that can satisfy the background answers from the mask alone,
+    since an empty mask there means no valuation satisfies them
+    (``complete``): a model of all ``2**len(atoms)`` valuations, or one
+    whose worlds satisfying some background ``exactly_one`` of k distinct
+    atoms number ``k << (m - k)`` over its m atoms, as a one-winner
+    lottery's do.  The loop that checks every member and background formula
+    is a formula also drops the model when one has an atom the model lacks.
+    With no model every mask is empty, as for a model that lists no world.
 
     Any other query goes to the clause store, built at the first such
     query: one variable numbering over the background (group 0) and the
@@ -303,13 +310,32 @@ class _Solver:
                 raise TypeError(f"satisfiability needs formulas, got {f!r}")
             if known is not None and not f.atoms() <= known:
                 known = model = None  # an atom the model lacks: its masks cannot tell
+        self.model = model
         if model is None:  # no world is known, so every query is searched
-            self.shared, self.masks, self.complete = 0, [0] * len(members), False
+            self.shared, self.masks = 0, [0] * len(members)
         else:
             self.shared = model.joint_mask(self.background)
             self.masks = [model.satisfying_mask(f) for f in members]
-            # a model of every valuation: an empty mask means unsatisfiable
-            self.complete = len(model.worlds) == 1 << len(model.atoms)
+
+    @cached_property
+    def complete(self) -> bool:
+        """Whether an empty mask means unsatisfiable: the model lists every
+        valuation that satisfies the background.  Read at the first empty
+        mask, so a query with a witness world pays nothing for it."""
+        model = self.model
+        if model is None:
+            return False
+        m = len(model.atoms)
+        if len(model.worlds) == 1 << m:  # every valuation
+            return True
+        # An exactly_one of k distinct atoms holds in k << (m - k) valuations.
+        # The model lists no valuation twice, so when that many worlds satisfy
+        # it, every valuation that satisfies the background is listed.
+        return any(
+            model.satisfying_mask(f).bit_count() == len(f._names) << (m - len(f._names))
+            for f in self.background
+            if isinstance(f, _ExactlyOne) and f._names
+        )
 
     @cached_property
     def store(self) -> _Clauses:
@@ -378,31 +404,34 @@ def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int | None = None,
-) -> tuple[tuple[Formula, ...], tuple[Formula, ...], object]:
-    """The members, the background read once (it may be a generator) and
-    the model that the candidates name, or else the background; the cap
-    and the members' types are checked.  A solver given that model tests
-    its masks when every atom of the members and the background is one of
-    its atoms; the answers are the same with or without it."""
+) -> tuple[tuple[tuple[str, Formula], ...], tuple[Formula, ...], object]:
+    """The members as (canonical key, formula) pairs, the background read
+    once (it may be a generator) and the model that the candidates name,
+    or else the background; the cap and the members' types are checked.  A
+    solver given that model tests its masks when every atom of the members
+    and the background is one of its atoms; the answers are the same with
+    or without it.  A set of members is built from the pairs by
+    ``FormulaSet._of``."""
     model = getattr(candidates, "_model", None) or getattr(background, "_model", None)
-    members = tuple(candidates if isinstance(candidates, FormulaSet) else FormulaSet(candidates))
+    members = candidates if isinstance(candidates, FormulaSet) else FormulaSet(candidates)
     if cap is not None:
         _check_cap(cap)
         if len(members) > cap:
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    return members, tuple(background or ()), model
+    return tuple(members._keys.items()), tuple(background or ()), model
 
 
 def _consistent_family(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int,
-) -> tuple[tuple[Formula, ...], list[frozenset[int]], list[frozenset[int]]]:
-    """The members, every maximal consistent index set among them (largest
-    first) and every minimal unsatisfiable one (smallest first), each list
-    then in lexicographic order.
+) -> tuple[tuple[tuple[str, Formula], ...], list[frozenset[int]], list[frozenset[int]]]:
+    """The members as (canonical key, formula) pairs, every maximal
+    consistent index set among them (largest first) and every minimal
+    unsatisfiable one (smallest first), each list then in lexicographic
+    order.
 
     Candidates given as a ``FormulaSet`` keep the family in its ``_family``
     slot, with the canonical keys of the background it was walked over.  A
@@ -417,7 +446,7 @@ def _consistent_family(
     kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
     if kept is not None and kept[0] == key:
         return members, list(kept[1]), list(kept[2])
-    solver = _Solver(members, background, model)
+    solver = _Solver([f for _, f in members], background, model)
     n = len(members)
     mcses, muses = [], []
     blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
@@ -453,7 +482,7 @@ def _shrink(solver: _Solver, current: list[int]) -> list[int]:
     The query that leaves ``current[k]`` out asks about the members kept
     before it and every member after it.  Its mask is the kept members'
     mask and the suffix mask of those after, one ``&``; only an empty mask
-    on a model that misses some valuation, or with no model, is searched."""
+    on a model that is not ``complete``, or with no model, is searched."""
     masks = solver.masks
     # suffix[k]: the worlds of the background and of current[k:]
     suffix = [solver.shared] * (len(current) + 1)
@@ -485,7 +514,7 @@ def minimal_unsat_subsets(
     ``maximal_consistent_subsets``, ``degree_of_inconsistency`` and
     ``strands`` of the same set over the same background do not repeat it."""
     members, _, muses = _consistent_family(candidates, background, cap)
-    return [FormulaSet(members[i] for i in sorted(mus)) for mus in muses]
+    return [FormulaSet._of(members[i] for i in sorted(mus)) for mus in muses]
 
 
 def maximal_consistent_subsets(
@@ -501,7 +530,7 @@ def maximal_consistent_subsets(
     ``minimal_unsat_subsets``, ``degree_of_inconsistency`` and ``strands``
     of the same set over the same background then read."""
     members, mcses, _ = _consistent_family(candidates, background, cap)
-    return [FormulaSet(members[i] for i in sorted(mcs)) for mcs in mcses]
+    return [FormulaSet._of(members[i] for i in sorted(mcs)) for mcs in mcses]
 
 
 def shrink_unsat_subset(
@@ -520,7 +549,7 @@ def shrink_unsat_subset(
     deletion that leaves a shared world costs one ``&`` and no search.
     """
     members, background, model = _prepare(candidates, background)
-    solver = _Solver(members, background, model)
+    solver = _Solver([f for _, f in members], background, model)
     if solver.satisfiable(range(len(members))):
         return None
-    return FormulaSet(members[i] for i in _shrink(solver, list(range(len(members)))))
+    return FormulaSet._of(members[i] for i in _shrink(solver, list(range(len(members)))))

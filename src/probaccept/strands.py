@@ -91,7 +91,7 @@ def degree_of_inconsistency(
     uncovered = universe.difference(*mcses)
     if uncovered:
         raise ValueError(
-            f"candidate {members[min(uncovered)]} is individually unsatisfiable "
+            f"candidate {members[min(uncovered)][1]} is individually unsatisfiable "
             "with the background"
         )
     return _min_cover(universe, mcses)

@@ -51,3 +51,18 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(sat, "_dpll", counted)
     return made
+
+
+@pytest.fixture
+def stores(monkeypatch):
+    """Every clause store built from now on, the subset map's included, by
+    its arguments: the variable count comes first."""
+    made = []
+
+    class Counted(sat._Clauses):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sat, "_Clauses", Counted)
+    return made

@@ -14,12 +14,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from probaccept import (
+    BeliefBase,
     Formula,
     FormulaSet,
     WorldModel,
     atom,
     conj,
     disj,
+    exactly_one,
     iff,
     implies,
     neg,
@@ -234,6 +236,18 @@ def random_model(rng, max_atoms: int = 4) -> WorldModel:
     return WorldModel(
         names, [(v, Fraction(w, total)) for v, w in zip(valuations, weights)]
     )
+
+
+def lottery_missing_a_winner(n: int) -> BeliefBase:
+    """An n-ticket one-winner lottery whose model lists no world for the
+    last ticket: n - 1 of the n valuations that satisfy its background,
+    so an empty world mask does not show that a set is unsatisfiable.
+    Candidates are the lose statements ``L_i: ~wins_i``."""
+    wins = [atom(f"wins_{i}") for i in range(1, n + 1)]
+    worlds = [(tuple(i == j for j in range(n)), Fraction(1, n - 1)) for i in range(n - 1)]
+    model = WorldModel([w.name for w in wins], worlds)
+    candidates = [(f"L{i + 1}", neg(w)) for i, w in enumerate(wins)]
+    return BeliefBase(model, [exactly_one(wins)], candidates)
 
 
 def brute_mask_weight(model: WorldModel, mask: int) -> Fraction:

@@ -27,7 +27,7 @@ from probaccept import accept as accept_module
 from probaccept import sat
 from probaccept.accept import MAX_PERMUTATIONS, POLICY_TABLE
 
-from helpers import truth_table_satisfiable
+from helpers import lottery_missing_a_winner, truth_table_satisfiable
 
 BIASED = [Fraction(1, 100), Fraction(9, 100), Fraction(90, 100)]
 
@@ -357,26 +357,20 @@ class TestPolicyTable:
 
 
 class TestOneSolverPerBase:
-    def test_every_run_and_order_on_a_base_builds_one_solver_and_one_store(self, monkeypatch):
-        """Every policy at three levels, then every order of a sequential
-        enumeration, on a 5-ticket lottery: one solver, kept on the base,
-        answers all of them and builds its clause store once."""
-        built, stores = [], []
+    """Every policy at three levels, then every order of a sequential
+    enumeration, on a 5-ticket lottery: one solver, kept on the base,
+    answers all of them, and builds its clause store at most once."""
+
+    @staticmethod
+    def run_everything(base, eps, monkeypatch):
+        built = []
 
         class CountedSolver(sat._Solver):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
-        class CountedClauses(sat._Clauses):
-            def __init__(self, *args):
-                stores.append(args)
-                super().__init__(*args)
-
         monkeypatch.setattr(accept_module, "_Solver", CountedSolver)
-        monkeypatch.setattr(sat, "_Clauses", CountedClauses)
-        base = fair_lottery(5)
-        eps = Fraction(1, 5)
         levels = [AcceptanceLevel(eps), AcceptanceLevel(eps, True), AcceptanceLevel(eps / 2)]
         for run, ordered in POLICY_TABLE.values():
             for level in levels:
@@ -384,9 +378,30 @@ class TestOneSolverPerBase:
         outcome = enumerate_extensions(base, "sequential", levels[0], max_permutations=120)
         assert outcome.exhaustive and outcome.permutation_count == 120
         assert not outcome.conjunction_weakly_consistent
+        return built
+
+    def test_every_run_and_order_on_a_base_builds_one_solver_and_one_store(
+        self, monkeypatch, stores
+    ):
+        # the model misses a valuation that satisfies the background, so the
+        # jointly unsatisfiable sets are searched, all by one store
+        base = lottery_missing_a_winner(5)
+        built = self.run_everything(base, Fraction(1, 4), monkeypatch)
         assert len(built) == 1
         assert len(stores) == 1
         # the solver it keeps is no part of the base's value
+        assert base == lottery_missing_a_winner(5)
+        assert repr(base) == repr(lottery_missing_a_winner(5))
+
+    def test_every_run_and_order_on_a_fair_lottery_builds_one_solver_and_no_store(
+        self, monkeypatch, stores
+    ):
+        # the model lists all 5 valuations that satisfy the background, so
+        # an empty mask means unsatisfiable: no search
+        base = fair_lottery(5)
+        built = self.run_everything(base, Fraction(1, 5), monkeypatch)
+        assert len(built) == 1
+        assert len(stores) == 0
         assert base == fair_lottery(5) and repr(base) == repr(fair_lottery(5))
 
 

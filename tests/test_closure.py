@@ -115,6 +115,18 @@ class TestConsequenceLevel:
         assert result.support_lower_bound == Fraction(1, 100)
         assert result.exact_probability == Fraction(1, 100)
 
+    def test_entailment_on_a_one_winner_lottery_is_not_searched(self, searches, stores):
+        # the premises' and ~wins_7's joint mask is empty, and the model lists
+        # every valuation that satisfies the background, so that is the proof
+        base = fair_lottery(7)
+        level = AcceptanceLevel(Fraction(1, 7))
+        premises = FormulaSet(base.candidate(f"L{i}") for i in range(1, 7))
+        result = consequence_level(
+            base.model, premises, atom("wins_7"), level, background=base.background
+        )
+        assert result.support_lower_bound == result.exact_probability == Fraction(1, 7)
+        assert searches == [] and stores == []
+
     def test_no_premises_rejected(self, lottery100):
         level = AcceptanceLevel(Fraction(1, 100))
         with pytest.raises(ValueError, match="need at least one premise"):

@@ -25,7 +25,12 @@ bases' models either list only some valuations, so a set with no model
 world in common may still be satisfiable and reaches the SAT fallback
 behind the world witness, or list every valuation, so an empty mask
 alone answers that the set is unsatisfiable.  Either kind gives some
-worlds zero weight.
+worlds zero weight.  A third kind holds an ``exactly_one`` of some or all
+atoms in the background, beside other formulas, and lists every valuation
+that satisfies it, or all but one: every solver answer, policy run,
+diagnostic, shrink and entailment on it is checked against the oracles.
+With every valuation listed no query is searched; with one missing, the
+query that only it could satisfy is.
 
 Every policy, the cascade too, is also run on biased one-winner
 lotteries with tied and zero weights and on independent lotteries,
@@ -45,7 +50,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 from io import StringIO
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from unittest.mock import patch
 
 import pytest
@@ -87,6 +92,7 @@ from probaccept import (
     threshold_accept,
 )
 from probaccept import formulas as formulas_module
+from probaccept import sat
 from probaccept.accept import POLICY_TABLE
 from probaccept.basefile import dump
 from probaccept.cli import main
@@ -936,6 +942,119 @@ def test_entailment_over_a_named_background_matches_truth_tables(base, level, da
             assert leveled.exact_probability == base.model.probability(conclusion)
         with pytest.raises(UnknownAtomError, match="z"):
             consequence_level(base.model, premises, foreign, level, background())
+
+
+@st.composite
+def one_hot_bases(draw):
+    """A base over two to four atoms whose background holds an
+    ``exactly_one`` of two or more of them, before, between or after other
+    certain formulas, and the one valuation its model misses, or None.
+
+    The model lists every valuation in which exactly one of those atoms
+    holds (the other atoms free), or all of them but one, in any order,
+    beside up to two zero-weight worlds where the ``exactly_one`` fails."""
+    names = ("a", "b", "c", "d")[: draw(st.integers(2, 4), label="width")]
+    hot = draw(st.lists(st.sampled_from(names), min_size=2, unique=True), label="hot")
+    valuations = list(product((False, True), repeat=len(names)))
+    one_hot = [v for v in valuations if sum(v[names.index(x)] for x in hot) == 1]
+    missing = draw(st.none() | st.sampled_from(one_hot), label="missing")
+    listed = [v for v in one_hot if v != missing]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(listed), max_size=len(listed)))
+    if not any(weights):
+        weights[0] = 1
+    worlds = [(v, Fraction(w, sum(weights))) for v, w in zip(listed, weights)]
+    others = [v for v in valuations if v not in one_hot]
+    worlds += [(v, 0) for v in draw(st.lists(st.sampled_from(others), unique=True, max_size=2))]
+    model = WorldModel(names, draw(st.permutations(worlds)))
+    background = [
+        f for f in draw(st.lists(formulas(names), max_size=2)) if model.probability(f) == 1
+    ]
+    background.insert(
+        draw(st.integers(0, len(background))), exactly_one([atom(x) for x in hot])
+    )
+    literals = st.sampled_from([atom(n) for n in names] + [neg(atom(n)) for n in names])
+    candidates = draw(st.lists(literals | formulas(names), min_size=2, max_size=5))
+    base = BeliefBase(model, background, [(f"C{i}", f) for i, f in enumerate(candidates)])
+    return base, missing
+
+
+@given(one_hot_bases(), LEVELS, st.data())
+def test_one_hot_backgrounds_match_the_oracles(drawn, level, data):
+    """A model that lists every valuation of a background ``exactly_one``
+    of distinct atoms answers an empty mask from the masks alone; one that
+    misses a valuation must search it.  Either way every answer is the
+    truth tables' and the brute-force oracles'."""
+    base, _ = drawn
+    background = list(base.background)
+    members = list(base.candidate_formulas)
+    solver = sat._Solver(members, base.background, base.model)
+    for size in range(len(members) + 1):
+        for which in combinations(range(len(members)), size):
+            chosen = [members[i] for i in which]
+            assert solver.satisfiable(which) == truth_table_satisfiable([*background, *chosen])
+    reference = ReferenceScan(base)
+    for policy, (run, ordered) in POLICY_TABLE.items():
+        order = data.draw(st.permutations(base.candidate_labels)) if ordered else None
+        if policy == "cascade" and not lottery_shaped(base):
+            continue
+        result = run(base, order, level) if ordered else run(base, level)
+        assert_same_run(result, reference.run(policy, level, order))
+    for named in (threshold_accept(base, level).accepted_formulas, base.candidate_formulas):
+        plain = list(named)
+        expected = diagnostics_by_oracle(plain, background)
+        if not plain:  # nothing to cover, so the background goes unchecked
+            expected[degree_of_inconsistency] = 1
+        for function in DIAGNOSTICS:
+            result = diagnose_or_error(function, named, base.background)
+            assert_as_oracle(function, result, expected[function])
+        shrunk = diagnose_or_error(shrink_unsat_subset, named, base.background)
+        oracle = shrink_by_oracle(plain, background)
+        if isinstance(oracle, set):
+            assert isinstance(shrunk, FormulaSet) and _keysets([shrunk]) <= oracle
+        else:
+            assert shrunk == oracle
+    premises = data.draw(st.lists(st.sampled_from(members), max_size=3), label="premises")
+    conclusion = data.draw(formulas(base.model.atoms), label="conclusion")
+    expected = not truth_table_satisfiable([*background, *premises, neg(conclusion)])
+    assert entails(base.background, premises, conclusion) == expected
+    for strand in strands(base.candidate_formulas, base.background):
+        expected = not truth_table_satisfiable([*background, *strand.kernel, neg(conclusion)])
+        assert strand_entails(strand, conclusion) == expected
+
+
+@given(one_hot_bases(), LEVELS)
+def test_one_hot_backgrounds_search_only_a_missing_valuation(drawn, level):
+    """Every policy run, a deletion shrink and two entailments over the
+    base's own background.  With every valuation of the ``exactly_one``
+    listed, none of them searches, even for an empty mask such as that of
+    the entailed disjunction of its atoms.  With one missed, the query that
+    only that valuation could satisfy is searched."""
+    base, missing = drawn
+    names = base.model.atoms
+    hot = next(f for f in base.background if getattr(f, "_names", ()))._names
+    one_hot = [v for v, _ in base.model.worlds if sum(v[names.index(x)] for x in hot) == 1]
+    pinned = one_hot[0] if missing is None else missing
+    valuation = conj(*(atom(x) if holds else neg(atom(x)) for x, holds in zip(names, pinned)))
+    made = []
+    search = sat._dpll
+
+    def counted(*args):
+        made.append(args)
+        return search(*args)
+
+    with patch.object(sat, "_dpll", counted):
+        for policy, (run, ordered) in POLICY_TABLE.items():
+            if policy != "cascade" or lottery_shaped(base):
+                run(base, base.candidate_labels, level) if ordered else run(base, level)
+        shrink_unsat_subset(base.candidate_formulas, base.background)
+        assert entails(base.background, [], disj(*map(atom, hot)))
+        before = len(made)
+        answer = entails(base.background, [], neg(valuation))
+    assert answer == (not truth_table_satisfiable([*base.background, valuation]))
+    if missing is None:
+        assert made == []
+    else:
+        assert len(made) > before  # no listed world satisfies the query
 
 
 def assert_same_columns(model: WorldModel) -> None:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import signal
 from contextlib import contextmanager
@@ -33,6 +34,7 @@ from helpers import (
     brute_maximal_consistent_subsets,
     brute_min_cover_over_consistent_subsets,
     brute_minimal_unsat_subsets,
+    lottery_missing_a_winner,
     random_formula,
     truth_table_satisfiable,
 )
@@ -295,6 +297,28 @@ class TestFamilyOrder:
         assert degree_of_inconsistency(FormulaSet()) == 1
 
 
+class TestResultSets:
+    def test_results_are_plain_sets_of_their_members(self):
+        """The MUS, MCS and shrink results hold the candidates' own formulas
+        and compare, hash, print and pickle like sets built from them, with
+        no kept walk or model of their own."""
+        base = fair_lottery(4)
+        candidates = [*base.candidate_formulas, parse("wins_1 & ~wins_1")]
+        results = [
+            *minimal_unsat_subsets(candidates, base.background),
+            *maximal_consistent_subsets(candidates, base.background),
+            shrink_unsat_subset(base.candidate_formulas, base.background),
+        ]
+        for result in results:
+            rebuilt = FormulaSet(list(result))
+            assert result == rebuilt and hash(result) == hash(rebuilt)
+            assert repr(result) == repr(rebuilt)
+            assert pickle.loads(pickle.dumps(result)) == result
+            assert all(any(f is g for g in candidates) for f in result)
+            assert getattr(result, "_family", None) is None
+            assert getattr(result, "_model", None) is None
+
+
 class TestShrink:
     def test_satisfiable_returns_none(self):
         assert shrink_unsat_subset(FormulaSet([parse("a"), parse("b")])) is None
@@ -332,25 +356,36 @@ class TestModelWitness:
     answer the queries that a shared world settles; the same formulas as a
     plain list are searched."""
 
-    def test_accepted_lottery_shrinks_with_one_search(self, searches):
-        # every proper subset of the 40 lose statements shares a world, so
-        # only the query about the full set is searched
+    def test_accepted_lottery_shrinks_with_no_search(self, searches, stores):
+        # every proper subset of the 40 lose statements shares a world, and
+        # the model lists each of the 40 valuations that satisfy the
+        # background, so the full set's empty mask means unsatisfiable too
         base = fair_lottery(40)
         accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 40))).accepted_formulas
         searches.clear()
         shrunk = shrink_unsat_subset(accepted, base.background)
-        assert len(searches) == 1
+        assert len(searches) == 0
         assert list(shrunk) == list(accepted)
         # the same formulas as a list over the base's background, which
-        # names the model: still one search
-        searches.clear()
+        # names the model: still no search
         assert shrink_unsat_subset(list(accepted), base.background) == shrunk
-        assert len(searches) == 1
+        assert len(searches) == 0
+        assert len(stores) == 0
         # and over that background as a list, which names none: one search
         # per deletion and the first
-        searches.clear()
         assert shrink_unsat_subset(list(accepted), list(base.background)) == shrunk
         assert len(searches) == 41
+
+    def test_lottery_missing_a_winner_searches_each_empty_mask(self, searches, stores):
+        # no world for ticket 40: the full set's empty mask and the one left
+        # when L40 is dropped are searched, by one store; every other
+        # deletion leaves a world
+        base = lottery_missing_a_winner(40)
+        candidates = base.candidate_formulas
+        shrunk = shrink_unsat_subset(candidates, base.background)
+        assert list(shrunk) == list(candidates)
+        assert len(searches) == 2
+        assert len(stores) == 1
 
     def test_every_valuation_answers_the_walk_from_masks(self, searches):
         # the independent lottery lists all 2**6 valuations, so an empty mask

@@ -175,6 +175,22 @@ class TestStrandEntailment:
         ]
         assert any(map(any, answers)) and not all(map(all, answers))
 
+    def test_one_winner_lottery_answers_from_masks(self, searches, stores):
+        # the strand that drops L_j has an empty joint mask with ~wins_j, and
+        # the model lists each valuation that satisfies the background's
+        # exactly_one, so that mask means "entailed": no store, no search
+        base = fair_lottery(6)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 6))).accepted_formulas
+        found = strands(accepted, base.background)
+        searches.clear()
+        stores.clear()
+        for strand in found:
+            (j,) = [i for i in range(1, 7) if parse(f"~wins_{i}") not in strand.kernel]
+            assert strand_entails(strand, atom(f"wins_{j}"))
+            assert not strand_entails(strand, atom(f"wins_{j % 6 + 1}"))
+        assert len(found) == 6
+        assert searches == [] and stores == []
+
     def test_strands_never_entail_contradictions(self):
         absurd = parse("x & ~x")
         base = fair_lottery(4)
