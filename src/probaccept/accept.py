@@ -323,10 +323,8 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
         support = Fraction(best, given)
         accepted.append(Acceptance(label, formula, model.probability(formula), support))
         current &= model.satisfying_mask(formula)
-    weights = {
-        name: model._numerator(current & model.satisfying_mask(atom(name)))
-        for name in tickets
-    }
+    # the ticket names are atoms of the model: the base checked its candidates
+    weights = {name: model._numerator(current & model._atom_masks[name]) for name in tickets}
     alive = [name for name, weight in weights.items() if weight > 0]
     if len(alive) == 1:
         win = atom(alive[0])

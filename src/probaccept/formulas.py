@@ -256,6 +256,24 @@ def neg(f: Formula) -> Formula:
     return Formula("not", (f,))
 
 
+def _literal(name: str, positive: bool) -> Formula:
+    """``atom(name)``, or ``neg(atom(name))`` if not ``positive``, equal to
+    it slot for slot, with both canonical nodes, key, atoms and key bounds
+    already set; the negation's argument is that atom.  ``name`` must be a
+    valid atom name: nothing checks it."""
+    a = Formula.__new__(Formula)
+    a.op, a.args, a.name = "atom", (), name
+    a._pos, a._neg = ("lit", name, True), ("lit", name, False)
+    a._key, a._atoms, a._bounds = name, frozenset((name,)), (len(name), len(name) + 1)
+    if positive:
+        return a
+    f = Formula.__new__(Formula)
+    f.op, f.args, f.name = "not", (a,), None
+    f._pos, f._neg = a._neg, a._pos
+    f._key, f._atoms, f._bounds = "~" + name, a._atoms, a._bounds[::-1]
+    return f
+
+
 def conj(*formulas: Formula) -> Formula:
     if not formulas:
         raise ValueError("conjunction of nothing")

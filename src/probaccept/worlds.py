@@ -12,7 +12,8 @@ A :class:`BeliefBase` combines a model with background formulas (treated
 as certain, probability exactly 1) and labeled candidate formulas offered
 for acceptance.  The lottery constructors produce the standard families:
 a fair n-ticket lottery, a biased one, and a product model with fully
-independent tickets; they write their models' columns in closed form.
+independent tickets.  They write their models' columns in closed form and
+hand over their formulas canonicalised, masked and weighed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from functools import reduce
 from itertools import product
 from operator import and_, or_
 
-from .formulas import Formula, FormulaSet, _ExactlyOne, atom, disj, exactly_one, neg
+from .formulas import (
+    Formula, FormulaSet, _ATOM_RE, _ExactlyOne, _literal, atom, disj, exactly_one,
+)
 
 __all__ = [
     "UnknownAtomError",
@@ -127,7 +130,9 @@ class WorldModel:
     The constructor checks every world and stores its columns through
     ``_from_columns``.  The lottery builders call ``_from_columns`` directly
     with columns written in closed form, which the property tests hold
-    equal to the constructor's.  Copies and pickles are rebuilt through the
+    equal to the constructor's, and then write the masks and weights of
+    their win atoms, lose statements and background into the fresh caches,
+    also in closed form.  Copies and pickles are rebuilt through the
     constructor and carry none of the caches.
     """
 
@@ -400,7 +405,8 @@ class BeliefBase:
                 raise TypeError(f"candidate labels must be strings, got {label!r}")
             if not isinstance(formula, Formula):
                 raise TypeError(f"candidates must be formulas, got {formula!r}")
-            atom(label)  # labels share the atom-name syntax
+            if not _ATOM_RE.fullmatch(label):  # labels share the atom-name syntax
+                raise ValueError(f"invalid atom name {label!r}")
             model._check_atoms(formula)
         labels = [label for label, _ in pairs]
         if len(set(labels)) != len(labels):
@@ -475,8 +481,34 @@ def _check_tickets(n: int, cap: int, kind: str) -> None:
         raise ValueError(f"{kind} lottery capped at {cap} tickets")
 
 
-def _win_atoms(n: int) -> list[Formula]:
-    return [atom(f"wins_{i}") for i in range(1, n + 1)]
+def _lose_statements(n: int) -> list[Formula]:
+    """The lose statements ~wins_1..~wins_n, built canonical; the argument
+    of each is its ticket's win atom."""
+    return [_literal(f"wins_{i}", False) for i in range(1, n + 1)]
+
+
+def _weigh_tickets(
+    model: WorldModel, loses: list[Formula], masks: list[int], weights: list[Fraction]
+) -> None:
+    """Write each ticket's win atom and lose statement into the mask and
+    probability caches of ``model``, fresh from ``_from_columns``: the win
+    atom of ``loses[i]`` holds on ``masks[i]`` with weight ``weights[i]``,
+    so its lose statement holds on the other worlds, with the rest of the
+    weight.  One ``Fraction`` is built per distinct weight, keyed by
+    numerator and denominator like those of ``_weight_columns``."""
+    full = model._full
+    mask_cache, probability_cache = model._mask_cache, model._probability_cache
+    rests: dict[tuple[int, int], Fraction] = {}
+    for lose, mask, w in zip(loses, masks, weights):
+        win = lose.args[0]._key
+        mask_cache[win] = mask
+        probability_cache[win] = w
+        mask_cache[lose._key] = full ^ mask
+        key = (w.numerator, w.denominator)
+        rest = rests.get(key)
+        if rest is None:
+            rest = rests[key] = 1 - w
+        probability_cache[lose._key] = rest
 
 
 def biased_lottery(weights: Iterable[object]) -> BeliefBase:
@@ -485,24 +517,36 @@ def biased_lottery(weights: Iterable[object]) -> BeliefBase:
     Atoms wins_1..wins_n; world i makes only wins_i true.  Background is
     the single constraint that exactly one ticket wins; candidates are
     the lose statements L_i := ~wins_i.  Capped at n <= 300.
+
+    The formulas come canonicalised, masked and weighed: each win atom
+    and lose statement is built canonical by ``_literal``, and the model
+    holds wins_i's mask, bit i, and weight, ~wins_i's complement mask and
+    weight ``(D - n_i)/D``, and the background's full mask and weight 1.
     """
     weights = tuple(weights)  # read once: it may be an iterator
     _check_tickets(len(weights), ONE_WINNER_LOTTERY_CAP, "one-winner")
     fracs = [as_fraction(w) for w in weights]
     n = len(fracs)
-    if any(w < 0 for w in fracs):
+    if any(w.numerator < 0 for w in fracs):
         raise ValueError("ticket weights must be nonnegative")
     denominator, planes = _weight_columns(fracs, "ticket")
-    wins = _win_atoms(n)
+    loses = _lose_statements(n)
+    wins = [lose.args[0] for lose in loses]
     # World i is the one-hot valuation of ticket i, so atom i's mask is bit i.
     worlds = tuple(
         ((False,) * i + (True,) + (False,) * (n - i - 1), w) for i, w in enumerate(fracs)
     )
+    masks = [1 << i for i in range(n)]
     model = WorldModel.__new__(WorldModel)._from_columns(
-        tuple(a.name for a in wins), worlds, denominator, planes, [1 << i for i in range(n)]
+        tuple(a.name for a in wins), worlds, denominator, planes, masks
     )
-    candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
-    return BeliefBase(model, [exactly_one(wins)], candidates)
+    _weigh_tickets(model, loses, masks, fracs)
+    # every world is one-hot, so the background holds in all of them
+    background = exactly_one(wins)
+    model._mask_cache[background.canonical_key] = model._full
+    model._probability_cache[background.canonical_key] = Fraction(1)
+    candidates = [(f"L{i}", lose) for i, lose in enumerate(loses, 1)]
+    return BeliefBase(model, [background], candidates)
 
 
 def fair_lottery(n: int) -> BeliefBase:
@@ -517,6 +561,11 @@ def independent_lottery(n: int, p) -> BeliefBase:
     The model has 2**n product-weighted worlds and an empty background;
     candidates are the lose statements plus ``some_wins``, the disjunction
     that some ticket wins.  Capped at n <= 16 (the model is exponential).
+
+    The lose statements come canonicalised, masked and weighed as in
+    :func:`biased_lottery`: wins_i holds on its column mask with weight p,
+    ~wins_i on the rest with weight 1 - p.  ``some_wins`` is canonicalised
+    and masked by the generic walk when first asked.
     """
     _check_tickets(n, INDEPENDENT_LOTTERY_CAP, "independent")
     win_p = as_fraction(p)
@@ -558,10 +607,12 @@ def independent_lottery(n: int, p) -> BeliefBase:
         product((False, True), repeat=n),
         map(weights.__getitem__, map(int.bit_count, range(count))),
     ))
-    wins = _win_atoms(n)
+    loses = _lose_statements(n)
+    wins = [lose.args[0] for lose in loses]
     model = WorldModel.__new__(WorldModel)._from_columns(
         tuple(w.name for w in wins), worlds, denominator, planes, masks
     )
-    candidates = [(f"L{i + 1}", neg(wins[i])) for i in range(n)]
+    _weigh_tickets(model, loses, masks, [win_p] * n)
+    candidates = [(f"L{i}", lose) for i, lose in enumerate(loses, 1)]
     candidates.append(("some_wins", disj(*wins)))
     return BeliefBase(model, (), candidates)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from probaccept import fair_lottery, sat
+from probaccept import fair_lottery, formulas, sat, worlds
 from probaccept.basefile import dump
 
 # Property tests draw the same examples on every run and keep no example
@@ -65,4 +65,33 @@ def stores(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(sat, "_Clauses", Counted)
+    return made
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every generic walk made from now on, by the node it starts from:
+    under ``"folds"`` each world-mask fold (``WorldModel._nnf_mask``),
+    under ``"keys"`` each canonical-key rendering (``formulas.nnf_key``).
+    A walk's recursive calls on the nodes below are not counted."""
+    made = {"folds": [], "keys": []}
+
+    def count(owner, name, kind):
+        walk = getattr(owner, name)
+        depth = 0
+
+        def counted(*args):
+            nonlocal depth
+            if not depth:
+                made[kind].append(args[-1])
+            depth += 1
+            try:
+                return walk(*args)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(worlds.WorldModel, "_nnf_mask", "folds")
+    count(formulas, "nnf_key", "keys")
     return made

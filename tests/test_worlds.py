@@ -274,6 +274,25 @@ class TestLotteries:
         assert is_satisfiable(members)
         assert live_formulas() == before
 
+    def test_one_winner_lottery_built_accepted_and_shrunk_with_no_walk(self, walks):
+        """The builder hands over its formulas canonical, masked and weighed:
+        building a 40-ticket lottery, accepting its lose statements and
+        shrinking them renders no key and folds no mask."""
+        base = fair_lottery(40)
+        result = threshold_accept(base, AcceptanceLevel(Fraction(1, 40)))
+        assert len(result.accepted) == 40
+        assert len(shrink_unsat_subset(result.accepted_formulas, base.background)) == 40
+        assert walks == {"folds": [], "keys": []}
+
+    def test_independent_lose_statements_weighed_with_no_walk(self, walks):
+        """Of an independent lottery's candidates only ``some_wins`` is
+        rendered and folded; the lose statements come weighed."""
+        base = independent_lottery(8, Fraction(1, 3))
+        result = threshold_accept(base, AcceptanceLevel(Fraction(1, 3)))
+        assert len(result.accepted) == 9
+        some_wins = base.candidate("some_wins").nnf()
+        assert walks == {"folds": [some_wins], "keys": [some_wins]}
+
     def test_independent_weights_by_winner_count(self):
         p = Fraction(2, 7)
         base = independent_lottery(5, p)
