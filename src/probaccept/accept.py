@@ -40,7 +40,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, takewhile
 
 from .formulas import Formula, FormulaSet, atom
 from .sat import _Solver
@@ -253,19 +253,34 @@ def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
 def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
     """The weighed candidates that clear the level and that no contrary
     rival (any candidate jointly unsatisfiable with it and the background)
-    matches or beats in probability."""
+    matches or beats in probability.
+
+    A pair with a shared world is satisfiable, and two masks inside the
+    ``room`` shared worlds whose counts add up to more than ``room`` share
+    one.  So only a candidate with ``count_i <= room - low``, ``low`` the
+    least count, can be in a contrary pair.  Those are sorted by count, and
+    each visits the prefix of rivals with ``count_j <= room - count_i``,
+    testing each by mask, probability and solver.  A one-winner lottery
+    sorts nothing and visits no pair."""
     weighed = _weighed(base)
     solver = _solver(base)
     masks = [solver.shared & mask for mask in solver.masks]
+    counts = [mask.bit_count() for mask in masks]
+    room = solver.shared.bit_count()
+    low = min(counts, default=0)
+    rivals = sorted((j for j, c in enumerate(counts) if c <= room - low), key=counts.__getitem__)
     return [
         (i, label, f, p)
         for i, label, f, p in weighed
         if level.met_by(p)
-        and not any(
-            # the cheap mask test first: a shared world settles most pairs
-            not (masks[i] & masks[j]) and q >= p and not solver.satisfiable((i, j))
-            for j, _, _, q in weighed
-            if j != i
+        and not (
+            counts[i] <= room - low
+            and any(
+                # the cheap mask test first: a shared world settles most pairs
+                not (masks[i] & masks[j]) and weighed[j][3] >= p and not solver.satisfiable((i, j))
+                for j in takewhile(lambda r: counts[r] <= room - counts[i], rivals)
+                if j != i
+            )
         )
     ]
 

@@ -280,7 +280,7 @@ class _Solver:
     members, satisfiable?
 
     Given a world model (anything with ``joint_mask``, ``satisfying_mask``,
-    ``worlds`` and ``atoms``, such as a belief base's model), a query first
+    ``full_mask`` and ``atoms``, such as a belief base's model), a query first
     tests the joint world mask of the background and the chosen members.
     A world in it is a satisfying valuation.  A model that lists every
     valuation that can satisfy the background answers from the mask alone,
@@ -326,7 +326,7 @@ class _Solver:
         if model is None:
             return False
         m = len(model.atoms)
-        if len(model.worlds) == 1 << m:  # every valuation
+        if model.full_mask().bit_count() == 1 << m:  # every valuation
             return True
         # An exactly_one of k distinct atoms holds in k << (m - k) valuations.
         # The model lists no valuation twice, so when that many worlds satisfy

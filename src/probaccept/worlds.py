@@ -22,7 +22,7 @@ import math
 import re
 import sys
 from collections import Counter
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -132,13 +132,19 @@ class WorldModel:
     with columns written in closed form, which the property tests hold
     equal to the constructor's, and then write the masks and weights of
     their win atoms, lose statements and background into the fresh caches,
-    also in closed form.  Copies and pickles are rebuilt through the
-    constructor and carry none of the caches.
+    also in closed form.
+
+    No policy, mask or weight reads the ``worlds`` tuple, so each producer
+    hands ``_from_columns`` the world count and a function that lists the
+    worlds, and the tuple is built the first time ``worlds`` is read; the
+    count comes from the full mask.  Equality, hashing, copies, pickles and
+    ``basefile.dumps`` read ``worlds``, so they list it.  Copies and pickles
+    are rebuilt through the constructor and carry none of the caches.
     """
 
     __slots__ = (
-        "atoms", "worlds", "_denominator", "_planes", "_full", "_atom_masks", "_mask_cache",
-        "_probability_cache",
+        "atoms", "_worlds", "_listing", "_denominator", "_planes", "_full", "_atom_masks",
+        "_mask_cache", "_probability_cache",
     )
 
     def __init__(
@@ -165,27 +171,48 @@ class WorldModel:
         denominator, planes = _weight_columns(weighted.values(), "world")
         self._from_columns(
             atom_names,
-            tuple((tuple(map(bool, row)), w) for row, w in weighted.items()),
+            len(weighted),
+            lambda: ((tuple(map(bool, row)), w) for row, w in weighted.items()),
             denominator,
             planes,
             _column_masks(b"".join(weighted), len(atom_names), 1),
         )
 
     def _from_columns(
-        self, atoms: tuple[str, ...], worlds: tuple, denominator: int, planes: tuple, masks
+        self,
+        atoms: tuple[str, ...],
+        count: int,
+        listing: Callable[[], Iterable[tuple[tuple[bool, ...], Fraction]]],
+        denominator: int,
+        planes: tuple,
+        masks,
     ) -> WorldModel:
-        """Store valid columns, ``masks`` in atom order, and return ``self``.
-        ``__init__`` ends here; the lottery builders call it on
+        """Store valid columns of ``count`` worlds, ``masks`` in atom order,
+        and return ``self``; ``listing()`` gives the ``(valuation, weight)``
+        pairs in world order when ``worlds`` is first read.  ``__init__``
+        ends here; the lottery builders call it on
         ``WorldModel.__new__(WorldModel)`` with columns in closed form."""
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "_worlds", None)
+        object.__setattr__(self, "_listing", listing)
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_planes", planes)
-        object.__setattr__(self, "_full", (1 << len(worlds)) - 1)
+        object.__setattr__(self, "_full", (1 << count) - 1)
         object.__setattr__(self, "_atom_masks", dict(zip(atoms, masks)))
         object.__setattr__(self, "_mask_cache", {})
         object.__setattr__(self, "_probability_cache", {})
         return self
+
+    @property
+    def worlds(self) -> tuple[tuple[tuple[bool, ...], Fraction], ...]:
+        """The ``(valuation, weight)`` pairs in world order, listed at the
+        first read."""
+        worlds = self._worlds
+        if worlds is None:
+            worlds = tuple(self._listing())
+            object.__setattr__(self, "_worlds", worlds)
+            object.__setattr__(self, "_listing", None)  # drop what it listed from
+        return worlds
 
     def __setattr__(self, name, value):
         raise AttributeError("WorldModel is immutable")
@@ -204,7 +231,7 @@ class WorldModel:
         return hash((self.atoms, self.worlds))
 
     def __repr__(self):
-        return f"WorldModel(atoms={list(self.atoms)}, worlds={len(self.worlds)})"
+        return f"WorldModel(atoms={list(self.atoms)}, worlds={self._full.bit_count()})"
 
     # -- internal helpers --------------------------------------------------
 
@@ -533,12 +560,16 @@ def biased_lottery(weights: Iterable[object]) -> BeliefBase:
     loses = _lose_statements(n)
     wins = [lose.args[0] for lose in loses]
     # World i is the one-hot valuation of ticket i, so atom i's mask is bit i.
-    worlds = tuple(
-        ((False,) * i + (True,) + (False,) * (n - i - 1), w) for i, w in enumerate(fracs)
-    )
     masks = [1 << i for i in range(n)]
     model = WorldModel.__new__(WorldModel)._from_columns(
-        tuple(a.name for a in wins), worlds, denominator, planes, masks
+        tuple(a.name for a in wins),
+        n,
+        lambda: (
+            ((False,) * i + (True,) + (False,) * (n - i - 1), w) for i, w in enumerate(fracs)
+        ),
+        denominator,
+        planes,
+        masks,
     )
     _weigh_tickets(model, loses, masks, fracs)
     # every world is one-hot, so the background holds in all of them
@@ -603,14 +634,18 @@ def independent_lottery(n: int, p) -> BeliefBase:
         for half in (1 << (n - 1 - j) for j in range(n))
     ]
     weights = [Fraction(m, denominator) for m in numerators]
-    worlds = tuple(zip(
-        product((False, True), repeat=n),
-        map(weights.__getitem__, map(int.bit_count, range(count))),
-    ))
     loses = _lose_statements(n)
     wins = [lose.args[0] for lose in loses]
     model = WorldModel.__new__(WorldModel)._from_columns(
-        tuple(w.name for w in wins), worlds, denominator, planes, masks
+        tuple(w.name for w in wins),
+        count,
+        lambda: zip(
+            product((False, True), repeat=n),
+            map(weights.__getitem__, map(int.bit_count, range(count))),
+        ),
+        denominator,
+        planes,
+        masks,
     )
     _weigh_tickets(model, loses, masks, [win_p] * n)
     candidates = [(f"L{i}", lose) for i, lose in enumerate(loses, 1)]

@@ -95,3 +95,19 @@ def walks(monkeypatch):
     count(worlds.WorldModel, "_nnf_mask", "folds")
     count(formulas, "nnf_key", "keys")
     return made
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Every model whose worlds are listed from now on, that is, each model
+    read through ``WorldModel.worlds`` before its tuple was built."""
+    made = []
+    read = worlds.WorldModel.worlds.fget
+
+    def counted(model):
+        if model._worlds is None:
+            made.append(model)
+        return read(model)
+
+    monkeypatch.setattr(worlds.WorldModel, "worlds", property(counted))
+    return made

@@ -198,6 +198,22 @@ class TestLehrerAccept:
         level = AcceptanceLevel(Fraction(1, 3))
         assert lehrer_accept(base, level).order == threshold_accept(base, level).order
 
+    def test_largest_lottery_asks_the_solver_no_pair(self, monkeypatch):
+        """Two lose statements of a 300-ticket lottery cover 299 worlds each
+        of 300, so no pair can be contrary: the solver is asked only the
+        run's verdict, over all 300 accepted."""
+        asked = []
+        satisfiable = sat._Solver.satisfiable
+
+        def counted(solver, which=()):
+            asked.append(tuple(which))
+            return satisfiable(solver, which)
+
+        monkeypatch.setattr(sat._Solver, "satisfiable", counted)
+        result = lehrer_accept(fair_lottery(300), AcceptanceLevel(Fraction(1, 300)))
+        assert len(result.accepted) == 300 and not result.weakly_consistent
+        assert asked == [tuple(range(300))]
+
 
 class TestLehrerCascade:
     def test_biased_cascade_reaches_the_winner(self):

@@ -648,6 +648,73 @@ def test_every_order_of_one_base_with_a_repeated_formula():
                 assert_same_run(result, reference.run(policy, level, order))
 
 
+def two_atom_base(worlds, background, candidates) -> BeliefBase:
+    """A base over atoms a and b with ``worlds`` as ``(a, b, weight)``."""
+    model = WorldModel(["a", "b"], [((x, y), w) for x, y, w in worlds])
+    return BeliefBase(model, background, candidates)
+
+
+_A, _B = atom("a"), atom("b")
+# Bases at the edges of the count bound by which ``lehrer_accept`` skips
+# rivals: two masks inside the shared worlds whose counts add up to more
+# than the shared count must share a world.
+RIVAL_BASES = {
+    # a and ~a fill the two worlds: their counts add up to exactly the
+    # shared count, and they are contrary
+    "tied": lambda: two_atom_base(
+        [(1, 0, "1/2"), (0, 0, "1/2")], (), [("A", _A), ("NA", neg(_A))]
+    ),
+    "untied": lambda: two_atom_base(
+        [(1, 0, "2/3"), (0, 0, "1/3")], (), [("A", _A), ("NA", neg(_A))]
+    ),
+    # every valuation listed, two of weight 0: a zero-weight world counts,
+    # and a shared one makes ~b and ~a no contrary pair
+    "zero_weight": lambda: two_atom_base(
+        [(1, 0, "1/2"), (0, 1, "1/2"), (0, 0, 0), (1, 1, 0)],
+        (),
+        [("X", conj(_A, neg(_B))), ("NA", neg(_A)), ("NB", neg(_B))],
+    ),
+    # a & b holds in no listed world but in an unlisted valuation: an empty
+    # mask, of count 0, whose pairs the solver decides
+    "empty_mask": lambda: two_atom_base(
+        [(1, 0, "1/2"), (0, 1, "1/2")],
+        (),
+        [("AB", conj(_A, _B)), ("A", _A), ("B", _B), ("NA", neg(_A))],
+    ),
+    # the background b removes two worlds: a and ~a are counted inside the
+    # two that remain, where they add up to exactly the shared count
+    "background": lambda: two_atom_base(
+        [(1, 1, "1/2"), (0, 1, "1/2"), (1, 0, 0), (0, 0, 0)],
+        [_B],
+        [("A", _A), ("NA", neg(_A))],
+    ),
+    "background_untied": lambda: two_atom_base(
+        [(1, 1, "2/3"), (0, 1, "1/3"), (1, 0, 0), (0, 0, 0)],
+        [_B],
+        [("A", _A), ("NA", neg(_A))],
+    ),
+}
+
+
+@pytest.mark.parametrize("build", RIVAL_BASES.values(), ids=RIVAL_BASES)
+def test_rival_filter_bases_match_their_definitions(build):
+    """Every scanned policy, strict and not, at each level, and every order
+    of the ordered ones, on a fresh base for each run."""
+    reference = ReferenceScan(build())
+    levels = [
+        AcceptanceLevel(epsilon, strict)
+        for epsilon in (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
+        for strict in (False, True)
+    ]
+    for level in levels:
+        for policy in ("threshold", "lehrer"):
+            assert_same_run(POLICY_TABLE[policy][0](build(), level), reference.run(policy, level))
+        for order in permutations(reference.base.candidate_labels):
+            for policy in ("sequential", "teng"):
+                result = POLICY_TABLE[policy][0](build(), order, level)
+                assert_same_run(result, reference.run(policy, level, order))
+
+
 def lottery_shaped(base: BeliefBase) -> bool:
     return all(f.op == "not" and f.args[0].op == "atom" for _, f in base.candidates)
 

@@ -293,6 +293,25 @@ class TestLotteries:
         some_wins = base.candidate("some_wins").nnf()
         assert walks == {"folds": [some_wins], "keys": [some_wins]}
 
+    def test_largest_lotteries_built_accepted_and_shrunk_with_no_listing(self, listings):
+        """No policy, mask, weight, shrink or ``repr`` reads a model's worlds:
+        building the largest lotteries, running every policy on the fair
+        one and the threshold on the independent one, and shrinking their
+        accepted sets lists none of them."""
+        fair = fair_lottery(ONE_WINNER_LOTTERY_CAP)
+        level = AcceptanceLevel(Fraction(1, ONE_WINNER_LOTTERY_CAP))
+        for run, ordered in POLICY_TABLE.values():
+            run(fair, fair.candidate_labels, level) if ordered else run(fair, level)
+        independent = independent_lottery(INDEPENDENT_LOTTERY_CAP, Fraction(1, 3))
+        for base, epsilon in ((fair, level.epsilon), (independent, Fraction(1, 3))):
+            result = threshold_accept(base, AcceptanceLevel(epsilon))
+            assert not result.weakly_consistent  # read at an empty mask
+            assert shrink_unsat_subset(result.accepted_formulas, base.background)
+            repr(base)
+        assert listings == []
+        assert len(independent.model.worlds) == 2**INDEPENDENT_LOTTERY_CAP
+        assert listings == [independent.model]
+
     def test_independent_weights_by_winner_count(self):
         p = Fraction(2, 7)
         base = independent_lottery(5, p)
@@ -581,6 +600,57 @@ class TestCopies:
         # over a background that names no model, no set drawn from it names one
         plain = dataclasses.replace(result, background=FormulaSet(base.background))
         assert plain == result and plain.accepted_formulas._model is None
+
+
+# each producer of a model, built afresh on every call
+PRODUCERS = {
+    "constructor": lambda: WorldModel(
+        ["a", "b"], [((1, 0), "1/3"), ((0, 1), "2/3"), ((1, 1), 0)]
+    ),
+    "biased": lambda: biased_lottery([Fraction(1, 2), Fraction(0), Fraction(1, 2)]).model,
+    "independent": lambda: independent_lottery(3, Fraction(1, 3)).model,
+}
+
+
+class TestWorldListing:
+    """A model lists its worlds at the first read of ``worlds``; until then
+    it compares, hashes, copies and prints like a model that has listed
+    them, and like the constructor's model of the same worlds."""
+
+    @staticmethod
+    def listed_and_generic(produce):
+        listed = produce()
+        return listed, WorldModel(listed.atoms, listed.worlds)
+
+    @pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS)
+    def test_unlisted_model_equals_listed_ones(self, produce):
+        for other in self.listed_and_generic(produce):
+            for compare in (
+                lambda model: model == other,
+                lambda model: other == model,
+                lambda model: hash(model) == hash(other),
+            ):
+                model = produce()
+                assert model._worlds is None
+                assert compare(model)
+        model = produce()
+        assert model.worlds is model.worlds  # listed once
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    @pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS)
+    def test_unlisted_model_copies_equal_listed_ones(self, produce, copier):
+        for other in self.listed_and_generic(produce):
+            assert copier(produce()) == other
+            assert hash(copier(produce())) == hash(other)
+            assert other == copier(produce())
+
+    @pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS)
+    def test_repr_lists_no_world(self, produce, listings):
+        model = produce()
+        text = repr(model)
+        assert listings == []
+        assert text == repr(WorldModel(model.atoms, model.worlds))
+        assert text.endswith(f"worlds={len(model.worlds)})")
 
 
 class TestProbabilityBound:
