@@ -128,9 +128,10 @@ class AcceptedSet:
     """The output of one policy run: accepted statements in acceptance
     order, the background they sit on, and a weak-consistency verdict.
 
-    A run's background is its base's own, which names the base's world
-    model; a shallow copy shares it, while a deep copy or a pickle
-    rebuilds it and names none."""
+    A run's background is its base's own, the one set that names the
+    base's world model, so that the ``sat`` diagnostics over it test the
+    model's world masks first; a shallow copy shares it, while a deep copy
+    or a pickle rebuilds it and names none."""
 
     policy: str
     level: AcceptanceLevel
@@ -144,12 +145,8 @@ class AcceptedSet:
 
     @property
     def accepted_formulas(self) -> FormulaSet:
-        """The accepted statements, as a new set that names the model the
-        background names, if any, so that the ``sat`` diagnostics test its
-        world masks first."""
-        formulas = FormulaSet(a.statement for a in self.accepted)
-        formulas._model = getattr(self.background, "_model", None)  # unset on most sets
-        return formulas
+        """The accepted statements, as a new plain set."""
+        return FormulaSet(a.statement for a in self.accepted)
 
     @property
     def statements(self) -> FormulaSet:
@@ -174,7 +171,7 @@ def _solver(base: BeliefBase) -> _Solver:
     """The base's one solver over its background and candidates, member i
     being candidate i; built at the first question and kept on the base."""
     if base._solver is None:
-        solver = _Solver([f for _, f in base.candidates], base.background, base.model)
+        solver = _Solver([f for _, f in base.candidates], base.background)
         object.__setattr__(base, "_solver", solver)
     return base._solver
 

@@ -136,12 +136,13 @@ def _parse_world(line: str, lineno: int, atoms: list[str]):
     except ValueError as exc:
         raise _fail(lineno, str(exc)) from exc
     assignment: dict[str, bool] = {}
+    known = set(atoms)  # the list keeps the order, and any duplicate
     for token in parts[:split_at]:
         am = _ASSIGN_RE.fullmatch(token)
         if am is None:
             raise _fail(lineno, f"bad assignment token {token!r}")
         name = am.group("atom")
-        if name not in atoms:
+        if name not in known:
             raise _fail(lineno, f"unknown atom {name!r}")
         if name in assignment:
             raise _fail(lineno, f"atom {name!r} assigned twice")

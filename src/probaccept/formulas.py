@@ -256,17 +256,15 @@ def neg(f: Formula) -> Formula:
     return Formula("not", (f,))
 
 
-def _literal(name: str, positive: bool) -> Formula:
-    """``atom(name)``, or ``neg(atom(name))`` if not ``positive``, equal to
-    it slot for slot, with both canonical nodes, key, atoms and key bounds
-    already set; the negation's argument is that atom.  ``name`` must be a
-    valid atom name: nothing checks it."""
+def _negated_atom(name: str) -> Formula:
+    """``neg(atom(name))``, equal to it slot for slot, with both canonical
+    nodes, key, atoms and key bounds already set, and so are those of its
+    argument, the atom.  ``name`` must be a valid atom name: nothing checks
+    it."""
     a = Formula.__new__(Formula)
     a.op, a.args, a.name = "atom", (), name
     a._pos, a._neg = ("lit", name, True), ("lit", name, False)
     a._key, a._atoms, a._bounds = name, frozenset((name,)), (len(name), len(name) + 1)
-    if positive:
-        return a
     f = Formula.__new__(Formula)
     f.op, f.args, f.name = "not", (a,), None
     f._pos, f._neg = a._neg, a._pos
@@ -302,8 +300,10 @@ class _ExactlyOne(Formula):
     """The conjunction :func:`exactly_one` returns.  Its ``args`` slot stays
     empty until first read, from ``render``, ``nnf()`` or a caller;
     ``__getattr__`` then builds the disjunction's pair nodes, in pair order.
-    ``_names`` holds the sorted names when the outcomes are distinct atoms
-    and the key was set from them, else it is empty."""
+    Copies and pickles call :func:`exactly_one` on the outcomes again, so
+    they leave ``args`` unset too.  ``_names`` holds the sorted names when
+    the outcomes are distinct atoms and the key was set from them, else it
+    is empty."""
 
     __slots__ = ("_either", "_names")
 
@@ -322,6 +322,11 @@ class _ExactlyOne(Formula):
             neg(conj(a, b)) for i, a in enumerate(outcomes) for b in outcomes[i + 1:]
         ))
         return self.args
+
+    def __reduce__(self):
+        # rebuilt from the outcomes, so a copy or a pickle neither builds
+        # nor carries the pair tree
+        return exactly_one, (self._either.args,)
 
 
 def exactly_one(outcomes: Sequence[Formula]) -> Formula:
@@ -552,12 +557,12 @@ class FormulaSet:
     A set is never changed after construction, so the subset diagnostics
     in ``sat`` keep the family of maximal consistent and minimal
     unsatisfiable subsets they last walked over it, for one background, in
-    the ``_family`` slot.  A belief base's own background names the base's
-    world model in the ``_model`` slot, and so do the sets of its
-    candidates and of a policy run's accepted statements, so that the
-    diagnostics and entailment test world masks before they search.
-    ``__init__`` leaves both slots unset; equality, hashing, ``repr``,
-    copies and pickles ignore them.
+    the ``_family`` slot.  A belief base's own background, and no other
+    set, names the base's world model in the ``_model`` slot, which only
+    the ``sat`` solver reads, so that the diagnostics and entailment over
+    that background test world masks before they search.  ``__init__``
+    leaves both slots unset; equality, hashing, ``repr``, copies and
+    pickles ignore them.
     """
 
     __slots__ = ("_keys", "_family", "_model")

@@ -12,8 +12,11 @@ determinism wins over raw speed.
 One solver answers every question, and it is the package's one
 consistency oracle: every "is this set consistent with the background?"
 that the acceptance policies, ``enumerate_extensions`` and ``diagnose``
-ask goes to ``_Solver``.  Given the world model the formulas were drawn
-from, a query first tests the joint world mask of the background and the
+ask goes to ``_Solver``.  The public functions below take formulas, not
+a model.  One set names a model: a belief base's own background, which
+holds with probability 1 in the base's model.  A solver over that
+background reads the model from it, and no other code reads it.  Then
+a query first tests the joint world mask of the background and the
 chosen members: a world in it is a satisfying valuation, the witness.  A
 model that lists every valuation that can satisfy the background answers
 from its masks alone, since there an empty mask means unsatisfiable: one
@@ -22,15 +25,9 @@ and one that lists every valuation of a background ``exactly_one`` of
 distinct atoms, which it shows by the count of its worlds that satisfy it
 (every one-winner lottery built by ``fair_lottery`` or ``biased_lottery``).
 Only a query the masks leave open reaches the search, and the clause
-store is built at the first such query.  The public functions
-below take formulas, not a model.  A belief base's own background names
-the base's model, and so do its ``candidate_formulas`` and a policy run's
-``accepted_formulas``, which name whatever their background names.  The
-diagnostics take the model from the candidates, or else from the
-background, and ``entails`` from its background; each tests the model's
-masks when every atom of its formulas is one of the model's, and any
-other call searches every query.  The answers never depend on which
-model it is.
+store is built at the first such query.  A call over any other
+background, or with an atom the model lacks, searches every query.  The
+answers never depend on which model it is, or whether there is one.
 A deletion shrink with a model keeps the mask of the members kept so far
 and suffix masks of those not yet tried, so each deletion costs one
 ``&``.
@@ -279,18 +276,19 @@ class _Solver:
     """The one consistency oracle: is the background, with the chosen
     members, satisfiable?
 
-    Given a world model (anything with ``joint_mask``, ``satisfying_mask``,
-    ``full_mask`` and ``atoms``, such as a belief base's model), a query first
-    tests the joint world mask of the background and the chosen members.
+    A background that names a world model (a belief base's own, whose
+    ``_model`` is the base's model) lets a query first test the joint world
+    mask of the background and the chosen members.
     A world in it is a satisfying valuation.  A model that lists every
     valuation that can satisfy the background answers from the mask alone,
     since an empty mask there means no valuation satisfies them
     (``complete``): a model of all ``2**len(atoms)`` valuations, or one
     whose worlds satisfying some background ``exactly_one`` of k distinct
     atoms number ``k << (m - k)`` over its m atoms, as a one-winner
-    lottery's do.  The loop that checks every member and background formula
+    lottery's do.  The loop that checks every background formula and member
     is a formula also drops the model when one has an atom the model lacks.
     With no model every mask is empty, as for a model that lists no world.
+    Only ``_search``, which every empty mask reaches, asks ``complete``.
 
     Any other query goes to the clause store, built at the first such
     query: one variable numbering over the background (group 0) and the
@@ -300,12 +298,11 @@ class _Solver:
     translated: two formulas may give the same clause or row, and one
     stored twice is indexed twice and answers the same."""
 
-    def __init__(
-        self, members: Sequence[Formula], background: Iterable[Formula] = (), model=None
-    ):
+    def __init__(self, members: Sequence[Formula], background: Iterable[Formula] = ()):
+        model = getattr(background, "_model", None)  # set on a base's own background
         self.members, self.background = members, tuple(background)
         known = None if model is None else set(model.atoms)
-        for f in chain(members, self.background):
+        for f in chain(self.background, members):
             if not isinstance(f, Formula):
                 raise TypeError(f"satisfiability needs formulas, got {f!r}")
             if known is not None and not f.atoms() <= known:
@@ -360,12 +357,13 @@ class _Solver:
 
     def satisfiable(self, which: Sequence[int] = ()) -> bool:
         mask = reduce(int.__and__, map(self.masks.__getitem__, which), self.shared)
-        if mask or self.complete:
-            return bool(mask)
-        return self._search(which)
+        return bool(mask) or self._search(which)
 
     def _search(self, which: Sequence[int]) -> bool:
-        """``satisfiable(which)`` by the clause store, with no mask test."""
+        """``satisfiable(which)`` for a query whose joint mask is empty:
+        false on a ``complete`` model, else decided by the clause store."""
+        if self.complete:
+            return False
         store = self.store
         chosen = bytearray(len(self.members))
         for i in which:
@@ -389,8 +387,10 @@ def entails(
     """Classical entailment relative to a background set."""
     if not isinstance(conclusion, Formula):
         raise TypeError(f"the conclusion must be a formula, got {conclusion!r}")
-    model = getattr(background, "_model", None)  # a belief base's background names one
-    return not _Solver((), [*background, *premises, neg(conclusion)], model).satisfiable()
+    # a plain background is read once, before the premises
+    background = background if isinstance(background, FormulaSet) else [*background]
+    members = [*premises, neg(conclusion)]
+    return not _Solver(members, background).satisfiable(range(len(members)))
 
 
 def _check_cap(cap: int) -> None:
@@ -404,15 +404,12 @@ def _prepare(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int | None = None,
-) -> tuple[tuple[tuple[str, Formula], ...], tuple[Formula, ...], object]:
-    """The members as (canonical key, formula) pairs, the background read
-    once (it may be a generator) and the model that the candidates name,
-    or else the background; the cap and the members' types are checked.  A
-    solver given that model tests its masks when every atom of the members
-    and the background is one of its atoms; the answers are the same with
-    or without it.  A set of members is built from the pairs by
-    ``FormulaSet._of``."""
-    model = getattr(candidates, "_model", None) or getattr(background, "_model", None)
+) -> tuple[tuple[tuple[str, Formula], ...], Iterable[Formula]]:
+    """The members as (canonical key, formula) pairs and the background,
+    read once (it may be a generator) unless it is a ``FormulaSet``, which
+    is returned as it was given, so that a base's own still names its
+    model to the solver; the cap and the members' types are checked.  A
+    set of members is built from the pairs by ``FormulaSet._of``."""
     members = candidates if isinstance(candidates, FormulaSet) else FormulaSet(candidates)
     if cap is not None:
         _check_cap(cap)
@@ -420,7 +417,8 @@ def _prepare(
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    return tuple(members._keys.items()), tuple(background or ()), model
+    background = background if isinstance(background, FormulaSet) else tuple(background or ())
+    return tuple(members._keys.items()), background
 
 
 def _consistent_family(
@@ -438,7 +436,7 @@ def _consistent_family(
     later call on that set with a background of the same keys returns it
     without a walk, once the arguments have passed every check, and builds
     no solver; the lists returned are new on every call."""
-    members, background, model = _prepare(candidates, background, cap)
+    members, background = _prepare(candidates, background, cap)
     for f in background:
         if not isinstance(f, Formula):
             raise TypeError(f"satisfiability needs formulas, got {f!r}")
@@ -446,7 +444,7 @@ def _consistent_family(
     kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
     if kept is not None and kept[0] == key:
         return members, list(kept[1]), list(kept[2])
-    solver = _Solver([f for _, f in members], background, model)
+    solver = _Solver([f for _, f in members], background)
     n = len(members)
     mcses, muses = [], []
     blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
@@ -482,7 +480,7 @@ def _shrink(solver: _Solver, current: list[int]) -> list[int]:
     The query that leaves ``current[k]`` out asks about the members kept
     before it and every member after it.  Its mask is the kept members'
     mask and the suffix mask of those after, one ``&``; only an empty mask
-    on a model that is not ``complete``, or with no model, is searched."""
+    goes to ``_search``."""
     masks = solver.masks
     # suffix[k]: the worlds of the background and of current[k:]
     suffix = [solver.shared] * (len(current) + 1)
@@ -491,9 +489,8 @@ def _shrink(solver: _Solver, current: list[int]) -> list[int]:
     kept: list[int] = []
     prefix = -1  # the kept members' worlds; -1 has every world's bit
     for k, i in enumerate(current):
-        if prefix & suffix[k + 1] or (
-            not solver.complete and solver._search([*kept, *current[k + 1:]])
-        ):  # satisfiable without current[k], so it stays
+        if prefix & suffix[k + 1] or solver._search([*kept, *current[k + 1:]]):
+            # satisfiable without current[k], so it stays
             kept.append(i)
             prefix &= masks[i]
     if not kept:  # exactly when the background alone is unsatisfiable
@@ -544,12 +541,12 @@ def shrink_unsat_subset(
     satisfiable with the background.  The result is a minimal
     unsatisfiable subset but not necessarily a smallest one.
 
-    Candidates that name their base's model (``candidate_formulas``,
-    ``accepted_formulas``) are tested against its world masks first: a
-    deletion that leaves a shared world costs one ``&`` and no search.
+    Over a belief base's own background, which names the base's model,
+    the candidates are tested against its world masks first: a deletion
+    that leaves a shared world costs one ``&`` and no search.
     """
-    members, background, model = _prepare(candidates, background)
-    solver = _Solver([f for _, f in members], background, model)
+    members, background = _prepare(candidates, background)
+    solver = _Solver([f for _, f in members], background)
     if solver.satisfiable(range(len(members))):
         return None
     return FormulaSet._of(members[i] for i in _shrink(solver, list(range(len(members)))))

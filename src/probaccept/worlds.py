@@ -30,7 +30,7 @@ from itertools import product
 from operator import and_, or_
 
 from .formulas import (
-    Formula, FormulaSet, _ATOM_RE, _ExactlyOne, _literal, atom, disj, exactly_one,
+    Formula, FormulaSet, _ATOM_RE, _ExactlyOne, _negated_atom, atom, disj, exactly_one,
 )
 
 __all__ = [
@@ -400,9 +400,10 @@ class BeliefBase:
 
     The background is certain, so it is where the base names its model:
     the base builds its own background set, whose ``_model`` is the
-    model, and never marks a set it was given.  The sets drawn from the
-    base name whatever its background names, and the ``sat`` diagnostics
-    and entailment over them test the model's world masks first.
+    model, and never marks a set it was given.  No other set names a
+    model, the candidates' included; the ``sat`` diagnostics and
+    entailment over the base's own background test the model's world
+    masks first.
 
     The base keeps one consistency solver over its background and
     candidates, built by the acceptance policies at their first question
@@ -464,12 +465,8 @@ class BeliefBase:
 
     @property
     def candidate_formulas(self) -> FormulaSet:
-        """The candidates' formulas, as a new set that names the model its
-        background names, whose world masks the ``sat`` diagnostics then
-        test first."""
-        formulas = FormulaSet(f for _, f in self.candidates)
-        formulas._model = self.background._model
-        return formulas
+        """The candidates' formulas, as a new plain set."""
+        return FormulaSet(f for _, f in self.candidates)
 
     def candidate(self, label: str) -> Formula:
         for name, formula in self.candidates:
@@ -511,7 +508,7 @@ def _check_tickets(n: int, cap: int, kind: str) -> None:
 def _lose_statements(n: int) -> list[Formula]:
     """The lose statements ~wins_1..~wins_n, built canonical; the argument
     of each is its ticket's win atom."""
-    return [_literal(f"wins_{i}", False) for i in range(1, n + 1)]
+    return [_negated_atom(f"wins_{i}") for i in range(1, n + 1)]
 
 
 def _weigh_tickets(
@@ -546,7 +543,7 @@ def biased_lottery(weights: Iterable[object]) -> BeliefBase:
     the lose statements L_i := ~wins_i.  Capped at n <= 300.
 
     The formulas come canonicalised, masked and weighed: each win atom
-    and lose statement is built canonical by ``_literal``, and the model
+    and lose statement is built canonical by ``_negated_atom``, and the model
     holds wins_i's mask, bit i, and weight, ~wins_i's complement mask and
     weight ``(D - n_i)/D``, and the background's full mask and weight 1.
     """

@@ -1,11 +1,13 @@
 import hashlib
+import inspect
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from probaccept import AcceptanceLevel, cli, load, loads, sat, threshold_accept
+from probaccept import AcceptanceLevel, cli, enumerate_extensions, load, loads, sat
+from probaccept import threshold_accept
 from probaccept.accept import DEFAULT_SEED, MAX_PERMUTATIONS
 from probaccept.cli import main
 from probaccept.sat import DEFAULT_CANDIDATE_CAP
@@ -625,6 +627,13 @@ class TestParser:
         args = cli._build_parser().parse_args(["lottery", "fair"])
         assert args.seed == DEFAULT_SEED
         assert args.max_candidates == DEFAULT_CANDIDATE_CAP
+        # the extensions command's cap is written in the parser and in the
+        # library's signature
+        args = cli._build_parser().parse_args(
+            ["extensions", "base.bb", "--policy", "sequential", "--epsilon", "1/3"]
+        )
+        default = inspect.signature(enumerate_extensions).parameters["max_permutations"].default
+        assert args.max_permutations == default
 
 
 class TestExitCodes:

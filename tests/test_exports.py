@@ -6,6 +6,7 @@ prints its answer as the last line of its stdout.
 """
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import probaccept
-from probaccept import cli
+from probaccept import cli, sat
 
 # Every public name, by the module that defines it.
 PUBLIC = {
@@ -139,11 +140,21 @@ def test_the_cli_imports_no_private_library_name():
 
 
 
-def _model_writers(tree):
-    """``Class.function`` (or ``Class`` for its body) for every write of a
-    ``_model`` name or attribute in ``tree``: an assignment, a ``setattr``
-    or an ``object.__setattr__``."""
-    found = []
+def _uses(tree, name):
+    """``Class.function`` (or ``Class`` for its body) for every write and
+    every read of the name or attribute ``name`` in ``tree``.  A write is
+    an assignment, a ``setattr`` or an ``object.__setattr__``; a read is a
+    load of the attribute or a ``getattr`` or ``hasattr`` of it."""
+    writers, readers = [], []
+
+    def named(call, functions):
+        return (
+            isinstance(call, ast.Call)
+            and getattr(call.func, "attr", getattr(call.func, "id", None)) in functions
+            and len(call.args) >= 2
+            and isinstance(call.args[1], ast.Constant)
+            and call.args[1].value == name
+        )
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -153,40 +164,45 @@ def _model_writers(tree):
             targets = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
-        written = any(
-            getattr(target, "attr", getattr(target, "id", None)) == "_model" for target in targets
-        ) or (
-            isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None))
-            in ("setattr", "__setattr__")
-            and len(node.args) >= 2
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value == "_model"
-        )
-        if written:
-            found.append(".".join(scope))
+        if any(
+            getattr(target, "attr", getattr(target, "id", None)) == name for target in targets
+        ) or named(node, ("setattr", "__setattr__")):
+            writers.append(".".join(scope))
+        if (
+            isinstance(node, (ast.Attribute, ast.Name))
+            and getattr(node, "attr", getattr(node, "id", None)) == name
+            and isinstance(node.ctx, ast.Load)
+        ) or named(node, ("getattr", "hasattr")):
+            readers.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, [])
-    return found
+    return writers, readers
 
 
-def test_only_a_base_and_the_sets_drawn_from_it_name_a_model():
-    # the base's own background names its model; its candidates and a
-    # run's accepted statements name what their background names, and an
-    # accepted set keeps no model of its own, so it needs no __reduce__
+def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
+    # the base's own background is the one set that names its model, and
+    # only the solver reads it there; no set drawn from the base names one,
+    # and an accepted set keeps no model of its own, so it needs no
+    # __reduce__.  Only the solver's search path asks whether the model is
+    # complete.
     package = pathlib.Path(probaccept.__file__).parent
-    writers = {}
+    writers, readers, completes = {}, {}, {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if names := _model_writers(tree):
-            writers[path.stem] = names
+        wrote, read = _uses(tree, "_model")
+        if wrote:
+            writers[path.stem] = wrote
+        if read:
+            readers[path.stem] = read
+        if asked := _uses(tree, "complete")[1]:
+            completes[path.stem] = asked
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and node.name == "AcceptedSet":
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 assert "__reduce__" not in methods
-    assert writers == {
-        "accept": ["AcceptedSet.accepted_formulas"],
-        "worlds": ["BeliefBase.__init__", "BeliefBase.candidate_formulas"],
-    }
+    assert writers == {"worlds": ["BeliefBase.__init__"]}
+    assert readers == {"sat": ["_Solver.__init__"]}
+    assert completes == {"sat": ["_Solver._search"]}
+    assert list(inspect.signature(sat._Solver).parameters) == ["members", "background"]

@@ -50,6 +50,10 @@ def nested(kind: str, depth: int) -> str:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("text", ["a ", "a \t\n", " a  "])
+    def test_trailing_whitespace_ends_the_text(self, text):
+        assert parse(text) == atom("a") and parse(text).op == "atom"
+
     def test_conjunction_with_negation(self):
         f = parse("a & ~a")
         assert f.op == "and"
@@ -307,6 +311,18 @@ class TestConstructors:
         assert f.canonical_key == key
         assert f == parse("a & b")
         assert f != parse("a & b & c")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("bogus",), "unknown connective 'bogus'"),
+            (("atom", (atom("b"),), "a"), "atoms take no arguments"),
+            (("not", (atom("a"),), "a"), "only atoms carry a name"),
+        ],
+    )
+    def test_malformed_nodes_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Formula(*args)
 
     def test_empty_variadic_rejected(self):
         with pytest.raises(ValueError):

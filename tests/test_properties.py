@@ -926,25 +926,27 @@ def shrink_by_oracle(candidates, background):
 
 
 @given(bases(), LEVELS, st.data())
-def test_sets_that_name_a_model_answer_as_plain_lists(base, level, data):
-    # The accepted statements and the candidates name the base's model,
-    # whose masks the diagnostics test first; a plain list of the same
-    # formulas names none.  Over the base's background, as a list or a
-    # generator, and over one with an atom the model lacks, where the call
-    # falls back to the search, each must give what the list gives and
-    # what the oracles say.
+def test_sets_drawn_from_a_base_answer_as_plain_lists(base, level, data):
+    # Only the base's own background names its model, whose masks the
+    # diagnostics then test first; the accepted statements and the
+    # candidates are plain sets.  Over that background, over the same
+    # formulas as a list or a generator, and over a list with an atom the
+    # model lacks, where the call falls back to the search, each set must
+    # give what a plain list of its formulas gives and what the oracles say.
     names = base.model.atoms
     foreign = data.draw(st.sampled_from([conj, disj, iff]), label="join")(
         atom("z"), data.draw(formulas(names), label="foreign")
     )
     backgrounds = {
+        "named": base.background,
         "list": list(base.background),
         "generator": list(base.background),
         "foreign atom": [*base.background, foreign],
     }
-    for named in (threshold_accept(base, level).accepted_formulas, base.candidate_formulas):
-        assert named._model is base.model
-        plain = list(named)
+    assert base.background._model is base.model
+    for drawn in (threshold_accept(base, level).accepted_formulas, base.candidate_formulas):
+        assert not hasattr(drawn, "_model")
+        plain = list(drawn)
         for form, background in backgrounds.items():
             def passed(formulas):
                 return (f for f in formulas) if form == "generator" else formulas
@@ -953,10 +955,10 @@ def test_sets_that_name_a_model_answer_as_plain_lists(base, level, data):
             if not plain:  # nothing to cover, so the background goes unchecked
                 expected[degree_of_inconsistency] = 1
             for function in DIAGNOSTICS:
-                result = diagnose_or_error(function, named, passed(background))
+                result = diagnose_or_error(function, drawn, passed(background))
                 assert_as_oracle(function, result, expected[function])
                 assert result == diagnose_or_error(function, plain, passed(background))
-            shrunk = diagnose_or_error(shrink_unsat_subset, named, passed(background))
+            shrunk = diagnose_or_error(shrink_unsat_subset, drawn, passed(background))
             assert shrunk == diagnose_or_error(shrink_unsat_subset, plain, passed(background))
             oracle = shrink_by_oracle(plain, background)
             if isinstance(oracle, set):
@@ -1058,7 +1060,7 @@ def test_one_hot_backgrounds_match_the_oracles(drawn, level, data):
     base, _ = drawn
     background = list(base.background)
     members = list(base.candidate_formulas)
-    solver = sat._Solver(members, base.background, base.model)
+    solver = sat._Solver(members, base.background)
     for size in range(len(members) + 1):
         for which in combinations(range(len(members)), size):
             chosen = [members[i] for i in which]
@@ -1070,15 +1072,15 @@ def test_one_hot_backgrounds_match_the_oracles(drawn, level, data):
             continue
         result = run(base, order, level) if ordered else run(base, level)
         assert_same_run(result, reference.run(policy, level, order))
-    for named in (threshold_accept(base, level).accepted_formulas, base.candidate_formulas):
-        plain = list(named)
+    for drawn_set in (threshold_accept(base, level).accepted_formulas, base.candidate_formulas):
+        plain = list(drawn_set)
         expected = diagnostics_by_oracle(plain, background)
         if not plain:  # nothing to cover, so the background goes unchecked
             expected[degree_of_inconsistency] = 1
         for function in DIAGNOSTICS:
-            result = diagnose_or_error(function, named, base.background)
+            result = diagnose_or_error(function, drawn_set, base.background)
             assert_as_oracle(function, result, expected[function])
-        shrunk = diagnose_or_error(shrink_unsat_subset, named, base.background)
+        shrunk = diagnose_or_error(shrink_unsat_subset, drawn_set, base.background)
         oracle = shrink_by_oracle(plain, background)
         if isinstance(oracle, set):
             assert isinstance(shrunk, FormulaSet) and _keysets([shrunk]) <= oracle

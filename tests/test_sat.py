@@ -352,9 +352,9 @@ class TestShrink:
 
 
 class TestModelWitness:
-    """Sets drawn from a belief base name its model, whose world masks
-    answer the queries that a shared world settles; the same formulas as a
-    plain list are searched."""
+    """A belief base's own background names its model, whose world masks
+    answer the queries that a shared world settles; over the same
+    background as a plain list every query is searched."""
 
     def test_accepted_lottery_shrinks_with_no_search(self, searches, stores):
         # every proper subset of the 40 lose statements shares a world, and
@@ -389,12 +389,13 @@ class TestModelWitness:
 
     def test_every_valuation_answers_the_walk_from_masks(self, searches):
         # the independent lottery lists all 2**6 valuations, so an empty mask
-        # means unsatisfiable: only the subset map is searched, whose store
+        # means unsatisfiable: over the base's own background, empty but
+        # naming the model, only the subset map is searched, whose store
         # has one group (a solver's has one per member and the background's)
         base = independent_lottery(6, Fraction(1, 10))
         candidates = base.candidate_formulas
         searches.clear()
-        assert minimal_unsat_subsets(candidates) == [candidates]
+        assert minimal_unsat_subsets(candidates, base.background) == [candidates]
         assert searches
         assert all(len(store.units) == 1 for store, *_ in searches)
 

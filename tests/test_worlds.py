@@ -376,6 +376,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"valuation entry {entry!r} is not a bool"):
             WorldModel(["a", "b"], [((entry, True), "1/2"), ((False, False), "1/2")])
 
+    @pytest.mark.parametrize("valuation", [(True,), (True, False, True)])
+    def test_valuation_length_must_match_the_atoms(self, valuation):
+        with pytest.raises(ValueError, match="valuation length does not match atom list"):
+            WorldModel(["a", "b"], [(valuation, 1)])
+
     def test_bool_and_zero_one_valuations_accepted(self):
         model = WorldModel(["a", "b"], [((0, 1), "1/2"), ((True, False), "1/4"), ([1, 1], "1/4")])
         assert [v for v, _ in model.worlds] == [(False, True), (True, False), (True, True)]
@@ -490,6 +495,12 @@ class TestBeliefBase:
         with pytest.raises(ValueError):
             BeliefBase(model, [], [("C", atom("a")), ("C", neg(atom("a")))])
 
+    @pytest.mark.parametrize("label", ["", "1C", "C-1", "C 1"])
+    def test_labels_must_be_identifiers(self, label):
+        model = WorldModel(["a"], [((True,), 1)])
+        with pytest.raises(ValueError, match=f"invalid atom name {label!r}"):
+            BeliefBase(model, [], [(label, atom("a"))])
+
 
 COPIERS = {
     "copy": copy.copy,
@@ -529,6 +540,19 @@ class TestCopies:
         assert threshold_accept(copied, level) == expected
 
     @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    def test_lottery_background_copies_from_its_outcomes(self, copier):
+        # an exactly_one is rebuilt from its outcomes, so neither the
+        # original nor its copy builds the n(n-1)/2 pair tree
+        background = fair_lottery(ONE_WINNER_LOTTERY_CAP).background
+        copied = copier(background)
+        assert copied == background and hash(copied) == hash(background)
+        (original,), (rebuilt,) = background, copied
+        assert rebuilt.canonical_key == original.canonical_key
+        for f in (original, rebuilt):
+            with pytest.raises(AttributeError):
+                Formula.args.__get__(f)  # the slot itself, not the lazy build
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
     def test_model_copy_is_equal(self, copier):
         model = independent_lottery(3, Fraction(1, 3)).model
         model.probability(atom("wins_1"))
@@ -551,12 +575,14 @@ class TestCopies:
     @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
     @pytest.mark.parametrize("which", ["candidate_formulas", "background"])
     def test_formula_set_copy_leaves_the_model_behind(self, which, copier):
+        # the base's own background names its model, its candidates none;
+        # a copy of either names none
         base = fair_lottery(3)
-        named = getattr(base, which)
-        assert named._model is base.model
-        copied = copier(named)
-        assert copied == named and hash(copied) == hash(named)
-        assert repr(copied) == repr(named) and list(copied) == list(named)
+        drawn = getattr(base, which)
+        assert getattr(drawn, "_model", None) is (base.model if which == "background" else None)
+        copied = copier(drawn)
+        assert copied == drawn and hash(copied) == hash(drawn)
+        assert repr(copied) == repr(drawn) and list(copied) == list(drawn)
         assert not hasattr(copied, "_model")
 
     @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
@@ -568,17 +594,17 @@ class TestCopies:
         result = run(base, base.candidate_labels, level) if takes_order else run(base, level)
         assert not hasattr(result, "_model")  # the background names it
         assert result.background is base.background
-        assert result.accepted_formulas._model is base.model
+        assert not hasattr(result.accepted_formulas, "_model")
         copied = copier(result)
         assert copied == result and copied is not result
         assert repr(copied) == repr(result)
         assert not hasattr(copied, "_model")
         if copier is copy.copy:  # shares the base's background, model and all
             assert copied.background is base.background
-            assert copied.accepted_formulas._model is base.model
+            assert copied.background._model is base.model
         else:  # rebuilds the background, which then names no model
             assert not hasattr(copied.background, "_model")
-            assert copied.accepted_formulas._model is None
+        assert not hasattr(copied.accepted_formulas, "_model")
         assert list(copied.accepted_formulas) == list(result.accepted_formulas)
 
     def test_the_model_is_no_field_of_an_accepted_set(self):
@@ -588,18 +614,19 @@ class TestCopies:
         assert [field.name for field in dataclasses.fields(AcceptedSet)] == names
         values = dataclasses.asdict(result)
         assert list(values) == names
-        # built from its fields alone it is equal and alike, and names the
-        # model its background names
+        # built from its fields alone it is equal and alike, and its
+        # background names the model; its accepted statements name none
         bare = AcceptedSet(*(getattr(result, name) for name in names))
         assert not hasattr(bare, "_model")
-        assert bare.accepted_formulas._model is base.model
+        assert bare.background._model is base.model
+        assert not hasattr(bare.accepted_formulas, "_model")
         assert bare == result and repr(bare) == repr(result)
         assert dataclasses.asdict(bare) == values
         replaced = dataclasses.replace(result, policy="threshold")
-        assert replaced.accepted_formulas._model is base.model
-        # over a background that names no model, no set drawn from it names one
+        assert replaced.background._model is base.model
+        # a rebuilt background names no model
         plain = dataclasses.replace(result, background=FormulaSet(base.background))
-        assert plain == result and plain.accepted_formulas._model is None
+        assert plain == result and not hasattr(plain.background, "_model")
 
 
 # each producer of a model, built afresh on every call
