@@ -19,6 +19,20 @@ belief base; ``dumps`` refuses a candidate label that spells a section
 name in any case, such as ``Worlds``, since ``loads`` would read its line
 as that header.  A file lists at most ``MAX_WORLDS`` (2**16) worlds, as many
 as the largest independent lottery has.
+
+Lotteries are read and written in closed form.  A formula line that is,
+character for character, ``render(exactly_one(atoms))`` over two or more
+distinct atoms (the names of its leading ``(a | b | ...)`` group) reads
+back as that ``exactly_one``, with no pair tree, unless its canonical key
+would pass ``MAX_KEY_LENGTH``.  A world line written ``label: a1=v ...
+am=v weight p/q``, single-spaced, with the atoms in ``ATOMS`` order, is
+matched by one regex per file when the ``ATOMS`` names are distinct and
+valid, and each distinct weight text is parsed once per file.  Any other
+line takes the token-by-token reader, which gives every error message
+with its line number; the base read is equal either way.  ``dumps``
+writes such an ``exactly_one`` through ``render``, which spells it from
+its names, and each world from two strings per atom, ``name=0`` and
+``name=1``, built once.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .formulas import parse, render
+from .formulas import _ATOM_RE, _one_winner_text, atom, exactly_one, parse, render
 from .worlds import MAX_WORLDS, BeliefBase, WorldModel, as_fraction
 
 __all__ = [
@@ -66,12 +80,15 @@ def loads(text: str) -> BeliefBase:
     background: list = []
     candidates: dict[str, object] = {}  # label -> formula, in file order
     section: str | None = None
+    known: set[str] | None = None  # the atoms, once a world line needs them
+    pattern: re.Pattern | None = None  # world lines in ATOMS order, if usable
+    weights: dict[str, Fraction] = {}  # by text, parsed once per file
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        upper = line.split()[0].upper()
+        upper = line.split(None, 1)[0].upper()
         if upper in _SECTIONS:
             section = upper[:-1]
             rest = line[len(upper):].strip()
@@ -79,15 +96,27 @@ def loads(text: str) -> BeliefBase:
                 if section != "ATOMS":
                     raise _fail(lineno, f"unexpected text after {upper}")
                 atoms.extend(rest.split())
+                known = None
             continue
         if section is None:
             raise _fail(lineno, "content before any section header")
         if section == "ATOMS":
             atoms.extend(line.split())
+            known = None
         elif section == "WORLDS":
             if len(worlds) == MAX_WORLDS:
                 raise _fail(lineno, f"more than {MAX_WORLDS} worlds")
-            worlds.append(_parse_world(line, lineno, atoms))
+            if known is None:
+                known, pattern = set(atoms), _world_pattern(atoms)
+            m = pattern.fullmatch(line) if pattern is not None else None
+            if m is not None:
+                *values, weight = m.groups()
+                worlds.append((
+                    tuple(map(_BITS.__getitem__, values)),
+                    _weight(weight, lineno, weights),
+                ))
+            else:
+                worlds.append(_parse_world(line, lineno, atoms, known, weights))
         elif section == "BACKGROUND":
             background.append(_parse_formula(line, lineno))
         else:
@@ -111,6 +140,16 @@ def loads(text: str) -> BeliefBase:
 
 
 def _parse_formula(text: str, lineno: int):
+    if text.startswith("("):
+        names = text[1:text.find(")")].split(" | ")
+        if (
+            len(names) >= 2
+            and all(map(_ATOM_RE.fullmatch, names))
+            and text == _one_winner_text(names)
+        ):
+            formula = exactly_one([atom(name) for name in names])
+            if formula._names:  # distinct, with a key inside the limit
+                return formula
     try:
         formula = parse(text)
         formula.nnf()  # canonicalise now, so an oversized form names its line
@@ -119,7 +158,30 @@ def _parse_formula(text: str, lineno: int):
     return formula
 
 
-def _parse_world(line: str, lineno: int, atoms: list[str]):
+_BITS = {"0": False, "1": True}
+
+
+def _world_pattern(atoms: list[str]) -> re.Pattern | None:
+    """The regex of a world line that assigns ``atoms`` in their order, one
+    space apart, or None when a name repeats or is no atom name."""
+    if len(set(atoms)) != len(atoms) or not all(map(_ATOM_RE.fullmatch, atoms)):
+        return None
+    return re.compile(r"\S+: " + "".join(f"{a}=([01]) " for a in atoms) + r"weight (\S+)")
+
+
+def _weight(text: str, lineno: int, weights: dict[str, Fraction]) -> Fraction:
+    weight = weights.get(text)
+    if weight is None:
+        try:
+            weight = weights[text] = parse_rational(text)
+        except ValueError as exc:
+            raise _fail(lineno, str(exc)) from exc
+    return weight
+
+
+def _parse_world(
+    line: str, lineno: int, atoms: list[str], known: set[str], weights: dict[str, Fraction]
+):
     m = _WORLD_RE.fullmatch(line)
     if m is None:
         raise _fail(lineno, "expected '<label>: <atom>=<0|1> ... weight <p/q>'")
@@ -131,12 +193,8 @@ def _parse_world(line: str, lineno: int, atoms: list[str]):
     weight_tokens = parts[split_at + 1:]
     if len(weight_tokens) != 1:
         raise _fail(lineno, "expected exactly one weight value")
-    try:
-        weight = parse_rational(weight_tokens[0])
-    except ValueError as exc:
-        raise _fail(lineno, str(exc)) from exc
+    weight = _weight(weight_tokens[0], lineno, weights)
     assignment: dict[str, bool] = {}
-    known = set(atoms)  # the list keeps the order, and any duplicate
     for token in parts[:split_at]:
         am = _ASSIGN_RE.fullmatch(token)
         if am is None:
@@ -154,13 +212,12 @@ def _parse_world(line: str, lineno: int, atoms: list[str]):
 
 
 def dumps(base: BeliefBase) -> str:
-    lines = ["ATOMS: " + " ".join(base.model.atoms)]
+    atoms = base.model.atoms
+    lines = ["ATOMS: " + " ".join(atoms)]
     lines.append("WORLDS:")
+    cells = [(f"{name}=0", f"{name}=1") for name in atoms]
     for i, (valuation, weight) in enumerate(base.model.worlds, start=1):
-        assigns = " ".join(
-            f"{name}={1 if value else 0}"
-            for name, value in zip(base.model.atoms, valuation)
-        )
+        assigns = " ".join([cell[value] for cell, value in zip(cells, valuation)])
         lines.append(f"w{i}: {assigns} weight {weight}")
     if base.background:
         lines.append("BACKGROUND:")

@@ -298,12 +298,12 @@ def iff(left: Formula, right: Formula) -> Formula:
 
 class _ExactlyOne(Formula):
     """The conjunction :func:`exactly_one` returns.  Its ``args`` slot stays
-    empty until first read, from ``render``, ``nnf()`` or a caller;
-    ``__getattr__`` then builds the disjunction's pair nodes, in pair order.
-    Copies and pickles call :func:`exactly_one` on the outcomes again, so
-    they leave ``args`` unset too.  ``_names`` holds the sorted names when
-    the outcomes are distinct atoms and the key was set from them, else it
-    is empty."""
+    empty until first read, from ``nnf()``, a caller, or ``render`` when
+    ``_names`` is empty; ``__getattr__`` then builds the disjunction's pair
+    nodes, in pair order.  Copies and pickles call :func:`exactly_one` on
+    the outcomes again, so they leave ``args`` unset too.  ``_names`` holds
+    the sorted names when the outcomes are distinct atoms and the key was
+    set from them, else it is empty."""
 
     __slots__ = ("_either", "_names")
 
@@ -336,10 +336,12 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
 
     Nothing of size n(n-1)/2 is built by the call.  Its atoms and key
     bounds come from the outcomes.  The pair tree is built on the first
-    read of ``.args``; ``render`` and ``nnf()`` read it, so the canonical
-    node is the generic walk of the tree.  When the outcomes are two or
-    more distinct atoms, as in every lottery, the canonical key is written
-    straight from their sorted names, and the SAT solver takes them as one
+    read of ``.args``; ``nnf()`` reads it, so the canonical node is the
+    generic walk of the tree.  When the outcomes are two or more distinct
+    atoms, as in every lottery, nothing else reads it: the canonical key
+    is written straight from their sorted names, ``render`` writes the
+    text from their names in outcome order, ``has_strong_inconsistency``
+    passes the formula over, and the SAT solver takes them as one
     at-least-one clause and one at-most-one row, with no pair clauses; a
     world model folds the mask of any ``exactly_one`` from its outcomes'
     masks.  In a background, such an ``exactly_one`` of k of a model's m
@@ -402,6 +404,14 @@ def _wrap(f: Formula, need: int) -> str:
     return f"({text})" if _PREC[f.op] < need else text
 
 
+def _one_winner_text(names: Sequence[str]) -> str:
+    """``render`` of :func:`exactly_one` over the distinct atoms ``names``,
+    in their order, written without its pair tree."""
+    parts = ["(" + " | ".join(names) + ")"]
+    parts += [f"~({a} & {b})" for i, a in enumerate(names) for b in names[i + 1:]]
+    return " & ".join(parts)
+
+
 def render(f: Formula) -> str:
     op = f.op
     if op == "atom":
@@ -409,6 +419,8 @@ def render(f: Formula) -> str:
     if op == "not":
         return "~" + _wrap(f.args[0], 5)
     if op == "and":
+        if type(f) is _ExactlyOne and f._names:
+            return _one_winner_text([o.name for o in f._either.args])
         return " & ".join(_wrap(a, 5) for a in f.args)
     if op == "or":
         return " | ".join(_wrap(a, 4) for a in f.args)
@@ -544,8 +556,14 @@ def _node_has_direct_contradiction(node: tuple) -> bool:
 def has_strong_inconsistency(formulas: Iterable[Formula]) -> bool:
     """True when some member, canonicalized, conjoins a subformula with its
     own negation.  Distinct members that merely contradict each other do
-    not count; that is mere joint unsatisfiability."""
-    return any(_node_has_direct_contradiction(f.nnf()) for f in formulas)
+    not count; that is mere joint unsatisfiability.  An :func:`exactly_one`
+    of distinct atoms is skipped unwalked: its canonical form is a
+    conjunction of clauses over literals, none the negation of another."""
+    return any(
+        _node_has_direct_contradiction(f.nnf())
+        for f in formulas
+        if not (type(f) is _ExactlyOne and f._names)
+    )
 
 
 class FormulaSet:

@@ -69,6 +69,22 @@ def stores(monkeypatch):
 
 
 @pytest.fixture
+def pairs(monkeypatch):
+    """Every ``~(x & y)`` node built from now on, by the parser or by the
+    pair tree of an ``exactly_one``, by its argument."""
+    made = []
+    negate = formulas.neg
+
+    def counted(f):
+        if f.op == "and":
+            made.append(f)
+        return negate(f)
+
+    monkeypatch.setattr(formulas, "neg", counted)
+    return made
+
+
+@pytest.fixture
 def walks(monkeypatch):
     """Every generic walk made from now on, by the node it starts from:
     under ``"folds"`` each world-mask fold (``WorldModel._nnf_mask``),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from probaccept import AcceptanceLevel, cli, enumerate_extensions, load, loads, sat
+from probaccept import AcceptanceLevel, cli, enumerate_extensions, fair_lottery, load, loads, sat
 from probaccept import threshold_accept
 from probaccept.accept import DEFAULT_SEED, MAX_PERMUTATIONS
 from probaccept.cli import main
@@ -117,6 +117,43 @@ class TestLotteryCommand:
         code, _, err = run_cli(capsys, "lottery", "biased", "--weights", "1/0,1")
         assert code == 2
         assert "expected a rational p/q or integer, got '1/0'" in err
+
+
+class TestLotteryFiles:
+    """A one-winner lottery file is written from its names and read back as
+    the ``exactly_one`` it renders: no pair tree, and no clause store."""
+
+    def test_fair_forty_read_with_no_store_and_no_pair(
+        self, capsys, tmp_path, stores, pairs
+    ):
+        path = str(tmp_path / "fair_40.bb")
+        assert main(["lottery", "fair", "--n", "40", "--out", path]) == 0
+        for argv in (
+            ["accept", "--policy", "threshold", "--epsilon", "1/40", path],
+            ["--json", "accept", "--policy", "lehrer", "--epsilon", "1/40", path],
+            ["diagnose", "--epsilon", "1/40", path],
+            ["--json", "diagnose", "--epsilon", "1/40", path],
+        ):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert stores == []
+        assert pairs == []
+
+    def test_one_pair_swapped_read_as_a_generic_formula(self, capsys, tmp_path, pairs):
+        path = tmp_path / "fair_40.bb"
+        assert main(["lottery", "fair", "--n", "40", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("~(wins_1 & wins_2)", "~(wins_2 & wins_1)", 1))
+        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/40", str(path))
+        assert code == 0
+        assert "diagnostics.mus_min_size: 40" in out
+        assert len(pairs) == 40 * 39 // 2
+
+    def test_largest_fair_lottery_written_with_no_pair(self, capsys, pairs):
+        code, out, _ = run_cli(capsys, "lottery", "fair", "--n", "300")
+        assert code == 0
+        assert loads(out).background == fair_lottery(300).background
+        assert pairs == []
 
 
 class TestAcceptCommand:
@@ -299,16 +336,25 @@ class TestDiagnoseCommand:
         assert "diagnostics.mus_min_size: none" in out
 
     def test_shared_worlds_answer_the_deletion_shrink(
-        self, capsys, lottery100_path, searches
+        self, capsys, tmp_path, lottery100_path, searches
     ):
-        # every proper subset of the 100 lose statements shares a world, so
-        # only the full set reaches the search: once for the accepted set's
+        # the rendered background reads back as the one-winner formula, whose
+        # model count shows the file's worlds complete: no query is searched.
+        # With one pair swapped it is read as a generic formula; every proper
+        # subset of the 100 lose statements still shares a world, so only
+        # the full set reaches the search: once for the accepted set's
         # verdict and once at the start of the shrink
-        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/100", lottery100_path)
-        assert code == 0
-        assert "diagnostics.mus_method: deletion_shrink" in out
-        assert "diagnostics.mus_min_size: 100" in out
-        assert len(searches) == 2
+        with open(lottery100_path, encoding="utf-8") as handle:
+            text = handle.read()
+        swapped = tmp_path / "swapped.bb"
+        swapped.write_text(text.replace("~(wins_1 & wins_2)", "~(wins_2 & wins_1)", 1))
+        for path, expected in ((lottery100_path, 0), (str(swapped), 2)):
+            searches.clear()
+            code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/100", path)
+            assert code == 0
+            assert "diagnostics.mus_method: deletion_shrink" in out
+            assert "diagnostics.mus_min_size: 100" in out
+            assert len(searches) == expected
 
     def test_a_model_of_every_valuation_answers_from_masks(
         self, capsys, tmp_path, searches

@@ -45,10 +45,18 @@ atoms and lose statements canonical and write their masks and weights
 into the fresh model: each built base is checked against the same base
 built the generic way, formula by formula, cache entry by cache entry
 and policy run by policy run.
+
+Lottery files, as ``dumps`` writes them and with one mutation each, are
+read by ``loads`` and by a reader by hand made of ``parse``,
+``WorldModel`` and ``BeliefBase``: the bases must be equal, with the same
+worlds and candidates in the same order.  Text the hand reader refuses
+must make ``loads`` raise the message it raises with both closed-form
+readings declined.
 """
 
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -66,6 +74,7 @@ from probaccept import (
     AcceptanceLevel,
     AcceptedSet,
     BeliefBase,
+    BeliefBaseFormatError,
     Formula,
     FormulaSet,
     UnknownAtomError,
@@ -77,6 +86,7 @@ from probaccept import (
     consequence_level,
     degree_of_inconsistency,
     disj,
+    dumps,
     entails,
     enumerate_extensions,
     exactly_one,
@@ -84,6 +94,7 @@ from probaccept import (
     iff,
     implies,
     independent_lottery,
+    loads,
     maximal_consistent_subsets,
     minimal_unsat_subsets,
     neg,
@@ -95,6 +106,7 @@ from probaccept import (
     teng_accept,
     threshold_accept,
 )
+from probaccept import basefile
 from probaccept import formulas as formulas_module
 from probaccept import sat
 from probaccept.accept import POLICY_TABLE
@@ -1291,3 +1303,170 @@ def test_fair_lottery_is_built_like_the_generic_base(n):
 @example(10, Fraction(59, 60))
 def test_independent_lottery_is_built_like_the_generic_base(n, p):
     assert_built_like_the_generic_base(independent_lottery(n, p))
+
+
+# ---------------------------------------------------------------------------
+# Lottery files: ``loads`` against a reader by hand.
+# ---------------------------------------------------------------------------
+
+MUTATIONS = (
+    "none", "swap", "space", "repeat", "invalid", "foreign", "order", "duplicate",
+    "late_atom", "weight", "key_limit",
+)
+BAD_WEIGHTS = ("1/0", "0.5", "one", "-1/3", "1/2 1/2", "")
+# Two names whose one-winner key, 4 * 500,002 + 17 characters long, is
+# past ``MAX_KEY_LENGTH``.
+LONG_NAMES = ("k" * 500_000 + "_1", "k" * 500_000 + "_2")
+
+
+def _rename(line: str, old: str, new: str) -> str:
+    return re.sub(rf"\b{old}\b", new, line)
+
+
+@st.composite
+def lottery_files(draw, mutation: str):
+    """``dumps`` of a fair or biased lottery of 2 to 40 tickets or an
+    independent one of 2 to 9, with ``mutation`` applied: a pair of the
+    background written the other way round, or two pairs in the other
+    order; a space doubled or made a tab; a second name made the first in
+    the background, which is then ``exactly_one`` of a repeated atom; a
+    name made invalid, in the background or everywhere; a name foreign to
+    the model in the background; world lines not in ``ATOMS`` order; a
+    repeated ``ATOMS`` name, perhaps assigned twice on every world line;
+    the last ``ATOMS`` name moved to a second ``ATOMS`` section, on its
+    header line or the next, after the first world line, which leaves it
+    unassigned; a bad weight; a background past the key-length limit.  A
+    mutation that needs a background leaves a file with none as it is,
+    except the last, which adds one."""
+    family = draw(st.sampled_from(["fair", "biased", "independent"]))
+    if family == "fair":
+        base = fair_lottery(draw(st.integers(2, 40)))
+    elif family == "biased":
+        base = biased_lottery(draw(ticket_weights().filter(lambda w: len(w) >= 2)))
+    else:
+        base = independent_lottery(draw(st.integers(2, 9)), draw(TICKET_PROBABILITIES))
+    lines = dumps(base).splitlines()
+    atoms = base.model.atoms
+    worlds_at = lines.index("WORLDS:") + 1
+    world_lines = range(worlds_at, worlds_at + len(base.model.worlds))
+    at = lines.index("BACKGROUND:") + 1 if "BACKGROUND:" in lines else None
+    first, second = draw(st.permutations(atoms))[:2]
+    if mutation == "swap" and at is not None:
+        pairs = [f"~({a} & {b})" for i, a in enumerate(atoms) for b in atoms[i + 1:]]
+        k = draw(st.integers(0, len(pairs) - 1))
+        if k + 1 < len(pairs) and draw(st.booleans()):
+            one, two = pairs[k], pairs[k + 1]
+            lines[at] = lines[at].replace(f"{one} & {two}", f"{two} & {one}")
+        else:
+            a, b = pairs[k][2:-1].split(" & ")
+            lines[at] = lines[at].replace(pairs[k], f"~({b} & {a})")
+    elif mutation == "space":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if " " in line]))
+        spaces = [j for j, c in enumerate(lines[i]) if c == " "]
+        j = draw(st.sampled_from(spaces))
+        lines[i] = lines[i][:j] + draw(st.sampled_from(["  ", "\t"])) + lines[i][j + 1:]
+    elif mutation in ("repeat", "foreign") and at is not None:
+        lines[at] = _rename(lines[at], second, first if mutation == "repeat" else "zz")
+    elif mutation == "invalid":
+        scope = [at] if at is not None and draw(st.booleans()) else range(len(lines))
+        for i in scope:
+            lines[i] = _rename(lines[i], second, "0" + second)
+    elif mutation == "order":
+        scope = world_lines if draw(st.booleans()) else [draw(st.sampled_from(world_lines))]
+        for i in scope:
+            label, *cells, word, weight = lines[i].split(" ")
+            lines[i] = " ".join([label, *cells[::-1], word, weight])
+    elif mutation == "duplicate":
+        lines[0] += " " + first
+        if draw(st.booleans()):  # and assigned twice on every world line
+            for i in world_lines:
+                label, *cells, word, weight = lines[i].split(" ")
+                lines[i] = " ".join([label, *cells, cells[atoms.index(first)], word, weight])
+    elif mutation == "late_atom":
+        lines[0] = lines[0].rsplit(" ", 1)[0]
+        label, *cells, word, weight = lines[worlds_at].split(" ")
+        lines[worlds_at] = " ".join([label, *cells[:-1], word, weight])
+        late = [f"ATOMS: {atoms[-1]}"] if draw(st.booleans()) else ["ATOMS:", atoms[-1]]
+        lines[worlds_at + 1:worlds_at + 1] = [*late, "WORLDS:"]
+    elif mutation == "weight":
+        i = draw(st.sampled_from(world_lines))
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " " + draw(st.sampled_from(BAD_WEIGHTS))
+    elif mutation == "key_limit":
+        a, b = LONG_NAMES
+        long_line = f"({a} | {b}) & ~({a} & {b})"
+        if at is None:
+            lines[lines.index("CANDIDATES:"):0] = ["BACKGROUND:", long_line]
+        else:
+            lines[at] = long_line
+    return "\n".join(lines) + "\n"
+
+
+_WEIGHT_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def read_by_hand(text: str) -> BeliefBase:
+    """The base a lottery file's text stands for, read with the public
+    ``parse``, ``WorldModel`` and ``BeliefBase`` alone; any text that is
+    not one raises."""
+    section, atoms, worlds, background, candidates = None, [], [], [], []
+    for line in text.splitlines():
+        words = line.split()
+        if words[0] in ("ATOMS:", "WORLDS:", "BACKGROUND:", "CANDIDATES:"):
+            section = words[0]
+            atoms += words[1:]  # only an ATOMS header has names after it
+        elif section == "ATOMS:":
+            atoms += words
+        elif section == "WORLDS:":
+            _, body = line.split(":", 1)
+            *cells, word, weight = body.split()
+            values = dict(cell.split("=", 1) for cell in cells)
+            if (
+                word != "weight"
+                or not _WEIGHT_RE.fullmatch(weight)
+                or len(values) != len(cells)
+                or sorted(values) != sorted(atoms)
+                or not set(values.values()) <= {"0", "1"}
+            ):
+                raise ValueError(f"bad world line {line!r}")
+            worlds.append((tuple(values[a] == "1" for a in atoms), Fraction(weight)))
+        elif section == "BACKGROUND:":
+            background.append(parse(line))
+        else:
+            label, body = line.split(":", 1)
+            candidates.append((label.strip(), parse(body)))
+    return BeliefBase(WorldModel(atoms, worlds), background, candidates)
+
+
+def loads_generic(text: str) -> BeliefBase:
+    """``loads`` with both closed forms declined: every formula line is
+    parsed, and every world line read token by token against a set of the
+    atoms listed so far, made for that line."""
+    by_token = basefile._parse_world
+
+    def parse_world(line, lineno, atoms, known, weights):
+        return by_token(line, lineno, atoms, set(atoms), weights)
+
+    with patch.object(basefile, "_one_winner_text", lambda names: None), \
+            patch.object(basefile, "_world_pattern", lambda atoms: None), \
+            patch.object(basefile, "_parse_world", parse_world):
+        return loads(text)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_lottery_files_read_as_the_generic_reader_reads_them(mutation, data):
+    text = data.draw(lottery_files(mutation))
+    try:
+        expected = read_by_hand(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(BeliefBaseFormatError) as fast:
+            loads(text)
+        with pytest.raises(BeliefBaseFormatError) as generic:
+            loads_generic(text)
+        assert str(fast.value) == str(generic.value)
+        return
+    for base in (loads(text), loads_generic(text)):
+        assert base == expected
+        assert base.model.worlds == expected.model.worlds
+        assert base.candidates == expected.candidates

@@ -248,9 +248,10 @@ class TestLotteries:
         assert len(background.canonical_key) == 1_137_001 <= MAX_KEY_LENGTH
 
     def test_one_winner_pairs_built_only_when_read(self):
-        """Building, accepting and shrinking a 60-ticket lottery makes none
-        of the 2 * 1,770 nodes of its background's pair tree; rendering the
-        background makes them all."""
+        """Building, accepting and shrinking a 60-ticket lottery, and
+        rendering its background, make none of the 2 * 1,770 nodes of the
+        background's pair tree; reading the background's ``args`` makes
+        them all."""
         n = 60
         before = live_formulas()
         base = fair_lottery(n)
@@ -261,8 +262,11 @@ class TestLotteries:
         built = live_formulas()
         assert built - before < n * (n - 1) // 2
         (background,) = base.background
-        render(background)
+        text = render(background)
+        assert live_formulas() == built
+        assert len(background.args) == 1 + n * (n - 1) // 2
         assert live_formulas() - built >= n * (n - 1)
+        assert render(parse(text)) == text
 
     def test_one_winner_pairs_not_built_behind_another_formula(self):
         """A lottery's background placed second in a satisfiability check is

@@ -41,7 +41,9 @@ whose model lists every valuation, at a level where its 7 accepted
 statements are inconsistent, with one MUS of all 7), ``closure`` (also with an unknown
 label, a repeated label, an empty ``--labels`` or ``--conclusion``, an
 empty item in ``--labels``, and an unknown atom in a conclusion, entailed
-or not), ``accept`` on a lottery at the one-winner cap of 300 tickets, a
+or not), ``accept`` on a lottery at the one-winner cap of 300 tickets,
+``accept`` and ``diagnose`` on a 5-ticket lottery whose background has one
+pair written the other way round, so that it is read as a generic formula, a
 background past the canonical key-length limit, ``stat binom`` (also with a ``--combine-with`` level
 that is no rational in (0, 1] or empty, given no observation or one the
 test does not reject, with three levels of 2,001 digits whose combined
@@ -243,6 +245,26 @@ def _pairs_base(k: int, grouped: bool) -> str:
 PAIRS_BASE = _pairs_base(6, grouped=False)
 GROUPED_PAIRS_BASE = _pairs_base(7, grouped=True)
 
+# A fair 5-ticket lottery as ``lottery fair --n 5`` writes it, but with its
+# first pair written the other way round, ``~(wins_2 & wins_1)``: the
+# background is no longer the text of an ``exactly_one``, so it is read as
+# a generic formula.
+_TICKETS = [f"wins_{i}" for i in range(1, 6)]
+_PAIRS = [f"~({a} & {b})" for i, a in enumerate(_TICKETS) for b in _TICKETS[i + 1:]]
+_PAIRS[0] = "~(wins_2 & wins_1)"
+SWAPPED_BASE = (
+    f"ATOMS: {' '.join(_TICKETS)}\n"
+    "WORLDS:\n"
+    + "".join(
+        f"w{i}: {' '.join(f'{a}={int(a == winner)}' for a in _TICKETS)} weight 1/5\n"
+        for i, winner in enumerate(_TICKETS, 1)
+    )
+    + "BACKGROUND:\n"
+    + " & ".join([f"({' | '.join(_TICKETS)})", *_PAIRS]) + "\n"
+    + "CANDIDATES:\n"
+    + "".join(f"L{i}: ~{a}\n" for i, a in enumerate(_TICKETS, 1))
+)
+
 # name -> text of the belief-base files written by hand
 HAND_BASES = {
     "pair.bb": PAIR_BASE,
@@ -253,6 +275,7 @@ HAND_BASES = {
     "chain.bb": CHAIN_BASE,
     "pairs.bb": PAIRS_BASE,
     "grouped_pairs.bb": GROUPED_PAIRS_BASE,
+    "swapped.bb": SWAPPED_BASE,
     "zero_weight.bb": ZERO_WEIGHT_BASE,
     "mixed_weights.bb": MIXED_WEIGHTS_BASE,
     "digit_limit.bb": DIGIT_LIMIT_BASE,
@@ -318,6 +341,9 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/300", "fair_300.bb"],
+        # a one-winner background with one pair swapped, read generically
+        ["accept", "--policy", "threshold", "--epsilon", "1/5", "swapped.bb"],
+        ["diagnose", "--epsilon", "1/5", "swapped.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "mixed_weights.bb"],
         ["closure", "--epsilon", "1/2", "--labels", "A,AB", "mixed_weights.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "digit_limit.bb"],
