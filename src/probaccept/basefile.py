@@ -24,15 +24,15 @@ Lotteries are read and written in closed form.  A formula line that is,
 character for character, ``render(exactly_one(atoms))`` over two or more
 distinct atoms (the names of its leading ``(a | b | ...)`` group) reads
 back as that ``exactly_one``, with no pair tree, unless its canonical key
-would pass ``MAX_KEY_LENGTH``.  A world line written ``label: a1=v ...
-am=v weight p/q``, single-spaced, with the atoms in ``ATOMS`` order, is
-matched by one regex per file when the ``ATOMS`` names are distinct and
-valid, and each distinct weight text is parsed once per file.  Any other
-line takes the token-by-token reader, which gives every error message
-with its line number; the base read is equal either way.  ``dumps``
-writes such an ``exactly_one`` through ``render``, which spells it from
-its names, and each world from two strings per atom, ``name=0`` and
-``name=1``, built once.
+would pass ``MAX_KEY_LENGTH``.  A line without one ``~(`` per pair is
+parsed before anything of the pairs' size is built, as is any other
+formula line.  World lines are read token by
+token, and each distinct assignment token and weight text is checked and
+converted once per file.  Every error message and its line number are
+those of the plain reader, and the base read is equal either way.
+``dumps`` writes such an ``exactly_one`` through ``render``, which spells
+it from its names, and each world from two strings per atom, ``name=0``
+and ``name=1``, built once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .formulas import _ATOM_RE, _one_winner_text, atom, exactly_one, parse, render
+from .formulas import _ATOM_RE, atom, exactly_one, parse, render
 from .worlds import MAX_WORLDS, BeliefBase, WorldModel, as_fraction
 
 __all__ = [
@@ -81,8 +81,8 @@ def loads(text: str) -> BeliefBase:
     candidates: dict[str, object] = {}  # label -> formula, in file order
     section: str | None = None
     known: set[str] | None = None  # the atoms, once a world line needs them
-    pattern: re.Pattern | None = None  # world lines in ATOMS order, if usable
-    weights: dict[str, Fraction] = {}  # by text, parsed once per file
+    cells: dict[str, tuple[str, bool]] = {}  # assignment token -> (atom, value)
+    weights: dict[str, Fraction] = {}  # weight text -> its value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,16 +107,8 @@ def loads(text: str) -> BeliefBase:
             if len(worlds) == MAX_WORLDS:
                 raise _fail(lineno, f"more than {MAX_WORLDS} worlds")
             if known is None:
-                known, pattern = set(atoms), _world_pattern(atoms)
-            m = pattern.fullmatch(line) if pattern is not None else None
-            if m is not None:
-                *values, weight = m.groups()
-                worlds.append((
-                    tuple(map(_BITS.__getitem__, values)),
-                    _weight(weight, lineno, weights),
-                ))
-            else:
-                worlds.append(_parse_world(line, lineno, atoms, known, weights))
+                known = set(atoms)
+            worlds.append(_parse_world(line, lineno, atoms, known, cells, weights))
         elif section == "BACKGROUND":
             background.append(_parse_formula(line, lineno))
         else:
@@ -142,13 +134,17 @@ def loads(text: str) -> BeliefBase:
 def _parse_formula(text: str, lineno: int):
     if text.startswith("("):
         names = text[1:text.find(")")].split(" | ")
+        n = len(names)
+        # The rendering has one "~(" per pair, so a line with any other
+        # count goes to the parser before anything of the pairs' size is built.
         if (
-            len(names) >= 2
+            n >= 2
+            and text.count("~(") == n * (n - 1) // 2
             and all(map(_ATOM_RE.fullmatch, names))
-            and text == _one_winner_text(names)
         ):
             formula = exactly_one([atom(name) for name in names])
-            if formula._names:  # distinct, with a key inside the limit
+            # ``_names`` is set for distinct atoms whose key fits MAX_KEY_LENGTH
+            if formula._names and text == render(formula):
                 return formula
     try:
         formula = parse(text)
@@ -158,30 +154,17 @@ def _parse_formula(text: str, lineno: int):
     return formula
 
 
-_BITS = {"0": False, "1": True}
-
-
-def _world_pattern(atoms: list[str]) -> re.Pattern | None:
-    """The regex of a world line that assigns ``atoms`` in their order, one
-    space apart, or None when a name repeats or is no atom name."""
-    if len(set(atoms)) != len(atoms) or not all(map(_ATOM_RE.fullmatch, atoms)):
-        return None
-    return re.compile(r"\S+: " + "".join(f"{a}=([01]) " for a in atoms) + r"weight (\S+)")
-
-
-def _weight(text: str, lineno: int, weights: dict[str, Fraction]) -> Fraction:
-    weight = weights.get(text)
-    if weight is None:
-        try:
-            weight = weights[text] = parse_rational(text)
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from exc
-    return weight
-
-
 def _parse_world(
-    line: str, lineno: int, atoms: list[str], known: set[str], weights: dict[str, Fraction]
+    line: str,
+    lineno: int,
+    atoms: list[str],
+    known: set[str],
+    cells: dict[str, tuple[str, bool]],
+    weights: dict[str, Fraction],
 ):
+    """One world line.  ``cells`` and ``weights`` hold the assignment
+    tokens and weight texts already read in this file, so each distinct
+    one is checked and converted once."""
     m = _WORLD_RE.fullmatch(line)
     if m is None:
         raise _fail(lineno, "expected '<label>: <atom>=<0|1> ... weight <p/q>'")
@@ -193,22 +176,31 @@ def _parse_world(
     weight_tokens = parts[split_at + 1:]
     if len(weight_tokens) != 1:
         raise _fail(lineno, "expected exactly one weight value")
-    weight = _weight(weight_tokens[0], lineno, weights)
+    weight = weights.get(weight_tokens[0])
+    if weight is None:
+        try:
+            weight = weights[weight_tokens[0]] = parse_rational(weight_tokens[0])
+        except ValueError as exc:
+            raise _fail(lineno, str(exc)) from exc
     assignment: dict[str, bool] = {}
     for token in parts[:split_at]:
-        am = _ASSIGN_RE.fullmatch(token)
-        if am is None:
-            raise _fail(lineno, f"bad assignment token {token!r}")
-        name = am.group("atom")
-        if name not in known:
-            raise _fail(lineno, f"unknown atom {name!r}")
+        cell = cells.get(token)
+        if cell is None:
+            am = _ASSIGN_RE.fullmatch(token)
+            if am is None:
+                raise _fail(lineno, f"bad assignment token {token!r}")
+            name = am.group("atom")
+            if name not in known:
+                raise _fail(lineno, f"unknown atom {name!r}")
+            cell = cells[token] = (name, am.group("value") == "1")
+        name, value = cell
         if name in assignment:
             raise _fail(lineno, f"atom {name!r} assigned twice")
-        assignment[name] = am.group("value") == "1"
-    missing = [a for a in atoms if a not in assignment]
-    if missing:
+        assignment[name] = value
+    if len(assignment) < len(known):
+        missing = [a for a in atoms if a not in assignment]
         raise _fail(lineno, f"world leaves atoms unassigned: {', '.join(missing)}")
-    return tuple(assignment[a] for a in atoms), weight
+    return tuple([assignment[a] for a in atoms]), weight
 
 
 def dumps(base: BeliefBase) -> str:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from probaccept import (
     fair_lottery,
     independent_lottery,
     loads,
+    parse,
     parse_rational,
 )
 
@@ -56,8 +58,8 @@ class TestRoundTrip:
             biased_lottery([Fraction(1, 100), Fraction(9, 100), Fraction(90, 100)]),
             independent_lottery(2, Fraction(1, 3)),
             # names whose string and numeric orders differ: the loaded
-            # background is parsed text, so equality checks the key the
-            # lottery's background was given without a canonical node
+            # background is an exactly_one in outcome order, so equality
+            # checks the key written from its sorted names
             fair_lottery(12),
             biased_lottery([Fraction(i, 91) for i in range(1, 14)]),
         ],
@@ -91,6 +93,25 @@ class TestRoundTrip:
             dumps(base)
         near = BeliefBase(base.model, candidates=[(label + "_1", atom("heads"))])
         assert loads(dumps(near)) == near
+
+    @pytest.mark.parametrize("count", [400, 2000])
+    def test_long_leading_group_is_parsed_in_linear_space(self, count):
+        # Not a one-winner rendering: the line is parsed, and nothing of the
+        # size of its names' count(count - 1)/2 pairs is built on the way.
+        # At 2000 names their one-winner key is past MAX_KEY_LENGTH.
+        names = [f"x{i}" for i in range(count)]
+        line = "(" + " | ".join(names) + ") & y"
+        cells = " ".join(f"{name}={int(name == 'x0')}" for name in names)
+        text = f"ATOMS: {' '.join(names)} y\nWORLDS:\nw1: {cells} y=1 weight 1\n"
+        text += f"BACKGROUND:\n{line}\n"
+        tracemalloc.start()
+        try:
+            base = loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(base.background) == [parse(line)]
+        assert peak < 200 * len(text)
 
     def test_refused_dump_leaves_the_file_as_it_was(self, tmp_path):
         target = tmp_path / "coin.bb"

@@ -50,8 +50,9 @@ Lottery files, as ``dumps`` writes them and with one mutation each, are
 read by ``loads`` and by a reader by hand made of ``parse``,
 ``WorldModel`` and ``BeliefBase``: the bases must be equal, with the same
 worlds and candidates in the same order.  Text the hand reader refuses
-must make ``loads`` raise the message it raises with both closed-form
-readings declined.
+must make ``loads`` raise the message it raises with the closed-form
+background reading declined and nothing kept from one world line to
+the next.
 """
 
 import json
@@ -1438,16 +1439,15 @@ def read_by_hand(text: str) -> BeliefBase:
 
 
 def loads_generic(text: str) -> BeliefBase:
-    """``loads`` with both closed forms declined: every formula line is
-    parsed, and every world line read token by token against a set of the
-    atoms listed so far, made for that line."""
+    """``loads`` with the closed form declined and nothing kept from line
+    to line: every formula line is parsed, and every world line read token
+    by token against a set of the atoms listed so far, made for that line."""
     by_token = basefile._parse_world
 
-    def parse_world(line, lineno, atoms, known, weights):
-        return by_token(line, lineno, atoms, set(atoms), weights)
+    def parse_world(line, lineno, atoms, known, cells, weights):
+        return by_token(line, lineno, atoms, set(atoms), {}, {})
 
-    with patch.object(basefile, "_one_winner_text", lambda names: None), \
-            patch.object(basefile, "_world_pattern", lambda atoms: None), \
+    with patch.object(basefile, "render", lambda formula: None), \
             patch.object(basefile, "_parse_world", parse_world):
         return loads(text)
 
