@@ -13,12 +13,16 @@ Layout (UTF-8, ``#`` starts a comment, blank lines ignored)::
     CANDIDATES:
     L1: ~wins_1
 
-Rationals are written ``p/q`` or as bare integers; floating point is
-rejected everywhere.  ``dumps`` followed by ``loads`` reproduces an equal
-belief base; ``dumps`` refuses a candidate label that spells a section
-name in any case, such as ``Worlds``, since ``loads`` would read its line
-as that header.  A file lists at most ``MAX_WORLDS`` (2**16) worlds, as many
-as the largest independent lottery has.
+Rationals are written ``p/q`` or as bare integers, in ASCII digits, and
+read by ``worlds.as_fraction``, the package's one reader of a rational,
+so a bad weight fails with the message a CLI option would give, after its
+line number; floating point is rejected everywhere.  Atom names, in world
+lines too, follow the one grammar of ``formulas._ATOM_RE``.  ``dumps``
+followed by ``loads`` reproduces an equal belief base; ``dumps`` refuses
+a candidate label that spells a section name in any case, such as
+``Worlds``, since ``loads`` would read its line as that header.  A file
+lists at most ``MAX_WORLDS`` (2**16) worlds, as many as the largest
+independent lottery has.
 
 Lotteries are read and written in closed form.  A formula line that is,
 character for character, ``render(exactly_one(atoms))`` over two or more
@@ -53,7 +57,7 @@ __all__ = [
 ]
 
 _WORLD_RE = re.compile(r"(?P<label>\S+)\s*:\s*(?P<body>.*)")
-_ASSIGN_RE = re.compile(r"(?P<atom>[A-Za-z_][A-Za-z0-9_]*)=(?P<value>[01])")
+_ASSIGN_RE = re.compile(f"(?P<atom>{_ATOM_RE.pattern})=(?P<value>[01])")
 
 _SECTIONS = ("ATOMS:", "WORLDS:", "BACKGROUND:", "CANDIDATES:")
 
@@ -62,12 +66,8 @@ class BeliefBaseFormatError(ValueError):
     """Malformed belief-base text; message carries the line number."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` (``q`` nonzero) or an integer; anything else, floats too, fails."""
-    try:
-        return as_fraction(text)
-    except ValueError:
-        raise ValueError(f"expected a rational p/q or integer, got {text!r}") from None
+# The public name of the one rational reader, kept for callers of this module.
+parse_rational = as_fraction
 
 
 def _fail(lineno: int, message: str) -> BeliefBaseFormatError:
@@ -179,7 +179,7 @@ def _parse_world(
     weight = weights.get(weight_tokens[0])
     if weight is None:
         try:
-            weight = weights[weight_tokens[0]] = parse_rational(weight_tokens[0])
+            weight = weights[weight_tokens[0]] = as_fraction(weight_tokens[0])
         except ValueError as exc:
             raise _fail(lineno, str(exc)) from exc
     assignment: dict[str, bool] = {}

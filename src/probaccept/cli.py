@@ -92,14 +92,13 @@ def _emit(report: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _provenance(args, path: str | None) -> dict:
+def _provenance(args) -> dict:
+    """The run's seed and level mode, and the base file with the digest of
+    the bytes that ``_base_and_level`` parsed."""
     out = {"seed": args.seed, "strict_threshold": bool(args.strict_threshold)}
-    if path is not None:
-        import hashlib
-
-        with open(path, "rb") as handle:
-            out["input"] = path
-            out["input_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+    if hasattr(args, "base"):
+        out["input"] = args.base
+        out["input_sha256"] = args.input_sha256
     return out
 
 
@@ -146,11 +145,22 @@ def _leveled(leveled) -> dict:
 
 
 def _base_and_level(args):
+    """The base file, read once: its text is parsed, and the digest of its
+    bytes kept on ``args`` for the provenance.  Then the level, which reads
+    its ``--epsilon`` text with ``as_fraction``."""
     from .accept import AcceptanceLevel
-    from .basefile import load, parse_rational
+    from .basefile import loads
 
-    base = load(args.base)
-    return base, AcceptanceLevel(parse_rational(args.epsilon), strict=args.strict_threshold)
+    with open(args.base, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    base = loads(text)
+    # hashlib loads its library only now, so as not to add to the parse's
+    # peak memory; strict UTF-8 decoding round-trips, so encoding the text
+    # gives back the bytes read
+    import hashlib
+
+    args.input_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return base, AcceptanceLevel(args.epsilon, strict=args.strict_threshold)
 
 
 def _label_list(text: str, option: str) -> list[str]:
@@ -234,8 +244,8 @@ def _cmd_extensions(args) -> dict:
 
 
 def _cmd_lottery(args) -> str:
-    from .basefile import dump, dumps, parse_rational
-    from .worlds import biased_lottery, fair_lottery, independent_lottery
+    from .basefile import dump, dumps
+    from .worlds import as_fraction, biased_lottery, fair_lottery, independent_lottery
 
     if args.kind == "fair":
         if args.n is None:
@@ -244,12 +254,12 @@ def _cmd_lottery(args) -> str:
     elif args.kind == "biased":
         if not args.weights:
             raise ValueError("biased lottery needs --weights p/q,p/q,...")
-        weights = [parse_rational(part) for part in args.weights.split(",")]
+        weights = [as_fraction(part) for part in args.weights.split(",")]
         base = biased_lottery(weights)
     else:
         if args.n is None or args.p is None:
             raise ValueError("independent lottery needs --n and --p")
-        base = independent_lottery(args.n, parse_rational(args.p))
+        base = independent_lottery(args.n, as_fraction(args.p))
     if args.out == "-":
         return dumps(base)
     dump(base, args.out)
@@ -339,7 +349,6 @@ def _cmd_closure(args) -> dict:
 
 
 def _cmd_stat(args) -> dict:
-    from .basefile import parse_rational
     from .stattests import (
         BinomialTestSpec,
         Decision,
@@ -348,16 +357,17 @@ def _cmd_stat(args) -> dict:
         rejection_to_acceptance,
         run_test,
     )
+    from .worlds import as_fraction
 
     spec = BinomialTestSpec(
         n=args.n,
-        p0=parse_rational(args.p0),
-        epsilon=parse_rational(args.epsilon),
+        p0=as_fraction(args.p0),
+        epsilon=as_fraction(args.epsilon),
         sided={"two": "two_sided", "upper": "upper", "lower": "lower"}[args.sided],
     )
     # built before the test runs, so a bad level fails whatever the decision
     others = [
-        BinomialTestSpec(spec.n, spec.p0, parse_rational(eps), spec.sided)
+        BinomialTestSpec(spec.n, spec.p0, as_fraction(eps), spec.sided)
         for eps in (args.combine_with.split(",") if args.combine_with is not None else ())
     ]
     region = binomial_rejection_region(spec)
@@ -510,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = args.func(args)  # a report body, or lottery's text as it is
         if isinstance(out, dict):
-            out["provenance"] = _provenance(args, getattr(args, "base", None))
+            out["provenance"] = _provenance(args)
             out = _emit(out, args.json)
         sys.stdout.write(out)
         return 0

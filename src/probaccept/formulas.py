@@ -40,6 +40,8 @@ __all__ = [
     "nnf_key",
 ]
 
+# The one grammar of an atom name, which candidate labels share; the
+# parser's atom token and a base file's assignment token are built from it.
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _OPS = frozenset({"atom", "not", "and", "or", "implies", "iff"})
@@ -434,7 +436,7 @@ def render(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>[A-Za-z_][A-Za-z0-9_]*)|(?P<iff><->)|(?P<implies>->)"
+    rf"\s*(?:(?P<atom>{_ATOM_RE.pattern})|(?P<iff><->)|(?P<implies>->)"
     r"|(?P<and>&)|(?P<or>\|)|(?P<not>~)|(?P<lparen>\()|(?P<rparen>\)))"
 )
 

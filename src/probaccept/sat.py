@@ -408,8 +408,9 @@ def _prepare(
     """The members as (canonical key, formula) pairs and the background,
     read once (it may be a generator) unless it is a ``FormulaSet``, which
     is returned as it was given, so that a base's own still names its
-    model to the solver; the cap and the members' types are checked.  A
-    set of members is built from the pairs by ``FormulaSet._of``."""
+    model to the solver; the members' types, the cap and the background's
+    types are checked, in that order.  A set of members is built from the
+    pairs by ``FormulaSet._of``."""
     members = candidates if isinstance(candidates, FormulaSet) else FormulaSet(candidates)
     if cap is not None:
         _check_cap(cap)
@@ -417,7 +418,11 @@ def _prepare(
             raise ValueError(
                 f"{len(members)} candidates exceed the enumeration cap of {cap}"
             )
-    background = background if isinstance(background, FormulaSet) else tuple(background or ())
+    if not isinstance(background, FormulaSet):  # whose members are formulas
+        background = tuple(background or ())
+        for f in background:
+            if not isinstance(f, Formula):
+                raise TypeError(f"satisfiability needs formulas, got {f!r}")
     return tuple(members._keys.items()), background
 
 
@@ -437,9 +442,6 @@ def _consistent_family(
     without a walk, once the arguments have passed every check, and builds
     no solver; the lists returned are new on every call."""
     members, background = _prepare(candidates, background, cap)
-    for f in background:
-        if not isinstance(f, Formula):
-            raise TypeError(f"satisfiability needs formulas, got {f!r}")
     key = frozenset(f.canonical_key for f in background)
     kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
     if kept is not None and kept[0] == key:

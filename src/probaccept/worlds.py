@@ -55,9 +55,10 @@ MAX_WORLDS = 2**INDEPENDENT_LOTTERY_CAP
 # caps them at 32 MiB, 4096-bit denominators over MAX_WORLDS worlds.
 MAX_PLANE_BITS = 2**28
 
-# The one grammar of a rational read from text: ``p/q`` or an integer, with
-# optional spaces around the slash; no decimal point, exponent or underscore.
-_RATIONAL_RE = re.compile(r"(?P<p>[+-]?\d+)(?:\s*/\s*(?P<q>\d+))?")
+# The one grammar of a rational read from text: ``p/q`` or an integer in
+# ASCII digits, with optional ASCII spaces around it and the slash; no
+# decimal point, exponent, underscore or other script's digits or spaces.
+_RATIONAL_RE = re.compile(r"\s*(?P<p>[+-]?\d+)(?:\s*/\s*(?P<q>\d+))?\s*", re.ASCII)
 
 # Entry b maps every byte value to "1" if its bit b is set, else to "0";
 # entry 0 maps the bytes 0/1 of a valuation column to the digits "0"/"1".
@@ -76,20 +77,24 @@ class ZeroProbabilityError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, ``p/q``-or-integer strings (``_RATIONAL_RE``) and
-    Fractions; floats are rejected because they silently corrupt boundary
-    comparisons.  Any other value, a zero denominator too, raises ``ValueError``."""
+    """Coerce ints, Fractions and ``p/q``-or-integer strings in ASCII digits
+    (``_RATIONAL_RE``): the package's one reader of a rational, whatever
+    its source (an argument, a file's weight or a CLI option).  Floats are
+    rejected because they silently corrupt boundary comparisons.  A zero
+    denominator raises ``ValueError`` "zero denominator in '1/0'" (for the
+    text ``1/0``), and any other value it cannot read "expected a rational
+    p/q or integer, got ...": one message per fault."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"refusing inexact weight {value!r}; use p/q rationals")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and (m := _RATIONAL_RE.fullmatch(value.strip())):
+    if isinstance(value, str) and (m := _RATIONAL_RE.fullmatch(value)):
         if m["q"] is not None and int(m["q"]) == 0:
             raise ValueError(f"zero denominator in {value!r}")
         return Fraction(int(m["p"]), int(m["q"] or 1))
-    raise ValueError(f"cannot interpret {value!r} as a rational")
+    raise ValueError(f"expected a rational p/q or integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,7 +439,7 @@ class BeliefBase:
             if not isinstance(formula, Formula):
                 raise TypeError(f"candidates must be formulas, got {formula!r}")
             if not _ATOM_RE.fullmatch(label):  # labels share the atom-name syntax
-                raise ValueError(f"invalid atom name {label!r}")
+                raise ValueError(f"invalid candidate label {label!r}")
             model._check_atoms(formula)
         labels = [label for label, _ in pairs]
         if len(set(labels)) != len(labels):

@@ -6,6 +6,7 @@ import pytest
 from probaccept import (
     BeliefBase,
     BeliefBaseFormatError,
+    as_fraction,
     atom,
     biased_lottery,
     dump,
@@ -44,10 +45,17 @@ class TestParseRational:
     def test_accepts_rationals(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["0.5", "1e-2", "1e-3", "1_000/3", "", "a/b", "1/2/3", "1/0", "3/00"])
+    @pytest.mark.parametrize(
+        "text",
+        ["0.5", "1e-2", "1e-3", "1_000/3", "", "a/b", "1/2/3", "1/0", "3/00", "١/٣", "1/٣",
+         "\u00a01/3", "1\u2003/ 3"],
+    )
     def test_rejects_non_rationals(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+    def test_is_the_one_rational_reader(self):
+        assert parse_rational is as_fraction
 
 
 class TestRoundTrip:
@@ -141,7 +149,7 @@ class TestFormatErrors:
 
     def test_zero_denominator_weight_reports_line(self):
         text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nw2: a=0 weight 1/0\n"
-        with pytest.raises(BeliefBaseFormatError, match="line 4: expected a rational"):
+        with pytest.raises(BeliefBaseFormatError, match="line 4: zero denominator in '1/0'"):
             loads(text)
 
     def test_unknown_atom_in_world(self):

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import inspect
 import json
@@ -6,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from probaccept import AcceptanceLevel, cli, enumerate_extensions, fair_lottery, load, loads, sat
+from probaccept import AcceptanceLevel, BeliefBaseFormatError, as_fraction, cli
+from probaccept import enumerate_extensions, fair_lottery, load, loads, sat
 from probaccept import threshold_accept
 from probaccept.accept import DEFAULT_SEED, MAX_PERMUTATIONS
 from probaccept.cli import main
@@ -116,7 +118,7 @@ class TestLotteryCommand:
     def test_zero_denominator_weight_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "lottery", "biased", "--weights", "1/0,1")
         assert code == 2
-        assert "expected a rational p/q or integer, got '1/0'" in err
+        assert "zero denominator in '1/0'" in err
 
 
 class TestLotteryFiles:
@@ -223,7 +225,7 @@ class TestAcceptCommand:
             capsys, "accept", "--policy", "threshold", "--epsilon", "1/0", lottery3_path
         )
         assert code == 2
-        assert "expected a rational p/q or integer, got '1/0'" in err
+        assert "zero denominator in '1/0'" in err
 
     def test_order_required_for_teng(self, capsys, lottery3_path):
         code, _, err = run_cli(
@@ -571,7 +573,7 @@ class TestStatCommand:
         )
         assert code == 2
         assert out == ""
-        assert "expected a rational p/q or integer, got '1/0'" in err
+        assert "zero denominator in '1/0'" in err
 
     def test_out_of_range_observation(self, capsys):
         code, _, _ = run_cli(
@@ -591,6 +593,47 @@ REPORT_COMMANDS = {
     "stat_binom": ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
                    "--observed", "30", "--combine-with", "1/100"],
 }
+
+BASE_COMMANDS = {name: argv for name, argv in REPORT_COMMANDS.items() if "BASE" in argv}
+
+# Every option that reads a rational, with X for its text; BASE stands for
+# the 3-ticket lottery file.
+RATIONAL_OPTIONS = {
+    **{f"{name}_epsilon": [part.replace("1/3", "X") for part in argv]
+       for name, argv in BASE_COMMANDS.items()},
+    "lottery_weights": ["lottery", "biased", "--weights", "X,1"],
+    "lottery_p": ["lottery", "independent", "--n", "3", "--p", "X"],
+    "binom_p0": ["stat", "binom", "--n", "10", "--p0", "X", "--epsilon", "1/10"],
+    "binom_epsilon": ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "X"],
+    "binom_combine_with": ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10",
+                           "--combine-with", "X"],
+}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("١/٣", "expected a rational p/q or integer, got '١/٣'"),
+    ("0.5", "expected a rational p/q or integer, got '0.5'"),
+    ("abc", "expected a rational p/q or integer, got 'abc'"),
+])
+def test_a_bad_rational_has_one_message_wherever_it_is_read(
+    capsys, tmp_path, lottery3_path, text, message
+):
+    with pytest.raises(ValueError) as read:
+        as_fraction(text)
+    assert str(read.value) == message
+    weighed = tmp_path / "weight.bb"
+    weighed.write_text(ATOM_BASE.replace("weight 1/2\nCANDIDATES", f"weight {text}\nCANDIDATES"),
+                       encoding="utf-8")
+    with pytest.raises(BeliefBaseFormatError) as read:
+        load(weighed)
+    assert str(read.value) == f"line 4: {message}"
+    code, out, err = run_cli(capsys, "accept", "--policy", "threshold", "--epsilon", "1/2",
+                             str(weighed))
+    assert (code, out, err) == (2, "", f"probaccept: error: line 4: {message}\n")
+    for name, argv in RATIONAL_OPTIONS.items():
+        argv = [lottery3_path if part == "BASE" else part.replace("X", text) for part in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"probaccept: error: {message}\n"), name
 
 
 class TestReportEnvelope:
@@ -616,6 +659,23 @@ class TestReportEnvelope:
             f"provenance.{key}: {str(value).lower() if isinstance(value, bool) else value}"
             for key, value in expected.items()
         ]
+
+    @pytest.mark.parametrize("argv", BASE_COMMANDS.values(), ids=BASE_COMMANDS)
+    def test_base_file_is_opened_once(self, capsys, monkeypatch, lottery3_path, argv):
+        # the digest in the provenance is of the bytes that were parsed
+        argv, expected = self._argv_and_provenance(argv, lottery3_path)
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == lottery3_path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        assert len(opened) == 1
+        assert json.loads(out)["provenance"] == expected
 
     @pytest.mark.parametrize("argv", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS)
     def test_json_report_ends_with_provenance(self, capsys, lottery3_path, argv):

@@ -140,6 +140,18 @@ def test_the_cli_imports_no_private_library_name():
 
 
 
+def test_atom_names_have_one_grammar():
+    # the parser's tokens and a base file's assignment tokens are built
+    # from ``formulas._ATOM_RE``, the one place the name class is written
+    package = pathlib.Path(probaccept.__file__).parent
+    written = {
+        path.stem: text.count("[A-Za-z_]")
+        for path in sorted(package.glob("*.py"))
+        if "[A-Za-z_]" in (text := path.read_text(encoding="utf-8"))
+    }
+    assert written == {"formulas": 1}
+
+
 def _uses(tree, name):
     """``Class.function`` (or ``Class`` for its body) for every write and
     every read of the name or attribute ``name`` in ``tree``.  A write is

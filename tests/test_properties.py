@@ -53,11 +53,16 @@ worlds and candidates in the same order.  Text the hand reader refuses
 must make ``loads`` raise the message it raises with the closed-form
 background reading declined and nothing kept from one world line to
 the next.
+
+The readers of a name, ``atom``, ``parse``, a file's atom list and world
+line, and a candidate label, take a short drawn string exactly when it is
+an ASCII identifier.
 """
 
 import json
 import os
 import re
+import string
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -1470,3 +1475,26 @@ def test_lottery_files_read_as_the_generic_reader_reads_them(mutation, data):
         assert base == expected
         assert base.model.worlds == expected.model.worlds
         assert base.candidates == expected.candidates
+
+
+@example("é")
+@example("1a")
+@example("_")
+@given(st.text(alphabet=string.ascii_letters + string.digits + "_-é", min_size=1, max_size=4))
+def test_name_readers_agree(text):
+    # an atom name, a parsed atom, a file's atom and a candidate label have
+    # one grammar: ASCII identifiers
+    model = WorldModel(["a"], [((True,), 1)])
+    readers = [
+        lambda: atom(text).name == text,
+        lambda: parse(text) == atom(text),
+        lambda: loads(f"ATOMS: {text}\nWORLDS:\nw1: {text}=1 weight 1\n").model.atoms == (text,),
+        lambda: BeliefBase(model, [], [(text, atom("a"))]).candidate_labels == (text,),
+    ]
+    read = []
+    for reader in readers:
+        try:
+            read.append(reader())
+        except ValueError:
+            read.append(False)
+    assert read == [text.isascii() and text.isidentifier()] * len(readers)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -397,9 +398,10 @@ class TestModelValidation:
             WorldModel(["a"], [((True,), 0.5), ((False,), 0.5)])
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             WorldModel(["a"], [((True,), "1/0"), ((False,), 1)])
-        # strings follow the one p/q-or-integer grammar of parse_rational
+        # strings follow the one p/q-or-integer grammar of as_fraction
         for text in ("0.5", "1e-3", "1_000/3"):
-            with pytest.raises(ValueError, match="cannot interpret"):
+            message = re.escape(f"expected a rational p/q or integer, got {text!r}")
+            with pytest.raises(ValueError, match=message):
                 WorldModel(["a"], [((True,), text), ((False,), "1/2")])
         model = WorldModel(["a"], [((True,), "3 / 4"), ((False,), "1/4")])
         assert model.probability(atom("a")) == Fraction(3, 4)
@@ -502,7 +504,7 @@ class TestBeliefBase:
     @pytest.mark.parametrize("label", ["", "1C", "C-1", "C 1"])
     def test_labels_must_be_identifiers(self, label):
         model = WorldModel(["a"], [((True,), 1)])
-        with pytest.raises(ValueError, match=f"invalid atom name {label!r}"):
+        with pytest.raises(ValueError, match=f"invalid candidate label {label!r}"):
             BeliefBase(model, [], [(label, atom("a"))])
 
 

@@ -42,6 +42,7 @@ statements are inconsistent, with one MUS of all 7), ``closure`` (also with an u
 label, a repeated label, an empty ``--labels`` or ``--conclusion``, an
 empty item in ``--labels``, and an unknown atom in a conclusion, entailed
 or not), ``accept`` on a lottery at the one-winner cap of 300 tickets,
+a ``cascade`` that ends by accepting that the one ticket left wins,
 ``accept`` and ``diagnose`` on a 5-ticket lottery whose background has one
 pair written the other way round, so that it is read as a generic formula, a
 background past the canonical key-length limit, ``stat binom`` (also with a ``--combine-with`` level
@@ -50,7 +51,7 @@ test does not reject, with three levels of 2,001 digits whose combined
 floors pass the interpreter's digit limit, and at the cap of 2000
 trials with p0 = 7/100 for each ``--sided`` value: two-sided rejecting an
 observation with ``--combine-with``, upper rejecting one in ``--json``,
-lower with no observation), ``lottery`` (also independent lotteries of 13
+lower with no observation, and a region that rejects no count), ``lottery`` (also independent lotteries of 13
 tickets and of 16, the cap, a biased one with a zero-weight world and one
 whose three denominators differ, and ``lottery`` under ``--json``, which
 writes the same text or ``--out`` file), common denominators past the
@@ -62,7 +63,8 @@ unordered policy given to ``extensions`` and a ``--seed`` below 0 or past
 2**64 - 1, next to the largest seed that samples), ``--version`` and the
 help of every command, which the parser builds without importing the
 library, caps and zero denominators (in each option that reads a rational
-and in a world's weight), each report command in text and ``--json``.
+and in a world's weight), an ``--epsilon`` in digits of another script,
+each report command in text and ``--json``.
 Stdlib only.
 """
 
@@ -92,11 +94,13 @@ BASES = {
 }
 
 # Written like BASES but read by one command each: the largest one-winner
-# lottery, at the ticket cap, by ``accept``, and a 7-ticket one by
-# ``extensions`` over all its 5,040 orders, the most it may run.
-CAP_BASES = {
+# lottery, at the ticket cap, by ``accept``, a 7-ticket one by
+# ``extensions`` over all its 5,040 orders, the most it may run, and a
+# biased 3-ticket one by a ``cascade`` that ends with one ticket alive.
+SINGLE_USE_BASES = {
     "fair_300.bb": ["lottery", "fair", "--n", "300"],
     "fair_7.bb": ["lottery", "fair", "--n", "7"],
+    "biased_3.bb": ["lottery", "biased", "--weights", "1/100,9/100,90/100"],
 }
 
 # Explicit candidate orders, neither natural nor reversed.
@@ -395,15 +399,20 @@ def commands() -> list[list[str]]:
         ["--json", "lottery", "fair", "--n", "3", "--out", "json_fair_3.bb"],
         ["extensions", "--policy", "sequential", "--epsilon", "1/3",
          "--max-permutations", "5041", "fair_3.bb"],
-        # every order of 7 tickets, each ending in a query on the pairwise
-        # background that a lottery file holds
+        # every order of 7 tickets, over a background that the file reads
+        # back as an exactly_one, so that each order is answered from masks
         ["extensions", "--policy", "sequential", "--epsilon", "1/7",
          "--max-permutations", "5040", "fair_7.bb"],
+        # a cascade that accepts two lose-statements, then that the one
+        # ticket still able to win wins
+        ["accept", "--policy", "cascade", "--epsilon", "1/10", "biased_3.bb"],
         ["accept", "--policy", "teng", "--epsilon", "1/3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "--order",
          "natural", "fair_3.bb"],
         ["accept", "--policy", "nope", "--epsilon", "1/3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "0.3", "fair_3.bb"],
+        # digits of another script are no rational
+        ["accept", "--policy", "threshold", "--epsilon", "١/٣", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "missing.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "chain.bb"],
         # zero denominators, one per option that reads a rational
@@ -455,6 +464,8 @@ def commands() -> list[list[str]]:
          "1/100", "--sided", "upper", "--observed", "180"],
         ["stat", "binom", "--n", "2000", "--p0", "7/100", "--epsilon", "1/100",
          "--sided", "lower"],
+        # a region too small to reject any count
+        ["stat", "binom", "--n", "1", "--p0", "1/2", "--epsilon", "1/10"],
         ["--version"],
         ["--help"],
         ["accept", "--help"],
@@ -497,7 +508,7 @@ def records(run: Runner) -> list[dict]:
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)
         setup = [[*argv, "--out", name] for name, (argv, _) in BASES.items()]
-        setup += [[*argv, "--out", name] for name, argv in CAP_BASES.items()]
+        setup += [[*argv, "--out", name] for name, argv in SINGLE_USE_BASES.items()]
         for argv in setup + commands():
             code, stdout, stderr = run(workdir, argv)
             out.append({
