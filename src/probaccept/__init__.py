@@ -25,14 +25,14 @@ _PUBLIC = {
         "EMPTY_SET", "Formula", "FormulaSet", "FormulaSyntaxError", "atom", "conj",
         "disj", "has_strong_inconsistency", "iff", "implies", "neg", "parse", "render",
     ),
+    "rationals": ("as_fraction",),
     "sat": (
         "DEFAULT_CANDIDATE_CAP", "entails", "is_satisfiable",
         "maximal_consistent_subsets", "minimal_unsat_subsets", "shrink_unsat_subset",
     ),
     "worlds": (
-        "BeliefBase", "ProbabilityBound", "UnknownAtomError", "WorldModel",
-        "ZeroProbabilityError", "as_fraction", "biased_lottery", "exactly_one",
-        "fair_lottery", "independent_lottery",
+        "BeliefBase", "UnknownAtomError", "WorldModel", "ZeroProbabilityError",
+        "biased_lottery", "exactly_one", "fair_lottery", "independent_lottery",
     ),
     "basefile": ("BeliefBaseFormatError", "dump", "dumps", "load", "loads", "parse_rational"),
     "accept": (
@@ -46,8 +46,8 @@ _PUBLIC = {
     "strands": ("Strand", "degree_of_inconsistency", "strand_entails", "strands"),
     "stattests": (
         "AcceptedRejection", "BinomialTestSpec", "CombinedRejection", "Decision",
-        "RejectionRegion", "binomial_pmf", "binomial_rejection_region", "combine_tests",
-        "rejection_to_acceptance", "run_test",
+        "ProbabilityBound", "RejectionRegion", "binomial_pmf", "binomial_rejection_region",
+        "combine_tests", "rejection_to_acceptance", "run_test",
     ),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _PUBLIC.items() for name in names}

@@ -43,8 +43,9 @@ from functools import cached_property
 from itertools import permutations, takewhile
 
 from .formulas import Formula, FormulaSet, atom
+from .rationals import as_fraction
 from .sat import _Solver
-from .worlds import BeliefBase, as_fraction
+from .worlds import BeliefBase
 
 __all__ = [
     "AcceptanceLevel",

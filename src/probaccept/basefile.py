@@ -14,7 +14,7 @@ Layout (UTF-8, ``#`` starts a comment, blank lines ignored)::
     L1: ~wins_1
 
 Rationals are written ``p/q`` or as bare integers, in ASCII digits, and
-read by ``worlds.as_fraction``, the package's one reader of a rational,
+read by ``rationals.as_fraction``, the package's one reader of a rational,
 so a bad weight fails with the message a CLI option would give, after its
 line number; floating point is rejected everywhere.  Atom names, in world
 lines too, follow the one grammar of ``formulas._ATOM_RE``.  ``dumps``
@@ -22,7 +22,9 @@ followed by ``loads`` reproduces an equal belief base; ``dumps`` refuses
 a candidate label that spells a section name in any case, such as
 ``Worlds``, since ``loads`` would read its line as that header.  A file
 lists at most ``MAX_WORLDS`` (2**16) worlds, as many as the largest
-independent lottery has.
+independent lottery has.  An atom name, a world label and a candidate
+label may each appear once; a repeat fails on its line.  ``loads`` skips
+one leading byte-order mark, which some editors write.
 
 Lotteries are read and written in closed form.  A formula line that is,
 character for character, ``render(exactly_one(atoms))`` over two or more
@@ -45,7 +47,8 @@ import re
 from fractions import Fraction
 
 from .formulas import _ATOM_RE, atom, exactly_one, parse, render
-from .worlds import MAX_WORLDS, BeliefBase, WorldModel, as_fraction
+from .rationals import as_fraction
+from .worlds import MAX_WORLDS, BeliefBase, WorldModel
 
 __all__ = [
     "BeliefBaseFormatError",
@@ -80,35 +83,40 @@ def loads(text: str) -> BeliefBase:
     background: list = []
     candidates: dict[str, object] = {}  # label -> formula, in file order
     section: str | None = None
-    known: set[str] | None = None  # the atoms, once a world line needs them
+    known: set[str] = set()  # the atoms
+    labels: set[str] = set()  # the world labels
     cells: dict[str, tuple[str, bool]] = {}  # assignment token -> (atom, value)
     weights: dict[str, Fraction] = {}  # weight text -> its value
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # an editor may begin a UTF-8 file with a byte-order mark
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         upper = line.split(None, 1)[0].upper()
         if upper in _SECTIONS:
             section = upper[:-1]
-            rest = line[len(upper):].strip()
-            if rest:
-                if section != "ATOMS":
-                    raise _fail(lineno, f"unexpected text after {upper}")
-                atoms.extend(rest.split())
-                known = None
-            continue
-        if section is None:
+            line = line[len(upper):].strip()  # the atoms a header line may list
+            if not line:
+                continue
+            if section != "ATOMS":
+                raise _fail(lineno, f"unexpected text after {upper}")
+        elif section is None:
             raise _fail(lineno, "content before any section header")
         if section == "ATOMS":
-            atoms.extend(line.split())
-            known = None
+            for name in line.split():
+                if name in known:
+                    raise _fail(lineno, f"duplicate atom names: {name!r}")
+                known.add(name)
+                atoms.append(name)
         elif section == "WORLDS":
             if len(worlds) == MAX_WORLDS:
                 raise _fail(lineno, f"more than {MAX_WORLDS} worlds")
-            if known is None:
-                known = set(atoms)
-            worlds.append(_parse_world(line, lineno, atoms, known, cells, weights))
+            label, world = _parse_world(line, lineno, atoms, known, cells, weights)
+            if label in labels:
+                raise _fail(lineno, f"duplicate world label {label!r}")
+            labels.add(label)
+            worlds.append(world)
         elif section == "BACKGROUND":
             background.append(_parse_formula(line, lineno))
         else:
@@ -162,9 +170,9 @@ def _parse_world(
     cells: dict[str, tuple[str, bool]],
     weights: dict[str, Fraction],
 ):
-    """One world line.  ``cells`` and ``weights`` hold the assignment
-    tokens and weight texts already read in this file, so each distinct
-    one is checked and converted once."""
+    """One world line's label and ``(valuation, weight)``.  ``cells`` and
+    ``weights`` hold the assignment tokens and weight texts already read
+    in this file, so each distinct one is checked and converted once."""
     m = _WORLD_RE.fullmatch(line)
     if m is None:
         raise _fail(lineno, "expected '<label>: <atom>=<0|1> ... weight <p/q>'")
@@ -200,7 +208,7 @@ def _parse_world(
     if len(assignment) < len(known):
         missing = [a for a in atoms if a not in assignment]
         raise _fail(lineno, f"world leaves atoms unassigned: {', '.join(missing)}")
-    return tuple([assignment[a] for a in atoms]), weight
+    return m.group("label"), (tuple([assignment[a] for a in atoms]), weight)
 
 
 def dumps(base: BeliefBase) -> str:

@@ -13,8 +13,19 @@ bytes.  Exit codes: 0 ok, 2 input error, 3 internal invariant violation.
 
 Each handler imports the library modules it runs and returns its report
 body, or ``lottery``'s text; ``main`` alone ends every report with its
-``provenance`` and writes it.  Only ``--json`` imports ``json``, so a
-command loads no more than it needs.
+``provenance`` and writes it.  So a command loads no more than it needs,
+which ``tests/test_exports.py`` pins for each:
+
+- ``accept`` and ``extensions``: ``basefile``, ``formulas``, ``rationals``,
+  ``worlds``, ``sat`` and ``accept``, with ``dataclasses`` and ``hashlib``;
+- ``closure``: those and ``closure``; ``diagnose``: those, ``closure`` and
+  ``strands``;
+- ``stat binom``: ``rationals`` and ``stattests``, with ``dataclasses``;
+- ``lottery``: ``basefile``, ``formulas``, ``rationals`` and ``worlds``,
+  with no ``dataclasses``.
+
+Only ``--json`` imports ``json``, and only a sampled ``extensions`` run
+imports ``random``.
 """
 
 from __future__ import annotations
@@ -245,7 +256,8 @@ def _cmd_extensions(args) -> dict:
 
 def _cmd_lottery(args) -> str:
     from .basefile import dump, dumps
-    from .worlds import as_fraction, biased_lottery, fair_lottery, independent_lottery
+    from .rationals import as_fraction
+    from .worlds import biased_lottery, fair_lottery, independent_lottery
 
     if args.kind == "fair":
         if args.n is None:
@@ -349,6 +361,7 @@ def _cmd_closure(args) -> dict:
 
 
 def _cmd_stat(args) -> dict:
+    from .rationals import as_fraction
     from .stattests import (
         BinomialTestSpec,
         Decision,
@@ -357,7 +370,6 @@ def _cmd_stat(args) -> dict:
         rejection_to_acceptance,
         run_test,
     )
-    from .worlds import as_fraction
 
     spec = BinomialTestSpec(
         n=args.n,

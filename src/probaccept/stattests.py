@@ -24,9 +24,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from .worlds import ProbabilityBound, _past_digit_limit, as_fraction
+from .rationals import _past_digit_limit, as_fraction
 
 __all__ = [
+    "ProbabilityBound",
     "Decision",
     "BinomialTestSpec",
     "RejectionRegion",
@@ -47,6 +48,26 @@ SIDEDNESS = ("two_sided", "upper", "lower")
 # start: every integer pmf term has up to the digits of q**n, so the larger
 # the denominator q of p0, the longer each term.
 MAX_BINOMIAL_TRIALS = 2000
+
+
+@dataclass(frozen=True, slots=True)
+class ProbabilityBound:
+    """A closed rational interval [lower, upper] inside [0, 1]; ``upper``
+    defaults to ``lower``."""
+
+    lower: Fraction
+    upper: Fraction | None = None
+
+    def __post_init__(self):
+        low = as_fraction(self.lower)
+        high = low if self.upper is None else as_fraction(self.upper)
+        if not (0 <= low <= high <= 1):
+            raise ValueError(f"invalid probability bound [{low}, {high}]")
+        object.__setattr__(self, "lower", low)
+        object.__setattr__(self, "upper", high)
+
+    def __repr__(self):
+        return f"ProbabilityBound({self.lower}, {self.upper})"
 
 
 class Decision(Enum):

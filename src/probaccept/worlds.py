@@ -14,16 +14,18 @@ for acceptance.  The lottery constructors produce the standard families:
 a fair n-ticket lottery, a biased one, and a product model with fully
 independent tickets.  They write their models' columns in closed form and
 hand over their formulas canonicalised, masked and weighed.
+
+Weights given as text or ints are read by ``rationals.as_fraction``, the
+package's one reader of a rational.  This module imports no
+``dataclasses``, so a ``lottery`` command, which runs only this module,
+``formulas``, ``rationals`` and ``basefile``, does not load it.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import sys
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -32,18 +34,17 @@ from operator import and_, or_
 from .formulas import (
     Formula, FormulaSet, _ATOM_RE, _ExactlyOne, _negated_atom, atom, disj, exactly_one,
 )
+from .rationals import _past_digit_limit, as_fraction
 
 __all__ = [
     "UnknownAtomError",
     "ZeroProbabilityError",
-    "ProbabilityBound",
     "WorldModel",
     "BeliefBase",
     "exactly_one",
     "fair_lottery",
     "biased_lottery",
     "independent_lottery",
-    "as_fraction",
 ]
 
 INDEPENDENT_LOTTERY_CAP = 16
@@ -54,11 +55,6 @@ MAX_WORLDS = 2**INDEPENDENT_LOTTERY_CAP
 # Weight planes take (common denominator bits) x (world count) bits; this
 # caps them at 32 MiB, 4096-bit denominators over MAX_WORLDS worlds.
 MAX_PLANE_BITS = 2**28
-
-# The one grammar of a rational read from text: ``p/q`` or an integer in
-# ASCII digits, with optional ASCII spaces around it and the slash; no
-# decimal point, exponent, underscore or other script's digits or spaces.
-_RATIONAL_RE = re.compile(r"\s*(?P<p>[+-]?\d+)(?:\s*/\s*(?P<q>\d+))?\s*", re.ASCII)
 
 # Entry b maps every byte value to "1" if its bit b is set, else to "0";
 # entry 0 maps the bytes 0/1 of a valuation column to the digits "0"/"1".
@@ -74,47 +70,6 @@ class UnknownAtomError(ValueError):
 
 class ZeroProbabilityError(ValueError):
     """Conditioning on a set of formulas with probability zero."""
-
-
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and ``p/q``-or-integer strings in ASCII digits
-    (``_RATIONAL_RE``): the package's one reader of a rational, whatever
-    its source (an argument, a file's weight or a CLI option).  Floats are
-    rejected because they silently corrupt boundary comparisons.  A zero
-    denominator raises ``ValueError`` "zero denominator in '1/0'" (for the
-    text ``1/0``), and any other value it cannot read "expected a rational
-    p/q or integer, got ...": one message per fault."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"refusing inexact weight {value!r}; use p/q rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and (m := _RATIONAL_RE.fullmatch(value)):
-        if m["q"] is not None and int(m["q"]) == 0:
-            raise ValueError(f"zero denominator in {value!r}")
-        return Fraction(int(m["p"]), int(m["q"] or 1))
-    raise ValueError(f"expected a rational p/q or integer, got {value!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class ProbabilityBound:
-    """A closed rational interval [lower, upper] inside [0, 1]; ``upper``
-    defaults to ``lower``."""
-
-    lower: Fraction
-    upper: Fraction | None = None
-
-    def __post_init__(self):
-        low = as_fraction(self.lower)
-        high = low if self.upper is None else as_fraction(self.upper)
-        if not (0 <= low <= high <= 1):
-            raise ValueError(f"invalid probability bound [{low}, {high}]")
-        object.__setattr__(self, "lower", low)
-        object.__setattr__(self, "upper", high)
-
-    def __repr__(self):
-        return f"ProbabilityBound({self.lower}, {self.upper})"
 
 
 class WorldModel:
@@ -335,22 +290,6 @@ def _column_masks(table: bytes, width: int, bits: int) -> list[int]:
         for j in range(width)
         for b in range(bits)
     ]
-
-
-def _past_digit_limit(base: int, exponent: int = 1) -> int:
-    """The interpreter's digit limit when ``base**exponent`` has more
-    digits than it allows, else 0, also when there is no limit.  Bit
-    lengths settle most calls: ``10**digits``, and then the power, are
-    built only when they leave the answer open."""
-    digits = sys.get_int_max_str_digits()
-    # base**exponent lies in [2**low, 2**high); 10**digits has more
-    # than 3 * digits bits
-    high = base.bit_length() * exponent
-    if not digits or high <= 3 * digits:
-        return 0
-    bound = 10**digits
-    low = high - exponent
-    return digits if low >= bound.bit_length() or base**exponent >= bound else 0
 
 
 def _check_plane_bits(denominator: int, count: int) -> None:

@@ -87,6 +87,12 @@ class TestRoundTrip:
         assert base.model.probability(base.candidate("H")) == Fraction(1, 2)
         assert len(base.background) == 0
 
+    def test_byte_order_mark_is_skipped(self):
+        # an editor may write one at the start of a UTF-8 file
+        assert loads("\ufeff" + SAMPLE) == loads(SAMPLE)
+        text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1\n"
+        assert loads("\ufeff" + text) == loads(text)
+
     def test_sample_round_trips(self):
         base = loads(SAMPLE)
         assert loads(dumps(base)) == base
@@ -200,9 +206,12 @@ class TestFormatErrors:
         ("ATOMS: a\nWORLDS:\nw1: a=1 weight 1 1\n", "line 3: expected exactly one weight value"),
         ("ATOMS: a\nWORLDS:\nw1: a=2 weight 1\n", "line 3: bad assignment token 'a=2'"),
         ("ATOMS: a\nWORLDS:\nw1: a=1 a=0 weight 1\n", "line 3: atom 'a' assigned twice"),
-        ("ATOMS: a a\nWORLDS:\nw1: a=1 weight 1\n", "duplicate atom names"),
+        ("ATOMS: a a\nWORLDS:\nw1: a=1 weight 1\n", "line 1: duplicate atom names: 'a'"),
+        ("ATOMS: a b\nc\nATOMS: b\nWORLDS:\n", "line 3: duplicate atom names: 'b'"),
+        ("ATOMS: a\nWORLDS:\nw1: a=1 weight 1/2\nw1: a=0 weight 1/2\n",
+         "line 4: duplicate world label 'w1'"),
     ], ids=["text_after_header", "no_label", "two_weights", "bad_value", "assigned_twice",
-            "duplicate_atoms"])
+            "duplicate_atoms", "duplicate_atoms_later_line", "duplicate_world_label"])
     def test_malformed_input_message(self, text, message):
         with pytest.raises(BeliefBaseFormatError) as caught:
             loads(text)

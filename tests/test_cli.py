@@ -207,6 +207,20 @@ class TestAcceptCommand:
         assert "accepted_count: 0" in out
         assert "provenance.strict_threshold: true" in out
 
+    def test_byte_order_mark_file(self, capsys, tmp_path, lottery3_path):
+        # the report is that of the file without the mark, but for the
+        # provenance, whose digest is of the bytes read, mark included
+        with open(lottery3_path, "rb") as handle:
+            data = handle.read()
+        marked = tmp_path / "marked.bb"
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        argv = ["accept", "--policy", "threshold", "--epsilon", "1/3"]
+        code, out, err = run_cli(capsys, *argv, str(marked))
+        assert (code, err) == (0, "")
+        assert f"provenance.input_sha256: {hashlib.sha256(marked.read_bytes()).hexdigest()}" in out
+        plain = run_cli(capsys, *argv, lottery3_path)[1]
+        assert out.split("provenance.")[0] == plain.split("provenance.")[0]
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "accept", "--policy", "threshold", "--epsilon", "1/100", "/nonexistent.bb"

@@ -21,10 +21,11 @@ from probaccept import cli, sat
 PUBLIC = {
     "formulas": "EMPTY_SET Formula FormulaSet FormulaSyntaxError atom conj disj "
     "has_strong_inconsistency iff implies neg parse render",
+    "rationals": "as_fraction",
     "sat": "DEFAULT_CANDIDATE_CAP entails is_satisfiable maximal_consistent_subsets "
     "minimal_unsat_subsets shrink_unsat_subset",
-    "worlds": "BeliefBase ProbabilityBound UnknownAtomError WorldModel ZeroProbabilityError "
-    "as_fraction biased_lottery exactly_one fair_lottery independent_lottery",
+    "worlds": "BeliefBase UnknownAtomError WorldModel ZeroProbabilityError "
+    "biased_lottery exactly_one fair_lottery independent_lottery",
     "basefile": "BeliefBaseFormatError dump dumps load loads parse_rational",
     "accept": "Acceptance AcceptanceLevel AcceptedSet ExtensionEnumeration "
     "enumerate_extensions lehrer_accept lehrer_cascade sequential_accept "
@@ -32,7 +33,7 @@ PUBLIC = {
     "closure": "LeveledStatement conjunction_support consequence_level contradiction_bound",
     "strands": "Strand degree_of_inconsistency strand_entails strands",
     "stattests": "AcceptedRejection BinomialTestSpec CombinedRejection Decision "
-    "RejectionRegion binomial_pmf binomial_rejection_region combine_tests "
+    "ProbabilityBound RejectionRegion binomial_pmf binomial_rejection_region combine_tests "
     "rejection_to_acceptance run_test",
 }
 
@@ -56,10 +57,11 @@ def child(script, *argv):
     return done.stdout.splitlines()[-1]
 
 
-# Prints the library modules and the stdlib ones the CLI defers, as loaded.
+# Prints the library modules, the stdlib ones the CLI defers and
+# ``dataclasses``, which the library's report classes need, as loaded.
 LOADED = (
-    "print(*sorted(name for name in sys.modules"
-    " if name.startswith('probaccept.') or name in ('json', 'hashlib', 'random')))"
+    "print(*sorted(name for name in sys.modules if name.startswith('probaccept.')"
+    " or name in ('dataclasses', 'hashlib', 'json', 'random')))"
 )
 
 
@@ -76,7 +78,9 @@ def test_each_public_name_is_its_modules_own(module):
 
 def test_star_import_binds_the_public_names_and_submodules():
     script = "from probaccept import *\nprint(*sorted(n for n in dir() if not n.startswith('_')))"
-    submodules = {"accept", "basefile", "closure", "formulas", "sat", "stattests", "worlds"}
+    submodules = {
+        "accept", "basefile", "closure", "formulas", "rationals", "sat", "stattests", "worlds",
+    }
     public = {name for names in PUBLIC.values() for name in names.split()}
     assert child(script).split() == sorted(public | submodules)
     assert public <= set(dir(probaccept))
@@ -109,19 +113,48 @@ def test_importing_the_cli_loads_no_library_module():
     assert child(f"import sys, probaccept.cli\n{LOADED}") == "probaccept.cli"
 
 
-def test_stat_binom_loads_neither_sat_nor_accept():
+# Each command's argv (BASE: a 3-ticket lottery file) and what it loads: the
+# library modules, then the stdlib ones of LOADED.  ``stat binom`` loads
+# neither ``worlds`` nor ``formulas``, and ``lottery`` neither ``dataclasses``
+# nor ``accept`` or ``sat``.
+COMMAND_LOADS = {
+    "accept": (
+        ["accept", "--policy", "threshold", "--epsilon", "1/3", "BASE"],
+        "accept basefile formulas rationals sat worlds", "dataclasses hashlib",
+    ),
+    "extensions": (
+        ["extensions", "--policy", "sequential", "--epsilon", "1/3", "BASE"],
+        "accept basefile formulas rationals sat worlds", "dataclasses hashlib",
+    ),
+    "diagnose": (
+        ["diagnose", "--epsilon", "1/3", "BASE"],
+        "accept basefile closure formulas rationals sat strands worlds", "dataclasses hashlib",
+    ),
+    "closure": (
+        ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "BASE"],
+        "accept basefile closure formulas rationals sat worlds", "dataclasses hashlib",
+    ),
+    "stat_binom": (
+        ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10", "--observed", "0"],
+        "rationals stattests", "dataclasses",
+    ),
+    "lottery": (["lottery", "fair", "--n", "3"], "basefile formulas rationals worlds", ""),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_LOADS))
+def test_each_command_loads_only_the_modules_it_runs(command, lottery3_path):
+    argv, library, stdlib = COMMAND_LOADS[command]
     script = (
         "import contextlib, io, sys\n"
         "from probaccept import cli\n"
-        "argv = ['stat', 'binom', '--n', '10', '--p0', '1/2', '--epsilon', '1/10',"
-        " '--observed', '0']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(argv) == 0\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
         f"{LOADED}"
     )
-    loaded = child(script).split()
-    assert "probaccept.stattests" in loaded
-    assert not {"probaccept.sat", "probaccept.accept"} & set(loaded)
+    loaded = child(script, *[lottery3_path if part == "BASE" else part for part in argv])
+    modules = ["probaccept.cli", *(f"probaccept.{name}" for name in library.split())]
+    assert loaded.split() == sorted(modules + stdlib.split())
 
 
 def test_the_cli_imports_no_private_library_name():

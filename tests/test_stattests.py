@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ from probaccept import (
     AcceptanceLevel,
     BinomialTestSpec,
     Decision,
+    ProbabilityBound,
     binomial_pmf,
     binomial_rejection_region,
     combine_tests,
@@ -184,6 +187,21 @@ class TestRejectionToAcceptance:
     def test_fail_to_reject_accepts_nothing(self):
         with pytest.raises(ValueError):
             rejection_to_acceptance(spec(), Decision.FAIL_TO_REJECT)
+
+    def test_support_is_a_frozen_value(self):
+        support = rejection_to_acceptance(spec(), Decision.REJECT).support
+        assert type(support) is ProbabilityBound
+        assert repr(support) == "ProbabilityBound(99/100, 1)"
+        assert support == ProbabilityBound("99/100", 1)
+        assert hash(support) == hash(ProbabilityBound(Fraction(99, 100), Fraction(1)))
+        assert not hasattr(support, "__dict__")
+        with pytest.raises(AttributeError):
+            support.lower = Fraction(0)
+        # a pickle names the class where it is defined
+        assert b"probaccept.stattests" in pickle.dumps(support)
+        twins = copy.copy(support), copy.deepcopy(support), pickle.loads(pickle.dumps(support))
+        for twin in twins:
+            assert twin == support and repr(twin) == repr(support)
 
     def test_alternative_note_carried(self):
         accepted = rejection_to_acceptance(

@@ -63,7 +63,9 @@ unordered policy given to ``extensions`` and a ``--seed`` below 0 or past
 2**64 - 1, next to the largest seed that samples), ``--version`` and the
 help of every command, which the parser builds without importing the
 library, caps and zero denominators (in each option that reads a rational
-and in a world's weight), an ``--epsilon`` in digits of another script,
+and in a world's weight), a base file that begins with a UTF-8 byte-order
+mark and one that repeats a world label, an ``--epsilon`` in digits of
+another script,
 each report command in text and ``--json``.
 Stdlib only.
 """
@@ -177,6 +179,11 @@ NA: ~a
 # A world weight with a zero denominator: an input error naming its line.
 ZERO_WEIGHT_BASE = PAIR_BASE.replace("w2: a=0 weight 1/2", "w2: a=0 weight 1/0")
 
+# The pair saved with a UTF-8 byte-order mark, which reads as the pair, and
+# with a repeated world label, an input error naming its line.
+MARKED_BASE = "\ufeff" + PAIR_BASE
+TWO_LABEL_BASE = PAIR_BASE.replace("w2:", "w1:")
+
 # Two worlds share a weight and two have weights of their own, over three
 # denominators whose lcm is 12.
 MIXED_WEIGHTS_BASE = """\
@@ -281,6 +288,8 @@ HAND_BASES = {
     "grouped_pairs.bb": GROUPED_PAIRS_BASE,
     "swapped.bb": SWAPPED_BASE,
     "zero_weight.bb": ZERO_WEIGHT_BASE,
+    "marked.bb": MARKED_BASE,
+    "two_label.bb": TWO_LABEL_BASE,
     "mixed_weights.bb": MIXED_WEIGHTS_BASE,
     "digit_limit.bb": DIGIT_LIMIT_BASE,
 }
@@ -418,6 +427,9 @@ def commands() -> list[list[str]]:
         # zero denominators, one per option that reads a rational
         ["accept", "--policy", "threshold", "--epsilon", "1/0", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "zero_weight.bb"],
+        # a byte-order mark, and a repeated world label
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "marked.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "two_label.bb"],
         ["lottery", "biased", "--weights", "1/0,1"],
         ["lottery", "independent", "--n", "3", "--p", "1/0"],
         ["stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"],
