@@ -9,7 +9,15 @@ Subcommands: ``accept`` (run one policy over a belief-base file),
 Output is a flat ``key: value`` text report, or nested JSON with
 ``--json``.  All numbers are exact rationals ``p/q``; decimal renderings
 are marked approximate.  Identical inputs and flags produce identical
-bytes.  Exit codes: 0 ok, 2 input error, 3 internal invariant violation.
+bytes.  Exit codes: 0 ok, 2 input error, 3 internal invariant violation,
+141 stdout's reader has gone (e.g. ``| head``).
+
+``run`` is the process entry, behind ``python -m probaccept``, ``python -m
+probaccept.cli`` and the ``probaccept`` script.  ``main`` is the in-process
+API: it returns the exit code, or raises argparse's ``SystemExit``
+(``--help``, ``--version``, usage errors) or ``BrokenPipeError`` if
+stdout's reader has gone; it never flushes, freezes or touches a file
+descriptor.
 
 Each handler imports the library modules it runs and returns its report
 body, or ``lottery``'s text; ``main`` alone ends every report with its
@@ -31,6 +39,7 @@ imports ``random``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -537,9 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(out)
         return 0
     except BrokenPipeError:
-        # downstream closed the pipe (e.g. | head); suppress the noise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        raise  # not an input error: ``run`` ends the process with 141
     except (ValueError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
@@ -548,5 +555,32 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry: run ``main``, flush stdout and exit with its code,
+    or with 141 if stdout's reader has gone.
+
+    Before exiting it freezes the collector.  Every object then sits in
+    the permanent generation, which no collection visits, so shutdown no
+    longer traces and frees the module graph's cycles, and the OS takes the
+    memory back.  ``atexit``, the flush of the std streams, module clearing
+    and refcount frees still run, but an object left in a cycle is never
+    finalised.  Freezing relies on this: every file the CLI writes is
+    closed by ``with`` before ``main`` returns.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's --help, --version and usage errors
+            code = exc.code
+        sys.stdout.flush()  # here, so that a closed pipe is caught, not reported at shutdown
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: with fd 1 on devnull, shutdown's own
+        # flush of what is left cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,0 +1,39 @@
+"""``tools/startup.py``'s reading of ``-X importtime`` output."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+# as ``python -X importtime`` writes it: a module's line comes after the
+# lines of the modules it loads, indented one level deeper
+CANNED = """\
+import time: self [us] | cumulative | imported package
+import time:      3812 |       3812 |   _hashlib
+import time:       204 |        204 |   _blake2
+import time:       455 |       4471 | hashlib
+import time:      2729 |       2729 | probaccept
+import time:       701 |        701 |     probaccept.rationals
+import time:      4853 |       5554 |   probaccept.cli
+import time:      1890 |       2584 | shutil
+probaccept: error: not an import line
+"""
+
+
+def _startup(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))  # it imports ``cli_bytes`` from beside it
+    spec = importlib.util.spec_from_file_location("startup", TOOLS / "startup.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_import_times_reads_package_self_and_stdlib_cumulative_times(monkeypatch):
+    startup = _startup(monkeypatch)
+    assert startup.import_times(CANNED) == {
+        "hashlib": 4471,  # with OpenSSL's ``_hashlib``, which its self time hides
+        "probaccept": 2729,
+        "probaccept.rationals": 701,
+        "probaccept.cli": 4853,
+        "shutil": 2584,
+    }

@@ -1,26 +1,35 @@
-"""Time the start-up of one ``probaccept`` command per subcommand.
+"""Time the start-up and exit of one ``probaccept`` command per subcommand.
 
     python tools/startup.py CHECKOUT [N]
 
-Writes ``fair_3.bb`` with the checkout's own ``lottery`` command (through
-``tools/cli_bytes.py``'s runner), then runs each command below N times
-(default 5) as a fresh ``python -S -X importtime -m probaccept`` child on
-the checkout's ``src``, with ``PYTHONDONTWRITEBYTECODE=1``.  It prints one
-column per command: the best-of-N wall time of the child in ms, and the
-best-of-N self import time in microseconds of each ``probaccept`` module
-and of ``dataclasses``, ``hashlib`` and ``argparse``; ``-`` marks a module
-the command does not load.  The inputs are a 3-ticket lottery and small
-options, so a command's own work is a few ms and the rest is interpreter
-start, compilation and import.
+Copies the checkout's ``src`` without its ``__pycache__`` into a temporary
+directory, writes ``fair_3.bb`` there with the copy's own ``lottery``
+command (through ``tools/cli_bytes.py``'s runner), then runs each command
+below N times (default 5) as a fresh ``python -S -X importtime -m
+probaccept`` child on the copy, with ``PYTHONDONTWRITEBYTECODE=1``.  So
+every child compiles the package from source, the cold start that the
+``cli`` benchmark workload pays, whatever bytecode the checkout holds.
 
-A checkout with ``src/probaccept/__pycache__`` imports its bytecode, not
-its source; delete that directory first to time a cold start as the
-``cli`` benchmark workload does.  Stdlib only.
+It prints one column per command:
+
+- the best-of-N wall time of the child in ms;
+- ``exit ms``: that time minus the best-of-N wall time of the same
+  command run through ``-c`` by a wrapper that flushes the std streams
+  and calls ``os._exit`` once the entry is done, so skipping shutdown;
+- the best-of-N self import time in microseconds of each ``probaccept``
+  module, and the cumulative one, with what each loads, of the stdlib
+  modules in ``STDLIB``.
+
+``-`` marks a module the command does not load.  The inputs are a
+3-ticket lottery and small options, so a command's own work is a few ms
+and the rest is interpreter start, compilation, import and exit.  Stdlib
+only.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,57 +50,99 @@ COMMANDS = {
     "lottery": ["lottery", "fair", "--n", "3"],
 }
 
-# the stdlib modules whose import time is shown beside the package's
-STDLIB = ("dataclasses", "hashlib", "argparse")
+# the stdlib modules whose cumulative import time is shown beside the
+# package's: ``hashlib`` loads OpenSSL's ``_hashlib``, and ``argparse``
+# loads ``shutil`` and ``gettext`` loads ``locale`` when the parser is built
+STDLIB = ("dataclasses", "hashlib", "argparse", "shutil", "locale")
+
+# runs what ``python -m probaccept`` runs, then ends the process without
+# its shutdown
+EXIT_AT_ONCE = """\
+import os, runpy, sys
+try:
+    runpy.run_module("probaccept", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.flush()
+os._exit(code or 0)
+"""
 
 
 def import_times(stderr: str) -> dict[str, int]:
-    """Self import time in microseconds by module, from ``-X importtime``
-    lines ``import time: SELF | CUMULATIVE | NAME``."""
+    """Import time in microseconds by module, from ``-X importtime`` lines
+    ``import time: SELF | CUMULATIVE | NAME``: the self time of each
+    ``probaccept`` module and the cumulative time of each in ``STDLIB``."""
     out = {}
     for line in stderr.splitlines():
         if not line.startswith("import time:"):
             continue
-        self_us, _, name = line[len("import time:"):].split("|")
+        self_us, cumulative_us, name = line[len("import time:"):].split("|")
         name = name.strip()
-        if self_us.strip().isdigit() and (name.startswith("probaccept") or name in STDLIB):
+        if not self_us.strip().isdigit():
+            continue  # the header line
+        if name.startswith("probaccept"):
             out[name] = int(self_us)
+        elif name in STDLIB:
+            out[name] = int(cumulative_us)
     return out
 
 
-def measure(checkout: str, rounds: int) -> dict[str, tuple[float, dict[str, int]]]:
-    """Per command: best wall time in ms and best self import time per module."""
-    src = os.path.join(os.path.abspath(checkout), "src")
-    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "PATH": os.environ.get("PATH", "")}
+def _child(argv: list[str], name: str, workdir: str, env: dict[str, str]):
+    """Wall time in ms and the ``-X importtime`` stderr of one child."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *argv],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+    )
+    elapsed = (time.perf_counter() - start) * 1000
+    if done.returncode != 0:
+        raise SystemExit(f"{name} exited {done.returncode}: {done.stderr[-500:]}")
+    return elapsed, done.stderr
+
+
+def measure(checkout: str, rounds: int) -> dict[str, tuple[float, float, dict[str, int]]]:
+    """Per command: best wall time in ms, best wall time without shutdown
+    in ms, and best import time per module."""
     results = {}
     with tempfile.TemporaryDirectory() as workdir:
-        code, _, stderr = subprocess_runner(checkout)(workdir, [*BASES[BASE][0], "--out", BASE])
+        copy = os.path.join(workdir, "checkout")
+        shutil.copytree(
+            os.path.join(os.path.abspath(checkout), "src"), os.path.join(copy, "src"),
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = {
+            "PYTHONPATH": os.path.join(copy, "src"), "PYTHONDONTWRITEBYTECODE": "1",
+            "PATH": os.environ.get("PATH", ""),
+        }
+        code, _, stderr = subprocess_runner(copy)(workdir, [*BASES[BASE][0], "--out", BASE])
         if code != 0:
             raise SystemExit(f"writing {BASE} failed: {stderr.decode(errors='replace')}")
         for name, argv in COMMANDS.items():
-            best_ms, best_us = float("inf"), {}
+            best_ms, best_now_ms, best_us = float("inf"), float("inf"), {}
             for _ in range(rounds):
-                start = time.perf_counter()
-                done = subprocess.run(
-                    [sys.executable, "-S", "-X", "importtime", "-m", "probaccept", *argv],
-                    cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
-                )
-                elapsed = (time.perf_counter() - start) * 1000
-                if done.returncode != 0:
-                    raise SystemExit(f"{name} exited {done.returncode}: {done.stderr[-500:]}")
+                elapsed, stderr = _child(["-m", "probaccept", *argv], name, workdir, env)
                 best_ms = min(best_ms, elapsed)
-                for module, us in import_times(done.stderr).items():
+                for module, us in import_times(stderr).items():
                     best_us[module] = min(best_us.get(module, us), us)
-            results[name] = (best_ms, best_us)
+                elapsed, _ = _child(["-c", EXIT_AT_ONCE, *argv], name, workdir, env)
+                best_now_ms = min(best_now_ms, elapsed)
+            results[name] = (best_ms, best_now_ms, best_us)
     return results
 
 
-def table(results: dict[str, tuple[float, dict[str, int]]], rounds: int) -> str:
+def table(results: dict[str, tuple[float, float, dict[str, int]]], rounds: int) -> str:
     names = list(results)
-    modules = sorted({m for _, us in results.values() for m in us if m.startswith("probaccept")})
-    rows = [["", *names], [f"wall ms, best of {rounds}", *(f"{results[n][0]:.1f}" for n in names)]]
-    for module in [*modules, *STDLIB]:
-        rows.append([f"{module} us", *(str(results[n][1].get(module, "-")) for n in names)])
+    modules = sorted({m for *_, us in results.values() for m in us if m.startswith("probaccept")})
+    rows = [
+        ["", *names],
+        [f"wall ms, best of {rounds}", *(f"{results[n][0]:.1f}" for n in names)],
+        ["exit ms", *(f"{results[n][0] - results[n][1]:.1f}" for n in names)],
+    ]
+    for module in modules:
+        rows.append([f"{module} us", *(str(results[n][2].get(module, "-")) for n in names)])
+    for module in STDLIB:
+        rows.append([f"{module} us, cum.", *(str(results[n][2].get(module, "-")) for n in names)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join([row[0].ljust(widths[0]), *(c.rjust(w) for c, w in zip(row[1:], widths[1:]))])
