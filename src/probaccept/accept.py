@@ -25,11 +25,13 @@ ends up accepting that the last remaining ticket wins.
 ``enumerate_extensions`` surfaces the order dependence by running a
 policy over many candidate orders and collecting the distinct outcomes.
 
-Every consistency question about a base (a scan's verdict, a
-sequential admission, a Lehrer contrary, the conjunction of the
-extensions) goes to the one solver that ``_solver`` keeps on the base,
-which names candidates by their position in ``base.candidates``.  A
-world in the carried mask answers most of them first, and always the
+Every policy reads a candidate's worlds from the one solver that
+``_solver`` keeps on the base, which names candidates by their position
+in ``base.candidates``: ``shared`` is the background's world mask and
+``masks[i]`` candidate i's, already met with it.  Every consistency
+question about a base (a scan's verdict, a sequential admission, a Lehrer
+contrary, the conjunction of the extensions) goes to that solver, once.
+A world in the carried mask answers most of them first, and always the
 cascade's verdict.
 """
 
@@ -170,7 +172,8 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
 
 def _solver(base: BeliefBase) -> _Solver:
     """The base's one solver over its background and candidates, member i
-    being candidate i; built at the first question and kept on the base."""
+    being candidate i; built at the base's first policy run and kept on
+    the base."""
     if base._solver is None:
         solver = _Solver([f for _, f in base.candidates], base.background)
         object.__setattr__(base, "_solver", solver)
@@ -188,30 +191,35 @@ def _scan(
     """Visit ``(position, label, formula, probability)`` candidates in
     order.  The support is the probability, or with ``conditional`` the
     weight within the carried mask over its weight; it must meet the level
-    and, with ``consistent``, the accepted set must stay satisfiable.  A
-    world in the carried mask settles that and the run's verdict; an empty
-    one asks the base's solver, by the accepted candidates' positions.
+    and, with ``consistent``, the accepted set must stay satisfiable.
+
+    The base's solver gives the carried mask's start, the background's
+    ``shared`` worlds, and candidate i's worlds, ``masks[i]``.  A world in
+    the carried mask settles a ``consistent`` admission and the run's
+    verdict; an empty one asks the solver, by the accepted candidates'
+    positions.  A ``consistent`` run is weakly consistent without asking:
+    its last admission, or the background of probability 1, answered it.
 
     Every conditional support of a run is over the model's common
     denominator, so weights stay integer numerators, compared with the
     carried mask's numerator ``given``; only an accepted support becomes
     a ``Fraction``."""
-    model = base.model
-    current = model.joint_mask(base.background)
+    model, solver = base.model, _solver(base)
+    current = solver.shared
     given = model._numerator(current) if conditional else None
     accepted: list[Acceptance] = []
     taken: list[int] = []  # the accepted candidates' positions
     for i, label, formula, p in candidates:
         if conditional and given == 0:
             raise RuntimeError(f"{policy} conditioning set reached probability 0")
-        joint = current & model.satisfying_mask(formula)
+        joint = current & solver.masks[i]
         if conditional:
             weight = model._numerator(joint)
             if not level._met_by_ratio(weight, given):
                 continue
         elif not level.met_by(p):
             continue
-        if consistent and not joint and not _solver(base).satisfiable([*taken, i]):
+        if consistent and not joint and not solver.satisfiable([*taken, i]):
             continue
         support = Fraction(weight, given) if conditional else p
         accepted.append(Acceptance(label, formula, p, support))
@@ -219,7 +227,7 @@ def _scan(
         current = joint
         if conditional:
             given = weight  # the numerator of the new ``current``
-    verdict = bool(current) or _solver(base).satisfiable(taken)
+    verdict = consistent or bool(current) or solver.satisfiable(taken)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
@@ -254,17 +262,17 @@ def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
     matches or beats in probability.
 
     A pair with a shared world is satisfiable, and two masks inside the
-    ``room`` shared worlds whose counts add up to more than ``room`` share
-    one.  So only a candidate with ``count_i <= room - low``, ``low`` the
-    least count, can be in a contrary pair.  Those are sorted by count, and
-    each visits the prefix of rivals with ``count_j <= room - count_i``,
+    ``room`` worlds of the background (the solver keeps each candidate's
+    met with them) whose counts add up to more than ``room`` share one.
+    So only a candidate with ``count_i <= room - low``, ``low`` the least
+    count, can be in a contrary pair.  Those are sorted by count, and each
+    visits the prefix of rivals with ``count_j <= room - count_i``,
     testing each by mask, probability and solver.  A one-winner lottery
     sorts nothing and visits no pair."""
     weighed = _weighed(base)
     solver = _solver(base)
-    masks = [solver.shared & mask for mask in solver.masks]
+    masks, room = solver.masks, solver.shared.bit_count()
     counts = [mask.bit_count() for mask in masks]
-    room = solver.shared.bit_count()
     low = min(counts, default=0)
     rivals = sorted((j for j, c in enumerate(counts) if c <= room - low), key=counts.__getitem__)
     return [
@@ -309,33 +317,31 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     the rule's own requirement).  When exactly one ticket remains able to
     win, the cascade accepts that it wins.
 
-    A stage's conditionals share the denominator ``given``, the numerator
-    of the carried mask, so they are ranked and tied as the integer
-    numerators of their joint masks; only the leader's support becomes a
-    ``Fraction``.
+    The carried mask starts as the solver's ``shared`` worlds, and the
+    candidates not yet accepted are kept by position, each weighed through
+    the solver's ``masks[i]``.  A stage's conditionals share the
+    denominator ``given``, the numerator of the carried mask, so they are
+    ranked and tied as the integer numerators of their joint masks; only
+    the leader's support becomes a ``Fraction``.
     """
-    model = base.model
     tickets = dict.fromkeys(_ticket_atom(f) for _, f in base.candidates)
-    current = model.joint_mask(base.background)
+    model, solver = base.model, _solver(base)
+    current = solver.shared
     accepted: list[Acceptance] = []
-    remaining = dict(base.candidates)
+    remaining = list(range(len(base.candidates)))  # by position
     while remaining:
         given = model._numerator(current)
         if given == 0:
             raise RuntimeError("cascade conditioning set reached probability 0")
-        weights = {
-            label: model._numerator(current & model.satisfying_mask(f))
-            for label, f in remaining.items()
-        }
-        best = max(weights.values())
-        leaders = [label for label, weight in weights.items() if weight == best]
-        if len(leaders) != 1 or not level._met_by_ratio(best, given):
+        weights = [model._numerator(current & solver.masks[i]) for i in remaining]
+        best = max(weights)
+        if weights.count(best) != 1 or not level._met_by_ratio(best, given):
             break
-        label = leaders[0]
-        formula = remaining.pop(label)
+        i = remaining.pop(weights.index(best))
+        label, formula = base.candidates[i]
         support = Fraction(best, given)
         accepted.append(Acceptance(label, formula, model.probability(formula), support))
-        current &= model.satisfying_mask(formula)
+        current &= solver.masks[i]
     # the ticket names are atoms of the model: the base checked its candidates
     weights = {name: model._numerator(current & model._atom_masks[name]) for name in tickets}
     alive = [name for name, weight in weights.items() if weight > 0]

@@ -17,7 +17,8 @@ Rationals are written ``p/q`` or as bare integers, in ASCII digits, and
 read by ``rationals.as_fraction``, the package's one reader of a rational,
 so a bad weight fails with the message a CLI option would give, after its
 line number; floating point is rejected everywhere.  Atom names, in world
-lines too, follow the one grammar of ``formulas._ATOM_RE``.  ``dumps``
+lines too, and candidate labels follow the one grammar of
+``formulas._ATOM_RE``, each checked on its own line.  ``dumps``
 followed by ``loads`` reproduces an equal belief base; ``dumps`` refuses
 a candidate label that spells a section name in any case, such as
 ``Worlds``, since ``loads`` would read its line as that header.  A file
@@ -107,6 +108,8 @@ def loads(text: str) -> BeliefBase:
             for name in line.split():
                 if name in known:
                     raise _fail(lineno, f"duplicate atom names: {name!r}")
+                if not _ATOM_RE.fullmatch(name):
+                    raise _fail(lineno, f"invalid atom name {name!r}")
                 known.add(name)
                 atoms.append(name)
         elif section == "WORLDS":
@@ -126,6 +129,8 @@ def loads(text: str) -> BeliefBase:
             label = m.group("label")
             if label in candidates:
                 raise _fail(lineno, f"duplicate candidate label {label!r}")
+            if not _ATOM_RE.fullmatch(label):  # labels share the atom-name syntax
+                raise _fail(lineno, f"invalid candidate label {label!r}")
             candidates[label] = _parse_formula(m.group("body"), lineno)
 
     if not atoms:

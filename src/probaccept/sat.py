@@ -278,10 +278,12 @@ class _Solver:
 
     A background that names a world model (a belief base's own, whose
     ``_model`` is the base's model) lets a query first test the joint world
-    mask of the background and the chosen members.
-    A world in it is a satisfying valuation.  A model that lists every
-    valuation that can satisfy the background answers from the mask alone,
-    since an empty mask there means no valuation satisfies them
+    mask of the background and the chosen members.  ``shared`` is the
+    background's mask and ``masks[i]`` member i's, already met with it, so
+    the acceptance policies read a candidate's worlds here by position.
+    A world in a query's mask is a satisfying valuation.  A model that
+    lists every valuation that can satisfy the background answers from the
+    mask alone, since an empty mask there means no valuation satisfies them
     (``complete``): a model of all ``2**len(atoms)`` valuations, or one
     whose worlds satisfying some background ``exactly_one`` of k distinct
     atoms number ``k << (m - k)`` over its m atoms, as a one-winner
@@ -312,7 +314,7 @@ class _Solver:
             self.shared, self.masks = 0, [0] * len(members)
         else:
             self.shared = model.joint_mask(self.background)
-            self.masks = [model.satisfying_mask(f) for f in members]
+            self.masks = [self.shared & model.satisfying_mask(f) for f in members]
 
     @cached_property
     def complete(self) -> bool:

@@ -350,8 +350,8 @@ class BeliefBase:
     masks first.
 
     The base keeps one consistency solver over its background and
-    candidates, built by the acceptance policies at their first question
-    and asked every later one.  Like the model's mask and probability
+    candidates, built by the acceptance policies at their first run and
+    read by every later one.  Like the model's mask and probability
     caches, it serves one thread at a time.  Equality, ``repr``, copies
     and pickles ignore it.
     """

@@ -423,6 +423,51 @@ class TestOneSolverPerBase:
         assert base == fair_lottery(5) and repr(base) == repr(fair_lottery(5))
 
 
+    def test_a_second_run_reads_every_candidate_mask_from_the_solver(self, monkeypatch):
+        # once each policy has run, the solver's mask list holds every
+        # candidate's worlds: a second run asks the model for no candidate's
+        # mask, and the cascade only for its winner atom
+        base = biased_lottery(BIASED)
+        level = AcceptanceLevel(Fraction(1, 10))
+
+        def run(name):
+            policy, ordered = POLICY_TABLE[name]
+            return policy(base, base.candidate_labels, level) if ordered else policy(base, level)
+
+        first = {name: run(name) for name in POLICY_TABLE}
+        asked = []
+        mask = WorldModel.satisfying_mask
+
+        def counted(model, formula):
+            asked.append(formula)
+            return mask(model, formula)
+
+        monkeypatch.setattr(WorldModel, "satisfying_mask", counted)
+        for name in POLICY_TABLE:
+            assert run(name) == first[name]
+            if name == "cascade":
+                assert first[name].order[-1] == "wins_3"  # it ends on a winner
+                assert asked == [atom("wins_3")]
+            else:
+                assert asked == [], name
+            asked.clear()
+
+    def test_a_sequential_verdict_repeats_no_query(self, searches):
+        # the model lists no world for wins_5, so L4's admission and L5's
+        # refusal are searched; the verdict is L4's answer, not a third search
+        base = lottery_missing_a_winner(5)
+        level = AcceptanceLevel(Fraction(1, 4))
+        result = sequential_accept(base, base.candidate_labels, level)
+        assert len(searches) == 2
+        q = Fraction(3, 4)
+        accepted = tuple(
+            accept_module.Acceptance(label, f, q, q) for label, f in base.candidates[:4]
+        )
+        assert result == accept_module.AcceptedSet(
+            "sequential", level, accepted, base.background, True
+        )
+
+
 class TestEnumerateExtensions:
     def test_fair_three_sequential(self):
         base = fair_lottery(3)

@@ -194,6 +194,18 @@ class TestFormatErrors:
         with pytest.raises(BeliefBaseFormatError, match="line 1"):
             loads("a=1\nATOMS: a\n")
 
+    def test_invalid_atom_name_reports_its_own_line(self):
+        for world in ("w1: a=1 9x=0 weight 1", "w1: a=1 weight 1"):
+            with pytest.raises(BeliefBaseFormatError) as caught:
+                loads(f"ATOMS: a 9x\nWORLDS:\n{world}\n")
+            assert str(caught.value) == "line 1: invalid atom name '9x'"
+
+    def test_invalid_candidate_label_reports_its_line(self):
+        text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1\nCANDIDATES:\n1bad: a\n"
+        with pytest.raises(BeliefBaseFormatError) as caught:
+            loads(text)
+        assert str(caught.value) == "line 5: invalid candidate label '1bad'"
+
     def test_weights_not_summing_rejected(self):
         text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1/3\nw2: a=0 weight 1/3\n"
         with pytest.raises(BeliefBaseFormatError, match="world weights sum to 2/3, not 1"):

@@ -1,6 +1,9 @@
-"""``tools/startup.py``'s reading of ``-X importtime`` output."""
+"""``tools/startup.py``'s reading of ``-X importtime`` output, and its
+exit when stdout's reader has gone."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -37,3 +40,17 @@ def test_import_times_reads_package_self_and_stdlib_cumulative_times(monkeypatch
         "probaccept.cli": 4853,
         "shutil": 2584,
     }
+
+
+def test_closed_pipe_exits_141_without_a_traceback(monkeypatch, capsys):
+    startup = _startup(monkeypatch)
+    canned = {"accept": (60.0, 50.0, {"probaccept": 2729, "hashlib": 4471})}
+    monkeypatch.setattr(startup, "measure", lambda checkout, rounds: canned)
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone, as after ``| head``
+    with open(write, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert startup.main([".", "1"]) == 141
+        # the pipe's descriptor now writes to devnull, so closing it cannot fail
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""

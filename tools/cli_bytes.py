@@ -64,7 +64,8 @@ unordered policy given to ``extensions`` and a ``--seed`` below 0 or past
 help of every command, which the parser builds without importing the
 library, caps and zero denominators (in each option that reads a rational
 and in a world's weight), a base file that begins with a UTF-8 byte-order
-mark and one that repeats a world label, an ``--epsilon`` in digits of
+mark, one that repeats a world label, one with an atom name and one with
+a candidate label outside the name grammar, an ``--epsilon`` in digits of
 another script,
 each report command in text and ``--json``.
 Stdlib only.
@@ -184,6 +185,11 @@ ZERO_WEIGHT_BASE = PAIR_BASE.replace("w2: a=0 weight 1/2", "w2: a=0 weight 1/0")
 MARKED_BASE = "\ufeff" + PAIR_BASE
 TWO_LABEL_BASE = PAIR_BASE.replace("w2:", "w1:")
 
+# The pair with an atom name and with a candidate label outside the name
+# grammar: input errors naming the line of the name.
+BAD_ATOM_BASE = PAIR_BASE.replace("ATOMS: a", "ATOMS: a 9x")
+BAD_LABEL_BASE = PAIR_BASE.replace("NA:", "1bad:")
+
 # Two worlds share a weight and two have weights of their own, over three
 # denominators whose lcm is 12.
 MIXED_WEIGHTS_BASE = """\
@@ -290,6 +296,8 @@ HAND_BASES = {
     "zero_weight.bb": ZERO_WEIGHT_BASE,
     "marked.bb": MARKED_BASE,
     "two_label.bb": TWO_LABEL_BASE,
+    "bad_atom.bb": BAD_ATOM_BASE,
+    "bad_label.bb": BAD_LABEL_BASE,
     "mixed_weights.bb": MIXED_WEIGHTS_BASE,
     "digit_limit.bb": DIGIT_LIMIT_BASE,
 }
@@ -430,6 +438,9 @@ def commands() -> list[list[str]]:
         # a byte-order mark, and a repeated world label
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "marked.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "two_label.bb"],
+        # an atom name and a candidate label outside the name grammar
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "bad_atom.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "bad_label.bb"],
         ["lottery", "biased", "--weights", "1/0,1"],
         ["lottery", "independent", "--n", "3", "--p", "1/0"],
         ["stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"],

@@ -22,8 +22,9 @@ It prints one column per command:
 
 ``-`` marks a module the command does not load.  The inputs are a
 3-ticket lottery and small options, so a command's own work is a few ms
-and the rest is interpreter start, compilation, import and exit.  Stdlib
-only.
+and the rest is interpreter start, compilation, import and exit.  If
+stdout's reader goes early (``| head``), it exits 141 with no traceback.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -157,7 +158,15 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     rounds = int(argv[1])
-    print(table(measure(argv[0], rounds), rounds))
+    results = measure(argv[0], rounds)
+    try:
+        print(table(results, rounds))
+        sys.stdout.flush()  # here, so that a closed pipe is caught, not reported at exit
+    except BrokenPipeError:
+        # as ``probaccept.cli.run`` does: with fd 1 on devnull, the flush at
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 
