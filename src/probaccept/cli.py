@@ -25,7 +25,8 @@ body, or ``lottery``'s text; ``main`` alone ends every report with its
 which ``tests/test_exports.py`` pins for each:
 
 - ``accept`` and ``extensions``: ``basefile``, ``formulas``, ``rationals``,
-  ``worlds``, ``sat`` and ``accept``, with ``dataclasses`` and ``hashlib``;
+  ``worlds``, ``sat`` and ``accept``, with ``dataclasses`` and the
+  interpreter's own SHA-256 module, not ``hashlib``;
 - ``closure``: those and ``closure``; ``diagnose``: those, ``closure`` and
   ``strands``;
 - ``stat binom``: ``rationals`` and ``stattests``, with ``dataclasses``;
@@ -174,12 +175,19 @@ def _base_and_level(args):
     with open(args.base, "rb") as handle:
         text = handle.read().decode("utf-8")
     base = loads(text)
-    # hashlib loads its library only now, so as not to add to the parse's
-    # peak memory; strict UTF-8 decoding round-trips, so encoding the text
-    # gives back the bytes read
-    import hashlib
+    # the interpreter's own SHA-256 (``_sha2`` from Python 3.12, ``_sha256``
+    # before), loaded only now; ``hashlib``, which loads OpenSSL, only where
+    # it is not built.  Strict UTF-8 decoding round-trips, so encoding the
+    # text gives back the bytes read.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
-    args.input_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    args.input_sha256 = sha256(text.encode("utf-8")).hexdigest()
     return base, AcceptanceLevel(args.epsilon, strict=args.strict_threshold)
 
 

@@ -341,7 +341,8 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     read of ``.args``; ``nnf()`` reads it, so the canonical node is the
     generic walk of the tree.  When the outcomes are two or more distinct
     atoms, as in every lottery, nothing else reads it: the canonical key
-    is written straight from their sorted names, ``render`` writes the
+    is written straight from their sorted names, the pairs on each name
+    with one join over the names after it, ``render`` writes the
     text from their names in outcome order, ``has_strong_inconsistency``
     passes the formula over, and the SAT solver takes them as one
     at-least-one clause and one at-most-one row, with no pair clauses; a
@@ -382,13 +383,13 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
         and max(result._bounds) <= MAX_KEY_LENGTH
     ):
         # The canonical node sorts its literals by name, ~a before a: the
-        # pairs on the least name, then the disjunction, then the rest.
+        # pairs on the least name, then the disjunction, then the rest.  The
+        # pairs on one name are one join over the names after it.
         names = sorted(result._atoms)
-        first, rest = names[0], names[1:]
-        parts = [f"(~{first} | ~{b})" for b in rest]
-        parts.append("(" + " | ".join(names) + ")")
-        parts += [f"(~{a} | ~{b})" for i, a in enumerate(rest) for b in rest[i + 1:]]
-        result._key = "(" + " & ".join(parts) + ")"
+        runs = [f"(~{a} | ~" + f") & (~{a} | ~".join(names[i:]) + ")"
+                for i, a in enumerate(names[:-1], 1)]
+        runs.insert(1, "(" + " | ".join(names) + ")")
+        result._key = "(" + " & ".join(runs) + ")"
         result._names = tuple(names)
     return result
 
@@ -597,9 +598,9 @@ class FormulaSet:
 
     @classmethod
     def _of(cls, pairs: Iterable[tuple[str, Formula]]) -> "FormulaSet":
-        """The set of ``(canonical key, formula)`` pairs drawn from one set's
-        ``_keys``, so already distinct formulas: no type check, no key read.
-        Both slots stay unset, as ``__init__`` leaves them."""
+        """The set of ``(canonical key, formula)`` pairs of distinct formulas,
+        such as those drawn from one set's ``_keys``: no type check, no key
+        read.  Both slots stay unset, as ``__init__`` leaves them."""
         result = cls.__new__(cls)
         result._keys = dict(pairs)
         return result

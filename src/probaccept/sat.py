@@ -69,8 +69,15 @@ Marques-Silva, *Constraints* 21(2), 2016).  The same DPLL search solves a
 map formula over the members for a seed; it decides members true first,
 in order, so each seed is a maximal model of the map: an MCS as it stands
 if satisfiable, else shrunk to a MUS.  Each block joins the map's own
-clause store, which is extended, never rebuilt.  ``DEFAULT_CANDIDATE_CAP``
-bounds the loop.  The walk is kept with the candidate set: a
+clause store, which is extended, never rebuilt.  On a model that lists
+every valuation satisfying the background, the MCSes are read off the
+worlds first: they are the maximal rows "the members true at world w"
+over the background's worlds, and the MUSes are their minimal hitting
+sets (Reiter, *AI* 32, 1987; Liffiton & Sakallah, *JAR* 40, 2008).  Each
+MCS is blocked in the map before the loop, so every seed is
+unsatisfiable and shrinks to a MUS by masks alone: the loop makes one map
+search per MUS and one more.  ``DEFAULT_CANDIDATE_CAP`` bounds the loop.
+The walk is kept with the candidate set: a
 ``FormulaSet`` of candidates holds the family it last gave, for one
 background, so the minimal unsatisfiable subsets, the maximal consistent
 ones, the degree of inconsistency and the strands of one set over one
@@ -290,7 +297,8 @@ class _Solver:
     lottery's do.  The loop that checks every background formula and member
     is a formula also drops the model when one has an atom the model lacks.
     With no model every mask is empty, as for a model that lists no world.
-    Only ``_search``, which every empty mask reaches, asks ``complete``.
+    ``_search``, which every empty mask reaches, asks ``complete``, and so
+    does the subset walk, which reads the MCSes off such a model's worlds.
 
     Any other query goes to the clause store, built at the first such
     query: one variable numbering over the background (group 0) and the
@@ -438,6 +446,12 @@ def _consistent_family(
     unsatisfiable one (smallest first), each list then in lexicographic
     order.
 
+    When the background has a world and the model lists every valuation
+    that satisfies it (``complete``), ``_maximal_rows`` reads the MCSes off
+    the worlds and each one's block joins the map before the loop, so the
+    map yields only unsatisfiable seeds, each shrunk to a MUS by masks
+    alone.  Otherwise the loop finds both kinds.
+
     Candidates given as a ``FormulaSet`` keep the family in its ``_family``
     slot, with the canonical keys of the background it was walked over.  A
     later call on that set with a background of the same keys returns it
@@ -448,11 +462,27 @@ def _consistent_family(
     kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
     if kept is not None and kept[0] == key:
         return members, list(kept[1]), list(kept[2])
-    solver = _Solver([f for _, f in members], background)
-    n = len(members)
-    mcses, muses = [], []
+    mcses, muses = _walk(_Solver([f for _, f in members], background), len(members))
+    mcses.sort(key=lambda s: (-len(s), sorted(s)))
+    muses.sort(key=lambda s: (len(s), sorted(s)))
+    if isinstance(candidates, FormulaSet):
+        candidates._family = (key, tuple(mcses), tuple(muses))
+    return members, mcses, muses
+
+
+def _walk(solver: _Solver, n: int) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """Every MCS and every MUS of the solver's ``n`` members, unsorted."""
+    mcses: list[frozenset[int]] = []
+    muses: list[frozenset[int]] = []
     blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
     mentioned: set[int] = set()
+    if solver.shared and solver.complete:
+        mcses = _maximal_rows(solver.shared, solver.masks)
+        if len(mcses[0]) == n:  # the only MCS, so no MUS
+            return mcses, muses
+        blocked = [tuple(i + 1 for i in range(n) if i not in mcs) for mcs in mcses]
+        blocks.add(0, blocked)
+        mentioned.update(*blocked)
     while (
         seed := _dpll(blocks, b"\x01", blocks.units[0], sorted(mentioned))
     ) is not None:
@@ -470,11 +500,36 @@ def _consistent_family(
             block = tuple(-(i + 1) for i in current)
         blocks.add(0, [block])
         mentioned.update(map(abs, block))
-    mcses.sort(key=lambda s: (-len(s), sorted(s)))
-    muses.sort(key=lambda s: (len(s), sorted(s)))
-    if isinstance(candidates, FormulaSet):
-        candidates._family = (key, tuple(mcses), tuple(muses))
-    return members, mcses, muses
+    return mcses, muses
+
+
+def _maximal_rows(shared: int, masks: Sequence[int]) -> list[frozenset[int]]:
+    """Every maximal consistent index set over a complete model, from its
+    worlds: the maximal rows "the members true at world w" over the worlds
+    of ``shared``.  ``masks[i]`` is member i's worlds within ``shared``.
+
+    Each step takes the lowest world whose row no set found so far holds,
+    grows its row by every member, in order, that leaves a world with all
+    chosen so far, and then drops every world whose row the grown set
+    holds: those that no member outside it covers.  The grown set is a
+    maximal row, holds the world's row and so is new; a maximal row is the
+    row of each world in its joint mask, so every one is found.  A step
+    costs ``2 * len(masks)`` mask operations, and there is one per MCS."""
+    found: list[frozenset[int]] = []
+    left = shared  # the worlds whose rows no set found so far holds
+    while left:
+        world = left & -left
+        joint = reduce(int.__and__, filter(world.__and__, masks), shared)
+        chosen, outside = [], 0
+        for i, mask in enumerate(masks):
+            if mask & joint:  # every member of the world's row passes
+                joint &= mask
+                chosen.append(i)
+            else:
+                outside |= mask
+        found.append(frozenset(chosen))
+        left &= outside
+    return found
 
 
 def _shrink(solver: _Solver, current: list[int]) -> list[int]:

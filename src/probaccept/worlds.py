@@ -12,8 +12,9 @@ A :class:`BeliefBase` combines a model with background formulas (treated
 as certain, probability exactly 1) and labeled candidate formulas offered
 for acceptance.  The lottery constructors produce the standard families:
 a fair n-ticket lottery, a biased one, and a product model with fully
-independent tickets.  They write their models' columns in closed form and
-hand over their formulas canonicalised, masked and weighed.
+independent tickets.  They write their models' columns in closed form, hand
+over their formulas canonicalised, masked and weighed, and store the base
+past the constructor's checks, which their parts pass by construction.
 
 Weights given as text or ints are read by ``rationals.as_fraction``, the
 package's one reader of a rational.  This module imports no
@@ -389,11 +390,21 @@ class BeliefBase:
                 raise ValueError(
                     f"background formula {formula} has probability {p}, not 1"
                 )
-        bg._model = model
+        self._store(model, bg, pairs)
+
+    def _store(
+        self, model: WorldModel, background: FormulaSet, candidates: tuple
+    ) -> BeliefBase:
+        """Store valid parts and return ``self``: ``background`` becomes the
+        base's own set, which names ``model``.  ``__init__`` ends here; the
+        lottery builders call it on ``BeliefBase.__new__(BeliefBase)`` with
+        parts valid by construction."""
+        background._model = model
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "background", bg)
-        object.__setattr__(self, "candidates", pairs)
+        object.__setattr__(self, "background", background)
+        object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "_solver", None)  # set and read by accept._solver
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BeliefBase is immutable")
@@ -517,8 +528,10 @@ def biased_lottery(weights: Iterable[object]) -> BeliefBase:
     background = exactly_one(wins)
     model._mask_cache[background.canonical_key] = model._full
     model._probability_cache[background.canonical_key] = Fraction(1)
-    candidates = [(f"L{i}", lose) for i, lose in enumerate(loses, 1)]
-    return BeliefBase(model, [background], candidates)
+    candidates = tuple((f"L{i}", lose) for i, lose in enumerate(loses, 1))
+    return BeliefBase.__new__(BeliefBase)._store(
+        model, FormulaSet._of([(background.canonical_key, background)]), candidates
+    )
 
 
 def fair_lottery(n: int) -> BeliefBase:
@@ -591,4 +604,4 @@ def independent_lottery(n: int, p) -> BeliefBase:
     _weigh_tickets(model, loses, masks, [win_p] * n)
     candidates = [(f"L{i}", lose) for i, lose in enumerate(loses, 1)]
     candidates.append(("some_wins", disj(*wins)))
-    return BeliefBase(model, (), candidates)
+    return BeliefBase.__new__(BeliefBase)._store(model, FormulaSet(), tuple(candidates))

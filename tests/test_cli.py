@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from probaccept import AcceptanceLevel, BeliefBaseFormatError, as_fraction, cli
-from probaccept import enumerate_extensions, fair_lottery, load, loads, sat
+from probaccept import dump, enumerate_extensions, fair_lottery, load, loads, sat
 from probaccept import threshold_accept
 from probaccept.accept import DEFAULT_SEED, MAX_PERMUTATIONS
 from probaccept.cli import main
@@ -221,6 +221,17 @@ class TestAcceptCommand:
         plain = run_cli(capsys, *argv, lottery3_path)[1]
         assert out.split("provenance.")[0] == plain.split("provenance.")[0]
 
+    def test_digest_without_the_builtin_sha256(self, capsys, monkeypatch, lottery3_path):
+        # an interpreter built without its own SHA-256 module takes hashlib's
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # importing it fails
+        argv = ["accept", "--policy", "threshold", "--epsilon", "1/3", lottery3_path]
+        code, out, _ = run_cli(capsys, *argv)
+        with open(lottery3_path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert code == 0
+        assert f"provenance.input_sha256: {digest}" in out
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "accept", "--policy", "threshold", "--epsilon", "1/100", "/nonexistent.bb"
@@ -334,6 +345,18 @@ class TestDiagnoseCommand:
         assert "diagnostics.degree: 2" in out
         assert "contradiction_bound: 3" in out
         assert "mus_respects_bound: true" in out
+
+    def test_lottery_at_the_cap_sits_at_degree_two(self, capsys, tmp_path):
+        # ``strands``: an n-ticket lottery sits at degree 2 for every n, here
+        # at the enumeration cap, read off the worlds of the file's model
+        path = tmp_path / "fair_20.bb"
+        dump(fair_lottery(DEFAULT_CANDIDATE_CAP), path)
+        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/20", str(path))
+        assert code == 0
+        assert "diagnostics.mus_method: exhaustive" in out
+        assert "diagnostics.mus_min_size: 20" in out
+        assert "diagnostics.mcs_count: 20" in out
+        assert "diagnostics.degree: 2" in out
 
     def test_hundred_lottery_uses_shrink(self, capsys, lottery100_path):
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/100", lottery100_path)

@@ -58,10 +58,13 @@ def child(script, *argv):
 
 
 # Prints the library modules, the stdlib ones the CLI defers and
-# ``dataclasses``, which the library's report classes need, as loaded.
+# ``dataclasses``, which the library's report classes need, as loaded.  The
+# interpreter's own SHA-256 module, ``_sha2`` from Python 3.12 and ``_sha256``
+# before, prints as ``sha256``; ``hashlib`` would load OpenSSL.
 LOADED = (
-    "print(*sorted(name for name in sys.modules if name.startswith('probaccept.')"
-    " or name in ('dataclasses', 'hashlib', 'json', 'random')))"
+    "print(*sorted({'_sha2': 'sha256', '_sha256': 'sha256'}.get(name, name)"
+    " for name in sys.modules if name.startswith('probaccept.') or name in"
+    " ('_sha2', '_sha256', 'dataclasses', 'hashlib', 'json', 'random')))"
 )
 
 
@@ -120,19 +123,19 @@ def test_importing_the_cli_loads_no_library_module():
 COMMAND_LOADS = {
     "accept": (
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas rationals sat worlds", "dataclasses hashlib",
+        "accept basefile formulas rationals sat worlds", "dataclasses sha256",
     ),
     "extensions": (
         ["extensions", "--policy", "sequential", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas rationals sat worlds", "dataclasses hashlib",
+        "accept basefile formulas rationals sat worlds", "dataclasses sha256",
     ),
     "diagnose": (
         ["diagnose", "--epsilon", "1/3", "BASE"],
-        "accept basefile closure formulas rationals sat strands worlds", "dataclasses hashlib",
+        "accept basefile closure formulas rationals sat strands worlds", "dataclasses sha256",
     ),
     "closure": (
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "BASE"],
-        "accept basefile closure formulas rationals sat worlds", "dataclasses hashlib",
+        "accept basefile closure formulas rationals sat worlds", "dataclasses sha256",
     ),
     "stat_binom": (
         ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10", "--observed", "0"],
@@ -230,8 +233,10 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     # the base's own background is the one set that names its model, and
     # only the solver reads it there; no set drawn from the base names one,
     # and an accepted set keeps no model of its own, so it needs no
-    # __reduce__.  Only the solver's search path asks whether the model is
-    # complete.
+    # __reduce__.  The base's store step, where the constructor and the
+    # lottery builders end, writes it.  Only the solver's search path and
+    # the subset walk, which reads the MCSes off the worlds, ask whether the
+    # model is complete.
     package = pathlib.Path(probaccept.__file__).parent
     writers, readers, completes = {}, {}, {}
     for path in sorted(package.glob("*.py")):
@@ -247,7 +252,7 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
             if isinstance(node, ast.ClassDef) and node.name == "AcceptedSet":
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 assert "__reduce__" not in methods
-    assert writers == {"worlds": ["BeliefBase.__init__"]}
+    assert writers == {"worlds": ["BeliefBase._store"]}
     assert readers == {"sat": ["_Solver.__init__"]}
-    assert completes == {"sat": ["_Solver._search"]}
+    assert completes == {"sat": ["_Solver._search", "_walk"]}
     assert list(inspect.signature(sat._Solver).parameters) == ["members", "background"]

@@ -13,6 +13,7 @@ from probaccept import (
     atom,
     conj,
     disj,
+    exactly_one,
     has_strong_inconsistency,
     iff,
     implies,
@@ -182,6 +183,15 @@ class TestCanonicalIdentity:
         assert parse("a | ~a").canonical_key == "(~a | a)"
         assert parse("b & ~a & (c | a)").canonical_key == "(~a & b & (a | c))"
         assert parse("c | (b & a) | ~b").canonical_key == "((a & b) | ~b | c)"
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 300])
+    def test_exactly_one_key_is_its_pair_trees(self, n):
+        # written from the sorted names (wins_10 before wins_2), one join per
+        # name; at n = 2 no pair lies among the names after the least
+        outcomes = [atom(f"wins_{i}") for i in range(1, n + 1)]
+        pairs = [neg(conj(a, b)) for i, a in enumerate(outcomes) for b in outcomes[i + 1:]]
+        tree = conj(disj(*outcomes), *pairs)
+        assert exactly_one(outcomes).canonical_key == nnf_key(tree.nnf())
 
     def test_no_cache_outlives_the_formulas(self):
         # a fresh interpreter, so no earlier test has filled a cache yet

@@ -1261,9 +1261,14 @@ def assert_built_like_the_generic_base(base: BeliefBase) -> None:
     policy's ``AcceptedSet``, strict and not, at an epsilon equal to the
     least, the median and the greatest world weight inside (0, 1): for a
     one-winner lottery, a ticket's weight, which puts the level exactly on
-    its lose statement's probability."""
+    its lose statement's probability.  The builders store their parts past
+    the constructor's checks, which the same parts pass, giving an equal
+    base."""
     generic = generic_lottery(base)
     assert base == generic
+    checked = BeliefBase(base.model, base.background, base.candidates)
+    assert (checked, checked.candidates) == (base, base.candidates)
+    assert base.background._model is base.model
     candidates = [(f, g) for (_, f), (_, g) in zip(base.candidates, generic.candidates)]
     loses = candidates[:len(base.model.atoms)]
     built = [*candidates, *((f.args[0], g.args[0]) for f, g in loses)]

@@ -494,6 +494,69 @@ class TestManyMaximalConsistentSubsets:
         assert _texts(muses) == [[f"x{i}", f"~x{i}"] for i in range(8)]
 
 
+class TestWorldRows:
+    """Over a base's own background, on a model that lists every valuation
+    satisfying it, the MCSes are read off the worlds and blocked before
+    the map walk, which then makes one search per MUS and one more."""
+
+    def test_accepted_lottery_makes_two_map_searches(self, searches):
+        base = fair_lottery(12)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 12))).accepted_formulas
+        searches.clear()
+        muses = minimal_unsat_subsets(accepted, base.background)
+        mcses = maximal_consistent_subsets(accepted, base.background)
+        # the seed of every member, shrunk to the one MUS, and the last
+        assert len(searches) == 2
+        assert muses == [accepted]
+        assert [len(m) for m in mcses] == [11] * 12
+
+    def test_ten_interleaved_pairs_over_an_independent_lottery(self, searches):
+        base = independent_lottery(10, Fraction(1, 2))
+        wins = [atom(f"wins_{i}") for i in range(1, 11)]
+        candidates = FormulaSet(f for win in wins for f in (win, neg(win)))
+        searches.clear()
+        with _time_limit(10):
+            mcses = maximal_consistent_subsets(candidates, base.background)
+            muses = minimal_unsat_subsets(candidates, base.background)
+        assert len(mcses) == 1024 and len(set(map(_keys, mcses))) == 1024
+        assert all(len(m) == 10 for m in mcses)
+        assert _texts(mcses[:2]) == [
+            [str(w) for w in wins], [*map(str, wins[:9]), "~wins_10"]
+        ]
+        assert _texts(muses) == [[str(w), f"~{w}"] for w in wins]
+        assert len(searches) == 11
+
+
+@st.composite
+def complete_model_problems(draw):
+    """A lottery, whose model lists every valuation that satisfies its
+    background (independent with two to six tickets, one-winner with two
+    to seven), and one to nine random candidates over its atoms."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        base = independent_lottery(draw(st.integers(2, 6)), Fraction(1, 2))
+    else:
+        base = fair_lottery(draw(st.integers(2, 7)))
+    names = list(base.model.atoms)
+    candidates = [random_formula(rng, names, depth=3) for _ in range(draw(st.integers(1, 9)))]
+    return base, candidates
+
+
+@given(complete_model_problems())
+def test_world_rows_match_oracles(problem):
+    base, candidates = problem
+    background = list(base.background)
+    muses = minimal_unsat_subsets(candidates, base.background)
+    mcses = maximal_consistent_subsets(candidates, base.background)
+    assert _indices(candidates, map(_keys, muses)) == _by_size(
+        _indices(candidates, brute_minimal_unsat_subsets(candidates, background))
+    )
+    assert _indices(candidates, map(_keys, mcses)) == _by_size(
+        _indices(candidates, brute_maximal_consistent_subsets(candidates, background)),
+        largest_first=True,
+    )
+
+
 class TestUnsatisfiableBackground:
     """Each diagnostic reports an unsatisfiable background, with or without
     candidates, and after a cap it exceeds."""

@@ -52,9 +52,11 @@ COMMANDS = {
 }
 
 # the stdlib modules whose cumulative import time is shown beside the
-# package's: ``hashlib`` loads OpenSSL's ``_hashlib``, and ``argparse``
-# loads ``shutil`` and ``gettext`` loads ``locale`` when the parser is built
-STDLIB = ("dataclasses", "hashlib", "argparse", "shutil", "locale")
+# package's: ``hashlib`` loads OpenSSL's ``_hashlib``, where the base-file
+# commands take the interpreter's own SHA-256 (``_sha256``, ``_sha2`` from
+# Python 3.12), and ``argparse`` loads ``shutil`` and ``gettext`` loads
+# ``locale`` when the parser is built
+STDLIB = ("dataclasses", "hashlib", "_sha256", "_sha2", "argparse", "shutil", "locale")
 
 # runs what ``python -m probaccept`` runs, then ends the process without
 # its shutdown
