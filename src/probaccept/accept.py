@@ -1,8 +1,8 @@
 """Acceptance policies over belief bases.
 
-Four ways of turning "probable enough" into "accepted", all run by one
-candidate scan (``_scan``) that carries the joint world mask of the
-background and the statements accepted so far:
+Four ways of turning "probable enough" into "accepted", three of them run
+by one candidate scan (``_scan``) that carries the joint world mask of
+the background and the statements accepted so far:
 
 * ``threshold_accept`` takes every candidate whose probability clears the
   acceptance level, consistency be damned; with a fair n-ticket lottery
@@ -10,8 +10,8 @@ background and the statements accepted so far:
   accepted set.
 * ``lehrer_accept`` additionally demands that a candidate be strictly
   more probable than every candidate contrary to it (contrary: the pair
-  is unsatisfiable together with the background), so ties block; the
-  dominated candidates are dropped before the scan.
+  is unsatisfiable together with the background), so ties block; it
+  accepts, in base order, the candidates no contrary matches.
 * ``sequential_accept`` scans candidates in a given order and keeps each
   one that clears the level and preserves satisfiability.  The outcome
   depends on the order.
@@ -33,13 +33,27 @@ question about a base (a scan's verdict, a sequential admission, a Lehrer
 contrary, the conjunction of the extensions) goes to that solver, once.
 A world in the carried mask answers most of them first, and always the
 cascade's verdict.
+
+The solver also weighs each candidate once per base: ``weights[i]`` is
+the integer numerator of ``masks[i]`` over the model's common denominator
+``D``, which is the numerator of the candidate's probability, since the
+background has probability 1.  A run turns its level into one integer,
+the least numerator over ``D`` that meets it (``AcceptanceLevel._cut``),
+and compares weights with it, so it makes no ``Fraction`` per candidate.
+An accepted candidate's unconditional ``Acceptance`` (support equal to
+probability) is built the first time a run accepts it and kept in the
+solver's ``acceptances[i]``, shared by every later ``threshold``,
+``lehrer`` and ``sequential`` run; ``teng`` and the cascade build their
+conditional records from it.  ``enumerate_extensions`` runs ``_scan``
+alone for each order and makes an ``AcceptedSet`` only for the first
+order of each distinct outcome.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, takewhile
@@ -68,8 +82,6 @@ DEFAULT_SEED = 0
 
 # 7! orders; ``enumerate_extensions`` may list all of them in memory.
 MAX_PERMUTATIONS = 5040
-# a candidate's position in ``base.candidates``, label, formula and probability
-_Candidate = tuple[int, str, Formula, Fraction]
 
 
 @dataclass(frozen=True)
@@ -99,15 +111,16 @@ class AcceptanceLevel:
 
     def met_by(self, p: Fraction) -> bool:
         p = as_fraction(p)
-        return self._met_by_ratio(p.numerator, p.denominator)
+        return p.numerator >= self._cut(p.denominator)
 
-    def _met_by_ratio(self, numerator: int, denominator: int) -> bool:
-        """``met_by(Fraction(numerator, denominator))`` for a positive
-        ``denominator``, decided by cross-multiplying integers."""
-        threshold = self.threshold
-        left = numerator * threshold.denominator
-        right = threshold.numerator * denominator
-        return left > right if self.strict else left >= right
+    def _cut(self, denominator: int) -> int:
+        """The least numerator that meets the level over a positive
+        ``denominator``: the ceiling of ``threshold * denominator``, or its
+        floor plus 1 when strict.  A policy compares a weight, an integer
+        numerator, with the cut over its denominator."""
+        t = self.threshold
+        scaled = t.numerator * denominator
+        return scaled // t.denominator + 1 if self.strict else -(-scaled // t.denominator)
 
 
 @dataclass(frozen=True)
@@ -173,93 +186,125 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
 def _solver(base: BeliefBase) -> _Solver:
     """The base's one solver over its background and candidates, member i
     being candidate i; built at the base's first policy run and kept on
-    the base."""
+    the base.
+
+    Beside the solver's ``shared`` and ``masks[i]`` it holds what the
+    policies weigh, once per base: ``weights[i]``, the numerator of
+    ``masks[i]`` over the model's common denominator, which is candidate
+    i's probability's numerator because the background has probability 1;
+    and ``acceptances[i]``, candidate i's unconditional ``Acceptance``,
+    which ``_acceptance`` builds when a run first accepts it."""
     if base._solver is None:
         solver = _Solver([f for _, f in base.candidates], base.background)
+        solver.weights = [base.model._numerator(mask) for mask in solver.masks]
+        solver.acceptances = [None] * len(solver.masks)
         object.__setattr__(base, "_solver", solver)
     return base._solver
 
 
+def _acceptance(base: BeliefBase, i: int) -> Acceptance:
+    """Candidate i's unconditional acceptance, its support the probability,
+    ``weights[i] / D``, as the model keeps it: built once per base, and
+    shared by every run that accepts the candidate."""
+    solver = base._solver
+    if solver.acceptances[i] is None:
+        label, formula = base.candidates[i]
+        p = base.model.probability(formula)
+        solver.acceptances[i] = Acceptance(label, formula, p, p)
+    return solver.acceptances[i]
+
+
 def _scan(
-    policy: str,
-    base: BeliefBase,
-    candidates: Sequence[_Candidate],
-    level: AcceptanceLevel,
-    conditional: bool = False,
-    consistent: bool = False,
-) -> AcceptedSet:
-    """Visit ``(position, label, formula, probability)`` candidates in
-    order.  The support is the probability, or with ``conditional`` the
+    base: BeliefBase, order: Iterable[int], level: AcceptanceLevel,
+    conditional: bool = False, consistent: bool = False,
+) -> tuple[list[int], list[int]]:
+    """Visit the candidates at the positions in ``order``; return the accepted
+    candidates' positions and, with ``conditional``, their supports'
+    numerators.  A support is the probability, or with ``conditional`` the
     weight within the carried mask over its weight; it must meet the level
     and, with ``consistent``, the accepted set must stay satisfiable.
 
-    The base's solver gives the carried mask's start, the background's
-    ``shared`` worlds, and candidate i's worlds, ``masks[i]``.  A world in
-    the carried mask settles a ``consistent`` admission and the run's
-    verdict; an empty one asks the solver, by the accepted candidates'
-    positions.  A ``consistent`` run is weakly consistent without asking:
-    its last admission, or the background of probability 1, answered it.
+    Every weight is an integer numerator over the model's common
+    denominator ``D``, compared with the level's cut, the least numerator
+    that meets it.  A probability is the solver's ``weights[i]``, against
+    the cut over ``D``, computed once per run.  A conditional support is
+    over the numerator of the carried mask, ``D`` before the first
+    acceptance (the background's), and its cut moves with each acceptance.
 
-    Every conditional support of a run is over the model's common
-    denominator, so weights stay integer numerators, compared with the
-    carried mask's numerator ``given``; only an accepted support becomes
-    a ``Fraction``."""
+    The carried mask starts as the solver's ``shared`` worlds and meets
+    candidate i's, ``masks[i]``, at each acceptance of a run that reads it.
+    A world in it settles a ``consistent`` admission; an empty one asks the
+    solver, by the accepted candidates' positions."""
     model, solver = base.model, _solver(base)
-    current = solver.shared
-    given = model._numerator(current) if conditional else None
-    accepted: list[Acceptance] = []
-    taken: list[int] = []  # the accepted candidates' positions
-    for i, label, formula, p in candidates:
-        if conditional and given == 0:
-            raise RuntimeError(f"{policy} conditioning set reached probability 0")
-        joint = current & solver.masks[i]
+    weights, masks = solver.weights, solver.masks
+    current, given = solver.shared, model._denominator
+    cut = level._cut(given)
+    taken, supports = [], []
+    for i in order:
         if conditional:
+            if given == 0:
+                raise RuntimeError("teng conditioning set reached probability 0")
+            joint = current & masks[i]
             weight = model._numerator(joint)
-            if not level._met_by_ratio(weight, given):
+            if weight < cut:
                 continue
-        elif not level.met_by(p):
+            supports.append(weight)
+            current, given, cut = joint, weight, level._cut(weight)
+        elif weights[i] < cut:
             continue
-        if consistent and not joint and not solver.satisfiable([*taken, i]):
-            continue
-        support = Fraction(weight, given) if conditional else p
-        accepted.append(Acceptance(label, formula, p, support))
+        elif consistent:
+            joint = current & masks[i]
+            if not joint and not solver.satisfiable([*taken, i]):
+                continue
+            current = joint
         taken.append(i)
-        current = joint
-        if conditional:
-            given = weight  # the numerator of the new ``current``
-    verdict = consistent or bool(current) or solver.satisfiable(taken)
+    return taken, supports
+
+
+def _accepted(
+    policy: str, base: BeliefBase, level: AcceptanceLevel, taken: list[int], supports=()
+) -> AcceptedSet:
+    """The ``AcceptedSet`` of a ``_scan`` that accepted the candidates at
+    ``taken``: their shared acceptances, or with ``supports`` (a
+    conditional run's, each over the one before it, the first over ``D``)
+    new records of the conditional supports.  A sequential run is weakly
+    consistent without asking: its last admission, or the background of
+    probability 1, answered it.  Any other asks the solver, which a world
+    in the accepted candidates' joint mask answers first."""
+    kept = base._solver.acceptances
+    accepted = [kept[i] or _acceptance(base, i) for i in taken]
+    if supports:
+        over = [base.model._denominator, *supports]
+        accepted = [replace(a, support=Fraction(w, d)) for a, w, d in zip(accepted, supports, over)]
+    verdict = policy == "sequential" or base._solver.satisfiable(taken)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
-def _weighed(base: BeliefBase, order: Sequence[str] | None = None) -> list[_Candidate]:
-    """The candidates with their positions and probabilities, in ``order``
-    when one is given (it must list every label once).  The labels are
-    distinct strings, so an order of as many strings that holds every label
-    is a permutation; checking that needs no sort, which fails on items of
-    mixed types."""
-    pairs = list(enumerate(base.candidates))
-    if order is not None:
-        position = {label: i for i, (label, _) in pairs}
-        if not (
-            len(order) == len(position)
-            and all(isinstance(label, str) for label in order)
-            and position.keys() == set(order)
-        ):
-            raise ValueError("order must be a permutation of the candidate labels")
-        pairs = [pairs[position[label]] for label in order]
-    return [(i, label, f, base.model.probability(f)) for i, (label, f) in pairs]
+def _positions(base: BeliefBase, order: Sequence[str]) -> list[int]:
+    """The candidates' positions in ``order``, which must list every label
+    once.  The labels are distinct strings, so an order of as many strings
+    that holds every label is a permutation; checking that needs no sort,
+    which fails on items of mixed types."""
+    position = {label: i for i, (label, _) in enumerate(base.candidates)}
+    if not (
+        len(order) == len(position)
+        and all(isinstance(label, str) for label in order)
+        and position.keys() == set(order)
+    ):
+        raise ValueError("order must be a permutation of the candidate labels")
+    return [position[label] for label in order]
 
 
 def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     """Accept every candidate whose probability clears the level; weak
     consistency of the result is reported, not enforced."""
-    return _scan("threshold", base, _weighed(base), level)
+    return _accepted("threshold", base, level, *_scan(base, range(len(base.candidates)), level))
 
 
-def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
-    """The weighed candidates that clear the level and that no contrary
-    rival (any candidate jointly unsatisfiable with it and the background)
-    matches or beats in probability.
+def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[int]:
+    """The positions of the candidates that clear the level and that no
+    contrary rival (any candidate jointly unsatisfiable with it and the
+    background) matches or beats in weight.
 
     A pair with a shared world is satisfiable, and two masks inside the
     ``room`` worlds of the background (the solver keeps each candidate's
@@ -267,23 +312,23 @@ def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[_Candidate]:
     So only a candidate with ``count_i <= room - low``, ``low`` the least
     count, can be in a contrary pair.  Those are sorted by count, and each
     visits the prefix of rivals with ``count_j <= room - count_i``,
-    testing each by mask, probability and solver.  A one-winner lottery
-    sorts nothing and visits no pair."""
-    weighed = _weighed(base)
+    testing each by mask, weight and solver.  A one-winner lottery sorts
+    nothing and visits no pair."""
     solver = _solver(base)
-    masks, room = solver.masks, solver.shared.bit_count()
+    weights, masks, room = solver.weights, solver.masks, solver.shared.bit_count()
+    cut = level._cut(base.model._denominator)
     counts = [mask.bit_count() for mask in masks]
     low = min(counts, default=0)
     rivals = sorted((j for j, c in enumerate(counts) if c <= room - low), key=counts.__getitem__)
     return [
-        (i, label, f, p)
-        for i, label, f, p in weighed
-        if level.met_by(p)
+        i
+        for i, w in enumerate(weights)
+        if w >= cut
         and not (
             counts[i] <= room - low
             and any(
                 # the cheap mask test first: a shared world settles most pairs
-                not (masks[i] & masks[j]) and weighed[j][3] >= p and not solver.satisfiable((i, j))
+                not (masks[i] & masks[j]) and weights[j] >= w and not solver.satisfiable((i, j))
                 for j in takewhile(lambda r: counts[r] <= room - counts[i], rivals)
                 if j != i
             )
@@ -296,7 +341,7 @@ def lehrer_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     more probable than every candidate contrary to it.  Ties between
     contraries block both sides, which empties the two-ticket fair
     lottery."""
-    return _scan("lehrer", base, _undominated(base, level), level)
+    return _accepted("lehrer", base, level, _undominated(base, level))
 
 
 def _ticket_atom(formula: Formula) -> str:
@@ -335,12 +380,10 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
             raise RuntimeError("cascade conditioning set reached probability 0")
         weights = [model._numerator(current & solver.masks[i]) for i in remaining]
         best = max(weights)
-        if weights.count(best) != 1 or not level._met_by_ratio(best, given):
+        if weights.count(best) != 1 or best < level._cut(given):
             break
         i = remaining.pop(weights.index(best))
-        label, formula = base.candidates[i]
-        support = Fraction(best, given)
-        accepted.append(Acceptance(label, formula, model.probability(formula), support))
+        accepted.append(replace(_acceptance(base, i), support=Fraction(best, given)))
         current &= solver.masks[i]
     # the ticket names are atoms of the model: the base checked its candidates
     weights = {name: model._numerator(current & model._atom_masks[name]) for name in tickets}
@@ -365,7 +408,8 @@ def sequential_accept(
     """Accept candidates in order when probable enough, skipping any that
     would make the accepted set (with background) unsatisfiable.  Always
     weakly consistent; which statements get in depends on the order."""
-    return _scan("sequential", base, _weighed(base, order), level, consistent=True)
+    taken, _ = _scan(base, _positions(base, order), level, consistent=True)
+    return _accepted("sequential", base, level, taken)
 
 
 def teng_accept(
@@ -378,7 +422,7 @@ def teng_accept(
     On the fair 100-ticket lottery at epsilon 1/100 this stops after a
     single lose statement, because 98/99 < 99/100 exactly.
     """
-    return _scan("teng", base, _weighed(base, order), level, conditional=True)
+    return _accepted("teng", base, level, *_scan(base, _positions(base, order), level, True))
 
 
 # Every policy under its command-line name: the function that runs it and
@@ -426,6 +470,14 @@ def enumerate_extensions(
     conjunctively the extensions may be weakly inconsistent again; taken
     disjunctively (the intersection) they may license nothing beyond the
     background.
+
+    Each order is one ``_scan`` by candidate position, which reads each
+    candidate's weight and worlds from the base's solver and builds no
+    record.  Outcomes are keyed by the canonical keys of the formulas
+    accepted, so two labels on one formula give one outcome, and only the
+    first order of each distinct outcome becomes an ``AcceptedSet``, whose
+    entries are the solver's shared acceptances (new conditional records
+    for ``teng``).
     """
     ordered = sorted(name for name, (_, takes) in POLICY_TABLE.items() if takes)
     if policy not in ordered:
@@ -436,39 +488,43 @@ def enumerate_extensions(
         raise ValueError(f"max_permutations must lie between 1 and {MAX_PERMUTATIONS}")
     if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer between 0 and 2**64 - 1, got {seed!r}")
-    run = POLICY_TABLE[policy][0]
-    labels = list(base.candidate_labels)
+    labels = base.candidate_labels
     total = math.factorial(len(labels))
     exhaustive = total <= max_permutations
     if exhaustive:
-        orders = [tuple(p) for p in permutations(labels)]
+        orders = list(permutations(range(len(labels))))
     else:
         import random  # only sampling needs it
 
+        # a shuffle's draws depend only on the length, so shuffling the
+        # positions gives the orders that shuffling the labels would
         rng = random.Random(seed)
         shuffles = []
         for _ in range(max_permutations):
-            shuffled = labels[:]
+            shuffled = list(range(len(labels)))
             rng.shuffle(shuffled)
             shuffles.append(tuple(shuffled))
         orders = list(dict.fromkeys(shuffles))  # distinct, first-drawn order
 
-    # each distinct outcome, by its signature, with the first order giving it
-    found: dict[frozenset[str], tuple[AcceptedSet, tuple[str, ...]]] = {}
+    conditional = policy == "teng"  # and "sequential" keeps the set consistent
+    keys = [f.canonical_key for _, f in base.candidates]
+    # each distinct outcome, by its accepted formulas' keys, with the scan
+    # of the first order giving it: only that scan becomes an AcceptedSet
+    found: dict[frozenset[str], tuple[list[int], list[int], tuple[int, ...]]] = {}
     for order in orders:
-        result = run(base, order, level)
-        signature = frozenset(a.statement.canonical_key for a in result.accepted)
-        found.setdefault(signature, (result, order))
+        taken, supports = _scan(base, order, level, conditional, not conditional)
+        found.setdefault(frozenset(map(keys.__getitem__, taken)), (taken, supports, order))
     # every order yields a result, so there is at least one extension
-    extensions, witness = zip(*found.values())
+    extensions = tuple(_accepted(policy, base, level, *scan) for *scan, _ in found.values())
+    witness = tuple(tuple(map(labels.__getitem__, order)) for *_, order in found.values())
     union = base.background.union(a.statement for ext in extensions for a in ext.accepted)
     common = frozenset.intersection(*found)
     intersection = base.background.union(
-        f for _, f in base.candidates if f.canonical_key in common
+        f for (_, f), key in zip(base.candidates, keys) if key in common
     )
     # the candidates that occur in some extension, by position
     occurring = frozenset().union(*found)
-    members = [i for i, (_, f) in enumerate(base.candidates) if f.canonical_key in occurring]
+    members = [i for i, key in enumerate(keys) if key in occurring]
     return ExtensionEnumeration(
         policy=policy,
         level=level,

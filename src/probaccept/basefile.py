@@ -25,7 +25,10 @@ a candidate label that spells a section name in any case, such as
 lists at most ``MAX_WORLDS`` (2**16) worlds, as many as the largest
 independent lottery has.  An atom name, a world label and a candidate
 label may each appear once; a repeat fails on its line.  ``loads`` skips
-one leading byte-order mark, which some editors write.
+one leading byte-order mark, which some editors write.  A formula with an
+atom the ``ATOMS`` section lacks, and a background formula below
+probability 1, fail with the base's message after the line of the first
+such formula; only a refused file looks for that line.
 
 Lotteries are read and written in closed form.  A formula line that is,
 character for character, ``render(exactly_one(atoms))`` over two or more
@@ -83,6 +86,7 @@ def loads(text: str) -> BeliefBase:
     worlds: list[tuple[tuple[bool, ...], Fraction]] = []
     background: list = []
     candidates: dict[str, object] = {}  # label -> formula, in file order
+    formula_lines: list = []  # (in the background, line number, formula)
     section: str | None = None
     known: set[str] = set()  # the atoms
     labels: set[str] = set()  # the world labels
@@ -122,6 +126,7 @@ def loads(text: str) -> BeliefBase:
             worlds.append(world)
         elif section == "BACKGROUND":
             background.append(_parse_formula(line, lineno))
+            formula_lines.append((True, lineno, background[-1]))
         else:
             m = _WORLD_RE.fullmatch(line)
             if m is None:
@@ -132,6 +137,7 @@ def loads(text: str) -> BeliefBase:
             if not _ATOM_RE.fullmatch(label):  # labels share the atom-name syntax
                 raise _fail(lineno, f"invalid candidate label {label!r}")
             candidates[label] = _parse_formula(m.group("body"), lineno)
+            formula_lines.append((False, lineno, candidates[label]))
 
     if not atoms:
         raise BeliefBaseFormatError("no ATOMS section")
@@ -139,9 +145,19 @@ def loads(text: str) -> BeliefBase:
         raise BeliefBaseFormatError("no WORLDS section")
     try:
         model = WorldModel(atoms, worlds)
-        return BeliefBase(model, background, candidates)
     except ValueError as exc:
         raise BeliefBaseFormatError(str(exc)) from exc
+    try:
+        return BeliefBase(model, background, candidates)
+    except ValueError as exc:
+        # The base checks every candidate's atoms, then each background
+        # formula's atoms and probability, and names the first that fails.
+        refused = min(
+            (in_background, n)
+            for in_background, n, f in formula_lines
+            if not f.atoms() <= known or in_background and model.probability(f) != 1
+        )
+        raise _fail(refused[1], str(exc)) from exc
 
 
 def _parse_formula(text: str, lineno: int):

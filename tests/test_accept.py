@@ -468,6 +468,58 @@ class TestOneSolverPerBase:
         )
 
 
+class TestWeighedOncePerBase:
+    """The base's solver weighs each candidate once: a later run reads its
+    weight there and shares its acceptance, and an enumeration builds an
+    accepted set only for the first order of each outcome."""
+
+    def test_a_second_threshold_run_weighs_nothing_and_builds_no_acceptance(self, monkeypatch):
+        base = fair_lottery(100)
+        level = AcceptanceLevel(Fraction(1, 100))
+        first = threshold_accept(base, level)
+        weighed, built = [], []
+        probability = WorldModel.probability
+
+        def counted(model, formula):
+            weighed.append(formula)
+            return probability(model, formula)
+
+        class CountedAcceptance(accept_module.Acceptance):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(WorldModel, "probability", counted)
+        monkeypatch.setattr(accept_module, "Acceptance", CountedAcceptance)
+        second = threshold_accept(base, level)
+        assert weighed == [] and built == []
+        assert second == first
+        assert len(second.accepted) == 100
+        assert all(a is b for a, b in zip(second.accepted, first.accepted))
+
+    def test_an_enumeration_builds_one_accepted_set_per_extension(self, monkeypatch):
+        scans, built = [], []
+        scan = accept_module._scan
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        class CountedSet(accept_module.AcceptedSet):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(accept_module, "_scan", counted)
+        monkeypatch.setattr(accept_module, "AcceptedSet", CountedSet)
+        outcome = enumerate_extensions(fair_lottery(5), "sequential", AcceptanceLevel(Fraction(1, 5)))
+        assert outcome.exhaustive and outcome.permutation_count == 120
+        assert len(scans) == 120
+        # each extension leaves out the ticket whose lose statement came last
+        assert len(outcome.extensions) == 5
+        assert len(built) == 5
+
+
 class TestEnumerateExtensions:
     def test_fair_three_sequential(self):
         base = fair_lottery(3)

@@ -228,3 +228,21 @@ class TestFormatErrors:
         with pytest.raises(BeliefBaseFormatError) as caught:
             loads(text)
         assert str(caught.value) == message
+
+    # Lines 1-4: the atom a and its two worlds, each of weight 1/2.
+    @pytest.mark.parametrize("tail, message", [
+        ("CANDIDATES:\nA: a\nNB: ~b\n", "line 7: formula mentions unknown atoms: b"),
+        ("BACKGROUND:\na | ~a\na\n", "line 7: background formula a has probability 1/2, not 1"),
+        ("BACKGROUND:\nb | c\n", "line 6: formula mentions unknown atoms: b, c"),
+        # the base checks every candidate before any background formula
+        ("BACKGROUND:\na\nCANDIDATES:\nA: a\nB: b\n",
+         "line 9: formula mentions unknown atoms: b"),
+        # the first of two refused background formulas, and a repeat of it
+        ("BACKGROUND:\n~a\na\n~a\n", "line 6: background formula ~a has probability 1/2, not 1"),
+    ], ids=["candidate_atom", "background_below_one", "background_atom", "candidates_first",
+            "first_of_two"])
+    def test_refused_formula_reports_its_line(self, tail, message):
+        text = "ATOMS: a\nWORLDS:\nw1: a=1 weight 1/2\nw2: a=0 weight 1/2\n" + tail
+        with pytest.raises(BeliefBaseFormatError) as caught:
+            loads(text)
+        assert str(caught.value) == message

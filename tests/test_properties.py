@@ -60,7 +60,9 @@ an ASCII identifier.
 """
 
 import json
+import math
 import os
+import random
 import re
 import string
 import tempfile
@@ -81,6 +83,7 @@ from probaccept import (
     AcceptedSet,
     BeliefBase,
     BeliefBaseFormatError,
+    ExtensionEnumeration,
     Formula,
     FormulaSet,
     UnknownAtomError,
@@ -803,6 +806,151 @@ def test_conjunction_verdict_matches_truth_table(base, level, policy):
     assert outcome.conjunction_weakly_consistent == truth_table_satisfiable(
         outcome.conjunction
     )
+
+
+def reference_extensions(
+    base: BeliefBase, policy: str, level: AcceptanceLevel, max_permutations: int, seed: int
+) -> ExtensionEnumeration:
+    """``enumerate_extensions`` by its definition, over ``ReferenceScan``.
+    The orders are every permutation of the labels when there are at most
+    ``max_permutations``, else that many shuffles of the labels drawn from
+    ``random.Random(seed)``, each kept once, in first-drawn order.  An
+    outcome is the set of its accepted formulas' canonical keys, and its
+    first order is its witness."""
+    labels = list(base.candidate_labels)
+    exhaustive = math.factorial(len(labels)) <= max_permutations
+    if exhaustive:
+        orders = list(permutations(labels))
+    else:
+        rng = random.Random(seed)
+        drawn = []
+        for _ in range(max_permutations):
+            order = labels[:]
+            rng.shuffle(order)
+            drawn.append(tuple(order))
+        orders = list(dict.fromkeys(drawn))
+    reference = ReferenceScan(base)
+    found: dict = {}
+    for order in orders:
+        run = reference.run(policy, level, order)
+        found.setdefault(frozenset(a.statement.canonical_key for a in run.accepted), (run, order))
+    extensions, witness = zip(*found.values())
+    conjunction = base.background.union(a.statement for e in extensions for a in e.accepted)
+    common = frozenset.intersection(*found)
+    return ExtensionEnumeration(
+        policy=policy,
+        level=level,
+        extensions=extensions,
+        witness_orders=witness,
+        conjunction=conjunction,
+        conjunction_weakly_consistent=reference.satisfiable(list(conjunction)),
+        intersection=base.background.union(
+            f for _, f in base.candidates if f.canonical_key in common
+        ),
+        exhaustive=exhaustive,
+        permutation_count=len(orders),
+        seed=seed,
+    )
+
+
+def assert_extensions_match(
+    base: BeliefBase, policy: str, level: AcceptanceLevel, max_permutations: int, seed: int
+) -> None:
+    """Every field equal to ``reference_extensions``, each extension through
+    ``assert_same_run``.  Over every order, the ``sequential`` outcomes are
+    also the maximal consistent subsets, with the background, of the
+    distinct formulas that clear the level."""
+    outcome = enumerate_extensions(base, policy, level, max_permutations, seed)
+    expected = reference_extensions(base, policy, level, max_permutations, seed)
+    assert outcome == expected
+    assert len(outcome.extensions) == len(expected.extensions)
+    for result, extension in zip(outcome.extensions, expected.extensions):
+        assert_same_run(result, extension)
+    if policy == "sequential" and outcome.exhaustive:
+        clearing = [f for _, f in base.candidates if level.met_by(base.model.probability(f))]
+        assert {
+            frozenset(a.statement.canonical_key for a in e.accepted) for e in outcome.extensions
+        } == brute_maximal_consistent_subsets(clearing, base.background)
+
+
+@given(
+    base=bases(max_candidates=5),
+    policy=st.sampled_from(["sequential", "teng"]),
+    level=LEVELS,
+    max_permutations=st.integers(1, 720),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_extensions_match_the_reference_order_by_order(
+    base, policy, level, max_permutations, seed
+):
+    assert_extensions_match(base, policy, level, max_permutations, seed)
+
+
+def repeated_formula_base() -> BeliefBase:
+    """One formula under two labels, on three of the four valuations of a
+    and b; a joint mask that comes out empty leaves the question to the
+    clause store, which names each candidate by its place in the base."""
+    a, b = atom("a"), atom("b")
+    model = WorldModel(
+        ["a", "b"], [((1, 1), Fraction(1, 2)), ((1, 0), Fraction(1, 4)), ((0, 1), Fraction(1, 4))]
+    )
+    return BeliefBase(
+        model, (), [("A", a), ("B", b), ("TWIN", a), ("NAB", disj(neg(a), neg(b))), ("NA", neg(a))]
+    )
+
+
+# The repeated formula, and zero-weight worlds under candidates of
+# probability 0 and 1.  No base makes ``teng`` raise its RuntimeError: the
+# conditioning weight starts at the background's, 1, and each acceptance
+# keeps a positive numerator, since the least one that meets a level is 1.
+EXTENSION_BASES = {
+    "repeated_formula": repeated_formula_base,
+    "zero_weight": lambda: two_atom_base(
+        [(1, 0, 1), (0, 1, 0), (0, 0, 0), (1, 1, 0)],
+        (),
+        [("B", _B), ("NA", neg(_A)), ("A", _A), ("NB", neg(_B))],
+    ),
+}
+
+
+@pytest.mark.parametrize("build", EXTENSION_BASES.values(), ids=EXTENSION_BASES)
+@pytest.mark.parametrize("policy", ["sequential", "teng"])
+def test_extensions_of_fixed_bases_match_the_reference(build, policy):
+    for epsilon in (Fraction(1, 4), Fraction(1, 2)):
+        for strict in (False, True):
+            for max_permutations, seed in ((1, 0), (7, 11), (120, 0)):
+                assert_extensions_match(
+                    build(), policy, AcceptanceLevel(epsilon, strict), max_permutations, seed
+                )
+
+
+@given(
+    numerator=st.integers(-2, 2 * 10**6),
+    denominator=st.integers(1, 10**6),
+    epsilon=st.integers(2, 10**4).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+    ),
+    strict=st.booleans(),
+)
+# criterion 5b: 48/49 falls short of 49/50, which meets it unless strict
+@example(numerator=48, denominator=49, epsilon=Fraction(1, 50), strict=False)
+@example(numerator=49, denominator=50, epsilon=Fraction(1, 50), strict=False)
+@example(numerator=49, denominator=50, epsilon=Fraction(1, 50), strict=True)
+def test_level_cut_is_the_least_numerator_that_meets_the_level(
+    numerator, denominator, epsilon, strict
+):
+    level = AcceptanceLevel(epsilon, strict)
+    cut = level._cut(denominator)
+    for w in (numerator, cut - 1, cut):
+        p = Fraction(w, denominator)
+        assert (w >= cut) == level.met_by(p) == (p > 1 - epsilon if strict else p >= 1 - epsilon)
+
+
+def test_level_cut_at_criterion_5b():
+    level = AcceptanceLevel(Fraction(1, 50))
+    assert level._cut(49) == 49  # so 48/49 is refused
+    assert level._cut(50) == 49  # and 49/50 met
+    assert AcceptanceLevel(Fraction(1, 50), strict=True)._cut(50) == 50
 
 
 def run_diagnose(base: BeliefBase, level: AcceptanceLevel, cap) -> dict:

@@ -65,8 +65,9 @@ help of every command, which the parser builds without importing the
 library, caps and zero denominators (in each option that reads a rational
 and in a world's weight), a base file that begins with a UTF-8 byte-order
 mark, one that repeats a world label, one with an atom name and one with
-a candidate label outside the name grammar, an ``--epsilon`` in digits of
-another script,
+a candidate label outside the name grammar, one with a candidate over an
+atom the model lacks and one with a background formula below probability
+1, an ``--epsilon`` in digits of another script,
 each report command in text and ``--json``.
 Stdlib only.
 """
@@ -190,6 +191,12 @@ TWO_LABEL_BASE = PAIR_BASE.replace("w2:", "w1:")
 BAD_ATOM_BASE = PAIR_BASE.replace("ATOMS: a", "ATOMS: a 9x")
 BAD_LABEL_BASE = PAIR_BASE.replace("NA:", "1bad:")
 
+# The pair with a candidate over an atom the model lacks, and with a
+# background formula below probability 1: the base refuses each, and the
+# error names the formula's line.
+UNKNOWN_ATOM_BASE = PAIR_BASE.replace("NA: ~a", "NB: ~b")
+UNCERTAIN_BASE = PAIR_BASE.replace("CANDIDATES:", "BACKGROUND:\na\nCANDIDATES:")
+
 # Two worlds share a weight and two have weights of their own, over three
 # denominators whose lcm is 12.
 MIXED_WEIGHTS_BASE = """\
@@ -298,6 +305,8 @@ HAND_BASES = {
     "two_label.bb": TWO_LABEL_BASE,
     "bad_atom.bb": BAD_ATOM_BASE,
     "bad_label.bb": BAD_LABEL_BASE,
+    "unknown_atom.bb": UNKNOWN_ATOM_BASE,
+    "uncertain.bb": UNCERTAIN_BASE,
     "mixed_weights.bb": MIXED_WEIGHTS_BASE,
     "digit_limit.bb": DIGIT_LIMIT_BASE,
 }
@@ -441,6 +450,9 @@ def commands() -> list[list[str]]:
         # an atom name and a candidate label outside the name grammar
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "bad_atom.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/2", "bad_label.bb"],
+        # a formula the base refuses: an unknown atom, a background below 1
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "unknown_atom.bb"],
+        ["accept", "--policy", "threshold", "--epsilon", "1/2", "uncertain.bb"],
         ["lottery", "biased", "--weights", "1/0,1"],
         ["lottery", "independent", "--n", "3", "--p", "1/0"],
         ["stat", "binom", "--n", "10", "--p0", "1/0", "--epsilon", "1/10"],
