@@ -348,10 +348,12 @@ def exactly_one(outcomes: Sequence[Formula]) -> Formula:
     at-least-one clause and one at-most-one row, with no pair clauses; a
     world model folds the mask of any ``exactly_one`` from its outcomes'
     masks.  In a background, such an ``exactly_one`` of k of a model's m
-    atoms holds in k · 2^(m-k) valuations; when that many of the model's
-    worlds satisfy it, as in every built one-winner lottery, the model
-    lists them all, and the solver answers an empty mask as unsatisfiable
-    without a search.
+    atoms holds in k · 2^(m-k) valuations, and several over disjoint atoms
+    hold together in the product of their sizes times 2 to the power of
+    the atoms left; when that many of the model's worlds satisfy them, as
+    in every built one-winner lottery and in a product of such lotteries,
+    the model lists them all, and the solver answers an empty mask as
+    unsatisfiable without a search.
     A form past ``MAX_KEY_LENGTH`` gets no key, so ``nnf()`` and
     ``canonical_key`` raise as for any other formula."""
     if not outcomes:

@@ -21,9 +21,10 @@ chosen members: a world in it is a satisfying valuation, the witness.  A
 model that lists every valuation that can satisfy the background answers
 from its masks alone, since there an empty mask means unsatisfiable: one
 that lists all ``2**len(atoms)`` valuations (every independent lottery),
-and one that lists every valuation of a background ``exactly_one`` of
-distinct atoms, which it shows by the count of its worlds that satisfy it
-(every one-winner lottery built by ``fair_lottery`` or ``biased_lottery``).
+and one that lists every valuation of background ``exactly_one``s over
+disjoint sets of distinct atoms, which it shows by the count of its
+worlds that satisfy them (every one-winner lottery built by
+``fair_lottery`` or ``biased_lottery``, and products of such lotteries).
 Only a query the masks leave open reaches the search, and the clause
 store is built at the first such query.  A call over any other
 background, or with an atom the model lacks, searches every query.  The
@@ -64,20 +65,33 @@ false, and a second true literal is a conflict.  Any other
 of its canonical node.
 
 One loop finds each maximal consistent subset (MCS) and each minimal
-unsatisfiable subset (MUS) once (MARCO: Liffiton, Previti, Malik &
-Marques-Silva, *Constraints* 21(2), 2016).  The same DPLL search solves a
-map formula over the members for a seed; it decides members true first,
-in order, so each seed is a maximal model of the map: an MCS as it stands
-if satisfiable, else shrunk to a MUS.  Each block joins the map's own
-clause store, which is extended, never rebuilt.  On a model that lists
-every valuation satisfying the background, the MCSes are read off the
-worlds first: they are the maximal rows "the members true at world w"
-over the background's worlds, and the MUSes are their minimal hitting
-sets (Reiter, *AI* 32, 1987; Liffiton & Sakallah, *JAR* 40, 2008).  Each
-MCS is blocked in the map before the loop, so every seed is
-unsatisfiable and shrinks to a MUS by masks alone: the loop makes one map
-search per MUS and one more.  ``DEFAULT_CANDIDATE_CAP`` bounds the loop.
-The walk is kept with the candidate set: a
+unsatisfiable subset (MUS) once, by the hitting-set duality between them:
+a set is unsatisfiable exactly when it lies in no MCS, that is, when it
+meets every MCS's complement, so the MUSes are the minimal transversals
+of the MCS complements (Reiter, *AI* 32, 1987; Bailey & Stuckey, PADL
+2005; Liffiton & Sakallah, *JAR* 40, 2008).  The loop keeps, as bit sets
+over the members, the MUSes found so far and the minimal transversals of
+the complements of the MCSes found so far, updated by Berge's step as
+each MCS is found.  Each round takes the first transversal that is no
+known MUS.  It holds none, since a known MUS is a transversal too and
+this one is minimal.  The round grows it, in member order, by each
+member whose addition leaves it holding no known MUS: a bit test, not a
+query.  The grown set meets every known MCS's complement, so it lies in
+no known MCS.  If it is
+satisfiable it is an MCS, and a new one: any member left out would
+complete a known MUS.  Otherwise it holds a MUS, which the deletion
+shrink finds, and which is new, since the set holds no known MUS.  The
+loop ends when every transversal is a known MUS.  Then every MCS is
+known: one not yet found would lie in no known MCS, so it would hold a
+transversal and with it a MUS.  So the transversals are then exactly the
+MUSes.  The first round grows the empty set to every member, and its
+shrink raises when the background alone is unsatisfiable.  On a model
+that lists every valuation satisfying the background, every MCS is read
+off the worlds before the loop: the MCSes are the maximal rows "the
+members true at world w" over the background's worlds.  Every seed is
+then unsatisfiable and shrinks to a MUS by masks alone, so the walk
+makes no search and builds no clause store.  ``DEFAULT_CANDIDATE_CAP``
+bounds the loop.  The walk is kept with the candidate set: a
 ``FormulaSet`` of candidates holds the family it last gave, for one
 background, so the minimal unsatisfiable subsets, the maximal consistent
 ones, the degree of inconsistency and the strands of one set over one
@@ -90,6 +104,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from itertools import chain, compress
+from math import prod
 
 from .formulas import Formula, FormulaSet, _ExactlyOne, neg
 
@@ -162,26 +177,23 @@ class _Clauses:
         self.watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
         self.rows: list[list[tuple[int, _Lits]]] = [[] for _ in range(2 * nvars + 1)]
         self.units: list[list[int]] = []
-        for clauses, rows in groups:
-            self.units.append([])
-            self.add(len(self.units) - 1, clauses, rows)
-
-    def add(self, group: int, clauses: Sequence[_Lits], rows: Sequence[_Lits] = ()) -> None:
-        start = len(self.clauses)
-        # a watch moves only within a longer clause, so only that is mutable
-        new = [list(c) if len(c) > 2 else c for c in clauses]
-        self.clauses += new
-        self.owner += [group] * len(new)
-        watches, units = self.watches, self.units[group]
-        for ci, clause in enumerate(new, start):
-            if len(clause) == 1:
-                units.append(clause[0])
-            else:
-                watches[clause[0]].append(ci)
-                watches[clause[1]].append(ci)
-        for row in rows:
-            for lit in row:
-                self.rows[lit].append((group, row))
+        for group, (clauses, rows) in enumerate(groups):
+            start = len(self.clauses)
+            # a watch moves only within a longer clause, so only that is mutable
+            new = [list(c) if len(c) > 2 else c for c in clauses]
+            self.clauses += new
+            self.owner += [group] * len(new)
+            units: list[int] = []
+            self.units.append(units)
+            for ci, clause in enumerate(new, start):
+                if len(clause) == 1:
+                    units.append(clause[0])
+                else:
+                    self.watches[clause[0]].append(ci)
+                    self.watches[clause[1]].append(ci)
+            for row in rows:
+                for lit in row:
+                    self.rows[lit].append((group, row))
 
 
 def _dpll(
@@ -291,10 +303,11 @@ class _Solver:
     A world in a query's mask is a satisfying valuation.  A model that
     lists every valuation that can satisfy the background answers from the
     mask alone, since an empty mask there means no valuation satisfies them
-    (``complete``): a model of all ``2**len(atoms)`` valuations, or one
-    whose worlds satisfying some background ``exactly_one`` of k distinct
-    atoms number ``k << (m - k)`` over its m atoms, as a one-winner
-    lottery's do.  The loop that checks every background formula and member
+    (``complete``): one whose worlds satisfying the background's
+    ``exactly_one``s over disjoint sets of k_i distinct atoms number
+    ``prod(k_i) << (m - sum(k_i))`` over its m atoms, as a one-winner
+    lottery's and a product of them do, and all ``2**m`` valuations when
+    there is none.  The loop that checks every background formula and member
     is a formula also drops the model when one has an atom the model lacks.
     With no model every mask is empty, as for a model that lists no world.
     ``_search``, which every empty mask reaches, asks ``complete``, and so
@@ -332,17 +345,19 @@ class _Solver:
         model = self.model
         if model is None:
             return False
-        m = len(model.atoms)
-        if model.full_mask().bit_count() == 1 << m:  # every valuation
-            return True
-        # An exactly_one of k distinct atoms holds in k << (m - k) valuations.
-        # The model lists no valuation twice, so when that many worlds satisfy
-        # it, every valuation that satisfies the background is listed.
-        return any(
-            model.satisfying_mask(f).bit_count() == len(f._names) << (m - len(f._names))
-            for f in self.background
-            if isinstance(f, _ExactlyOne) and f._names
-        )
+        # exactly_ones over disjoint sets of k_i distinct atoms, taken in
+        # order, hold together in prod(k_i) << (m - sum(k_i)) valuations, all
+        # 2**m for none.  The model lists no valuation twice, so when that
+        # many worlds satisfy them, every valuation that satisfies the
+        # background is listed.
+        rows: list[Formula] = []
+        taken: set[str] = set()
+        for f in self.background:
+            if isinstance(f, _ExactlyOne) and f._names and taken.isdisjoint(f._names):
+                rows.append(f)
+                taken.update(f._names)
+        count = prod(len(f._names) for f in rows) << (len(model.atoms) - len(taken))
+        return model.joint_mask(rows).bit_count() == count
 
     @cached_property
     def store(self) -> _Clauses:
@@ -446,12 +461,6 @@ def _consistent_family(
     unsatisfiable one (smallest first), each list then in lexicographic
     order.
 
-    When the background has a world and the model lists every valuation
-    that satisfies it (``complete``), ``_maximal_rows`` reads the MCSes off
-    the worlds and each one's block joins the map before the loop, so the
-    map yields only unsatisfiable seeds, each shrunk to a MUS by masks
-    alone.  Otherwise the loop finds both kinds.
-
     Candidates given as a ``FormulaSet`` keep the family in its ``_family``
     slot, with the canonical keys of the background it was walked over.  A
     later call on that set with a background of the same keys returns it
@@ -462,7 +471,11 @@ def _consistent_family(
     kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
     if kept is not None and kept[0] == key:
         return members, list(kept[1]), list(kept[2])
-    mcses, muses = _walk(_Solver([f for _, f in members], background), len(members))
+    n = len(members)
+    mcses, muses = (
+        [frozenset(i for i in range(n) if bits >> i & 1) for bits in found]
+        for found in _walk(_Solver([f for _, f in members], background), n)
+    )
     mcses.sort(key=lambda s: (-len(s), sorted(s)))
     muses.sort(key=lambda s: (len(s), sorted(s)))
     if isinstance(candidates, FormulaSet):
@@ -470,43 +483,49 @@ def _consistent_family(
     return members, mcses, muses
 
 
-def _walk(solver: _Solver, n: int) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Every MCS and every MUS of the solver's ``n`` members, unsorted."""
-    mcses: list[frozenset[int]] = []
-    muses: list[frozenset[int]] = []
-    blocks = _Clauses(n, [((), ())])  # the map: member i as variable i + 1
-    mentioned: set[int] = set()
-    if solver.shared and solver.complete:
-        mcses = _maximal_rows(solver.shared, solver.masks)
-        if len(mcses[0]) == n:  # the only MCS, so no MUS
-            return mcses, muses
-        blocked = [tuple(i + 1 for i in range(n) if i not in mcs) for mcs in mcses]
-        blocks.add(0, blocked)
-        mentioned.update(*blocked)
-    while (
-        seed := _dpll(blocks, b"\x01", blocks.units[0], sorted(mentioned))
-    ) is not None:
-        current = [i for i in range(n) if seed[i + 1] >= 0]  # undecided is chosen
+def _walk(solver: _Solver, n: int) -> tuple[list[int], list[int]]:
+    """Every MCS and every MUS of the solver's ``n`` members, unsorted, as
+    bit sets (member i is bit i), by the loop the module docstring
+    describes: ``transversals`` are the minimal transversals of the
+    complements of the MCSes found so far, and ``muses`` the MUSes found.
+    On a complete model ``_maximal_rows`` gives every MCS first, so every
+    round shrinks a seed to a MUS by masks alone."""
+    full = (1 << n) - 1
+    mcses = _maximal_rows(solver.shared, solver.masks) if solver.shared and solver.complete else []
+    muses: set[int] = set()
+    transversals = [0]  # the one minimal transversal of no complement
+    for mcs in mcses:
+        transversals = _transversals(transversals, full ^ mcs)
+    while (seed := next((t for t in transversals if t not in muses), None)) is not None:
+        for i in range(n):  # a bit test per member, not a query
+            if not seed >> i & 1 and all(mus & ~(seed | 1 << i) for mus in muses):
+                seed |= 1 << i
+        current = [i for i in range(n) if seed >> i & 1]
         if solver.satisfiable(current):
-            # maximal as it is, since the map search decides true first; were
-            # it to decide false first, the seed would need a grow step
-            mcses.append(frozenset(current))
-            if len(current) == n:  # the only MCS; its block would be empty
-                break
-            block = tuple(i + 1 for i in range(n) if i not in current)
+            mcses.append(seed)
+            transversals = _transversals(transversals, full ^ seed)
         else:
-            current = _shrink(solver, current)
-            muses.append(frozenset(current))
-            block = tuple(-(i + 1) for i in current)
-        blocks.add(0, [block])
-        mentioned.update(map(abs, block))
-    return mcses, muses
+            muses.add(sum(1 << i for i in _shrink(solver, current)))
+    return mcses, list(muses)
 
 
-def _maximal_rows(shared: int, masks: Sequence[int]) -> list[frozenset[int]]:
-    """Every maximal consistent index set over a complete model, from its
-    worlds: the maximal rows "the members true at world w" over the worlds
-    of ``shared``.  ``masks[i]`` is member i's worlds within ``shared``.
+def _transversals(family: list[int], edge: int) -> list[int]:
+    """Berge's step: the minimal transversals of a hypergraph with one more
+    edge, from ``family``, those of the hypergraph without it.  Each set of
+    ``family`` that meets the edge stays; each that misses it grows by
+    every member of the edge, and a grown set stays unless a set that
+    stayed lies within it."""
+    kept = [t for t in family if t & edge]
+    bits = [1 << i for i in range(edge.bit_length()) if edge >> i & 1]
+    grown = (t | bit for t in family if not t & edge for bit in bits)
+    return kept + [g for g in grown if all(k & ~g for k in kept)]
+
+
+def _maximal_rows(shared: int, masks: Sequence[int]) -> list[int]:
+    """Every maximal consistent index set over a complete model, as a bit
+    set, from its worlds: the maximal rows "the members true at world w"
+    over the worlds of ``shared``.  ``masks[i]`` is member i's worlds within
+    ``shared``.
 
     Each step takes the lowest world whose row no set found so far holds,
     grows its row by every member, in order, that leaves a world with all
@@ -515,19 +534,19 @@ def _maximal_rows(shared: int, masks: Sequence[int]) -> list[frozenset[int]]:
     maximal row, holds the world's row and so is new; a maximal row is the
     row of each world in its joint mask, so every one is found.  A step
     costs ``2 * len(masks)`` mask operations, and there is one per MCS."""
-    found: list[frozenset[int]] = []
+    found: list[int] = []
     left = shared  # the worlds whose rows no set found so far holds
     while left:
         world = left & -left
         joint = reduce(int.__and__, filter(world.__and__, masks), shared)
-        chosen, outside = [], 0
+        chosen = outside = 0
         for i, mask in enumerate(masks):
             if mask & joint:  # every member of the world's row passes
                 joint &= mask
-                chosen.append(i)
+                chosen |= 1 << i
             else:
                 outside |= mask
-        found.append(frozenset(chosen))
+        found.append(chosen)
         left &= outside
     return found
 

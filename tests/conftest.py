@@ -40,8 +40,8 @@ def lottery3_path(tmp_path_factory):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Every DPLL search made from now on, the subset map's included, by
-    its arguments: the clause store comes first."""
+    """Every DPLL search made from now on, by its arguments: the clause
+    store comes first."""
     made = []
     search = sat._dpll
 
@@ -55,8 +55,8 @@ def searches(monkeypatch):
 
 @pytest.fixture
 def stores(monkeypatch):
-    """Every clause store built from now on, the subset map's included, by
-    its arguments: the variable count comes first."""
+    """Every clause store built from now on, by its arguments: the
+    variable count comes first."""
     made = []
 
     class Counted(sat._Clauses):
@@ -65,6 +65,21 @@ def stores(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(sat, "_Clauses", Counted)
+    return made
+
+
+@pytest.fixture
+def subset_walks(monkeypatch):
+    """Every MUS/MCS subset walk made from now on, by its arguments: the
+    solver comes first."""
+    made = []
+    walk = sat._walk
+
+    def counted(*args):
+        made.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(sat, "_walk", counted)
     return made
 
 

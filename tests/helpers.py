@@ -96,42 +96,46 @@ def _keyset(formulas) -> frozenset[str]:
     return frozenset(f.canonical_key for f in formulas)
 
 
+def _truth_table_test(members, background):
+    """Whether the members at some indices are satisfiable together with
+    ``background``, by one truth table over every atom of both: the rows
+    of the valuations that satisfy the background, each with the truth
+    value of every member.  An atom no formula of a subset mentions does
+    not change whether it is satisfiable, so this answers as
+    ``truth_table_satisfiable`` of the background and the subset."""
+    names = sorted(set().union(*(f.atoms() for f in [*background, *members])))
+    rows = []
+    for bits in product((False, True), repeat=len(names)):
+        assignment = dict(zip(names, bits))
+        if all(evaluate(f, assignment) for f in background):
+            rows.append([evaluate(m, assignment) for m in members])
+    return lambda indices: any(all(row[i] for i in indices) for row in rows)
+
+
 def brute_minimal_unsat_subsets(candidates, background) -> set[frozenset[str]]:
     members = list(FormulaSet(candidates))
-    background = list(background)
+    satisfiable = _truth_table_test(members, list(background))
     out: set[frozenset[str]] = set()
     for size in range(1, len(members) + 1):
         for combo in combinations(range(len(members)), size):
-            subset = [members[i] for i in combo]
-            if truth_table_satisfiable(background + subset):
+            if satisfiable(combo):
                 continue
-            minimal = all(
-                truth_table_satisfiable(
-                    background + [members[j] for j in combo if j != i]
-                )
-                for i in combo
-            )
-            if minimal:
-                out.add(_keyset(subset))
+            if all(satisfiable([j for j in combo if j != i]) for i in combo):
+                out.add(_keyset(members[i] for i in combo))
     return out
 
 
 def brute_maximal_consistent_subsets(candidates, background) -> set[frozenset[str]]:
     members = list(FormulaSet(candidates))
-    background = list(background)
+    satisfiable = _truth_table_test(members, list(background))
     out: set[frozenset[str]] = set()
     for size in range(len(members), -1, -1):
         for combo in combinations(range(len(members)), size):
-            subset = [members[i] for i in combo]
-            if not truth_table_satisfiable(background + subset):
+            if not satisfiable(combo):
                 continue
-            excluded = [members[j] for j in range(len(members)) if j not in combo]
-            maximal = all(
-                not truth_table_satisfiable(background + subset + [e])
-                for e in excluded
-            )
-            if maximal:
-                out.add(_keyset(subset))
+            excluded = [j for j in range(len(members)) if j not in combo]
+            if all(not satisfiable([*combo, e]) for e in excluded):
+                out.add(_keyset(members[i] for i in combo))
     return out
 
 
@@ -248,6 +252,25 @@ def lottery_missing_a_winner(n: int) -> BeliefBase:
     model = WorldModel([w.name for w in wins], worlds)
     candidates = [(f"L{i + 1}", neg(w)) for i, w in enumerate(wins)]
     return BeliefBase(model, [exactly_one(wins)], candidates)
+
+
+def two_lotteries(k: int, l: int) -> BeliefBase:
+    """Two fair one-winner lotteries in one model, of k tickets (atoms
+    ``a1..ak``) and of l (``b1..bl``): one world per pair of winners,
+    each of weight 1/(k·l), and one ``exactly_one`` per lottery as the
+    background.  The model lists every valuation that satisfies the
+    background.  Candidates are the lose statements ``A_i: ~a_i`` and
+    ``B_j: ~b_j``."""
+    names = [f"a{i}" for i in range(1, k + 1)] + [f"b{j}" for j in range(1, l + 1)]
+    worlds = [
+        (tuple(x == i for x in range(k)) + tuple(y == j for y in range(l)), Fraction(1, k * l))
+        for i in range(k)
+        for j in range(l)
+    ]
+    wins = [atom(name) for name in names]
+    background = [exactly_one(wins[:k]), exactly_one(wins[k:])]
+    candidates = [(name.upper(), neg(w)) for name, w in zip(names, wins)]
+    return BeliefBase(WorldModel(names, worlds), background, candidates)
 
 
 def brute_mask_weight(model: WorldModel, mask: int) -> Fraction:

@@ -414,22 +414,17 @@ class TestDiagnoseCommand:
         assert "diagnostics.mus_min_size: 7" in out
         assert searches == []
 
-    def test_one_subset_walk_per_diagnose(self, capsys, lottery3_path, searches):
-        # a subset walk searches its map, a clause store of one group (a
-        # solver's has the background's and one per member); the MUS list,
-        # the MCS count and the degree must share one walk of the accepted set
-        def map_searches() -> int:
-            return sum(len(store.units) == 1 for store, *_ in searches)
-
+    def test_one_subset_walk_per_diagnose(self, capsys, lottery3_path, subset_walks):
+        # the MUS list, the MCS count and the degree must share one walk of
+        # the accepted set, as one library call makes
         code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/3", lottery3_path)
         assert code == 0
         assert "diagnostics.mus_method: exhaustive" in out
-        made = map_searches()
+        assert len(subset_walks) == 1
         base = load(lottery3_path)
         accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 3))).accepted_formulas
-        searches.clear()
         assert len(sat.maximal_consistent_subsets(accepted, base.background)) == 3
-        assert made == map_searches()
+        assert len(subset_walks) == 2
 
     def test_strong_inconsistency_reads_the_background(self, capsys, tmp_path):
         # the background's contradiction sits under a disjunction, so the

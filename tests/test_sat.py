@@ -3,6 +3,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -15,6 +16,7 @@ from probaccept import (
     atom,
     conj,
     degree_of_inconsistency,
+    disj,
     entails,
     exactly_one,
     fair_lottery,
@@ -28,6 +30,7 @@ from probaccept import (
     strands,
     threshold_accept,
 )
+from probaccept import sat
 
 from helpers import (
     BRANCHING_PROBE,
@@ -37,6 +40,7 @@ from helpers import (
     lottery_missing_a_winner,
     random_formula,
     truth_table_satisfiable,
+    two_lotteries,
 )
 
 
@@ -387,17 +391,17 @@ class TestModelWitness:
         assert len(searches) == 2
         assert len(stores) == 1
 
-    def test_every_valuation_answers_the_walk_from_masks(self, searches):
+    def test_every_valuation_answers_the_walk_from_masks(self, searches, stores):
         # the independent lottery lists all 2**6 valuations, so an empty mask
         # means unsatisfiable: over the base's own background, empty but
-        # naming the model, only the subset map is searched, whose store
-        # has one group (a solver's has one per member and the background's)
+        # naming the model, the walk reads every MCS off the worlds and
+        # shrinks the one MUS by masks, with no search and no clause store
         base = independent_lottery(6, Fraction(1, 10))
         candidates = base.candidate_formulas
         searches.clear()
         assert minimal_unsat_subsets(candidates, base.background) == [candidates]
-        assert searches
-        assert all(len(store.units) == 1 for store, *_ in searches)
+        assert searches == []
+        assert stores == []
 
 
 class TestAtTheCap:
@@ -451,8 +455,8 @@ class TestSharedSubformulas:
 
 
 class TestManyMaximalConsistentSubsets:
-    """k contrary pairs have 2^k MCSes and k two-member MUSes, so the map
-    walk meets many seeds; each satisfiable one must already be maximal."""
+    """k contrary pairs have 2^k MCSes and k two-member MUSes, so the walk
+    meets many seeds; each satisfiable one must already be maximal."""
 
     @pytest.mark.parametrize("contradiction", [False, True])
     @pytest.mark.parametrize("grouped", [False, True])
@@ -480,33 +484,92 @@ class TestManyMaximalConsistentSubsets:
                 FormulaSet(candidates)
             ) == brute_min_cover_over_consistent_subsets(candidates, [])
 
-    def test_eight_interleaved_pairs(self):
-        candidates = _contrary_pairs(8, grouped=False)
-        with _time_limit(30):
+    @staticmethod
+    def _interleaved_pairs(k, seconds):
+        candidates = _contrary_pairs(k, grouped=False)
+        with _time_limit(seconds):
             mcses = maximal_consistent_subsets(candidates)
             muses = minimal_unsat_subsets(candidates)
-        assert len(mcses) == 256 and len(set(map(_keys, mcses))) == 256
-        assert all(len(m) == 8 for m in mcses)
+        assert len(mcses) == 2**k and len(set(map(_keys, mcses))) == 2**k
+        assert all(len(m) == k for m in mcses)
         assert _texts(mcses[:2]) == [
-            [f"x{i}" for i in range(8)],
-            [f"x{i}" for i in range(7)] + ["~x7"],
+            [f"x{i}" for i in range(k)],
+            [f"x{i}" for i in range(k - 1)] + [f"~x{k - 1}"],
         ]
-        assert _texts(muses) == [[f"x{i}", f"~x{i}"] for i in range(8)]
+        assert _texts(muses) == [[f"x{i}", f"~x{i}"] for i in range(k)]
+
+    def test_eight_interleaved_pairs(self):
+        self._interleaved_pairs(8, seconds=30)
+
+    def test_ten_interleaved_pairs(self):
+        self._interleaved_pairs(10, seconds=10)
+
+
+class TestKnownMuses:
+    """A seed grows only by members that complete no MUS found so far, so
+    no query asks again about a known MUS."""
+
+    def test_five_hole_pigeonhole_refutes_once(self, monkeypatch):
+        # six pigeons in five holes, no two in one hole: the one MUS is all
+        # six pigeons, and the seed of every member is the one query of the
+        # set's one walk that the search refutes
+        def sits(pigeon, hole):
+            return atom(f"p{pigeon}_{hole}")
+
+        candidates = FormulaSet(disj(*(sits(i, h) for h in range(5))) for i in range(6))
+        background = [
+            disj(neg(sits(a, h)), neg(sits(b, h)))
+            for h in range(5) for a in range(6) for b in range(a + 1, 6)
+        ]
+        refuted = []
+        search = sat._dpll
+
+        def counted(*args):
+            found = search(*args)
+            refuted.append(found is None)
+            return found
+
+        monkeypatch.setattr(sat, "_dpll", counted)
+        muses = minimal_unsat_subsets(candidates, background)
+        mcses = maximal_consistent_subsets(candidates, background)
+        assert _indices(candidates, map(_keys, muses)) == [list(range(6))]
+        assert _indices(candidates, map(_keys, mcses)) == _by_size(
+            [[j for j in range(6) if j != i] for i in range(6)], largest_first=True
+        )
+        assert refuted.count(True) == 1
+
+    def test_at_most_five_of_ten_atoms(self):
+        # a clause per six atoms, one of which is false: every five atoms
+        # are an MCS and every six a MUS
+        atoms = [atom(f"a{i}") for i in range(10)]
+        background = [
+            disj(*(neg(atoms[i]) for i in six)) for six in combinations(range(10), 6)
+        ]
+        muses = minimal_unsat_subsets(atoms, background)
+        mcses = maximal_consistent_subsets(atoms, background)
+        assert len(muses) == 210 and len(mcses) == 252
+        assert _indices(atoms, map(_keys, muses)) == _by_size(
+            _indices(atoms, brute_minimal_unsat_subsets(atoms, background))
+        )
+        assert _indices(atoms, map(_keys, mcses)) == _by_size(
+            _indices(atoms, brute_maximal_consistent_subsets(atoms, background)),
+            largest_first=True,
+        )
 
 
 class TestWorldRows:
     """Over a base's own background, on a model that lists every valuation
-    satisfying it, the MCSes are read off the worlds and blocked before
-    the map walk, which then makes one search per MUS and one more."""
+    satisfying it, the MCSes are read off the worlds before the walk, whose
+    every seed is then unsatisfiable and shrinks to a MUS by masks: the
+    walk makes no search."""
 
-    def test_accepted_lottery_makes_two_map_searches(self, searches):
+    def test_accepted_lottery_makes_no_search(self, searches):
         base = fair_lottery(12)
         accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 12))).accepted_formulas
         searches.clear()
         muses = minimal_unsat_subsets(accepted, base.background)
         mcses = maximal_consistent_subsets(accepted, base.background)
-        # the seed of every member, shrunk to the one MUS, and the last
-        assert len(searches) == 2
+        assert searches == []
         assert muses == [accepted]
         assert [len(m) for m in mcses] == [11] * 12
 
@@ -524,19 +587,37 @@ class TestWorldRows:
             [str(w) for w in wins], [*map(str, wins[:9]), "~wins_10"]
         ]
         assert _texts(muses) == [[str(w), f"~{w}"] for w in wins]
-        assert len(searches) == 11
+        assert searches == []
+
+    def test_two_lotteries_in_one_model_make_no_search(self, searches):
+        # the model lists all 8 * 9 valuations that satisfy its two
+        # exactly_ones over disjoint atoms, so it answers from masks alone
+        base = two_lotteries(8, 9)
+        accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 8))).accepted_formulas
+        searches.clear()
+        mcses = maximal_consistent_subsets(accepted, base.background)
+        muses = minimal_unsat_subsets(accepted, base.background)
+        degree = degree_of_inconsistency(accepted, base.background)
+        assert searches == []
+        assert len(accepted) == 17 and len(mcses) == 72
+        assert all(len(m) == 15 for m in mcses)
+        assert [len(m) for m in muses] == [8, 9] and degree == 2
 
 
 @st.composite
 def complete_model_problems(draw):
     """A lottery, whose model lists every valuation that satisfies its
     background (independent with two to six tickets, one-winner with two
-    to seven), and one to nine random candidates over its atoms."""
+    to seven, or two one-winner lotteries of two to four tickets each in
+    one model), and one to nine random candidates over its atoms."""
     rng = draw(st.randoms(use_true_random=False))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["independent", "one-winner", "two"]))
+    if kind == "independent":
         base = independent_lottery(draw(st.integers(2, 6)), Fraction(1, 2))
-    else:
+    elif kind == "one-winner":
         base = fair_lottery(draw(st.integers(2, 7)))
+    else:
+        base = two_lotteries(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
     names = list(base.model.atoms)
     candidates = [random_formula(rng, names, depth=3) for _ in range(draw(st.integers(1, 9)))]
     return base, candidates

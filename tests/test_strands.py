@@ -219,25 +219,23 @@ class TestOneWalkPerSet:
     """The four diagnostics of one ``FormulaSet`` over one background share
     one subset walk."""
 
-    def test_later_diagnostics_make_no_search(self, searches):
+    def test_later_diagnostics_make_no_search(self, subset_walks):
         base = fair_lottery(12)
         level = AcceptanceLevel(Fraction(1, 12))
         accepted = threshold_accept(base, level).accepted_formulas
-        searches.clear()
         muses = minimal_unsat_subsets(accepted, base.background)
-        assert searches  # the first call walks
-        searches.clear()
+        assert len(subset_walks) == 1  # the first call walks
         mcses = maximal_consistent_subsets(accepted, base.background)
         degree = degree_of_inconsistency(accepted, base.background)
         kernels = [strand.kernel for strand in strands(accepted, base.background)]
-        assert searches == []
+        assert len(subset_walks) == 1
         assert muses == [accepted] and degree == 2
         assert len(mcses) == 12 and kernels == mcses
         # a rebuilt set has no walk of its own yet, and finds the same family
         rebuilt = FormulaSet(accepted)
         assert maximal_consistent_subsets(rebuilt, base.background) == mcses
         assert minimal_unsat_subsets(rebuilt, base.background) == muses
-        assert searches
+        assert len(subset_walks) == 2
 
     def test_later_diagnostics_build_no_solver(self, monkeypatch):
         # a kept walk is read once the arguments pass their checks, before
@@ -261,17 +259,15 @@ class TestOneWalkPerSet:
         maximal_consistent_subsets(accepted)
         assert len(built) == 1
 
-    def test_another_background_walks_again(self, searches):
+    def test_another_background_walks_again(self, subset_walks):
         base = fair_lottery(4)
         candidates = base.candidate_formulas
         assert len(maximal_consistent_subsets(candidates, base.background)) == 4
-        searches.clear()
         assert maximal_consistent_subsets(candidates) == [candidates]
-        assert searches
-        searches.clear()
+        assert len(subset_walks) == 2
         # the set keeps only the last background's walk
         assert len(maximal_consistent_subsets(candidates, base.background)) == 4
-        assert searches
+        assert len(subset_walks) == 3
 
     def test_each_call_returns_new_results(self):
         base = fair_lottery(3)

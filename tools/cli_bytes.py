@@ -38,7 +38,9 @@ subformula that is not a clause, and on candidates written with ``->`` and
 ``<->``; exhaustive also on six interleaved contrary pairs, with 64 MCSes,
 and on seven grouped ones, with 128; both ways on an independent lottery,
 whose model lists every valuation, at a level where its 7 accepted
-statements are inconsistent, with one MUS of all 7), ``closure`` (also with an unknown
+statements are inconsistent, with one MUS of all 7; exhaustive on two
+lotteries of 8 and 9 tickets in one model, and beyond the cap on two of
+21 and 30 tickets, in both candidate orders), ``closure`` (also with an unknown
 label, a repeated label, an empty ``--labels`` or ``--conclusion``, an
 empty item in ``--labels``, and an unknown atom in a conclusion, entailed
 or not), ``accept`` on a lottery at the one-winner cap of 300 tickets,
@@ -244,7 +246,7 @@ def _pairs_base(k: int, grouped: bool) -> str:
     weighted, written interleaved (``x0, ~x0, x1, ...``) or grouped
     (``x0, x1, ..., ~x0, ~x1, ...``): at 1/2 all 2k candidates are
     accepted, with k MUSes of size 2 and 2^k MCSes, so the exhaustive
-    ``diagnose`` runs the MCS/MUS map search through 2^k + k seeds."""
+    ``diagnose`` reads 2^k MCSes off the worlds and shrinks k seeds."""
     atoms = [f"x{i}" for i in range(k)]
     positives = [f"P{i}: {name}\n" for i, name in enumerate(atoms)]
     negatives = [f"N{i}: ~{name}\n" for i, name in enumerate(atoms)]
@@ -268,6 +270,54 @@ def _pairs_base(k: int, grouped: bool) -> str:
 # Six pairs interleaved (64 MCSes) and seven grouped (128 MCSes).
 PAIRS_BASE = _pairs_base(6, grouped=False)
 GROUPED_PAIRS_BASE = _pairs_base(7, grouped=True)
+
+def _two_lotteries_base(k: int, l: int, b_first: bool = False) -> str:
+    """Two fair one-winner lotteries in one model, of k tickets (atoms
+    ``a1..ak``) and l (``b1..bl``): one world per pair of winners, each of
+    weight 1/(k·l), and each lottery's background line written as
+    ``lottery`` writes one, so that it reads back as an ``exactly_one``.
+    The model lists every valuation that satisfies the two, so every
+    query is answered from masks.  Candidates are the lose statements
+    ``A_i: ~a_i`` and ``B_j: ~b_j``, the a-lottery's first unless
+    ``b_first``."""
+    a = [f"a{i}" for i in range(1, k + 1)]
+    b = [f"b{j}" for j in range(1, l + 1)]
+
+    def one_winner(names: list[str]) -> str:
+        pairs = [f"~({x} & {y})" for i, x in enumerate(names) for y in names[i + 1:]]
+        return " & ".join([f"({' | '.join(names)})", *pairs]) + "\n"
+
+    def loses(names: list[str]) -> list[str]:
+        return [f"{name.upper()}: ~{name}\n" for name in names]
+
+    return (
+        f"ATOMS: {' '.join(a + b)}\n"
+        "WORLDS:\n"
+        + "".join(
+            f"w{i * l + j + 1}: "
+            + " ".join(f"{x}={int(x == wa)}" for x in a)
+            + " "
+            + " ".join(f"{y}={int(y == wb)}" for y in b)
+            + f" weight 1/{k * l}\n"
+            for i, wa in enumerate(a)
+            for j, wb in enumerate(b)
+        )
+        + "BACKGROUND:\n"
+        + one_winner(a)
+        + one_winner(b)
+        + "CANDIDATES:\n"
+        + "".join(loses(b) + loses(a) if b_first else loses(a) + loses(b))
+    )
+
+
+# Lotteries of 8 and 9 tickets: at 1/8 all 17 lose statements are
+# accepted, with 72 MCSes and two MUSes, of 8 and 9.  Lotteries of 21 and
+# 30 tickets, in both candidate orders: at 1/21 all 51 are accepted,
+# beyond the cap, and the deletion shrink finds the MUS of the lottery
+# whose statements come last.
+TWO_LOTTERIES_BASE = _two_lotteries_base(8, 9)
+WIDE_LOTTERIES_BASE = _two_lotteries_base(21, 30)
+WIDE_LOTTERIES_B_FIRST_BASE = _two_lotteries_base(21, 30, b_first=True)
 
 # A fair 5-ticket lottery as ``lottery fair --n 5`` writes it, but with its
 # first pair written the other way round, ``~(wins_2 & wins_1)``: the
@@ -309,6 +359,9 @@ HAND_BASES = {
     "uncertain.bb": UNCERTAIN_BASE,
     "mixed_weights.bb": MIXED_WEIGHTS_BASE,
     "digit_limit.bb": DIGIT_LIMIT_BASE,
+    "two_lotteries.bb": TWO_LOTTERIES_BASE,
+    "wide_lotteries.bb": WIDE_LOTTERIES_BASE,
+    "wide_lotteries_b_first.bb": WIDE_LOTTERIES_B_FIRST_BASE,
 }
 
 
@@ -371,6 +424,11 @@ def report_commands() -> list[list[str]]:
         ["--max-candidates", "0", "diagnose", "--epsilon", "1/3", "fair_3.bb"],
         ["--max-candidates", "25", "diagnose", "--epsilon", "1/100", "fair_100.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/300", "fair_300.bb"],
+        # two lotteries in one model, exhaustive and beyond the cap in both
+        # candidate orders
+        ["diagnose", "--epsilon", "1/8", "two_lotteries.bb"],
+        ["diagnose", "--epsilon", "1/21", "wide_lotteries.bb"],
+        ["diagnose", "--epsilon", "1/21", "wide_lotteries_b_first.bb"],
         # a one-winner background with one pair swapped, read generically
         ["accept", "--policy", "threshold", "--epsilon", "1/5", "swapped.bb"],
         ["diagnose", "--epsilon", "1/5", "swapped.bb"],
