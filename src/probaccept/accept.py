@@ -28,11 +28,14 @@ policy over many candidate orders and collecting the distinct outcomes.
 Every policy reads a candidate's worlds from the one solver that
 ``_solver`` keeps on the base, which names candidates by their position
 in ``base.candidates``: ``shared`` is the background's world mask and
-``masks[i]`` candidate i's, already met with it.  Every consistency
-question about a base (a scan's verdict, a sequential admission, a Lehrer
-contrary, the conjunction of the extensions) goes to that solver, once.
-A world in the carried mask answers most of them first, and always the
-cascade's verdict.
+``masks[i]`` candidate i's, already met with it.  ``_solver`` builds it
+at the base's first run, from the formulas, or from the closed form that
+a lottery builder left on the base, and names it on the base's own
+background, where the ``sat`` diagnostics of an accepted set find it.
+Every consistency question about a base (a scan's verdict, a sequential
+admission, a Lehrer contrary, the conjunction of the extensions) goes to
+that solver, once.  A world in the carried mask answers most of them
+first, and always the cascade's verdict.
 
 The solver also weighs each candidate once per base: ``weights[i]`` is
 the integer numerator of ``masks[i]`` over the model's common denominator
@@ -186,7 +189,11 @@ def stakes_threshold(max_benefit_to_cost) -> AcceptanceLevel:
 def _solver(base: BeliefBase) -> _Solver:
     """The base's one solver over its background and candidates, member i
     being candidate i; built at the base's first policy run and kept on
-    the base.
+    the base.  A lottery builder leaves the solver's closed form
+    ``(shared, masks, weights)`` on the base, which becomes the solver as
+    it stands, with no formula read.  The base's own background names the
+    solver, so that the ``sat`` diagnostics over it of sets drawn from the
+    candidates, such as an accepted set's statements, ask it too.
 
     Beside the solver's ``shared`` and ``masks[i]`` it holds what the
     policies weigh, once per base: ``weights[i]``, the numerator of
@@ -194,12 +201,18 @@ def _solver(base: BeliefBase) -> _Solver:
     i's probability's numerator because the background has probability 1;
     and ``acceptances[i]``, candidate i's unconditional ``Acceptance``,
     which ``_acceptance`` builds when a run first accepts it."""
-    if base._solver is None:
-        solver = _Solver([f for _, f in base.candidates], base.background)
-        solver.weights = [base.model._numerator(mask) for mask in solver.masks]
-        solver.acceptances = [None] * len(solver.masks)
+    if (solver := base._solver) is None or isinstance(solver, tuple):
+        members = [f for _, f in base.candidates]
+        if solver is None:
+            solver = _Solver(members, base.background)
+            weights = [base.model._numerator(mask) for mask in solver.masks]
+        else:
+            shared, masks, weights = solver
+            solver = _Solver._complete(members, base.background, base.model, shared, masks)
+        solver.weights, solver.acceptances = weights, [None] * len(members)
+        base.background._base_solver = solver
         object.__setattr__(base, "_solver", solver)
-    return base._solver
+    return solver
 
 
 def _acceptance(base: BeliefBase, i: int) -> Acceptance:

@@ -454,8 +454,29 @@ def _compact_counts(counts: list[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help formatters take their width as
+    ``shutil.get_terminal_size`` finds it: ``COLUMNS``, else the terminal on
+    stdout, else 80.  argparse itself imports ``shutil`` (and with it
+    ``bz2``, ``lzma``, ``zlib`` and ``fnmatch``) for the first formatter,
+    which ``add_argument`` builds.  Every sub-parser is one too:
+    ``add_subparsers`` makes parsers of its parser's type."""
+
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):  # no terminal there
+                columns = 0
+        return self.formatter_class(prog=self.prog, width=(columns or 80) - 2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Probabilistic acceptance over propositional belief bases.",
     )

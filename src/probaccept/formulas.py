@@ -583,12 +583,15 @@ class FormulaSet:
     the ``_family`` slot.  A belief base's own background, and no other
     set, names the base's world model in the ``_model`` slot, which only
     the ``sat`` solver reads, so that the diagnostics and entailment over
-    that background test world masks before they search.  ``__init__``
-    leaves both slots unset; equality, hashing, ``repr``, copies and
-    pickles ignore them.
+    that background test world masks before they search.  Once a policy
+    has run on the base, that background also names the base's solver in
+    the ``_base_solver`` slot, which the diagnostics over it ask about sets
+    drawn from the base's candidates.  ``__init__`` leaves every slot but
+    ``_keys`` unset; equality, hashing, ``repr``, copies and pickles ignore
+    them.
     """
 
-    __slots__ = ("_keys", "_family", "_model")
+    __slots__ = ("_keys", "_family", "_model", "_base_solver")
 
     def __init__(self, members: Iterable[Formula] = ()):
         keys: dict[str, Formula] = {}  # canonical key -> first formula with it
@@ -602,7 +605,7 @@ class FormulaSet:
     def _of(cls, pairs: Iterable[tuple[str, Formula]]) -> "FormulaSet":
         """The set of ``(canonical key, formula)`` pairs of distinct formulas,
         such as those drawn from one set's ``_keys``: no type check, no key
-        read.  Both slots stay unset, as ``__init__`` leaves them."""
+        read.  The other slots stay unset, as ``__init__`` leaves them."""
         result = cls.__new__(cls)
         result._keys = dict(pairs)
         return result

@@ -50,7 +50,13 @@ conjunction, one clause per part: the canonical form flattens a
 conjunction inside a conjunction, so no part is one.  A belief base
 keeps one solver over its background and candidates, which every
 acceptance policy and ``enumerate_extensions`` ask about that base, so
-its store is built at most once.
+its store is built at most once.  ``accept._solver`` builds it at the
+base's first policy run, by ``_Solver`` or, for a base from a lottery
+builder, by ``_Solver._complete`` from the closed form the builder wrote,
+and names it on the base's own background.  Over that background the
+diagnostics below ask it too, for members that are all candidates of the
+base (an accepted set's statements): by candidate position, sharing its
+masks, its ``complete`` and its store, with no solver of their own.
 
 An ``exactly_one`` of distinct atoms, a lottery's background, is
 translated straight from its sorted names, without its canonical node,
@@ -86,11 +92,12 @@ known: one not yet found would lie in no known MCS, so it would hold a
 transversal and with it a MUS.  So the transversals are then exactly the
 MUSes.  The first round grows the empty set to every member, and its
 shrink raises when the background alone is unsatisfiable.  On a model
-that lists every valuation satisfying the background, every MCS is read
-off the worlds before the loop: the MCSes are the maximal rows "the
-members true at world w" over the background's worlds.  Every seed is
-then unsatisfiable and shrinks to a MUS by masks alone, so the walk
-makes no search and builds no clause store.  ``DEFAULT_CANDIDATE_CAP``
+that lists every valuation satisfying the background (and that some
+world satisfies), every MCS is read off the worlds instead: the MCSes
+are the maximal rows "the members true at world w" over the background's
+worlds.  Every MCS is then known, so by the same duality the minimal
+transversals of their complements are the MUSes, and no round runs: the
+walk makes no query and builds no clause store.  ``DEFAULT_CANDIDATE_CAP``
 bounds the loop.  The walk is kept with the candidate set: a
 ``FormulaSet`` of candidates holds the family it last gave, for one
 background, so the minimal unsatisfiable subsets, the maximal consistent
@@ -337,6 +344,17 @@ class _Solver:
             self.shared = model.joint_mask(self.background)
             self.masks = [self.shared & model.satisfying_mask(f) for f in members]
 
+    @classmethod
+    def _complete(cls, members, background, model, shared: int, masks: list[int]) -> _Solver:
+        """The solver ``cls(members, background)`` over a ``complete``
+        model, given ``shared`` and ``masks`` as it would find them: a
+        lottery builder writes them in closed form, and ``accept._solver``
+        hands them over, so no formula is read or masked."""
+        solver = cls.__new__(cls)
+        solver.members, solver.background, solver.model = members, tuple(background), model
+        solver.shared, solver.masks, solver.complete = shared, masks, True  # before any read
+        return solver
+
     @cached_property
     def complete(self) -> bool:
         """Whether an empty mask means unsatisfiable: the model lists every
@@ -451,6 +469,20 @@ def _prepare(
     return tuple(members._keys.items()), background
 
 
+def _solver_for(members: Sequence[tuple[str, Formula]], background) -> tuple[_Solver, list[int]]:
+    """A solver over the members and the background, and each member's
+    position in it.  A belief base's own background names the base's
+    solver once a policy has run, and members that are all candidates of
+    the base, such as an accepted set's statements, are asked of it by
+    their candidate positions.  Any other call gets a new solver, member j
+    at position j."""
+    if (solver := getattr(background, "_base_solver", None)) is not None:
+        position = {f.canonical_key: i for i, f in enumerate(solver.members)}
+        if None not in (positions := [position.get(key) for key, _ in members]):
+            return solver, positions
+    return _Solver([f for _, f in members], background), [*range(len(members))]
+
+
 def _consistent_family(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
@@ -474,7 +506,7 @@ def _consistent_family(
     n = len(members)
     mcses, muses = (
         [frozenset(i for i in range(n) if bits >> i & 1) for bits in found]
-        for found in _walk(_Solver([f for _, f in members], background), n)
+        for found in _walk(*_solver_for(members, background))
     )
     mcses.sort(key=lambda s: (-len(s), sorted(s)))
     muses.sort(key=lambda s: (len(s), sorted(s)))
@@ -483,29 +515,38 @@ def _consistent_family(
     return members, mcses, muses
 
 
-def _walk(solver: _Solver, n: int) -> tuple[list[int], list[int]]:
-    """Every MCS and every MUS of the solver's ``n`` members, unsorted, as
-    bit sets (member i is bit i), by the loop the module docstring
-    describes: ``transversals`` are the minimal transversals of the
-    complements of the MCSes found so far, and ``muses`` the MUSes found.
-    On a complete model ``_maximal_rows`` gives every MCS first, so every
-    round shrinks a seed to a MUS by masks alone."""
+def _walk(solver: _Solver, positions: list[int]) -> tuple[list[int], list[int]]:
+    """Every MCS and every MUS of the members at ``positions`` in the
+    solver, unsorted, as bit sets (the member at ``positions[i]`` is bit
+    i), by the loop the module docstring describes: ``transversals`` are
+    the minimal transversals of the complements of the MCSes found so far,
+    and ``muses`` the MUSes found, each also listed under every member it
+    holds, since only those can keep a seed from growing by that member.
+    On a complete model ``_maximal_rows`` gives every MCS, and then the
+    transversals are the MUSes: no round runs."""
+    n, masks = len(positions), [solver.masks[p] for p in positions]
     full = (1 << n) - 1
-    mcses = _maximal_rows(solver.shared, solver.masks) if solver.shared and solver.complete else []
+    mcses = _maximal_rows(solver.shared, masks) if solver.shared and solver.complete else []
     muses: set[int] = set()
+    holding: dict[int, list[int]] = {}  # the known MUSes by member
     transversals = [0]  # the one minimal transversal of no complement
     for mcs in mcses:
         transversals = _transversals(transversals, full ^ mcs)
+    if mcses:  # read off the worlds, so every MCS is known
+        return mcses, transversals
     while (seed := next((t for t in transversals if t not in muses), None)) is not None:
-        for i in range(n):  # a bit test per member, not a query
-            if not seed >> i & 1 and all(mus & ~(seed | 1 << i) for mus in muses):
+        for i in range(n):  # bit tests, not a query; the seed holds no known MUS
+            if not seed >> i & 1 and 0 not in map((~(seed | 1 << i)).__and__, holding.get(i, ())):
                 seed |= 1 << i
         current = [i for i in range(n) if seed >> i & 1]
-        if solver.satisfiable(current):
+        if solver.satisfiable(chosen := [positions[i] for i in current]):
             mcses.append(seed)
             transversals = _transversals(transversals, full ^ seed)
         else:
-            muses.add(sum(1 << i for i in _shrink(solver, current)))
+            kept = [current[k] for k in _shrink(solver, chosen)]
+            muses.add(mus := sum(1 << i for i in kept))
+            for i in kept:
+                holding.setdefault(i, []).append(mus)
     return mcses, list(muses)
 
 
@@ -552,8 +593,9 @@ def _maximal_rows(shared: int, masks: Sequence[int]) -> list[int]:
 
 
 def _shrink(solver: _Solver, current: list[int]) -> list[int]:
-    """Delete members of an unsatisfiable index list, in order, while the
-    rest stays unsatisfiable: a minimal unsatisfiable index list.
+    """Delete members of an unsatisfiable list of positions, in order,
+    while the rest stays unsatisfiable: the indices into ``current`` of a
+    minimal unsatisfiable sublist.
 
     The query that leaves ``current[k]`` out asks about the members kept
     before it and every member after it.  Its mask is the kept members'
@@ -567,9 +609,9 @@ def _shrink(solver: _Solver, current: list[int]) -> list[int]:
     kept: list[int] = []
     prefix = -1  # the kept members' worlds; -1 has every world's bit
     for k, i in enumerate(current):
-        if prefix & suffix[k + 1] or solver._search([*kept, *current[k + 1:]]):
+        if prefix & suffix[k + 1] or solver._search([current[j] for j in kept] + current[k + 1:]):
             # satisfiable without current[k], so it stays
-            kept.append(i)
+            kept.append(k)
             prefix &= masks[i]
     if not kept:  # exactly when the background alone is unsatisfiable
         raise ValueError("background is unsatisfiable")
@@ -621,10 +663,11 @@ def shrink_unsat_subset(
 
     Over a belief base's own background, which names the base's model,
     the candidates are tested against its world masks first: a deletion
-    that leaves a shared world costs one ``&`` and no search.
+    that leaves a shared world costs one ``&`` and no search.  The formulas
+    of an accepted set over it are asked of the base's solver.
     """
     members, background = _prepare(candidates, background)
-    solver = _Solver([f for _, f in members], background)
-    if solver.satisfiable(range(len(members))):
+    solver, positions = _solver_for(members, background)
+    if solver.satisfiable(positions):
         return None
-    return FormulaSet._of(members[i] for i in _shrink(solver, list(range(len(members)))))
+    return FormulaSet._of(members[k] for k in _shrink(solver, positions))

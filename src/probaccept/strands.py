@@ -85,34 +85,32 @@ def degree_of_inconsistency(
     if not candidates:  # nothing to cover, so the background goes unchecked
         return 1
     members, mcses, _ = _consistent_family(candidates, background, cap)
-    universe = frozenset(range(len(members)))
+    sets = [sum(map((1).__lshift__, mcs)) for mcs in mcses]  # member i is bit i
+    holders = [[s for s in sets if s >> i & 1] for i in range(len(members))]
     # a candidate in no maximal consistent subset is unsatisfiable with the
     # background on its own
-    uncovered = universe.difference(*mcses)
-    if uncovered:
+    if [] in holders:
         raise ValueError(
-            f"candidate {members[min(uncovered)][1]} is individually unsatisfiable "
+            f"candidate {members[holders.index([])][1]} is individually unsatisfiable "
             "with the background"
         )
-    return _min_cover(universe, mcses)
+    return _min_cover(holders)
 
 
-def _min_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:
-    # Exact branch-and-bound: pick the least-covered element and try its
-    # covering sets largest-first; the first descent bounds the rest.
+def _min_cover(holders: list[list[int]]) -> int:
+    # Exact branch-and-bound over bit sets, holders[i] listing the sets that
+    # hold member i: pick the uncovered member in the fewest sets and try its
+    # sets, most newly covered first; the first descent bounds the rest.
+    fewest = sorted(range(len(holders)), key=lambda i: len(holders[i]))
 
-    def search(uncovered: frozenset[int], used: int, bound: int) -> int:
+    def search(uncovered: int, used: int, bound: int) -> int:
         if not uncovered:
             return used
         if used + 1 >= bound:
             return bound
-        element = min(uncovered, key=lambda e: sum(1 for s in sets if e in s))
-        options = sorted(
-            (s for s in sets if element in s),
-            key=lambda s: (-len(s & uncovered), sorted(s)),
-        )
-        for option in options:
-            bound = min(bound, search(uncovered - option, used + 1, bound))
+        element = next(i for i in fewest if uncovered >> i & 1)
+        for option in sorted(holders[element], key=lambda s: -(s & uncovered).bit_count()):
+            bound = min(bound, search(uncovered & ~option, used + 1, bound))
         return bound
 
-    return search(universe, 0, len(universe) + 1)
+    return search((1 << len(holders)) - 1, 0, len(holders) + 1)

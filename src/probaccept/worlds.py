@@ -14,7 +14,8 @@ for acceptance.  The lottery constructors produce the standard families:
 a fair n-ticket lottery, a biased one, and a product model with fully
 independent tickets.  They write their models' columns in closed form, hand
 over their formulas canonicalised, masked and weighed, and store the base
-past the constructor's checks, which their parts pass by construction.
+past the constructor's checks, which their parts pass by construction,
+with the closed form of its consistency solver (see :class:`BeliefBase`).
 
 Weights given as text or ints are read by ``rationals.as_fraction``, the
 package's one reader of a rational.  This module imports no
@@ -352,9 +353,14 @@ class BeliefBase:
 
     The base keeps one consistency solver over its background and
     candidates, built by the acceptance policies at their first run and
-    read by every later one.  Like the model's mask and probability
-    caches, it serves one thread at a time.  Equality, ``repr``, copies
-    and pickles ignore it.
+    read by every later one.  A lottery builder leaves in its place the
+    solver's closed form ``(shared, masks, weights)``: the background's
+    world mask, each candidate's met with it, and each candidate's weight
+    over the model's common denominator, all written from the tickets, on
+    a model that lists every valuation satisfying the background; the
+    first policy run turns it into the solver without reading a formula.
+    Like the model's mask and probability caches, the solver serves one
+    thread at a time.  Equality, ``repr``, copies and pickles ignore it.
     """
 
     __slots__ = ("model", "background", "candidates", "_solver")
@@ -393,17 +399,17 @@ class BeliefBase:
         self._store(model, bg, pairs)
 
     def _store(
-        self, model: WorldModel, background: FormulaSet, candidates: tuple
+        self, model: WorldModel, background: FormulaSet, candidates: tuple, solver=None
     ) -> BeliefBase:
         """Store valid parts and return ``self``: ``background`` becomes the
         base's own set, which names ``model``.  ``__init__`` ends here; the
         lottery builders call it on ``BeliefBase.__new__(BeliefBase)`` with
-        parts valid by construction."""
+        parts valid by construction and their solver's closed form."""
         background._model = model
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "background", background)
         object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "_solver", None)  # set and read by accept._solver
+        object.__setattr__(self, "_solver", solver)  # read and replaced by accept._solver
         return self
 
     def __setattr__(self, name, value):
@@ -468,13 +474,14 @@ def _lose_statements(n: int) -> list[Formula]:
 
 def _weigh_tickets(
     model: WorldModel, loses: list[Formula], masks: list[int], weights: list[Fraction]
-) -> None:
+) -> list[int]:
     """Write each ticket's win atom and lose statement into the mask and
     probability caches of ``model``, fresh from ``_from_columns``: the win
     atom of ``loses[i]`` holds on ``masks[i]`` with weight ``weights[i]``,
     so its lose statement holds on the other worlds, with the rest of the
     weight.  One ``Fraction`` is built per distinct weight, keyed by
-    numerator and denominator like those of ``_weight_columns``."""
+    numerator and denominator like those of ``_weight_columns``.  Return
+    the lose statements' masks."""
     full = model._full
     mask_cache, probability_cache = model._mask_cache, model._probability_cache
     rests: dict[tuple[int, int], Fraction] = {}
@@ -488,6 +495,7 @@ def _weigh_tickets(
         if rest is None:
             rest = rests[key] = 1 - w
         probability_cache[lose._key] = rest
+    return [mask_cache[lose._key] for lose in loses]
 
 
 def biased_lottery(weights: Iterable[object]) -> BeliefBase:
@@ -501,14 +509,25 @@ def biased_lottery(weights: Iterable[object]) -> BeliefBase:
     and lose statement is built canonical by ``_negated_atom``, and the model
     holds wins_i's mask, bit i, and weight, ~wins_i's complement mask and
     weight ``(D - n_i)/D``, and the background's full mask and weight 1.
+    The base's solver comes in closed form: the background holds in every
+    world, so ``shared`` is the full mask, ``masks[i]`` is ~wins_i's and
+    ``weights[i]`` is ``D - n_i``.
     """
     weights = tuple(weights)  # read once: it may be an iterator
     _check_tickets(len(weights), ONE_WINNER_LOTTERY_CAP, "one-winner")
     fracs = [as_fraction(w) for w in weights]
-    n = len(fracs)
     if any(w.numerator < 0 for w in fracs):
         raise ValueError("ticket weights must be nonnegative")
     denominator, planes = _weight_columns(fracs, "ticket")
+    rests = [denominator - denominator // w.denominator * w.numerator for w in fracs]
+    return _one_winner(fracs, denominator, planes, rests)
+
+
+def _one_winner(fracs: list[Fraction], denominator: int, planes, rests: list[int]) -> BeliefBase:
+    """The one-winner lottery whose ticket i wins with weight ``fracs[i]``,
+    given its common denominator ``D``, its weight planes and each lose
+    statement's numerator ``rests[i]`` over ``D``."""
+    n = len(fracs)
     loses = _lose_statements(n)
     wins = [lose.args[0] for lose in loses]
     # World i is the one-hot valuation of ticket i, so atom i's mask is bit i.
@@ -523,21 +542,26 @@ def biased_lottery(weights: Iterable[object]) -> BeliefBase:
         planes,
         masks,
     )
-    _weigh_tickets(model, loses, masks, fracs)
+    lose_masks = _weigh_tickets(model, loses, masks, fracs)
     # every world is one-hot, so the background holds in all of them
     background = exactly_one(wins)
     model._mask_cache[background.canonical_key] = model._full
     model._probability_cache[background.canonical_key] = Fraction(1)
     candidates = tuple((f"L{i}", lose) for i, lose in enumerate(loses, 1))
     return BeliefBase.__new__(BeliefBase)._store(
-        model, FormulaSet._of([(background.canonical_key, background)]), candidates
+        model, FormulaSet._of([(background.canonical_key, background)]), candidates,
+        (model._full, lose_masks, rests),
     )
 
 
 def fair_lottery(n: int) -> BeliefBase:
-    """Equiprobable one-winner lottery with n tickets (at most 300)."""
+    """Equiprobable one-winner lottery with n tickets (at most 300).
+
+    Its weights are written in closed form: ``D = n``, every world's
+    numerator 1, so one plane, the full mask, and each lose statement's
+    numerator ``n - 1``."""
     _check_tickets(n, ONE_WINNER_LOTTERY_CAP, "one-winner")
-    return biased_lottery([Fraction(1, n)] * n)
+    return _one_winner([Fraction(1, n)] * n, n, ((0, (1 << n) - 1),), [n - 1] * n)
 
 
 def independent_lottery(n: int, p) -> BeliefBase:
@@ -550,7 +574,11 @@ def independent_lottery(n: int, p) -> BeliefBase:
     The lose statements come canonicalised, masked and weighed as in
     :func:`biased_lottery`: wins_i holds on its column mask with weight p,
     ~wins_i on the rest with weight 1 - p.  ``some_wins`` is canonicalised
-    and masked by the generic walk when first asked.
+    and masked by the generic walk when first asked.  The base's solver
+    comes in closed form: with no background, ``shared`` is the full mask;
+    ~wins_i's mask weighs ``q**(n-1) * (q - a)`` over ``D = q**n`` at
+    ``p = a/q``, and ``some_wins`` holds in every world but world 0, the one
+    with no winner, so its mask weighs ``D - (q - a)**n``.
     """
     _check_tickets(n, INDEPENDENT_LOTTERY_CAP, "independent")
     win_p = as_fraction(p)
@@ -601,7 +629,8 @@ def independent_lottery(n: int, p) -> BeliefBase:
         planes,
         masks,
     )
-    _weigh_tickets(model, loses, masks, [win_p] * n)
+    lose_masks = _weigh_tickets(model, loses, masks, [win_p] * n)
     candidates = [(f"L{i}", lose) for i, lose in enumerate(loses, 1)]
     candidates.append(("some_wins", disj(*wins)))
-    return BeliefBase.__new__(BeliefBase)._store(model, FormulaSet(), tuple(candidates))
+    solver = (full, [*lose_masks, full ^ 1], [q ** (n - 1) * (q - a)] * n + [q**n - numerators[0]])
+    return BeliefBase.__new__(BeliefBase)._store(model, FormulaSet(), tuple(candidates), solver)

@@ -388,6 +388,11 @@ class TestOneSolverPerBase:
                 built.append(args)
                 super().__init__(*args)
 
+            @classmethod
+            def _complete(cls, *args):  # a lottery's solver, from its closed form
+                built.append(args)
+                return super()._complete(*args)
+
         monkeypatch.setattr(accept_module, "_Solver", CountedSolver)
         levels = [AcceptanceLevel(eps), AcceptanceLevel(eps, True), AcceptanceLevel(eps / 2)]
         for run, ordered in POLICY_TABLE.values():

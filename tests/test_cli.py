@@ -16,7 +16,8 @@ from probaccept.sat import DEFAULT_CANDIDATE_CAP
 from probaccept.stattests import MAX_BINOMIAL_TRIALS
 from probaccept.worlds import INDEPENDENT_LOTTERY_CAP, MAX_WORLDS, ONE_WINNER_LOTTERY_CAP
 
-from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN, past_digit_limit_base
+from helpers import DEEP_NESTING_PROBES, LONG_BICONDITIONAL_CHAIN, lottery_missing_a_winner
+from helpers import past_digit_limit_base
 
 needs_digit_limit = pytest.mark.skipif(
     not sys.get_int_max_str_digits(), reason="needs the interpreter's digit limit"
@@ -425,6 +426,18 @@ class TestDiagnoseCommand:
         accepted = threshold_accept(base, AcceptanceLevel(Fraction(1, 3))).accepted_formulas
         assert len(sat.maximal_consistent_subsets(accepted, base.background)) == 3
         assert len(subset_walks) == 2
+
+    def test_diagnose_asks_the_base_solver_and_builds_one_store(self, capsys, tmp_path, stores):
+        # the model misses the world where ticket 12 wins, so the accepted
+        # set's verdict and the walk are searched; the walk asks the base's
+        # solver, by candidate position, and so the verdict's store
+        path = tmp_path / "missing.bb"
+        dump(lottery_missing_a_winner(12), path)
+        code, out, _ = run_cli(capsys, "diagnose", "--epsilon", "1/11", str(path))
+        assert code == 0
+        assert "diagnostics.mus_min_size: 12" in out
+        assert "diagnostics.mcs_count: 12" in out
+        assert len(stores) == 1
 
     def test_strong_inconsistency_reads_the_background(self, capsys, tmp_path):
         # the background's contradiction sits under a disjunction, so the

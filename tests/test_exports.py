@@ -60,11 +60,13 @@ def child(script, *argv):
 # Prints the library modules, the stdlib ones the CLI defers and
 # ``dataclasses``, which the library's report classes need, as loaded.  The
 # interpreter's own SHA-256 module, ``_sha2`` from Python 3.12 and ``_sha256``
-# before, prints as ``sha256``; ``hashlib`` would load OpenSSL.
+# before, prints as ``sha256``; ``hashlib`` would load OpenSSL.  ``shutil``,
+# which argparse's help formatters import unless given a width, is never
+# loaded.
 LOADED = (
     "print(*sorted({'_sha2': 'sha256', '_sha256': 'sha256'}.get(name, name)"
     " for name in sys.modules if name.startswith('probaccept.') or name in"
-    " ('_sha2', '_sha256', 'dataclasses', 'hashlib', 'json', 'random')))"
+    " ('_sha2', '_sha256', 'dataclasses', 'hashlib', 'json', 'random', 'shutil')))"
 )
 
 
@@ -209,7 +211,8 @@ def _uses(tree, name):
             scope = [*scope, node.name]
         targets = []
         if isinstance(node, ast.Assign):
-            targets = node.targets
+            # a tuple target writes each of its elements
+            targets = [t for target in node.targets for t in getattr(target, "elts", [target])]
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
         if any(
@@ -236,9 +239,11 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     # __reduce__.  The base's store step, where the constructor and the
     # lottery builders end, writes it.  Only the solver's search path and
     # the subset walk, which reads the MCSes off the worlds, ask whether the
-    # model is complete.
+    # model is complete; only the closed-form construction of a lottery's
+    # solver says so.  Only the policies' solver step names the base's solver
+    # on its own background, and only the ``sat`` diagnostics read it there.
     package = pathlib.Path(probaccept.__file__).parent
-    writers, readers, completes = {}, {}, {}
+    writers, readers, completes, told, solvers = {}, {}, {}, {}, {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         wrote, read = _uses(tree, "_model")
@@ -246,8 +251,13 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
             writers[path.stem] = wrote
         if read:
             readers[path.stem] = read
-        if asked := _uses(tree, "complete")[1]:
+        said, asked = _uses(tree, "complete")
+        if asked:
             completes[path.stem] = asked
+        if said:
+            told[path.stem] = said
+        if any(named := _uses(tree, "_base_solver")):
+            solvers[path.stem] = [*named]
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and node.name == "AcceptedSet":
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
@@ -255,4 +265,6 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     assert writers == {"worlds": ["BeliefBase._store"]}
     assert readers == {"sat": ["_Solver.__init__"]}
     assert completes == {"sat": ["_Solver._search", "_walk"]}
+    assert told == {"sat": ["_Solver._complete"]}
+    assert solvers == {"accept": [["_solver"], []], "sat": [[], ["_solver_for"]]}
     assert list(inspect.signature(sat._Solver).parameters) == ["members", "background"]

@@ -44,7 +44,11 @@ its worlds against the lottery's definition.  They also build their win
 atoms and lose statements canonical and write their masks and weights
 into the fresh model: each built base is checked against the same base
 built the generic way, formula by formula, cache entry by cache entry
-and policy run by policy run.
+and policy run by policy run, and the solver state each leaves in closed
+form against ``_Solver`` and ``_numerator`` over that generic base.  The
+diagnostics and the shrink of every policy's accepted statements, which
+ask the base's solver by candidate position, are checked against those
+of a fresh set of the same formulas over a twin base's background.
 
 Lottery files, as ``dumps`` writes them and with one mutation each, are
 read by ``loads`` and by a reader by hand made of ``parse``,
@@ -118,7 +122,7 @@ from probaccept import (
 from probaccept import basefile
 from probaccept import formulas as formulas_module
 from probaccept import sat
-from probaccept.accept import POLICY_TABLE
+from probaccept.accept import POLICY_TABLE, _solver
 from probaccept.basefile import dump
 from probaccept.cli import main
 from probaccept.sat import is_satisfiable
@@ -1133,6 +1137,41 @@ def test_sets_drawn_from_a_base_answer_as_plain_lists(base, level, data):
                 assert shrunk == oracle
 
 
+def diagnoses(candidates, background) -> list:
+    """Every subset diagnostic and the shrink of ``candidates`` over
+    ``background``, each result or the message of its ``ValueError``."""
+    return [
+        diagnose_or_error(function, candidates, background)
+        for function in (*DIAGNOSTICS, shrink_unsat_subset)
+    ]
+
+
+@pytest.mark.parametrize("policy", list(POLICY_TABLE))
+@given(data=st.data())
+def test_accepted_sets_diagnose_as_fresh_sets(policy, data):
+    # Once a policy has run, the base's own background names the base's
+    # solver, and the diagnostics over it of sets drawn from the candidates,
+    # the accepted statements among them, ask that solver by candidate
+    # position.  The same formulas as a fresh set, over the own background
+    # of a twin base that has run no policy, get a solver of their own,
+    # which the model's masks still answer first.  Both must give the same
+    # results, in the same order.
+    base = data.draw(bases() | lottery_bases(), label="base")
+    level = data.draw(LEVELS, label="level")
+    run, ordered = POLICY_TABLE[policy]
+    result = outcome(run, base, *([base.candidate_labels] if ordered else []), level)
+    if isinstance(result, str):  # a cascade on a base that is no lottery
+        return
+    drawn = result.accepted_formulas
+    twin = BeliefBase(base.model, base.background, base.candidates)
+    assert not hasattr(twin.background, "_base_solver")
+    members = tuple(drawn._keys.items())
+    solver, _ = sat._solver_for(members, base.background)
+    # the cascade's winner is no candidate
+    assert (solver is base._solver) == all(f in base.candidate_formulas for f in drawn)
+    assert diagnoses(drawn, base.background) == diagnoses(FormulaSet(drawn), twin.background)
+
+
 @given(bases(), LEVELS, st.data())
 def test_entailment_over_a_named_background_matches_truth_tables(base, level, data):
     # A base's own background names its model, so ``entails`` over it, the
@@ -1462,6 +1501,54 @@ def test_fair_lottery_is_built_like_the_generic_base(n):
 @example(10, Fraction(59, 60))
 def test_independent_lottery_is_built_like_the_generic_base(n, p):
     assert_built_like_the_generic_base(independent_lottery(n, p))
+
+
+def assert_closed_form_solver(base: BeliefBase) -> None:
+    """A fresh lottery's solver state, written in closed form, equals the
+    state of ``_Solver`` and ``_numerator`` over ``generic_lottery``, and the
+    first policy run makes it the base's solver as it stands, which the
+    base's own background names."""
+    generic = generic_lottery(base)
+    solver = sat._Solver([f for _, f in generic.candidates], generic.background)
+    weights = [generic.model._numerator(mask) for mask in solver.masks]
+    assert base.model._denominator == generic.model._denominator
+    assert base._solver == (solver.shared, solver.masks, weights)
+    # the model lists every valuation that satisfies the background; the
+    # count reads no one-ticket background, which is the win atom itself
+    assert solver.complete or len(base.model.atoms) == 1
+    built = _solver(base)
+    assert (built.shared, built.masks, built.weights) == (solver.shared, solver.masks, weights)
+    assert built.complete and built.model is base.model
+    assert built.members == [f for _, f in base.candidates]
+    assert built.background == tuple(base.background)
+    assert base._solver is built and base.background._base_solver is built
+    assert built.satisfiable() and not built.satisfiable(range(len(base.candidates)))
+
+
+@given(ticket_weights())
+@example([Fraction(0), Fraction(1, 2), Fraction(1, 2)])
+@example([Fraction(1)])
+@example([Fraction(0)] * 299 + [Fraction(1)])
+def test_biased_lottery_solver_is_the_generic_solver(weights):
+    assert_closed_form_solver(biased_lottery(weights))
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 300))
+@example(1)
+@example(2)
+@example(300)
+def test_fair_lottery_solver_is_the_generic_solver(n):
+    assert_closed_form_solver(fair_lottery(n))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 12), TICKET_PROBABILITIES)
+@example(1, Fraction(1, 2))
+@example(16, Fraction(1, 3))
+@example(16, Fraction(59, 60))
+def test_independent_lottery_solver_is_the_generic_solver(n, p):
+    assert_closed_form_solver(independent_lottery(n, p))
 
 
 # ---------------------------------------------------------------------------
