@@ -31,7 +31,8 @@ in ``base.candidates``: ``shared`` is the background's world mask and
 ``masks[i]`` candidate i's, already met with it.  ``_solver`` builds it
 at the base's first run, from the formulas, or from the closed form that
 a lottery builder left on the base, and names it on the base's own
-background, where the ``sat`` diagnostics of an accepted set find it.
+background, where the ``sat`` diagnostics of an accepted set and
+``sat.entails`` from premises among the candidates find it.
 Every consistency question about a base (a scan's verdict, a sequential
 admission, a Lehrer contrary, the conjunction of the extensions) goes to
 that solver, once.  A world in the carried mask answers most of them
@@ -43,23 +44,31 @@ the integer numerator of ``masks[i]`` over the model's common denominator
 background has probability 1.  A run turns its level into one integer,
 the least numerator over ``D`` that meets it (``AcceptanceLevel._cut``),
 and compares weights with it, so it makes no ``Fraction`` per candidate.
+The conditional policies read those weights too while nothing is
+accepted, since a candidate's weight within the background's worlds is
+its own: ``teng`` up to its first acceptance and the cascade's first
+stage.  After an acceptance the accepted candidate's conditional weight
+is the numerator of the new carried mask, the next denominator, so the
+model weighs only the joint masks of the candidates still to be judged.
+The cascade tells its last winner by masks and weighs it alone.
 An accepted candidate's unconditional ``Acceptance`` (support equal to
 probability) is built the first time a run accepts it and kept in the
 solver's ``acceptances[i]``, shared by every later ``threshold``,
 ``lehrer`` and ``sequential`` run; ``teng`` and the cascade build their
-conditional records from it.  ``enumerate_extensions`` runs ``_scan``
-alone for each order and makes an ``AcceptedSet`` only for the first
-order of each distinct outcome.
+conditional records from its fields.  ``enumerate_extensions`` runs
+``_scan`` alone for each order and makes an ``AcceptedSet`` only for the
+first order of each distinct outcome.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations, takewhile
+from operator import or_
 
 from .formulas import Formula, FormulaSet, atom
 from .rationals import as_fraction
@@ -243,6 +252,11 @@ def _scan(
     the cut over ``D``, computed once per run.  A conditional support is
     over the numerator of the carried mask, ``D`` before the first
     acceptance (the background's), and its cut moves with each acceptance.
+    Until that first acceptance the carried mask is the solver's
+    ``shared`` worlds, within which candidate i's joint mask is
+    ``masks[i]``, so its conditional weight is the solver's ``weights[i]``;
+    only a later candidate's joint mask is weighed by the model, and the
+    accepted one's weight becomes the next denominator, unweighed again.
 
     The carried mask starts as the solver's ``shared`` worlds and meets
     candidate i's, ``masks[i]``, at each acceptance of a run that reads it.
@@ -258,7 +272,7 @@ def _scan(
             if given == 0:
                 raise RuntimeError("teng conditioning set reached probability 0")
             joint = current & masks[i]
-            weight = model._numerator(joint)
+            weight = model._numerator(joint) if taken else weights[i]
             if weight < cut:
                 continue
             supports.append(weight)
@@ -288,7 +302,10 @@ def _accepted(
     accepted = [kept[i] or _acceptance(base, i) for i in taken]
     if supports:
         over = [base.model._denominator, *supports]
-        accepted = [replace(a, support=Fraction(w, d)) for a, w, d in zip(accepted, supports, over)]
+        accepted = [
+            Acceptance(a.label, a.statement, a.probability, Fraction(w, d))
+            for a, w, d in zip(accepted, supports, over)
+        ]
     verdict = policy == "sequential" or base._solver.satisfiable(taken)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
@@ -376,36 +393,45 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     win, the cascade accepts that it wins.
 
     The carried mask starts as the solver's ``shared`` worlds, and the
-    candidates not yet accepted are kept by position, each weighed through
-    the solver's ``masks[i]``.  A stage's conditionals share the
-    denominator ``given``, the numerator of the carried mask, so they are
-    ranked and tied as the integer numerators of their joint masks; only
-    the leader's support becomes a ``Fraction``.
+    candidates not yet accepted are kept by position.  A stage's
+    conditionals share the denominator ``given``, the numerator of the
+    carried mask, so they are ranked and tied as the integer numerators of
+    their joint masks; only the leader's support becomes a ``Fraction``.
+    The first stage reads the solver's ``weights[i]`` over ``D``, since
+    within the shared worlds the joint mask is ``masks[i]``; a later stage
+    weighs ``masks[i]`` met with the carried mask, over the accepted
+    leader's weight, which is the carried mask's numerator.  The winner is
+    found by masks: a ticket is still able to win when its atom meets the
+    carried mask in a world of positive weight (one in a weight plane of
+    the model), the search stops at a second such ticket, and only a lone
+    one is weighed, for its support.
     """
     tickets = dict.fromkeys(_ticket_atom(f) for _, f in base.candidates)
     model, solver = base.model, _solver(base)
-    current = solver.shared
+    masks = solver.masks
+    current, given = solver.shared, model._denominator
     accepted: list[Acceptance] = []
     remaining = list(range(len(base.candidates)))  # by position
+    weights = solver.weights
     while remaining:
-        given = model._numerator(current)
         if given == 0:
             raise RuntimeError("cascade conditioning set reached probability 0")
-        weights = [model._numerator(current & solver.masks[i]) for i in remaining]
         best = max(weights)
         if weights.count(best) != 1 or best < level._cut(given):
             break
         i = remaining.pop(weights.index(best))
-        accepted.append(replace(_acceptance(base, i), support=Fraction(best, given)))
-        current &= solver.masks[i]
+        a = _acceptance(base, i)
+        accepted.append(Acceptance(a.label, a.statement, a.probability, Fraction(best, given)))
+        current, given = current & masks[i], best
+        weights = [model._numerator(current & masks[j]) for j in remaining]
+    live = current & reduce(or_, (plane for _, plane in model._planes), 0)
     # the ticket names are atoms of the model: the base checked its candidates
-    weights = {name: model._numerator(current & model._atom_masks[name]) for name in tickets}
-    alive = [name for name, weight in weights.items() if weight > 0]
-    if len(alive) == 1:
-        win = atom(alive[0])
-        support = Fraction(weights[alive[0]], model._numerator(current))
-        accepted.append(Acceptance(alive[0], win, model.probability(win), support))
+    alive = (name for name in tickets if live & model._atom_masks[name])
+    if (winner := next(alive, None)) is not None and next(alive, None) is None:
+        win = atom(winner)
         current &= model.satisfying_mask(win)
+        support = Fraction(model._numerator(current), given)
+        accepted.append(Acceptance(winner, win, model.probability(win), support))
     # The carried mask is never empty: the background has weight 1, and the
     # threshold 1 - epsilon is above 0, so every accepted stage and the
     # winner kept positive weight.  A world in it settles the verdict, which

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .accept import AcceptanceLevel
 from .formulas import Formula, FormulaSet, conj
-from .sat import entails
+from .sat import _own_background, entails
 from .worlds import BeliefBase, WorldModel
 
 __all__ = [
@@ -110,12 +110,20 @@ def consequence_level(
     probability exactly 1 and then do not count toward k (each would add
     a slack of zero).  With k = 1 this is plain membership preservation:
     the conclusion's exact probability is at least the premise's.
+
+    The entailment is ``sat.entails`` over a belief base's own background,
+    which names the model's worlds: a background that is already a base's
+    own over ``model`` goes through as it is, since its base checked it to
+    be certain, and once a policy has run on that base, premises drawn
+    from its candidates are answered by the base's solver from its masks.
+    Any other background is checked certain through a new base's.
     """
     premises = FormulaSet(premises)
     if not premises:
         raise ValueError("need at least one premise")
-    # certain, or raises; a base's own background names the model for ``entails``
-    background = BeliefBase(model, background or ()).background
+    if not _own_background(background, model):
+        # certain, or raises; a base's own background names the model for ``entails``
+        background = BeliefBase(model, background or ()).background
     _require_at_level(model, premises, level)
     exact = model.probability(conclusion)  # checks its atoms before entailment
     if not entails(background, premises, conclusion):

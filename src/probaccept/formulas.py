@@ -582,13 +582,13 @@ class FormulaSet:
     unsatisfiable subsets they last walked over it, for one background, in
     the ``_family`` slot.  A belief base's own background, and no other
     set, names the base's world model in the ``_model`` slot, which only
-    the ``sat`` solver reads, so that the diagnostics and entailment over
-    that background test world masks before they search.  Once a policy
-    has run on the base, that background also names the base's solver in
-    the ``_base_solver`` slot, which the diagnostics over it ask about sets
-    drawn from the base's candidates.  ``__init__`` leaves every slot but
-    ``_keys`` unset; equality, hashing, ``repr``, copies and pickles ignore
-    them.
+    ``sat`` reads, so that the diagnostics and entailment over that
+    background test world masks before they search.  Once a policy has
+    run on the base, that background also names the base's solver in the
+    ``_base_solver`` slot, which the diagnostics and entailment over it ask
+    about sets drawn from the base's candidates.  ``__init__`` leaves every
+    slot but ``_keys`` unset; equality, hashing, ``repr``, copies and
+    pickles ignore them.
     """
 
     __slots__ = ("_keys", "_family", "_model", "_base_solver")

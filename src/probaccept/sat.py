@@ -15,7 +15,9 @@ that the acceptance policies, ``enumerate_extensions`` and ``diagnose``
 ask goes to ``_Solver``.  The public functions below take formulas, not
 a model.  One set names a model: a belief base's own background, which
 holds with probability 1 in the base's model.  A solver over that
-background reads the model from it, and no other code reads it.  Then
+background reads the model from it, and no other code reads it, but
+``_own_background``, by which ``closure.consequence_level`` keeps such a
+set, already checked certain, as its background.  Then
 a query first tests the joint world mask of the background and the
 chosen members: a world in it is a satisfying valuation, the witness.  A
 model that lists every valuation that can satisfy the background answers
@@ -57,6 +59,9 @@ and names it on the base's own background.  Over that background the
 diagnostics below ask it too, for members that are all candidates of the
 base (an accepted set's statements): by candidate position, sharing its
 masks, its ``complete`` and its store, with no solver of their own.
+``entails`` asks it as well, for premises that are all candidates, by the
+joint mask of their positions less the conclusion's worlds; only what
+those masks leave open gets a solver of its own.
 
 An ``exactly_one`` of distinct atoms, a lottery's background, is
 translated straight from its sorted names, without its canonical node,
@@ -128,6 +133,7 @@ DEFAULT_CANDIDATE_CAP = 20
 
 _Lits = tuple[int, ...]  # a clause, or an at-most-one row, of literals
 _Translation = tuple[Sequence[_Lits], Sequence[_Lits]]  # its clauses and rows
+_Subset = tuple[list[int], int]  # a subset of members: its sorted indices, its bit set
 
 
 def _translate(formula: Formula, index: dict) -> _Translation:
@@ -398,6 +404,13 @@ class _Solver:
         ]
         return _Clauses(len(index), groups)
 
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Each member's position by its canonical key, built at the first
+        question asked by key (a diagnostic or an entailment over a base's
+        own background); a repeated key gives its last position."""
+        return {f.canonical_key: i for i, f in enumerate(self.members)}
+
     def satisfiable(self, which: Sequence[int] = ()) -> bool:
         mask = reduce(int.__and__, map(self.masks.__getitem__, which), self.shared)
         return bool(mask) or self._search(which)
@@ -427,13 +440,42 @@ def entails(
     premises: Iterable[Formula],
     conclusion: Formula,
 ) -> bool:
-    """Classical entailment relative to a background set."""
+    """Classical entailment relative to a background set.
+
+    Over a belief base's own background, once a policy has run on the
+    base, premises that are all candidates of the base are asked of the
+    base's solver by position: the joint mask of the background and the
+    premises, less the conclusion's worlds.  A world left in it satisfies
+    the background and the premises and falsifies the conclusion, so the
+    premises do not entail it; with none left on a ``complete`` model they
+    do.  Any other call, a conclusion with an atom the model lacks, and an
+    empty mask on a model that is not complete build a solver over the
+    premises and the negated conclusion, which tests its own masks first
+    over a base's background and searches what they leave open."""
     if not isinstance(conclusion, Formula):
         raise TypeError(f"the conclusion must be a formula, got {conclusion!r}")
     # a plain background is read once, before the premises
     background = background if isinstance(background, FormulaSet) else [*background]
+    premises = [*premises]
+    if all(isinstance(f, Formula) for f in premises) and (
+        asked := _on_base(background, (f.canonical_key for f in premises))
+    ):
+        solver, positions = asked
+        model = solver.model
+        if model._atom_masks.keys() >= conclusion.atoms():
+            left = reduce(int.__and__, map(solver.masks.__getitem__, positions), solver.shared)
+            if left & ~model.satisfying_mask(conclusion):
+                return False
+            if solver.complete:
+                return True
     members = [*premises, neg(conclusion)]
     return not _Solver(members, background).satisfiable(range(len(members)))
+
+
+def _own_background(background, model) -> bool:
+    """Whether ``background`` is a belief base's own set over ``model``,
+    whose formulas the base checked to be certain in it."""
+    return getattr(background, "_model", None) is model
 
 
 def _check_cap(cap: int) -> None:
@@ -469,6 +511,18 @@ def _prepare(
     return tuple(members._keys.items()), background
 
 
+def _on_base(background, keys: Iterable[str]) -> tuple[_Solver, list[int]] | None:
+    """The solver that a belief base's own background names once a policy
+    has run on the base, and the candidate positions of the members with
+    canonical ``keys``; None when the background names no solver or a
+    member is no candidate of the base."""
+    if (solver := getattr(background, "_base_solver", None)) is not None:
+        position = solver.position
+        if None not in (positions := [position.get(key) for key in keys]):
+            return solver, positions
+    return None
+
+
 def _solver_for(members: Sequence[tuple[str, Formula]], background) -> tuple[_Solver, list[int]]:
     """A solver over the members and the background, and each member's
     position in it.  A belief base's own background names the base's
@@ -476,42 +530,41 @@ def _solver_for(members: Sequence[tuple[str, Formula]], background) -> tuple[_So
     the base, such as an accepted set's statements, are asked of it by
     their candidate positions.  Any other call gets a new solver, member j
     at position j."""
-    if (solver := getattr(background, "_base_solver", None)) is not None:
-        position = {f.canonical_key: i for i, f in enumerate(solver.members)}
-        if None not in (positions := [position.get(key) for key, _ in members]):
-            return solver, positions
-    return _Solver([f for _, f in members], background), [*range(len(members))]
+    return _on_base(background, (key for key, _ in members)) or (
+        _Solver([f for _, f in members], background), [*range(len(members))]
+    )
 
 
 def _consistent_family(
     candidates: Iterable[Formula],
     background: Iterable[Formula] | None,
     cap: int,
-) -> tuple[tuple[tuple[str, Formula], ...], list[frozenset[int]], list[frozenset[int]]]:
+) -> tuple[tuple[tuple[str, Formula], ...], tuple[_Subset, ...], tuple[_Subset, ...]]:
     """The members as (canonical key, formula) pairs, every maximal
     consistent index set among them (largest first) and every minimal
     unsatisfiable one (smallest first), each list then in lexicographic
-    order.
+    order.  Each set is given twice, as its sorted indices and as a bit
+    set, member i being bit i.
 
     Candidates given as a ``FormulaSet`` keep the family in its ``_family``
     slot, with the canonical keys of the background it was walked over.  A
     later call on that set with a background of the same keys returns it
     without a walk, once the arguments have passed every check, and builds
-    no solver; the lists returned are new on every call."""
+    no solver."""
     members, background = _prepare(candidates, background, cap)
     key = frozenset(f.canonical_key for f in background)
     kept = getattr(candidates, "_family", None)  # unset until a walk, and on a list
     if kept is not None and kept[0] == key:
-        return members, list(kept[1]), list(kept[2])
-    n = len(members)
+        return members, kept[1], kept[2]
     mcses, muses = (
-        [frozenset(i for i in range(n) if bits >> i & 1) for bits in found]
+        [([i for i in range(len(members)) if bits >> i & 1], bits) for bits in found]
         for found in _walk(*_solver_for(members, background))
     )
-    mcses.sort(key=lambda s: (-len(s), sorted(s)))
-    muses.sort(key=lambda s: (len(s), sorted(s)))
+    mcses.sort(key=lambda s: (-len(s[0]), s[0]))
+    muses.sort(key=lambda s: (len(s[0]), s[0]))
+    mcses, muses = tuple(mcses), tuple(muses)
     if isinstance(candidates, FormulaSet):
-        candidates._family = (key, tuple(mcses), tuple(muses))
+        candidates._family = (key, mcses, muses)
     return members, mcses, muses
 
 
@@ -631,7 +684,7 @@ def minimal_unsat_subsets(
     ``maximal_consistent_subsets``, ``degree_of_inconsistency`` and
     ``strands`` of the same set over the same background do not repeat it."""
     members, _, muses = _consistent_family(candidates, background, cap)
-    return [FormulaSet._of(members[i] for i in sorted(mus)) for mus in muses]
+    return [FormulaSet._of(map(members.__getitem__, mus)) for mus, _ in muses]
 
 
 def maximal_consistent_subsets(
@@ -647,7 +700,7 @@ def maximal_consistent_subsets(
     ``minimal_unsat_subsets``, ``degree_of_inconsistency`` and ``strands``
     of the same set over the same background then read."""
     members, mcses, _ = _consistent_family(candidates, background, cap)
-    return [FormulaSet._of(members[i] for i in sorted(mcs)) for mcs in mcses]
+    return [FormulaSet._of(map(members.__getitem__, mcs)) for mcs, _ in mcses]
 
 
 def shrink_unsat_subset(

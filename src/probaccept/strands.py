@@ -57,7 +57,13 @@ def strands(
 
 
 def strand_entails(strand: Strand, formula: Formula) -> bool:
-    """Does the strand's closure contain the formula?"""
+    """Does the strand's closure contain the formula?
+
+    The answer is ``sat.entails`` from the kernel over the strand's
+    background.  A strand drawn over a belief base's own background, from
+    candidates of the base on which a policy has run, is answered by the
+    base's solver from its world masks, with no solver of its own; one
+    over any other background builds a solver per question."""
     return entails(strand.background, strand.kernel, formula)
 
 
@@ -85,8 +91,7 @@ def degree_of_inconsistency(
     if not candidates:  # nothing to cover, so the background goes unchecked
         return 1
     members, mcses, _ = _consistent_family(candidates, background, cap)
-    sets = [sum(map((1).__lshift__, mcs)) for mcs in mcses]  # member i is bit i
-    holders = [[s for s in sets if s >> i & 1] for i in range(len(members))]
+    holders = [[s for _, s in mcses if s >> i & 1] for i in range(len(members))]
     # a candidate in no maximal consistent subset is unsatisfiable with the
     # background on its own
     if [] in holders:

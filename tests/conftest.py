@@ -54,6 +54,22 @@ def searches(monkeypatch):
 
 
 @pytest.fixture
+def solvers(monkeypatch):
+    """Every solver built from formulas from now on, by its arguments: the
+    members come first.  A lottery's solver, made from the closed form its
+    builder left on the base, is not built from formulas."""
+    made = []
+    build = sat._Solver.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(sat._Solver, "__init__", counted)
+    return made
+
+
+@pytest.fixture
 def stores(monkeypatch):
     """Every clause store built from now on, by its arguments: the
     variable count comes first."""

@@ -234,14 +234,16 @@ def _uses(tree, name):
 
 def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     # the base's own background is the one set that names its model, and
-    # only the solver reads it there; no set drawn from the base names one,
-    # and an accepted set keeps no model of its own, so it needs no
-    # __reduce__.  The base's store step, where the constructor and the
-    # lottery builders end, writes it.  Only the solver's search path and
-    # the subset walk, which reads the MCSes off the worlds, ask whether the
-    # model is complete; only the closed-form construction of a lottery's
-    # solver says so.  Only the policies' solver step names the base's solver
-    # on its own background, and only the ``sat`` diagnostics read it there.
+    # only ``sat`` reads it there: the solver, and the test by which
+    # ``consequence_level`` keeps a base's own background; no set drawn from
+    # the base names one, and an accepted set keeps no model of its own, so
+    # it needs no __reduce__.  The base's store step, where the constructor
+    # and the lottery builders end, writes it.  Only the solver's search
+    # path, entailment from the base's solver and the subset walk, which
+    # reads the MCSes off the worlds, ask whether the model is complete; only
+    # the closed-form construction of a lottery's solver says so.  Only the
+    # policies' solver step names the base's solver on its own background,
+    # and only ``sat``'s lookup of candidates by key reads it there.
     package = pathlib.Path(probaccept.__file__).parent
     writers, readers, completes, told, solvers = {}, {}, {}, {}, {}
     for path in sorted(package.glob("*.py")):
@@ -263,8 +265,8 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 assert "__reduce__" not in methods
     assert writers == {"worlds": ["BeliefBase._store"]}
-    assert readers == {"sat": ["_Solver.__init__"]}
-    assert completes == {"sat": ["_Solver._search", "_walk"]}
+    assert readers == {"sat": ["_Solver.__init__", "_own_background"]}
+    assert completes == {"sat": ["_Solver._search", "entails", "_walk"]}
     assert told == {"sat": ["_Solver._complete"]}
-    assert solvers == {"accept": [["_solver"], []], "sat": [[], ["_solver_for"]]}
+    assert solvers == {"accept": [["_solver"], []], "sat": [[], ["_on_base"]]}
     assert list(inspect.signature(sat._Solver).parameters) == ["members", "background"]

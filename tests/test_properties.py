@@ -1175,8 +1175,9 @@ def test_accepted_sets_diagnose_as_fresh_sets(policy, data):
 @given(bases(), LEVELS, st.data())
 def test_entailment_over_a_named_background_matches_truth_tables(base, level, data):
     # A base's own background names its model, so ``entails`` over it, the
-    # strands drawn over it and ``consequence_level`` (which builds a base's
-    # background of its own) test the model's masks before they search.
+    # strands drawn over it and ``consequence_level`` (which keeps a base's
+    # own background and builds one for any other) test the model's masks
+    # before they search.  No policy runs here, so no solver is named.
     # Over the same formulas as a list or a generator, which name no model,
     # and for a conclusion with an atom the model lacks, they search.  Each
     # must give what the truth tables say.
@@ -1333,6 +1334,68 @@ def test_one_hot_backgrounds_search_only_a_missing_valuation(drawn, level):
         assert made == []
     else:
         assert len(made) > before  # no listed world satisfies the query
+
+
+ASKED_BASES = {
+    "bases": bases(),
+    # a one-hot model that misses a valuation: an empty mask is searched
+    "one_hot_missing": one_hot_bases()
+    .filter(lambda drawn: drawn[1] is not None)
+    .map(lambda drawn: drawn[0]),
+}
+
+
+@pytest.mark.parametrize("strategy", ASKED_BASES.values(), ids=ASKED_BASES)
+@given(data=st.data())
+def test_entailment_from_the_base_solver_matches_truth_tables(strategy, data):
+    """Once a policy has run, the base's own background names the base's
+    solver, and ``entails``, ``strand_entails`` and ``consequence_level``
+    over it ask that solver for premises drawn from the candidates: a world
+    left in their mask outside the conclusion's is no entailment, none on a
+    complete model is one, and an empty mask on any other model searches.
+    Premises that are not all candidates, and conclusions with an atom the
+    model lacks, take a solver of their own.  Each answer must be the truth
+    tables'."""
+    base = data.draw(strategy, label="base")
+    level = data.draw(LEVELS, label="level")
+    policy = data.draw(st.sampled_from(["threshold", "lehrer", "sequential", "teng"]))
+    run, ordered = POLICY_TABLE[policy]
+    run(base, base.candidate_labels, level) if ordered else run(base, level)
+    assert base.background._base_solver is base._solver
+    names = base.model.atoms
+    candidates = list(base.candidate_formulas)
+    background = list(base.background)
+
+    def entailed(premises, conclusion):
+        return not truth_table_satisfiable([*background, *premises, neg(conclusion)])
+
+    drawn = st.lists(st.sampled_from(candidates), max_size=3)
+    conclusion = data.draw(formulas(names), label="conclusion")
+    foreign = disj(atom("z"), conclusion)
+    for premises in (
+        data.draw(drawn, label="premises"),
+        data.draw(drawn, label="with a formula no candidate") + [conclusion],
+    ):
+        for target in (conclusion, foreign):
+            assert entails(base.background, premises, target) == entailed(premises, target)
+    for strand in strands(base.candidate_formulas, base.background):
+        for target in (conclusion, foreign):
+            assert strand_entails(strand, target) == entailed(strand.kernel, target)
+    accepted = [f for f in candidates if level.met_by(base.model.probability(f))]
+    if not accepted:
+        return
+    premises = data.draw(
+        st.lists(st.sampled_from(accepted), min_size=1, max_size=3), label="accepted premises"
+    )
+    try:
+        leveled = consequence_level(base.model, premises, conclusion, level, base.background)
+    except ValueError as error:
+        assert not entailed(premises, conclusion) and "do not entail" in str(error)
+    else:
+        assert entailed(premises, conclusion)
+        assert leveled.exact_probability == base.model.probability(conclusion)
+    with pytest.raises(UnknownAtomError, match="z"):
+        consequence_level(base.model, premises, foreign, level, base.background)
 
 
 def assert_same_columns(model: WorldModel) -> None:

@@ -15,6 +15,7 @@ from probaccept import (
     FormulaSet,
     atom,
     conj,
+    consequence_level,
     degree_of_inconsistency,
     disj,
     entails,
@@ -27,6 +28,7 @@ from probaccept import (
     neg,
     parse,
     shrink_unsat_subset,
+    strand_entails,
     strands,
     threshold_accept,
 )
@@ -149,6 +151,27 @@ class TestEntailment:
     def test_monotone_in_background(self):
         assert not entails([], [parse("a")], parse("b"))
         assert entails([parse("a -> b")], [parse("a")], parse("b"))
+
+    def test_a_complete_lottery_answers_from_its_solver(self, solvers, stores, searches):
+        # once a policy has run, entailment over the base's own background
+        # from its candidates reads the base's solver; the model lists every
+        # valuation of the background, so no solver is built and none searches
+        base = fair_lottery(6)
+        level = AcceptanceLevel(Fraction(1, 6))
+        accepted = threshold_accept(base, level).accepted_formulas
+        losses = list(accepted)
+        assert entails(base.background, losses[:5], atom("wins_6"))
+        assert not entails(base.background, losses[:4], atom("wins_6"))
+        for strand in strands(accepted, base.background):
+            (winner,) = {f.args[0] for f in losses} - {f.args[0] for f in strand.kernel}
+            assert strand_entails(strand, winner)
+            assert not strand_entails(strand, neg(winner))
+        two = losses[:2]
+        leveled = consequence_level(base.model, two, conj(*two), level, base.background)
+        assert leveled.exact_probability == leveled.support_lower_bound == Fraction(2, 3)
+        with pytest.raises(ValueError, match="do not entail"):
+            consequence_level(base.model, two, atom("wins_1"), level, base.background)
+        assert solvers == [] and stores == [] and searches == []
 
 
 @pytest.mark.parametrize(
