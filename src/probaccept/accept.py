@@ -1,8 +1,8 @@
 """Acceptance policies over belief bases.
 
-Four ways of turning "probable enough" into "accepted", three of them run
-by one candidate scan (``_scan``) that carries the joint world mask of
-the background and the statements accepted so far:
+Four ways of turning "probable enough" into "accepted"; the two ordered
+ones run by one candidate scan (``_scan``) that carries the joint world
+mask of the background and the statements accepted so far:
 
 * ``threshold_accept`` takes every candidate whose probability clears the
   acceptance level, consistency be damned; with a fair n-ticket lottery
@@ -42,15 +42,17 @@ The solver also weighs each candidate once per base: ``weights[i]`` is
 the integer numerator of ``masks[i]`` over the model's common denominator
 ``D``, which is the numerator of the candidate's probability, since the
 background has probability 1.  A run turns its level into one integer,
-the least numerator over ``D`` that meets it (``AcceptanceLevel._cut``),
-and compares weights with it, so it makes no ``Fraction`` per candidate.
-The conditional policies read those weights too while nothing is
-accepted, since a candidate's weight within the background's worlds is
-its own: ``teng`` up to its first acceptance and the cascade's first
-stage.  After an acceptance the accepted candidate's conditional weight
-is the numerator of the new carried mask, the next denominator, so the
-model weighs only the joint masks of the candidates still to be judged.
-The cascade tells its last winner by masks and weighs it alone.
+the least numerator over ``D`` that meets it (``AcceptanceLevel._cut``,
+read from epsilon's integers, so no ``Fraction`` at all), and compares
+weights with it: ``threshold`` in one comprehension over the weights.
+A conditional weight comes from ``_within``: the candidate's complement
+in the background's worlds weighs ``D - weights[i]``, so within a carried
+mask it weighs the whole mask, nothing, or (only where the complement
+straddles the mask) what the model weighs.  ``teng`` and the cascade's
+later stages read it, and the cascade's lone winner, whose worlds are its
+lose statement's complement; on a one-winner lottery every complement is
+one world, and the model weighs nothing.  Before any acceptance it is
+``weights[i]`` itself, which the cascade's first stage reads.
 An accepted candidate's unconditional ``Acceptance`` (support equal to
 probability) is built the first time a run accepts it and kept in the
 solver's ``acceptances[i]``, shared by every later ``threshold``,
@@ -58,6 +60,13 @@ solver's ``acceptances[i]``, shared by every later ``threshold``,
 conditional records from its fields.  ``enumerate_extensions`` runs
 ``_scan`` alone for each order and makes an ``AcceptedSet`` only for the
 first order of each distinct outcome.
+
+What depends on the base alone is kept beside them, each built by the
+first run that needs it: the label-to-position map of the ordered runs
+(``positions``), Lehrer's world counts and sorted rivals (``rivals``),
+and the cascade's ticket atoms by position (``tickets``, kept only once
+every candidate has passed its shape check).  A warm run pays for its
+own scan and records, and for every check of its arguments.
 """
 
 from __future__ import annotations
@@ -110,13 +119,13 @@ class AcceptanceLevel:
 
     def __post_init__(self):
         eps = as_fraction(self.epsilon)
-        if not (0 < eps < 1):
+        if not 0 < eps.numerator < eps.denominator:
             raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
         if not isinstance(self.strict, bool):  # "false" would be taken as true
             raise ValueError(f"strict must be a bool, not {self.strict!r}")
         object.__setattr__(self, "epsilon", eps)
 
-    # met_by reads it per statement; frozen still leaves the instance __dict__
+    # reports and messages read it; frozen still leaves the instance __dict__
     @cached_property
     def threshold(self) -> Fraction:
         return 1 - self.epsilon
@@ -127,12 +136,14 @@ class AcceptanceLevel:
 
     def _cut(self, denominator: int) -> int:
         """The least numerator that meets the level over a positive
-        ``denominator``: the ceiling of ``threshold * denominator``, or its
-        floor plus 1 when strict.  A policy compares a weight, an integer
-        numerator, with the cut over its denominator."""
-        t = self.threshold
-        scaled = t.numerator * denominator
-        return scaled // t.denominator + 1 if self.strict else -(-scaled // t.denominator)
+        ``denominator``: with epsilon ``p/q``, the ceiling of ``(q - p) *
+        denominator / q``, or its floor plus 1 when strict.  It reads the
+        integers p and q, so a fresh level builds no ``Fraction`` for it.  A
+        policy compares a weight, an integer numerator, with the cut over
+        its denominator."""
+        q = self.epsilon.denominator
+        scaled = (q - self.epsilon.numerator) * denominator
+        return scaled // q + 1 if self.strict else -(-scaled // q)
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,10 @@ def _solver(base: BeliefBase) -> _Solver:
     ``masks[i]`` over the model's common denominator, which is candidate
     i's probability's numerator because the background has probability 1;
     and ``acceptances[i]``, candidate i's unconditional ``Acceptance``,
-    which ``_acceptance`` builds when a run first accepts it."""
+    which ``_acceptance`` builds when a run first accepts it.  Its
+    ``positions``, ``rivals`` and ``tickets`` start empty: the first
+    ordered, Lehrer and cascade run builds each, so that a run that needs
+    none, such as a ``diagnose`` command's threshold run, pays for none."""
     if (solver := base._solver) is None or isinstance(solver, tuple):
         members = [f for _, f in base.candidates]
         if solver is None:
@@ -219,6 +233,7 @@ def _solver(base: BeliefBase) -> _Solver:
             shared, masks, weights = solver
             solver = _Solver._complete(members, base.background, base.model, shared, masks)
         solver.weights, solver.acceptances = weights, [None] * len(members)
+        solver.positions = solver.rivals = solver.tickets = None  # built when first read
         base.background._base_solver = solver
         object.__setattr__(base, "_solver", solver)
     return solver
@@ -236,32 +251,50 @@ def _acceptance(base: BeliefBase, i: int) -> Acceptance:
     return solver.acceptances[i]
 
 
+def _within(base: BeliefBase, current: int, given: int, i: int) -> int:
+    """Candidate i's weight within the carried mask ``current``, a subset of
+    the solver's ``shared`` worlds of numerator ``given``: the numerator of
+    ``current & masks[i]``.
+
+    The background has probability 1, so ``shared`` weighs ``D`` and the
+    candidate's complement there, ``shared ^ masks[i]``, weighs ``D -
+    weights[i]``.  A complement that misses ``current`` leaves it whole, of
+    weight ``given``; one inside it takes its whole weight away.  Only a
+    complement that straddles ``current`` is weighed by the model.  Exact
+    on any base: on a one-winner lottery every complement is one world, so
+    the model weighs nothing."""
+    solver = base._solver
+    outside = solver.shared ^ solver.masks[i]
+    met = outside & current
+    if not met:
+        return given
+    if met == outside:
+        return given - base.model._denominator + solver.weights[i]
+    return base.model._numerator(current & solver.masks[i])
+
+
 def _scan(
-    base: BeliefBase, order: Iterable[int], level: AcceptanceLevel,
-    conditional: bool = False, consistent: bool = False,
+    base: BeliefBase, order: Iterable[int], level: AcceptanceLevel, conditional: bool = False
 ) -> tuple[list[int], list[int]]:
     """Visit the candidates at the positions in ``order``; return the accepted
-    candidates' positions and, with ``conditional``, their supports'
-    numerators.  A support is the probability, or with ``conditional`` the
-    weight within the carried mask over its weight; it must meet the level
-    and, with ``consistent``, the accepted set must stay satisfiable.
+    candidates' positions and, with ``conditional`` (``teng``), their
+    supports' numerators.  Without it (``sequential``) a support is the
+    probability and the accepted set must stay satisfiable; with it a
+    support is the weight within the carried mask over its weight.
 
     Every weight is an integer numerator over the model's common
     denominator ``D``, compared with the level's cut, the least numerator
-    that meets it.  A probability is the solver's ``weights[i]``, against
-    the cut over ``D``, computed once per run.  A conditional support is
-    over the numerator of the carried mask, ``D`` before the first
-    acceptance (the background's), and its cut moves with each acceptance.
-    Until that first acceptance the carried mask is the solver's
-    ``shared`` worlds, within which candidate i's joint mask is
-    ``masks[i]``, so its conditional weight is the solver's ``weights[i]``;
-    only a later candidate's joint mask is weighed by the model, and the
-    accepted one's weight becomes the next denominator, unweighed again.
+    that meets it (``AcceptanceLevel._cut``).  A probability is the
+    solver's ``weights[i]``, against the cut over ``D``, computed once per
+    run.  A conditional support is ``_within`` the carried mask, over its
+    numerator: ``D`` before the first acceptance (the background's), where
+    it is ``weights[i]``, and after each the accepted candidate's weight,
+    which moves the cut.
 
     The carried mask starts as the solver's ``shared`` worlds and meets
-    candidate i's, ``masks[i]``, at each acceptance of a run that reads it.
-    A world in it settles a ``consistent`` admission; an empty one asks the
-    solver, by the accepted candidates' positions."""
+    candidate i's, ``masks[i]``, at each acceptance.  A world in it settles
+    a sequential admission; an empty one asks the solver, by the accepted
+    candidates' positions."""
     model, solver = base.model, _solver(base)
     weights, masks = solver.weights, solver.masks
     current, given = solver.shared, model._denominator
@@ -271,17 +304,16 @@ def _scan(
         if conditional:
             if given == 0:
                 raise RuntimeError("teng conditioning set reached probability 0")
-            joint = current & masks[i]
-            weight = model._numerator(joint) if taken else weights[i]
+            weight = _within(base, current, given, i)
             if weight < cut:
                 continue
             supports.append(weight)
-            current, given, cut = joint, weight, level._cut(weight)
-        elif weights[i] < cut:
-            continue
-        elif consistent:
+            current, given, cut = current & masks[i], weight, level._cut(weight)
+        else:
+            if weights[i] < cut:
+                continue
             joint = current & masks[i]
-            if not joint and not solver.satisfiable([*taken, i]):
+            if not joint and not solver._search([*taken, i]):  # no world settles it
                 continue
             current = joint
         taken.append(i)
@@ -294,10 +326,12 @@ def _accepted(
     """The ``AcceptedSet`` of a ``_scan`` that accepted the candidates at
     ``taken``: their shared acceptances, or with ``supports`` (a
     conditional run's, each over the one before it, the first over ``D``)
-    new records of the conditional supports.  A sequential run is weakly
-    consistent without asking: its last admission, or the background of
-    probability 1, answered it.  Any other asks the solver, which a world
-    in the accepted candidates' joint mask answers first."""
+    new records of the conditional supports.  A sequential or Teng run is
+    weakly consistent without asking: a sequential run's last admission,
+    or the background of probability 1, answered it, and a Teng run's
+    carried mask keeps a positive weight, so a world.  Any other asks the
+    solver, which a world in the accepted candidates' joint mask answers
+    first."""
     kept = base._solver.acceptances
     accepted = [kept[i] or _acceptance(base, i) for i in taken]
     if supports:
@@ -306,7 +340,7 @@ def _accepted(
             Acceptance(a.label, a.statement, a.probability, Fraction(w, d))
             for a, w, d in zip(accepted, supports, over)
         ]
-    verdict = policy == "sequential" or base._solver.satisfiable(taken)
+    verdict = policy in ("sequential", "teng") or base._solver.satisfiable(taken)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
@@ -314,8 +348,12 @@ def _positions(base: BeliefBase, order: Sequence[str]) -> list[int]:
     """The candidates' positions in ``order``, which must list every label
     once.  The labels are distinct strings, so an order of as many strings
     that holds every label is a permutation; checking that needs no sort,
-    which fails on items of mixed types."""
-    position = {label: i for i, (label, _) in enumerate(base.candidates)}
+    which fails on items of mixed types.  The label map is built at the
+    base's first ordered run and kept as the solver's ``positions``; every
+    order is checked against it."""
+    solver = _solver(base)
+    if (position := solver.positions) is None:
+        position = solver.positions = {label: i for i, (label, _) in enumerate(base.candidates)}
     if not (
         len(order) == len(position)
         and all(isinstance(label, str) for label in order)
@@ -327,8 +365,11 @@ def _positions(base: BeliefBase, order: Sequence[str]) -> list[int]:
 
 def threshold_accept(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     """Accept every candidate whose probability clears the level; weak
-    consistency of the result is reported, not enforced."""
-    return _accepted("threshold", base, level, *_scan(base, range(len(base.candidates)), level))
+    consistency of the result is reported, not enforced.  One comparison of
+    each of the solver's ``weights`` with the level's cut over ``D``."""
+    cut = level._cut(base.model._denominator)
+    taken = [i for i, w in enumerate(_solver(base).weights) if w >= cut]
+    return _accepted("threshold", base, level, taken)
 
 
 def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[int]:
@@ -343,13 +384,19 @@ def _undominated(base: BeliefBase, level: AcceptanceLevel) -> list[int]:
     count, can be in a contrary pair.  Those are sorted by count, and each
     visits the prefix of rivals with ``count_j <= room - count_i``,
     testing each by mask, weight and solver.  A one-winner lottery sorts
-    nothing and visits no pair."""
+    nothing and visits no pair.  ``room``, the counts, ``low`` and the
+    sorted rivals depend on the base alone: the first run keeps them as
+    the solver's ``rivals``."""
     solver = _solver(base)
-    weights, masks, room = solver.weights, solver.masks, solver.shared.bit_count()
+    weights, masks = solver.weights, solver.masks
+    if solver.rivals is None:
+        room = solver.shared.bit_count()
+        counts = [mask.bit_count() for mask in masks]
+        low = min(counts, default=0)
+        rivals = sorted((j for j, c in enumerate(counts) if c <= room - low), key=counts.__getitem__)
+        solver.rivals = room, counts, low, rivals
+    room, counts, low, rivals = solver.rivals
     cut = level._cut(base.model._denominator)
-    counts = [mask.bit_count() for mask in masks]
-    low = min(counts, default=0)
-    rivals = sorted((j for j, c in enumerate(counts) if c <= room - low), key=counts.__getitem__)
     return [
         i
         for i, w in enumerate(weights)
@@ -399,15 +446,22 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     their joint masks; only the leader's support becomes a ``Fraction``.
     The first stage reads the solver's ``weights[i]`` over ``D``, since
     within the shared worlds the joint mask is ``masks[i]``; a later stage
-    weighs ``masks[i]`` met with the carried mask, over the accepted
-    leader's weight, which is the carried mask's numerator.  The winner is
-    found by masks: a ticket is still able to win when its atom meets the
-    carried mask in a world of positive weight (one in a weight plane of
-    the model), the search stops at a second such ticket, and only a lone
-    one is weighed, for its support.
+    weighs each remaining candidate ``_within`` the carried mask, over the
+    accepted leader's weight, which is the carried mask's numerator.  The
+    winner is found by masks: a ticket is still able to win when its atom
+    meets the carried mask in a world of positive weight (one in a weight
+    plane of the model), the search stops at a second such ticket, and
+    only a lone one is weighed, for its support: the carried weight less
+    that of its lose statement ``_within`` the carried mask.
+
+    Each ticket atom's position, by name in base order, is kept as the
+    solver's ``tickets``, but only once every candidate has passed the
+    shape check, so that a base of another shape raises on every call.
     """
-    tickets = dict.fromkeys(_ticket_atom(f) for _, f in base.candidates)
     model, solver = base.model, _solver(base)
+    if (tickets := solver.tickets) is None:
+        tickets = {_ticket_atom(f): i for i, (_, f) in enumerate(base.candidates)}
+        solver.tickets = tickets
     masks = solver.masks
     current, given = solver.shared, model._denominator
     accepted: list[Acceptance] = []
@@ -423,14 +477,16 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
         a = _acceptance(base, i)
         accepted.append(Acceptance(a.label, a.statement, a.probability, Fraction(best, given)))
         current, given = current & masks[i], best
-        weights = [model._numerator(current & masks[j]) for j in remaining]
+        weights = [_within(base, current, given, j) for j in remaining]
     live = current & reduce(or_, (plane for _, plane in model._planes), 0)
     # the ticket names are atoms of the model: the base checked its candidates
     alive = (name for name in tickets if live & model._atom_masks[name])
     if (winner := next(alive, None)) is not None and next(alive, None) is None:
         win = atom(winner)
+        # the winner's worlds in the carried mask are those its lose
+        # statement, candidate tickets[winner], leaves out
+        support = Fraction(given - _within(base, current, given, tickets[winner]), given)
         current &= model.satisfying_mask(win)
-        support = Fraction(model._numerator(current), given)
         accepted.append(Acceptance(winner, win, model.probability(win), support))
     # The carried mask is never empty: the background has weight 1, and the
     # threshold 1 - epsilon is above 0, so every accepted stage and the
@@ -447,7 +503,7 @@ def sequential_accept(
     """Accept candidates in order when probable enough, skipping any that
     would make the accepted set (with background) unsatisfiable.  Always
     weakly consistent; which statements get in depends on the order."""
-    taken, _ = _scan(base, _positions(base, order), level, consistent=True)
+    taken, _ = _scan(base, _positions(base, order), level)
     return _accepted("sequential", base, level, taken)
 
 
@@ -545,13 +601,13 @@ def enumerate_extensions(
             shuffles.append(tuple(shuffled))
         orders = list(dict.fromkeys(shuffles))  # distinct, first-drawn order
 
-    conditional = policy == "teng"  # and "sequential" keeps the set consistent
+    conditional = policy == "teng"  # else "sequential", which keeps the set consistent
     keys = [f.canonical_key for _, f in base.candidates]
     # each distinct outcome, by its accepted formulas' keys, with the scan
     # of the first order giving it: only that scan becomes an AcceptedSet
     found: dict[frozenset[str], tuple[list[int], list[int], tuple[int, ...]]] = {}
     for order in orders:
-        taken, supports = _scan(base, order, level, conditional, not conditional)
+        taken, supports = _scan(base, order, level, conditional)
         found.setdefault(frozenset(map(keys.__getitem__, taken)), (taken, supports, order))
     # every order yields a result, so there is at least one extension
     extensions = tuple(_accepted(policy, base, level, *scan) for *scan, _ in found.values())

@@ -25,13 +25,13 @@ def as_fraction(value) -> Fraction:
     its source (an argument, a file's weight or a CLI option).  Floats are
     rejected because they silently corrupt boundary comparisons.  A zero
     denominator raises ``ValueError`` "zero denominator in '1/0'" (for the
-    text ``1/0``), and any other value it cannot read "expected a rational
-    p/q or integer, got ...": one message per fault."""
+    text ``1/0``), and any other value it cannot read, a bool included,
+    "expected a rational p/q or integer, got ...": one message per fault."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, float):
         raise ValueError(f"refusing inexact weight {value!r}; use p/q rationals")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # True is no number here
         return Fraction(value)
     if isinstance(value, str) and (m := _RATIONAL_RE.fullmatch(value)):
         if m["q"] is not None and int(m["q"]) == 0:

@@ -70,6 +70,21 @@ def solvers(monkeypatch):
 
 
 @pytest.fixture
+def numerators(monkeypatch):
+    """Every mask a world model weighs from now on (each call of
+    ``WorldModel._numerator``), by the mask."""
+    made = []
+    weigh = worlds.WorldModel._numerator
+
+    def counted(model, mask):
+        made.append(mask)
+        return weigh(model, mask)
+
+    monkeypatch.setattr(worlds.WorldModel, "_numerator", counted)
+    return made
+
+
+@pytest.fixture
 def stores(monkeypatch):
     """Every clause store built from now on, by its arguments: the
     variable count comes first."""

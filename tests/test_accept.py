@@ -101,6 +101,30 @@ class TestAcceptanceLevel:
         assert AcceptanceLevel("3 / 4").epsilon == Fraction(3, 4)
         assert stakes_threshold("9 / 3").epsilon == Fraction(1, 4)
 
+    def test_bool_epsilon_is_no_rational(self):
+        # True is an int, but no level: refused as unreadable, not as inexact
+        message = re.escape("expected a rational p/q or integer, got True")
+        with pytest.raises(ValueError, match=message):
+            AcceptanceLevel(True)
+
+    @pytest.mark.parametrize(
+        "eps, shown", [(0, "0"), (1, "1"), (Fraction(-1, 2), "-1/2"), (Fraction(3, 2), "3/2"),
+                       ("0", "0"), ("1", "1")],
+    )
+    def test_epsilon_range_message(self, eps, shown):
+        message = re.escape(f"epsilon must lie strictly between 0 and 1, got {shown}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AcceptanceLevel(eps)
+
+    def test_a_policy_run_builds_no_threshold(self):
+        # the cut is read from epsilon's integers; only a report builds the
+        # threshold Fraction, and then keeps it
+        level = AcceptanceLevel(Fraction(1, 10))
+        threshold_accept(fair_lottery(10), level)
+        assert "threshold" not in level.__dict__
+        assert level.threshold == Fraction(9, 10)
+        assert "threshold" in level.__dict__
+
 
 class TestStakesThreshold:
     def test_three_to_one_stakes(self):
@@ -119,6 +143,11 @@ class TestStakesThreshold:
     def test_ratio_below_one_rejected(self):
         with pytest.raises(ValueError):
             stakes_threshold(Fraction(1, 2))
+
+    def test_bool_ratio_is_no_rational(self):
+        message = re.escape("expected a rational p/q or integer, got True")
+        with pytest.raises(ValueError, match=message):
+            stakes_threshold(True)
 
 
 class TestThresholdAccept:
@@ -523,6 +552,81 @@ class TestWeighedOncePerBase:
         # each extension leaves out the ticket whose lose statement came last
         assert len(outcome.extensions) == 5
         assert len(built) == 5
+
+
+BIASED_TWELVE = [Fraction(i, 78) for i in range(1, 13)]
+
+
+class TestWarmBase:
+    """What a base keeps for later runs (its label positions, Lehrer's
+    rivals, the cascade's ticket atoms) changes no check, and a conditional
+    run on a lottery weighs no mask once the base has its solver."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda: fair_lottery(30), lambda: biased_lottery(BIASED_TWELVE)],
+        ids=["fair", "biased"],
+    )
+    def test_conditional_runs_on_a_lottery_weigh_no_mask(self, build, numerators):
+        base = build()
+        level = AcceptanceLevel(Fraction(1, 2))
+        threshold_accept(base, level)  # the base now has its solver
+        numerators.clear()
+        n = len(base.candidates)
+        for order in (base.candidate_labels, base.candidate_labels[::-1]):
+            # every lose statement but one, each weighed within the last
+            assert len(teng_accept(base, order, level).accepted) == n - 1
+        cascade = lehrer_cascade(base, level)
+        assert numerators == []
+        if n == 12:  # the biased cascade runs every stage and names the winner
+            assert cascade.order == (*(f"L{i}" for i in range(1, 12)), "wins_12")
+            assert cascade.accepted[-1].support == 1
+        else:  # a fair one halts at the first tie
+            assert cascade.accepted == ()
+
+    def test_an_ordered_run_leaves_every_order_check_in_place(self):
+        base = fair_lottery(3)
+        level = AcceptanceLevel(Fraction(1, 3))
+        for policy in ("sequential", "teng"):
+            run = POLICY_TABLE[policy][0]
+            good = run(base, ["L3", "L1", "L2"], level)
+            bad_orders = (
+                ["L1", "L2", "L2"],  # a duplicate
+                ["L1", "L2", "L4"],  # a label missing and one extra
+                ["L1", "L2", 3],  # an item that is no label
+                ["L1", "L2"],  # too short
+                ["L1", "L2", "L3", "L1"],  # too long
+            )
+            for _ in range(2):
+                for bad in bad_orders:
+                    with pytest.raises(ValueError, match="^order must be a permutation"):
+                        run(base, bad, level)
+                assert run(base, ["L3", "L1", "L2"], level) == good
+
+    def test_a_base_of_another_shape_is_refused_by_every_cascade(self):
+        base = coin_base()
+        level = AcceptanceLevel(Fraction(1, 4))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="lottery-shaped"):
+                lehrer_cascade(base, level)
+            threshold_accept(base, level)
+            lehrer_accept(base, level)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: biased_lottery([Fraction(1, 3), Fraction(2, 3)]),
+                  lambda: lottery_missing_a_winner(4)],
+        ids=["contrary_pair", "searched"],
+    )
+    def test_lehrer_runs_at_every_level_read_the_kept_rivals(self, build):
+        # each run on one base reads the rivals its first run kept, and
+        # accepts what a run on a fresh base accepts
+        base = build()
+        levels = [
+            AcceptanceLevel(eps, strict)
+            for eps in (Fraction(2, 3), Fraction(1, 4), Fraction(1, 2))
+            for strict in (False, True)
+        ]
+        for level in levels:
+            assert lehrer_accept(base, level) == lehrer_accept(build(), level)
 
 
 class TestEnumerateExtensions:

@@ -804,6 +804,42 @@ def test_teng_on_the_fair_hundred_matches_the_reference(lottery100, epsilon, str
         assert_same_run(result, reference.run("teng", level, order))
 
 
+def test_straddling_complements_are_weighed_by_the_model(numerators):
+    """Three independent tickets of distinct probabilities, built by hand,
+    then with ``some_wins`` as a fourth candidate: once a lose statement
+    is accepted, each other candidate's complement (the worlds where its
+    ticket wins, or where none does) lies partly inside the carried mask
+    and partly out, so ``teng`` and the cascade's later stages ask the
+    model for its weight there.  Every run still matches its definition."""
+    odds = [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]
+    names = ["wins_1", "wins_2", "wins_3"]
+    worlds = [
+        (v, math.prod(p if x else 1 - p for x, p in zip(v, odds)))
+        for v in product((False, True), repeat=3)
+    ]
+    loses = [(f"L{i}", neg(atom(x))) for i, x in enumerate(names, 1)]
+    some_wins = ("some_wins", disj(*map(atom, names)))
+    levels = [
+        AcceptanceLevel(eps, strict)
+        for eps in (Fraction(1, 2), Fraction(1, 5), Fraction(7, 10))
+        for strict in (False, True)
+    ]
+    for candidates in (loses, [*loses, some_wins]):
+        base = BeliefBase(WorldModel(names, worlds), (), candidates)
+        reference = ReferenceScan(base)
+        # every candidate weighed and its acceptance kept, so that what the
+        # model weighs from now on is a joint mask within a carried one
+        threshold_accept(base, AcceptanceLevel(Fraction(99, 100)))
+        numerators.clear()
+        for level in levels:
+            for order in permutations(base.candidate_labels):
+                assert_same_run(teng_accept(base, order, level), reference.run("teng", level, order))
+        assert numerators
+        if candidates == loses:  # lottery-shaped
+            for level in levels:
+                assert_same_run(POLICY_TABLE["cascade"][0](base, level), reference.run("cascade", level))
+
+
 @given(bases(max_candidates=4), LEVELS, st.sampled_from(["sequential", "teng"]))
 def test_conjunction_verdict_matches_truth_table(base, level, policy):
     outcome = enumerate_extensions(base, policy, level)

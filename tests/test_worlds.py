@@ -406,6 +406,13 @@ class TestModelValidation:
         model = WorldModel(["a"], [((True,), "3 / 4"), ((False,), "1/4")])
         assert model.probability(atom("a")) == Fraction(3, 4)
 
+    def test_bool_weight_is_no_rational(self):
+        # True is an int, but no weight: it is refused as unreadable, not
+        # as inexact like a float
+        message = re.escape("expected a rational p/q or integer, got True")
+        with pytest.raises(ValueError, match=message):
+            WorldModel(["a"], [((True,), True), ((False,), 0)])
+
     def test_common_denominator_capped(self, monkeypatch):
         monkeypatch.setattr(worlds, "MAX_PLANE_BITS", 64)
         WorldModel(["a"], [((True,), Fraction(1, 2**31)), ((False,), 1 - Fraction(1, 2**31))])
