@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import permutations, takewhile
@@ -81,6 +80,7 @@ from operator import or_
 
 from .formulas import Formula, FormulaSet, atom
 from .rationals import as_fraction
+from .records import record
 from .sat import _Solver
 from .worlds import BeliefBase
 
@@ -105,7 +105,7 @@ DEFAULT_SEED = 0
 MAX_PERMUTATIONS = 5040
 
 
-@dataclass(frozen=True)
+@record
 class AcceptanceLevel:
     """Acceptance at level 1 - epsilon.
 
@@ -115,15 +115,15 @@ class AcceptanceLevel:
     """
 
     epsilon: Fraction
-    strict: bool = False
+    strict: bool
 
-    def __post_init__(self):
-        eps = as_fraction(self.epsilon)
+    def __init__(self, epsilon: Fraction, strict: bool = False):
+        eps = as_fraction(epsilon)
         if not 0 < eps.numerator < eps.denominator:
             raise ValueError(f"epsilon must lie strictly between 0 and 1, got {eps}")
-        if not isinstance(self.strict, bool):  # "false" would be taken as true
-            raise ValueError(f"strict must be a bool, not {self.strict!r}")
-        object.__setattr__(self, "epsilon", eps)
+        if not isinstance(strict, bool):  # "false" would be taken as true
+            raise ValueError(f"strict must be a bool, not {strict!r}")
+        self.__dict__.update(epsilon=eps, strict=strict)
 
     # reports and messages read it; frozen still leaves the instance __dict__
     @cached_property
@@ -146,7 +146,7 @@ class AcceptanceLevel:
         return scaled // q + 1 if self.strict else -(-scaled // q)
 
 
-@dataclass(frozen=True)
+@record
 class Acceptance:
     """One accepted statement.
 
@@ -161,8 +161,13 @@ class Acceptance:
     probability: Fraction
     support: Fraction
 
+    def __init__(self, label: str, statement: Formula, probability: Fraction, support: Fraction):
+        self.__dict__.update(
+            label=label, statement=statement, probability=probability, support=support
+        )
 
-@dataclass(frozen=True)
+
+@record
 class AcceptedSet:
     """The output of one policy run: accepted statements in acceptance
     order, the background they sit on, and a weak-consistency verdict.
@@ -177,6 +182,22 @@ class AcceptedSet:
     accepted: tuple[Acceptance, ...]
     background: FormulaSet
     weakly_consistent: bool
+
+    def __init__(
+        self,
+        policy: str,
+        level: AcceptanceLevel,
+        accepted: tuple[Acceptance, ...],
+        background: FormulaSet,
+        weakly_consistent: bool,
+    ):
+        self.__dict__.update(
+            policy=policy,
+            level=level,
+            accepted=accepted,
+            background=background,
+            weakly_consistent=weakly_consistent,
+        )
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -532,7 +553,7 @@ POLICY_TABLE: dict[str, tuple[Callable[..., AcceptedSet], bool]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionEnumeration:
     """Distinct accepted sets of an order-dependent policy across
     candidate orders, plus their conjunctive and disjunctive merges."""
@@ -547,6 +568,32 @@ class ExtensionEnumeration:
     exhaustive: bool
     permutation_count: int
     seed: int
+
+    def __init__(
+        self,
+        policy: str,
+        level: AcceptanceLevel,
+        extensions: tuple[AcceptedSet, ...],
+        witness_orders: tuple[tuple[str, ...], ...],
+        conjunction: FormulaSet,
+        conjunction_weakly_consistent: bool,
+        intersection: FormulaSet,
+        exhaustive: bool,
+        permutation_count: int,
+        seed: int,
+    ):
+        self.__dict__.update(
+            policy=policy,
+            level=level,
+            extensions=extensions,
+            witness_orders=witness_orders,
+            conjunction=conjunction,
+            conjunction_weakly_consistent=conjunction_weakly_consistent,
+            intersection=intersection,
+            exhaustive=exhaustive,
+            permutation_count=permutation_count,
+            seed=seed,
+        )
 
 
 def enumerate_extensions(

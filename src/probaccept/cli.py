@@ -25,13 +25,15 @@ body, or ``lottery``'s text; ``main`` alone ends every report with its
 which ``tests/test_exports.py`` pins for each:
 
 - ``accept`` and ``extensions``: ``basefile``, ``formulas``, ``rationals``,
-  ``worlds``, ``sat`` and ``accept``, with ``dataclasses`` and the
-  interpreter's own SHA-256 module, not ``hashlib``;
+  ``records``, ``worlds``, ``sat`` and ``accept``, with the interpreter's
+  own SHA-256 module, not ``hashlib``;
 - ``closure``: those and ``closure``; ``diagnose``: those, ``closure`` and
   ``strands``;
-- ``stat binom``: ``rationals`` and ``stattests``, with ``dataclasses``;
-- ``lottery``: ``basefile``, ``formulas``, ``rationals`` and ``worlds``,
-  with no ``dataclasses``.
+- ``stat binom``: ``rationals``, ``records`` and ``stattests``;
+- ``lottery``: ``basefile``, ``formulas``, ``rationals`` and ``worlds``.
+
+No command loads ``dataclasses`` or ``inspect``: the result classes are
+``records``, which build their dataclass fields on first read.
 
 Only ``--json`` imports ``json``, and only a sampled ``extensions`` run
 imports ``random``.

@@ -16,11 +16,11 @@ that makes the threshold paradoxical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .accept import AcceptanceLevel
 from .formulas import Formula, FormulaSet, conj
+from .records import record
 from .sat import _own_background, entails
 from .worlds import BeliefBase, WorldModel
 
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class LeveledStatement:
     """A statement with its guaranteed support floor.
 
@@ -44,17 +44,26 @@ class LeveledStatement:
     statement: Formula
     support_lower_bound: Fraction
     premise_count: int
-    exact_probability: Fraction | None = None
+    exact_probability: Fraction | None
 
-    def __post_init__(self):
-        if (
-            self.exact_probability is not None
-            and self.exact_probability < self.support_lower_bound
-        ):
+    def __init__(
+        self,
+        statement: Formula,
+        support_lower_bound: Fraction,
+        premise_count: int,
+        exact_probability: Fraction | None = None,
+    ):
+        if exact_probability is not None and exact_probability < support_lower_bound:
             raise ValueError(
-                f"exact probability {self.exact_probability} below the "
-                f"guaranteed floor {self.support_lower_bound}"
+                f"exact probability {exact_probability} below the "
+                f"guaranteed floor {support_lower_bound}"
             )
+        self.__dict__.update(
+            statement=statement,
+            support_lower_bound=support_lower_bound,
+            premise_count=premise_count,
+            exact_probability=exact_probability,
+        )
 
 
 def _bound(k: int, level: AcceptanceLevel) -> Fraction:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
 from .rationals import _past_digit_limit, as_fraction
+from .records import record
 
 __all__ = [
     "ProbabilityBound",
@@ -50,17 +50,19 @@ SIDEDNESS = ("two_sided", "upper", "lower")
 MAX_BINOMIAL_TRIALS = 2000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProbabilityBound:
     """A closed rational interval [lower, upper] inside [0, 1]; ``upper``
     defaults to ``lower``."""
 
-    lower: Fraction
-    upper: Fraction | None = None
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        low = as_fraction(self.lower)
-        high = low if self.upper is None else as_fraction(self.upper)
+    lower: Fraction
+    upper: Fraction | None
+
+    def __init__(self, lower: Fraction, upper: Fraction | None = None):
+        low = as_fraction(lower)
+        high = low if upper is None else as_fraction(upper)
         if not (0 <= low <= high <= 1):
             raise ValueError(f"invalid probability bound [{low}, {high}]")
         object.__setattr__(self, "lower", low)
@@ -75,7 +77,7 @@ class Decision(Enum):
     FAIL_TO_REJECT = "fail_to_reject"
 
 
-@dataclass(frozen=True)
+@record
 class BinomialTestSpec:
     """An exact binomial test of H: success probability equals p0, on n
     trials, at significance epsilon."""
@@ -83,32 +85,32 @@ class BinomialTestSpec:
     n: int
     p0: Fraction
     epsilon: Fraction
-    sided: str = "two_sided"
+    sided: str
 
-    def __post_init__(self):
-        n = self.n  # bool is an int subclass, but True is no sample size
+    def __init__(self, n: int, p0: Fraction, epsilon: Fraction, sided: str = "two_sided"):
+        # bool is an int subclass, but True is no sample size
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BINOMIAL_TRIALS:
             raise ValueError(f"sample size n must lie between 1 and {MAX_BINOMIAL_TRIALS}")
-        object.__setattr__(self, "p0", as_fraction(self.p0))
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if not (0 < self.p0 < 1):
+        p0, epsilon = as_fraction(p0), as_fraction(epsilon)
+        if not (0 < p0 < 1):
             raise ValueError("null parameter p0 must lie strictly between 0 and 1")
         # epsilon = 1 is allowed (a vacuous size constraint), unlike
         # acceptance levels proper.
-        if not (0 < self.epsilon <= 1):
+        if not (0 < epsilon <= 1):
             raise ValueError("significance epsilon must lie in (0, 1]")
-        if self.sided not in SIDEDNESS:
+        if sided not in SIDEDNESS:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         # Every exact probability of the test has a denominator dividing
         # q**n; past the interpreter's digit limit it could not be printed.
-        if digits := _past_digit_limit(self.p0.denominator, self.n):
+        if digits := _past_digit_limit(p0.denominator, n):
             raise ValueError(
-                f"p0 = {self.p0} over n = {self.n} trials needs exact fractions "
+                f"p0 = {p0} over n = {n} trials needs exact fractions "
                 f"of more than {digits} digits"
             )
+        self.__dict__.update(n=n, p0=p0, epsilon=epsilon, sided=sided)
 
 
-@dataclass(frozen=True)
+@record
 class RejectionRegion:
     """The set of observed counts on which H is rejected, with its exact
     null probability (the achieved size)."""
@@ -116,6 +118,9 @@ class RejectionRegion:
     n: int
     rejected_counts: frozenset[int]
     achieved_size: Fraction
+
+    def __init__(self, n: int, rejected_counts: frozenset[int], achieved_size: Fraction):
+        self.__dict__.update(n=n, rejected_counts=rejected_counts, achieved_size=achieved_size)
 
     def __contains__(self, observed: int) -> bool:
         return observed in self.rejected_counts
@@ -173,7 +178,7 @@ def run_test(region: RejectionRegion, observed: int) -> Decision:
     return Decision.REJECT if observed in region else Decision.FAIL_TO_REJECT
 
 
-@dataclass(frozen=True)
+@record
 class AcceptedRejection:
     """The negation of a rejected hypothesis, accepted at the nominal
     level 1 - epsilon.
@@ -189,7 +194,25 @@ class AcceptedRejection:
     support: ProbabilityBound
     achieved_size: Fraction
     directional: bool
-    alternative_note: str = ""
+    alternative_note: str
+
+    def __init__(
+        self,
+        statement: str,
+        epsilon: Fraction,
+        support: ProbabilityBound,
+        achieved_size: Fraction,
+        directional: bool,
+        alternative_note: str = "",
+    ):
+        self.__dict__.update(
+            statement=statement,
+            epsilon=epsilon,
+            support=support,
+            achieved_size=achieved_size,
+            directional=directional,
+            alternative_note=alternative_note,
+        )
 
 
 def rejection_to_acceptance(
@@ -217,7 +240,7 @@ def rejection_to_acceptance(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CombinedRejection:
     """The conjunction of several accepted rejections with its support
     floor.  The statement is textual; negated statistical hypotheses are
@@ -227,6 +250,16 @@ class CombinedRejection:
     support_lower_bound: Fraction
     premise_count: int
     independent: bool
+
+    def __init__(
+        self, statement: str, support_lower_bound: Fraction, premise_count: int, independent: bool
+    ):
+        self.__dict__.update(
+            statement=statement,
+            support_lower_bound=support_lower_bound,
+            premise_count=premise_count,
+            independent=independent,
+        )
 
 
 def combine_tests(

@@ -13,9 +13,8 @@ entailment against it is decidable and every strand stays consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formulas import Formula, FormulaSet
+from .records import record
 from .sat import DEFAULT_CANDIDATE_CAP, _check_cap, _consistent_family, entails
 from .sat import maximal_consistent_subsets
 
@@ -27,13 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Strand:
     """A maximal consistent subset (the kernel) over a background; stands
     in for its deductive closure."""
 
     kernel: FormulaSet
     background: FormulaSet
+
+    def __init__(self, kernel: FormulaSet, background: FormulaSet):
+        self.__dict__.update(kernel=kernel, background=background)
 
 
 def strands(

@@ -18,9 +18,9 @@ past the constructor's checks, which their parts pass by construction,
 with the closed form of its consistency solver (see :class:`BeliefBase`).
 
 Weights given as text or ints are read by ``rationals.as_fraction``, the
-package's one reader of a rational.  This module imports no
-``dataclasses``, so a ``lottery`` command, which runs only this module,
-``formulas``, ``rationals`` and ``basefile``, does not load it.
+package's one reader of a rational.  This module defines no record class,
+so a ``lottery`` command, which runs only this module, ``formulas``,
+``rationals`` and ``basefile``, does not load ``records``.
 """
 
 from __future__ import annotations

@@ -57,16 +57,17 @@ def child(script, *argv):
     return done.stdout.splitlines()[-1]
 
 
-# Prints the library modules, the stdlib ones the CLI defers and
-# ``dataclasses``, which the library's report classes need, as loaded.  The
-# interpreter's own SHA-256 module, ``_sha2`` from Python 3.12 and ``_sha256``
-# before, prints as ``sha256``; ``hashlib`` would load OpenSSL.  ``shutil``,
-# which argparse's help formatters import unless given a width, is never
-# loaded.
+# Prints the library modules, the stdlib ones the CLI defers, and
+# ``dataclasses`` and ``inspect``, which the record classes leave until
+# ``dataclasses.fields`` or the like is called, as loaded.  The interpreter's
+# own SHA-256 module, ``_sha2`` from Python 3.12 and ``_sha256`` before,
+# prints as ``sha256``; ``hashlib`` would load OpenSSL.  ``shutil``, which
+# argparse's help formatters import unless given a width, is never loaded.
 LOADED = (
     "print(*sorted({'_sha2': 'sha256', '_sha256': 'sha256'}.get(name, name)"
     " for name in sys.modules if name.startswith('probaccept.') or name in"
-    " ('_sha2', '_sha256', 'dataclasses', 'hashlib', 'json', 'random', 'shutil')))"
+    " ('_sha2', '_sha256', 'dataclasses', 'hashlib', 'inspect', 'json', 'random',"
+    " 'shutil')))"
 )
 
 
@@ -120,28 +121,28 @@ def test_importing_the_cli_loads_no_library_module():
 
 # Each command's argv (BASE: a 3-ticket lottery file) and what it loads: the
 # library modules, then the stdlib ones of LOADED.  ``stat binom`` loads
-# neither ``worlds`` nor ``formulas``, and ``lottery`` neither ``dataclasses``
-# nor ``accept`` or ``sat``.
+# neither ``worlds`` nor ``formulas``, ``lottery`` neither ``accept`` nor
+# ``sat``, and no command ``dataclasses`` or ``inspect``.
 COMMAND_LOADS = {
     "accept": (
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas rationals sat worlds", "dataclasses sha256",
+        "accept basefile formulas rationals records sat worlds", "sha256",
     ),
     "extensions": (
         ["extensions", "--policy", "sequential", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas rationals sat worlds", "dataclasses sha256",
+        "accept basefile formulas rationals records sat worlds", "sha256",
     ),
     "diagnose": (
         ["diagnose", "--epsilon", "1/3", "BASE"],
-        "accept basefile closure formulas rationals sat strands worlds", "dataclasses sha256",
+        "accept basefile closure formulas rationals records sat strands worlds", "sha256",
     ),
     "closure": (
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "BASE"],
-        "accept basefile closure formulas rationals sat worlds", "dataclasses sha256",
+        "accept basefile closure formulas rationals records sat worlds", "sha256",
     ),
     "stat_binom": (
         ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10", "--observed", "0"],
-        "rationals stattests", "dataclasses",
+        "rationals records stattests", "",
     ),
     "lottery": (["lottery", "fair", "--n", "3"], "basefile formulas rationals worlds", ""),
 }
@@ -160,6 +161,20 @@ def test_each_command_loads_only_the_modules_it_runs(command, lottery3_path):
     loaded = child(script, *[lottery3_path if part == "BASE" else part for part in argv])
     modules = ["probaccept.cli", *(f"probaccept.{name}" for name in library.split())]
     assert loaded.split() == sorted(modules + stdlib.split())
+
+
+def test_a_record_is_a_dataclass_before_dataclasses_loads():
+    # ``dataclasses`` loads on the first read of a record's fields, not
+    # with the record's module
+    script = (
+        "import sys, probaccept\n"
+        "probaccept.Acceptance\n"
+        "before = 'dataclasses' in sys.modules or 'inspect' in sys.modules\n"
+        "import dataclasses\n"
+        "names = [f.name for f in dataclasses.fields(probaccept.Acceptance)]\n"
+        "print(before, *names)"
+    )
+    assert child(script) == "False label statement probability support"
 
 
 def test_the_cli_imports_no_private_library_name():

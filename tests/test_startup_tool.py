@@ -19,6 +19,9 @@ import time:      2729 |       2729 | probaccept
 import time:       701 |        701 |     probaccept.rationals
 import time:      4853 |       5554 |   probaccept.cli
 import time:      1890 |       2584 | shutil
+import time:      3001 |       3001 |     ast
+import time:      2102 |       5103 |   inspect
+import time:       950 |       6053 | dataclasses
 probaccept: error: not an import line
 """
 
@@ -39,6 +42,8 @@ def test_import_times_reads_package_self_and_stdlib_cumulative_times(monkeypatch
         "probaccept.rationals": 701,
         "probaccept.cli": 4853,
         "shutil": 2584,
+        "inspect": 5103,  # with ``ast``, as within ``dataclasses``
+        "dataclasses": 6053,
     }
 
 

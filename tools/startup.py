@@ -52,11 +52,16 @@ COMMANDS = {
 }
 
 # the stdlib modules whose cumulative import time is shown beside the
-# package's: ``hashlib`` loads OpenSSL's ``_hashlib``, where the base-file
-# commands take the interpreter's own SHA-256 (``_sha256``, ``_sha2`` from
-# Python 3.12), and ``argparse`` loads ``shutil`` and ``gettext`` loads
-# ``locale`` when the parser is built
-STDLIB = ("dataclasses", "hashlib", "_sha256", "_sha2", "argparse", "shutil", "locale")
+# package's: ``dataclasses`` loads ``inspect``, which loads ``dis``, ``ast``
+# and ``tokenize``, and neither is loaded by a command, since the record
+# classes build their dataclass fields on first read; ``hashlib`` loads
+# OpenSSL's ``_hashlib``, where the base-file commands take the
+# interpreter's own SHA-256 (``_sha256``, ``_sha2`` from Python 3.12), and
+# ``argparse`` loads ``shutil`` and ``gettext`` loads ``locale`` when the
+# parser is built
+STDLIB = (
+    "dataclasses", "inspect", "hashlib", "_sha256", "_sha2", "argparse", "shutil", "locale",
+)
 
 # runs what ``python -m probaccept`` runs, then ends the process without
 # its shutdown
