@@ -114,9 +114,6 @@ class AcceptanceLevel:
     through; set ``strict`` for the strictly-greater variant.
     """
 
-    epsilon: Fraction
-    strict: bool
-
     def __init__(self, epsilon: Fraction, strict: bool = False):
         eps = as_fraction(epsilon)
         if not 0 < eps.numerator < eps.denominator:
@@ -156,11 +153,6 @@ class Acceptance:
     policies these differ).
     """
 
-    label: str
-    statement: Formula
-    probability: Fraction
-    support: Fraction
-
     def __init__(self, label: str, statement: Formula, probability: Fraction, support: Fraction):
         self.__dict__.update(
             label=label, statement=statement, probability=probability, support=support
@@ -176,12 +168,6 @@ class AcceptedSet:
     base's world model, so that the ``sat`` diagnostics over it test the
     model's world masks first; a shallow copy shares it, while a deep copy
     or a pickle rebuilds it and names none."""
-
-    policy: str
-    level: AcceptanceLevel
-    accepted: tuple[Acceptance, ...]
-    background: FormulaSet
-    weakly_consistent: bool
 
     def __init__(
         self,
@@ -557,17 +543,6 @@ POLICY_TABLE: dict[str, tuple[Callable[..., AcceptedSet], bool]] = {
 class ExtensionEnumeration:
     """Distinct accepted sets of an order-dependent policy across
     candidate orders, plus their conjunctive and disjunctive merges."""
-
-    policy: str
-    level: AcceptanceLevel
-    extensions: tuple[AcceptedSet, ...]
-    witness_orders: tuple[tuple[str, ...], ...]
-    conjunction: FormulaSet
-    conjunction_weakly_consistent: bool
-    intersection: FormulaSet
-    exhaustive: bool
-    permutation_count: int
-    seed: int
 
     def __init__(
         self,

@@ -41,11 +41,6 @@ class LeveledStatement:
     is never below the floor.
     """
 
-    statement: Formula
-    support_lower_bound: Fraction
-    premise_count: int
-    exact_probability: Fraction | None
-
     def __init__(
         self,
         statement: Formula,

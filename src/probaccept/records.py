@@ -6,12 +6,14 @@ no ``exec``: a command that builds records pays neither for importing
 ``dataclasses``, which loads ``inspect``, ``dis``, ``ast`` and
 ``tokenize``, nor for compiling each class's methods from source.
 
-The class names its fields by annotation, in order, and writes its own
-``__init__`` over exactly those parameters, with their defaults; the init
-checks its arguments and stores them in ``self.__dict__`` (through
-``object.__setattr__`` for a class with ``__slots__``).  ``record`` adds,
-where the class body does not define them, the methods a frozen dataclass
-has:
+The class declares its fields once, as the annotated parameters of its
+own ``__init__`` after ``self``, in order and with their defaults; the
+init checks its arguments and stores them in ``self.__dict__`` (through
+``object.__setattr__`` for a class with ``__slots__``).  ``record`` writes
+the class's ``__annotations__`` from those parameters, so that
+``inspect.get_annotations`` and ``dataclasses`` read the fields as a
+dataclass declares them, and adds, where the class body does not define
+them, the methods a frozen dataclass has:
 
 - ``__repr__`` as ``Name(field=value, ...)``, ``__eq__`` over the fields'
   tuple for instances of the same class, and ``__hash__`` of that tuple;
@@ -68,12 +70,11 @@ class _DataclassView:
 
 
 def record(cls: type) -> type:
-    """Make ``cls``, whose ``__init__`` takes its annotated fields in
-    order, a frozen record; see the module docstring."""
-    names = tuple(cls.__annotations__)
-    code = cls.__init__.__code__
-    if code.co_varnames[1:code.co_argcount] != names:
-        raise TypeError(f"{cls.__qualname__}.__init__ must take the fields {names} in order")
+    """Make ``cls`` a frozen record whose fields are its ``__init__``'s
+    annotated parameters after ``self``; see the module docstring."""
+    init = cls.__init__
+    names = init.__code__.co_varnames[1:init.__code__.co_argcount]
+    cls.__annotations__ = {name: init.__annotations__[name] for name in names}
     # the fields' values as a tuple, as a dataclass compares and hashes them
     values = attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),)
 

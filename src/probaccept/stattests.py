@@ -57,9 +57,6 @@ class ProbabilityBound:
 
     __slots__ = ("lower", "upper")
 
-    lower: Fraction
-    upper: Fraction | None
-
     def __init__(self, lower: Fraction, upper: Fraction | None = None):
         low = as_fraction(lower)
         high = low if upper is None else as_fraction(upper)
@@ -81,11 +78,6 @@ class Decision(Enum):
 class BinomialTestSpec:
     """An exact binomial test of H: success probability equals p0, on n
     trials, at significance epsilon."""
-
-    n: int
-    p0: Fraction
-    epsilon: Fraction
-    sided: str
 
     def __init__(self, n: int, p0: Fraction, epsilon: Fraction, sided: str = "two_sided"):
         # bool is an int subclass, but True is no sample size
@@ -114,10 +106,6 @@ class BinomialTestSpec:
 class RejectionRegion:
     """The set of observed counts on which H is rejected, with its exact
     null probability (the achieved size)."""
-
-    n: int
-    rejected_counts: frozenset[int]
-    achieved_size: Fraction
 
     def __init__(self, n: int, rejected_counts: frozenset[int], achieved_size: Fraction):
         self.__dict__.update(n=n, rejected_counts=rejected_counts, achieved_size=achieved_size)
@@ -189,13 +177,6 @@ class AcceptedRejection:
     does not by itself support.
     """
 
-    statement: str
-    epsilon: Fraction
-    support: ProbabilityBound
-    achieved_size: Fraction
-    directional: bool
-    alternative_note: str
-
     def __init__(
         self,
         statement: str,
@@ -245,11 +226,6 @@ class CombinedRejection:
     """The conjunction of several accepted rejections with its support
     floor.  The statement is textual; negated statistical hypotheses are
     not formulas over any world model."""
-
-    statement: str
-    support_lower_bound: Fraction
-    premise_count: int
-    independent: bool
 
     def __init__(
         self, statement: str, support_lower_bound: Fraction, premise_count: int, independent: bool

@@ -31,9 +31,6 @@ class Strand:
     """A maximal consistent subset (the kernel) over a background; stands
     in for its deductive closure."""
 
-    kernel: FormulaSet
-    background: FormulaSet
-
     def __init__(self, kernel: FormulaSet, background: FormulaSet):
         self.__dict__.update(kernel=kernel, background=background)
 

@@ -38,19 +38,25 @@ def lottery3_path(tmp_path_factory):
     return str(path)
 
 
+def _record_calls(monkeypatch, owner, name, what=lambda *args: args):
+    """Wrap ``owner.name`` so that each call from now on first appends
+    ``what`` of its arguments to the list returned, then runs as before."""
+    made = []
+    call = getattr(owner, name)
+
+    def counted(*args):
+        made.append(what(*args))
+        return call(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return made
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Every DPLL search made from now on, by its arguments: the clause
     store comes first."""
-    made = []
-    search = sat._dpll
-
-    def counted(*args):
-        made.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(sat, "_dpll", counted)
-    return made
+    return _record_calls(monkeypatch, sat, "_dpll")
 
 
 @pytest.fixture
@@ -58,60 +64,28 @@ def solvers(monkeypatch):
     """Every solver built from formulas from now on, by its arguments: the
     members come first.  A lottery's solver, made from the closed form its
     builder left on the base, is not built from formulas."""
-    made = []
-    build = sat._Solver.__init__
-
-    def counted(self, *args):
-        made.append(args)
-        build(self, *args)
-
-    monkeypatch.setattr(sat._Solver, "__init__", counted)
-    return made
+    return _record_calls(monkeypatch, sat._Solver, "__init__", lambda self, *args: args)
 
 
 @pytest.fixture
 def numerators(monkeypatch):
     """Every mask a world model weighs from now on (each call of
     ``WorldModel._numerator``), by the mask."""
-    made = []
-    weigh = worlds.WorldModel._numerator
-
-    def counted(model, mask):
-        made.append(mask)
-        return weigh(model, mask)
-
-    monkeypatch.setattr(worlds.WorldModel, "_numerator", counted)
-    return made
+    return _record_calls(monkeypatch, worlds.WorldModel, "_numerator", lambda model, mask: mask)
 
 
 @pytest.fixture
 def stores(monkeypatch):
     """Every clause store built from now on, by its arguments: the
     variable count comes first."""
-    made = []
-
-    class Counted(sat._Clauses):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(sat, "_Clauses", Counted)
-    return made
+    return _record_calls(monkeypatch, sat._Clauses, "__init__", lambda self, *args: args)
 
 
 @pytest.fixture
 def subset_walks(monkeypatch):
     """Every MUS/MCS subset walk made from now on, by its arguments: the
     solver comes first."""
-    made = []
-    walk = sat._walk
-
-    def counted(*args):
-        made.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(sat, "_walk", counted)
-    return made
+    return _record_calls(monkeypatch, sat, "_walk")
 
 
 @pytest.fixture

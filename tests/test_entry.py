@@ -82,7 +82,7 @@ def test_the_process_freezes_the_collector_before_it_exits(door):
 
 
 def test_the_script_is_the_same_entry():
-    # read as text: ``tomllib`` needs Python 3.11, and the package allows 3.10
+    # read as text: ``tomllib`` needs Python 3.11, and the package runs from 3.10.7
     text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
         encoding="utf-8"
     )

@@ -76,7 +76,7 @@ class TestProbability:
         """A formula's probability is memoized in its own model: two models
         that share a formula keep their own values, values read before and
         after policy runs agree with the per-world sum, and equality, hash
-        and immutability do not see the memo."""
+        and immutability do not see the memo, nor the base's kept solver."""
         left = biased_lottery([Fraction(1, 4), Fraction(3, 4)]).model
         right = biased_lottery([Fraction(3, 4), Fraction(1, 4)]).model
         shared = neg(atom("wins_1"))
@@ -113,8 +113,11 @@ class TestProbability:
         assert model == fresh and hash(model) == hash(fresh) == key
         assert {fresh: "found"}[model] == "found"
         for name in ("atoms", "_probability_cache", "_mask_cache"):
-            with pytest.raises(AttributeError, match="immutable"):
+            with pytest.raises(AttributeError, match="^WorldModel is immutable$"):
                 setattr(model, name, {})
+        for name in ("model", "candidates", "_solver"):
+            with pytest.raises(AttributeError, match="^BeliefBase is immutable$"):
+                setattr(base, name, None)
 
     def test_complement_rule_randomized(self):
         rng = random.Random(11)
@@ -367,6 +370,10 @@ class TestModelValidation:
                 ["a"],
                 [((True,), Fraction(3, 2)), ((False,), Fraction(-1, 2))],
             )
+
+    def test_duplicate_atom_names_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate atom names$"):
+            WorldModel(["a", "a"], [((True, True), 1)])
 
     def test_duplicate_valuations_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate world valuation \(True,\)"):
