@@ -21,7 +21,8 @@ mask of the background and the statements accepted so far:
 
 ``lehrer_cascade`` iterates the dominance rule with conditioning, which
 on a biased lottery accepts lose-statement after lose-statement until it
-ends up accepting that the last remaining ticket wins.
+ends up accepting that the last remaining ticket wins.  It is a greedy
+conditional scan, whose records ``_accepted`` builds as it does Teng's.
 ``enumerate_extensions`` surfaces the order dependence by running a
 policy over many candidate orders and collecting the distinct outcomes.
 
@@ -36,7 +37,8 @@ background, where the ``sat`` diagnostics of an accepted set and
 Every consistency question about a base (a scan's verdict, a sequential
 admission, a Lehrer contrary, the conjunction of the extensions) goes to
 that solver, once.  A world in the carried mask answers most of them
-first, and always the cascade's verdict.
+first; a conditional run (``teng``, the cascade) keeps one by
+construction, so its verdict asks nothing.
 
 The solver also weighs each candidate once per base: ``weights[i]`` is
 the integer numerator of ``masks[i]`` over the model's common denominator
@@ -49,24 +51,25 @@ A conditional weight comes from ``_within``: the candidate's complement
 in the background's worlds weighs ``D - weights[i]``, so within a carried
 mask it weighs the whole mask, nothing, or (only where the complement
 straddles the mask) what the model weighs.  ``teng`` and the cascade's
-later stages read it, and the cascade's lone winner, whose worlds are its
-lose statement's complement; on a one-winner lottery every complement is
-one world, and the model weighs nothing.  Before any acceptance it is
-``weights[i]`` itself, which the cascade's first stage reads.
+later stages read it; on a one-winner lottery every complement is one
+world, and the model weighs nothing.  Before any acceptance it is
+``weights[i]`` itself, which the cascade's first stage reads.  The
+cascade's lone winner is read off its last stage's weights: a ticket's
+worlds within the carried mask are its lose statement's complement there.
 An accepted candidate's unconditional ``Acceptance`` (support equal to
 probability) is built the first time a run accepts it and kept in the
 solver's ``acceptances[i]``, shared by every later ``threshold``,
-``lehrer`` and ``sequential`` run; ``teng`` and the cascade build their
-conditional records from its fields.  ``enumerate_extensions`` runs
-``_scan`` alone for each order and makes an ``AcceptedSet`` only for the
-first order of each distinct outcome.
+``lehrer`` and ``sequential`` run; for ``teng`` and the cascade's stages
+``_accepted`` builds conditional records from its fields.
+``enumerate_extensions`` runs ``_scan`` alone for each order and makes an
+``AcceptedSet`` only for the first order of each distinct outcome.
 
 What depends on the base alone is kept beside them, each built by the
 first run that needs it: the label-to-position map of the ordered runs
 (``positions``), Lehrer's world counts and sorted rivals (``rivals``),
-and the cascade's ticket atoms by position (``tickets``, kept only once
-every candidate has passed its shape check).  A warm run pays for its
-own scan and records, and for every check of its arguments.
+and the cascade's ticket names by position (``tickets``, a list kept
+only once every candidate has passed its shape check).  A warm run pays
+for its own scan and records, and for every check of its arguments.
 """
 
 from __future__ import annotations
@@ -74,9 +77,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations, takewhile
-from operator import or_
 
 from .formulas import Formula, FormulaSet, atom
 from .rationals import as_fraction
@@ -296,7 +298,8 @@ def _scan(
     run.  A conditional support is ``_within`` the carried mask, over its
     numerator: ``D`` before the first acceptance (the background's), where
     it is ``weights[i]``, and after each the accepted candidate's weight,
-    which moves the cut.
+    which moves the cut.  That numerator never reaches 0: a cut is at least
+    1 for any epsilon below 1, and an accepted weight at least its cut.
 
     The carried mask starts as the solver's ``shared`` worlds and meets
     candidate i's, ``masks[i]``, at each acceptance.  A world in it settles
@@ -309,8 +312,6 @@ def _scan(
     taken, supports = [], []
     for i in order:
         if conditional:
-            if given == 0:
-                raise RuntimeError("teng conditioning set reached probability 0")
             weight = _within(base, current, given, i)
             if weight < cut:
                 continue
@@ -333,12 +334,12 @@ def _accepted(
     """The ``AcceptedSet`` of a ``_scan`` that accepted the candidates at
     ``taken``: their shared acceptances, or with ``supports`` (a
     conditional run's, each over the one before it, the first over ``D``)
-    new records of the conditional supports.  A sequential or Teng run is
-    weakly consistent without asking: a sequential run's last admission,
-    or the background of probability 1, answered it, and a Teng run's
-    carried mask keeps a positive weight, so a world.  Any other asks the
-    solver, which a world in the accepted candidates' joint mask answers
-    first."""
+    new records of the conditional supports.  A sequential, Teng or cascade
+    run is weakly consistent without asking: a sequential run's last
+    admission, or the background of probability 1, answered it, and a
+    conditional run's carried mask keeps a positive weight, so a world.
+    Any other asks the solver, which a world in the accepted candidates'
+    joint mask answers first."""
     kept = base._solver.acceptances
     accepted = [kept[i] or _acceptance(base, i) for i in taken]
     if supports:
@@ -347,7 +348,7 @@ def _accepted(
             Acceptance(a.label, a.statement, a.probability, Fraction(w, d))
             for a, w, d in zip(accepted, supports, over)
         ]
-    verdict = policy in ("sequential", "teng") or base._solver.satisfiable(taken)
+    verdict = policy in ("sequential", "teng", "cascade") or base._solver.satisfiable(taken)
     return AcceptedSet(policy, level, tuple(accepted), base.background, verdict)
 
 
@@ -444,64 +445,50 @@ def lehrer_cascade(base: BeliefBase, level: AcceptanceLevel) -> AcceptedSet:
     conditional on everything accepted so far, is accepted if it clears
     the level; a tie for the top halts the cascade (strict dominance is
     the rule's own requirement).  When exactly one ticket remains able to
-    win, the cascade accepts that it wins.
+    win, the cascade accepts that it wins, if that too clears the level.
 
-    The carried mask starts as the solver's ``shared`` worlds, and the
-    candidates not yet accepted are kept by position.  A stage's
-    conditionals share the denominator ``given``, the numerator of the
-    carried mask, so they are ranked and tied as the integer numerators of
-    their joint masks; only the leader's support becomes a ``Fraction``.
-    The first stage reads the solver's ``weights[i]`` over ``D``, since
-    within the shared worlds the joint mask is ``masks[i]``; a later stage
-    weighs each remaining candidate ``_within`` the carried mask, over the
-    accepted leader's weight, which is the carried mask's numerator.  The
-    winner is found by masks: a ticket is still able to win when its atom
-    meets the carried mask in a world of positive weight (one in a weight
-    plane of the model), the search stops at a second such ticket, and
-    only a lone one is weighed, for its support: the carried weight less
-    that of its lose statement ``_within`` the carried mask.
+    It is a greedy conditional scan: each stage's leader goes to ``taken``
+    and its weight to ``supports``, as in ``_scan``, and ``_accepted``
+    builds the stage records.  A stage's conditionals share the
+    denominator ``given``, the numerator of the carried mask, so they are
+    ranked and tied as integer numerators: the solver's ``weights`` at the
+    first stage, then each remaining candidate's weight ``_within`` the
+    carried mask.  The winner is read off the last stage's weights: a
+    remaining lose statement that weighs less than ``given`` leaves its
+    ticket worlds of positive weight, and its ticket's support is ``given``
+    less that weight, over ``given``.  Tickets are counted by name, so one
+    lose statement under two labels is one ticket.
 
-    Each ticket atom's position, by name in base order, is kept as the
-    solver's ``tickets``, but only once every candidate has passed the
-    shape check, so that a base of another shape raises on every call.
+    The ticket names by position are kept as the solver's ``tickets``, but
+    only once every candidate has passed the shape check, so that a base
+    of another shape raises on every call.
     """
-    model, solver = base.model, _solver(base)
+    solver = _solver(base)
     if (tickets := solver.tickets) is None:
-        tickets = {_ticket_atom(f): i for i, (_, f) in enumerate(base.candidates)}
-        solver.tickets = tickets
-    masks = solver.masks
-    current, given = solver.shared, model._denominator
-    accepted: list[Acceptance] = []
-    remaining = list(range(len(base.candidates)))  # by position
+        tickets = solver.tickets = [_ticket_atom(f) for _, f in base.candidates]
+    current, given = solver.shared, base.model._denominator
+    remaining = list(range(len(tickets)))  # by position
     weights = solver.weights
-    while remaining:
-        if given == 0:
-            raise RuntimeError("cascade conditioning set reached probability 0")
+    taken, supports = [], []
+    while remaining:  # given stays above 0, as in ``_scan``
         best = max(weights)
         if weights.count(best) != 1 or best < level._cut(given):
             break
         i = remaining.pop(weights.index(best))
-        a = _acceptance(base, i)
-        accepted.append(Acceptance(a.label, a.statement, a.probability, Fraction(best, given)))
-        current, given = current & masks[i], best
+        taken.append(i)
+        supports.append(best)
+        current, given = current & solver.masks[i], best
         weights = [_within(base, current, given, j) for j in remaining]
-    live = current & reduce(or_, (plane for _, plane in model._planes), 0)
-    # the ticket names are atoms of the model: the base checked its candidates
-    alive = (name for name in tickets if live & model._atom_masks[name])
-    if (winner := next(alive, None)) is not None and next(alive, None) is None:
-        win = atom(winner)
-        # the winner's worlds in the carried mask are those its lose
-        # statement, candidate tickets[winner], leaves out
-        support = Fraction(given - _within(base, current, given, tickets[winner]), given)
-        current &= model.satisfying_mask(win)
-        accepted.append(Acceptance(winner, win, model.probability(win), support))
-    # The carried mask is never empty: the background has weight 1, and the
-    # threshold 1 - epsilon is above 0, so every accepted stage and the
-    # winner kept positive weight.  A world in it settles the verdict, which
-    # the solver could not be asked: the winner atom is no candidate, so it
-    # has no position.
-    verdict = bool(current)
-    return AcceptedSet("cascade", level, tuple(accepted), base.background, verdict)
+    result = _accepted("cascade", base, level, taken, supports)
+    alive = ((tickets[j], w) for j, w in zip(remaining, weights) if w < given)
+    winner, w = next(alive, (None, given))
+    # a second ticket able to win ends the search; a second label of the winner's does not
+    if winner is not None and all(name == winner for name, _ in alive):
+        if given - w >= level._cut(given):
+            win = atom(winner)
+            won = Acceptance(winner, win, base.model.probability(win), Fraction(given - w, given))
+            result = AcceptedSet("cascade", level, (*result.accepted, won), base.background, True)
+    return result
 
 
 def sequential_accept(

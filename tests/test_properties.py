@@ -33,7 +33,8 @@ With every valuation listed no query is searched; with one missing, the
 query that only it could satisfy is.
 
 Every policy, the cascade too, is also run on biased one-winner
-lotteries with tied and zero weights and on independent lotteries,
+lotteries with tied and zero weights and on independent lotteries, some
+with candidates left out or one repeated under a second label,
 strict and not, at a level that sits exactly on a support the run
 compares, and its whole ``AcceptedSet`` is checked against
 ``ReferenceScan``, a plain-``Fraction`` scan over truth tables.
@@ -602,7 +603,8 @@ class ReferenceScan:
         if len(alive) == 1:
             win = atom(alive[0])
             support = self.weight(worlds & self.holds(win)) / self.weight(worlds)
-            accepted.append(Acceptance(alive[0], win, self.weight(self.holds(win)), support))
+            if self.meets(support, level):
+                accepted.append(Acceptance(alive[0], win, self.weight(self.holds(win)), support))
         return accepted
 
 
@@ -749,35 +751,71 @@ def lottery_bases(draw):
     """A biased one-winner lottery of two to seven tickets whose weights
     are small integers over their total, so that ties and zeros are common;
     or an independent lottery of one to four tickets, with or without its
-    candidate ``some_wins``."""
+    candidate ``some_wins``.  Either may then leave some candidates out, so
+    that no candidate names some ticket, and repeat one candidate under a
+    second label, so that two lose statements name one ticket."""
     if draw(st.booleans()):
         raw = draw(st.lists(st.integers(0, 3), min_size=2, max_size=7))
         if not any(raw):
             raw[0] = 1
-        return biased_lottery([Fraction(r, sum(raw)) for r in raw])
-    base = independent_lottery(draw(st.integers(1, 4)), draw(TICKET_PROBABILITIES))
+        base = biased_lottery([Fraction(r, sum(raw)) for r in raw])
+    else:
+        base = independent_lottery(draw(st.integers(1, 4)), draw(TICKET_PROBABILITIES))
+        if not draw(st.booleans()):
+            base = BeliefBase(base.model, base.background, base.candidates[:-1])
+    n = len(base.candidates)
+    left_out = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))  # one stays
+    candidates = [c for i, c in enumerate(base.candidates) if i not in left_out]
     if draw(st.booleans()):
+        label, formula = draw(st.sampled_from(candidates))
+        candidates.insert(draw(st.integers(0, len(candidates))), (f"{label}_again", formula))
+    if candidates == list(base.candidates):
         return base
-    return BeliefBase(base.model, base.background, base.candidates[:-1])
+    return BeliefBase(base.model, base.background, candidates)
+
+
+# The cascade's lone winner must clear the level too: a one-ticket
+# independent lottery whose lose statement misses a strict 9/10, and a
+# biased one whose third ticket no candidate names, where wins_2's 25/49
+# misses 49/50 while wins_3 keeps 24/49.
+_ONE_TICKET = independent_lottery(1, Fraction(1, 10))
+_TWO_OF_THREE = biased_lottery([Fraction(1, 50), Fraction(1, 2), Fraction(12, 25)])
 
 
 @pytest.mark.parametrize("policy", list(POLICY_TABLE))
-@given(base=lottery_bases(), strict=st.booleans(), data=st.data())
-def test_policies_match_the_reference_scan_on_lotteries(policy, base, strict, data):
-    """The level sits exactly on a support that a run at another level
-    compared, often the first, which every level compares: there ``>=``
-    and ``>`` part."""
+@given(
+    base=lottery_bases(),
+    strict=st.booleans(),
+    probe=st.sampled_from([Fraction(1, 10), Fraction(1, 2)]),
+    pick=st.integers(min_value=0),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(
+    base=BeliefBase(_ONE_TICKET.model, _ONE_TICKET.background, _ONE_TICKET.candidates[:1]),
+    strict=True, probe=Fraction(1, 10), pick=0, shuffle=random.Random(0),
+)
+@example(
+    base=BeliefBase(_TWO_OF_THREE.model, _TWO_OF_THREE.background, _TWO_OF_THREE.candidates[:2]),
+    strict=False, probe=Fraction(1, 10), pick=2, shuffle=random.Random(0),
+)
+def test_policies_match_the_reference_scan_on_lotteries(policy, base, strict, probe, pick, shuffle):
+    """The level sits exactly on a support that a run at the ``probe``
+    epsilon compared, the ``pick``-th of them in increasing order (modulo
+    their count), often the first, which every level compares: there
+    ``>=`` and ``>`` part.  An ordered policy runs in an order that
+    ``shuffle`` draws."""
     run, ordered = POLICY_TABLE[policy]
-    order = data.draw(st.permutations(base.candidate_labels)) if ordered else None
+    labels = base.candidate_labels
+    order = shuffle.sample(labels, len(labels)) if ordered else None
     if policy == "cascade" and not lottery_shaped(base):
         with pytest.raises(ValueError, match="lottery-shaped"):
             run(base, AcceptanceLevel(Fraction(1, 2)))
         return
     reference = ReferenceScan(base)
-    probe = AcceptanceLevel(data.draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2)])))
+    probe = AcceptanceLevel(probe)
     reference.run(policy, probe, order)
     supports = sorted({c for c in reference.compared if 0 < c < 1})
-    threshold = data.draw(st.sampled_from(supports)) if supports else 1 - probe.epsilon
+    threshold = supports[pick % len(supports)] if supports else 1 - probe.epsilon
     level = AcceptanceLevel(1 - threshold, strict)
     result = run(base, order, level) if ordered else run(base, level)
     assert_same_run(result, reference.run(policy, level, order))

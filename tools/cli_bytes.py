@@ -45,6 +45,7 @@ label, a repeated label, an empty ``--labels`` or ``--conclusion``, an
 empty item in ``--labels``, and an unknown atom in a conclusion, entailed
 or not), ``accept`` on a lottery at the one-winner cap of 300 tickets,
 a ``cascade`` that ends by accepting that the one ticket left wins,
+two whose one ticket left misses the level,
 ``accept`` and ``diagnose`` on a 5-ticket lottery whose background has one
 pair written the other way round, so that it is read as a generic formula, a
 background past the canonical key-length limit, ``stat binom`` (also with a ``--combine-with`` level
@@ -178,6 +179,32 @@ B: b
 TWIN: a
 NAB: ~a | ~b
 NA: ~a
+"""
+
+# Cascades whose one ticket left able to win falls short of the level:
+# the one-ticket independent lottery without ``some_wins``, whose lose
+# statement misses 19/20 and whose ticket then has 1/10, and a biased
+# three-ticket lottery without L3, where wins_2 has 25/49 after L1 while
+# wins_3, which no candidate names, keeps 24/49.
+ONE_TICKET_BASE = """\
+ATOMS: wins_1
+WORLDS:
+w1: wins_1=0 weight 9/10
+w2: wins_1=1 weight 1/10
+CANDIDATES:
+L1: ~wins_1
+"""
+TWO_OF_THREE_BASE = """\
+ATOMS: wins_1 wins_2 wins_3
+WORLDS:
+w1: wins_1=1 wins_2=0 wins_3=0 weight 1/50
+w2: wins_1=0 wins_2=1 wins_3=0 weight 1/2
+w3: wins_1=0 wins_2=0 wins_3=1 weight 12/25
+BACKGROUND:
+(wins_1 | wins_2 | wins_3) & ~(wins_1 & wins_2) & ~(wins_1 & wins_3) & ~(wins_2 & wins_3)
+CANDIDATES:
+L1: ~wins_1
+L2: ~wins_2
 """
 
 # A world weight with a zero denominator: an input error naming its line.
@@ -362,6 +389,8 @@ HAND_BASES = {
     "two_lotteries.bb": TWO_LOTTERIES_BASE,
     "wide_lotteries.bb": WIDE_LOTTERIES_BASE,
     "wide_lotteries_b_first.bb": WIDE_LOTTERIES_B_FIRST_BASE,
+    "one_ticket.bb": ONE_TICKET_BASE,
+    "two_of_three.bb": TWO_OF_THREE_BASE,
 }
 
 
@@ -490,6 +519,9 @@ def commands() -> list[list[str]]:
         # a cascade that accepts two lose-statements, then that the one
         # ticket still able to win wins
         ["accept", "--policy", "cascade", "--epsilon", "1/10", "biased_3.bb"],
+        # cascades whose one ticket left able to win misses the level
+        ["accept", "--policy", "cascade", "--epsilon", "1/20", "one_ticket.bb"],
+        ["accept", "--policy", "cascade", "--epsilon", "1/10", "two_of_three.bb"],
         ["accept", "--policy", "teng", "--epsilon", "1/3", "fair_3.bb"],
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "--order",
          "natural", "fair_3.bb"],
