@@ -31,9 +31,9 @@ _PUBLIC = {
         "maximal_consistent_subsets", "minimal_unsat_subsets", "shrink_unsat_subset",
     ),
     "worlds": (
-        "BeliefBase", "UnknownAtomError", "WorldModel", "ZeroProbabilityError",
-        "biased_lottery", "exactly_one", "fair_lottery", "independent_lottery",
+        "BeliefBase", "UnknownAtomError", "WorldModel", "ZeroProbabilityError", "exactly_one",
     ),
+    "lotteries": ("biased_lottery", "fair_lottery", "independent_lottery"),
     "basefile": ("BeliefBaseFormatError", "dump", "dumps", "load", "loads", "parse_rational"),
     "accept": (
         "Acceptance", "AcceptanceLevel", "AcceptedSet", "ExtensionEnumeration",
@@ -53,8 +53,9 @@ _PUBLIC = {
 _HOME = {name: f"{__name__}.{module}" for module, names in _PUBLIC.items() for name in names}
 
 # ``from probaccept import *`` also binds the submodules, except ``strands``,
-# which names the function.
-__all__ = [*_HOME, *(module for module in _PUBLIC if module not in _HOME)]
+# which names the function, and ``lotteries``, whose builders are ``worlds``'
+# names too.
+__all__ = [*_HOME, *(module for module in _PUBLIC if module not in (*_HOME, "lotteries"))]
 
 
 def __getattr__(name):

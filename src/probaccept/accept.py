@@ -81,9 +81,9 @@ from functools import cached_property
 from itertools import permutations, takewhile
 
 from .formulas import Formula, FormulaSet, atom
+from .oracle import _Solver
 from .rationals import as_fraction
 from .records import record
-from .sat import _Solver
 from .worlds import BeliefBase
 
 __all__ = [

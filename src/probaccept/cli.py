@@ -25,12 +25,14 @@ body, or ``lottery``'s text; ``main`` alone ends every report with its
 which ``tests/test_exports.py`` pins for each:
 
 - ``accept`` and ``extensions``: ``basefile``, ``formulas``, ``rationals``,
-  ``records``, ``worlds``, ``sat`` and ``accept``, with the interpreter's
-  own SHA-256 module, not ``hashlib``;
-- ``closure``: those and ``closure``; ``diagnose``: those, ``closure`` and
-  ``strands``;
+  ``records``, ``worlds``, ``oracle`` and ``accept``, with the
+  interpreter's own SHA-256 module, not ``hashlib``; ``sat`` only at a
+  verdict the world masks leave open, which no ``lottery`` file has;
+- ``closure``: those, ``sat`` and ``closure``; ``diagnose``: those,
+  ``sat``, ``closure`` and ``strands``;
 - ``stat binom``: ``rationals``, ``records`` and ``stattests``;
-- ``lottery``: ``basefile``, ``formulas``, ``rationals`` and ``worlds``.
+- ``lottery``: ``basefile``, ``formulas``, ``rationals``, ``worlds`` and
+  ``lotteries``, which no command on a base file loads.
 
 No command loads ``dataclasses`` or ``inspect``: the result classes are
 ``records``, which build their dataclass fields on first read.
@@ -275,8 +277,8 @@ def _cmd_extensions(args) -> dict:
 
 def _cmd_lottery(args) -> str:
     from .basefile import dump, dumps
+    from .lotteries import biased_lottery, fair_lottery, independent_lottery
     from .rationals import as_fraction
-    from .worlds import biased_lottery, fair_lottery, independent_lottery
 
     if args.kind == "fair":
         if args.n is None:

@@ -6,6 +6,8 @@ prints its answer as the last line of its stdout.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import os
 import pathlib
@@ -24,8 +26,8 @@ PUBLIC = {
     "rationals": "as_fraction",
     "sat": "DEFAULT_CANDIDATE_CAP entails is_satisfiable maximal_consistent_subsets "
     "minimal_unsat_subsets shrink_unsat_subset",
-    "worlds": "BeliefBase UnknownAtomError WorldModel ZeroProbabilityError "
-    "biased_lottery exactly_one fair_lottery independent_lottery",
+    "worlds": "BeliefBase UnknownAtomError WorldModel ZeroProbabilityError exactly_one",
+    "lotteries": "biased_lottery fair_lottery independent_lottery",
     "basefile": "BeliefBaseFormatError dump dumps load loads parse_rational",
     "accept": "Acceptance AcceptanceLevel AcceptedSet ExtensionEnumeration "
     "enumerate_extensions lehrer_accept lehrer_cascade sequential_accept "
@@ -38,10 +40,11 @@ PUBLIC = {
 }
 
 _IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(probaccept.__file__)))
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def child(script, *argv):
-    """Run ``script`` in a fresh interpreter; return its last stdout line."""
+def child_lines(script, *argv):
+    """Run ``script`` in a fresh interpreter; return its stdout lines."""
     env = {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": _IMPORT_ROOT,
@@ -54,7 +57,12 @@ def child(script, *argv):
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return done.stdout.splitlines()
+
+
+def child(script, *argv):
+    """Run ``script`` in a fresh interpreter; return its last stdout line."""
+    return child_lines(script, *argv)[-1]
 
 
 # Prints the library modules, the stdlib ones the CLI defers, and
@@ -92,6 +100,20 @@ def test_star_import_binds_the_public_names_and_submodules():
     assert public <= set(dir(probaccept))
 
 
+def test_worlds_still_gives_the_lottery_builders():
+    # ``worlds`` loads ``lotteries`` at the first read of a builder's name
+    script = (
+        "import sys, probaccept, probaccept.worlds as worlds\n"
+        "before = 'probaccept.lotteries' in sys.modules\n"
+        "from probaccept.worlds import fair_lottery\n"
+        "print(before, *[getattr(worlds, name) is getattr(probaccept, name)"
+        " for name in sys.argv[1:]])"
+    )
+    assert child(script, *PUBLIC["lotteries"].split()) == "False True True True"
+    with pytest.raises(AttributeError, match="'probaccept.worlds' has no attribute 'no_such'"):
+        probaccept.worlds.no_such  # noqa: B018
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         probaccept.no_such_name  # noqa: B018
@@ -122,29 +144,33 @@ def test_importing_the_cli_loads_no_library_module():
 # Each command's argv (BASE: a 3-ticket lottery file) and what it loads: the
 # library modules, then the stdlib ones of LOADED.  ``stat binom`` loads
 # neither ``worlds`` nor ``formulas``, ``lottery`` neither ``accept`` nor
-# ``sat``, and no command ``dataclasses`` or ``inspect``.
+# the solver, no command on a base file ``lotteries``, and no command
+# ``dataclasses`` or ``inspect``.  The lottery's masks decide every verdict
+# of ``accept`` and ``extensions``, so they load ``oracle`` but not ``sat``.
 COMMAND_LOADS = {
     "accept": (
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas rationals records sat worlds", "sha256",
+        "accept basefile formulas oracle rationals records worlds", "sha256",
     ),
     "extensions": (
         ["extensions", "--policy", "sequential", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas rationals records sat worlds", "sha256",
+        "accept basefile formulas oracle rationals records worlds", "sha256",
     ),
     "diagnose": (
         ["diagnose", "--epsilon", "1/3", "BASE"],
-        "accept basefile closure formulas rationals records sat strands worlds", "sha256",
+        "accept basefile closure formulas oracle rationals records sat strands worlds", "sha256",
     ),
     "closure": (
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "BASE"],
-        "accept basefile closure formulas rationals records sat worlds", "sha256",
+        "accept basefile closure formulas oracle rationals records sat worlds", "sha256",
     ),
     "stat_binom": (
         ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10", "--observed", "0"],
         "rationals records stattests", "",
     ),
-    "lottery": (["lottery", "fair", "--n", "3"], "basefile formulas rationals worlds", ""),
+    "lottery": (
+        ["lottery", "fair", "--n", "3"], "basefile formulas lotteries rationals worlds", "",
+    ),
 }
 
 
@@ -161,6 +187,52 @@ def test_each_command_loads_only_the_modules_it_runs(command, lottery3_path):
     loaded = child(script, *[lottery3_path if part == "BASE" else part for part in argv])
     modules = ["probaccept.cli", *(f"probaccept.{name}" for name in library.split())]
     assert loaded.split() == sorted(modules + stdlib.split())
+
+
+# Two worlds, each making one of a and b true: the candidates' joint mask is
+# empty, but a & b is satisfiable, so the model is not complete and the
+# sequential run's second admission is searched.
+SEARCHED_BASE = """\
+ATOMS: a b
+WORLDS:
+w1: a=1 b=0 weight 1/2
+w2: a=0 b=1 weight 1/2
+CANDIDATES:
+A: a
+B: b
+"""
+
+
+def test_an_accept_that_must_search_loads_sat_then(tmp_path):
+    path = tmp_path / "searched.bb"
+    path.write_text(SEARCHED_BASE, encoding="utf-8")
+    script = (
+        "import contextlib, io, sys\n"
+        "from probaccept import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*[line for line in out.getvalue().splitlines() if line.startswith('accepted')],"
+        " sep='|')\n"
+        f"{LOADED}"
+    )
+    argv = ["accept", "--policy", "sequential", "--order", "natural", "--epsilon", "1/2"]
+    accepted, loaded = child_lines(script, *argv, str(path))
+    assert accepted.split("|") == [
+        "accepted_count: 2",
+        "accepted[0].label: A",
+        "accepted[0].formula: a",
+        "accepted[0].probability: 1/2 (~0.500000)",
+        "accepted[0].support_at_acceptance: 1/2 (~0.500000)",
+        "accepted[1].label: B",
+        "accepted[1].formula: b",
+        "accepted[1].probability: 1/2 (~0.500000)",
+        "accepted[1].support_at_acceptance: 1/2 (~0.500000)",
+    ]
+    library = "accept basefile formulas oracle rationals records sat worlds"
+    assert loaded.split() == sorted(
+        ["probaccept.cli", *(f"probaccept.{name}" for name in library.split()), "sha256"]
+    )
 
 
 def test_a_record_is_a_dataclass_before_dataclasses_loads():
@@ -191,6 +263,25 @@ def test_the_cli_imports_no_private_library_name():
     )
     assert private == ["sat._check_cap"]
 
+
+
+def test_every_tracer_target_is_a_library_callable():
+    # ``bench/tracer.py`` skips a target the library no longer has, so a
+    # moved or renamed function would make its per-layer metric read zero
+    # with no error.  ``formulas.evaluate`` went with the per-world
+    # evaluator, before the world masks, and its metric reads zero until the
+    # tracer is replaced.
+    spec = importlib.util.spec_from_file_location("tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module, path, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"probaccept.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == ["formulas.evaluate"]
 
 
 def test_atom_names_have_one_grammar():
@@ -249,10 +340,10 @@ def _uses(tree, name):
 
 def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     # the base's own background is the one set that names its model, and
-    # only ``sat`` reads it there: the solver, and the test by which
-    # ``consequence_level`` keeps a base's own background; no set drawn from
-    # the base names one, and an accepted set keeps no model of its own, so
-    # it needs no __reduce__.  The base's store step, where the constructor
+    # only the solver (``oracle``) reads it there, with the test in ``sat``
+    # by which ``consequence_level`` keeps a base's own background; no set
+    # drawn from the base names one, and an accepted set keeps no model of
+    # its own, so it needs no __reduce__.  The base's store step, where the constructor
     # and the lottery builders end, writes it.  Only the solver's search
     # path, entailment from the base's solver and the subset walk, which
     # reads the MCSes off the worlds, ask whether the model is complete; only
@@ -280,8 +371,8 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 assert "__reduce__" not in methods
     assert writers == {"worlds": ["BeliefBase._store"]}
-    assert readers == {"sat": ["_Solver.__init__", "_own_background"]}
-    assert completes == {"sat": ["_Solver._search", "entails", "_walk"]}
-    assert told == {"sat": ["_Solver._complete"]}
+    assert readers == {"oracle": ["_Solver.__init__"], "sat": ["_own_background"]}
+    assert completes == {"oracle": ["_Solver._search"], "sat": ["entails", "_walk"]}
+    assert told == {"oracle": ["_Solver._complete"]}
     assert solvers == {"accept": [["_solver"], []], "sat": [[], ["_on_base"]]}
     assert list(inspect.signature(sat._Solver).parameters) == ["members", "background"]
