@@ -36,10 +36,10 @@ _PUBLIC = {
     "lotteries": ("biased_lottery", "fair_lottery", "independent_lottery"),
     "basefile": ("BeliefBaseFormatError", "dump", "dumps", "load", "loads", "parse_rational"),
     "accept": (
-        "Acceptance", "AcceptanceLevel", "AcceptedSet", "ExtensionEnumeration",
-        "enumerate_extensions", "lehrer_accept", "lehrer_cascade", "sequential_accept",
-        "stakes_threshold", "teng_accept", "threshold_accept",
+        "Acceptance", "AcceptanceLevel", "AcceptedSet", "lehrer_accept", "lehrer_cascade",
+        "sequential_accept", "stakes_threshold", "teng_accept", "threshold_accept",
     ),
+    "extensions": ("ExtensionEnumeration", "enumerate_extensions"),
     "closure": (
         "LeveledStatement", "conjunction_support", "consequence_level", "contradiction_bound",
     ),

@@ -12,27 +12,37 @@ are marked approximate.  Identical inputs and flags produce identical
 bytes.  Exit codes: 0 ok, 2 input error, 3 internal invariant violation,
 141 stdout's reader has gone (e.g. ``| head``).
 
-``run`` is the process entry, behind ``python -m probaccept``, ``python -m
-probaccept.cli`` and the ``probaccept`` script.  ``main`` is the in-process
-API: it returns the exit code, or raises argparse's ``SystemExit``
-(``--help``, ``--version``, usage errors) or ``BrokenPipeError`` if
-stdout's reader has gone; it never flushes, freezes or touches a file
-descriptor.
+``run`` is the process entry, behind ``python -m probaccept`` and the
+``probaccept`` script (both through ``__main__``, which turns the cyclic
+collector off first) and ``python -m probaccept.cli``.  ``main`` is the
+in-process API: it returns the exit code, or raises argparse's
+``SystemExit`` (``--help``, ``--version``, usage errors) or
+``BrokenPipeError`` if stdout's reader has gone; it never flushes,
+touches the collector or a file descriptor.
 
-Each handler imports the library modules it runs and returns its report
-body, or ``lottery``'s text; ``main`` alone ends every report with its
-``provenance`` and writes it.  So a command loads no more than it needs,
-which ``tests/test_exports.py`` pins for each:
+The parser registers every sub-command by name and help, and builds a
+sub-command's arguments only when that one parses.  This module holds
+``accept``'s arguments and handler and the helpers the handlers share;
+each other command's ``arguments`` and ``handle`` are in a module that
+only that command loads (``cli_extensions``, ``cli_lottery``,
+``cli_diagnose``, ``cli_closure``, ``cli_stat``), imported when its
+sub-parser first parses.  A handler imports the library modules it runs
+and returns its report body, or ``lottery``'s text; ``main`` alone ends
+every report with its ``provenance`` and writes it.  So a command loads
+no more than it needs, which ``tests/test_exports.py`` pins for each:
 
-- ``accept`` and ``extensions``: ``basefile``, ``formulas``, ``rationals``,
-  ``records``, ``worlds``, ``oracle`` and ``accept``, with the
-  interpreter's own SHA-256 module, not ``hashlib``; ``sat`` only at a
-  verdict the world masks leave open, which no ``lottery`` file has;
-- ``closure``: those, ``sat`` and ``closure``; ``diagnose``: those,
-  ``sat``, ``closure`` and ``strands``;
+- ``accept``: ``basefile``, ``formulas``, ``rationals``, ``records``,
+  ``worlds``, ``oracle`` and ``accept``, with the interpreter's own
+  SHA-256 module, not ``hashlib``; ``sat`` only at a verdict the world
+  masks leave open, which no ``lottery`` file has;
+- ``extensions``: those and ``extensions``; ``closure``: those and
+  ``closure``, with ``sat`` only at an entailment the masks leave open,
+  which no ``lottery`` file has either; ``diagnose``: those, ``sat``,
+  ``closure`` and ``strands``;
 - ``stat binom``: ``rationals``, ``records`` and ``stattests``;
 - ``lottery``: ``basefile``, ``formulas``, ``rationals``, ``worlds`` and
-  ``lotteries``, which no command on a base file loads.
+  ``lotteries``, which no command on a base file loads;
+- and each but ``accept`` its own command module.
 
 No command loads ``dataclasses`` or ``inspect``: the result classes are
 ``records``, which build their dataclass fields on first read.
@@ -152,20 +162,8 @@ def _diagnostics(result, **found) -> dict:
     }
 
 
-def _leveled(leveled) -> dict:
-    """A conjunction's or consequence's formula and support floor."""
-    from .formulas import render
-
-    return {
-        "formula": render(leveled.statement),
-        "premise_count": leveled.premise_count,
-        "support_lower_bound": leveled.support_lower_bound,
-        "exact_probability": leveled.exact_probability,
-    }
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Helpers shared by the handlers, and the ``accept`` handler.
 # ---------------------------------------------------------------------------
 
 
@@ -238,221 +236,6 @@ def _cmd_accept(args) -> dict:
     }
 
 
-def _cmd_extensions(args) -> dict:
-    from .accept import enumerate_extensions
-    from .formulas import render
-
-    base, level = _base_and_level(args)
-    outcome = enumerate_extensions(
-        base,
-        args.policy,
-        level,
-        max_permutations=args.max_permutations,
-        seed=args.seed,
-    )
-    return {
-        "command": "extensions",
-        "policy": outcome.policy,
-        "epsilon": level.epsilon,
-        "threshold": level.threshold,
-        "permutations_tried": outcome.permutation_count,
-        "exhaustive": outcome.exhaustive,
-        "extension_count": len(outcome.extensions),
-        "extensions": [
-            {
-                "order": ",".join(witness),
-                "accepted": _accepted_entries(ext),
-            }
-            for ext, witness in zip(outcome.extensions, outcome.witness_orders)
-        ],
-        "conjunctive_merge": {
-            "statement_count": len(outcome.conjunction),
-            "weakly_consistent": outcome.conjunction_weakly_consistent,
-        },
-        "disjunctive_intersection": {
-            "statements": [render(f) for f in outcome.intersection],
-        },
-    }
-
-
-def _cmd_lottery(args) -> str:
-    from .basefile import dump, dumps
-    from .lotteries import biased_lottery, fair_lottery, independent_lottery
-    from .rationals import as_fraction
-
-    if args.kind == "fair":
-        if args.n is None:
-            raise ValueError("fair lottery needs --n")
-        base = fair_lottery(args.n)
-    elif args.kind == "biased":
-        if not args.weights:
-            raise ValueError("biased lottery needs --weights p/q,p/q,...")
-        weights = [as_fraction(part) for part in args.weights.split(",")]
-        base = biased_lottery(weights)
-    else:
-        if args.n is None or args.p is None:
-            raise ValueError("independent lottery needs --n and --p")
-        base = independent_lottery(args.n, as_fraction(args.p))
-    if args.out == "-":
-        return dumps(base)
-    dump(base, args.out)
-    return f"wrote: {args.out}\nworlds: {len(base.model.worlds)}\n"
-
-
-def _cmd_diagnose(args) -> dict:
-    from .accept import threshold_accept
-    from .closure import contradiction_bound
-    from .sat import _check_cap, maximal_consistent_subsets, minimal_unsat_subsets
-    from .sat import shrink_unsat_subset
-    from .strands import degree_of_inconsistency
-
-    _check_cap(args.max_candidates)  # on both paths, whatever the input's size
-    base, level = _base_and_level(args)
-    accepted = threshold_accept(base, level)
-    accepted_formulas = accepted.accepted_formulas
-    background = base.background
-    cap = args.max_candidates
-
-    mus_min_size = None
-    mus_method = "exhaustive"
-    mcs_count = None
-    degree = None
-    # the accepted formulas name the base's model, whose masks the solver
-    # tests first: a shared world settles a query, and so does an empty mask
-    # on a model that lists every valuation
-    if len(accepted_formulas) <= cap:
-        # one subset walk, kept on the set: the MCS count and the degree
-        # read the family that the MUS enumeration found
-        muses = minimal_unsat_subsets(accepted_formulas, background, cap)
-        mus_min_size = len(muses[0]) if muses else None
-        mcs_count = len(maximal_consistent_subsets(accepted_formulas, background, cap))
-        degree = degree_of_inconsistency(accepted_formulas, background, cap)
-    else:
-        mus_method = "deletion_shrink"
-        shrunk = shrink_unsat_subset(accepted_formulas, background)
-        if shrunk is not None:
-            mus_min_size = len(shrunk)
-
-    bound = contradiction_bound(level)
-    return {
-        "command": "diagnose",
-        "epsilon": level.epsilon,
-        "threshold": level.threshold,
-        "accepted_count": len(accepted.accepted),
-        "diagnostics": _diagnostics(
-            accepted,
-            mus_min_size=mus_min_size,
-            mus_method=mus_method,
-            mcs_count=mcs_count,
-            degree=degree,
-        ),
-        "contradiction_bound": bound,
-        "mus_respects_bound": mus_min_size is None or mus_min_size >= bound,
-    }
-
-
-def _cmd_closure(args) -> dict:
-    from .closure import conjunction_support, consequence_level, contradiction_bound
-    from .formulas import FormulaSet, parse
-
-    base, level = _base_and_level(args)
-    report: dict = {
-        "command": "closure",
-        "epsilon": level.epsilon,
-        "threshold": level.threshold,
-        "contradiction_bound": contradiction_bound(level),
-    }
-    if args.labels is not None:
-        labels = _label_list(args.labels, "--labels")
-        try:
-            premises = FormulaSet(base.candidate(label) for label in labels)
-        except KeyError as exc:  # an unknown label is bad input
-            raise ValueError(exc.args[0]) from None
-        support = conjunction_support(base.model, premises, level)
-        report["conjunction"] = {"premises": labels, **_leveled(support)}
-        if args.conclusion is not None:
-            conclusion = parse(args.conclusion)
-            leveled = consequence_level(
-                base.model, premises, conclusion, level, background=base.background
-            )
-            report["consequence"] = _leveled(leveled)
-    elif args.conclusion is not None:
-        raise ValueError("--conclusion needs --labels naming the premises")
-    return report
-
-
-def _cmd_stat(args) -> dict:
-    from .rationals import as_fraction
-    from .stattests import (
-        BinomialTestSpec,
-        Decision,
-        binomial_rejection_region,
-        combine_tests,
-        rejection_to_acceptance,
-        run_test,
-    )
-
-    spec = BinomialTestSpec(
-        n=args.n,
-        p0=as_fraction(args.p0),
-        epsilon=as_fraction(args.epsilon),
-        sided={"two": "two_sided", "upper": "upper", "lower": "lower"}[args.sided],
-    )
-    # built before the test runs, so a bad level fails whatever the decision
-    others = [
-        BinomialTestSpec(spec.n, spec.p0, as_fraction(eps), spec.sided)
-        for eps in (args.combine_with.split(",") if args.combine_with is not None else ())
-    ]
-    region = binomial_rejection_region(spec)
-    counts = sorted(region.rejected_counts)
-    report: dict = {
-        "command": "stat.binom",
-        "n": spec.n,
-        "p0": spec.p0,
-        "epsilon": spec.epsilon,
-        "sided": spec.sided,
-        "rejection_region": _compact_counts(counts),
-        "region_size": len(counts),
-        "achieved_size": region.achieved_size,
-    }
-    if args.observed is not None:
-        decision = run_test(region, args.observed)
-        report["observed"] = args.observed
-        report["decision"] = decision.value
-        if decision is Decision.REJECT:
-            accepted = rejection_to_acceptance(spec, decision)
-            entry = {
-                "statement": accepted.statement,
-                "support_lower_bound": accepted.support.lower,
-                "directional": accepted.directional,
-            }
-            report["accepted_negation"] = entry
-            if others:
-                tests = [accepted] + [
-                    rejection_to_acceptance(other, Decision.REJECT) for other in others
-                ]
-                joint = combine_tests(tests, independent=False)
-                joint_ind = combine_tests(tests, independent=True)
-                report["combined"] = {
-                    "statement": joint.statement,
-                    "dependent_lower_bound": joint.support_lower_bound,
-                    "independent_lower_bound": joint_ind.support_lower_bound,
-                }
-    return report
-
-
-def _compact_counts(counts: list[int]) -> str:
-    if not counts:
-        return "(empty)"
-    runs: list[list[int]] = []
-    for x in counts:
-        if runs and x == runs[-1][1] + 1:
-            runs[-1][1] = x
-        else:
-            runs.append([x, x])
-    return ",".join(f"{a}..{b}" if a != b else str(a) for a, b in runs)
-
-
 # ---------------------------------------------------------------------------
 # Parser assembly and entry point.
 # ---------------------------------------------------------------------------
@@ -464,7 +247,23 @@ class _Parser(argparse.ArgumentParser):
     stdout, else 80.  argparse itself imports ``shutil`` (and with it
     ``bz2``, ``lzma``, ``zlib`` and ``fnmatch``) for the first formatter,
     which ``add_argument`` builds.  Every sub-parser is one too:
-    ``add_subparsers`` makes parsers of its parser's type."""
+    ``add_subparsers`` makes parsers of its parser's type.
+
+    A sub-command's parser is registered with its name and help, all that
+    the top-level help and usage errors show, and ``build``, the function
+    that adds its arguments and sets its handler as ``func``: it runs the
+    first time that parser parses, so a command builds no other command's
+    arguments and loads no other command's module."""
+
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._build is not None:
+            build, self._build = self._build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
 
     def _get_formatter(self) -> argparse.HelpFormatter:
         try:
@@ -477,6 +276,40 @@ class _Parser(argparse.ArgumentParser):
             except (AttributeError, ValueError, OSError):  # no terminal there
                 columns = 0
         return self.formatter_class(prog=self.prog, width=(columns or 80) - 2)
+
+
+def _command(module: str):
+    """The ``build`` of a sub-command whose arguments and handler are in
+    ``module``, which only that sub-command loads: its ``arguments`` sets
+    the parser's ``func`` to its ``handle``."""
+
+    def build(parser: _Parser) -> None:
+        # ``__import__``, whose time ``-X importtime`` reports, as it does not
+        # for ``importlib.import_module``
+        __import__(f"{__package__}.{module}", fromlist=["arguments"]).arguments(parser)
+
+    return build
+
+
+def _accept_arguments(p_accept: _Parser) -> None:
+    p_accept.add_argument("base", help="belief-base file")
+    p_accept.add_argument(
+        "--policy",
+        required=True,
+        choices=list(_POLICY_NAMES),
+    )
+    p_accept.add_argument("--epsilon", required=True, metavar="P/Q")
+    p_accept.add_argument(
+        "--order",
+        metavar="ORDER",
+        help="'natural', 'reverse', or comma-separated labels",
+    )
+    p_accept.set_defaults(func=_cmd_accept)
+
+
+def _stat_arguments(p_stat: _Parser) -> None:
+    stat_sub = p_stat.add_subparsers(dest="stat_command", required=True)
+    stat_sub.add_parser("binom", help="exact binomial test", build=_command("cli_stat"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,68 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap for exhaustive subset enumeration",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_accept = sub.add_parser("accept", help="run one acceptance policy")
-    p_accept.add_argument("base", help="belief-base file")
-    p_accept.add_argument(
-        "--policy",
-        required=True,
-        choices=list(_POLICY_NAMES),
+    sub.add_parser("accept", help="run one acceptance policy", build=_accept_arguments)
+    sub.add_parser(
+        "extensions", help="enumerate order-dependent outcomes", build=_command("cli_extensions")
     )
-    p_accept.add_argument("--epsilon", required=True, metavar="P/Q")
-    p_accept.add_argument(
-        "--order",
-        metavar="ORDER",
-        help="'natural', 'reverse', or comma-separated labels",
+    sub.add_parser("lottery", help="generate a lottery belief base", build=_command("cli_lottery"))
+    sub.add_parser("diagnose", help="inconsistency diagnostics", build=_command("cli_diagnose"))
+    sub.add_parser(
+        "closure", help="conjunction/consequence support floors", build=_command("cli_closure")
     )
-    p_accept.set_defaults(func=_cmd_accept)
-
-    p_ext = sub.add_parser("extensions", help="enumerate order-dependent outcomes")
-    p_ext.add_argument("base")
-    p_ext.add_argument(
-        "--policy",
-        required=True,
-        choices=[name for name, ordered in _POLICY_NAMES.items() if ordered],
-    )
-    p_ext.add_argument("--epsilon", required=True, metavar="P/Q")
-    p_ext.add_argument("--max-permutations", type=int, default=720, metavar="N")
-    p_ext.set_defaults(func=_cmd_extensions)
-
-    p_lot = sub.add_parser("lottery", help="generate a lottery belief base")
-    p_lot.add_argument("kind", choices=["fair", "biased", "independent"])
-    p_lot.add_argument("--n", type=int)
-    p_lot.add_argument("--weights", metavar="P/Q,P/Q,...")
-    p_lot.add_argument("--p", metavar="P/Q")
-    p_lot.add_argument("--out", default="-", metavar="PATH")
-    p_lot.set_defaults(func=_cmd_lottery)
-
-    p_diag = sub.add_parser("diagnose", help="inconsistency diagnostics")
-    p_diag.add_argument("base")
-    p_diag.add_argument("--epsilon", required=True, metavar="P/Q")
-    p_diag.set_defaults(func=_cmd_diagnose)
-
-    p_clo = sub.add_parser("closure", help="conjunction/consequence support floors")
-    p_clo.add_argument("base")
-    p_clo.add_argument("--epsilon", required=True, metavar="P/Q")
-    p_clo.add_argument("--labels", metavar="L1,L2,...")
-    p_clo.add_argument("--conclusion", metavar="FORMULA")
-    p_clo.set_defaults(func=_cmd_closure)
-
-    p_stat = sub.add_parser("stat", help="statistical tests")
-    stat_sub = p_stat.add_subparsers(dest="stat_command", required=True)
-    p_binom = stat_sub.add_parser("binom", help="exact binomial test")
-    p_binom.add_argument("--n", type=int, required=True)
-    p_binom.add_argument("--p0", required=True, metavar="P/Q")
-    p_binom.add_argument("--epsilon", required=True, metavar="P/Q")
-    p_binom.add_argument("--sided", default="two", choices=["two", "upper", "lower"])
-    p_binom.add_argument("--observed", type=int)
-    p_binom.add_argument(
-        "--combine-with",
-        metavar="EPS,EPS,...",
-        help="combine with further rejections at these significance levels",
-    )
-    p_binom.set_defaults(func=_cmd_stat)
-
+    sub.add_parser("stat", help="statistical tests", build=_stat_arguments)
     return parser
 
 
@@ -592,14 +373,22 @@ def run() -> None:
     """The process entry: run ``main``, flush stdout and exit with its code,
     or with 141 if stdout's reader has gone.
 
-    Before exiting it freezes the collector.  Every object then sits in
-    the permanent generation, which no collection visits, so shutdown no
-    longer traces and frees the module graph's cycles, and the OS takes the
-    memory back.  ``atexit``, the flush of the std streams, module clearing
-    and refcount frees still run, but an object left in a cycle is never
-    finalised.  Freezing relies on this: every file the CLI writes is
-    closed by ``with`` before ``main`` returns.
+    The cyclic collector is off for the whole process: ``__main__``, the
+    module behind ``python -m probaccept`` and the ``probaccept`` script,
+    turns it off before this module loads, and this function again first,
+    for ``python -m probaccept.cli``.  The library's work leaves little
+    cyclic garbage, and a cold command's collections ran during its
+    imports and freed next to nothing.  Before exiting it freezes the
+    collector, since shutdown collects whether or not the collector is
+    on.  Every object then sits in the permanent generation, which no
+    collection visits, so shutdown no longer traces and frees the module
+    graph's cycles, and the OS takes the memory back.  ``atexit``, the
+    flush of the std streams, module clearing and refcount frees still
+    run, but an object left in a cycle is never finalised.  Freezing
+    relies on this: every file the CLI writes is closed by ``with`` before
+    ``main`` returns.
     """
+    gc.disable()
     try:
         try:
             code = main()
@@ -616,4 +405,7 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # the command modules import their helpers from ``probaccept.cli``: this
+    # module, not a second copy of it
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     run()

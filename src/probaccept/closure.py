@@ -21,7 +21,7 @@ from fractions import Fraction
 from .accept import AcceptanceLevel
 from .formulas import Formula, FormulaSet, conj
 from .records import record
-from .sat import _own_background, entails
+from .oracle import _own_background, entails
 from .worlds import BeliefBase, WorldModel
 
 __all__ = [
@@ -115,7 +115,7 @@ def consequence_level(
     a slack of zero).  With k = 1 this is plain membership preservation:
     the conclusion's exact probability is at least the premise's.
 
-    The entailment is ``sat.entails`` over a belief base's own background,
+    The entailment is ``entails`` over a belief base's own background,
     which names the model's worlds: a background that is already a base's
     own over ``model`` goes through as it is, since its base checked it to
     be certain, and once a policy has run on that base, premises drawn

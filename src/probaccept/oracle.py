@@ -6,7 +6,7 @@ policies, ``enumerate_extensions`` and ``diagnose`` ask goes to
 model.  One set names a model: a belief base's own background, which
 holds with probability 1 in the base's model.  A solver over that
 background reads the model from it, and no other code reads it, but
-``sat._own_background``, by which ``closure.consequence_level`` keeps
+``_own_background``, by which ``closure.consequence_level`` keeps
 such a set, already checked certain, as its background.  Then a query
 first tests the joint world mask of the background and the chosen
 members: a world in it is a satisfying valuation, the witness.  A model
@@ -36,9 +36,11 @@ and names it on the base's own background.  Over that background the
 ``sat`` diagnostics ask it too, for members that are all candidates of
 the base (an accepted set's statements): by candidate position, sharing
 its masks, its ``complete`` and its store, with no solver of their own.
-``sat.entails`` asks it as well, for premises that are all candidates,
-by the joint mask of their positions less the conclusion's worlds; only
-what those masks leave open gets a solver of its own.
+``entails``, which ``sat`` gives by name, asks it as well, for premises
+that are all candidates, by the joint mask of their positions less the
+conclusion's worlds; only what those masks leave open gets a solver of
+its own.  So ``closure``, which takes ``entails`` and ``_own_background``
+from here, loads ``sat`` only at an entailment the masks leave open.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import cached_property, reduce
 from itertools import chain, compress
 from math import prod
 
-from .formulas import Formula, _ExactlyOne
+from .formulas import Formula, FormulaSet, _ExactlyOne, neg
 
 
 class _Solver:
@@ -179,3 +181,58 @@ class _Solver:
         own = set(chain.from_iterable(compress(self.own, chosen)))
         decisions = [*range(1, self.nshared + 1), *sorted(own)]
         return _dpll(store, b"\x01" + chosen, units, decisions) is not None
+
+
+def entails(
+    background: Iterable[Formula],
+    premises: Iterable[Formula],
+    conclusion: Formula,
+) -> bool:
+    """Classical entailment relative to a background set.
+
+    Over a belief base's own background, once a policy has run on the
+    base, premises that are all candidates of the base are asked of the
+    base's solver by position: the joint mask of the background and the
+    premises, less the conclusion's worlds.  A world left in it satisfies
+    the background and the premises and falsifies the conclusion, so the
+    premises do not entail it; with none left on a ``complete`` model they
+    do.  Any other call, a conclusion with an atom the model lacks, and an
+    empty mask on a model that is not complete build a solver over the
+    premises and the negated conclusion, which tests its own masks first
+    over a base's background and searches what they leave open."""
+    if not isinstance(conclusion, Formula):
+        raise TypeError(f"the conclusion must be a formula, got {conclusion!r}")
+    # a plain background is read once, before the premises
+    background = background if isinstance(background, FormulaSet) else [*background]
+    premises = [*premises]
+    if all(isinstance(f, Formula) for f in premises) and (
+        asked := _on_base(background, (f.canonical_key for f in premises))
+    ):
+        solver, positions = asked
+        model = solver.model
+        if model._atom_masks.keys() >= conclusion.atoms():
+            left = reduce(int.__and__, map(solver.masks.__getitem__, positions), solver.shared)
+            if left & ~model.satisfying_mask(conclusion):
+                return False
+            if solver.complete:
+                return True
+    members = [*premises, neg(conclusion)]
+    return not _Solver(members, background).satisfiable(range(len(members)))
+
+
+def _own_background(background, model) -> bool:
+    """Whether ``background`` is a belief base's own set over ``model``,
+    whose formulas the base checked to be certain in it."""
+    return getattr(background, "_model", None) is model
+
+
+def _on_base(background, keys: Iterable[str]) -> tuple[_Solver, list[int]] | None:
+    """The solver that a belief base's own background names once a policy
+    has run on the base, and the candidate positions of the members with
+    canonical ``keys``; None when the background names no solver or a
+    member is no candidate of the base."""
+    if (solver := getattr(background, "_base_solver", None)) is not None:
+        position = solver.position
+        if None not in (positions := [position.get(key) for key in keys]):
+            return solver, positions
+    return None

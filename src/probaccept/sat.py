@@ -12,9 +12,12 @@ determinism wins over raw speed.
 Every consistency question goes to ``oracle._Solver``, the package's one
 consistency oracle, which answers from world masks first and comes here
 only for a query the masks leave open: this module holds its clause
-store, the translation into it and the search.  A deletion shrink with a
-model keeps the mask of the members kept so far and suffix masks of
-those not yet tried, so each deletion costs one ``&``.
+store, the translation into it and the search.  ``entails`` is the
+oracle's, given here by name: it reads a base's masks before any search,
+so ``closure`` takes it from ``oracle`` and loads this module only at an
+entailment the masks leave open.  A deletion shrink with a model keeps
+the mask of the members kept so far and suffix masks of those not yet
+tried, so each deletion costs one ``&``.
 
 The solver translates a background and a list of members once, straight
 to integer clauses: atoms and definitional subformulas share one
@@ -85,8 +88,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import reduce
 
-from .formulas import Formula, FormulaSet, _ExactlyOne, neg
-from .oracle import _Solver
+from .formulas import Formula, FormulaSet, _ExactlyOne
+from .oracle import _on_base, _Solver, entails
 
 __all__ = [
     "DEFAULT_CANDIDATE_CAP",
@@ -277,49 +280,6 @@ def is_satisfiable(formulas: Iterable[Formula]) -> bool:
     return _Solver((), formulas).satisfiable()
 
 
-def entails(
-    background: Iterable[Formula],
-    premises: Iterable[Formula],
-    conclusion: Formula,
-) -> bool:
-    """Classical entailment relative to a background set.
-
-    Over a belief base's own background, once a policy has run on the
-    base, premises that are all candidates of the base are asked of the
-    base's solver by position: the joint mask of the background and the
-    premises, less the conclusion's worlds.  A world left in it satisfies
-    the background and the premises and falsifies the conclusion, so the
-    premises do not entail it; with none left on a ``complete`` model they
-    do.  Any other call, a conclusion with an atom the model lacks, and an
-    empty mask on a model that is not complete build a solver over the
-    premises and the negated conclusion, which tests its own masks first
-    over a base's background and searches what they leave open."""
-    if not isinstance(conclusion, Formula):
-        raise TypeError(f"the conclusion must be a formula, got {conclusion!r}")
-    # a plain background is read once, before the premises
-    background = background if isinstance(background, FormulaSet) else [*background]
-    premises = [*premises]
-    if all(isinstance(f, Formula) for f in premises) and (
-        asked := _on_base(background, (f.canonical_key for f in premises))
-    ):
-        solver, positions = asked
-        model = solver.model
-        if model._atom_masks.keys() >= conclusion.atoms():
-            left = reduce(int.__and__, map(solver.masks.__getitem__, positions), solver.shared)
-            if left & ~model.satisfying_mask(conclusion):
-                return False
-            if solver.complete:
-                return True
-    members = [*premises, neg(conclusion)]
-    return not _Solver(members, background).satisfiable(range(len(members)))
-
-
-def _own_background(background, model) -> bool:
-    """Whether ``background`` is a belief base's own set over ``model``,
-    whose formulas the base checked to be certain in it."""
-    return getattr(background, "_model", None) is model
-
-
 def _check_cap(cap: int) -> None:
     if isinstance(cap, bool) or not isinstance(cap, int):  # True is no cap
         raise ValueError(f"cap must be an integer, not {cap!r}")
@@ -351,18 +311,6 @@ def _prepare(
             if not isinstance(f, Formula):
                 raise TypeError(f"satisfiability needs formulas, got {f!r}")
     return tuple(members._keys.items()), background
-
-
-def _on_base(background, keys: Iterable[str]) -> tuple[_Solver, list[int]] | None:
-    """The solver that a belief base's own background names once a policy
-    has run on the base, and the candidate positions of the members with
-    canonical ``keys``; None when the background names no solver or a
-    member is no candidate of the base."""
-    if (solver := getattr(background, "_base_solver", None)) is not None:
-        position = solver.position
-        if None not in (positions := [position.get(key) for key in keys]):
-            return solver, positions
-    return None
 
 
 def _solver_for(members: Sequence[tuple[str, Formula]], background) -> tuple[_Solver, list[int]]:

@@ -197,6 +197,29 @@ def past_digit_limit_base(digits: int) -> str:
     )
 
 
+def pigeonhole_base(holes: int) -> str:
+    """A base file of n + 1 pigeons and n holes, with no world that seats
+    them all.  The atoms ``p{i}_{h}`` (pigeon i in hole h, both from 1) run
+    pigeon-major; world ``w{j}`` leaves pigeon j out and seats the others
+    in holes 1..n in order, each world of weight 1/(n + 1).  The
+    candidates ``c0``, ``c1``, ... are first each pigeon's "in some hole"
+    clause, then ``~p{a}_{h} | ~p{b}_{h}`` for each hole h and pair a < b.
+    Every candidate has probability 1 - 1/(n + 1) or more, and the whole
+    set is unsatisfiable, which only a search shows."""
+    pigeons, slots = range(1, holes + 2), range(1, holes + 1)
+    lines = ["ATOMS: " + " ".join(f"p{i}_{h}" for i in pigeons for h in slots), "WORLDS:"]
+    for j in pigeons:
+        seat = dict(zip([i for i in pigeons if i != j], slots))
+        row = " ".join(f"p{i}_{h}={int(seat.get(i) == h)}" for i in pigeons for h in slots)
+        lines.append(f"w{j}: {row} weight 1/{holes + 1}")
+    clauses = [" | ".join(f"p{i}_{h}" for h in slots) for i in pigeons]
+    clauses += [
+        f"~p{a}_{h} | ~p{b}_{h}" for h in slots for a, b in combinations(pigeons, 2)
+    ]
+    lines += ["CANDIDATES:", *(f"c{k}: {clause}" for k, clause in enumerate(clauses))]
+    return "\n".join(lines) + "\n"
+
+
 # Nine formulas over a0..a7, each satisfiable in well under a millisecond.
 # A subset search that also branched on the variables of the members left
 # out of each query took more than 60 s to list their minimal

@@ -25,6 +25,7 @@ from probaccept import (
     threshold_accept,
 )
 from probaccept import accept as accept_module
+from probaccept import extensions as extensions_module
 from probaccept import sat
 from probaccept.accept import MAX_PERMUTATIONS, POLICY_TABLE
 
@@ -528,8 +529,10 @@ class TestWeighedOncePerBase:
         assert all(a is b for a, b in zip(second.accepted, first.accepted))
 
     def test_an_enumeration_builds_one_accepted_set_per_extension(self, monkeypatch):
+        # the enumerator scans in ``extensions``; its sets are built by
+        # ``accept._accepted``
         scans, built = [], []
-        scan = accept_module._scan
+        scan = extensions_module._scan
 
         def counted(*args, **kwargs):
             scans.append(args)
@@ -540,7 +543,7 @@ class TestWeighedOncePerBase:
                 built.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(accept_module, "_scan", counted)
+        monkeypatch.setattr(extensions_module, "_scan", counted)
         monkeypatch.setattr(accept_module, "AcceptedSet", CountedSet)
         outcome = enumerate_extensions(fair_lottery(5), "sequential", AcceptanceLevel(Fraction(1, 5)))
         assert outcome.exhaustive and outcome.permutation_count == 120

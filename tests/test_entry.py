@@ -5,7 +5,6 @@ Each check starts a fresh ``python -S`` child, without ``PYTHONUNBUFFERED``,
 so that stdout is block-buffered as it is for a user's pipe.
 """
 
-import importlib
 import os
 import pathlib
 import re
@@ -15,7 +14,9 @@ import sys
 import pytest
 
 import probaccept
-from probaccept import cli
+from probaccept import cli, dump, fair_lottery
+
+from helpers import pigeonhole_base
 
 _IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(probaccept.__file__)))
 _ENV = {
@@ -81,6 +82,21 @@ def test_the_process_freezes_the_collector_before_it_exits(door):
     assert done.stderr.splitlines()[-1] == "frozen: True"
 
 
+def test_the_cli_door_compiles_the_cli_once(lottery3_path):
+    # a command module's ``from .cli import ...`` finds the running module,
+    # whose name is ``__main__``; a second copy would be ``probaccept.cli``
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sys.modules['probaccept.cli'].__name__, file=sys.stderr))\n"
+        "sys.argv = ['probaccept.cli', *sys.argv[1:]]\n"
+        "runpy.run_module('probaccept.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    argv = ["diagnose", "--epsilon", "1/3", lottery3_path]
+    done = _child(["-c", script, *argv], capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr.splitlines()[-1] == "__main__"
+
+
 def test_the_script_is_the_same_entry():
     # read as text: ``tomllib`` needs Python 3.11, and the package runs from 3.10.7
     text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
@@ -88,8 +104,74 @@ def test_the_script_is_the_same_entry():
     )
     scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     (target,) = re.findall(r'^probaccept = "([\w.]+):(\w+)"$', scripts, re.M)
-    module, name = target
-    assert getattr(importlib.import_module(module), name) is cli.run
+    # in a child: importing the script's module turns the collector off
+    script = (
+        "import gc, importlib, sys\n"
+        "entry = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])\n"
+        "from probaccept import cli\n"
+        "print(entry is cli.run, gc.isenabled())"
+    )
+    done = _child(["-c", script, *target], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "True False\n"), done.stderr
+
+
+def test_importing_the_cli_and_calling_main_leaves_the_collector_on():
+    script = (
+        "import contextlib, gc, io\n"
+        "from probaccept import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['lottery', 'fair', '--n', '3'])\n"
+        "print(code, gc.isenabled())"
+    )
+    done = _child(["-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "0 True\n"), done.stderr
+
+
+# Commands whose work is searches or long scans: ``diagnose`` on pigeonhole
+# bases, whose accepted sets only a search refutes, and ``teng`` over 300
+# tickets.  BASE is the file the fixture names.
+HEAVY_RUNS = {
+    "diagnose_4_holes": ("holes4", ["diagnose", "--epsilon", "1/5", "BASE"]),
+    "diagnose_5_holes": ("holes5", ["diagnose", "--epsilon", "1/6", "BASE"]),
+    "accept_teng_300": (
+        "fair300",
+        ["accept", "--policy", "teng", "--order", "natural", "--epsilon", "1/300", "BASE"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def heavy_bases(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("heavy")
+    paths = {name: folder / f"{name}.bb" for name in ("holes4", "holes5", "fair300")}
+    paths["holes4"].write_text(pigeonhole_base(4), encoding="utf-8")
+    paths["holes5"].write_text(pigeonhole_base(5), encoding="utf-8")
+    dump(fair_lottery(300), paths["fair300"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("run", list(HEAVY_RUNS))
+def test_a_run_with_the_collector_off_leaves_little_cyclic_garbage(run, heavy_bases):
+    # a CLI process never collects cycles until shutdown, which frees
+    # nothing since ``run`` freezes the collector first; a change that left
+    # cycles behind per search or per record would pile them up here.  The
+    # count covers the imports too: about 350 to 1,100 objects when written.
+    base, argv = HEAVY_RUNS[run]
+    script = (
+        "import gc\n"
+        "gc.disable()\n"
+        "import contextlib, io, sys\n"
+        "from probaccept import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, gc.isenabled(), gc.collect())"
+    )
+    argv = [heavy_bases[base] if part == "BASE" else part for part in argv]
+    done = _child(["-c", script, *argv], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, enabled, garbage = done.stdout.split()
+    assert (code, enabled) == ("0", "False")
+    assert int(garbage) < 5000
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,9 +29,9 @@ PUBLIC = {
     "worlds": "BeliefBase UnknownAtomError WorldModel ZeroProbabilityError exactly_one",
     "lotteries": "biased_lottery fair_lottery independent_lottery",
     "basefile": "BeliefBaseFormatError dump dumps load loads parse_rational",
-    "accept": "Acceptance AcceptanceLevel AcceptedSet ExtensionEnumeration "
-    "enumerate_extensions lehrer_accept lehrer_cascade sequential_accept "
-    "stakes_threshold teng_accept threshold_accept",
+    "accept": "Acceptance AcceptanceLevel AcceptedSet lehrer_accept lehrer_cascade "
+    "sequential_accept stakes_threshold teng_accept threshold_accept",
+    "extensions": "ExtensionEnumeration enumerate_extensions",
     "closure": "LeveledStatement conjunction_support consequence_level contradiction_bound",
     "strands": "Strand degree_of_inconsistency strand_entails strands",
     "stattests": "AcceptedRejection BinomialTestSpec CombinedRejection Decision "
@@ -93,25 +93,43 @@ def test_each_public_name_is_its_modules_own(module):
 def test_star_import_binds_the_public_names_and_submodules():
     script = "from probaccept import *\nprint(*sorted(n for n in dir() if not n.startswith('_')))"
     submodules = {
-        "accept", "basefile", "closure", "formulas", "rationals", "sat", "stattests", "worlds",
+        "accept", "basefile", "closure", "extensions", "formulas", "rationals", "sat",
+        "stattests", "worlds",
     }
     public = {name for names in PUBLIC.values() for name in names.split()}
     assert child(script).split() == sorted(public | submodules)
     assert public <= set(dir(probaccept))
 
 
+def _gives_by_name(module, home, names):
+    """Whether ``module`` loads ``home`` only at the first read of one of
+    ``names``, then gives each as ``home``'s own: the answers, as a line."""
+    script = (
+        "import importlib, sys\n"
+        "module, home, first = sys.argv[1], sys.argv[2], sys.argv[3]\n"
+        "module = importlib.import_module('probaccept.' + module)\n"
+        "before = 'probaccept.' + home in sys.modules\n"
+        "getattr(module, first)\n"
+        "home = sys.modules['probaccept.' + home]\n"
+        "print(before, *[getattr(module, name) is getattr(home, name) for name in sys.argv[3:]])"
+    )
+    return child(script, module, home, *names)
+
+
 def test_worlds_still_gives_the_lottery_builders():
     # ``worlds`` loads ``lotteries`` at the first read of a builder's name
-    script = (
-        "import sys, probaccept, probaccept.worlds as worlds\n"
-        "before = 'probaccept.lotteries' in sys.modules\n"
-        "from probaccept.worlds import fair_lottery\n"
-        "print(before, *[getattr(worlds, name) is getattr(probaccept, name)"
-        " for name in sys.argv[1:]])"
-    )
-    assert child(script, *PUBLIC["lotteries"].split()) == "False True True True"
+    names = PUBLIC["lotteries"].split()
+    assert _gives_by_name("worlds", "lotteries", names) == "False True True True"
     with pytest.raises(AttributeError, match="'probaccept.worlds' has no attribute 'no_such'"):
         probaccept.worlds.no_such  # noqa: B018
+
+
+def test_accept_still_gives_the_enumerator():
+    # ``accept`` loads ``extensions`` at the first read of one of its names
+    names = [*PUBLIC["extensions"].split(), "MAX_PERMUTATIONS"]
+    assert _gives_by_name("accept", "extensions", names) == "False True True True"
+    with pytest.raises(AttributeError, match="'probaccept.accept' has no attribute 'no_such'"):
+        importlib.import_module("probaccept.accept").no_such  # noqa: B018
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -142,11 +160,14 @@ def test_importing_the_cli_loads_no_library_module():
 
 
 # Each command's argv (BASE: a 3-ticket lottery file) and what it loads: the
-# library modules, then the stdlib ones of LOADED.  ``stat binom`` loads
-# neither ``worlds`` nor ``formulas``, ``lottery`` neither ``accept`` nor
-# the solver, no command on a base file ``lotteries``, and no command
-# ``dataclasses`` or ``inspect``.  The lottery's masks decide every verdict
-# of ``accept`` and ``extensions``, so they load ``oracle`` but not ``sat``.
+# library modules, then the stdlib ones of LOADED.  Every command but
+# ``accept``, whose arguments and handler are ``cli``'s own, loads the one
+# ``cli_*`` module that holds its own, and no other's.  ``stat binom`` loads neither
+# ``worlds`` nor ``formulas``, ``lottery`` neither ``accept`` nor the
+# solver, no command on a base file ``lotteries``, only ``extensions`` the
+# enumerator, and no command ``dataclasses`` or ``inspect``.  The lottery's
+# masks decide every verdict of ``accept`` and ``extensions`` and every
+# entailment of ``closure``, so they load ``oracle`` but not ``sat``.
 COMMAND_LOADS = {
     "accept": (
         ["accept", "--policy", "threshold", "--epsilon", "1/3", "BASE"],
@@ -154,22 +175,30 @@ COMMAND_LOADS = {
     ),
     "extensions": (
         ["extensions", "--policy", "sequential", "--epsilon", "1/3", "BASE"],
-        "accept basefile formulas oracle rationals records worlds", "sha256",
+        "accept basefile cli_extensions extensions formulas oracle rationals records worlds",
+        "sha256",
     ),
     "diagnose": (
         ["diagnose", "--epsilon", "1/3", "BASE"],
-        "accept basefile closure formulas oracle rationals records sat strands worlds", "sha256",
+        "accept basefile cli_diagnose closure formulas oracle rationals records sat strands"
+        " worlds",
+        "sha256",
     ),
     "closure": (
         ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "BASE"],
-        "accept basefile closure formulas oracle rationals records sat worlds", "sha256",
+        "accept basefile cli_closure closure formulas oracle rationals records worlds", "sha256",
+    ),
+    "closure_conclusion": (
+        ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "--conclusion", "wins_3", "BASE"],
+        "accept basefile cli_closure closure formulas oracle rationals records worlds", "sha256",
     ),
     "stat_binom": (
         ["stat", "binom", "--n", "10", "--p0", "1/2", "--epsilon", "1/10", "--observed", "0"],
-        "rationals records stattests", "",
+        "cli_stat rationals records stattests", "",
     ),
     "lottery": (
-        ["lottery", "fair", "--n", "3"], "basefile formulas lotteries rationals worlds", "",
+        ["lottery", "fair", "--n", "3"],
+        "basefile cli_lottery formulas lotteries rationals worlds", "",
     ),
 }
 
@@ -187,6 +216,22 @@ def test_each_command_loads_only_the_modules_it_runs(command, lottery3_path):
     loaded = child(script, *[lottery3_path if part == "BASE" else part for part in argv])
     modules = ["probaccept.cli", *(f"probaccept.{name}" for name in library.split())]
     assert loaded.split() == sorted(modules + stdlib.split())
+
+
+def test_a_usage_error_loads_only_its_command_module():
+    # a command's module holds its arguments; the library loads in its handler
+    script = (
+        "import contextlib, io, sys\n"
+        "from probaccept import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 2\n"
+        f"{LOADED}"
+    )
+    argv = ["extensions", "--policy", "threshold", "--epsilon", "1/3", "base.bb"]
+    assert child(script, *argv) == "probaccept.cli probaccept.cli_extensions"
 
 
 # Two worlds, each making one of a and b true: the candidates' joint mask is
@@ -235,6 +280,51 @@ def test_an_accept_that_must_search_loads_sat_then(tmp_path):
     )
 
 
+def test_a_closure_that_must_search_loads_sat_at_its_entailment(tmp_path):
+    # no world of the base falsifies ``a | b`` alongside both premises, and
+    # the model lists 2 of 4 valuations, so only a search can tell
+    path = tmp_path / "searched.bb"
+    path.write_text(SEARCHED_BASE, encoding="utf-8")
+    script = (
+        "import contextlib, io, sys\n"
+        "from probaccept import cli, closure\n"
+        "seen, entails = [], closure.entails\n"
+        "def asked(*args):\n"
+        "    seen.append('probaccept.sat' in sys.modules)\n"
+        "    return entails(*args)\n"
+        "closure.entails = asked\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*seen, 'probaccept.sat' in sys.modules)\n"
+        "print(out.getvalue().replace(sys.argv[-1], 'BASE'), end='')\n"
+    )
+    argv = ["closure", "--epsilon", "1/2", "--labels", "A,B", "--conclusion", "a | b"]
+    seen, *report = child_lines(script, *argv, str(path))
+    assert seen == "False True"
+    assert report == [
+        "command: closure",
+        "epsilon: 1/2 (~0.500000)",
+        "threshold: 1/2 (~0.500000)",
+        "contradiction_bound: 2",
+        "conjunction.premises[0]: A",
+        "conjunction.premises[1]: B",
+        "conjunction.formula: a & b",
+        "conjunction.premise_count: 2",
+        "conjunction.support_lower_bound: 0 (~0.000000)",
+        "conjunction.exact_probability: 0 (~0.000000)",
+        "consequence.formula: a | b",
+        "consequence.premise_count: 2",
+        "consequence.support_lower_bound: 0 (~0.000000)",
+        "consequence.exact_probability: 1 (~1.000000)",
+        "provenance.seed: 0",
+        "provenance.strict_threshold: false",
+        "provenance.input: BASE",
+        "provenance.input_sha256: "
+        "fb50cd58a0376ecf5dfe8d7639a24fbd053733e89f9971a7f6ff76bfad0b0a12",
+    ]
+
+
 def test_a_record_is_a_dataclass_before_dataclasses_loads():
     # ``dataclasses`` loads on the first read of a record's fields, not
     # with the record's module
@@ -250,14 +340,21 @@ def test_a_record_is_a_dataclass_before_dataclasses_loads():
 
 
 def test_the_cli_imports_no_private_library_name():
-    # the CLI reaches the library through its public names; only the cap
+    # the CLI, ``cli`` and the ``cli_*`` modules that hold the other
+    # handlers, reaches the library through its public names; only the cap
     # check is shared, since ``diagnose`` checks the cap on the shrink path
-    # too, where no enumerator runs
-    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    # too, where no enumerator runs.  The handlers share ``cli``'s helpers.
+    package = pathlib.Path(cli.__file__).parent
+    handlers = sorted(package.glob("cli_*.py"))
+    assert [path.stem for path in handlers] == [
+        "cli_closure", "cli_diagnose", "cli_extensions", "cli_lottery", "cli_stat",
+    ]
     private = sorted(
         f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for path in [package / "cli.py", *handlers]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module not in (None, "cli")
         for alias in node.names
         if alias.name.startswith("_")
     )
@@ -340,7 +437,7 @@ def _uses(tree, name):
 
 def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     # the base's own background is the one set that names its model, and
-    # only the solver (``oracle``) reads it there, with the test in ``sat``
+    # only the solver (``oracle``) reads it there, with the test beside it
     # by which ``consequence_level`` keeps a base's own background; no set
     # drawn from the base names one, and an accepted set keeps no model of
     # its own, so it needs no __reduce__.  The base's store step, where the constructor
@@ -349,7 +446,7 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
     # reads the MCSes off the worlds, ask whether the model is complete; only
     # the closed-form construction of a lottery's solver says so.  Only the
     # policies' solver step names the base's solver on its own background,
-    # and only ``sat``'s lookup of candidates by key reads it there.
+    # and only the oracle's lookup of candidates by key reads it there.
     package = pathlib.Path(probaccept.__file__).parent
     writers, readers, completes, told, solvers = {}, {}, {}, {}, {}
     for path in sorted(package.glob("*.py")):
@@ -371,8 +468,8 @@ def test_only_a_base_writes_a_model_and_only_the_solver_reads_it():
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 assert "__reduce__" not in methods
     assert writers == {"worlds": ["BeliefBase._store"]}
-    assert readers == {"oracle": ["_Solver.__init__"], "sat": ["_own_background"]}
-    assert completes == {"oracle": ["_Solver._search"], "sat": ["entails", "_walk"]}
+    assert readers == {"oracle": ["_Solver.__init__", "_own_background"]}
+    assert completes == {"oracle": ["_Solver._search", "entails"], "sat": ["_walk"]}
     assert told == {"oracle": ["_Solver._complete"]}
-    assert solvers == {"accept": [["_solver"], []], "sat": [[], ["_on_base"]]}
+    assert solvers == {"accept": [["_solver"], []], "oracle": [[], ["_on_base"]]}
     assert list(inspect.signature(sat._Solver).parameters) == ["members", "background"]

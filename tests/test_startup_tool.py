@@ -6,6 +6,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # as ``python -X importtime`` writes it: a module's line comes after the
@@ -47,9 +49,31 @@ def test_import_times_reads_package_self_and_stdlib_cumulative_times(monkeypatch
     }
 
 
+def test_collections_reads_the_count_the_wrapper_prints_last(monkeypatch):
+    startup = _startup(monkeypatch)
+    assert startup.collections(CANNED + "gc collections: 3\n") == 3
+    with pytest.raises(SystemExit, match="no collection count"):
+        startup.collections(CANNED)
+
+
+def test_the_table_has_a_row_of_collections(monkeypatch):
+    startup = _startup(monkeypatch)
+    results = {
+        "accept": (60.0, 50.0, 0, {"probaccept.cli": 4853, "argparse": 4400}),
+        "lottery": (44.0, 38.5, 1, {"probaccept.cli": 4853}),
+    }
+    rows = startup.table(results, 3).splitlines()
+    assert rows[0].split() == ["accept", "lottery"]
+    assert rows[1].split()[-2:] == ["60.0", "44.0"]
+    assert rows[2].split() == ["exit", "ms", "10.0", "5.5"]
+    assert rows[3].split() == ["gc", "collections", "0", "1"]
+    assert rows[4].split() == ["probaccept.cli", "us", "4853", "4853"]
+    assert "argparse us, cum." in rows[-3] and rows[-3].split()[-2:] == ["4400", "-"]
+
+
 def test_closed_pipe_exits_141_without_a_traceback(monkeypatch, capsys):
     startup = _startup(monkeypatch)
-    canned = {"accept": (60.0, 50.0, {"probaccept": 2729, "hashlib": 4471})}
+    canned = {"accept": (60.0, 50.0, 0, {"probaccept": 2729, "hashlib": 4471})}
     monkeypatch.setattr(startup, "measure", lambda checkout, rounds: canned)
     read, write = os.pipe()
     os.close(read)  # the reader has gone, as after ``| head``

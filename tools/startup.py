@@ -16,6 +16,9 @@ It prints one column per command:
 - ``exit ms``: that time minus the best-of-N wall time of the same
   command run through ``-c`` by a wrapper that flushes the std streams
   and calls ``os._exit`` once the entry is done, so skipping shutdown;
+- ``gc collections``: how many collections the cyclic collector ran in
+  that wrapper's child, all generations, from interpreter start to the
+  entry's end (the most of the N runs);
 - the best-of-N self import time in microseconds of each ``probaccept``
   module, and the cumulative one, with what each loads, of the stdlib
   modules in ``STDLIB``.
@@ -46,6 +49,8 @@ COMMANDS = {
     "extensions": ["extensions", "--policy", "sequential", "--epsilon", "1/3", BASE],
     "diagnose": ["diagnose", "--epsilon", "1/3", BASE],
     "closure": ["closure", "--epsilon", "1/3", "--labels", "L1,L2", BASE],
+    "conclusion": ["closure", "--epsilon", "1/3", "--labels", "L1,L2", "--conclusion", "wins_3",
+                   BASE],
     "stat": ["stat", "binom", "--n", "100", "--p0", "1/2", "--epsilon", "1/100",
              "--observed", "30"],
     "lottery": ["lottery", "fair", "--n", "3"],
@@ -63,15 +68,17 @@ STDLIB = (
     "dataclasses", "inspect", "hashlib", "_sha256", "_sha2", "argparse", "shutil", "locale",
 )
 
-# runs what ``python -m probaccept`` runs, then ends the process without
-# its shutdown
+# runs what ``python -m probaccept`` runs, the package's ``__main__``, then
+# prints the cyclic collector's collection count and ends the process
+# without its shutdown
 EXIT_AT_ONCE = """\
-import os, runpy, sys
+import gc, os, runpy, sys
 try:
     runpy.run_module("probaccept", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
+print("gc collections:", sum(s["collections"] for s in gc.get_stats()), file=sys.stderr)
 sys.stderr.flush()
 os._exit(code or 0)
 """
@@ -96,6 +103,14 @@ def import_times(stderr: str) -> dict[str, int]:
     return out
 
 
+def collections(stderr: str) -> int:
+    """The collection count that ``EXIT_AT_ONCE`` prints last on stderr."""
+    last = stderr.rstrip("\n").rsplit("\n", 1)[-1]
+    if not last.startswith("gc collections: "):
+        raise SystemExit(f"no collection count in: {last!r}")
+    return int(last[len("gc collections: "):])
+
+
 def _child(argv: list[str], name: str, workdir: str, env: dict[str, str]):
     """Wall time in ms and the ``-X importtime`` stderr of one child."""
     start = time.perf_counter()
@@ -109,9 +124,9 @@ def _child(argv: list[str], name: str, workdir: str, env: dict[str, str]):
     return elapsed, done.stderr
 
 
-def measure(checkout: str, rounds: int) -> dict[str, tuple[float, float, dict[str, int]]]:
+def measure(checkout: str, rounds: int) -> dict[str, tuple[float, float, int, dict[str, int]]]:
     """Per command: best wall time in ms, best wall time without shutdown
-    in ms, and best import time per module."""
+    in ms, the most collections, and best import time per module."""
     results = {}
     with tempfile.TemporaryDirectory() as workdir:
         copy = os.path.join(workdir, "checkout")
@@ -127,30 +142,32 @@ def measure(checkout: str, rounds: int) -> dict[str, tuple[float, float, dict[st
         if code != 0:
             raise SystemExit(f"writing {BASE} failed: {stderr.decode(errors='replace')}")
         for name, argv in COMMANDS.items():
-            best_ms, best_now_ms, best_us = float("inf"), float("inf"), {}
+            best_ms, best_now_ms, most_collections, best_us = float("inf"), float("inf"), 0, {}
             for _ in range(rounds):
                 elapsed, stderr = _child(["-m", "probaccept", *argv], name, workdir, env)
                 best_ms = min(best_ms, elapsed)
                 for module, us in import_times(stderr).items():
                     best_us[module] = min(best_us.get(module, us), us)
-                elapsed, _ = _child(["-c", EXIT_AT_ONCE, *argv], name, workdir, env)
+                elapsed, stderr = _child(["-c", EXIT_AT_ONCE, *argv], name, workdir, env)
                 best_now_ms = min(best_now_ms, elapsed)
-            results[name] = (best_ms, best_now_ms, best_us)
+                most_collections = max(most_collections, collections(stderr))
+            results[name] = (best_ms, best_now_ms, most_collections, best_us)
     return results
 
 
-def table(results: dict[str, tuple[float, float, dict[str, int]]], rounds: int) -> str:
+def table(results: dict[str, tuple[float, float, int, dict[str, int]]], rounds: int) -> str:
     names = list(results)
     modules = sorted({m for *_, us in results.values() for m in us if m.startswith("probaccept")})
     rows = [
         ["", *names],
         [f"wall ms, best of {rounds}", *(f"{results[n][0]:.1f}" for n in names)],
         ["exit ms", *(f"{results[n][0] - results[n][1]:.1f}" for n in names)],
+        ["gc collections", *(str(results[n][2]) for n in names)],
     ]
     for module in modules:
-        rows.append([f"{module} us", *(str(results[n][2].get(module, "-")) for n in names)])
+        rows.append([f"{module} us", *(str(results[n][3].get(module, "-")) for n in names)])
     for module in STDLIB:
-        rows.append([f"{module} us, cum.", *(str(results[n][2].get(module, "-")) for n in names)])
+        rows.append([f"{module} us, cum.", *(str(results[n][3].get(module, "-")) for n in names)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join([row[0].ljust(widths[0]), *(c.rjust(w) for c, w in zip(row[1:], widths[1:]))])
